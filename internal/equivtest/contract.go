@@ -1,0 +1,408 @@
+package equivtest
+
+import (
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+
+	"mobilstm/internal/intercell"
+	"mobilstm/internal/recurrent"
+	"mobilstm/internal/rng"
+	"mobilstm/internal/tensor"
+)
+
+// The forward-path contract suite, written once over both cell kinds.
+// The lstm and gru packages bind each check to a named test through
+// their Kind; the matrix a check walks is
+//
+//	mode {baseline, intra, inter, combined} × B × ragged lengths
+//	× GOMAXPROCS {1, 2, 8} × chain {canonical, wide}
+//
+// with wide-vs-wide equality only: the chains drift by design, and
+// that drift is measured (ChainULPDrift) rather than forbidden.
+
+// Net is the forward surface every cell kind's network has by embedding
+// recurrent.Network.
+type Net interface {
+	Run(xs []tensor.Vector, opt recurrent.RunOptions) tensor.Vector
+	RunBatch(seqs [][]tensor.Vector, opt recurrent.RunOptions) []tensor.Vector
+	RunBatchE(seqs [][]tensor.Vector, opt recurrent.RunOptions) ([]tensor.Vector, error)
+	Classify(xs []tensor.Vector, opt recurrent.RunOptions) int
+	ClassifyBatch(seqs [][]tensor.Vector, opt recurrent.RunOptions) []int
+	ClassifyBatchE(seqs [][]tensor.Vector, opt recurrent.RunOptions) ([]int, error)
+	CheckSequence(xs []tensor.Vector) error
+}
+
+// Kind is one cell kind as the suite needs it.
+type Kind struct {
+	// New returns a randomly initialized network; equal arguments give
+	// bitwise equal networks with separate (cold) packed caches.
+	New func(input, hidden, layers, classes int, seed uint64) Net
+	// Poke scales one input projection of layer 0 in place, without
+	// invalidating, and returns that layer's Invalidate.
+	Poke func(n Net) (invalidate func())
+	// AlphaIntra is a DRS threshold that skips some rows but not all.
+	AlphaIntra float64
+}
+
+// Seqs draws count sequences of the given length.
+func Seqs(r *rng.RNG, dim, length, count int) [][]tensor.Vector {
+	out := make([][]tensor.Vector, count)
+	for s := range out {
+		xs := make([]tensor.Vector, length)
+		for t := range xs {
+			v := tensor.NewVector(dim)
+			for j := range v {
+				v[j] = r.NormF32(0, 1.5)
+			}
+			xs[t] = v
+		}
+		out[s] = xs
+	}
+	return out
+}
+
+// raggedSeqs draws count sequences of harness-generated ragged lengths
+// in [1, maxLen], so at least two members differ.
+func raggedSeqs(r *rng.RNG, dim, maxLen, count int) [][]tensor.Vector {
+	out := make([][]tensor.Vector, count)
+	for i, ln := range RaggedLengths(r, count, maxLen) {
+		out[i] = Seqs(r, dim, ln, 1)[0]
+	}
+	return out
+}
+
+// ZeroPredictors returns cold-start predictors for every layer.
+func ZeroPredictors(layers, hidden int) []intercell.Predictor {
+	out := make([]intercell.Predictor, layers)
+	for i := range out {
+		out[i] = intercell.Predictor{H: tensor.NewVector(hidden), C: tensor.NewVector(hidden)}
+	}
+	return out
+}
+
+type mode struct {
+	name string
+	opt  recurrent.RunOptions
+}
+
+// modes returns the four execution modes on the given chain. The
+// inter-cell threshold is the median link relevance the network shows
+// on a probe sequence, so the inter flows both cut links (predicted
+// starts, multi-cell tissues) and keep links.
+func (k Kind) modes(n Net, dim, layers, hidden int, chain tensor.KernelChain) []mode {
+	preds := ZeroPredictors(layers, hidden)
+	tr := &recurrent.Trace{}
+	n.Run(Seqs(rng.New(7), dim, 24, 1)[0], recurrent.RunOptions{Inter: true, MTS: 4, Predictors: preds, Trace: tr})
+	var rel []float64
+	for _, lt := range tr.Layers {
+		rel = append(rel, lt.Relevance...)
+	}
+	sort.Float64s(rel)
+	alphaInter := rel[len(rel)/2]
+	return []mode{
+		{"baseline", recurrent.RunOptions{Chain: chain}},
+		{"intra", recurrent.RunOptions{Chain: chain, Intra: true, AlphaIntra: k.AlphaIntra}},
+		{"inter", recurrent.RunOptions{Chain: chain, Inter: true, AlphaInter: alphaInter, MTS: 4, Predictors: preds}},
+		{"combined", recurrent.RunOptions{Chain: chain, Inter: true, AlphaInter: alphaInter, MTS: 4, Predictors: preds,
+			Intra: true, AlphaIntra: k.AlphaIntra}},
+	}
+}
+
+func serial(n Net, seqs [][]tensor.Vector, opt recurrent.RunOptions) []tensor.Vector {
+	out := make([]tensor.Vector, len(seqs))
+	for i, xs := range seqs {
+		out[i] = n.Run(xs, opt)
+	}
+	return out
+}
+
+// atGOMAXPROCS runs f under each scheduler width of the sweep.
+func atGOMAXPROCS(f func(procs string)) {
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		f(" GOMAXPROCS=" + itoa(procs))
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// concurrently runs f on eight goroutines at GOMAXPROCS 8 and waits —
+// the serve-worker pattern the cold-cache checks race.
+func concurrently(f func(worker int)) {
+	prev := runtime.GOMAXPROCS(8)
+	defer runtime.GOMAXPROCS(prev)
+	const workers = 8
+	done := make(chan struct{}, workers) // one send per worker, so none blocks
+	for w := 0; w < workers; w++ {
+		go func() {
+			f(w)
+			done <- struct{}{}
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		<-done
+	}
+}
+
+// BatchMatchesSerial pins the batched-forward contract: member i of
+// RunBatch is bitwise identical to serial Run(seqs[i]) in every mode,
+// at every batch size, over ragged lengths, on the given chain.
+func BatchMatchesSerial(t *testing.T, k Kind, chain tensor.KernelChain) {
+	n := k.New(24, 32, 2, 5, 301)
+	r := rng.New(302)
+	for _, m := range k.modes(n, 24, 2, 32, chain) {
+		for _, b := range []int{1, 2, 3, 5} {
+			seqs := raggedSeqs(r, 24, 17, b)
+			Batch(t, chain.String()+" "+m.name+" B="+itoa(b), n.RunBatch(seqs, m.opt), serial(n, seqs, m.opt))
+		}
+	}
+}
+
+// ClassifyBatchMatchesSerial pins the classification wrappers to the
+// serial Classify per member.
+func ClassifyBatchMatchesSerial(t *testing.T, k Kind) {
+	n := k.New(16, 24, 2, 6, 303)
+	r := rng.New(304)
+	for _, m := range k.modes(n, 16, 2, 24, tensor.ChainAuto) {
+		seqs := raggedSeqs(r, 16, 12, 4)
+		want := make([]int, len(seqs))
+		for i, xs := range seqs {
+			want[i] = n.Classify(xs, m.opt)
+		}
+		Classes(t, m.name, n.ClassifyBatch(seqs, m.opt), want)
+		gotE, err := n.ClassifyBatchE(seqs, m.opt)
+		if err != nil {
+			t.Fatalf("%s: ClassifyBatchE: %v", m.name, err)
+		}
+		Classes(t, m.name+" (E)", gotE, want)
+	}
+}
+
+// RunBatchEValidation pins the error contract of the Guard boundary:
+// malformed batches surface as errors, not panics, and do not poison
+// shared state.
+func RunBatchEValidation(t *testing.T, k Kind) {
+	n := k.New(8, 8, 2, 3, 305)
+	good := Seqs(rng.New(306), 8, 5, 1)[0]
+	cases := []struct {
+		name string
+		seqs [][]tensor.Vector
+		opt  recurrent.RunOptions
+		want string
+	}{
+		{"empty batch", nil, recurrent.RunOptions{}, "empty batch"},
+		{"empty member", [][]tensor.Vector{good, {}}, recurrent.RunOptions{}, "empty input sequence"},
+		{"trace", [][]tensor.Vector{good}, recurrent.RunOptions{Trace: &recurrent.Trace{}}, "per-sequence"},
+		{"inter no mts", [][]tensor.Vector{good}, recurrent.RunOptions{Inter: true}, "MTS"},
+		{"inter predictors", [][]tensor.Vector{good}, recurrent.RunOptions{Inter: true, MTS: 2}, "predictors"},
+	}
+	for _, tc := range cases {
+		if _, err := n.RunBatchE(tc.seqs, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %v, want substring %q", tc.name, err, tc.want)
+		}
+		if _, err := n.ClassifyBatchE(tc.seqs, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s (classify): error %v, want substring %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := n.RunBatchE([][]tensor.Vector{good, good}, recurrent.RunOptions{}); err != nil {
+		t.Fatalf("valid batch after failures: %v", err)
+	}
+}
+
+// CheckSequence pins the serve-facing per-member validator.
+func CheckSequence(t *testing.T, k Kind) {
+	n := k.New(8, 8, 1, 3, 307)
+	good := Seqs(rng.New(308), 8, 4, 1)[0]
+	if err := n.CheckSequence(good); err != nil {
+		t.Fatalf("valid sequence rejected: %v", err)
+	}
+	if err := n.CheckSequence(nil); err == nil {
+		t.Fatal("empty sequence accepted")
+	}
+	bad := [][]tensor.Vector{{tensor.NewVector(7)}, {good[0], tensor.NewVector(9)}}
+	for _, xs := range bad {
+		if err := n.CheckSequence(xs); err == nil {
+			t.Fatalf("mis-sized sequence accepted: %v", xs)
+		}
+	}
+}
+
+// RunBitwiseAcrossGOMAXPROCS pins the determinism guarantee of the
+// packed hot path at network level: the size-gated fork-join inside
+// PackedGemm shards rows, never accumulation chains, so the logits of
+// every mode are identical to the last bit whatever the scheduler does.
+func RunBitwiseAcrossGOMAXPROCS(t *testing.T, k Kind, chain tensor.KernelChain) {
+	// Big enough that the PackedGemm work gate (rows*cols products)
+	// actually opens and goroutines fork at GOMAXPROCS > 1.
+	n := k.New(48, 64, 2, 5, 91)
+	xs := Seqs(rng.New(92), 48, 40, 1)[0]
+	for _, m := range k.modes(n, 48, 2, 64, chain) {
+		ref := n.Run(xs, m.opt)
+		atGOMAXPROCS(func(procs string) {
+			Vectors(t, chain.String()+" "+m.name+procs, n.Run(xs, m.opt), ref)
+		})
+	}
+}
+
+// RunRepeatable pins that back-to-back runs through the reused packed
+// cache are bitwise stable — a regression guard against scratch state
+// leaking between calls.
+func RunRepeatable(t *testing.T, k Kind) {
+	n := k.New(16, 24, 3, 4, 93)
+	opt := recurrent.RunOptions{Intra: true, AlphaIntra: k.AlphaIntra}
+	for _, xs := range Seqs(rng.New(94), 16, 21, 2) {
+		first := n.Run(xs, opt)
+		for rep := 0; rep < 3; rep++ {
+			Vectors(t, "rep "+itoa(rep), n.Run(xs, opt), first)
+		}
+	}
+}
+
+// ConcurrentRunsShareColdCache races first-use builds of the packed
+// weight cache: a fresh network run from many goroutines at once (the
+// serve-worker pattern) must agree on one united copy and produce
+// bitwise identical logits. Even workers run on the given chain, odd
+// ones on the canonical chain: the cache is chain-neutral (it holds
+// weights, not results), so mixed first touches must be safe too. Run
+// under -race in CI, this guards the lock-free cache read.
+func ConcurrentRunsShareColdCache(t *testing.T, k Kind, chain tensor.KernelChain) {
+	n := k.New(24, 32, 2, 4, 89)
+	xs := Seqs(rng.New(90), 24, 18, 1)[0]
+	opts := [2]recurrent.RunOptions{{Chain: chain}, {}}
+	refNet := k.New(24, 32, 2, 4, 89)
+	refs := [2]tensor.Vector{refNet.Run(xs, opts[0]), refNet.Run(xs, opts[1])}
+
+	var results [8]tensor.Vector
+	concurrently(func(w int) { results[w] = n.Run(xs, opts[w%2]) })
+	for w, got := range results {
+		Vectors(t, chain.String()+" worker "+itoa(w), got, refs[w%2])
+	}
+}
+
+// InvalidateRefreshesPackedCache documents the cache contract: a direct
+// weight mutation without Invalidate leaves runs on the stale united
+// copy; Invalidate picks the new weights up.
+func InvalidateRefreshesPackedCache(t *testing.T, k Kind) {
+	n := k.New(8, 8, 1, 3, 95)
+	xs := Seqs(rng.New(96), 8, 6, 1)[0]
+	before := n.Run(xs, recurrent.RunOptions{}) // builds the cache
+
+	invalidate := k.Poke(n)
+	Vectors(t, "mutation without Invalidate", n.Run(xs, recurrent.RunOptions{}), before)
+
+	invalidate()
+	if MaxULP(t, "after Invalidate", n.Run(xs, recurrent.RunOptions{}), before) == 0 {
+		t.Fatal("Invalidate did not pick up the weight mutation")
+	}
+}
+
+// RunBatchBitwiseAcrossGOMAXPROCS extends the determinism guarantee to
+// the batched forward path: the batch GEMMs shard united weight rows,
+// never accumulation chains, so a ragged batch matches its per-member
+// serial runs bit for bit whatever the scheduler does.
+func RunBatchBitwiseAcrossGOMAXPROCS(t *testing.T, k Kind, chain tensor.KernelChain) {
+	n := k.New(48, 64, 2, 5, 91)
+	r := rng.New(92)
+	var seqs [][]tensor.Vector
+	for _, ln := range []int{40, 23, 31, 40} {
+		seqs = append(seqs, Seqs(r, 48, ln, 1)[0])
+	}
+	for _, m := range k.modes(n, 48, 2, 64, chain) {
+		want := serial(n, seqs, m.opt)
+		atGOMAXPROCS(func(procs string) {
+			Batch(t, chain.String()+" "+m.name+procs, n.RunBatch(seqs, m.opt), want)
+		})
+	}
+}
+
+// ConcurrentRunBatchSharesColdCache races first-use builds of the
+// packed weight cache through the batch path: a fresh network batched
+// from many goroutines at once must agree on one united copy and match
+// the serial reference bitwise. Run under -race in CI.
+func ConcurrentRunBatchSharesColdCache(t *testing.T, k Kind) {
+	n := k.New(24, 32, 2, 4, 89)
+	r := rng.New(90)
+	var seqs [][]tensor.Vector
+	for _, ln := range []int{18, 11, 18} {
+		seqs = append(seqs, Seqs(r, 24, ln, 1)[0])
+	}
+	want := serial(k.New(24, 32, 2, 4, 89), seqs, recurrent.RunOptions{})
+
+	var results [8][]tensor.Vector
+	concurrently(func(w int) { results[w] = n.RunBatch(seqs, recurrent.RunOptions{}) })
+	for w, got := range results {
+		Batch(t, "worker "+itoa(w), got, want)
+	}
+}
+
+// ChainAutoFollowsProcessDefault pins the env/SetKernelChain path end
+// to end: a ChainAuto run under a forced process default produces
+// exactly the bits of the matching explicit selection.
+func ChainAutoFollowsProcessDefault(t *testing.T, k Kind) {
+	n := k.New(16, 24, 2, 4, 410)
+	xs := Seqs(rng.New(411), 16, 12, 1)[0]
+	explicit := n.Run(xs, recurrent.RunOptions{Chain: tensor.ChainAVX2})
+	canonical := n.Run(xs, recurrent.RunOptions{})
+
+	prev := tensor.ActiveKernelChain()
+	tensor.SetKernelChain(tensor.ChainAVX2)
+	auto := n.Run(xs, recurrent.RunOptions{})
+	tensor.SetKernelChain(prev)
+	Vectors(t, "auto-under-avx2-default", auto, explicit)
+	Vectors(t, "auto-after-restore", n.Run(xs, recurrent.RunOptions{}), canonical)
+}
+
+// ChainULPDrift measures — not forbids — the wide chain's drift from
+// the canonical chain on baseline logits. The bound is a loose sanity
+// rail (three recurrent layers amplify the per-dot difference); the
+// measured values are reported in EXPERIMENTS.md.
+func ChainULPDrift(t *testing.T, k Kind) {
+	n := k.New(24, 32, 3, 5, 412)
+	r := rng.New(413)
+	var worst uint32
+	for trial := 0; trial < 8; trial++ {
+		xs := Seqs(r, 24, 20, 1)[0]
+		canon := n.Run(xs, recurrent.RunOptions{Chain: tensor.ChainSSE2})
+		wide := n.Run(xs, recurrent.RunOptions{Chain: tensor.ChainAVX2})
+		worst = max(worst, MaxULP(t, "drift", wide, canon))
+	}
+	t.Logf("max ULP drift wide vs canonical over 8 sequences: %d", worst)
+	if worst > 1<<16 {
+		t.Fatalf("wide chain drifted %d ULP from canonical — beyond any plausible rounding divergence", worst)
+	}
+}
+
+// FuzzRunBatchEquivalence drives the batched forward path with
+// rng-derived batch shapes and modes: whatever the batch size, length
+// raggedness or execution mode, every member must stay bitwise
+// identical to its serial run. The seed corpus covers each mode once;
+// the fuzzer then explores shape × mode combinations the table checks
+// never enumerate.
+func FuzzRunBatchEquivalence(f *testing.F, k Kind) {
+	for seed := uint64(0); seed < 4; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		r := rng.New(seed)
+		layers := 1 + r.Intn(2)
+		n := k.New(12, 16, layers, 4, r.Uint64())
+		seqs := raggedSeqs(r, 12, 9, 1+r.Intn(6))
+		var opt recurrent.RunOptions
+		if seed%4 == 1 || seed%4 == 3 {
+			//lint:ignore threshconst a fuzzed range of DRS thresholds, not an operating point any consumer compares against
+			opt.Intra, opt.AlphaIntra = true, 0.02+0.3*r.Float64()
+		}
+		if seed%4 >= 2 {
+			// Link relevance scales with the hidden size: 8h spans the
+			// 16-wide networks' range for both kinds.
+			opt.Inter, opt.AlphaInter, opt.MTS = true, 8*16*r.Float64(), 1+r.Intn(4)
+			opt.Predictors = ZeroPredictors(layers, 16)
+		}
+		got, err := n.RunBatchE(seqs, opt)
+		if err != nil {
+			t.Fatalf("RunBatchE: %v", err)
+		}
+		Batch(t, "seed "+itoa(int(seed%1000)), got, serial(n, seqs, opt))
+	})
+}

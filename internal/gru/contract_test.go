@@ -1,0 +1,70 @@
+package gru
+
+import (
+	"testing"
+
+	"mobilstm/internal/equivtest"
+	"mobilstm/internal/rng"
+	"mobilstm/internal/tensor"
+)
+
+// The forward-path contract suite (internal/equivtest/contract.go) bound
+// to the GRU cell: one named test per check, so the Makefile's -run
+// patterns and the race/chain-matrix gates select them by name.
+
+var kind = equivtest.Kind{
+	New: func(input, hidden, layers, classes int, seed uint64) equivtest.Net {
+		n := NewNetwork(input, hidden, layers, classes)
+		n.InitRandom(rng.New(seed), func(l int) float64 { return 1 + 0.2*float64(l) }, 0.5)
+		return n
+	},
+	Poke: func(n equivtest.Net) func() {
+		l := n.(*Network).Layers[0]
+		for i := range l.Wz.Data {
+			l.Wz.Data[i] *= 1.5
+		}
+		return l.Invalidate
+	},
+	AlphaIntra: 0.15,
+}
+
+const canonical, wide = tensor.ChainAuto, tensor.ChainAVX2
+
+func TestGRURunBatchMatchesSerial(t *testing.T)      { equivtest.BatchMatchesSerial(t, kind, canonical) }
+func TestGRUWideRunBatchMatchesSerial(t *testing.T)  { equivtest.BatchMatchesSerial(t, kind, wide) }
+func TestGRUClassifyBatchMatchesSerial(t *testing.T) { equivtest.ClassifyBatchMatchesSerial(t, kind) }
+func TestGRURunBatchEValidation(t *testing.T)        { equivtest.RunBatchEValidation(t, kind) }
+func TestGRUCheckSequence(t *testing.T)              { equivtest.CheckSequence(t, kind) }
+func TestGRURunRepeatable(t *testing.T)              { equivtest.RunRepeatable(t, kind) }
+
+func TestGRURunBitwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	equivtest.RunBitwiseAcrossGOMAXPROCS(t, kind, canonical)
+}
+func TestGRUWideRunBitwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	equivtest.RunBitwiseAcrossGOMAXPROCS(t, kind, wide)
+}
+func TestGRURunBatchBitwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	equivtest.RunBatchBitwiseAcrossGOMAXPROCS(t, kind, canonical)
+}
+func TestGRUWideRunBatchBitwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	equivtest.RunBatchBitwiseAcrossGOMAXPROCS(t, kind, wide)
+}
+
+func TestGRUConcurrentRunsShareColdCache(t *testing.T) {
+	equivtest.ConcurrentRunsShareColdCache(t, kind, canonical)
+}
+func TestGRUConcurrentWideRunsShareColdCache(t *testing.T) {
+	equivtest.ConcurrentRunsShareColdCache(t, kind, wide)
+}
+func TestGRUConcurrentRunBatchSharesColdCache(t *testing.T) {
+	equivtest.ConcurrentRunBatchSharesColdCache(t, kind)
+}
+func TestGRUInvalidateRefreshesPackedCache(t *testing.T) {
+	equivtest.InvalidateRefreshesPackedCache(t, kind)
+}
+func TestGRUChainAutoFollowsProcessDefault(t *testing.T) {
+	equivtest.ChainAutoFollowsProcessDefault(t, kind)
+}
+func TestGRUWideChainULPDrift(t *testing.T) { equivtest.ChainULPDrift(t, kind) }
+
+func FuzzGRURunBatchEquivalence(f *testing.F) { equivtest.FuzzRunBatchEquivalence(f, kind) }

@@ -83,7 +83,7 @@ func TestGRUCalibrateSpread(t *testing.T) {
 	tmp := make([]float32, n.Layers[0].Hidden)
 	for _, xs := range seqs {
 		for _, x := range xs {
-			for _, w := range layerWs(n.Layers[0]) {
+			for _, w := range n.Layers[0].InputWeights() {
 				for i := 0; i < w.Rows; i++ {
 					var s float32
 					row := w.Row(i)

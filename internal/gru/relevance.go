@@ -61,22 +61,3 @@ func (a *analyzer) relevance(xz, xr, xh tensor.Vector) float64 {
 	}
 	return s
 }
-
-func logit(p float64) float64 { return math.Log(p / (1 - p)) }
-
-func probit(p float64) float64 {
-	if p <= 0 {
-		return -8
-	}
-	if p >= 1 {
-		return 8
-	}
-	return math.Sqrt2 * math.Erfinv(2*p-1)
-}
-
-func sqrtf(x float64) float64 {
-	if x <= 0 {
-		return 1
-	}
-	return math.Sqrt(x)
-}

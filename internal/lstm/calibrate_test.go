@@ -54,14 +54,18 @@ func TestCalibrateDeepLayersUsable(t *testing.T) {
 		}
 	}
 	Calibrate(n, seqs, func(int) float64 { return 1.2 })
-	// Run the layers to get layer-2 inputs, then check its spread.
-	cur := seqs
-	for li := 0; li < 2; li++ {
-		next := make([][]tensor.Vector, len(cur))
-		for i, xs := range cur {
-			next[i] = runLayerExact(n, n.Layers[li], xs)
+	// Layer 2's inputs are the two-layer prefix's hidden outputs: read
+	// them through an identity head, one sequence prefix per cell.
+	prefix := NewNetwork(24, 24, 2, 24)
+	prefix.Layers = n.Layers[:2]
+	for j := 0; j < 24; j++ {
+		prefix.Head.Set(j, j, 1)
+	}
+	cur := make([][]tensor.Vector, len(seqs))
+	for i, xs := range seqs {
+		for t := range xs {
+			cur[i] = append(cur[i], prefix.Run(xs[:t+1], Baseline()))
 		}
-		cur = next
 	}
 	rms := preActivationRMS(n.Layers[2], cur)
 	if rms < 0.8 || rms > 1.6 {

@@ -1,0 +1,89 @@
+package lstm
+
+import (
+	"mobilstm/internal/intercell"
+	"mobilstm/internal/recurrent"
+	"mobilstm/internal/tensor"
+)
+
+// The LSTM cell as the forward core sees it (recurrent.Cell). A wx row
+// is [xf|xi|xc|xo]; the first recurrent stage is the output gate alone
+// (o_t first, Algorithm 3 lines 4-6), the second the f, i, c block; the
+// state is h|c.
+
+var _ recurrent.Cell = (*Layer)(nil)
+
+// Shape declares four gates, a one-block first stage and a two-block
+// state.
+func (l *Layer) Shape() recurrent.Shape {
+	return recurrent.Shape{Hidden: l.Hidden, Input: l.Input, Gates: 4, First: 1, State: 2}
+}
+
+// InputWeights returns the four input projections in f,i,c,o order.
+func (l *Layer) InputWeights() []*tensor.Matrix {
+	return []*tensor.Matrix{l.Wf, l.Wi, l.Wc, l.Wo}
+}
+
+// RecurrentWeights splits U into the output gate's block and the
+// DRS-skippable f,i,c block.
+func (l *Layer) RecurrentWeights() (first, second []*tensor.Matrix) {
+	return []*tensor.Matrix{l.Uo}, []*tensor.Matrix{l.Uf, l.Ui, l.Uc}
+}
+
+func (l *Layer) gateAct() tensor.Activation {
+	if l.gate == nil {
+		return tensor.ActSigmoid
+	}
+	return *l.gate
+}
+
+// FirstGates computes o_t = σ(W_o x + U_o h_{t-1} + b_o) into g.
+func (l *Layer) FirstGates(g, wx, a tensor.Vector) {
+	h, gate := l.Hidden, l.gateAct()
+	xo := wx[3*h:]
+	for j := 0; j < h; j++ {
+		g[j] = gate.Apply(xo[j] + a[j] + l.Bo[j])
+	}
+}
+
+// Operand is h_{t-1} itself: U_{f,i,c} multiplies the hidden state
+// directly.
+func (l *Layer) Operand(_, _, h tensor.Vector) tensor.Vector { return h }
+
+// Update computes f_t, i_t and the candidate from a = U_{f,i,c}·h_{t-1}
+// and advances (h, c) in place. Rows marked in skip were not computed;
+// their c and h elements are approximated to zero (§V-A).
+func (l *Layer) Update(st, wx, a, g tensor.Vector, skip []bool) {
+	h, gate := l.Hidden, l.gateAct()
+	sh, sc := st[:h], st[h:]
+	xf, xi, xc := wx[:h], wx[h:2*h], wx[2*h:3*h]
+	uf, ui, uc := a[:h], a[h:2*h], a[2*h:]
+	for j := 0; j < h; j++ {
+		if skip != nil && skip[j] {
+			sc[j] = 0
+			sh[j] = 0
+			continue
+		}
+		f := gate.Apply(xf[j] + uf[j] + l.Bf[j])
+		i := gate.Apply(xi[j] + ui[j] + l.Bi[j])
+		cand := tensor.Tanh(xc[j] + uc[j] + l.Bc[j])
+		c := f*sc[j] + i*cand
+		sc[j] = c
+		sh[j] = g[j] * tensor.Tanh(c)
+	}
+}
+
+// LinkRelevance scores a link with the layer's Algorithm 2 analyzer.
+func (l *Layer) LinkRelevance() func(wx tensor.Vector) float64 {
+	an, h := l.Analyzer(), l.Hidden
+	return func(wx tensor.Vector) float64 {
+		return an.Relevance(wx[:h], wx[h:2*h], wx[2*h:3*h], wx[3*h:])
+	}
+}
+
+// InitPredicted starts a sub-layer from the predicted link: both the
+// hidden output and the cell state cross the cut.
+func (l *Layer) InitPredicted(st tensor.Vector, p intercell.Predictor) {
+	copy(st[:l.Hidden], p.H)
+	copy(st[l.Hidden:], p.C)
+}

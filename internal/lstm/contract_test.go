@@ -1,0 +1,70 @@
+package lstm
+
+import (
+	"testing"
+
+	"mobilstm/internal/equivtest"
+	"mobilstm/internal/rng"
+	"mobilstm/internal/tensor"
+)
+
+// The forward-path contract suite (internal/equivtest/contract.go) bound
+// to the LSTM cell: one named test per check, so the Makefile's -run
+// patterns and the race/chain-matrix gates select them by name.
+
+var kind = equivtest.Kind{
+	New: func(input, hidden, layers, classes int, seed uint64) equivtest.Net {
+		n := NewNetwork(input, hidden, layers, classes)
+		n.InitRandom(rng.New(seed), func(l int) float64 { return 1 + 0.2*float64(l) }, 0.5)
+		return n
+	},
+	Poke: func(n equivtest.Net) func() {
+		l := n.(*Network).Layers[0]
+		for i := range l.Wf.Data {
+			l.Wf.Data[i] *= 1.5
+		}
+		return l.Invalidate
+	},
+	AlphaIntra: 0.1,
+}
+
+const canonical, wide = tensor.ChainAuto, tensor.ChainAVX2
+
+func TestRunBatchMatchesSerial(t *testing.T)      { equivtest.BatchMatchesSerial(t, kind, canonical) }
+func TestWideRunBatchMatchesSerial(t *testing.T)  { equivtest.BatchMatchesSerial(t, kind, wide) }
+func TestClassifyBatchMatchesSerial(t *testing.T) { equivtest.ClassifyBatchMatchesSerial(t, kind) }
+func TestRunBatchEValidation(t *testing.T)        { equivtest.RunBatchEValidation(t, kind) }
+func TestCheckSequence(t *testing.T)              { equivtest.CheckSequence(t, kind) }
+func TestRunRepeatable(t *testing.T)              { equivtest.RunRepeatable(t, kind) }
+
+func TestRunBitwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	equivtest.RunBitwiseAcrossGOMAXPROCS(t, kind, canonical)
+}
+func TestWideRunBitwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	equivtest.RunBitwiseAcrossGOMAXPROCS(t, kind, wide)
+}
+func TestRunBatchBitwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	equivtest.RunBatchBitwiseAcrossGOMAXPROCS(t, kind, canonical)
+}
+func TestWideRunBatchBitwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	equivtest.RunBatchBitwiseAcrossGOMAXPROCS(t, kind, wide)
+}
+
+func TestConcurrentRunsShareColdCache(t *testing.T) {
+	equivtest.ConcurrentRunsShareColdCache(t, kind, canonical)
+}
+func TestConcurrentWideRunsShareColdCache(t *testing.T) {
+	equivtest.ConcurrentRunsShareColdCache(t, kind, wide)
+}
+func TestConcurrentRunBatchSharesColdCache(t *testing.T) {
+	equivtest.ConcurrentRunBatchSharesColdCache(t, kind)
+}
+func TestInvalidateRefreshesPackedCache(t *testing.T) {
+	equivtest.InvalidateRefreshesPackedCache(t, kind)
+}
+func TestChainAutoFollowsProcessDefault(t *testing.T) {
+	equivtest.ChainAutoFollowsProcessDefault(t, kind)
+}
+func TestWideChainULPDrift(t *testing.T) { equivtest.ChainULPDrift(t, kind) }
+
+func FuzzRunBatchEquivalence(f *testing.F) { equivtest.FuzzRunBatchEquivalence(f, kind) }

@@ -12,9 +12,9 @@ package lstm
 
 import (
 	"fmt"
-	"math"
 
 	"mobilstm/internal/intercell"
+	"mobilstm/internal/recurrent"
 	"mobilstm/internal/rng"
 	"mobilstm/internal/tensor"
 )
@@ -32,10 +32,15 @@ type Layer struct {
 	// b_g: biases (Hidden).
 	Bf, Bi, Bc, Bo tensor.Vector
 
-	// packedCache lazily holds the united row-wise views of W_g and U_g
-	// consumed by the packed kernels; see packed.go. Mutating any weight
-	// matrix after construction requires Invalidate.
-	packedCache
+	// PackedCache lazily holds the united row-wise copies of W_g and U_g
+	// the forward core consumes. Mutating any weight matrix after
+	// construction requires Invalidate.
+	recurrent.PackedCache
+
+	// gate points at the owning Network's Gate, so a post-construction
+	// n.Gate = … reaches the cell arithmetic; nil (a standalone NewLayer)
+	// means the exact sigmoid.
+	gate *tensor.Activation
 }
 
 // NewLayer returns a zero-weight layer of the given shape.
@@ -73,43 +78,51 @@ func (l *Layer) Analyzer() *intercell.Analyzer {
 }
 
 // Network is a stack of LSTM layers with a linear classification head on
-// the final hidden state.
+// the final hidden state. The forward entry points (Run, RunBatch,
+// Classify, CheckSequence and their error-returning forms) are the
+// embedded core's.
 type Network struct {
-	Layers []*Layer
-	// Head maps the last layer's final hidden state to class logits
-	// (Classes x Hidden).
-	Head     *tensor.Matrix
-	HeadBias tensor.Vector
+	recurrent.Network[*Layer]
 	// Gate is the activation used for the three gates; the paper
 	// analyses both the exact sigmoid and the hard sigmoid (Fig. 7).
 	Gate tensor.Activation
 }
 
+// The forward core's option and trace types, under the names this
+// package has always exported them.
+type (
+	RunOptions = recurrent.RunOptions
+	Trace      = recurrent.Trace
+	LayerTrace = recurrent.LayerTrace
+)
+
+// Baseline returns options for the exact Algorithm 1 flow.
+func Baseline() RunOptions { return RunOptions{} }
+
 // NewNetwork builds a zero-weight network: layers stacked hidden->hidden
 // after an input->hidden first layer, and a classification head.
 func NewNetwork(input, hidden, layers, classes int) *Network {
-	if layers < 1 || classes < 1 {
-		tensor.Panicf("lstm: network needs at least one layer and one class")
-	}
 	n := &Network{Gate: tensor.ActSigmoid}
-	in := input
-	for i := 0; i < layers; i++ {
-		n.Layers = append(n.Layers, NewLayer(hidden, in))
-		in = hidden
-	}
-	n.Head = tensor.NewMatrix(classes, hidden)
-	n.HeadBias = tensor.NewVector(classes)
+	n.Network = recurrent.NewNetwork(input, hidden, layers, classes, func(hidden, input int) *Layer {
+		l := NewLayer(hidden, input)
+		l.gate = &n.Gate
+		return l
+	})
 	return n
 }
 
-// Hidden returns the hidden size (uniform across layers).
-func (n *Network) Hidden() int { return n.Layers[0].Hidden }
+// CollectPredictors executes the unmodified network over a set of
+// sequences and returns the Eq. 6 predicted context link (h and c) per
+// layer.
+func CollectPredictors(n *Network, samples [][]tensor.Vector) []intercell.Predictor {
+	return recurrent.CollectPredictors(&n.Network, samples)
+}
 
-// Input returns the first layer's input size.
-func (n *Network) Input() int { return n.Layers[0].Input }
-
-// Classes returns the head's output dimension.
-func (n *Network) Classes() int { return n.Head.Rows }
+// Calibrate adjusts a randomly-initialized network the way training
+// would; see recurrent.Calibrate.
+func Calibrate(n *Network, seqs [][]tensor.Vector, spreadFor func(layer int) float64) {
+	recurrent.Calibrate(&n.Network, seqs, spreadFor)
+}
 
 // Params returns the total parameter count.
 func (n *Network) Params() int64 {
@@ -148,15 +161,7 @@ func (n *Network) InitRandom(r *rng.RNG, linkScale func(layer int) float64, triv
 		}
 		initLayer(r.Split(), l, d, trivialFrac, inputRMS)
 	}
-	// Head: unit-variance rows give well-separated logits.
-	hr := r.Split()
-	scale := 1.4 / sqrtf(float64(n.Head.Cols))
-	for i := range n.Head.Data {
-		n.Head.Data[i] = hr.NormF32(0, scale)
-	}
-	for i := range n.HeadBias {
-		n.HeadBias[i] = hr.NormF32(0, 0.1)
-	}
+	n.InitHead(r.Split())
 }
 
 func initLayer(r *rng.RNG, l *Layer, dTarget, trivialFrac, inputRMS float64) {
@@ -173,8 +178,8 @@ func initLayer(r *rng.RNG, l *Layer, dTarget, trivialFrac, inputRMS float64) {
 	// Input projections: pre-activation contributions with spread ~1.2
 	// at the layer's expected input magnitude, so cells land in a mix of
 	// sensitive and saturated regions.
-	sigmaW := 1.2 / (inputRMS * sqrtf(float64(l.Input)))
-	for _, w := range []*tensor.Matrix{l.Wf, l.Wi, l.Wc, l.Wo} {
+	sigmaW := 1.2 / (inputRMS * recurrent.Sqrtf(float64(l.Input)))
+	for _, w := range l.InputWeights() {
 		for i := range w.Data {
 			w.Data[i] = r.NormF32(0, sigmaW)
 		}
@@ -187,34 +192,13 @@ func initLayer(r *rng.RNG, l *Layer, dTarget, trivialFrac, inputRMS float64) {
 	// threshold: its mean is placed so that P(o_t < 0.15) ~ trivialFrac
 	// under the typical pre-activation spread sigma_total ~ 2.
 	const sigmaTotal = 2.0
-	muO := logit(0.15) - probit(trivialFrac)*sigmaTotal
+	muO := recurrent.Logit(0.15) - recurrent.Probit(trivialFrac)*sigmaTotal
 	for j := 0; j < l.Hidden; j++ {
 		l.Bf[j] = r.NormF32(0.4, 0.5)
 		l.Bi[j] = r.NormF32(0, 0.3)
 		l.Bc[j] = r.NormF32(0, 0.3)
 		l.Bo[j] = r.NormF32(muO, 1.6)
 	}
-}
-
-// logit is the inverse sigmoid.
-func logit(p float64) float64 { return math.Log(p / (1 - p)) }
-
-// probit is the standard normal quantile function.
-func probit(p float64) float64 {
-	if p <= 0 {
-		return -8
-	}
-	if p >= 1 {
-		return 8
-	}
-	return math.Sqrt2 * math.Erfinv(2*p-1)
-}
-
-func sqrtf(x float64) float64 {
-	if x <= 0 {
-		return 1
-	}
-	return math.Sqrt(x)
 }
 
 // Validate checks internal shape consistency, returning a descriptive
@@ -228,7 +212,7 @@ func (n *Network) Validate() error {
 		if l.Input != in {
 			return fmt.Errorf("lstm: layer %d input %d, want %d", i, l.Input, in)
 		}
-		for _, m := range []*tensor.Matrix{l.Wf, l.Wi, l.Wc, l.Wo} {
+		for _, m := range l.InputWeights() {
 			if m.Rows != l.Hidden || m.Cols != l.Input {
 				return fmt.Errorf("lstm: layer %d W shape %dx%d, want %dx%d", i, m.Rows, m.Cols, l.Hidden, l.Input)
 			}

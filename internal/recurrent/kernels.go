@@ -1,16 +1,16 @@
-package lstm
+package recurrent
 
 import "mobilstm/internal/tensor"
 
-// kernelFns binds the layer loop to one accumulation chain. A forward
+// kernelFns binds the layer loops to one accumulation chain. A forward
 // pass resolves RunOptions.Chain exactly once and then calls every
 // chain-sensitive kernel through the same binding — the canonical and
 // wide chains never mix within one run, which is what keeps each
 // chain's bitwise contract (serial≡batch, any GOMAXPROCS) meaningful.
-// Element-wise math (gates, state update) is chain-independent and
-// stays direct. Calibration paths (CollectPredictors, the relevance
-// analyzer) deliberately stay on the canonical chain: thresholds and
-// predictors are offline artifacts shared across chains.
+// Element-wise cell math is chain-independent. Calibration paths
+// (CollectPredictors, Calibrate, the relevance analyzers) deliberately
+// stay on the canonical chain: thresholds and predictors are offline
+// artifacts shared across chains.
 type kernelFns struct {
 	gemv           func(tensor.Vector, *tensor.Matrix, tensor.Vector)
 	packedGemm     func(*tensor.Matrix, *tensor.Matrix, []tensor.Vector)

@@ -1,0 +1,247 @@
+package recurrent
+
+import (
+	"fmt"
+
+	"mobilstm/internal/tensor"
+)
+
+// Network is a stack of recurrent layers of one cell kind with a linear
+// classification head on the final hidden state. lstm.Network and
+// gru.Network embed it, so every entry point below is theirs by
+// promotion.
+type Network[C Cell] struct {
+	Layers []C
+	// Head maps the last layer's final hidden state to class logits
+	// (Classes x Hidden).
+	Head     *tensor.Matrix
+	HeadBias tensor.Vector
+}
+
+// NewNetwork builds a zero-weight network: layers stacked hidden->hidden
+// after an input->hidden first layer, and a classification head.
+func NewNetwork[C Cell](input, hidden, layers, classes int, newLayer func(hidden, input int) C) Network[C] {
+	if layers < 1 || classes < 1 {
+		tensor.Panicf("recurrent: network needs at least one layer and one class")
+	}
+	n := Network[C]{
+		Head:     tensor.NewMatrix(classes, hidden),
+		HeadBias: tensor.NewVector(classes),
+	}
+	in := input
+	for i := 0; i < layers; i++ {
+		n.Layers = append(n.Layers, newLayer(hidden, in))
+		in = hidden
+	}
+	return n
+}
+
+// Hidden returns the hidden size (uniform across layers).
+func (n *Network[C]) Hidden() int { return n.Layers[0].Shape().Hidden }
+
+// Input returns the first layer's input size.
+func (n *Network[C]) Input() int { return n.Layers[0].Shape().Input }
+
+// Classes returns the head's output dimension.
+func (n *Network[C]) Classes() int { return n.Head.Rows }
+
+// Run executes the network on one input sequence and returns the class
+// logits. The sequence is the layer input x_1..x_n (each of length
+// Input()); every layer consumes the previous layer's hidden outputs.
+//
+// The layer loop owns one scratch arena for the whole call: every
+// per-cell buffer (gate pre-activations, first-stage gates, hidden
+// outputs, sub-layer states) lives in it, so the hot path performs no
+// per-cell allocation and a Run's footprint is a handful of arena slabs.
+func (n *Network[C]) Run(xs []tensor.Vector, opt RunOptions) tensor.Vector {
+	if len(xs) == 0 {
+		tensor.Panicf("recurrent: empty input sequence")
+	}
+	n.checkInter(opt)
+	kf := kernelsFor(opt.Chain)
+	sc := newLayerScratch(n.Layers[0].Shape(), len(xs))
+	seq := xs
+	for li, l := range n.Layers {
+		var lt *LayerTrace
+		if opt.Trace != nil {
+			opt.Trace.Layers = append(opt.Trace.Layers, LayerTrace{Layer: li, Cells: len(seq)})
+			lt = &opt.Trace.Layers[len(opt.Trace.Layers)-1]
+		}
+		seq = runLayer(li, l, seq, opt, lt, sc, kf, nil)
+	}
+	return n.headLogits(seq[len(seq)-1], kf)
+}
+
+// headLogits applies the linear head to a final hidden state, returning
+// freshly allocated logits (never an arena view).
+func (n *Network[C]) headLogits(last tensor.Vector, kf *kernelFns) tensor.Vector {
+	logits := tensor.NewVector(n.Head.Rows)
+	kf.gemv(logits, n.Head, last)
+	tensor.Add(logits, logits, n.HeadBias)
+	return logits
+}
+
+// checkInter validates the options Inter mode requires.
+func (n *Network[C]) checkInter(opt RunOptions) {
+	if !opt.Inter {
+		return
+	}
+	if opt.MTS < 1 {
+		tensor.Panicf("recurrent: Inter mode requires MTS >= 1")
+	}
+	if len(opt.Predictors) != len(n.Layers) {
+		tensor.Panicf("recurrent: %d predictors for %d layers", len(opt.Predictors), len(n.Layers))
+	}
+}
+
+// CheckSequence validates a caller-supplied input sequence against the
+// network's input width without running it: a serving front-end uses it
+// to reject one malformed batch member with its own error instead of
+// failing the co-batched requests.
+func (n *Network[C]) CheckSequence(xs []tensor.Vector) error {
+	if len(xs) == 0 {
+		return fmt.Errorf("recurrent: empty input sequence")
+	}
+	in := n.Input()
+	for t, x := range xs {
+		if len(x) != in {
+			return fmt.Errorf("recurrent: sequence element %d has length %d, want input width %d", t, len(x), in)
+		}
+	}
+	return nil
+}
+
+// Classify runs the network and returns the argmax class.
+func (n *Network[C]) Classify(xs []tensor.Vector, opt RunOptions) int {
+	return tensor.ArgMax(n.Run(xs, opt))
+}
+
+// RunE is the serving-path entry point of Run: the same validation
+// (empty sequence, missing MTS, predictor/layer mismatch, shape
+// violations in the cell math) reports as an error instead of a
+// process-killing panic, so a server worker survives a malformed
+// request. The happy path is identical to Run.
+func (n *Network[C]) RunE(xs []tensor.Vector, opt RunOptions) (logits tensor.Vector, err error) {
+	defer tensor.Guard(&err)
+	return n.Run(xs, opt), nil
+}
+
+// ClassifyE runs the network and returns the argmax class, reporting
+// validation failures as errors (the serving-path Classify).
+func (n *Network[C]) ClassifyE(xs []tensor.Vector, opt RunOptions) (class int, err error) {
+	defer tensor.Guard(&err)
+	return n.Classify(xs, opt), nil
+}
+
+// The batch-B forward path: RunBatch executes B sequences together so
+// the recurrent united weights stream once per timestep for the whole
+// batch (tensor.PackedGemmRows — the Appleyard-style GEMV→GEMM
+// conversion), instead of B independent GEMV chains re-streaming U per
+// member. The serving loop dispatches a drained batching window through
+// this path as one call.
+//
+// Output i of RunBatch(seqs...) is bitwise identical to serial
+// Run(seqs[i]) in every mode, at every GOMAXPROCS, cold or warm cache:
+// the batched kernels evaluate exactly the same dotRow chains and the
+// same Cell methods in the same order as the serial flow; batching only
+// changes which loop walks them.
+//
+// Ragged lengths batch together in lockstep: at timestep t only the
+// members with t < len(member) are active — the batch shrinks as short
+// members finish, with no padding compute, and each member's logits
+// come from its own final hidden state.
+
+// RunBatch executes the network on a batch of input sequences and
+// returns one logits vector per member, bitwise identical to calling
+// Run on each member alone. Members may have different (non-zero)
+// lengths. Tracing is per-sequence instrumentation: a non-nil
+// opt.Trace rejects the batch — trace members serially instead.
+//
+// Inter mode's structure (breakpoints, sub-layers, tissues) is
+// data-dependent per member, so Inter batches fall back to per-member
+// execution over one shared arena; the batched lockstep kernels drive
+// the baseline and DRS (Intra) flows, where the serving loop runs.
+func (n *Network[C]) RunBatch(seqs [][]tensor.Vector, opt RunOptions) []tensor.Vector {
+	n.checkBatch(seqs, opt)
+	kf := kernelsFor(opt.Chain)
+	out := make([]tensor.Vector, len(seqs))
+	if opt.Inter {
+		// Bitwise identity with Run holds by construction — it is the
+		// same layer loop.
+		maxLen := 0
+		for _, xs := range seqs {
+			maxLen = max(maxLen, len(xs))
+		}
+		sc := newLayerScratch(n.Layers[0].Shape(), maxLen)
+		for i, xs := range seqs {
+			seq := xs
+			for li, l := range n.Layers {
+				seq = runLayer(li, l, seq, opt, nil, sc, kf, nil)
+			}
+			out[i] = n.headLogits(seq[len(seq)-1], kf)
+		}
+		return out
+	}
+
+	// The flat cell list concatenates member sequences in member order;
+	// member i's cell t lives at offs[i]+t in every flat slab.
+	lens := make([]int, len(seqs))
+	total := 0
+	for i, xs := range seqs {
+		lens[i] = len(xs)
+		total += len(xs)
+	}
+	flat := make([]tensor.Vector, 0, total)
+	for _, xs := range seqs {
+		flat = append(flat, xs...)
+	}
+	sc := newBatchScratch(n.Layers[0].Shape(), lens)
+	seq := flat
+	for _, l := range n.Layers {
+		seq = runLayerBatch(l, seq, opt, sc, kf)
+	}
+	for i := range seqs {
+		out[i] = n.headLogits(seq[sc.offs[i]+sc.lens[i]-1], kf)
+	}
+	return out
+}
+
+// RunBatchE is the serving-path RunBatch: validation and shape
+// violations report as an error instead of a panic.
+func (n *Network[C]) RunBatchE(seqs [][]tensor.Vector, opt RunOptions) (logits []tensor.Vector, err error) {
+	defer tensor.Guard(&err)
+	return n.RunBatch(seqs, opt), nil
+}
+
+// ClassifyBatch runs the batch and returns the argmax class per member.
+func (n *Network[C]) ClassifyBatch(seqs [][]tensor.Vector, opt RunOptions) []int {
+	outs := n.RunBatch(seqs, opt)
+	classes := make([]int, len(outs))
+	for i, logits := range outs {
+		classes[i] = tensor.ArgMax(logits)
+	}
+	return classes
+}
+
+// ClassifyBatchE is the error-returning ClassifyBatch (the serving
+// loop's batch dispatch entry point).
+func (n *Network[C]) ClassifyBatchE(seqs [][]tensor.Vector, opt RunOptions) (classes []int, err error) {
+	defer tensor.Guard(&err)
+	return n.ClassifyBatch(seqs, opt), nil
+}
+
+// checkBatch applies Run's validation across the batch.
+func (n *Network[C]) checkBatch(seqs [][]tensor.Vector, opt RunOptions) {
+	if len(seqs) == 0 {
+		tensor.Panicf("recurrent: empty batch")
+	}
+	for i, xs := range seqs {
+		if len(xs) == 0 {
+			tensor.Panicf("recurrent: batch member %d is an empty input sequence", i)
+		}
+	}
+	if opt.Trace != nil {
+		tensor.Panicf("recurrent: Trace is per-sequence; run batch members serially to trace")
+	}
+	n.checkInter(opt)
+}

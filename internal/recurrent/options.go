@@ -1,0 +1,83 @@
+package recurrent
+
+import (
+	"mobilstm/internal/intercell"
+	"mobilstm/internal/tensor"
+)
+
+// RunOptions selects the execution mode and its thresholds.
+type RunOptions struct {
+	// Inter enables the inter-cell optimization: layer division at links
+	// with relevance below AlphaInter, predicted-link recovery, and
+	// tissue re-organization bounded by MTS.
+	Inter      bool
+	AlphaInter float64
+	// MTS is the platform's maximum tissue size (from intercell.FindMTS);
+	// required when Inter is set.
+	MTS int
+	// Predictors supplies the Eq. 6 predicted context link per layer;
+	// required when Inter is set (zero predictors are a valid cold
+	// start, but accuracy suffers — exactly the trade the paper makes).
+	// GRU layers carry no cell state and read only the H vector.
+	Predictors []intercell.Predictor
+
+	// Intra enables Dynamic Row Skip with the near-zero threshold
+	// AlphaIntra on the cell's DRS gate (the LSTM output gate, the GRU
+	// update gate).
+	Intra      bool
+	AlphaIntra float64
+
+	// Chain selects the accumulation chain the GEMV/GEMM kernels run
+	// (tensor.KernelChain). The zero value (ChainAuto) follows the
+	// process default — the canonical bitwise-deterministic chain
+	// unless tensor.SetKernelChain or MOBILSTM_KERNEL_CHAIN moved it.
+	// ChainAVX2 opts this run into the wide FMA fast mode: logits keep
+	// the same determinism guarantees within the wide chain
+	// (Run≡RunBatch, any GOMAXPROCS) but drift a few ULP from the
+	// canonical chain's bits (see EXPERIMENTS.md).
+	Chain tensor.KernelChain
+
+	// Trace, when non-nil, collects the structural decisions of the run
+	// (relevance values, breakpoints, tissue layout, skip counts) — the
+	// information the paper's PyTorch stage exports to DeepBench, and
+	// that our scheduler replays on the GPU model.
+	Trace *Trace
+}
+
+// Trace records the structural decisions of one optimized run.
+type Trace struct {
+	Layers []LayerTrace
+}
+
+// LayerTrace is the per-layer record.
+type LayerTrace struct {
+	Layer int
+	Cells int
+	// Relevance[t-1] is the Algorithm 2 value S of the link into cell t.
+	Relevance []float64
+	// Breakpoints are the cell indices whose incoming link was cut.
+	Breakpoints []int
+	// SublayerSizes and TissueSizes describe the division and the
+	// aligned re-organization.
+	SublayerSizes []int
+	TissueSizes   []int
+	// SkipCounts[k] is the number of trivial hidden elements shared by
+	// tissue k (combined mode) or of cell k (intra-only mode).
+	SkipCounts []int
+}
+
+// Sublayers returns the number of sub-layers the layer divided into.
+func (lt *LayerTrace) Sublayers() int { return len(lt.SublayerSizes) }
+
+// MeanSkipFraction returns the average skipped fraction of hidden
+// elements across the layer's execution units.
+func (lt *LayerTrace) MeanSkipFraction(hidden int) float64 {
+	if len(lt.SkipCounts) == 0 || hidden == 0 {
+		return 0
+	}
+	var s int
+	for _, c := range lt.SkipCounts {
+		s += c
+	}
+	return float64(s) / float64(len(lt.SkipCounts)*hidden)
+}
