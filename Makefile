@@ -9,7 +9,7 @@ GO ?= go
 
 .PHONY: build test race vet vet386 lint lint-json lint-ci fuzz-smoke \
 	serve-race determinism-race batch-race fleet-race chain-matrix \
-	bench-json bench-batch serve-smoke fleet-smoke check
+	bench bench-json bench-batch serve-smoke fleet-smoke loc check
 
 build:
 	$(GO) build ./...
@@ -68,14 +68,20 @@ fuzz-smoke:
 serve-race:
 	$(GO) test -race -count=2 ./internal/serve/... ./internal/core/...
 
+# The packages that carry the forward-path contracts: the kernels, the
+# shared recurrent core (its arenas), the two cell kinds (the contract
+# suite of internal/equivtest bound per kind) and the golden logit bits.
+FORWARD_PKGS = ./internal/tensor/ ./internal/recurrent/ ./internal/lstm/ \
+	./internal/gru/ ./internal/equivtest/
+
 # Focused race gate for the packed hot path: the network-level
 # determinism tests (bitwise-identical logits across GOMAXPROCS, the
 # cold-cache build race, Invalidate) plus the kernel equivalence suite.
 # Already inside `make race`; kept separate so CI reruns it -count=2.
 determinism-race:
 	$(GO) test -race -count=2 \
-		-run 'Bitwise|Repeatable|ColdCache|Invalidate|Equivalent|Matches' \
-		./internal/tensor/ ./internal/lstm/ ./internal/gru/
+		-run 'Bitwise|Repeatable|ColdCache|Invalidate|Equivalent|Matches|Golden' \
+		$(FORWARD_PKGS)
 
 # Focused race gate for the batched forward path: the RunBatch
 # bitwise-equivalence suites in lstm/gru (serial-vs-batch, GOMAXPROCS
@@ -85,7 +91,7 @@ determinism-race:
 # kept separate so CI reruns it -count=2.
 batch-race:
 	$(GO) test -race -count=2 -run 'Batch|Window|Malformed|GemmRows' \
-		./internal/tensor/ ./internal/lstm/ ./internal/gru/ ./internal/serve/
+		$(FORWARD_PKGS) ./internal/serve/
 
 # Kernel-chain matrix: the equivalence and determinism suites re-run
 # with each chain forced process-wide via MOBILSTM_KERNEL_CHAIN.
@@ -97,9 +103,14 @@ chain-matrix:
 	for chain in generic sse2 avx2; do \
 		echo "=== MOBILSTM_KERNEL_CHAIN=$$chain ==="; \
 		MOBILSTM_KERNEL_CHAIN=$$chain $(GO) test -count=1 \
-			-run 'Bitwise|Repeatable|ColdCache|Invalidate|Equivalent|Matches|Wide|Chain' \
-			./internal/tensor/ ./internal/lstm/ ./internal/gru/ || exit 1; \
+			-run 'Bitwise|Repeatable|ColdCache|Invalidate|Equivalent|Matches|Wide|Chain|Golden' \
+			$(FORWARD_PKGS) || exit 1; \
 	done
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): every
+# workload untraced, then traced with the per-layer probes.
+bench:
+	$(GO) run ./bench
 
 # Hot-path benchmark trajectory: the united/packed kernel
 # micro-benchmarks plus the end-to-end Run benchmarks, folded into
@@ -148,6 +159,18 @@ serve-smoke:
 fleet-smoke:
 	$(GO) run ./cmd/mobilstm-serve -shards 3 -fleetcheck \
 		-benches MR,BABI -requests 16 -interarrival 1 -seed 7
+
+# Non-test and test Go lines per internal package and in total — the
+# numbers ROADMAP quotes and every aim-2 PR reports.
+loc:
+	@for d in internal/*/; do \
+		all=$$(find $$d -name '*.go' | xargs cat | wc -l); \
+		tst=$$(find $$d -name '*_test.go' | xargs cat /dev/null | wc -l); \
+		printf '%-22s %6d non-test %6d test\n' $$d $$((all - tst)) $$tst; \
+	done
+	@all=$$(find . -name '*.go' -not -path './.bench_build/*' | xargs cat | wc -l); \
+	tst=$$(find . -name '*_test.go' -not -path './.bench_build/*' | xargs cat | wc -l); \
+	printf '%-22s %6d non-test %6d test\n' total $$((all - tst)) $$tst
 
 check:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...

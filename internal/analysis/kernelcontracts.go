@@ -40,15 +40,14 @@ func init() {
 // reductions ArgMax and MaxAbs, which have no cross-argument dimension
 // contract to check.
 var tensorKernelCoverage = map[string]bool{
-	"Gemv": true, "GemvRows": true, "ParallelGemv": true,
-	"Gemm": true, "ParallelGemm": true,
+	"Gemv": true, "GemvRows": true,
 	"PackedGemv": true, "PackedGemvRows": true,
 	"PackedGemm": true, "PackedGemmRows": true,
 	"WideGemv": true, "WideGemvRows": true,
 	"WidePackedGemv": true, "WidePackedGemvRows": true,
 	"WidePackedGemm": true, "WidePackedGemmRows": true,
 	"Pack": true,
-	"Add":  true, "Mul": true, "Axpy": true, "Dot": true,
+	"Add":  true, "Mul": true,
 	"SigmoidVec": true, "HardSigmoidVec": true, "TanhVec": true,
 	"AbsRowSums": true,
 	"ArgMax":     true, "MaxAbs": true,

@@ -22,13 +22,11 @@ import (
 // AbsRowSums/Clone/Pack/RowBlock and make(), integer dimensions fold
 // through named constants, coef·base products (4*h keeps the base h)
 // and same-base sums (4*h - h keeps 3*h for RowBlock views), and every
-// Gemv/GemvRows/Gemm/Add/Mul/Axpy/Dot/SigmoidVec/HardSigmoidVec/TanhVec
-// call site is checked for compatible dst/m/x dimensions. The packed
-// and parallel kernels carry their own contracts: Pack inputs must
-// agree on columns, a PackedGemm destination's column count is the
-// united row count, a PackedGemvRows skip mask must tile the united
-// matrix, and ParallelGemv/ParallelGemm check exactly like their serial
-// twins (they are bitwise identical, so the shapes are too). The
+// Gemv/GemvRows/Add/Mul/SigmoidVec/HardSigmoidVec/TanhVec call site is
+// checked for compatible dst/m/x dimensions. The packed kernels carry
+// their own contracts: Pack inputs must agree on columns, a PackedGemm
+// destination's column count is the united row count, and a
+// PackedGemvRows skip mask must tile the united matrix. The
 // kernels.Builder cost constructors take the same h/e/t integers, so a
 // dimension variable shared between a tensor allocation and a kernel
 // spec is tracked as one symbol.
@@ -43,7 +41,7 @@ import (
 func init() {
 	Register(&Analyzer{
 		Name: "shapecheck",
-		Doc:  "verify tensor dimensions symbolically at every Gemv/Gemm/element-wise call site",
+		Doc:  "verify tensor dimensions symbolically at every Gemv/packed/element-wise call site",
 		Run:  runShapeCheck,
 	})
 }
@@ -371,20 +369,13 @@ func (c *shapeClient) check(ev *env, n ast.Node) {
 			return nil
 		}
 		switch name {
-		case "Gemv", "GemvRows", "ParallelGemv", "WideGemv", "WideGemvRows":
+		case "Gemv", "GemvRows", "WideGemv", "WideGemvRows":
 			rows, cols := c.mdims(ev, arg(1))
 			c.require(call, name, "dst length", c.vdim(ev, arg(0)), "m rows", rows)
 			c.require(call, name, "x length", c.vdim(ev, arg(2)), "m cols", cols)
 			if name == "GemvRows" || name == "WideGemvRows" {
 				c.require(call, name, "skip length", c.vdim(ev, arg(3)), "m rows", rows)
 			}
-		case "Gemm", "ParallelGemm":
-			dr, dc := c.mdims(ev, arg(0))
-			ar, ac := c.mdims(ev, arg(1))
-			br, bc := c.mdims(ev, arg(2))
-			c.require(call, name, "a cols", ac, "b rows", br)
-			c.require(call, name, "dst rows", dr, "a rows", ar)
-			c.require(call, name, "dst cols", dc, "b cols", bc)
 		case "PackedGemv", "PackedGemvRows", "WidePackedGemv", "WidePackedGemvRows":
 			rows, cols := c.mdims(ev, arg(1))
 			c.require(call, name, "x length", c.vdim(ev, arg(2)), "m cols", cols)
@@ -440,10 +431,6 @@ func (c *shapeClient) check(ev *env, n ast.Node) {
 			dn, an, bn := c.vdim(ev, arg(0)), c.vdim(ev, arg(1)), c.vdim(ev, arg(2))
 			c.require(call, name, "dst length", dn, "a length", an)
 			c.require(call, name, "a length", an, "b length", bn)
-		case "Axpy":
-			c.require(call, name, "dst length", c.vdim(ev, arg(0)), "x length", c.vdim(ev, arg(2)))
-		case "Dot":
-			c.require(call, name, "a length", c.vdim(ev, arg(0)), "b length", c.vdim(ev, arg(1)))
 		case "SigmoidVec", "HardSigmoidVec", "TanhVec":
 			c.require(call, name, "dst length", c.vdim(ev, arg(0)), "x length", c.vdim(ev, arg(1)))
 		}

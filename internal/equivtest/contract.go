@@ -82,6 +82,17 @@ func ZeroPredictors(layers, hidden int) []intercell.Predictor {
 	return out
 }
 
+// subject is a network under test together with the shape it was built
+// with, which the mode table needs for its predictors and probe.
+type subject struct {
+	Net
+	input, hidden, layers int
+}
+
+func (k Kind) subject(input, hidden, layers, classes int, seed uint64) subject {
+	return subject{k.New(input, hidden, layers, classes, seed), input, hidden, layers}
+}
+
 type mode struct {
 	name string
 	opt  recurrent.RunOptions
@@ -91,10 +102,10 @@ type mode struct {
 // inter-cell threshold is the median link relevance the network shows
 // on a probe sequence, so the inter flows both cut links (predicted
 // starts, multi-cell tissues) and keep links.
-func (k Kind) modes(n Net, dim, layers, hidden int, chain tensor.KernelChain) []mode {
-	preds := ZeroPredictors(layers, hidden)
+func (k Kind) modes(n subject, chain tensor.KernelChain) []mode {
+	preds := ZeroPredictors(n.layers, n.hidden)
 	tr := &recurrent.Trace{}
-	n.Run(Seqs(rng.New(7), dim, 24, 1)[0], recurrent.RunOptions{Inter: true, MTS: 4, Predictors: preds, Trace: tr})
+	n.Run(Seqs(rng.New(7), n.input, 24, 1)[0], recurrent.RunOptions{Inter: true, MTS: 4, Predictors: preds, Trace: tr})
 	var rel []float64
 	for _, lt := range tr.Layers {
 		rel = append(rel, lt.Relevance...)
@@ -149,9 +160,9 @@ func concurrently(f func(worker int)) {
 // RunBatch is bitwise identical to serial Run(seqs[i]) in every mode,
 // at every batch size, over ragged lengths, on the given chain.
 func BatchMatchesSerial(t *testing.T, k Kind, chain tensor.KernelChain) {
-	n := k.New(24, 32, 2, 5, 301)
+	n := k.subject(24, 32, 2, 5, 301)
 	r := rng.New(302)
-	for _, m := range k.modes(n, 24, 2, 32, chain) {
+	for _, m := range k.modes(n, chain) {
 		for _, b := range []int{1, 2, 3, 5} {
 			seqs := raggedSeqs(r, 24, 17, b)
 			Batch(t, chain.String()+" "+m.name+" B="+itoa(b), n.RunBatch(seqs, m.opt), serial(n, seqs, m.opt))
@@ -162,9 +173,9 @@ func BatchMatchesSerial(t *testing.T, k Kind, chain tensor.KernelChain) {
 // ClassifyBatchMatchesSerial pins the classification wrappers to the
 // serial Classify per member.
 func ClassifyBatchMatchesSerial(t *testing.T, k Kind) {
-	n := k.New(16, 24, 2, 6, 303)
+	n := k.subject(16, 24, 2, 6, 303)
 	r := rng.New(304)
-	for _, m := range k.modes(n, 16, 2, 24, tensor.ChainAuto) {
+	for _, m := range k.modes(n, tensor.ChainAuto) {
 		seqs := raggedSeqs(r, 16, 12, 4)
 		want := make([]int, len(seqs))
 		for i, xs := range seqs {
@@ -235,9 +246,9 @@ func CheckSequence(t *testing.T, k Kind) {
 func RunBitwiseAcrossGOMAXPROCS(t *testing.T, k Kind, chain tensor.KernelChain) {
 	// Big enough that the PackedGemm work gate (rows*cols products)
 	// actually opens and goroutines fork at GOMAXPROCS > 1.
-	n := k.New(48, 64, 2, 5, 91)
+	n := k.subject(48, 64, 2, 5, 91)
 	xs := Seqs(rng.New(92), 48, 40, 1)[0]
-	for _, m := range k.modes(n, 48, 2, 64, chain) {
+	for _, m := range k.modes(n, chain) {
 		ref := n.Run(xs, m.opt)
 		atGOMAXPROCS(func(procs string) {
 			Vectors(t, chain.String()+" "+m.name+procs, n.Run(xs, m.opt), ref)
@@ -302,13 +313,13 @@ func InvalidateRefreshesPackedCache(t *testing.T, k Kind) {
 // never accumulation chains, so a ragged batch matches its per-member
 // serial runs bit for bit whatever the scheduler does.
 func RunBatchBitwiseAcrossGOMAXPROCS(t *testing.T, k Kind, chain tensor.KernelChain) {
-	n := k.New(48, 64, 2, 5, 91)
+	n := k.subject(48, 64, 2, 5, 91)
 	r := rng.New(92)
 	var seqs [][]tensor.Vector
 	for _, ln := range []int{40, 23, 31, 40} {
 		seqs = append(seqs, Seqs(r, 48, ln, 1)[0])
 	}
-	for _, m := range k.modes(n, 48, 2, 64, chain) {
+	for _, m := range k.modes(n, chain) {
 		want := serial(n, seqs, m.opt)
 		atGOMAXPROCS(func(procs string) {
 			Batch(t, chain.String()+" "+m.name+procs, n.RunBatch(seqs, m.opt), want)

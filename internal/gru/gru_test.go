@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mobilstm/internal/equivtest"
 	"mobilstm/internal/intercell"
 	"mobilstm/internal/rng"
 	"mobilstm/internal/tensor"
@@ -16,28 +17,11 @@ func testNet(seed uint64, layers, classes int) *Network {
 }
 
 func seqsFor(seed uint64, length, count int) [][]tensor.Vector {
-	r := rng.New(seed)
-	out := make([][]tensor.Vector, count)
-	for s := range out {
-		xs := make([]tensor.Vector, length)
-		for t := range xs {
-			v := tensor.NewVector(16)
-			for j := range v {
-				v[j] = r.NormF32(0, 1.5)
-			}
-			xs[t] = v
-		}
-		out[s] = xs
-	}
-	return out
+	return equivtest.Seqs(rng.New(seed), 16, length, count)
 }
 
 func zeroPreds(n *Network) []intercell.Predictor {
-	out := make([]intercell.Predictor, len(n.Layers))
-	for i, l := range n.Layers {
-		out[i] = intercell.Predictor{H: tensor.NewVector(l.Hidden), C: tensor.NewVector(l.Hidden)}
-	}
-	return out
+	return equivtest.ZeroPredictors(len(n.Layers), n.Hidden())
 }
 
 func maxDiff(a, b tensor.Vector) float64 {

@@ -1,8 +1,10 @@
-// Package lstm implements the LSTM inference library: cell math (Eqs. 1-5
-// of the paper), multi-layer networks, and the four execution modes the
+// Package lstm is the LSTM cell of the inference library: layer weights,
+// the cell math (Eqs. 1-5 of the paper), the synthetic "trained" weight
+// generator and the binary network format. The four execution modes the
 // paper evaluates — the baseline cuDNN-style flow (Algorithm 1), the
 // inter-cell tissue-parallel flow (§IV), the intra-cell Dynamic Row Skip
-// flow (Algorithm 3), and their combination.
+// flow (Algorithm 3), and their combination — live in the shared forward
+// core, internal/recurrent, which Network embeds.
 //
 // All modes run real float32 arithmetic, so accuracy under approximation
 // is measured rather than asserted: the optimized flows produce genuinely
@@ -126,12 +128,17 @@ func Calibrate(n *Network, seqs [][]tensor.Vector, spreadFor func(layer int) flo
 
 // Params returns the total parameter count.
 func (n *Network) Params() int64 {
-	var p int64
-	for _, l := range n.Layers {
-		p += 4 * int64(l.Hidden) * int64(l.Input+l.Hidden+1)
-	}
-	p += int64(n.Head.Rows)*int64(n.Head.Cols) + int64(len(n.HeadBias))
-	return p
+	return paramCount(len(n.Layers), n.Input(), n.Hidden(), n.Classes())
+}
+
+// paramCount is the parameter count of a network of the given shape;
+// it cannot overflow for dimensions the deserializer admits (≤ 2^20
+// each, ≤ 1024 layers).
+func paramCount(layers, input, hidden, classes int) int64 {
+	h := int64(hidden)
+	first := 4 * h * (int64(input) + h + 1)
+	deeper := int64(layers-1) * 4 * h * (2*h + 1)
+	return first + deeper + int64(classes)*(h+1)
 }
 
 // InitRandom fills the network with the synthetic "trained" weight
@@ -206,6 +213,9 @@ func initLayer(r *rng.RNG, l *Layer, dTarget, trivialFrac, inputRMS float64) {
 func (n *Network) Validate() error {
 	if len(n.Layers) == 0 {
 		return fmt.Errorf("lstm: network has no layers")
+	}
+	if n.Gate != tensor.ActSigmoid && n.Gate != tensor.ActHardSigmoid {
+		return fmt.Errorf("lstm: unknown gate activation %d", int(n.Gate))
 	}
 	in := n.Layers[0].Input
 	for i, l := range n.Layers {

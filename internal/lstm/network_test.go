@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mobilstm/internal/equivtest"
 	"mobilstm/internal/rng"
 	"mobilstm/internal/tensor"
 )
@@ -18,21 +19,7 @@ func testNet(t *testing.T, input, hidden, layers, classes int, seed uint64) *Net
 	return n
 }
 
-func testSeqs(r *rng.RNG, dim, length, count int) [][]tensor.Vector {
-	out := make([][]tensor.Vector, count)
-	for s := range out {
-		xs := make([]tensor.Vector, length)
-		for t := range xs {
-			v := tensor.NewVector(dim)
-			for j := range v {
-				v[j] = r.NormF32(0, 1.5)
-			}
-			xs[t] = v
-		}
-		out[s] = xs
-	}
-	return out
-}
+var testSeqs = equivtest.Seqs
 
 func TestNewNetworkShapes(t *testing.T) {
 	n := NewNetwork(10, 20, 3, 4)

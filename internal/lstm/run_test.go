@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mobilstm/internal/equivtest"
 	"mobilstm/internal/intercell"
 	"mobilstm/internal/rng"
 	"mobilstm/internal/tensor"
@@ -11,11 +12,7 @@ import (
 
 // zeroPredictors returns zero-vector predictors for every layer.
 func zeroPredictors(n *Network) []intercell.Predictor {
-	out := make([]intercell.Predictor, len(n.Layers))
-	for i, l := range n.Layers {
-		out[i] = intercell.Predictor{H: tensor.NewVector(l.Hidden), C: tensor.NewVector(l.Hidden)}
-	}
-	return out
+	return equivtest.ZeroPredictors(len(n.Layers), n.Hidden())
 }
 
 func maxDiff(a, b tensor.Vector) float64 {

@@ -76,10 +76,19 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 	}
 	gate := tensor.Activation(hdr[2])
 	layers, input, hidden, classes := int(hdr[3]), int(hdr[4]), int(hdr[5]), int(hdr[6])
-	const maxDim = 1 << 20
+	const (
+		maxDim = 1 << 20
+		// maxParams bounds what a header alone can make NewNetwork
+		// allocate (256 MiB of float32) — several times the largest
+		// Table II model, far below what the per-dimension caps admit.
+		maxParams = 1 << 26
+	)
 	if layers < 1 || layers > 1024 || input < 1 || input > maxDim ||
 		hidden < 1 || hidden > maxDim || classes < 1 || classes > maxDim {
 		return nil, fmt.Errorf("lstm: implausible shape %dx%dx%dx%d", layers, input, hidden, classes)
+	}
+	if p := paramCount(layers, input, hidden, classes); p > maxParams {
+		return nil, fmt.Errorf("lstm: shape %dx%dx%dx%d has %d parameters, limit %d", layers, input, hidden, classes, p, maxParams)
 	}
 	n := NewNetwork(input, hidden, layers, classes)
 	n.Gate = gate

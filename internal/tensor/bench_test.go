@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"testing"
 
 	"mobilstm/internal/rng"
@@ -64,18 +63,6 @@ func BenchmarkPackedGemvRowsSkipHalf(b *testing.B) {
 	}
 }
 
-func BenchmarkParallelGemv(b *testing.B) {
-	const h = 650
-	united, _, x := benchDims(h)
-	dst := NewVector(4 * h)
-	b.SetBytes(united.SizeBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ParallelGemv(dst, united, x)
-	}
-}
-
 func BenchmarkPackedGemm(b *testing.B) {
 	const h, steps = 650, 16
 	united, _, _ := benchDims(h)
@@ -124,28 +111,5 @@ func BenchmarkWidePackedGemm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		WidePackedGemm(dst, united, xs)
-	}
-}
-
-func BenchmarkGemmSizes(b *testing.B) {
-	r := rng.New(0x77aa)
-	for _, n := range []int{64, 256} {
-		a := randMatrix(r, n, n)
-		c := randMatrix(r, n, n)
-		dst := NewMatrix(n, n)
-		b.Run(fmt.Sprintf("serial/%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n) * int64(n) * 4)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Gemm(dst, a, c)
-			}
-		})
-		b.Run(fmt.Sprintf("parallel/%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n) * int64(n) * 4)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ParallelGemm(dst, a, c)
-			}
-		})
 	}
 }

@@ -1,7 +1,7 @@
 package tensor
 
 // The shared inner kernels of the GEMV family. Every kernel in this
-// package — serial, packed, parallel — reduces each output element to
+// package — serial or packed — reduces each output element to
 // exactly one of the accumulation chains below, so results are bitwise
 // identical however rows are blocked, sharded across goroutines, or
 // scattered across united-gate destinations. Do not add a kernel with a
@@ -56,37 +56,13 @@ func dotRowGeneric(row, x []float32) float32 {
 }
 
 // gemvSpan computes dst[i] = row(row0+i) · x for every i in
-// [0, len(dst)) — the shared row-range body of Gemv, ParallelGemv, and
-// the packed kernels. Every row is one dotRow chain, so shard and
+// [0, len(dst)) — the shared row-range body of Gemv and the packed
+// kernels. Every row is one dotRow chain, so shard and
 // segment boundaries never change a single output bit.
 func gemvSpan(dst Vector, m *Matrix, x Vector, row0 int) {
 	n := m.Cols
 	for i := range dst {
 		r := row0 + i
 		dst[i] = dotRow(m.Data[r*n:r*n+n], x)
-	}
-}
-
-// gemmRange is the row range [lo, hi) of the serial Gemm body: zero the
-// destination rows, then accumulate in ikj order. ParallelGemm shards
-// call this over disjoint ranges; dst row i depends only on a's row i,
-// so the sharding is bitwise invisible.
-func gemmRange(dst, a, b *Matrix, lo, hi int) {
-	n := b.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*n : i*n+n]
-		for j := range drow {
-			drow[j] = 0
-		}
-		for k := 0; k < a.Cols; k++ {
-			aik := a.At(i, k)
-			if aik == 0 {
-				continue
-			}
-			brow := b.Data[k*n : k*n+n]
-			for j, bv := range brow {
-				drow[j] += aik * bv
-			}
-		}
 	}
 }

@@ -3,7 +3,6 @@ package tensor
 import (
 	"runtime"
 	"testing"
-	"testing/quick"
 
 	"mobilstm/internal/rng"
 )
@@ -242,54 +241,6 @@ func TestPackedGemmRowsShapePanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestParallelGemvBitwiseEqualsGemvProperty(t *testing.T) {
-	r := rng.New(0x45)
-	f := func(seed uint64) bool {
-		rr := rng.New(seed)
-		// Shapes straddle the size gate: some serial, some sharded.
-		rows := 1 + rr.Intn(600)
-		cols := 1 + rr.Intn(300)
-		m := randMatrix(rr, rows, cols)
-		x := randVector(rr, cols)
-		want := NewVector(rows)
-		Gemv(want, m, x)
-		got := NewVector(rows)
-		ParallelGemv(got, m, x)
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
-		cfg := &quick.Config{MaxCount: 25, Values: quickSeed(r)}
-		if err := quick.Check(f, cfg); err != nil {
-			t.Fatalf("GOMAXPROCS %d: %v", runtime.GOMAXPROCS(0), err)
-		}
-	})
-}
-
-func TestParallelGemmBitwiseEqualsGemm(t *testing.T) {
-	r := rng.New(0x46)
-	for _, sh := range [][3]int{{1, 1, 1}, {5, 3, 7}, {130, 70, 40}, {257, 129, 65}} {
-		a := randMatrix(r, sh[0], sh[1])
-		b := randMatrix(r, sh[1], sh[2])
-		want := NewMatrix(sh[0], sh[2])
-		Gemm(want, a, b)
-		atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
-			got := NewMatrix(sh[0], sh[2])
-			ParallelGemm(got, a, b)
-			for i := range got.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("GOMAXPROCS %d shape %v elem %d: %v != %v",
-						runtime.GOMAXPROCS(0), sh, i, got.Data[i], want.Data[i])
-				}
-			}
-		})
 	}
 }
 

@@ -5,13 +5,14 @@ import (
 	"sync"
 )
 
-// Row-sharded parallel kernels. The sharding axis is always a
-// destination row (a dot-product chain that no other row touches), so a
-// parallel kernel's output is bitwise identical to its serial
-// counterpart at any GOMAXPROCS — the shards only partition the row
-// space, never an accumulation. Small shapes stay serial: the gate
-// below keeps fork-join overhead (goroutine spawn + Wait, on the order
-// of microseconds) away from kernels that finish faster than that.
+// The row-sharding fork-join behind PackedGemm and PackedGemmRows. The
+// sharding axis is always a destination row (a dot-product chain that
+// no other row touches), so a sharded kernel's output is bitwise
+// identical to its serial counterpart at any GOMAXPROCS — the shards
+// only partition the row space, never an accumulation. Small shapes
+// stay serial: the gate below keeps fork-join overhead (goroutine spawn
+// + Wait, on the order of microseconds) away from kernels that finish
+// faster than that.
 
 const (
 	// parallelMinWork is the size gate: a kernel whose total
@@ -76,32 +77,4 @@ func forkJoin(rows, work int, body func(lo, hi int)) {
 	}
 	body(0, chunk)
 	wg.Wait()
-}
-
-// ParallelGemv computes dst = m · x with the rows sharded over a
-// fork-join worker pool. Bitwise identical to Gemv (each row is the
-// same dotRow chain); small shapes fall through to the serial
-// path, so callers can route every call site here and let the gate
-// decide.
-func ParallelGemv(dst Vector, m *Matrix, x Vector) {
-	if len(dst) != m.Rows || len(x) != m.Cols {
-		Panicf("tensor: ParallelGemv shape mismatch: dst %d, m %dx%d, x %d",
-			len(dst), m.Rows, m.Cols, len(x))
-	}
-	forkJoin(m.Rows, m.Rows*m.Cols, func(lo, hi int) {
-		gemvSpan(dst[lo:hi], m, x, lo)
-	})
-}
-
-// ParallelGemm computes dst = a · b with a's rows sharded over the
-// fork-join pool. Bitwise identical to Gemm: dst row i depends only on
-// a row i, and each shard runs the serial ikj body over its own rows.
-func ParallelGemm(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		Panicf("tensor: ParallelGemm shape mismatch: dst %dx%d, a %dx%d, b %dx%d",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	forkJoin(a.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		gemmRange(dst, a, b, lo, hi)
-	})
 }

@@ -3,18 +3,19 @@
 // family, and the activation functions from the paper (sigmoid, hard
 // sigmoid, tanh).
 //
-// The kernels come in three tiers sharing one inner accumulation chain
-// (kernel.go), so they are bitwise interchangeable:
+// The canonical kernels come in two tiers sharing one inner accumulation
+// chain (kernel.go), so they are bitwise interchangeable:
 //
-//   - serial: Gemv, GemvRows (DRS skip mask), Gemm — every output row
-//     is one 16-lane dot-product chain (kernel.go's dotRowGeneric,
-//     carried in SSE2 assembly on amd64);
-//   - packed (packed.go): Pack/PackedGemv/PackedGemvRows/PackedGemm
-//     over a row-wise united gate matrix (the paper's U_{f,i,c,o}),
-//     streaming the input once per cell instead of once per gate;
-//   - parallel (parallel.go): ParallelGemv/ParallelGemm, row-sharded
-//     over a size-gated fork-join pool, bitwise identical to the
-//     serial kernels at any GOMAXPROCS.
+//   - serial: Gemv, GemvRows (DRS skip mask) — every output row is one
+//     16-lane dot-product chain (kernel.go's dotRowGeneric, carried in
+//     SSE2 assembly on amd64);
+//   - packed (packed.go): Pack/PackedGemv/PackedGemvRows over a
+//     row-wise united gate matrix (the paper's U_{f,i,c,o}), streaming
+//     the input once per cell instead of once per gate, and the
+//     whole-layer / batch-B PackedGemm/PackedGemmRows, whose
+//     independent rows fan out over a size-gated fork-join
+//     (parallel.go), bitwise identical to the serial kernels at any
+//     GOMAXPROCS.
 //
 // A second, explicitly selected accumulation chain — the wide 32-lane
 // FMA chain (kernel_wide.go, AVX2+FMA assembly on capable amd64) —
@@ -124,26 +125,6 @@ func GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, fill float32) {
 	}
 }
 
-// Gemm computes dst = a · b, where dst is (a.Rows × b.Cols). It uses a
-// simple ikj loop order which is cache-friendly for row-major storage.
-func Gemm(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		Panicf("tensor: Gemm shape mismatch: dst %dx%d, a %dx%d, b %dx%d",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	gemmRange(dst, a, b, 0, a.Rows)
-}
-
-// Axpy computes dst[i] += alpha * x[i].
-func Axpy(dst Vector, alpha float32, x Vector) {
-	if len(dst) != len(x) {
-		Panicf("tensor: Axpy length mismatch")
-	}
-	for i := range dst {
-		dst[i] += alpha * x[i]
-	}
-}
-
 // Add computes dst[i] = a[i] + b[i].
 func Add(dst, a, b Vector) {
 	if len(dst) != len(a) || len(a) != len(b) {
@@ -163,16 +144,6 @@ func Mul(dst, a, b Vector) {
 	for i := range dst {
 		dst[i] = a[i] * b[i]
 	}
-}
-
-// Dot returns the inner product of a and b, reduced through the same
-// dotRow chain as Gemv so a standalone inner product is bitwise
-// identical to the matching matrix row product.
-func Dot(a, b Vector) float32 {
-	if len(a) != len(b) {
-		Panicf("tensor: Dot length mismatch")
-	}
-	return dotRow(a, b)
 }
 
 // AbsRowSums returns d[i] = Σ_j |m[i][j]|, the per-row L1 norms used by

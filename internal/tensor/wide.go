@@ -5,7 +5,7 @@ package tensor
 // through the wide FMA chain (kernel_wide.go) instead of the canonical
 // one. They form the fast mode behind ChainAVX2 — faster on AVX2/FMA
 // silicon, bitwise self-consistent (wide-vs-wide at any GOMAXPROCS and
-// any batch B, pinned like the ParallelGemv/serial contract) but NOT
+// any batch B, pinned like the PackedGemm/serial contract) but NOT
 // bitwise interchangeable with the canonical kernels. Callers select a
 // family wholesale per run (lstm/gru kernelFns); mixing chains within
 // one forward pass is a bug the determinism tests would catch.
