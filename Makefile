@@ -93,12 +93,16 @@ batch-race:
 	$(GO) test -race -count=2 -run 'Batch|Window|Malformed|GemmRows' \
 		$(FORWARD_PKGS) ./internal/serve/
 
-# Kernel-chain matrix: the equivalence and determinism suites re-run
-# with each chain forced process-wide via MOBILSTM_KERNEL_CHAIN.
-# generic disables every assembly body (the pure-Go reference
-# configuration), sse2 is the default canonical chain, and avx2 forces
-# the wide chain — served by the pure-Go wide twin when the host lacks
-# AVX2+FMA, so the matrix passes on any amd64 or non-amd64 runner.
+# Kernel-chain matrix: the equivalence and determinism suites and the
+# golden logit bits re-run with each chain forced process-wide via
+# MOBILSTM_KERNEL_CHAIN. generic resolves every binding — explicit
+# selections too — to a pure-Go body (the reference configuration, and
+# the end-to-end witness that the SSE2 body and dotRowGeneric agree),
+# sse2 is the default canonical chain, and avx2 forces the wide chain —
+# bound to the pure-Go wide body when the host lacks AVX2+FMA, so the
+# matrix passes on any amd64 or non-amd64 runner. The 'Chain' pattern
+# selects TestChainMatrixLegRunsItsBodies, which fails a leg whose
+# resolved bodies are not the ones its name promises.
 chain-matrix:
 	for chain in generic sse2 avx2; do \
 		echo "=== MOBILSTM_KERNEL_CHAIN=$$chain ==="; \

@@ -432,9 +432,17 @@ func Gemv(dst Vector, m *Matrix, x Vector) {}
 func FusedMagic(dst Vector, m *Matrix) {}
 
 func Scale(x float32) float32 { return x }
+
+type Kernels struct{}
+
+func (k Kernels) Gemv(dst Vector, m *Matrix, x Vector) {}
+
+func (k Kernels) FusedRows(dst Vector, m *Matrix) {}
+
+func (m *Matrix) Row(i int) Vector { return nil }
 `
 	got := runFixture(t, Lookup("kernelcontracts"), "mobilstmfix/internal/tensor", "internal/tensor/tensor.go", src)
-	wantLines(t, got, "kernelcontracts", 12)
+	wantLines(t, got, "kernelcontracts", 12, 20)
 	if !strings.Contains(got[0].Message, "FusedMagic") || !strings.Contains(got[0].Message, "shapecheck") {
 		t.Errorf("message should name the kernel and the registry: %s", got[0].Message)
 	}

@@ -53,12 +53,21 @@ func PackedGemv(dsts []Vector, m *Matrix, x Vector)                         {}
 func PackedGemvRows(dsts []Vector, m *Matrix, x Vector, s []bool, f float32) {}
 func PackedGemm(dst *Matrix, m *Matrix, xs []Vector)                        {}
 func PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, sk [][]bool, f float32) {}
-func WideGemv(dst Vector, m *Matrix, x Vector)                              {}
-func WideGemvRows(dst Vector, m *Matrix, x Vector, skip []bool, f float32)  {}
 func WidePackedGemv(dsts []Vector, m *Matrix, x Vector)                     {}
-func WidePackedGemvRows(dsts []Vector, m *Matrix, x Vector, s []bool, f float32) {}
-func WidePackedGemm(dst *Matrix, m *Matrix, xs []Vector)                    {}
 func WidePackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, sk [][]bool, f float32) {}
+
+type KernelChain uint32
+
+type Kernels struct{}
+
+func KernelsFor(c KernelChain) Kernels { return Kernels{} }
+
+func (k Kernels) Gemv(dst Vector, m *Matrix, x Vector)                                  {}
+func (k Kernels) GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, f float32)      {}
+func (k Kernels) PackedGemv(dsts []Vector, m *Matrix, x Vector)                         {}
+func (k Kernels) PackedGemvRows(dsts []Vector, m *Matrix, x Vector, s []bool, f float32) {}
+func (k Kernels) PackedGemm(dst *Matrix, m *Matrix, xs []Vector)                        {}
+func (k Kernels) PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, sk [][]bool, f float32) {}
 func Add(dst, a, b Vector)                                                  {}
 func Mul(dst, a, b Vector)                                                  {}
 func SigmoidVec(dst, x Vector)                                              {}
@@ -246,30 +255,31 @@ func f(h int) {
 }
 
 func TestShapeCheckFiresOnWideKernelMismatch(t *testing.T) {
-	// The Wide* family carries the same dimension contracts as the
-	// canonical kernels; the switch must check it under its own names.
+	// The two wide entry points carry the same dimension contracts as
+	// the canonical kernels; the switch must check them under their own
+	// names.
 	src := `package bad
 
 import "mobilstm/internal/tensor"
 
 func f(h, e int, x tensor.Vector) {
 	U := tensor.NewMatrix(4*h, e)
-	dst := tensor.NewVector(h)
-	tensor.WideGemv(dst, U, x)
+	dsts := []tensor.Vector{tensor.NewVector(3 * h)}
+	tensor.WidePackedGemv(dsts, U, x)
 	W := tensor.Pack(tensor.NewMatrix(h, e), tensor.NewMatrix(h, e), tensor.NewMatrix(h, e))
 	wx := tensor.NewMatrix(7, 4*h)
 	xs := make([]tensor.Vector, 7)
-	tensor.WidePackedGemm(wx, W, xs)
+	tensor.WidePackedGemmRows(wx, W, xs, nil, 0)
 }
 `
 	got := runFixtureWith(t, Lookup("shapecheck"), "mobilstm/internal/bad", "internal/bad/bad.go", src)
 	wantLines(t, got, "shapecheck", 8, 12)
-	for _, want := range []string{"WideGemv", "dst length", "h", "4*h"} {
+	for _, want := range []string{"WidePackedGemv", "dst segment length", "3*h", "4*h"} {
 		if !strings.Contains(got[0].Message, want) {
 			t.Errorf("message should report the inferred shapes (%q): %s", want, got[0].Message)
 		}
 	}
-	for _, want := range []string{"WidePackedGemm", "dst cols", "4*h", "united rows", "3*h"} {
+	for _, want := range []string{"WidePackedGemmRows", "dst cols", "4*h", "united rows", "3*h"} {
 		if !strings.Contains(got[1].Message, want) {
 			t.Errorf("message should report the united shapes (%q): %s", want, got[1].Message)
 		}
@@ -286,8 +296,8 @@ import "mobilstm/internal/tensor"
 func f(h, b int, x tensor.Vector) {
 	uni := tensor.Pack(tensor.NewMatrix(h, h), tensor.NewMatrix(h, h),
 		tensor.NewMatrix(h, h), tensor.NewMatrix(h, h))
-	dst := tensor.NewVector(4 * h)
-	tensor.WideGemv(dst, uni, x)
+	dsts := []tensor.Vector{tensor.NewVector(2 * h), tensor.NewVector(2 * h)}
+	tensor.WidePackedGemv(dsts, uni, x)
 	gather := make([]tensor.Vector, b)
 	masks := make([][]bool, b)
 	out := tensor.NewMatrix(b, 4*h)
@@ -296,6 +306,40 @@ func f(h, b int, x tensor.Vector) {
 `
 	if got := runFixtureWith(t, Lookup("shapecheck"), "mobilstm/internal/ok", "internal/ok/ok.go", src); len(got) != 0 {
 		t.Fatalf("consistent wide kernel calls must pass: %v", got)
+	}
+}
+
+func TestShapeCheckSeesRunResolvedKernels(t *testing.T) {
+	// The forward core calls its kernels as methods on the tensor.Kernels
+	// value resolved once per run; those call sites carry the same
+	// contracts as the package-level spellings. Seeded: the 4h-row united
+	// matrix dotted into a 3h destination, and a 3h-column batch
+	// destination, both through the resolved value — passed down to a
+	// helper as the layer loops do.
+	src := `package bad
+
+import "mobilstm/internal/tensor"
+
+func run(h int, x tensor.Vector, chain tensor.KernelChain) {
+	layer(h, x, tensor.KernelsFor(chain))
+}
+
+func layer(h int, x tensor.Vector, ks tensor.Kernels) {
+	U := tensor.Pack(tensor.NewMatrix(h, h), tensor.NewMatrix(h, h),
+		tensor.NewMatrix(h, h), tensor.NewMatrix(h, h))
+	ks.Gemv(tensor.NewVector(3*h), U, x)
+	ks.Gemv(tensor.NewVector(4*h), U, x)
+	xs := make([]tensor.Vector, 5)
+	ks.PackedGemmRows(tensor.NewMatrix(5, 3*h), U, xs, nil, 0)
+	ks.PackedGemm(tensor.NewMatrix(5, 4*h), U, xs)
+}
+`
+	got := runFixtureWith(t, Lookup("shapecheck"), "mobilstm/internal/bad", "internal/bad/bad.go", src)
+	wantLines(t, got, "shapecheck", 12, 15)
+	for _, want := range []string{"Gemv", "dst length", "3*h", "m rows", "4*h"} {
+		if !strings.Contains(got[0].Message, want) {
+			t.Errorf("message should report the inferred shapes (%q): %s", want, got[0].Message)
+		}
 	}
 }
 

@@ -15,11 +15,12 @@ import (
 // the first bad dimension surfaces as a runtime Panicf. This analyzer
 // closes the gap from the definition side:
 //
-//   - an exported top-level function in internal/tensor taking kernel
-//     data (a Vector or length-checked slice, a Matrix, or a slice of
-//     vectors) must appear in tensorKernelCoverage — the names the
-//     call-site switch handles, plus the shape-free reductions that
-//     are deliberately exempt;
+//   - an exported top-level function in internal/tensor, or exported
+//     method of its Kernels family, taking kernel data (a Vector or
+//     length-checked slice, a Matrix, or a slice of vectors) must
+//     appear in tensorKernelCoverage — the names the call-site switch
+//     handles, plus the shape-free reductions that are deliberately
+//     exempt;
 //   - an exported kernels.Builder cost constructor (a method returning
 //     KernelSpec, (KernelSpec, bool), or []KernelSpec) must have a
 //     kernelContracts row.
@@ -43,9 +44,7 @@ var tensorKernelCoverage = map[string]bool{
 	"Gemv": true, "GemvRows": true,
 	"PackedGemv": true, "PackedGemvRows": true,
 	"PackedGemm": true, "PackedGemmRows": true,
-	"WideGemv": true, "WideGemvRows": true,
-	"WidePackedGemv": true, "WidePackedGemvRows": true,
-	"WidePackedGemm": true, "WidePackedGemmRows": true,
+	"WidePackedGemv": true, "WidePackedGemmRows": true,
 	"Pack": true,
 	"Add":  true, "Mul": true,
 	"SigmoidVec": true, "HardSigmoidVec": true, "TanhVec": true,
@@ -67,14 +66,17 @@ func runKernelContracts(pass *Pass) []Finding {
 	return nil
 }
 
-// tensorCoverage flags exported top-level tensor functions that take
-// kernel data but are unknown to shapecheck.
+// tensorCoverage flags exported tensor functions and Kernels methods
+// that take kernel data but are unknown to shapecheck.
 func tensorCoverage(pass *Pass) []Finding {
 	var findings []Finding
 	for _, file := range pass.Pkg.Files {
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || !fd.Name.IsExported() {
+			if !ok || !fd.Name.IsExported() {
+				continue
+			}
+			if fd.Recv != nil && !isNamedIn(pass.TypeOf(fd.Recv.List[0].Type), tensorPkgSuffix, "Kernels") {
 				continue
 			}
 			if tensorKernelCoverage[fd.Name.Name] || !takesKernelData(pass, fd) {
@@ -136,21 +138,10 @@ func builderCoverage(pass *Pass) []Finding {
 	return findings
 }
 
-// isBuilderRecv reports whether fd's receiver is (a pointer to) a named
-// type called Builder.
+// isBuilderRecv reports whether fd's receiver is (a pointer to) the
+// kernels package's Builder type.
 func isBuilderRecv(pass *Pass, fd *ast.FuncDecl) bool {
-	if len(fd.Recv.List) != 1 {
-		return false
-	}
-	t := pass.TypeOf(fd.Recv.List[0].Type)
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	return ok && n.Obj().Name() == "Builder"
+	return len(fd.Recv.List) == 1 && isNamedIn(pass.TypeOf(fd.Recv.List[0].Type), kernelsPkgSuffix, "Builder")
 }
 
 // returnsKernelSpec recognizes the cost-constructor result shapes:

@@ -369,20 +369,20 @@ func (c *shapeClient) check(ev *env, n ast.Node) {
 			return nil
 		}
 		switch name {
-		case "Gemv", "GemvRows", "WideGemv", "WideGemvRows":
+		case "Gemv", "GemvRows":
 			rows, cols := c.mdims(ev, arg(1))
 			c.require(call, name, "dst length", c.vdim(ev, arg(0)), "m rows", rows)
 			c.require(call, name, "x length", c.vdim(ev, arg(2)), "m cols", cols)
-			if name == "GemvRows" || name == "WideGemvRows" {
+			if name == "GemvRows" {
 				c.require(call, name, "skip length", c.vdim(ev, arg(3)), "m rows", rows)
 			}
-		case "PackedGemv", "PackedGemvRows", "WidePackedGemv", "WidePackedGemvRows":
+		case "PackedGemv", "PackedGemvRows", "WidePackedGemv":
 			rows, cols := c.mdims(ev, arg(1))
 			c.require(call, name, "x length", c.vdim(ev, arg(2)), "m cols", cols)
 			// The per-gate destinations tile the united matrix: each dst
 			// segment length must divide the united row count.
 			c.requireDivides(call, name, "dst segment length", c.vovOf(ev, arg(0)).elem, "united rows", rows)
-			if name == "PackedGemvRows" || name == "WidePackedGemvRows" {
+			if name == "PackedGemvRows" {
 				// The skip mask covers one segment of the united matrix:
 				// its length must divide the united row count (rows =
 				// len(dsts) × segment).
@@ -401,7 +401,7 @@ func (c *shapeClient) check(ev *env, n ast.Node) {
 			skips := c.vovOf(ev, arg(3))
 			c.require(call, name, "skips count", skips.count, "xs count", xs.count)
 			c.requireDivides(call, name, "skip mask length", skips.elem, "united rows", mr)
-		case "PackedGemm", "WidePackedGemm":
+		case "PackedGemm":
 			// dst is len(xs) × m.Rows: its column count is the united row
 			// count (4h for the LSTM's W_{f,i,c,o}, 3h for the GRU's).
 			dr, dc := c.mdims(ev, arg(0))
@@ -542,52 +542,33 @@ func (c *shapeClient) checkKernelCall(ev *env, call *ast.CallExpr) {
 // package-path suffix so fixtures participate), or "".
 func (c *shapeClient) kernelCallee(call *ast.CallExpr) string {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	t := c.pass.TypeOf(sel.X)
-	if t == nil {
-		return ""
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return ""
-	}
-	if n.Obj().Name() != "Builder" || !strings.HasSuffix(n.Obj().Pkg().Path(), kernelsPkgSuffix) {
+	if !ok || !isNamedIn(c.pass.TypeOf(sel.X), kernelsPkgSuffix, "Builder") {
 		return ""
 	}
 	return sel.Sel.Name
 }
 
-// tensorCallee returns the bare name of a function from the tensor
-// package (qualified tensor.Gemv or an unqualified call inside the
-// package itself), or "".
+// tensorCallee returns the bare name of a tensor-package function the
+// call reaches: qualified (tensor.Gemv), unqualified inside the package
+// itself, or a kernel method on a tensor.Kernels value (ks.Gemv — how
+// the forward core calls its run-resolved binding). Methods of other
+// tensor types are not kernels and yield "".
 func (c *shapeClient) tensorCallee(call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		id, ok := fun.X.(*ast.Ident)
-		if !ok {
-			return ""
-		}
-		pn, ok := c.pass.Pkg.Info.Uses[id].(*types.PkgName)
-		if !ok || !strings.HasSuffix(pn.Imported().Path(), tensorPkgSuffix) {
-			return ""
-		}
-		return fun.Sel.Name
-	case *ast.Ident:
-		obj := c.pass.Pkg.Info.Uses[fun]
-		if obj == nil || obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), tensorPkgSuffix) {
-			return ""
-		}
-		if _, ok := obj.(*types.Func); !ok {
-			return ""
-		}
-		return fun.Name
+	id, _ := ast.Unparen(call.Fun).(*ast.Ident)
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		id = sel.Sel
 	}
-	return ""
+	if id == nil {
+		return ""
+	}
+	fn, ok := c.pass.Pkg.Info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), tensorPkgSuffix) {
+		return ""
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && !isNamedIn(recv.Type(), tensorPkgSuffix, "Kernels") {
+		return ""
+	}
+	return fn.Name()
 }
 
 // vdim returns the symbolic length of a vector-valued argument.
@@ -987,8 +968,13 @@ func (c *shapeClient) substDim(ev *env, d dim, args []ast.Expr, cut int) dim {
 }
 
 // isTensorMatrix reports whether t is (a pointer to) the tensor.Matrix
-// struct, matched structurally by package-path suffix and name.
-func isTensorMatrix(t types.Type) bool {
+// struct.
+func isTensorMatrix(t types.Type) bool { return isNamedIn(t, tensorPkgSuffix, "Matrix") }
+
+// isNamedIn reports whether t is (a pointer to) the named type name of
+// the package whose import path ends in pkgSuffix — matched by suffix
+// so fixtures under any module path participate.
+func isNamedIn(t types.Type, pkgSuffix, name string) bool {
 	if t == nil {
 		return false
 	}
@@ -999,7 +985,7 @@ func isTensorMatrix(t types.Type) bool {
 	if !ok || n.Obj().Pkg() == nil {
 		return false
 	}
-	return n.Obj().Name() == "Matrix" && strings.HasSuffix(n.Obj().Pkg().Path(), tensorPkgSuffix)
+	return n.Obj().Name() == name && strings.HasSuffix(n.Obj().Pkg().Path(), pkgSuffix)
 }
 
 // isLengthChecked reports whether t participates in the length lattice:

@@ -207,6 +207,7 @@ func RunBatchEValidation(t *testing.T, k Kind) {
 		{"trace", [][]tensor.Vector{good}, recurrent.RunOptions{Trace: &recurrent.Trace{}}, "per-sequence"},
 		{"inter no mts", [][]tensor.Vector{good}, recurrent.RunOptions{Inter: true}, "MTS"},
 		{"inter predictors", [][]tensor.Vector{good}, recurrent.RunOptions{Inter: true, MTS: 2}, "predictors"},
+		{"unknown chain", [][]tensor.Vector{good}, recurrent.RunOptions{Chain: 9}, "unknown kernel chain"},
 	}
 	for _, tc := range cases {
 		if _, err := n.RunBatchE(tc.seqs, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {

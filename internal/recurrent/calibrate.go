@@ -12,7 +12,7 @@ import (
 // offline artifacts (predictors, calibrated weights) are chain-neutral —
 // handing every cell's state to each.
 func exactLayer(l Cell, xs []tensor.Vector, sc *layerScratch, each func(t int, st tensor.Vector)) []tensor.Vector {
-	return runLayer(0, l, xs, RunOptions{}, nil, sc, &canonicalKernels, each)
+	return runLayer(0, l, xs, RunOptions{}, nil, sc, tensor.KernelsFor(tensor.ChainSSE2), each)
 }
 
 // CollectPredictors executes the unmodified network over a set of

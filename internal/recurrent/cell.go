@@ -19,7 +19,7 @@
 //	state   = Update(wx, U₂ · operand)     (LSTM: f,i,c → c,h; GRU: ~h → h)
 //
 // Cell methods are called once per cell per stage, never per element,
-// and every matrix product is the same dotRow chain whichever loop
+// and every matrix product is the same row-dot chain whichever loop
 // issues it — which is what makes serial, tissue and batch execution
 // bitwise interchangeable.
 package recurrent

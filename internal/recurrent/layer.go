@@ -10,7 +10,7 @@ import (
 // outputs (views into the arena's ping-pong slab, valid until the layer
 // after next). each, when non-nil, sees every cell's state right after
 // its update; only the exact sequential flow supports it.
-func runLayer(li int, l Cell, xs []tensor.Vector, opt RunOptions, lt *LayerTrace, sc *layerScratch, kf *kernelFns, each func(t int, st tensor.Vector)) []tensor.Vector {
+func runLayer(li int, l Cell, xs []tensor.Vector, opt RunOptions, lt *LayerTrace, sc *layerScratch, ks tensor.Kernels, each func(t int, st tensor.Vector)) []tensor.Vector {
 	nCells := len(xs)
 	pw := packed(l)
 	sc.reset(l.Shape(), nCells)
@@ -20,7 +20,7 @@ func runLayer(li int, l Cell, xs []tensor.Vector, opt RunOptions, lt *LayerTrace
 	// packed GEMM — all layer inputs are ready up-front on mobile GPUs
 	// (§II-C), so the whole layer's input projections are a single
 	// weight stream. Row t of wx holds cell t's united pre-activation.
-	kf.packedGemm(sc.wx, pw.w, xs)
+	ks.PackedGemm(sc.wx, pw.w, xs)
 
 	if !opt.Inter {
 		// Sequential flow: one sub-layer, every cell its own tissue. The
@@ -40,7 +40,7 @@ func runLayer(li int, l Cell, xs []tensor.Vector, opt RunOptions, lt *LayerTrace
 		hs := sc.nextHS()
 		for t := 0; t < nCells; t++ {
 			wx := sc.wx.Row(t)
-			kf.gemv(sc.a1, pw.u1, st[:h])
+			ks.Gemv(sc.a1, pw.u1, st[:h])
 			l.FirstGates(sc.gates[0], wx, sc.a1)
 			var skip []bool
 			var skipCount int
@@ -50,7 +50,7 @@ func runLayer(li int, l Cell, xs []tensor.Vector, opt RunOptions, lt *LayerTrace
 			if lt != nil && opt.Intra {
 				lt.SkipCounts = append(lt.SkipCounts, skipCount)
 			}
-			secondStage(l, pw, st, wx, sc.gates[0], skip, sc, kf)
+			secondStage(l, pw, st, wx, sc.gates[0], skip, sc, ks)
 			copy(hs[t], st[:h])
 			if each != nil {
 				each(t, st)
@@ -106,7 +106,7 @@ func runLayer(li int, l Cell, xs []tensor.Vector, opt RunOptions, lt *LayerTrace
 		// combined flow the tissue's shared skip set is the intersection
 		// of its cells' trivial rows.
 		for ci, cell := range tissue {
-			kf.gemv(sc.a1, pw.u1, states[subOf[cell]][:h])
+			ks.Gemv(sc.a1, pw.u1, states[subOf[cell]][:h])
 			l.FirstGates(sc.gates[ci], sc.wx.Row(cell), sc.a1)
 		}
 		var skip []bool
@@ -121,7 +121,7 @@ func runLayer(li int, l Cell, xs []tensor.Vector, opt RunOptions, lt *LayerTrace
 		// element-wise state update per cell.
 		for ci, cell := range tissue {
 			st := states[subOf[cell]]
-			secondStage(l, pw, st, sc.wx.Row(cell), sc.gates[ci], skip, sc, kf)
+			secondStage(l, pw, st, sc.wx.Row(cell), sc.gates[ci], skip, sc, ks)
 			copy(hs[cell], st[:h])
 		}
 	}
@@ -132,9 +132,9 @@ func runLayer(li int, l Cell, xs []tensor.Vector, opt RunOptions, lt *LayerTrace
 // united pass over U₂ — the operand streams once across all of its gate
 // blocks, and the skip mask disables a row in all of them at once —
 // then the cell's own state update.
-func secondStage(l Cell, pw *packedWeights, st, wx, g tensor.Vector, skip []bool, sc *layerScratch, kf *kernelFns) {
+func secondStage(l Cell, pw *packedWeights, st, wx, g tensor.Vector, skip []bool, sc *layerScratch, ks tensor.Kernels) {
 	x := l.Operand(sc.operand, g, st[:sc.sh.Hidden])
-	kf.packedGemvRows(sc.a2s, pw.u2, x, skip, 0)
+	ks.PackedGemvRows(sc.a2s, pw.u2, x, skip, 0)
 	l.Update(st, wx, sc.a2, g, skip)
 }
 
@@ -142,7 +142,7 @@ func secondStage(l Cell, pw *packedWeights, st, wx, g tensor.Vector, skip []bool
 // flow: per timestep, the active members' recurrent products run as two
 // batched united GEMMs (U₁, then U₂ under the per-member DRS masks), and
 // the cell methods walk each member exactly as the serial flow does.
-func runLayerBatch(l Cell, xs []tensor.Vector, opt RunOptions, sc *batchScratch, kf *kernelFns) []tensor.Vector {
+func runLayerBatch(l Cell, xs []tensor.Vector, opt RunOptions, sc *batchScratch, ks tensor.Kernels) []tensor.Vector {
 	pw := packed(l)
 	sc.reset(l.Shape(), sc.lens)
 	h := sc.sh.Hidden
@@ -150,7 +150,7 @@ func runLayerBatch(l Cell, xs []tensor.Vector, opt RunOptions, sc *batchScratch,
 	// Step 2 of Algorithm 1 across the whole batch: every cell of every
 	// member is ready up-front, so one united packed GEMM streams W once
 	// for all of them.
-	kf.packedGemm(sc.wx, pw.w, xs)
+	ks.PackedGemm(sc.wx, pw.w, xs)
 
 	maxLen := 0
 	for i, ln := range sc.lens {
@@ -175,7 +175,7 @@ func runLayerBatch(l Cell, xs []tensor.Vector, opt RunOptions, sc *batchScratch,
 		// First-stage gates, batched: U₁ streams once for the whole
 		// active set.
 		a1 := sc.a1View(len(act))
-		kf.packedGemmRows(a1, pw.u1, g, nil, 0)
+		ks.PackedGemmRows(a1, pw.u1, g, nil, 0)
 		for k, i := range act {
 			l.FirstGates(sc.gates[i], sc.wx.Row(sc.offs[i]+t), a1.Row(k))
 		}
@@ -195,7 +195,7 @@ func runLayerBatch(l Cell, xs []tensor.Vector, opt RunOptions, sc *batchScratch,
 		// U₂ for the active set under the masks: each weight row streams
 		// once and is skipped per member.
 		a2 := sc.a2View(len(act))
-		kf.packedGemmRows(a2, pw.u2, g, skips, 0)
+		ks.PackedGemmRows(a2, pw.u2, g, skips, 0)
 
 		for k, i := range act {
 			st := sc.states[i]

@@ -58,7 +58,7 @@ func (n *Network[C]) Run(xs []tensor.Vector, opt RunOptions) tensor.Vector {
 		tensor.Panicf("recurrent: empty input sequence")
 	}
 	n.checkInter(opt)
-	kf := kernelsFor(opt.Chain)
+	ks := tensor.KernelsFor(opt.Chain)
 	sc := newLayerScratch(n.Layers[0].Shape(), len(xs))
 	seq := xs
 	for li, l := range n.Layers {
@@ -67,16 +67,16 @@ func (n *Network[C]) Run(xs []tensor.Vector, opt RunOptions) tensor.Vector {
 			opt.Trace.Layers = append(opt.Trace.Layers, LayerTrace{Layer: li, Cells: len(seq)})
 			lt = &opt.Trace.Layers[len(opt.Trace.Layers)-1]
 		}
-		seq = runLayer(li, l, seq, opt, lt, sc, kf, nil)
+		seq = runLayer(li, l, seq, opt, lt, sc, ks, nil)
 	}
-	return n.headLogits(seq[len(seq)-1], kf)
+	return n.headLogits(seq[len(seq)-1], ks)
 }
 
 // headLogits applies the linear head to a final hidden state, returning
 // freshly allocated logits (never an arena view).
-func (n *Network[C]) headLogits(last tensor.Vector, kf *kernelFns) tensor.Vector {
+func (n *Network[C]) headLogits(last tensor.Vector, ks tensor.Kernels) tensor.Vector {
 	logits := tensor.NewVector(n.Head.Rows)
-	kf.gemv(logits, n.Head, last)
+	ks.Gemv(logits, n.Head, last)
 	tensor.Add(logits, logits, n.HeadBias)
 	return logits
 }
@@ -142,7 +142,7 @@ func (n *Network[C]) ClassifyE(xs []tensor.Vector, opt RunOptions) (class int, e
 //
 // Output i of RunBatch(seqs...) is bitwise identical to serial
 // Run(seqs[i]) in every mode, at every GOMAXPROCS, cold or warm cache:
-// the batched kernels evaluate exactly the same dotRow chains and the
+// the batched kernels evaluate exactly the same row-dot chains and the
 // same Cell methods in the same order as the serial flow; batching only
 // changes which loop walks them.
 //
@@ -163,7 +163,7 @@ func (n *Network[C]) ClassifyE(xs []tensor.Vector, opt RunOptions) (class int, e
 // the baseline and DRS (Intra) flows, where the serving loop runs.
 func (n *Network[C]) RunBatch(seqs [][]tensor.Vector, opt RunOptions) []tensor.Vector {
 	n.checkBatch(seqs, opt)
-	kf := kernelsFor(opt.Chain)
+	ks := tensor.KernelsFor(opt.Chain)
 	out := make([]tensor.Vector, len(seqs))
 	if opt.Inter {
 		// Bitwise identity with Run holds by construction — it is the
@@ -176,9 +176,9 @@ func (n *Network[C]) RunBatch(seqs [][]tensor.Vector, opt RunOptions) []tensor.V
 		for i, xs := range seqs {
 			seq := xs
 			for li, l := range n.Layers {
-				seq = runLayer(li, l, seq, opt, nil, sc, kf, nil)
+				seq = runLayer(li, l, seq, opt, nil, sc, ks, nil)
 			}
-			out[i] = n.headLogits(seq[len(seq)-1], kf)
+			out[i] = n.headLogits(seq[len(seq)-1], ks)
 		}
 		return out
 	}
@@ -198,10 +198,10 @@ func (n *Network[C]) RunBatch(seqs [][]tensor.Vector, opt RunOptions) []tensor.V
 	sc := newBatchScratch(n.Layers[0].Shape(), lens)
 	seq := flat
 	for _, l := range n.Layers {
-		seq = runLayerBatch(l, seq, opt, sc, kf)
+		seq = runLayerBatch(l, seq, opt, sc, ks)
 	}
 	for i := range seqs {
-		out[i] = n.headLogits(seq[sc.offs[i]+sc.lens[i]-1], kf)
+		out[i] = n.headLogits(seq[sc.offs[i]+sc.lens[i]-1], ks)
 	}
 	return out
 }

@@ -28,7 +28,10 @@ type RunOptions struct {
 	AlphaIntra float64
 
 	// Chain selects the accumulation chain the GEMV/GEMM kernels run
-	// (tensor.KernelChain). The zero value (ChainAuto) follows the
+	// (tensor.KernelChain). Run/RunBatch resolve it once, through
+	// tensor.KernelsFor, and call every kernel on that binding, so
+	// chains never mix within a run; an unknown value is an error on
+	// the E entry points. The zero value (ChainAuto) follows the
 	// process default — the canonical bitwise-deterministic chain
 	// unless tensor.SetKernelChain or MOBILSTM_KERNEL_CHAIN moved it.
 	// ChainAVX2 opts this run into the wide FMA fast mode: logits keep

@@ -35,7 +35,7 @@ func BenchmarkGemvPerGate(b *testing.B) {
 	}
 }
 
-func BenchmarkPackedGemv(b *testing.B) {
+func benchPackedGemv(b *testing.B, packedGemv func([]Vector, *Matrix, Vector)) {
 	const h = 650
 	united, _, x := benchDims(h)
 	dsts := []Vector{NewVector(h), NewVector(h), NewVector(h), NewVector(h)}
@@ -43,9 +43,11 @@ func BenchmarkPackedGemv(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PackedGemv(dsts, united, x)
+		packedGemv(dsts, united, x)
 	}
 }
+
+func BenchmarkPackedGemv(b *testing.B) { benchPackedGemv(b, PackedGemv) }
 
 func BenchmarkPackedGemvRowsSkipHalf(b *testing.B) {
 	const h = 650
@@ -63,7 +65,7 @@ func BenchmarkPackedGemvRowsSkipHalf(b *testing.B) {
 	}
 }
 
-func BenchmarkPackedGemm(b *testing.B) {
+func benchPackedGemm(b *testing.B, packedGemm func(*Matrix, *Matrix, []Vector)) {
 	const h, steps = 650, 16
 	united, _, _ := benchDims(h)
 	r := rng.New(0x9c27)
@@ -76,40 +78,16 @@ func BenchmarkPackedGemm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PackedGemm(dst, united, xs)
+		packedGemm(dst, united, xs)
 	}
 }
 
-// BenchmarkWidePackedGemv / BenchmarkWidePackedGemm are the wide-chain
-// twins of the canonical packed benchmarks: same shapes, AVX2/FMA
-// 32-lane chain. The canonical names stay unsuffixed so the
-// BENCH_hotpath.json trajectory is uninterrupted; the Wide entries add
-// the fast-mode points alongside.
-func BenchmarkWidePackedGemv(b *testing.B) {
-	const h = 650
-	united, _, x := benchDims(h)
-	dsts := []Vector{NewVector(h), NewVector(h), NewVector(h), NewVector(h)}
-	b.SetBytes(united.SizeBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		WidePackedGemv(dsts, united, x)
-	}
-}
+func BenchmarkPackedGemm(b *testing.B) { benchPackedGemm(b, PackedGemm) }
 
-func BenchmarkWidePackedGemm(b *testing.B) {
-	const h, steps = 650, 16
-	united, _, _ := benchDims(h)
-	r := rng.New(0x9c27)
-	xs := make([]Vector, steps)
-	for t := range xs {
-		xs[t] = randVector(r, h)
-	}
-	dst := NewMatrix(steps, 4*h)
-	b.SetBytes(united.SizeBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		WidePackedGemm(dst, united, xs)
-	}
-}
+// BenchmarkWidePackedGemv / BenchmarkWidePackedGemm are the same bodies
+// on the wide chain (AVX2/FMA 32-lane). The canonical names stay
+// unsuffixed so the BENCH_hotpath.json trajectory is uninterrupted; the
+// Wide entries add the fast-mode points alongside.
+func BenchmarkWidePackedGemv(b *testing.B) { benchPackedGemv(b, WidePackedGemv) }
+
+func BenchmarkWidePackedGemm(b *testing.B) { benchPackedGemm(b, KernelsFor(ChainAVX2).PackedGemm) }

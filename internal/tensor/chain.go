@@ -15,18 +15,19 @@ import (
 //   - the wide 32-lane FMA chain (kernel_wide.go's dotRowWideGeneric,
 //     carried by the AVX2+FMA body in dot_avx2_amd64.s) — an explicit
 //     fast mode with its own determinism contract (wide-vs-wide bitwise
-//     equality at any GOMAXPROCS and any batch B), reachable only
-//     through the Wide* kernels.
+//     equality at any GOMAXPROCS and any batch B).
 //
-// A KernelChain names one of them. SetKernelChain moves the process
-// default; per-call-site selection (lstm/gru RunOptions.Chain,
-// serve.Config.Chain) resolves through ResolveChain so ChainAuto
-// follows the process default. Forcing ChainGeneric additionally pins
-// both chains to their pure-Go bodies, which is how CI exercises the
-// reference twins on any runner CPU.
+// A KernelChain names a chain and the body that carries it. There is
+// one kernel family (Kernels): KernelsFor resolves a selection to a row
+// body once, and every kernel of a run dots its rows through that
+// binding. SetKernelChain moves the process default, which ChainAuto
+// selections (recurrent.RunOptions.Chain, serve.Config.Chain) follow.
+// A ChainGeneric process default additionally pins every chain to its
+// pure-Go body, which is how CI exercises the reference bodies on any
+// runner CPU.
 
-// KernelChain selects which accumulation chain the dispatching kernels
-// run. The zero value is ChainAuto.
+// KernelChain selects which accumulation chain, through which body, a
+// Kernels value runs. The zero value is ChainAuto.
 type KernelChain uint32
 
 const (
@@ -84,8 +85,7 @@ func ParseKernelChain(s string) (KernelChain, bool) {
 const KernelChainEnv = "MOBILSTM_KERNEL_CHAIN"
 
 // activeChain holds the resolved process-default chain — never
-// ChainAuto. Reads are a single atomic load on the dot dispatch path,
-// which x86 serves as a plain MOV.
+// ChainAuto. KernelsFor reads it once per binding, never per row.
 var activeChain atomic.Uint32
 
 func init() {
@@ -108,14 +108,15 @@ func chainFromEnv(v string) KernelChain {
 // effective selection: ChainAuto restores the canonical default
 // (ChainSSE2), everything else sticks as asked — including ChainAVX2 on
 // a CPU without AVX2, where the wide chain simply runs through its
-// pure-Go twin (see dotRowWide). The default is consulted wherever a
+// pure-Go body (see KernelsFor). The default is consulted wherever a
 // caller passes ChainAuto; call sites that pinned an explicit chain are
 // unaffected, except that ChainGeneric also forces the assembly bodies
 // off process-wide (the reference configuration is all-Go).
 //
-// The switch is atomic but not synchronized against in-flight kernels;
-// set it at startup or between runs, as the serve engine builder and
-// the tests do.
+// The switch is atomic but a binding already resolved keeps its body:
+// set it at startup or between runs. Production selects chains through
+// MOBILSTM_KERNEL_CHAIN, RunOptions.Chain and serve.Config.Chain; only
+// tests call this.
 func SetKernelChain(c KernelChain) KernelChain {
 	if c == ChainAuto {
 		c = ChainSSE2
@@ -130,8 +131,7 @@ func ActiveKernelChain() KernelChain {
 }
 
 // ResolveChain maps ChainAuto to the process default and returns every
-// other selection unchanged. lstm/gru resolve RunOptions.Chain through
-// this exactly once per Run/RunBatch call.
+// other selection unchanged.
 func ResolveChain(c KernelChain) KernelChain {
 	if c == ChainAuto {
 		return ActiveKernelChain()
@@ -139,10 +139,41 @@ func ResolveChain(c KernelChain) KernelChain {
 	return c
 }
 
-// forceGenericBody reports whether assembly bodies are disabled
-// process-wide (the ChainGeneric reference configuration). Both dotRow
-// and dotRowWide consult it, so forced-generic CI runs exercise the
-// pure-Go twins of *both* chains regardless of runner CPU.
-func forceGenericBody() bool {
-	return KernelChain(activeChain.Load()) == ChainGeneric
+// KernelsFor binds the kernel family to the chain c selects. The
+// process default is read here, once: ChainAuto follows it, and a
+// ChainGeneric default turns every assembly body off. A forward pass
+// resolves its chain exactly once and runs every kernel on the returned
+// value, so chains never mix within a run. A value outside the four
+// constants is a Panicf violation.
+func KernelsFor(c KernelChain) Kernels {
+	def := ActiveKernelChain()
+	if c == ChainAuto {
+		c = def
+	}
+	asm := def != ChainGeneric
+	return Kernels{dot: rowBody(c, asm, asm && hasWideBody)}
+}
+
+// rowBody is the resolution table — one row per chain: the body that
+// carries chain c when assembly is allowed (asm) and the AVX2+FMA body
+// is usable (avx2). Adding a chain is a constant with its name, a
+// reference Go body, optionally an assembly body behind a probe, and a
+// row here.
+func rowBody(c KernelChain, asm, avx2 bool) func(row, x []float32) float32 {
+	switch c {
+	case ChainGeneric:
+		return dotRowGeneric
+	case ChainSSE2:
+		if asm {
+			return dotRowSSE2
+		}
+		return dotRowGeneric
+	case ChainAVX2:
+		if avx2 {
+			return dotRowAVX2
+		}
+		return dotRowWideGeneric
+	}
+	Panicf("tensor: unknown kernel chain %d", uint32(c))
+	return nil
 }

@@ -2,6 +2,8 @@ package tensor
 
 import (
 	"math"
+	"os"
+	"reflect"
 	"testing"
 
 	"mobilstm/internal/rng"
@@ -74,35 +76,111 @@ func TestChainFromEnv(t *testing.T) {
 	}
 }
 
-// TestForcedGenericDisablesAssemblyBodies pins the CI reference
-// configuration: under ChainGeneric both dispatchers must produce the
-// pure-Go bodies' bits. The canonical pair is bitwise identical anyway;
-// the real assertion is that the forced path executes and agrees, and
-// that the switch is visible through forceGenericBody on both settings.
-func TestForcedGenericDisablesAssemblyBodies(t *testing.T) {
-	r := rng.New(0x91)
-	row := make([]float32, 193)
-	x := make([]float32, 193)
-	for i := range row {
-		row[i] = float32(r.Norm())
-		x[i] = float32(r.Norm())
+// bodyName names a row body by identity (func values compare only
+// through their code pointers), so the resolution tests assert on which
+// body a binding runs rather than on output bits — the canonical bodies
+// agree bitwise by construction, so bits cannot tell them apart.
+func bodyName(f rowBodyFn) string {
+	for name, b := range map[string]rowBodyFn{
+		"dotRowGeneric": dotRowGeneric, "dotRowSSE2": dotRowSSE2,
+		"dotRowWideGeneric": dotRowWideGeneric, "dotRowAVX2": dotRowAVX2,
+	} {
+		if reflect.ValueOf(f).Pointer() == reflect.ValueOf(b).Pointer() {
+			return name
+		}
 	}
-	withChain(t, ChainGeneric, func(t *testing.T) {
-		if !forceGenericBody() {
-			t.Fatal("forceGenericBody() false under ChainGeneric")
+	return "unknown body"
+}
+
+// TestForcedGenericDisablesAssemblyBodies pins the resolution table:
+// which body carries each chain with and without the AVX2+FMA probe,
+// and that a forced-generic process default (the CI reference
+// configuration) leaves nothing but the pure-Go bodies — for explicit
+// selections too, not only for ChainAuto.
+func TestForcedGenericDisablesAssemblyBodies(t *testing.T) {
+	for _, c := range []struct {
+		chain     KernelChain
+		asm, avx2 bool
+		want      string
+	}{
+		{ChainGeneric, true, true, "dotRowGeneric"},
+		{ChainGeneric, false, false, "dotRowGeneric"},
+		{ChainSSE2, true, true, "dotRowSSE2"},
+		{ChainSSE2, true, false, "dotRowSSE2"},
+		{ChainSSE2, false, false, "dotRowGeneric"},
+		{ChainAVX2, true, true, "dotRowAVX2"},
+		{ChainAVX2, true, false, "dotRowWideGeneric"},
+		{ChainAVX2, false, false, "dotRowWideGeneric"},
+	} {
+		if got := bodyName(rowBody(c.chain, c.asm, c.avx2)); got != c.want {
+			t.Errorf("rowBody(%v, asm=%v, avx2=%v) = %s, want %s", c.chain, c.asm, c.avx2, got, c.want)
 		}
-		if got, want := dotRow(row, x), dotRowGeneric(row, x); math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("forced-generic dotRow %v != dotRowGeneric %v", got, want)
+	}
+	wide := "dotRowWideGeneric"
+	if HasAVX2FMA() {
+		wide = "dotRowAVX2"
+	}
+	for _, c := range []struct {
+		def, sel KernelChain
+		want     string
+	}{
+		{ChainGeneric, ChainAuto, "dotRowGeneric"},
+		{ChainGeneric, ChainSSE2, "dotRowGeneric"},
+		{ChainGeneric, ChainAVX2, "dotRowWideGeneric"},
+		{ChainSSE2, ChainAuto, "dotRowSSE2"},
+		{ChainSSE2, ChainGeneric, "dotRowGeneric"},
+		{ChainSSE2, ChainAVX2, wide},
+		{ChainAVX2, ChainAuto, wide},
+		{ChainAVX2, ChainSSE2, "dotRowSSE2"},
+	} {
+		withChain(t, c.def, func(t *testing.T) {
+			if got := bodyName(KernelsFor(c.sel).dot); got != c.want {
+				t.Errorf("default %v: KernelsFor(%v) runs %s, want %s", c.def, c.sel, got, c.want)
+			}
+		})
+	}
+}
+
+// TestChainMatrixLegRunsItsBodies is the chain-matrix guard: the leg
+// MOBILSTM_KERNEL_CHAIN names (sse2 when unset) must be the process
+// default, and that default must bind the bodies the leg exists to
+// exercise — so a leg can never silently alias another.
+func TestChainMatrixLegRunsItsBodies(t *testing.T) {
+	leg := chainFromEnv(os.Getenv(KernelChainEnv))
+	if got := ActiveKernelChain(); got != leg {
+		t.Fatalf("process default %v, want the %s leg %v", got, KernelChainEnv, leg)
+	}
+	canon, wide := "dotRowSSE2", "dotRowWideGeneric"
+	if leg == ChainGeneric {
+		canon = "dotRowGeneric"
+	} else if HasAVX2FMA() {
+		wide = "dotRowAVX2"
+	}
+	auto := canon
+	if leg == ChainAVX2 {
+		auto = wide
+	}
+	for _, c := range []struct {
+		sel  KernelChain
+		want string
+	}{{ChainAuto, auto}, {ChainSSE2, canon}, {ChainAVX2, wide}} {
+		if got := bodyName(KernelsFor(c.sel).dot); got != c.want {
+			t.Errorf("leg %v: KernelsFor(%v) runs %s, want %s", leg, c.sel, got, c.want)
 		}
-		if got, want := dotRowWide(row, x), dotRowWideGeneric(row, x); math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("forced-generic dotRowWide %v != dotRowWideGeneric %v", got, want)
-		}
-	})
-	withChain(t, ChainSSE2, func(t *testing.T) {
-		if forceGenericBody() {
-			t.Fatal("forceGenericBody() true under ChainSSE2")
-		}
-	})
+	}
+}
+
+// TestKernelsForRejectsUnknownChain: a value outside the four constants
+// is a violation (an error through Guard), never a silent canonical run.
+func TestKernelsForRejectsUnknownChain(t *testing.T) {
+	var err error
+	func() {
+		defer Guard(&err)
+		KernelsFor(KernelChain(9))
+	}()
+	if err == nil {
+		t.Fatal("KernelsFor accepted chain 9")
+	}
 }
 
 // TestWideChainStableAcrossBodies pins the fallback semantics the CI
@@ -120,10 +198,10 @@ func TestWideChainStableAcrossBodies(t *testing.T) {
 	}
 	var viaDispatch, viaGeneric float32
 	withChain(t, ChainAVX2, func(t *testing.T) {
-		viaDispatch = dotRowWide(row, x)
+		viaDispatch = KernelsFor(ChainAuto).dot(row, x)
 	})
 	withChain(t, ChainGeneric, func(t *testing.T) {
-		viaGeneric = dotRowWide(row, x)
+		viaGeneric = KernelsFor(ChainAVX2).dot(row, x)
 	})
 	if math.Float32bits(viaDispatch) != math.Float32bits(viaGeneric) {
 		t.Fatalf("wide chain differs across bodies: %v vs %v", viaDispatch, viaGeneric)

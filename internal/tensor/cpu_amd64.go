@@ -40,5 +40,5 @@ func probeCPU() CPUInfo {
 }
 
 // hasWideBody reports whether the AVX2+FMA assembly body is usable on
-// this CPU. dotRowWide falls back to the pure-Go wide twin otherwise.
+// this CPU. ChainAVX2 binds the pure-Go wide body otherwise (rowBody).
 var hasWideBody = cpuFeatures.AVX && cpuFeatures.AVX2 && cpuFeatures.FMA && cpuFeatures.OSYMM

@@ -2,11 +2,11 @@
 
 package tensor
 
-// dotRow dispatches the canonical row chain to the SSE2 body in
+// dotRowSSE2 carries the canonical row chain in the SSE2 body in
 // dot_amd64.s. The slice contract stays in Go: the re-slice panics
 // exactly where dotRowGeneric would if x is shorter than row, and a
 // zero-length row never takes the address of an empty slice.
-func dotRow(row, x []float32) float32 {
+func dotRowSSE2(row, x []float32) float32 {
 	n := len(row)
 	if n == 0 {
 		return 0

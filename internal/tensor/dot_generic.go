@@ -2,6 +2,6 @@
 
 package tensor
 
-// dotRow on architectures without an assembly body is the chain
+// dotRowSSE2 on architectures without an assembly body is the chain
 // definition itself (kernel.go's dotRowGeneric).
-func dotRow(row, x []float32) float32 { return dotRowGeneric(row, x) }
+func dotRowSSE2(row, x []float32) float32 { return dotRowGeneric(row, x) }

@@ -6,8 +6,8 @@ import (
 	"mobilstm/internal/rng"
 )
 
-// TestDotRowMatchesGeneric pins the dispatching dotRow (SSE2 assembly
-// on amd64, alias of the Go chain elsewhere) to the chain definition in
+// TestDotRowMatchesGeneric pins dotRowSSE2 (SSE2 assembly on amd64,
+// alias of the Go chain elsewhere) to the chain definition in
 // dotRowGeneric, bitwise, across block boundaries, remainders, and the
 // empty row.
 func TestDotRowMatchesGeneric(t *testing.T) {
@@ -22,10 +22,10 @@ func TestDotRowMatchesGeneric(t *testing.T) {
 		for i := range x {
 			x[i] = float32(r.Norm())
 		}
-		got := dotRow(row, x)
+		got := dotRowSSE2(row, x)
 		want := dotRowGeneric(row, x)
 		if got != want {
-			t.Errorf("n=%d: dotRow=%v dotRowGeneric=%v", n, got, want)
+			t.Errorf("n=%d: dotRowSSE2=%v dotRowGeneric=%v", n, got, want)
 		}
 	}
 }
@@ -45,10 +45,10 @@ func TestDotRowAdversarialValues(t *testing.T) {
 			row[i] = float32(r.Norm() * r.Float64() * 1e6)
 			x[i] = float32(r.Norm() / (1 + r.Float64()*1e5))
 		}
-		got := dotRow(row, x)
+		got := dotRowSSE2(row, x)
 		want := dotRowGeneric(row, x)
 		if got != want {
-			t.Fatalf("trial %d n=%d: dotRow=%v dotRowGeneric=%v", trial, n, got, want)
+			t.Fatalf("trial %d n=%d: dotRowSSE2=%v dotRowGeneric=%v", trial, n, got, want)
 		}
 	}
 }

@@ -2,21 +2,17 @@
 
 package tensor
 
-// dotRowWide dispatches the wide row chain to the AVX2+FMA body in
-// dot_avx2_amd64.s when the CPU probe allows it and assembly is not
-// forced off (ChainGeneric), and to the pure-Go wide twin otherwise.
-// The fallback keeps ChainAVX2 selectable on any CPU: the chain — and
-// its determinism contract — is the same, only the body changes. The
-// slice contract stays in Go, exactly as in dotRow.
-func dotRowWide(row, x []float32) float32 {
+// dotRowAVX2 carries the wide row chain in the AVX2+FMA body in
+// dot_avx2_amd64.s. rowBody binds it only where the CPU probe allows
+// (hasWideBody); everywhere else ChainAVX2 runs dotRowWideGeneric — the
+// chain and its determinism contract are the same, only the body
+// changes. The slice contract stays in Go, exactly as in dotRowSSE2.
+func dotRowAVX2(row, x []float32) float32 {
 	n := len(row)
 	if n == 0 {
 		return 0
 	}
 	x = x[:n]
-	if !hasWideBody || forceGenericBody() {
-		return dotRowWideGeneric(row, x)
-	}
 	return dotAVX2(&row[0], &x[0], n)
 }
 

@@ -2,6 +2,6 @@
 
 package tensor
 
-// dotRowWide on architectures without an AVX2 body is the wide chain
-// definition itself (kernel_wide.go's dotRowWideGeneric).
-func dotRowWide(row, x []float32) float32 { return dotRowWideGeneric(row, x) }
+// dotRowAVX2 is never bound off amd64 (hasWideBody is false): the wide
+// chain runs its definition, kernel_wide.go's dotRowWideGeneric.
+func dotRowAVX2(row, x []float32) float32 { return dotRowWideGeneric(row, x) }

@@ -7,15 +7,16 @@ import (
 	"mobilstm/internal/rng"
 )
 
-// TestDotRowWideMatchesGeneric pins the dispatching dotRowWide (AVX2+FMA
-// assembly on capable amd64, alias of the Go wide chain elsewhere) to
-// the wide chain definition in dotRowWideGeneric, bitwise, across the
+// TestDotRowWideMatchesGeneric pins the body ChainAVX2 binds (AVX2+FMA
+// assembly on capable amd64, the Go wide chain elsewhere) to the wide
+// chain definition in dotRowWideGeneric, bitwise, across the
 // 32-float block boundaries, remainders, and the empty row. On a CPU
 // without the wide body both sides are the same function and the test
 // degenerates to a self-check — the assembly half of the contract is
 // exercised wherever CI has AVX2.
 func TestDotRowWideMatchesGeneric(t *testing.T) {
 	r := rng.New(0x71)
+	dotRowWide := KernelsFor(ChainAVX2).dot
 	sizes := []int{0, 1, 2, 3, 7, 8, 15, 16, 17, 31, 32, 33, 47, 63, 64, 65, 95, 96, 97, 100, 127, 128, 129, 192, 650}
 	for _, n := range sizes {
 		row := make([]float32, n)
@@ -47,8 +48,8 @@ func TestDotRowWideFusesProducts(t *testing.T) {
 	eps := float32(1) / (1 << 24)
 	row := []float32{eps, v}
 	x := []float32{1, v}
-	wide := dotRowWide(row, x)
-	canon := dotRow(row, x)
+	wide := KernelsFor(ChainAVX2).dot(row, x)
+	canon := KernelsFor(ChainSSE2).dot(row, x)
 	fused := float32(float64(eps) + float64(v)*float64(v)) // one rounding, the wide order
 	if math.Float32bits(wide) != math.Float32bits(fused) {
 		t.Fatalf("wide dot = %v (%#08x), want single-rounded %v (%#08x)",

@@ -1,12 +1,25 @@
 package tensor
 
 // The shared inner kernels of the GEMV family. Every kernel in this
-// package — serial or packed — reduces each output element to
-// exactly one of the accumulation chains below, so results are bitwise
-// identical however rows are blocked, sharded across goroutines, or
-// scattered across united-gate destinations. Do not add a kernel with a
-// different summation order: the equivalence tests (and the lstm/gru
-// bitwise-determinism guarantees) all lean on this invariant.
+// package — serial or packed — reduces each output element to exactly
+// one row dot of the chain its Kernels value is bound to, so results
+// are bitwise identical however rows are blocked, sharded across
+// goroutines, or scattered across united-gate destinations. Do not add
+// a kernel with a different summation order: the equivalence tests (and
+// the lstm/gru bitwise-determinism guarantees) all lean on this
+// invariant.
+
+// Kernels is the GEMV/GEMM kernel family bound to one accumulation
+// chain (KernelsFor): each shape is written once as a method — its
+// validation, traversal and fork-join sharding — and dots rows through
+// the binding's body. The canonical chain's bodies (ChainGeneric,
+// ChainSSE2) are bitwise interchangeable; the wide chain (ChainAVX2)
+// has its own wide-vs-wide contract and drifts a few ULP from the
+// canonical bits, so one run uses one Kernels value throughout.
+type Kernels struct {
+	// dot is the row body: row · x[:len(row)], one accumulation chain.
+	dot func(row, x []float32) float32
+}
 
 // dotRowGeneric is the reference row kernel and the definition of the
 // canonical accumulation chain: sixteen partial sums over the
@@ -55,14 +68,14 @@ func dotRowGeneric(row, x []float32) float32 {
 	return s
 }
 
-// gemvSpan computes dst[i] = row(row0+i) · x for every i in
+// span computes dst[i] = row(row0+i) · x for every i in
 // [0, len(dst)) — the shared row-range body of Gemv and the packed
-// kernels. Every row is one dotRow chain, so shard and
-// segment boundaries never change a single output bit.
-func gemvSpan(dst Vector, m *Matrix, x Vector, row0 int) {
+// kernels. Every row is one dot chain, so shard and segment boundaries
+// never change a single output bit.
+func (k Kernels) span(dst Vector, m *Matrix, x Vector, row0 int) {
 	n := m.Cols
 	for i := range dst {
 		r := row0 + i
-		dst[i] = dotRow(m.Data[r*n:r*n+n], x)
+		dst[i] = k.dot(m.Data[r*n:r*n+n], x)
 	}
 }

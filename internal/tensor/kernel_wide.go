@@ -12,8 +12,8 @@ import "math"
 // bitwise contract (wide-vs-wide, any GOMAXPROCS, any batch B), NOT
 // interchangeable with the canonical chain: FMA skips the intermediate
 // rounding of a*b, so the two chains drift by a few ULP on real
-// weights (measured in EXPERIMENTS.md). Reachable only through the
-// Wide* kernels — the canonical kernels never dispatch here.
+// weights (measured in EXPERIMENTS.md). Reachable only through a
+// Kernels value bound to ChainAVX2.
 
 // fma32 is one float32 fused multiply-add: a*b computed exactly, added
 // to acc, rounded once. math.FMA in float64 carries the exact float32
@@ -62,16 +62,4 @@ func dotRowWideGeneric(row, x []float32) float32 {
 		s = fma32(row[j], x[j], s)
 	}
 	return s
-}
-
-// wideGemvSpan is gemvSpan over the wide chain: dst[i] = row(row0+i)·x
-// for every i in [0, len(dst)) — the shared row-range body of the Wide*
-// kernels. Every row is one dotRowWide chain, so shard and segment
-// boundaries never change a single output bit within the wide mode.
-func wideGemvSpan(dst Vector, m *Matrix, x Vector, row0 int) {
-	n := m.Cols
-	for i := range dst {
-		r := row0 + i
-		dst[i] = dotRowWide(m.Data[r*n:r*n+n], x)
-	}
 }

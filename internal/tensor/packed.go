@@ -7,7 +7,7 @@ package tensor
 // kernels below are the host-side float32 counterparts of the
 // Sgemv/Sgemm united kernels the GPU model replays: one weight stream,
 // multiple gate outputs, bitwise identical to the per-gate serial calls
-// (every output element is one dotRow chain; see kernel.go).
+// (every output element is one dot chain; see kernel.go).
 
 // Pack returns the row-wise concatenation of ms — the united matrix.
 // All inputs must share a column count; the result owns fresh storage,
@@ -63,11 +63,11 @@ func packedRows(name string, dsts []Vector, m *Matrix, x Vector) int {
 // rows, dsts[1] the next block, and so on. It is bitwise identical to
 // one serial Gemv per row block — the input vector is simply streamed
 // once over the united matrix instead of once per gate.
-func PackedGemv(dsts []Vector, m *Matrix, x Vector) {
+func (k Kernels) PackedGemv(dsts []Vector, m *Matrix, x Vector) {
 	packedRows("PackedGemv", dsts, m, x)
 	off := 0
 	for _, d := range dsts {
-		gemvSpan(d, m, x, off)
+		k.span(d, m, x, off)
 		off += len(d)
 	}
 }
@@ -79,7 +79,7 @@ func PackedGemv(dsts []Vector, m *Matrix, x Vector) {
 // Sgemv(U_{f,i,c}, h, R) kernel with trivial rows disabled: one skip
 // decision covers the row in all gates, exactly as Algorithm 3 shares
 // o_t's triviality across U_f, U_i, U_c. A nil skip computes every row.
-func PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool, fill float32) {
+func (k Kernels) PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool, fill float32) {
 	packedRows("PackedGemvRows", dsts, m, x)
 	if len(dsts) == 0 {
 		return
@@ -91,22 +91,22 @@ func PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool, fill float3
 		}
 	}
 	if skip == nil {
-		PackedGemv(dsts, m, x)
+		k.PackedGemv(dsts, m, x)
 		return
 	}
 	if len(skip) != seg {
 		Panicf("tensor: PackedGemvRows skip length %d, segment %d", len(skip), seg)
 	}
 	n := m.Cols
-	for k, d := range dsts {
-		base := k * seg
+	for g, d := range dsts {
+		base := g * seg
 		for i := 0; i < seg; i++ {
 			if skip[i] {
 				d[i] = fill
 				continue
 			}
 			r := base + i
-			d[i] = dotRow(m.Data[r*n:r*n+n], x)
+			d[i] = k.dot(m.Data[r*n:r*n+n], x)
 		}
 	}
 }
@@ -125,10 +125,10 @@ func PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool, fill float3
 // touched — the Appleyard-style GEMV→GEMM conversion that amortizes
 // weight traffic over the batch, which is why the fork-join shards the
 // weight rows (tall: 4h/3h/2h) rather than the batch (wide but short).
-// Every output element is the same dotRow chain as the serial
+// Every output element is the same dot chain as the serial
 // per-member call, so the result is bitwise identical to len(xs)
 // independent Gemv/PackedGemvRows calls at any GOMAXPROCS.
-func PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill float32) {
+func (k Kernels) PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill float32) {
 	if dst.Rows != len(xs) || dst.Cols != m.Rows {
 		Panicf("tensor: PackedGemmRows shape mismatch: dst %dx%d, m %dx%d, %d inputs",
 			dst.Rows, dst.Cols, m.Rows, m.Cols, len(xs))
@@ -161,7 +161,7 @@ func PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill fl
 						continue
 					}
 				}
-				out[b*dst.Cols] = dotRow(wrow, x)
+				out[b*dst.Cols] = k.dot(wrow, x)
 			}
 		}
 	})
@@ -172,9 +172,9 @@ func PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill fl
 // cell inputs are ready up-front): dst is a len(xs) × m.Rows row-major
 // matrix whose row t is the united gate pre-activation of cell t. Large
 // shapes fan the independent t rows out over the parallel worker shards
-// (see parallel.go); each row is one gemvSpan, so the result is bitwise
+// (see parallel.go); each row is one span, so the result is bitwise
 // identical to len(xs) serial Gemv calls at any GOMAXPROCS.
-func PackedGemm(dst *Matrix, m *Matrix, xs []Vector) {
+func (k Kernels) PackedGemm(dst *Matrix, m *Matrix, xs []Vector) {
 	if dst.Rows != len(xs) || dst.Cols != m.Rows {
 		Panicf("tensor: PackedGemm shape mismatch: dst %dx%d, m %dx%d, %d inputs",
 			dst.Rows, dst.Cols, m.Rows, m.Cols, len(xs))
@@ -186,7 +186,34 @@ func PackedGemm(dst *Matrix, m *Matrix, xs []Vector) {
 	}
 	forkJoin(len(xs), len(xs)*m.Rows*m.Cols, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
-			gemvSpan(dst.Row(t), m, xs[t], 0)
+			k.span(dst.Row(t), m, xs[t], 0)
 		}
 	})
+}
+
+// PackedGemv is Kernels.PackedGemv on the canonical chain — like the
+// package-level kernels below, an entry point for chain-neutral
+// callers.
+func PackedGemv(dsts []Vector, m *Matrix, x Vector) { KernelsFor(ChainSSE2).PackedGemv(dsts, m, x) }
+
+// PackedGemvRows is Kernels.PackedGemvRows on the canonical chain.
+func PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool, fill float32) {
+	KernelsFor(ChainSSE2).PackedGemvRows(dsts, m, x, skip, fill)
+}
+
+// PackedGemm is Kernels.PackedGemm on the canonical chain.
+func PackedGemm(dst *Matrix, m *Matrix, xs []Vector) { KernelsFor(ChainSSE2).PackedGemm(dst, m, xs) }
+
+// PackedGemmRows is Kernels.PackedGemmRows on the canonical chain.
+func PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill float32) {
+	KernelsFor(ChainSSE2).PackedGemmRows(dst, m, xs, skips, fill)
+}
+
+// WidePackedGemv is Kernels.PackedGemv on the wide chain; it and
+// WidePackedGemmRows keep these names for the benchmark's micro-probes.
+func WidePackedGemv(dsts []Vector, m *Matrix, x Vector) { KernelsFor(ChainAVX2).PackedGemv(dsts, m, x) }
+
+// WidePackedGemmRows is Kernels.PackedGemmRows on the wide chain.
+func WidePackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill float32) {
+	KernelsFor(ChainAVX2).PackedGemmRows(dst, m, xs, skips, fill)
 }

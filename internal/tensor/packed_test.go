@@ -12,6 +12,48 @@ import (
 // calls — not merely close. The lstm/gru hot paths route every shape
 // through these kernels, so one flipped bit here would silently change
 // every accuracy table downstream.
+//
+// Each contract is one body over a Kernels binding, run for every
+// chain against the reference row body that defines the chain. The
+// chains are never compared with each other: they differ by design
+// (TestDotRowWideFusesProducts).
+
+// rowBodyFn is the row body signature (Kernels.dot).
+type rowBodyFn = func(row, x []float32) float32
+
+// chainRefs pairs every chain with the row body its kernels are held
+// to, bitwise.
+var chainRefs = []struct {
+	chain KernelChain
+	ref   rowBodyFn
+}{
+	{ChainGeneric, dotRowGeneric},
+	{ChainSSE2, dotRowGeneric},
+	{ChainAVX2, dotRowWideGeneric},
+}
+
+// forEachChain runs one contract body per chain, as a subtest named
+// after the chain.
+func forEachChain(t *testing.T, body func(t *testing.T, k Kernels, ref rowBodyFn)) {
+	for _, c := range chainRefs {
+		t.Run(c.chain.String(), func(t *testing.T) { body(t, KernelsFor(c.chain), c.ref) })
+	}
+}
+
+// mustPanic runs each named call and fails the ones that return.
+func mustPanic(t *testing.T, calls map[string]func()) {
+	t.Helper()
+	for name, fn := range calls {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
 
 // atGOMAXPROCS runs fn at each of the given GOMAXPROCS settings,
 // restoring the original value afterwards. Oversubscription (more Ps
@@ -38,24 +80,81 @@ var packedShapes = []struct{ seg, cols, gates int }{
 	{64, 96, 4},
 }
 
-func TestPackedGemvBitwiseEqualsPerGateGemv(t *testing.T) {
+// randGates draws one matrix per gate of the shape, and their united
+// packing.
+func randGates(r *rng.RNG, seg, cols, gates int) ([]*Matrix, *Matrix) {
+	ms := make([]*Matrix, gates)
+	for g := range ms {
+		ms[g] = randMatrix(r, seg, cols)
+	}
+	return ms, Pack(ms...)
+}
+
+// randMask draws a skip mask of n rows, each skipped with probability p.
+func randMask(r *rng.RNG, n int, p float64) []bool {
+	mask := make([]bool, n)
+	for i := range mask {
+		mask[i] = r.Bernoulli(p)
+	}
+	return mask
+}
+
+// gemvEqualsRowBody: Gemv is one ref dot per row, and a nil-skip
+// GemvRows is Gemv.
+func gemvEqualsRowBody(t *testing.T, k Kernels, ref rowBodyFn) {
+	r := rng.New(0x47)
+	for _, sh := range packedShapes {
+		m := randMatrix(r, sh.seg*sh.gates, sh.cols)
+		x := randVector(r, sh.cols)
+		a, b := NewVector(m.Rows), NewVector(m.Rows)
+		k.Gemv(a, m, x)
+		k.GemvRows(b, m, x, nil, -1)
+		for i := range a {
+			if want := ref(m.Row(i), x); a[i] != want || b[i] != want {
+				t.Fatalf("shape %v row %d: Gemv %v, nil-skip GemvRows %v, row body %v", sh, i, a[i], b[i], want)
+			}
+		}
+	}
+}
+
+// gemvRowsEqualsRowBody: a masked GemvRows is fill on skipped rows and
+// one ref dot on the others.
+func gemvRowsEqualsRowBody(t *testing.T, k Kernels, ref rowBodyFn) {
+	r := rng.New(0x82)
+	for _, sh := range packedShapes {
+		m := randMatrix(r, sh.seg*sh.gates, sh.cols)
+		x := randVector(r, sh.cols)
+		skip := randMask(r, m.Rows, 0.4)
+		const fill = -7.5
+		dst := NewVector(m.Rows)
+		k.GemvRows(dst, m, x, skip, fill)
+		for i := range dst {
+			want := ref(m.Row(i), x)
+			if skip[i] {
+				want = fill
+			}
+			if dst[i] != want {
+				t.Fatalf("shape %v row %d: GemvRows %v != %v", sh, i, dst[i], want)
+			}
+		}
+	}
+}
+
+// packedGemvEqualsPerGate: the united product scattered per gate is one
+// serial Gemv per gate block.
+func packedGemvEqualsPerGate(t *testing.T, k Kernels, _ rowBodyFn) {
 	r := rng.New(0x41)
 	for _, sh := range packedShapes {
-		gates := make([]*Matrix, sh.gates)
-		for g := range gates {
-			gates[g] = randMatrix(r, sh.seg, sh.cols)
-		}
-		united := Pack(gates...)
+		gates, united := randGates(r, sh.seg, sh.cols, sh.gates)
 		x := randVector(r, sh.cols)
-
 		dsts := make([]Vector, sh.gates)
 		want := make([]Vector, sh.gates)
 		for g := range dsts {
 			dsts[g] = NewVector(sh.seg)
 			want[g] = NewVector(sh.seg)
-			Gemv(want[g], gates[g], x)
+			k.Gemv(want[g], gates[g], x)
 		}
-		PackedGemv(dsts, united, x)
+		k.PackedGemv(dsts, united, x)
 		for g := range dsts {
 			for i := range dsts[g] {
 				if dsts[g][i] != want[g][i] {
@@ -67,29 +166,23 @@ func TestPackedGemvBitwiseEqualsPerGateGemv(t *testing.T) {
 	}
 }
 
-func TestPackedGemvRowsBitwiseEqualsGemvRows(t *testing.T) {
+// packedGemvRowsEqualsGemvRows: one segment-length DRS mask over the
+// united matrix is the same mask applied per gate by GemvRows.
+func packedGemvRowsEqualsGemvRows(t *testing.T, k Kernels, _ rowBodyFn) {
 	r := rng.New(0x42)
 	for _, sh := range packedShapes {
-		gates := make([]*Matrix, sh.gates)
-		for g := range gates {
-			gates[g] = randMatrix(r, sh.seg, sh.cols)
-		}
-		united := Pack(gates...)
+		gates, united := randGates(r, sh.seg, sh.cols, sh.gates)
 		x := randVector(r, sh.cols)
-		skip := make([]bool, sh.seg)
-		for i := range skip {
-			skip[i] = r.Bernoulli(0.4)
-		}
+		skip := randMask(r, sh.seg, 0.4)
 		const fill = -7.5
-
 		dsts := make([]Vector, sh.gates)
 		want := make([]Vector, sh.gates)
 		for g := range dsts {
 			dsts[g] = NewVector(sh.seg)
 			want[g] = NewVector(sh.seg)
-			GemvRows(want[g], gates[g], x, skip, fill)
+			k.GemvRows(want[g], gates[g], x, skip, fill)
 		}
-		PackedGemvRows(dsts, united, x, skip, fill)
+		k.PackedGemvRows(dsts, united, x, skip, fill)
 		for g := range dsts {
 			for i := range dsts[g] {
 				if dsts[g][i] != want[g][i] {
@@ -101,24 +194,9 @@ func TestPackedGemvRowsBitwiseEqualsGemvRows(t *testing.T) {
 	}
 }
 
-func TestPackedGemvRowsNilSkipEqualsPackedGemv(t *testing.T) {
-	r := rng.New(0x43)
-	m := randMatrix(r, 3*7, 11)
-	x := randVector(r, 11)
-	a := []Vector{NewVector(7), NewVector(7), NewVector(7)}
-	b := []Vector{NewVector(7), NewVector(7), NewVector(7)}
-	PackedGemv(a, m, x)
-	PackedGemvRows(b, m, x, nil, 0)
-	for g := range a {
-		for i := range a[g] {
-			if a[g][i] != b[g][i] {
-				t.Fatalf("gate %d row %d: %v != %v", g, i, a[g][i], b[g][i])
-			}
-		}
-	}
-}
-
-func TestPackedGemmBitwiseEqualsGemvAtAnyGOMAXPROCS(t *testing.T) {
+// packedGemmEqualsGemv: the whole-layer W·x stage is one serial Gemv
+// per input however the fork-join shards the inputs.
+func packedGemmEqualsGemv(t *testing.T, k Kernels, _ rowBodyFn) {
 	r := rng.New(0x44)
 	// Big enough to cross the parallel gate, odd enough to stress the
 	// shard remainders.
@@ -129,11 +207,11 @@ func TestPackedGemmBitwiseEqualsGemvAtAnyGOMAXPROCS(t *testing.T) {
 	for t2 := range xs {
 		xs[t2] = randVector(r, cols)
 		want[t2] = NewVector(rows)
-		Gemv(want[t2], m, xs[t2])
+		k.Gemv(want[t2], m, xs[t2])
 	}
 	atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
 		dst := NewMatrix(inputs, rows)
-		PackedGemm(dst, m, xs)
+		k.PackedGemm(dst, m, xs)
 		for t2 := range xs {
 			row := dst.Row(t2)
 			for i := range row {
@@ -146,12 +224,12 @@ func TestPackedGemmBitwiseEqualsGemvAtAnyGOMAXPROCS(t *testing.T) {
 	})
 }
 
-// TestPackedGemmRowsBitwiseEqualsPerMemberAtAnyGOMAXPROCS pins the
-// batch kernel's contract: row b of the batched product must be bitwise
-// identical to an independent serial PackedGemvRows for member b — same
-// dotRow chains, same fill on masked rows — however the row-outer
-// fork-join shards the united weight rows.
-func TestPackedGemmRowsBitwiseEqualsPerMemberAtAnyGOMAXPROCS(t *testing.T) {
+// packedGemmRowsEqualsPerMember pins the batch kernel's contract: row b
+// of the batched product must be bitwise identical to an independent
+// serial PackedGemvRows for member b — same dot chains, same fill on
+// masked rows — however the row-outer fork-join shards the united
+// weight rows.
+func packedGemmRowsEqualsPerMember(t *testing.T, k Kernels, _ rowBodyFn) {
 	r := rng.New(0x48)
 	for _, sh := range packedShapes {
 		rows := sh.seg * sh.gates
@@ -162,11 +240,7 @@ func TestPackedGemmRowsBitwiseEqualsPerMemberAtAnyGOMAXPROCS(t *testing.T) {
 		for b := range xs {
 			xs[b] = randVector(r, sh.cols)
 			if b%2 == 1 { // odd members skip, even compute every row
-				mask := make([]bool, sh.seg)
-				for i := range mask {
-					mask[i] = r.Bernoulli(0.4)
-				}
-				skips[b] = mask
+				skips[b] = randMask(r, sh.seg, 0.4)
 			}
 		}
 		const fill = -3.25
@@ -178,11 +252,11 @@ func TestPackedGemmRowsBitwiseEqualsPerMemberAtAnyGOMAXPROCS(t *testing.T) {
 			for g := range segs {
 				segs[g] = want[b][g*sh.seg : (g+1)*sh.seg]
 			}
-			PackedGemvRows(segs, m, xs[b], skips[b], fill)
+			k.PackedGemvRows(segs, m, xs[b], skips[b], fill)
 		}
 		atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
 			dst := NewMatrix(members, rows)
-			PackedGemmRows(dst, m, xs, skips, fill)
+			k.PackedGemmRows(dst, m, xs, skips, fill)
 			for b := range xs {
 				row := dst.Row(b)
 				for i := range row {
@@ -196,68 +270,84 @@ func TestPackedGemmRowsBitwiseEqualsPerMemberAtAnyGOMAXPROCS(t *testing.T) {
 	}
 }
 
+func TestGemvRowsNilSkipBitwiseEqualsGemv(t *testing.T) { forEachChain(t, gemvEqualsRowBody) }
+
+func TestPackedGemvBitwiseEqualsPerGateGemv(t *testing.T) {
+	forEachChain(t, packedGemvEqualsPerGate)
+}
+
+func TestPackedGemvRowsBitwiseEqualsGemvRows(t *testing.T) {
+	forEachChain(t, packedGemvRowsEqualsGemvRows)
+}
+
+func TestPackedGemmBitwiseEqualsGemvAtAnyGOMAXPROCS(t *testing.T) {
+	forEachChain(t, packedGemmEqualsGemv)
+}
+
+func TestPackedGemmRowsBitwiseEqualsPerMemberAtAnyGOMAXPROCS(t *testing.T) {
+	forEachChain(t, packedGemmRowsEqualsPerMember)
+}
+
+func TestPackedGemvRowsNilSkipEqualsPackedGemv(t *testing.T) {
+	forEachChain(t, func(t *testing.T, k Kernels, _ rowBodyFn) {
+		r := rng.New(0x43)
+		m := randMatrix(r, 3*7, 11)
+		x := randVector(r, 11)
+		a := []Vector{NewVector(7), NewVector(7), NewVector(7)}
+		b := []Vector{NewVector(7), NewVector(7), NewVector(7)}
+		k.PackedGemv(a, m, x)
+		k.PackedGemvRows(b, m, x, nil, 0)
+		for g := range a {
+			for i := range a[g] {
+				if a[g][i] != b[g][i] {
+					t.Fatalf("gate %d row %d: %v != %v", g, i, a[g][i], b[g][i])
+				}
+			}
+		}
+	})
+}
+
 // TestPackedGemmRowsNilSkipsEqualsPackedGemm: a nil mask set (and a set
 // of all-nil member masks) degenerates to the plain batched product.
 func TestPackedGemmRowsNilSkipsEqualsPackedGemm(t *testing.T) {
-	r := rng.New(0x49)
-	const rows, cols, members = 21, 13, 4
-	m := randMatrix(r, rows, cols)
-	xs := make([]Vector, members)
-	for b := range xs {
-		xs[b] = randVector(r, cols)
-	}
-	want := NewMatrix(members, rows)
-	PackedGemm(want, m, xs)
-	for name, skips := range map[string][][]bool{
-		"nil set":   nil,
-		"nil masks": make([][]bool, members),
-	} {
-		dst := NewMatrix(members, rows)
-		PackedGemmRows(dst, m, xs, skips, 0)
-		for i := range dst.Data {
-			if dst.Data[i] != want.Data[i] {
-				t.Fatalf("%s: element %d: %v != %v", name, i, dst.Data[i], want.Data[i])
+	forEachChain(t, func(t *testing.T, k Kernels, _ rowBodyFn) {
+		r := rng.New(0x49)
+		const rows, cols, members = 21, 13, 4
+		m := randMatrix(r, rows, cols)
+		xs := make([]Vector, members)
+		for b := range xs {
+			xs[b] = randVector(r, cols)
+		}
+		want := NewMatrix(members, rows)
+		k.PackedGemm(want, m, xs)
+		for name, skips := range map[string][][]bool{
+			"nil set":   nil,
+			"nil masks": make([][]bool, members),
+		} {
+			dst := NewMatrix(members, rows)
+			k.PackedGemmRows(dst, m, xs, skips, 0)
+			for i := range dst.Data {
+				if dst.Data[i] != want.Data[i] {
+					t.Fatalf("%s: element %d: %v != %v", name, i, dst.Data[i], want.Data[i])
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestPackedGemmRowsShapePanics(t *testing.T) {
-	m := NewMatrix(8, 4)
-	xs := []Vector{NewVector(4), NewVector(4)}
-	for name, fn := range map[string]func(){
-		"dst rows":    func() { PackedGemmRows(NewMatrix(3, 8), m, xs, nil, 0) },
-		"dst cols":    func() { PackedGemmRows(NewMatrix(2, 7), m, xs, nil, 0) },
-		"x cols":      func() { PackedGemmRows(NewMatrix(2, 8), m, []Vector{NewVector(4), NewVector(5)}, nil, 0) },
-		"skips count": func() { PackedGemmRows(NewMatrix(2, 8), m, xs, make([][]bool, 3), 0) },
-		"mask tiling": func() { PackedGemmRows(NewMatrix(2, 8), m, xs, [][]bool{make([]bool, 3), nil}, 0) },
-		"empty mask":  func() { PackedGemmRows(NewMatrix(2, 8), m, xs, [][]bool{{}, nil}, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestGemvRowsNilSkipBitwiseEqualsGemv(t *testing.T) {
-	r := rng.New(0x47)
-	for _, sh := range [][2]int{{1, 1}, {9, 7}, {33, 130}} {
-		m := randMatrix(r, sh[0], sh[1])
-		x := randVector(r, sh[1])
-		a, b := NewVector(sh[0]), NewVector(sh[0])
-		Gemv(a, m, x)
-		GemvRows(b, m, x, nil, -1)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("shape %v row %d: %v != %v", sh, i, a[i], b[i])
-			}
-		}
-	}
+	forEachChain(t, func(t *testing.T, k Kernels, _ rowBodyFn) {
+		m := NewMatrix(8, 4)
+		xs := []Vector{NewVector(4), NewVector(4)}
+		mustPanic(t, map[string]func(){
+			"dst rows":    func() { k.PackedGemmRows(NewMatrix(3, 8), m, xs, nil, 0) },
+			"dst cols":    func() { k.PackedGemmRows(NewMatrix(2, 7), m, xs, nil, 0) },
+			"x cols":      func() { k.PackedGemmRows(NewMatrix(2, 8), m, []Vector{NewVector(4), NewVector(5)}, nil, 0) },
+			"skips count": func() { k.PackedGemmRows(NewMatrix(2, 8), m, xs, make([][]bool, 3), 0) },
+			"mask tiling": func() { k.PackedGemmRows(NewMatrix(2, 8), m, xs, [][]bool{make([]bool, 3), nil}, 0) },
+			"empty mask":  func() { k.PackedGemmRows(NewMatrix(2, 8), m, xs, [][]bool{{}, nil}, 0) },
+		})
+	})
 }
 
 func TestPackValidatesAndConcatenates(t *testing.T) {
@@ -303,23 +393,16 @@ func TestRowBlockAliasesStorage(t *testing.T) {
 }
 
 func TestPackedShapePanics(t *testing.T) {
-	m := NewMatrix(8, 4)
-	for name, fn := range map[string]func(){
-		"dst rows":   func() { PackedGemv([]Vector{NewVector(3)}, m, NewVector(4)) },
-		"x cols":     func() { PackedGemv([]Vector{NewVector(8)}, m, NewVector(5)) },
-		"seg differ": func() { PackedGemvRows([]Vector{NewVector(3), NewVector(5)}, m, NewVector(4), nil, 0) },
-		"skip len":   func() { PackedGemvRows([]Vector{NewVector(4), NewVector(4)}, m, NewVector(4), make([]bool, 3), 0) },
-		"gemm dst":   func() { PackedGemm(NewMatrix(2, 7), m, []Vector{NewVector(4), NewVector(4)}) },
-		"gemm x":     func() { PackedGemm(NewMatrix(2, 8), m, []Vector{NewVector(4), NewVector(3)}) },
-		"rowblock":   func() { m.RowBlock(3, 9) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	forEachChain(t, func(t *testing.T, k Kernels, _ rowBodyFn) {
+		m := NewMatrix(8, 4)
+		mustPanic(t, map[string]func(){
+			"dst rows":   func() { k.PackedGemv([]Vector{NewVector(3)}, m, NewVector(4)) },
+			"x cols":     func() { k.PackedGemv([]Vector{NewVector(8)}, m, NewVector(5)) },
+			"seg differ": func() { k.PackedGemvRows([]Vector{NewVector(3), NewVector(5)}, m, NewVector(4), nil, 0) },
+			"skip len":   func() { k.PackedGemvRows([]Vector{NewVector(4), NewVector(4)}, m, NewVector(4), make([]bool, 3), 0) },
+			"gemm dst":   func() { k.PackedGemm(NewMatrix(2, 7), m, []Vector{NewVector(4), NewVector(4)}) },
+			"gemm x":     func() { k.PackedGemm(NewMatrix(2, 8), m, []Vector{NewVector(4), NewVector(3)}) },
+		})
+	})
+	mustPanic(t, map[string]func(){"rowblock": func() { NewMatrix(8, 4).RowBlock(3, 9) }})
 }

@@ -3,25 +3,27 @@
 // family, and the activation functions from the paper (sigmoid, hard
 // sigmoid, tanh).
 //
-// The canonical kernels come in two tiers sharing one inner accumulation
-// chain (kernel.go), so they are bitwise interchangeable:
+// There is one kernel family, Kernels (kernel.go): every shape is a
+// method written once and bound (KernelsFor, chain.go) to the row body
+// of a KernelChain, so all of a binding's kernels share one inner
+// accumulation chain and are bitwise interchangeable:
 //
 //   - serial: Gemv, GemvRows (DRS skip mask) — every output row is one
-//     16-lane dot-product chain (kernel.go's dotRowGeneric, carried in
-//     SSE2 assembly on amd64);
-//   - packed (packed.go): Pack/PackedGemv/PackedGemvRows over a
-//     row-wise united gate matrix (the paper's U_{f,i,c,o}), streaming
+//     row dot;
+//   - packed (packed.go): PackedGemv/PackedGemvRows over a row-wise
+//     united gate matrix (Pack; the paper's U_{f,i,c,o}), streaming
 //     the input once per cell instead of once per gate, and the
 //     whole-layer / batch-B PackedGemm/PackedGemmRows, whose
 //     independent rows fan out over a size-gated fork-join
 //     (parallel.go), bitwise identical to the serial kernels at any
 //     GOMAXPROCS.
 //
-// A second, explicitly selected accumulation chain — the wide 32-lane
-// FMA chain (kernel_wide.go, AVX2+FMA assembly on capable amd64) —
-// backs the Wide* kernel family (wide.go) behind the KernelChain
-// fast-mode switch (chain.go). It carries its own wide-vs-wide bitwise
-// contract and is not interchangeable with the canonical chain.
+// The chains are the canonical 16-lane chain (dotRowGeneric, SSE2
+// assembly on amd64) and the explicitly selected wide 32-lane FMA
+// chain (dotRowWideGeneric, AVX2+FMA assembly on capable amd64), which
+// carries its own wide-vs-wide bitwise contract and is not
+// interchangeable with the canonical one. The package-level kernel
+// functions are entry points onto the canonical binding.
 //
 // The package is deliberately small and allocation-conscious: LSTM
 // inference is a long sequence of GEMV/GEMM calls over the same shapes, so
@@ -86,24 +88,22 @@ func (m *Matrix) Clone() *Matrix {
 func (m *Matrix) SizeBytes() int64 { return int64(m.Rows) * int64(m.Cols) * 4 }
 
 // Gemv computes dst = m · x. dst must have length m.Rows and x length
-// m.Cols. Rows run through the shared dotRow kernel: sixteen
-// independent accumulation lanes, computed four-at-a-time by packed
-// SSE2 on amd64 and by the bitwise-identical pure-Go chain elsewhere.
-func Gemv(dst Vector, m *Matrix, x Vector) {
+// m.Cols. Every row is one dot of k's chain.
+func (k Kernels) Gemv(dst Vector, m *Matrix, x Vector) {
 	if len(dst) != m.Rows || len(x) != m.Cols {
 		Panicf("tensor: Gemv shape mismatch: dst %d, m %dx%d, x %d",
 			len(dst), m.Rows, m.Cols, len(x))
 	}
-	gemvSpan(dst, m, x, 0)
+	k.span(dst, m, x, 0)
 }
 
 // GemvRows computes dst[i] = m.Row(i) · x only for rows i where
 // skip[i] == false; skipped rows of dst are set to fill. skip may be nil,
 // in which case all rows are computed. This is the numeric counterpart of
 // the paper's Sgemv(U_{f,i,c}, h, R) kernel with trivial rows disabled.
-// Computed rows use the same dotRow chain as Gemv, so a nil-skip
-// GemvRows is bitwise identical to Gemv.
-func GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, fill float32) {
+// Computed rows use the same dot chain as Gemv, so a nil-skip GemvRows
+// is bitwise identical to Gemv.
+func (k Kernels) GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, fill float32) {
 	if len(dst) != m.Rows || len(x) != m.Cols {
 		Panicf("tensor: GemvRows shape mismatch: dst %d, m %dx%d, x %d",
 			len(dst), m.Rows, m.Cols, len(x))
@@ -112,7 +112,7 @@ func GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, fill float32) {
 		Panicf("tensor: GemvRows skip length mismatch")
 	}
 	if skip == nil {
-		gemvSpan(dst, m, x, 0)
+		k.span(dst, m, x, 0)
 		return
 	}
 	n := m.Cols
@@ -121,8 +121,17 @@ func GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, fill float32) {
 			dst[i] = fill
 			continue
 		}
-		dst[i] = dotRow(m.Data[i*n:i*n+n], x)
+		dst[i] = k.dot(m.Data[i*n:i*n+n], x)
 	}
+}
+
+// Gemv is Kernels.Gemv on the canonical chain — what calibration and
+// every other chain-neutral caller uses.
+func Gemv(dst Vector, m *Matrix, x Vector) { KernelsFor(ChainSSE2).Gemv(dst, m, x) }
+
+// GemvRows is Kernels.GemvRows on the canonical chain.
+func GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, fill float32) {
+	KernelsFor(ChainSSE2).GemvRows(dst, m, x, skip, fill)
 }
 
 // Add computes dst[i] = a[i] + b[i].

@@ -62,13 +62,15 @@ func TestGemvMatchesNaive(t *testing.T) {
 }
 
 func TestGemvShapePanics(t *testing.T) {
-	m := NewMatrix(3, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on shape mismatch")
-		}
-	}()
-	Gemv(NewVector(3), m, NewVector(5))
+	forEachChain(t, func(t *testing.T, k Kernels, _ rowBodyFn) {
+		m := NewMatrix(3, 4)
+		mustPanic(t, map[string]func(){
+			"x cols":   func() { k.Gemv(NewVector(3), m, NewVector(5)) },
+			"dst rows": func() { k.Gemv(NewVector(2), m, NewVector(4)) },
+			"rows x":   func() { k.GemvRows(NewVector(3), m, NewVector(5), nil, 0) },
+			"skip len": func() { k.GemvRows(NewVector(3), m, NewVector(4), make([]bool, 2), 0) },
+		})
+	})
 }
 
 func TestGemvRowsNilSkipEqualsGemv(t *testing.T) {
@@ -83,25 +85,7 @@ func TestGemvRowsNilSkipEqualsGemv(t *testing.T) {
 	}
 }
 
-func TestGemvRowsSkips(t *testing.T) {
-	r := rng.New(3)
-	m := randMatrix(r, 10, 8)
-	x := randVector(r, 8)
-	skip := make([]bool, 10)
-	skip[0], skip[4], skip[9] = true, true, true
-	out := NewVector(10)
-	GemvRows(out, m, x, skip, 42)
-	ref := gemvNaive(m, x)
-	for i := range out {
-		if skip[i] {
-			if out[i] != 42 {
-				t.Errorf("row %d: got %v, want fill 42", i, out[i])
-			}
-		} else if math.Abs(float64(out[i]-ref[i])) > 1e-4 {
-			t.Errorf("row %d: got %v, want %v", i, out[i], ref[i])
-		}
-	}
-}
+func TestGemvRowsSkips(t *testing.T) { forEachChain(t, gemvRowsEqualsRowBody) }
 
 func TestVectorOps(t *testing.T) {
 	a := Vector{1, 2, 3}

@@ -1,216 +1,79 @@
 package tensor
 
 import (
-	"runtime"
+	"slices"
 	"testing"
 
 	"mobilstm/internal/rng"
 )
 
-// The wide family's own equivalence contract: every Wide* kernel must
-// be BITWISE identical to per-row dotRowWide calls — wide-vs-wide, at
-// any GOMAXPROCS and any batch B — mirroring the canonical packed/
-// parallel contracts. Wide-vs-canonical equality is deliberately NOT
-// asserted anywhere: the chains differ by design (see
-// TestDotRowWideFusesProducts).
+// The wide chain's equivalence contract under its historical test
+// names: each is the shared contract body of packed_test.go bound to
+// ChainAVX2 and held to dotRowWideGeneric — wide-vs-wide, at any
+// GOMAXPROCS and any batch B.
 
-// wideRef computes dst = m·x per row through dotRowWide — the serial
-// reference every wide kernel is held to.
-func wideRef(m *Matrix, x Vector) Vector {
-	dst := NewVector(m.Rows)
-	n := m.Cols
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = dotRowWide(m.Data[i*n:i*n+n], x)
-	}
-	return dst
+func onWideChain(t *testing.T, body func(*testing.T, Kernels, rowBodyFn)) {
+	body(t, KernelsFor(ChainAVX2), dotRowWideGeneric)
 }
 
-func TestWideGemvBitwiseEqualsWideRef(t *testing.T) {
-	r := rng.New(0x81)
-	for _, sh := range packedShapes {
-		m := randMatrix(r, sh.seg*sh.gates, sh.cols)
-		x := randVector(r, sh.cols)
-		dst := NewVector(m.Rows)
-		WideGemv(dst, m, x)
-		want := wideRef(m, x)
-		for i := range dst {
-			if dst[i] != want[i] {
-				t.Fatalf("shape %v row %d: WideGemv %v != ref %v", sh, i, dst[i], want[i])
-			}
-		}
-	}
-}
-
-func TestWideGemvRowsBitwiseEqualsWideRef(t *testing.T) {
-	r := rng.New(0x82)
-	for _, sh := range packedShapes {
-		m := randMatrix(r, sh.seg*sh.gates, sh.cols)
-		x := randVector(r, sh.cols)
-		skip := make([]bool, m.Rows)
-		for i := range skip {
-			skip[i] = r.Bernoulli(0.4)
-		}
-		const fill = -7.5
-		dst := NewVector(m.Rows)
-		WideGemvRows(dst, m, x, skip, fill)
-		want := wideRef(m, x)
-		for i := range dst {
-			w := want[i]
-			if skip[i] {
-				w = fill
-			}
-			if dst[i] != w {
-				t.Fatalf("shape %v row %d: WideGemvRows %v != %v", sh, i, dst[i], w)
-			}
-		}
-		// nil skip degenerates to WideGemv.
-		WideGemvRows(dst, m, x, nil, fill)
-		for i := range dst {
-			if dst[i] != want[i] {
-				t.Fatalf("shape %v row %d nil-skip: %v != %v", sh, i, dst[i], want[i])
-			}
-		}
-	}
-}
-
+func TestWideGemvBitwiseEqualsWideRef(t *testing.T)     { onWideChain(t, gemvEqualsRowBody) }
+func TestWideGemvRowsBitwiseEqualsWideRef(t *testing.T) { onWideChain(t, gemvRowsEqualsRowBody) }
 func TestWidePackedGemvBitwiseEqualsWideGemv(t *testing.T) {
-	r := rng.New(0x83)
-	for _, sh := range packedShapes {
-		gates := make([]*Matrix, sh.gates)
-		for g := range gates {
-			gates[g] = randMatrix(r, sh.seg, sh.cols)
-		}
-		united := Pack(gates...)
-		x := randVector(r, sh.cols)
-		dsts := make([]Vector, sh.gates)
-		want := make([]Vector, sh.gates)
-		for g := range dsts {
-			dsts[g] = NewVector(sh.seg)
-			want[g] = NewVector(sh.seg)
-			WideGemv(want[g], gates[g], x)
-		}
-		WidePackedGemv(dsts, united, x)
-		for g := range dsts {
-			for i := range dsts[g] {
-				if dsts[g][i] != want[g][i] {
-					t.Fatalf("shape %v gate %d row %d: packed %v != serial %v",
-						sh, g, i, dsts[g][i], want[g][i])
-				}
-			}
-		}
-	}
+	onWideChain(t, packedGemvEqualsPerGate)
 }
-
 func TestWidePackedGemvRowsBitwiseEqualsWideGemvRows(t *testing.T) {
-	r := rng.New(0x84)
-	for _, sh := range packedShapes {
-		gates := make([]*Matrix, sh.gates)
-		for g := range gates {
-			gates[g] = randMatrix(r, sh.seg, sh.cols)
-		}
-		united := Pack(gates...)
-		x := randVector(r, sh.cols)
-		skip := make([]bool, sh.seg)
-		for i := range skip {
-			skip[i] = r.Bernoulli(0.4)
-		}
-		const fill = 3.25
-		dsts := make([]Vector, sh.gates)
-		want := make([]Vector, sh.gates)
-		for g := range dsts {
-			dsts[g] = NewVector(sh.seg)
-			want[g] = NewVector(sh.seg)
-			WideGemvRows(want[g], gates[g], x, skip, fill)
-		}
-		WidePackedGemvRows(dsts, united, x, skip, fill)
-		for g := range dsts {
-			for i := range dsts[g] {
-				if dsts[g][i] != want[g][i] {
-					t.Fatalf("shape %v gate %d row %d: packed %v != serial %v",
-						sh, g, i, dsts[g][i], want[g][i])
-				}
-			}
-		}
-	}
+	onWideChain(t, packedGemvRowsEqualsGemvRows)
 }
-
-// TestWidePackedGemmBitwiseAtAnyGOMAXPROCS pins the wide whole-layer
-// W·x stage to serial per-input WideGemv across the fork-join sweep —
-// the wide twin of the PackedGemm contract.
-func TestWidePackedGemmBitwiseAtAnyGOMAXPROCS(t *testing.T) {
-	r := rng.New(0x85)
-	const inputs, rows, cols = 37, 68, 96 // big enough to clear the size gate
-	m := randMatrix(r, rows, cols)
-	xs := make([]Vector, inputs)
-	want := make([]Vector, inputs)
-	for i := range xs {
-		xs[i] = randVector(r, cols)
-		want[i] = NewVector(rows)
-		WideGemv(want[i], m, xs[i])
-	}
-	dst := NewMatrix(inputs, rows)
-	atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
-		for i := range dst.Data {
-			dst.Data[i] = 0
-		}
-		WidePackedGemm(dst, m, xs)
-		for t2 := range xs {
-			row := dst.Row(t2)
-			for i := range row {
-				if row[i] != want[t2][i] {
-					t.Fatalf("GOMAXPROCS %d input %d row %d: %v != %v",
-						runtime.GOMAXPROCS(0), t2, i, row[i], want[t2][i])
-				}
-			}
-		}
-	})
-}
-
-// TestWidePackedGemmRowsBitwiseAtAnyGOMAXPROCS pins the wide batch-B
-// recurrent kernel to per-member serial wide calls across GOMAXPROCS
-// and per-member DRS masks — the batch half of the wide determinism
-// contract.
+func TestWidePackedGemmBitwiseAtAnyGOMAXPROCS(t *testing.T) { onWideChain(t, packedGemmEqualsGemv) }
 func TestWidePackedGemmRowsBitwiseAtAnyGOMAXPROCS(t *testing.T) {
-	r := rng.New(0x86)
-	const batch, seg, gates, cols = 9, 17, 4, 96
-	rows := seg * gates
-	m := randMatrix(r, rows, cols)
-	xs := make([]Vector, batch)
-	skips := make([][]bool, batch)
-	const fill = -1.5
-	want := make([]Vector, batch)
-	for b := range xs {
-		xs[b] = randVector(r, cols)
-		if b%3 != 0 { // leave every third member maskless
-			sk := make([]bool, seg)
-			for i := range sk {
-				sk[i] = r.Bernoulli(0.3)
-			}
-			skips[b] = sk
-		}
-		want[b] = NewVector(rows)
-		for i := 0; i < rows; i++ {
-			if sk := skips[b]; sk != nil && sk[i%seg] {
-				want[b][i] = fill
-				continue
-			}
-			want[b][i] = dotRowWide(m.Data[i*cols:i*cols+cols], xs[b])
+	onWideChain(t, packedGemmRowsEqualsPerMember)
+}
+
+// TestEntryPointsBindTheirChain: the package-level kernels are the
+// canonical binding's methods and the two Wide* spellings the wide
+// binding's — bitwise, on a corpus where the two chains disagree.
+func TestEntryPointsBindTheirChain(t *testing.T) {
+	r := rng.New(0x4a)
+	const seg, gates, cols = 7, 4, 97
+	m := randMatrix(r, seg*gates, cols)
+	xs := []Vector{randVector(r, cols), randVector(r, cols), randVector(r, cols)}
+	x := xs[0]
+	skip, rowSkip := randMask(r, seg, 0.3), randMask(r, seg*gates, 0.3)
+	skips := [][]bool{nil, skip, nil}
+	// Every kernel writes into (row 0 of) a fresh len(xs) × rows matrix,
+	// which run returns flat; segs views row 0 as the per-gate dsts.
+	run := func(fn func(d *Matrix)) []float32 {
+		d := NewMatrix(len(xs), seg*gates)
+		fn(d)
+		return d.Data
+	}
+	segs := func(d *Matrix) []Vector {
+		row := d.Row(0)
+		return []Vector{row[:seg], row[seg : 2*seg], row[2*seg : 3*seg], row[3*seg:]}
+	}
+	canon, wide := KernelsFor(ChainSSE2), KernelsFor(ChainAVX2)
+	same := func(name string, entry, method func(d *Matrix)) {
+		if got, want := run(entry), run(method); !slices.Equal(got, want) {
+			t.Errorf("%s does not run its binding's method: %v != %v", name, got, want)
 		}
 	}
-	dst := NewMatrix(batch, rows)
-	atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
-		for i := range dst.Data {
-			dst.Data[i] = 0
-		}
-		WidePackedGemmRows(dst, m, xs, skips, fill)
-		for b := range xs {
-			row := dst.Row(b)
-			for i := range row {
-				if row[i] != want[b][i] {
-					t.Fatalf("GOMAXPROCS %d member %d row %d: %v != %v",
-						runtime.GOMAXPROCS(0), b, i, row[i], want[b][i])
-				}
-			}
-		}
-	})
+	same("Gemv", func(d *Matrix) { Gemv(d.Row(0), m, x) },
+		func(d *Matrix) { canon.Gemv(d.Row(0), m, x) })
+	same("GemvRows", func(d *Matrix) { GemvRows(d.Row(0), m, x, rowSkip, 2) },
+		func(d *Matrix) { canon.GemvRows(d.Row(0), m, x, rowSkip, 2) })
+	same("PackedGemv", func(d *Matrix) { PackedGemv(segs(d), m, x) },
+		func(d *Matrix) { canon.PackedGemv(segs(d), m, x) })
+	same("PackedGemvRows", func(d *Matrix) { PackedGemvRows(segs(d), m, x, skip, 2) },
+		func(d *Matrix) { canon.PackedGemvRows(segs(d), m, x, skip, 2) })
+	same("PackedGemm", func(d *Matrix) { PackedGemm(d, m, xs) },
+		func(d *Matrix) { canon.PackedGemm(d, m, xs) })
+	same("PackedGemmRows", func(d *Matrix) { PackedGemmRows(d, m, xs, skips, 2) },
+		func(d *Matrix) { canon.PackedGemmRows(d, m, xs, skips, 2) })
+	same("WidePackedGemv", func(d *Matrix) { WidePackedGemv(segs(d), m, x) },
+		func(d *Matrix) { wide.PackedGemv(segs(d), m, x) })
+	same("WidePackedGemmRows", func(d *Matrix) { WidePackedGemmRows(d, m, xs, skips, 2) },
+		func(d *Matrix) { wide.PackedGemmRows(d, m, xs, skips, 2) })
+	if slices.Equal(run(func(d *Matrix) { canon.Gemv(d.Row(0), m, x) }), run(func(d *Matrix) { wide.Gemv(d.Row(0), m, x) })) {
+		t.Fatal("the corpus does not tell the chains apart")
+	}
 }
