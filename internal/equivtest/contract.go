@@ -241,12 +241,13 @@ func CheckSequence(t *testing.T, k Kind) {
 }
 
 // RunBitwiseAcrossGOMAXPROCS pins the determinism guarantee of the
-// packed hot path at network level: the size-gated fork-join inside
-// PackedGemm shards rows, never accumulation chains, so the logits of
-// every mode are identical to the last bit whatever the scheduler does.
+// packed hot path at network level: the logits of every mode are
+// identical to the last bit at any GOMAXPROCS. The fork-join inside
+// PackedGemm/PackedGemmRows opens only over weights larger than a
+// core's L2, which no test network here has; that it shards rows, never
+// accumulation chains, is pinned kernel by kernel in tensor's
+// *AtAnyGOMAXPROCS tests, on shapes that fork.
 func RunBitwiseAcrossGOMAXPROCS(t *testing.T, k Kind, chain tensor.KernelChain) {
-	// Big enough that the PackedGemm work gate (rows*cols products)
-	// actually opens and goroutines fork at GOMAXPROCS > 1.
 	n := k.subject(48, 64, 2, 5, 91)
 	xs := Seqs(rng.New(92), 48, 40, 1)[0]
 	for _, m := range k.modes(n, chain) {

@@ -444,19 +444,21 @@ func (s *Server) workerLoop() {
 // once; a window that serves nobody (all cancelled, all malformed, or
 // an engine/classify error) additionally bumps dropped, so MeanBatch
 // and the realized weight-reuse factor reflect dispatch reality instead
-// of silently skipping empty windows.
+// of silently skipping empty windows. Every bump happens before the
+// replies it accounts for are sent, so a caller that has its response
+// sees it counted in Stats.
 func (s *Server) serveBatch(batch []*request) {
 	bench := batch[0].Bench
 	slot := s.engine(bench)
 	if slot.err != nil {
-		for _, r := range batch {
-			r.resp <- result{err: slot.err}
-		}
 		s.bump(bench, func(st *benchStats) {
 			st.errors += int64(len(batch))
 			st.batches++
 			st.dropped++
 		})
+		for _, r := range batch {
+			r.resp <- result{err: slot.err}
+		}
 		return
 	}
 
@@ -480,7 +482,10 @@ func (s *Server) serveBatch(batch []*request) {
 	// Resolve and validate every member before the batched launch:
 	// corpus requests draw their round-robin sample in queue order, and
 	// a malformed caller sequence is answered alone instead of failing
-	// the whole window.
+	// the whole window — once the window is accounted if nobody in it is
+	// left to serve, before the launch otherwise.
+	var rejected []*request
+	var rejections []error
 	seqs := make([][]tensor.Vector, 0, len(live))
 	refs := make([]int, 0, len(live))
 	lens := make([]int, 0, len(live))
@@ -495,8 +500,8 @@ func (s *Server) serveBatch(batch []*request) {
 			lens = append(lens, slot.eng.B.Length)
 		} else {
 			if err := slot.net().CheckSequence(seq); err != nil {
-				r.resp <- result{err: err}
 				s.bump(bench, func(st *benchStats) { st.errors++ })
+				rejected, rejections = append(rejected, r), append(rejections, err)
 				continue
 			}
 			if ref < 0 {
@@ -513,6 +518,11 @@ func (s *Server) serveBatch(batch []*request) {
 			st.batches++
 			st.dropped++
 		})
+	}
+	for i, r := range rejected {
+		r.resp <- result{err: rejections[i]}
+	}
+	if len(valid) == 0 {
 		return
 	}
 
@@ -526,6 +536,12 @@ func (s *Server) serveBatch(batch []*request) {
 			// build, or the smaller warm-artifact install. Warm engines
 			// (and pre-warmed ones) carry no charge.
 			coldMs, coldBuild := slot.takeCharge()
+			s.bump(bench, func(st *benchStats) {
+				st.batches++
+				st.runBatches++
+				st.sumBatch += int64(len(valid))
+				st.busyMs += gpuMs + coldMs
+			})
 			for i, r := range valid {
 				waitMs := dispatched.Sub(r.arrival).Seconds() * 1e3
 				resp := &Response{
@@ -560,23 +576,17 @@ func (s *Server) serveBatch(batch []*request) {
 				})
 				r.resp <- result{r: resp}
 			}
-			s.bump(bench, func(st *benchStats) {
-				st.batches++
-				st.runBatches++
-				st.sumBatch += int64(len(valid))
-				st.busyMs += gpuMs + coldMs
-			})
 			return
 		}
-	}
-	for _, r := range valid {
-		r.resp <- result{err: err}
 	}
 	s.bump(bench, func(st *benchStats) {
 		st.errors += int64(len(valid))
 		st.batches++
 		st.dropped++
 	})
+	for _, r := range valid {
+		r.resp <- result{err: err}
+	}
 }
 
 // engineSlot is one benchmark's shared serving state: the engine (built

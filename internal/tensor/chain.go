@@ -17,11 +17,14 @@ import (
 //     fast mode with its own determinism contract (wide-vs-wide bitwise
 //     equality at any GOMAXPROCS and any batch B).
 //
-// A KernelChain names a chain and the body that carries it. There is
-// one kernel family (Kernels): KernelsFor resolves a selection to a row
-// body once, and every kernel of a run dots its rows through that
-// binding. SetKernelChain moves the process default, which ChainAuto
-// selections (recurrent.RunOptions.Chain, serve.Config.Chain) follow.
+// A KernelChain names a chain; a body is code that carries it. The
+// canonical chain has three bodies — the pure-Go definition, the SSE2
+// row body and the AVX four-row body (dot_quad_amd64.s, four rows
+// against one x per call) — and the wide chain two. There is one kernel
+// family (Kernels): KernelsFor resolves a selection to its bodies once,
+// and every kernel of a run dots its rows through that binding.
+// SetKernelChain moves the process default, which ChainAuto selections
+// (recurrent.RunOptions.Chain, serve.Config.Chain) follow.
 // A ChainGeneric process default additionally pins every chain to its
 // pure-Go body, which is how CI exercises the reference bodies on any
 // runner CPU.
@@ -151,15 +154,15 @@ func KernelsFor(c KernelChain) Kernels {
 		c = def
 	}
 	asm := def != ChainGeneric
-	return Kernels{dot: rowBody(c, asm, asm && hasWideBody)}
+	return Kernels{dot: rowBody(c, asm, asm && hasWideBody), quad: quadBody(c, asm && hasQuadBody)}
 }
 
-// rowBody is the resolution table — one row per chain: the body that
-// carries chain c when assembly is allowed (asm) and the AVX2+FMA body
-// is usable (avx2). Adding a chain is a constant with its name, a
-// reference Go body, optionally an assembly body behind a probe, and a
-// row here.
-func rowBody(c KernelChain, asm, avx2 bool) func(row, x []float32) float32 {
+// rowBody is the resolution table — one row per chain: the row body
+// that carries chain c when assembly is allowed (asm) and the AVX2+FMA
+// body is usable (avx2); quadBody is its four-row column. Adding a
+// chain is a constant with its name, a reference Go body, optionally an
+// assembly body behind a probe, and a row here.
+func rowBody(c KernelChain, asm, avx2 bool) rowBodyFn {
 	switch c {
 	case ChainGeneric:
 		return dotRowGeneric
@@ -175,5 +178,18 @@ func rowBody(c KernelChain, asm, avx2 bool) func(row, x []float32) float32 {
 		return dotRowWideGeneric
 	}
 	Panicf("tensor: unknown kernel chain %d", uint32(c))
+	return nil
+}
+
+// quadBody is the table's four-row column: the body that dots four rows
+// against one x for chain c when the AVX four-row body is usable (avx:
+// the probe allows it and the process is not forced generic), or nil —
+// four calls of the row body (Kernels.dot4). Only the canonical chain
+// through its assembly binding has one; the wide chain and the pure-Go
+// canonical binding dot row by row.
+func quadBody(c KernelChain, avx bool) quadBodyFn {
+	if c == ChainSSE2 && avx {
+		return dotQuadAVX
+	}
 	return nil
 }

@@ -76,27 +76,39 @@ func TestChainFromEnv(t *testing.T) {
 	}
 }
 
-// bodyName names a row body by identity (func values compare only
-// through their code pointers), so the resolution tests assert on which
-// body a binding runs rather than on output bits — the canonical bodies
-// agree bitwise by construction, so bits cannot tell them apart.
-func bodyName(f rowBodyFn) string {
-	for name, b := range map[string]rowBodyFn{
+// bodyName names a row or four-row body by identity (func values
+// compare only through their code pointers), so the resolution tests
+// assert on which body a binding runs rather than on output bits — the
+// canonical bodies agree bitwise by construction, so bits cannot tell
+// them apart. An unbound four-row body is "none".
+func bodyName(f any) string {
+	fv := reflect.ValueOf(f)
+	if fv.IsNil() {
+		return "none"
+	}
+	for name, b := range map[string]any{
 		"dotRowGeneric": dotRowGeneric, "dotRowSSE2": dotRowSSE2,
 		"dotRowWideGeneric": dotRowWideGeneric, "dotRowAVX2": dotRowAVX2,
+		"dotQuadAVX": dotQuadAVX,
 	} {
-		if reflect.ValueOf(f).Pointer() == reflect.ValueOf(b).Pointer() {
+		if fv.Pointer() == reflect.ValueOf(b).Pointer() {
 			return name
 		}
 	}
 	return "unknown body"
 }
 
+// quadProbe is what the CPU reports for the AVX four-row body: AVX with
+// OS-saved YMM state. The resolution tests derive their expectations
+// from it rather than from hasQuadBody, so they check the probe too.
+func quadProbe() bool { c := CPU(); return c.AVX && c.OSYMM }
+
 // TestForcedGenericDisablesAssemblyBodies pins the resolution table:
-// which body carries each chain with and without the AVX2+FMA probe,
-// and that a forced-generic process default (the CI reference
-// configuration) leaves nothing but the pure-Go bodies — for explicit
-// selections too, not only for ChainAuto.
+// which row body carries each chain with and without the AVX2+FMA
+// probe, which four-row body with and without the AVX probe, and that
+// a forced-generic process default (the CI reference configuration)
+// leaves nothing but the pure-Go bodies — for explicit selections too,
+// not only for ChainAuto.
 func TestForcedGenericDisablesAssemblyBodies(t *testing.T) {
 	for _, c := range []struct {
 		chain     KernelChain
@@ -116,26 +128,45 @@ func TestForcedGenericDisablesAssemblyBodies(t *testing.T) {
 			t.Errorf("rowBody(%v, asm=%v, avx2=%v) = %s, want %s", c.chain, c.asm, c.avx2, got, c.want)
 		}
 	}
-	wide := "dotRowWideGeneric"
+	for _, c := range []struct {
+		chain KernelChain
+		avx   bool
+		want  string
+	}{
+		{ChainGeneric, true, "none"},
+		{ChainSSE2, true, "dotQuadAVX"},
+		{ChainSSE2, false, "none"},
+		{ChainAVX2, true, "none"},
+	} {
+		if got := bodyName(quadBody(c.chain, c.avx)); got != c.want {
+			t.Errorf("quadBody(%v, avx=%v) = %s, want %s", c.chain, c.avx, got, c.want)
+		}
+	}
+	wide, quad := "dotRowWideGeneric", "none"
 	if HasAVX2FMA() {
 		wide = "dotRowAVX2"
 	}
+	if quadProbe() {
+		quad = "dotQuadAVX"
+	}
 	for _, c := range []struct {
-		def, sel KernelChain
-		want     string
+		def, sel          KernelChain
+		wantRow, wantQuad string
 	}{
-		{ChainGeneric, ChainAuto, "dotRowGeneric"},
-		{ChainGeneric, ChainSSE2, "dotRowGeneric"},
-		{ChainGeneric, ChainAVX2, "dotRowWideGeneric"},
-		{ChainSSE2, ChainAuto, "dotRowSSE2"},
-		{ChainSSE2, ChainGeneric, "dotRowGeneric"},
-		{ChainSSE2, ChainAVX2, wide},
-		{ChainAVX2, ChainAuto, wide},
-		{ChainAVX2, ChainSSE2, "dotRowSSE2"},
+		{ChainGeneric, ChainAuto, "dotRowGeneric", "none"},
+		{ChainGeneric, ChainSSE2, "dotRowGeneric", "none"},
+		{ChainGeneric, ChainAVX2, "dotRowWideGeneric", "none"},
+		{ChainSSE2, ChainAuto, "dotRowSSE2", quad},
+		{ChainSSE2, ChainGeneric, "dotRowGeneric", "none"},
+		{ChainSSE2, ChainAVX2, wide, "none"},
+		{ChainAVX2, ChainAuto, wide, "none"},
+		{ChainAVX2, ChainSSE2, "dotRowSSE2", quad},
 	} {
 		withChain(t, c.def, func(t *testing.T) {
-			if got := bodyName(KernelsFor(c.sel).dot); got != c.want {
-				t.Errorf("default %v: KernelsFor(%v) runs %s, want %s", c.def, c.sel, got, c.want)
+			k := KernelsFor(c.sel)
+			if got, gotQuad := bodyName(k.dot), bodyName(k.quad); got != c.wantRow || gotQuad != c.wantQuad {
+				t.Errorf("default %v: KernelsFor(%v) runs %s + %s, want %s + %s",
+					c.def, c.sel, got, gotQuad, c.wantRow, c.wantQuad)
 			}
 		})
 	}
@@ -150,11 +181,20 @@ func TestChainMatrixLegRunsItsBodies(t *testing.T) {
 	if got := ActiveKernelChain(); got != leg {
 		t.Fatalf("process default %v, want the %s leg %v", got, KernelChainEnv, leg)
 	}
-	canon, wide := "dotRowSSE2", "dotRowWideGeneric"
+	// Row body and four-row body per chain: the generic leg binds no
+	// assembly; otherwise the canonical chain runs the SSE2 row body and
+	// the AVX four-row body iff the CPU has AVX with OS-saved YMM state,
+	// and the wide chain its AVX2+FMA body iff the probe allows.
+	canon, wide := [2]string{"dotRowSSE2", "none"}, [2]string{"dotRowWideGeneric", "none"}
 	if leg == ChainGeneric {
-		canon = "dotRowGeneric"
-	} else if HasAVX2FMA() {
-		wide = "dotRowAVX2"
+		canon[0] = "dotRowGeneric"
+	} else {
+		if HasAVX2FMA() {
+			wide[0] = "dotRowAVX2"
+		}
+		if quadProbe() {
+			canon[1] = "dotQuadAVX"
+		}
 	}
 	auto := canon
 	if leg == ChainAVX2 {
@@ -162,9 +202,10 @@ func TestChainMatrixLegRunsItsBodies(t *testing.T) {
 	}
 	for _, c := range []struct {
 		sel  KernelChain
-		want string
+		want [2]string
 	}{{ChainAuto, auto}, {ChainSSE2, canon}, {ChainAVX2, wide}} {
-		if got := bodyName(KernelsFor(c.sel).dot); got != c.want {
+		k := KernelsFor(c.sel)
+		if got := [2]string{bodyName(k.dot), bodyName(k.quad)}; got != c.want {
 			t.Errorf("leg %v: KernelsFor(%v) runs %s, want %s", leg, c.sel, got, c.want)
 		}
 	}

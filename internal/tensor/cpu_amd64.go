@@ -2,13 +2,13 @@
 
 package tensor
 
-// Stdlib-only CPUID probe for the wide-chain dispatch. The wide chain
-// needs AVX2 and FMA instructions *and* OS-saved YMM state: a kernel
-// that does not context-switch the upper register halves (XCR0 bits 1-2
-// clear) would silently corrupt them, so the probe checks OSXSAVE +
-// XGETBV exactly like runtime·cpuinit does. golang.org/x/sys/cpu is the
-// usual home for this; the repo is stdlib-only, and the probe is four
-// CPUID leaves.
+// Stdlib-only CPUID probe for the assembly bodies. The wide chain needs
+// AVX2 and FMA instructions, the canonical chain's four-row body AVX,
+// and both need OS-saved YMM state: a kernel that does not
+// context-switch the upper register halves (XCR0 bits 1-2 clear) would
+// silently corrupt them, so the probe checks OSXSAVE + XGETBV exactly
+// like runtime·cpuinit does. golang.org/x/sys/cpu is the usual home for
+// this; the repo is stdlib-only, and the probe is four CPUID leaves.
 
 // cpuid and xgetbv0 are implemented in cpu_amd64.s.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -42,3 +42,9 @@ func probeCPU() CPUInfo {
 // hasWideBody reports whether the AVX2+FMA assembly body is usable on
 // this CPU. ChainAVX2 binds the pure-Go wide body otherwise (rowBody).
 var hasWideBody = cpuFeatures.AVX && cpuFeatures.AVX2 && cpuFeatures.FMA && cpuFeatures.OSYMM
+
+// hasQuadBody reports whether the canonical chain's AVX four-row body
+// is usable on this CPU: 256-bit VMULPS/VADDPS need AVX and OS-saved
+// YMM state, nothing more. ChainSSE2 dots four rows as four row-body
+// calls otherwise (quadBody).
+var hasQuadBody = cpuFeatures.AVX && cpuFeatures.OSYMM

@@ -6,5 +6,8 @@ package tensor
 // bodies and every capability bit stays false.
 var cpuFeatures CPUInfo
 
-// hasWideBody: no AVX2 assembly body exists off amd64.
-const hasWideBody = false
+// hasWideBody, hasQuadBody: no AVX assembly body exists off amd64.
+const (
+	hasWideBody = false
+	hasQuadBody = false
+)

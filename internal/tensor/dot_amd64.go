@@ -18,3 +18,22 @@ func dotRowSSE2(row, x []float32) float32 {
 // dotSSE is implemented in dot_amd64.s. It must match dotRowGeneric
 // bitwise; see the chain definition in kernel.go.
 func dotSSE(row, x *float32, n int) float32
+
+// dotQuadAVX carries the canonical chain four rows at a time in the
+// AVX body in dot_quad_amd64.s: output k is bitwise dotRowGeneric(rk,
+// x). The rows must share one length and x must be at least as long;
+// as in dotRowSSE2 the re-slices keep the slice contract in Go.
+// KernelsFor binds it only where the probe reports AVX with OS-saved
+// YMM state (hasQuadBody) and the process is not forced generic.
+func dotQuadAVX(r0, r1, r2, r3, x []float32) (float32, float32, float32, float32) {
+	n := len(r0)
+	if n == 0 {
+		return 0, 0, 0, 0
+	}
+	r1, r2, r3, x = r1[:n], r2[:n], r3[:n], x[:n]
+	return dot4AVX(&r0[0], &r1[0], &r2[0], &r3[0], &x[0], n)
+}
+
+// dot4AVX is implemented in dot_quad_amd64.s. Each result must match
+// dotRowGeneric bitwise; see the chain definition in kernel.go.
+func dot4AVX(r0, r1, r2, r3, x *float32, n int) (s0, s1, s2, s3 float32)

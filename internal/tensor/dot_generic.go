@@ -5,3 +5,10 @@ package tensor
 // dotRowSSE2 on architectures without an assembly body is the chain
 // definition itself (kernel.go's dotRowGeneric).
 func dotRowSSE2(row, x []float32) float32 { return dotRowGeneric(row, x) }
+
+// dotQuadAVX is never bound off amd64 (hasQuadBody is false): the
+// four-row call is four calls of the row body. It exists so the
+// resolution table compiles on every architecture.
+func dotQuadAVX(r0, r1, r2, r3, x []float32) (float32, float32, float32, float32) {
+	return dotRowGeneric(r0, x), dotRowGeneric(r1, x), dotRowGeneric(r2, x), dotRowGeneric(r3, x)
+}

@@ -1,10 +1,15 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 
 	"mobilstm/internal/rng"
 )
+
+// dotSizes cross the 16-float block boundary and every remainder class,
+// from the empty row up to the paper's h = 650.
+var dotSizes = []int{0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 32, 33, 47, 48, 63, 64, 65, 100, 127, 192, 650}
 
 // TestDotRowMatchesGeneric pins dotRowSSE2 (SSE2 assembly on amd64,
 // alias of the Go chain elsewhere) to the chain definition in
@@ -12,8 +17,7 @@ import (
 // empty row.
 func TestDotRowMatchesGeneric(t *testing.T) {
 	r := rng.New(0x61)
-	sizes := []int{0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 32, 33, 47, 48, 63, 64, 65, 100, 127, 192, 650}
-	for _, n := range sizes {
+	for _, n := range dotSizes {
 		row := make([]float32, n)
 		x := make([]float32, n+3) // x may be longer than row; only x[:n] is read
 		for i := range row {
@@ -49,6 +53,110 @@ func TestDotRowAdversarialValues(t *testing.T) {
 		want := dotRowGeneric(row, x)
 		if got != want {
 			t.Fatalf("trial %d n=%d: dotRowSSE2=%v dotRowGeneric=%v", trial, n, got, want)
+		}
+	}
+}
+
+// sameBits is the bitwise contract with the one freedom IEEE leaves a
+// body: when a lane is NaN, which NaN payload propagates.
+func sameBits(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+// quadCase is four rows of one length and the x they are dotted
+// against.
+type quadCase struct {
+	name string
+	rows [4][]float32
+	x    []float32
+}
+
+// quadCorpus draws the four-row corpus for one length n: rows at
+// unrelated addresses, four adjacent rows of one matrix, the same row
+// passed twice, the adversarial-magnitude draw of
+// TestDotRowAdversarialValues, subnormal rows, and rows with ±Inf and
+// NaN lanes.
+func quadCorpus(r *rng.RNG, n int) []quadCase {
+	norm := func(m int) []float32 {
+		v := make([]float32, m)
+		for i := range v {
+			v[i] = float32(r.Norm())
+		}
+		return v
+	}
+	x := norm(n + 3) // x may be longer than the rows; only x[:n] is read
+	apart := [4][]float32{norm(n), norm(n), norm(n), norm(n)}
+	block := norm(4 * n)
+	adjacent := [4][]float32{block[:n], block[n : 2*n], block[2*n : 3*n], block[3*n:]}
+	twice := [4][]float32{apart[0], apart[1], apart[0], apart[0]}
+	var wild [4][]float32
+	wx := make([]float32, n)
+	for i := range wx {
+		wx[i] = float32(r.Norm() / (1 + r.Float64()*1e5))
+	}
+	for k := range wild {
+		wild[k] = make([]float32, n)
+		for i := range wild[k] {
+			wild[k][i] = float32(r.Norm() * r.Float64() * 1e6)
+		}
+	}
+	// Subnormal rows: every product and partial sum lives near the
+	// bottom of the range, where rounding is gradual.
+	var subnormal [4][]float32
+	for k := range subnormal {
+		subnormal[k] = make([]float32, n)
+		for i := range subnormal[k] {
+			subnormal[k][i] = math.Float32frombits(uint32(r.Uint64()) & 0x807fffff)
+		}
+	}
+	// One non-finite lane per row: ±Inf in rows 0 and 1, NaN in row 2,
+	// both infinities in row 3 (Inf - Inf = NaN); the other lanes and
+	// the other rows of the call stay finite.
+	nonFinite := [4][]float32{norm(n), norm(n), norm(n), norm(n)}
+	if n > 0 {
+		inf := float32(math.Inf(1))
+		nonFinite[0][r.Intn(n)] = inf
+		nonFinite[1][r.Intn(n)] = -inf
+		nonFinite[2][r.Intn(n)] = float32(math.NaN())
+		nonFinite[3][0], nonFinite[3][n-1] = inf, -inf
+	}
+	return []quadCase{
+		{"apart", apart, x}, {"adjacent", adjacent, x}, {"twice", twice, x},
+		{"wild", wild, wx}, {"subnormal", subnormal, x}, {"non-finite", nonFinite, x},
+	}
+}
+
+// TestDotQuadMatchesGeneric pins every four-row binding to its chain's
+// definition, row by row: the AVX four-row body (where the probe binds
+// it) against dotRowGeneric directly, and each chain's Kernels.dot4 —
+// the AVX body, or four row-body calls — against its reference body.
+// Outputs must be bitwise equal, or both NaN.
+func TestDotQuadMatchesGeneric(t *testing.T) {
+	r := rng.New(0x63)
+	type body struct {
+		name string
+		quad quadBodyFn
+		ref  rowBodyFn
+	}
+	var bodies []body
+	if hasQuadBody {
+		bodies = append(bodies, body{"dotQuadAVX", dotQuadAVX, dotRowGeneric})
+	}
+	for _, c := range chainRefs {
+		bodies = append(bodies, body{c.chain.String() + ".dot4", KernelsFor(c.chain).dot4, c.ref})
+	}
+	for _, n := range dotSizes {
+		for _, c := range quadCorpus(r, n) {
+			for _, b := range bodies {
+				var got [4]float32
+				got[0], got[1], got[2], got[3] = b.quad(c.rows[0], c.rows[1], c.rows[2], c.rows[3], c.x)
+				for k, row := range c.rows {
+					if want := b.ref(row, c.x); !sameBits(got[k], want) {
+						t.Errorf("%s n=%d %s row %d: %v (%#08x), reference %v (%#08x)", b.name, n, c.name, k,
+							got[k], math.Float32bits(got[k]), want, math.Float32bits(want))
+					}
+				}
+			}
 		}
 	}
 }

@@ -3,23 +3,34 @@ package tensor
 // The shared inner kernels of the GEMV family. Every kernel in this
 // package — serial or packed — reduces each output element to exactly
 // one row dot of the chain its Kernels value is bound to, so results
-// are bitwise identical however rows are blocked, sharded across
-// goroutines, or scattered across united-gate destinations. Do not add
-// a kernel with a different summation order: the equivalence tests (and
-// the lstm/gru bitwise-determinism guarantees) all lean on this
-// invariant.
+// are bitwise identical however rows are blocked (four per dot4 call,
+// tiled, gathered under a mask), sharded across goroutines, or
+// scattered across united-gate destinations. Do not add a kernel with
+// a different summation order: the equivalence tests (and the lstm/gru
+// bitwise-determinism guarantees) all lean on this invariant.
 
 // Kernels is the GEMV/GEMM kernel family bound to one accumulation
 // chain (KernelsFor): each shape is written once as a method — its
 // validation, traversal and fork-join sharding — and dots rows through
-// the binding's body. The canonical chain's bodies (ChainGeneric,
-// ChainSSE2) are bitwise interchangeable; the wide chain (ChainAVX2)
+// the binding's bodies. The canonical chain's bodies (ChainGeneric,
+// ChainSSE2 with or without the four-row body) are bitwise
+// interchangeable; the wide chain (ChainAVX2)
 // has its own wide-vs-wide contract and drifts a few ULP from the
 // canonical bits, so one run uses one Kernels value throughout.
 type Kernels struct {
 	// dot is the row body: row · x[:len(row)], one accumulation chain.
-	dot func(row, x []float32) float32
+	dot rowBodyFn
+	// quad, when bound, is a four-row body of the same chain: four rows
+	// of one length against one x per call, each output bitwise its row
+	// body's. nil means dot4 makes four row-body calls.
+	quad quadBodyFn
 }
+
+// rowBodyFn and quadBodyFn are the body signatures of Kernels.
+type (
+	rowBodyFn  = func(row, x []float32) float32
+	quadBodyFn = func(r0, r1, r2, r3, x []float32) (float32, float32, float32, float32)
+)
 
 // dotRowGeneric is the reference row kernel and the definition of the
 // canonical accumulation chain: sixteen partial sums over the
@@ -29,7 +40,8 @@ type Kernels struct {
 // carries the same chain in packed SSE2 — MULPS/ADDPS apply lanewise,
 // so each XMM register holds exactly one group's four sums and the
 // assembly is bitwise identical to this function (pinned by
-// TestDotRowMatchesGeneric). The x re-slice lets the compiler prove
+// TestDotRowMatchesGeneric); dot_quad_amd64.s carries it for four rows
+// at once with two groups per YMM register (TestDotQuadMatchesGeneric). The x re-slice lets the compiler prove
 // both index streams in-bounds, erasing the per-element checks.
 func dotRowGeneric(row, x []float32) float32 {
 	n := len(row)
@@ -68,14 +80,66 @@ func dotRowGeneric(row, x []float32) float32 {
 	return s
 }
 
+// dot4 dots four rows of one length against x: one call of the bound
+// four-row body, or four calls of the row body where none is bound.
+// Either way output k is the row body's dot of rk — bitwise the same
+// chain — so the kernels below keep one traversal for every binding.
+func (k Kernels) dot4(r0, r1, r2, r3, x []float32) (float32, float32, float32, float32) {
+	if k.quad != nil {
+		return k.quad(r0, r1, r2, r3, x)
+	}
+	return k.dot(r0, x), k.dot(r1, x), k.dot(r2, x), k.dot(r3, x)
+}
+
 // span computes dst[i] = row(row0+i) · x for every i in
 // [0, len(dst)) — the shared row-range body of Gemv and the packed
-// kernels. Every row is one dot chain, so shard and segment boundaries
-// never change a single output bit.
+// kernels — four rows per dot4 call and the last len(dst)%4 through
+// the row body. Every row is one dot chain, so shard, segment and
+// four-row boundaries never change a single output bit.
 func (k Kernels) span(dst Vector, m *Matrix, x Vector, row0 int) {
 	n := m.Cols
+	w := m.Data[row0*n : (row0+len(dst))*n]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		q := w[i*n : (i+4)*n]
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = k.dot4(q[:n], q[n:2*n], q[2*n:3*n], q[3*n:], x)
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = k.dot(w[i*n:i*n+n], x)
+	}
+}
+
+// spanMasked is span under a Dynamic Row Skip mask: row row0+i is
+// skipped — dst[i] set to fill, no dot — where skip[(row0+i) %
+// len(skip)] is true, so one mask tiles any run of rows (a GemvRows
+// matrix, a united segment, a batch tile). The unskipped rows are
+// gathered four at a time into dot4 calls and the last few go through
+// the row body: DRS skips the work, not just the outputs. An empty skip
+// (which the callers' validation allows only over zero rows) is span.
+func (k Kernels) spanMasked(dst Vector, m *Matrix, x Vector, row0 int, skip []bool, fill float32) {
+	if len(skip) == 0 {
+		k.span(dst, m, x, row0)
+		return
+	}
+	n := m.Cols
+	row := func(i int) []float32 { o := (row0 + i) * n; return m.Data[o : o+n] }
+	var at [4]int // the gathered rows' dst indices
+	g, s := 0, row0%len(skip)
 	for i := range dst {
-		r := row0 + i
-		dst[i] = k.dot(m.Data[r*n:r*n+n], x)
+		if skip[s] {
+			dst[i] = fill
+		} else if at[g] = i; g < 3 {
+			g++
+		} else {
+			dst[at[0]], dst[at[1]], dst[at[2]], dst[at[3]] =
+				k.dot4(row(at[0]), row(at[1]), row(at[2]), row(at[3]), x)
+			g = 0
+		}
+		if s++; s == len(skip) {
+			s = 0
+		}
+	}
+	for _, i := range at[:g] {
+		dst[i] = k.dot(row(i), x)
 	}
 }

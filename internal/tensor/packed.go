@@ -90,24 +90,11 @@ func (k Kernels) PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool,
 			Panicf("tensor: PackedGemvRows segments differ: %d vs %d", len(d), seg)
 		}
 	}
-	if skip == nil {
-		k.PackedGemv(dsts, m, x)
-		return
-	}
-	if len(skip) != seg {
+	if skip != nil && len(skip) != seg {
 		Panicf("tensor: PackedGemvRows skip length %d, segment %d", len(skip), seg)
 	}
-	n := m.Cols
 	for g, d := range dsts {
-		base := g * seg
-		for i := 0; i < seg; i++ {
-			if skip[i] {
-				d[i] = fill
-				continue
-			}
-			r := base + i
-			d[i] = k.dot(m.Data[r*n:r*n+n], x)
-		}
+		k.spanMasked(d, m, x, g*seg, skip, fill)
 	}
 }
 
@@ -120,12 +107,14 @@ func (k Kernels) PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool,
 // united row r of input b is skipped — set to fill — where
 // skips[b][r % len(skips[b])] is true.
 //
-// The traversal is row-outer: each united weight row streams from
-// memory once and is dotted against every input before the next row is
-// touched — the Appleyard-style GEMV→GEMM conversion that amortizes
-// weight traffic over the batch, which is why the fork-join shards the
-// weight rows (tall: 4h/3h/2h) rather than the batch (wide but short).
-// Every output element is the same dot chain as the serial
+// The traversal is tile-outer: the united weight rows are walked in
+// L1-sized tiles (gemmTileRows), and each tile streams from memory once
+// and is dotted against every input — each member's unmasked rows of
+// the tile gathered four at a time (spanMasked) — before the next tile
+// is touched. That is the Appleyard-style GEMV→GEMM conversion that
+// amortizes weight traffic over the batch, which is why the fork-join
+// shards the weight rows (tall: 4h/3h/2h) rather than the batch (wide
+// but short). Every output element is the same dot chain as the serial
 // per-member call, so the result is bitwise identical to len(xs)
 // independent Gemv/PackedGemvRows calls at any GOMAXPROCS.
 func (k Kernels) PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill float32) {
@@ -149,30 +138,50 @@ func (k Kernels) PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]b
 			}
 		}
 	}
-	n := m.Cols
-	forkJoin(m.Rows, m.Rows*n*len(xs), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			wrow := m.Data[r*n : r*n+n]
-			out := dst.Data[r:]
-			for b, x := range xs {
-				if skips != nil {
-					if sk := skips[b]; sk != nil && sk[r%len(sk)] {
-						out[b*dst.Cols] = fill
-						continue
-					}
-				}
-				out[b*dst.Cols] = k.dot(wrow, x)
+	forkJoin(m.Rows, m.SizeBytes(), gemmRows{k, dst, m, xs, skips, fill})
+}
+
+// gemmTileBytes sizes PackedGemmRows' weight tile: small enough to stay
+// in a 32 KiB L1 next to the batch's inputs while every member is
+// dotted against it (16 KiB is 20 rows at h = 192).
+const gemmTileBytes = 16 << 10
+
+// gemmTileRows is the tile height for rows of cols floats: as many rows
+// as fit gemmTileBytes, rounded down to whole four-row groups, at
+// least one group.
+func gemmTileRows(cols int) int {
+	return max(4, gemmTileBytes/(4*max(cols, 1))&^3)
+}
+
+// gemmRows is PackedGemmRows' row-range body (see forkJoin).
+type gemmRows struct {
+	k      Kernels
+	dst, m *Matrix
+	xs     []Vector
+	skips  [][]bool
+	fill   float32
+}
+
+func (j gemmRows) run(lo, hi int) {
+	tile := gemmTileRows(j.m.Cols)
+	for t0 := lo; t0 < hi; t0 += tile {
+		t1 := min(t0+tile, hi)
+		for b, x := range j.xs {
+			var skip []bool
+			if j.skips != nil {
+				skip = j.skips[b]
 			}
+			j.k.spanMasked(j.dst.Row(b)[t0:t1], j.m, x, t0, skip, j.fill)
 		}
-	})
+	}
 }
 
 // PackedGemm computes dst row t = m · xs[t] for every input vector —
 // the whole-layer united W·x stage (step 2 of Algorithm 1, where all
 // cell inputs are ready up-front): dst is a len(xs) × m.Rows row-major
-// matrix whose row t is the united gate pre-activation of cell t. Large
-// shapes fan the independent t rows out over the parallel worker shards
-// (see parallel.go); each row is one span, so the result is bitwise
+// matrix whose row t is the united gate pre-activation of cell t. A W
+// too large for L2 fans the independent t rows out over the parallel
+// worker shards (see parallel.go); each row is one span, so the result is bitwise
 // identical to len(xs) serial Gemv calls at any GOMAXPROCS.
 func (k Kernels) PackedGemm(dst *Matrix, m *Matrix, xs []Vector) {
 	if dst.Rows != len(xs) || dst.Cols != m.Rows {
@@ -184,11 +193,20 @@ func (k Kernels) PackedGemm(dst *Matrix, m *Matrix, xs []Vector) {
 			Panicf("tensor: PackedGemm input length %d, m cols %d", len(x), m.Cols)
 		}
 	}
-	forkJoin(len(xs), len(xs)*m.Rows*m.Cols, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			k.span(dst.Row(t), m, xs[t], 0)
-		}
-	})
+	forkJoin(len(xs), m.SizeBytes(), gemm{k, dst, m, xs})
+}
+
+// gemm is PackedGemm's row-range body: rows of dst, one span each.
+type gemm struct {
+	k      Kernels
+	dst, m *Matrix
+	xs     []Vector
+}
+
+func (j gemm) run(lo, hi int) {
+	for t := lo; t < hi; t++ {
+		j.k.span(j.dst.Row(t), j.m, j.xs[t], 0)
+	}
 }
 
 // PackedGemv is Kernels.PackedGemv on the canonical chain — like the

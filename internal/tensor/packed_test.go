@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"mobilstm/internal/rng"
@@ -17,9 +18,6 @@ import (
 // chain against the reference row body that defines the chain. The
 // chains are never compared with each other: they differ by design
 // (TestDotRowWideFusesProducts).
-
-// rowBodyFn is the row body signature (Kernels.dot).
-type rowBodyFn = func(row, x []float32) float32
 
 // chainRefs pairs every chain with the row body its kernels are held
 // to, bitwise.
@@ -70,7 +68,10 @@ func atGOMAXPROCS(t *testing.T, procs []int, fn func(t *testing.T)) {
 }
 
 // packedShapes are deliberately awkward: odd segment sizes, columns
-// around the 4-lane unroll boundary, single-row segments.
+// around the 4-lane unroll boundary, single-row segments, segments and
+// matrices of every row count mod 4 (the four-row groups), and united
+// matrices taller than PackedGemmRows' weight tile (16 rows at 256
+// columns, 4 at 650) that end in a partial tile.
 var packedShapes = []struct{ seg, cols, gates int }{
 	{1, 1, 2},
 	{3, 5, 4},
@@ -78,6 +79,27 @@ var packedShapes = []struct{ seg, cols, gates int }{
 	{17, 16, 4},
 	{33, 129, 3},
 	{64, 96, 4},
+	{6, 17, 4},
+	{13, 256, 3},
+	{5, 650, 2},
+}
+
+// forkRows × forkCols floats, and forkShape's united matrix, overflow
+// parallelMinBytes, so the batch kernels over them fork at GOMAXPROCS
+// above one (mustFork checks that they do); the packedShapes all stay
+// serial.
+const forkRows, forkCols = 1031, 515
+
+var forkShape = struct{ seg, cols, gates int }{257, forkCols, 4}
+
+// mustFork fails the test unless a kernel over rows destination rows of
+// m forks at the current GOMAXPROCS (when above one): the parallel
+// contracts must cover the sharded path, not only the serial one.
+func mustFork(t *testing.T, rows int, m *Matrix) {
+	t.Helper()
+	if runtime.GOMAXPROCS(0) > 1 && shardCount(rows, m.SizeBytes()) < 2 {
+		t.Fatalf("%d rows over a %dx%d matrix do not fork", rows, m.Rows, m.Cols)
+	}
 }
 
 // randGates draws one matrix per gate of the shape, and their united
@@ -97,6 +119,27 @@ func randMask(r *rng.RNG, n int, p float64) []bool {
 		mask[i] = r.Bernoulli(p)
 	}
 	return mask
+}
+
+// namedMask is one skip mask of a contract corpus.
+type namedMask struct {
+	name string
+	skip []bool
+}
+
+// maskKinds draws the DRS masks every masked contract runs over, for n
+// rows: skip none, skip all, alternating, and random.
+func maskKinds(r *rng.RNG, n int) []namedMask {
+	alt := make([]bool, n)
+	for i := range alt {
+		alt[i] = i%2 == 1
+	}
+	return []namedMask{
+		{"none", make([]bool, n)},
+		{"all", slices.Repeat([]bool{true}, n)},
+		{"alternating", alt},
+		{"random", randMask(r, n, 0.4)},
+	}
 }
 
 // gemvEqualsRowBody: Gemv is one ref dot per row, and a nil-skip
@@ -124,17 +167,18 @@ func gemvRowsEqualsRowBody(t *testing.T, k Kernels, ref rowBodyFn) {
 	for _, sh := range packedShapes {
 		m := randMatrix(r, sh.seg*sh.gates, sh.cols)
 		x := randVector(r, sh.cols)
-		skip := randMask(r, m.Rows, 0.4)
-		const fill = -7.5
-		dst := NewVector(m.Rows)
-		k.GemvRows(dst, m, x, skip, fill)
-		for i := range dst {
-			want := ref(m.Row(i), x)
-			if skip[i] {
-				want = fill
-			}
-			if dst[i] != want {
-				t.Fatalf("shape %v row %d: GemvRows %v != %v", sh, i, dst[i], want)
+		for _, mk := range maskKinds(r, m.Rows) {
+			const fill = -7.5
+			dst := NewVector(m.Rows)
+			k.GemvRows(dst, m, x, mk.skip, fill)
+			for i := range dst {
+				want := ref(m.Row(i), x)
+				if mk.skip[i] {
+					want = fill
+				}
+				if dst[i] != want {
+					t.Fatalf("shape %v mask %s row %d: GemvRows %v != %v", sh, mk.name, i, dst[i], want)
+				}
 			}
 		}
 	}
@@ -173,21 +217,22 @@ func packedGemvRowsEqualsGemvRows(t *testing.T, k Kernels, _ rowBodyFn) {
 	for _, sh := range packedShapes {
 		gates, united := randGates(r, sh.seg, sh.cols, sh.gates)
 		x := randVector(r, sh.cols)
-		skip := randMask(r, sh.seg, 0.4)
-		const fill = -7.5
-		dsts := make([]Vector, sh.gates)
-		want := make([]Vector, sh.gates)
-		for g := range dsts {
-			dsts[g] = NewVector(sh.seg)
-			want[g] = NewVector(sh.seg)
-			k.GemvRows(want[g], gates[g], x, skip, fill)
-		}
-		k.PackedGemvRows(dsts, united, x, skip, fill)
-		for g := range dsts {
-			for i := range dsts[g] {
-				if dsts[g][i] != want[g][i] {
-					t.Fatalf("shape %v gate %d row %d: packed %v != serial %v",
-						sh, g, i, dsts[g][i], want[g][i])
+		for _, mk := range maskKinds(r, sh.seg) {
+			const fill = -7.5
+			dsts := make([]Vector, sh.gates)
+			want := make([]Vector, sh.gates)
+			for g := range dsts {
+				dsts[g] = NewVector(sh.seg)
+				want[g] = NewVector(sh.seg)
+				k.GemvRows(want[g], gates[g], x, mk.skip, fill)
+			}
+			k.PackedGemvRows(dsts, united, x, mk.skip, fill)
+			for g := range dsts {
+				for i := range dsts[g] {
+					if dsts[g][i] != want[g][i] {
+						t.Fatalf("shape %v mask %s gate %d row %d: packed %v != serial %v",
+							sh, mk.name, g, i, dsts[g][i], want[g][i])
+					}
 				}
 			}
 		}
@@ -200,7 +245,7 @@ func packedGemmEqualsGemv(t *testing.T, k Kernels, _ rowBodyFn) {
 	r := rng.New(0x44)
 	// Big enough to cross the parallel gate, odd enough to stress the
 	// shard remainders.
-	const rows, cols, inputs = 133, 67, 29
+	const rows, cols, inputs = forkRows, forkCols, 17
 	m := randMatrix(r, rows, cols)
 	xs := make([]Vector, inputs)
 	want := make([]Vector, inputs)
@@ -210,6 +255,7 @@ func packedGemmEqualsGemv(t *testing.T, k Kernels, _ rowBodyFn) {
 		k.Gemv(want[t2], m, xs[t2])
 	}
 	atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
+		mustFork(t, inputs, m)
 		dst := NewMatrix(inputs, rows)
 		k.PackedGemm(dst, m, xs)
 		for t2 := range xs {
@@ -231,16 +277,18 @@ func packedGemmEqualsGemv(t *testing.T, k Kernels, _ rowBodyFn) {
 // weight rows.
 func packedGemmRowsEqualsPerMember(t *testing.T, k Kernels, _ rowBodyFn) {
 	r := rng.New(0x48)
-	for _, sh := range packedShapes {
+	for _, sh := range append(slices.Clip(packedShapes), forkShape) {
 		rows := sh.seg * sh.gates
 		m := randMatrix(r, rows, sh.cols)
-		const members = 5
+		// Member 0 has no mask, members 1..4 one of each mask kind.
+		kinds := maskKinds(r, sh.seg)
+		members := 1 + len(kinds)
 		xs := make([]Vector, members)
 		skips := make([][]bool, members)
 		for b := range xs {
 			xs[b] = randVector(r, sh.cols)
-			if b%2 == 1 { // odd members skip, even compute every row
-				skips[b] = randMask(r, sh.seg, 0.4)
+			if b > 0 {
+				skips[b] = kinds[b-1].skip
 			}
 		}
 		const fill = -3.25
@@ -255,6 +303,9 @@ func packedGemmRowsEqualsPerMember(t *testing.T, k Kernels, _ rowBodyFn) {
 			k.PackedGemvRows(segs, m, xs[b], skips[b], fill)
 		}
 		atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
+			if sh == forkShape {
+				mustFork(t, rows, m)
+			}
 			dst := NewMatrix(members, rows)
 			k.PackedGemmRows(dst, m, xs, skips, fill)
 			for b := range xs {
@@ -271,6 +322,88 @@ func packedGemmRowsEqualsPerMember(t *testing.T, k Kernels, _ rowBodyFn) {
 }
 
 func TestGemvRowsNilSkipBitwiseEqualsGemv(t *testing.T) { forEachChain(t, gemvEqualsRowBody) }
+
+// TestDRSSkipsWorkNotOutputs holds the masked kernels to aim 3 of the
+// roadmap: Dynamic Row Skip must skip the dot, not just overwrite its
+// output. The kernels are bound to counting bodies — a row body alone
+// (four-row calls are four row calls) and a row body plus a four-row
+// body — that record every (row, member) pair they dot; each united
+// row's first element is its row index and each input's its member
+// index, which is also what the bodies return. Every unmasked pair
+// must be dotted exactly once and land in its own output, every masked
+// output must be fill, and no masked pair may be dotted at all.
+func TestDRSSkipsWorkNotOutputs(t *testing.T) {
+	const seg, gates, cols, fill = 10, 3, 300, -1 // 30 rows: tiles of 12, 12, 6
+	m := NewMatrix(seg*gates, cols)
+	for r := 0; r < m.Rows; r++ {
+		m.Set(r, 0, float32(r))
+	}
+	kinds := maskKinds(rng.New(0x4d), seg)
+	xs := make([]Vector, 1+len(kinds)) // member 0 unmasked, then one per kind
+	skips := make([][]bool, len(xs))
+	for b := range xs {
+		xs[b] = NewVector(cols)
+		xs[b][0] = float32(b)
+		if b > 0 {
+			skips[b] = kinds[b-1].skip
+		}
+	}
+	var dotted map[[2]int]int
+	dot := func(row, x []float32) float32 {
+		dotted[[2]int{int(row[0]), int(x[0])}]++
+		return 100*row[0] + x[0]
+	}
+	quad := func(r0, r1, r2, r3, x []float32) (float32, float32, float32, float32) {
+		return dot(r0, x), dot(r1, x), dot(r2, x), dot(r3, x)
+	}
+	// check compares one kernel call's dots and outputs with the masks:
+	// out(r, b) is where the call left row r of member b, masked(r, b)
+	// whether the call was told to skip it.
+	check := func(t *testing.T, name string, members int, out func(r, b int) float32, masked func(r, b int) bool) {
+		t.Helper()
+		for r := 0; r < m.Rows; r++ {
+			for b := 0; b < members; b++ {
+				want, wantDots := float32(100*r+b), 1
+				if masked(r, b) {
+					want, wantDots = fill, 0
+				}
+				if got := out(r, b); got != want {
+					t.Errorf("%s: row %d member %d = %v, want %v", name, r, b, got, want)
+				}
+				if got := dotted[[2]int{r, b}]; got != wantDots {
+					t.Errorf("%s: row %d member %d dotted %d times, want %d", name, r, b, got, wantDots)
+				}
+			}
+		}
+	}
+	atGOMAXPROCS(t, []int{1}, func(t *testing.T) {
+		for _, k := range []Kernels{{dot: dot}, {dot: dot, quad: quad}} {
+			for b, skip := range skips {
+				if skip == nil {
+					continue
+				}
+				rowSkip := slices.Repeat(skip, gates) // the segment mask over every united row
+				dotted = map[[2]int]int{}
+				dst := NewVector(m.Rows)
+				k.GemvRows(dst, m, xs[0], rowSkip, fill)
+				check(t, "GemvRows/"+kinds[b-1].name, 1,
+					func(r, _ int) float32 { return dst[r] }, func(r, _ int) bool { return rowSkip[r] })
+
+				dotted = map[[2]int]int{}
+				dsts := []Vector{NewVector(seg), NewVector(seg), NewVector(seg)}
+				k.PackedGemvRows(dsts, m, xs[0], skip, fill)
+				check(t, "PackedGemvRows/"+kinds[b-1].name, 1,
+					func(r, _ int) float32 { return dsts[r/seg][r%seg] }, func(r, _ int) bool { return skip[r%seg] })
+			}
+			dotted = map[[2]int]int{}
+			dst := NewMatrix(len(xs), m.Rows)
+			k.PackedGemmRows(dst, m, xs, skips, fill)
+			check(t, "PackedGemmRows", len(xs),
+				func(r, b int) float32 { return dst.At(b, r) },
+				func(r, b int) bool { return skips[b] != nil && skips[b][r%seg] })
+		}
+	})
+}
 
 func TestPackedGemvBitwiseEqualsPerGateGemv(t *testing.T) {
 	forEachChain(t, packedGemvEqualsPerGate)

@@ -9,18 +9,23 @@ import (
 // sharding axis is always a destination row (a dot-product chain that
 // no other row touches), so a sharded kernel's output is bitwise
 // identical to its serial counterpart at any GOMAXPROCS — the shards
-// only partition the row space, never an accumulation. Small shapes
-// stay serial: the gate below keeps fork-join overhead (goroutine spawn
-// + Wait, on the order of microseconds) away from kernels that finish
-// faster than that.
+// only partition the row space, never an accumulation. Only kernels
+// whose weights overflow a core's L2 fork; everything else runs on the
+// calling goroutine.
 
 const (
-	// parallelMinWork is the size gate: a kernel whose total
-	// multiply-accumulate count (rows × cols, × inputs for PackedGemm)
-	// falls below this runs serially. 1<<16 MACs is ~25 µs of pure-Go
-	// GEMV on a mobile-class core — the break-even region for a
-	// handful of goroutine spawns.
-	parallelMinWork = 1 << 16
+	// parallelMinBytes is the gate: a kernel forks only when its weight
+	// matrix is larger than one core's L2 (2 MiB on the two-vCPU
+	// benchmark box), i.e. when it is memory-bound. Over L2-resident
+	// weights the kernels are compute-bound, and that box's two vCPUs
+	// share one core's execution units — any load on one slows the
+	// other's kernels ~1.6× — so a second shard does not speed them up
+	// (576×192 at B=1 with the four-row body: ~7.4 µs serial, ~8.2 µs
+	// forked at the median, p90 ~10 vs ~15 µs) and makes each call's
+	// time depend on what the other vCPU happens to be doing. A
+	// memory-bound kernel does gain: over 2600×650, B=1 ~220–250 →
+	// ~180 µs and 16 inputs ~3.3–4.2 → ~1.9–2.0 ms (medians).
+	parallelMinBytes = 2 << 20
 	// parallelMinRows is the smallest shard height: thinner shards
 	// spend more time in the scheduler than in the kernel.
 	parallelMinRows = 8
@@ -30,11 +35,12 @@ const (
 	parallelMaxShards = 16
 )
 
-// shardCount returns how many row shards a kernel over rows×(work/rows)
-// should fork, gated on size and GOMAXPROCS. One means "stay serial".
-func shardCount(rows, work int) int {
+// shardCount returns how many row shards a kernel of rows destination
+// rows over weightBytes of weights should fork, gated on the weights'
+// size and GOMAXPROCS. One means "stay serial".
+func shardCount(rows int, weightBytes int64) int {
 	procs := runtime.GOMAXPROCS(0)
-	if procs <= 1 || work < parallelMinWork || rows < 2*parallelMinRows {
+	if procs <= 1 || weightBytes <= parallelMinBytes || rows < 2*parallelMinRows {
 		return 1
 	}
 	shards := procs
@@ -50,16 +56,23 @@ func shardCount(rows, work int) int {
 	return shards
 }
 
+// rowRange is a kernel's row-range body: run computes destination rows
+// [lo, hi). Kernels pass it as a small struct value, not a closure, so
+// that the serial path allocates nothing.
+type rowRange interface{ run(lo, hi int) }
+
 // forkJoin runs body over [0, rows) split into contiguous shards: the
 // launching goroutine registers every extra shard in a WaitGroup before
 // spawning it, computes the first shard inline, and waits for the rest
 // — every parallel kernel is a complete unit of work by the time it
 // returns (the locklint invariant). With one shard it degenerates to a
-// plain call.
-func forkJoin(rows, work int, body func(lo, hi int)) {
-	shards := shardCount(rows, work)
+// plain call and allocates nothing; a fork allocates the WaitGroup and
+// one goroutine closure (holding its copy of body) per extra shard —
+// at most parallelMaxShards allocations.
+func forkJoin[B rowRange](rows int, weightBytes int64, body B) {
+	shards := shardCount(rows, weightBytes)
 	if shards <= 1 {
-		body(0, rows)
+		body.run(0, rows)
 		return
 	}
 	chunk := (rows + shards - 1) / shards
@@ -70,11 +83,11 @@ func forkJoin(rows, work int, body func(lo, hi int)) {
 			hi = rows
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
+			body.run(lo, hi)
+		}()
 	}
-	body(0, chunk)
+	body.run(0, chunk)
 	wg.Wait()
 }

@@ -4,12 +4,14 @@
 // sigmoid, tanh).
 //
 // There is one kernel family, Kernels (kernel.go): every shape is a
-// method written once and bound (KernelsFor, chain.go) to the row body
-// of a KernelChain, so all of a binding's kernels share one inner
+// method written once and bound (KernelsFor, chain.go) to the bodies of
+// a KernelChain — a row body and, where the chain and CPU have one, a
+// four-row body — so all of a binding's kernels share one inner
 // accumulation chain and are bitwise interchangeable:
 //
 //   - serial: Gemv, GemvRows (DRS skip mask) — every output row is one
-//     row dot;
+//     row dot, walked four rows per call, a skip mask's unmasked rows
+//     gathered four at a time so skipped rows cost no dot;
 //   - packed (packed.go): PackedGemv/PackedGemvRows over a row-wise
 //     united gate matrix (Pack; the paper's U_{f,i,c,o}), streaming
 //     the input once per cell instead of once per gate, and the
@@ -18,9 +20,10 @@
 //     (parallel.go), bitwise identical to the serial kernels at any
 //     GOMAXPROCS.
 //
-// The chains are the canonical 16-lane chain (dotRowGeneric, SSE2
-// assembly on amd64) and the explicitly selected wide 32-lane FMA
-// chain (dotRowWideGeneric, AVX2+FMA assembly on capable amd64), which
+// The chains are the canonical 16-lane chain (dotRowGeneric; on amd64
+// the SSE2 row body and, with AVX, the four-row body) and the
+// explicitly selected wide 32-lane FMA chain (dotRowWideGeneric,
+// AVX2+FMA assembly on capable amd64), which
 // carries its own wide-vs-wide bitwise contract and is not
 // interchangeable with the canonical one. The package-level kernel
 // functions are entry points onto the canonical binding.
@@ -28,7 +31,7 @@
 // The package is deliberately small and allocation-conscious: LSTM
 // inference is a long sequence of GEMV/GEMM calls over the same shapes, so
 // every operation writes into a caller-provided destination and no kernel
-// allocates.
+// allocates unless it forks shards (one object per shard).
 package tensor
 
 // Vector is a dense float32 vector.
@@ -111,18 +114,7 @@ func (k Kernels) GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, fill flo
 	if skip != nil && len(skip) != m.Rows {
 		Panicf("tensor: GemvRows skip length mismatch")
 	}
-	if skip == nil {
-		k.span(dst, m, x, 0)
-		return
-	}
-	n := m.Cols
-	for i := 0; i < m.Rows; i++ {
-		if skip[i] {
-			dst[i] = fill
-			continue
-		}
-		dst[i] = k.dot(m.Data[i*n:i*n+n], x)
-	}
+	k.spanMasked(dst, m, x, 0, skip, fill)
 }
 
 // Gemv is Kernels.Gemv on the canonical chain — what calibration and
