@@ -10,19 +10,26 @@ import (
 	"strings"
 	"testing"
 
+	"mobilstm/internal/equivtest"
 	"mobilstm/internal/gru"
+	"mobilstm/internal/intercell"
 	"mobilstm/internal/lstm"
+	"mobilstm/internal/recurrent"
 	"mobilstm/internal/rng"
 	"mobilstm/internal/tensor"
 )
 
 // The relative contracts (batch ≡ serial, run ≡ rerun) hold even when
-// both sides drift together. This test pins the absolute bits: the
-// logits of one seeded, calibrated LSTM and GRU in every mode, serial
-// and batched, on the canonical chain. A refactor of the forward path
-// must leave testdata/golden_logits.txt untouched.
+// both sides drift together. These tests pin the absolute bits of one
+// seeded, calibrated LSTM and GRU on the canonical chain: the logits in
+// every mode, serial and batched (testdata/golden_logits.txt), and the
+// structural decisions behind them — the collected predictors and the
+// traces of the inter, intra and combined runs, which feed the
+// simulator's break and skip rates without touching a logit
+// (testdata/golden_traces.txt). A refactor of the forward path must
+// leave both files untouched.
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_logits.txt from the current code")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_*.txt from the current code")
 
 const (
 	goldenInput   = 20
@@ -61,86 +68,55 @@ func bitsLine(v tensor.Vector) string {
 	return sb.String()
 }
 
-// goldenLines computes every pinned line: "<kind>/<mode>/<entry> bits…".
-func goldenLines(t *testing.T) []string {
+type goldenMode struct {
+	name string
+	opt  recurrent.RunOptions
+}
+
+// goldenNet is one pinned network with its collected predictors and the
+// four modes it runs in.
+type goldenNet struct {
+	kind  string
+	net   equivtest.Net
+	preds []intercell.Predictor
+	modes []goldenMode
+}
+
+// goldenFixture builds the pinned networks and the sequences they run.
+// The order of the rng splits is part of the pinned bits.
+func goldenFixture() (batch [][]tensor.Vector, nets []goldenNet) {
 	r := rng.New(0x601d)
 	cal := goldenSeqs(r.Split(), 11, 13, 12)
 	pred := goldenSeqs(r.Split(), 10, 15)
-	batch := goldenSeqs(r.Split(), 9, 14, 6)
-	const chain = tensor.ChainSSE2 // canonical whatever the process default
-
-	var lines []string
-	emit := func(kind, mode string, run func([]tensor.Vector) tensor.Vector, runBatch func([][]tensor.Vector) []tensor.Vector) {
-		for i, xs := range batch {
-			lines = append(lines, fmt.Sprintf("%s/%s/run%d %s", kind, mode, i, bitsLine(run(xs))))
-		}
-		for i, v := range runBatch(batch) {
-			lines = append(lines, fmt.Sprintf("%s/%s/batch%d %s", kind, mode, i, bitsLine(v)))
-		}
-	}
+	batch = goldenSeqs(r.Split(), 9, 14, 6)
 
 	ln := lstm.NewNetwork(goldenInput, goldenHidden, goldenLayers, goldenClasses)
 	ln.InitRandom(r.Split(), linkScale, 0.5)
 	lstm.Calibrate(ln, cal, spreadFor)
 	lp := lstm.CollectPredictors(ln, pred)
-	for _, m := range []struct {
-		name string
-		opt  lstm.RunOptions
-	}{
-		{"baseline", lstm.RunOptions{Chain: chain}},
-		{"inter", lstm.RunOptions{Chain: chain, Inter: true, AlphaInter: lstmAlphaInter, MTS: 3, Predictors: lp}},
-		{"intra", lstm.RunOptions{Chain: chain, Intra: true, AlphaIntra: 0.12}},
-		{"combined", lstm.RunOptions{Chain: chain, Inter: true, AlphaInter: lstmAlphaInter, MTS: 3, Predictors: lp, Intra: true, AlphaIntra: 0.12}},
-	} {
-		opt := m.opt
-		if opt.Inter {
-			requireMixedLinks(t, "lstm/"+m.name, func(xs []tensor.Vector) (breaks, links int) {
-				o := opt
-				o.Trace = &lstm.Trace{}
-				ln.Run(xs, o)
-				for _, lt := range o.Trace.Layers {
-					breaks += len(lt.Breakpoints)
-					links += len(lt.Relevance)
-				}
-				return
-			}, batch)
-		}
-		emit("lstm", m.name,
-			func(xs []tensor.Vector) tensor.Vector { return ln.Run(xs, opt) },
-			func(seqs [][]tensor.Vector) []tensor.Vector { return ln.RunBatch(seqs, opt) })
-	}
 
 	gn := gru.NewNetwork(goldenInput, goldenHidden, goldenLayers, goldenClasses)
 	gn.InitRandom(r.Split(), linkScale, 0.5)
 	gru.Calibrate(gn, cal, spreadFor)
 	gp := gru.CollectPredictors(gn, pred)
-	for _, m := range []struct {
-		name string
-		opt  gru.RunOptions
-	}{
-		{"baseline", gru.RunOptions{Chain: chain}},
-		{"inter", gru.RunOptions{Chain: chain, Inter: true, AlphaInter: gruAlphaInter, MTS: 3, Predictors: gp}},
-		{"intra", gru.RunOptions{Chain: chain, Intra: true, AlphaIntra: 0.2}},
-		{"combined", gru.RunOptions{Chain: chain, Inter: true, AlphaInter: gruAlphaInter, MTS: 3, Predictors: gp, Intra: true, AlphaIntra: 0.2}},
-	} {
-		opt := m.opt
-		if opt.Inter {
-			requireMixedLinks(t, "gru/"+m.name, func(xs []tensor.Vector) (breaks, links int) {
-				o := opt
-				o.Trace = &gru.Trace{}
-				gn.Run(xs, o)
-				for _, lt := range o.Trace.Layers {
-					breaks += len(lt.Breakpoints)
-					links += len(lt.Relevance)
-				}
-				return
-			}, batch)
-		}
-		emit("gru", m.name,
-			func(xs []tensor.Vector) tensor.Vector { return gn.Run(xs, opt) },
-			func(seqs [][]tensor.Vector) []tensor.Vector { return gn.RunBatch(seqs, opt) })
+
+	return batch, []goldenNet{
+		{"lstm", ln, lp, goldenModes(lp, lstmAlphaInter, 0.12)},
+		{"gru", gn, gp, goldenModes(gp, gruAlphaInter, 0.2)},
 	}
-	return lines
+}
+
+// goldenModes returns baseline, inter, intra and combined on the
+// canonical chain, whatever the process default.
+func goldenModes(p []intercell.Predictor, alphaInter, alphaIntra float64) []goldenMode {
+	const chain = tensor.ChainSSE2
+	return []goldenMode{
+		{"baseline", recurrent.RunOptions{Chain: chain}},
+		{"inter", recurrent.RunOptions{Chain: chain, Inter: true, AlphaInter: alphaInter, MTS: 3, Predictors: p}},
+		{"intra", recurrent.RunOptions{Chain: chain, Intra: true, AlphaIntra: alphaIntra}},
+		{"combined", recurrent.RunOptions{Chain: chain, Inter: true, AlphaInter: alphaInter, MTS: 3, Predictors: p,
+			Intra: true, AlphaIntra: alphaIntra}},
+	}
 }
 
 // The inter-cell thresholds sit inside each network's relevance range,
@@ -151,28 +127,95 @@ const (
 	gruAlphaInter  = 174
 )
 
+// trace runs xs under opt and returns the run's trace.
+func trace(n equivtest.Net, xs []tensor.Vector, opt recurrent.RunOptions) *recurrent.Trace {
+	opt.Trace = &recurrent.Trace{}
+	n.Run(xs, opt)
+	return opt.Trace
+}
+
 // requireMixedLinks fails unless the threshold cuts some but not all
 // context links over the pinned sequences — otherwise the Inter lines
 // would pin a degenerate flow.
-func requireMixedLinks(t *testing.T, label string, count func([]tensor.Vector) (breaks, links int), seqs [][]tensor.Vector) {
+func requireMixedLinks(t *testing.T, label string, n equivtest.Net, opt recurrent.RunOptions, seqs [][]tensor.Vector) {
 	t.Helper()
 	var breaks, links int
 	for _, xs := range seqs {
-		b, l := count(xs)
-		breaks += b
-		links += l
+		for _, lt := range trace(n, xs, opt).Layers {
+			breaks += len(lt.Breakpoints)
+			links += len(lt.Relevance)
+		}
 	}
 	if breaks == 0 || breaks == links {
 		t.Fatalf("%s: %d of %d links cut — the inter threshold no longer splits the relevance range", label, breaks, links)
 	}
 }
 
-func TestGoldenLogitBits(t *testing.T) {
+// goldenLogitLines computes every pinned logit line:
+// "<kind>/<mode>/<entry> bits…".
+func goldenLogitLines(t *testing.T) []string {
+	batch, nets := goldenFixture()
+	var lines []string
+	for _, g := range nets {
+		for _, m := range g.modes {
+			if m.opt.Inter {
+				requireMixedLinks(t, g.kind+"/"+m.name, g.net, m.opt, batch)
+			}
+			for i, xs := range batch {
+				lines = append(lines, fmt.Sprintf("%s/%s/run%d %s", g.kind, m.name, i, bitsLine(g.net.Run(xs, m.opt))))
+			}
+			for i, v := range g.net.RunBatch(batch, m.opt) {
+				lines = append(lines, fmt.Sprintf("%s/%s/batch%d %s", g.kind, m.name, i, bitsLine(v)))
+			}
+		}
+	}
+	return lines
+}
+
+// goldenTraceLines computes every pinned structural line: the
+// predictors' bits per layer, then per optimized mode, sequence and
+// layer the trace's relevance bits (float64), breakpoints, sub-layer
+// and tissue sizes and skip counts. The baseline makes no structural
+// decision and is not traced.
+func goldenTraceLines(*testing.T) []string {
+	batch, nets := goldenFixture()
+	var lines []string
+	for _, g := range nets {
+		for li, p := range g.preds {
+			lines = append(lines,
+				fmt.Sprintf("%s/predictor%d/h %s", g.kind, li, bitsLine(p.H)),
+				fmt.Sprintf("%s/predictor%d/c %s", g.kind, li, bitsLine(p.C)))
+		}
+		for _, m := range g.modes[1:] {
+			for i, xs := range batch {
+				for _, lt := range trace(g.net, xs, m.opt).Layers {
+					rel := make([]string, len(lt.Relevance))
+					for k, s := range lt.Relevance {
+						rel[k] = fmt.Sprintf("%016x", math.Float64bits(s))
+					}
+					p := fmt.Sprintf("%s/%s/run%d/layer%d", g.kind, m.name, i, lt.Layer)
+					lines = append(lines,
+						fmt.Sprintf("%s/cells %d", p, lt.Cells),
+						fmt.Sprintf("%s/relevance %v", p, rel),
+						fmt.Sprintf("%s/breakpoints %v", p, lt.Breakpoints),
+						fmt.Sprintf("%s/sublayers %v", p, lt.SublayerSizes),
+						fmt.Sprintf("%s/tissues %v", p, lt.TissueSizes),
+						fmt.Sprintf("%s/skips %v", p, lt.SkipCounts))
+				}
+			}
+		}
+	}
+	return lines
+}
+
+// checkGolden compares the computed lines with testdata/name, or
+// rewrites the file under -update-golden.
+func checkGolden(t *testing.T, name string, compute func(*testing.T) []string) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden bits are recorded on amd64; other architectures may contract float32 multiply-adds")
 	}
-	path := filepath.Join("testdata", "golden_logits.txt")
-	got := goldenLines(t)
+	path := filepath.Join("testdata", name)
+	got := compute(t)
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -194,3 +237,7 @@ func TestGoldenLogitBits(t *testing.T) {
 		}
 	}
 }
+
+func TestGoldenLogitBits(t *testing.T) { checkGolden(t, "golden_logits.txt", goldenLogitLines) }
+
+func TestGoldenTraces(t *testing.T) { checkGolden(t, "golden_traces.txt", goldenTraceLines) }
