@@ -119,23 +119,17 @@ func BenchmarkRun(b *testing.B) {
 // B ∈ {1, 2, 4, 8, 16}: one RunBatch per op serving B requests, with
 // the per-request cost reported as the custom ns/req metric
 // (ns/op / B). The sweep quantifies the §II-C server-style weight
-// reuse on the host: the united weights stream once per timestep for
-// the whole batch, so ns/req must fall as B grows (the acceptance
-// bar is B=8 strictly below B=1).
+// reuse on the host: the united weights stream once per step for the
+// whole batch, so ns/req must fall as B grows (the acceptance bar is
+// B=8 strictly below B=1). Every mode runs the same lockstep layer
+// loop; combined batches its members' tissues by tissue index, so its
+// groups hold up to B·MTS cells.
 func BenchmarkRunBatch(b *testing.B) {
-	inst, _ := hotSetup(b)
-	// baseline and intra both take the lockstep batched GEMM path; the
-	// inter modes fall back to per-member serial execution (their
-	// structure is data-dependent), so batching buys them nothing and
-	// they are not swept here.
-	modes := []struct {
-		name string
-		opt  lstm.RunOptions
-	}{
-		{"baseline", lstm.Baseline()},
-		{"intra", lstm.RunOptions{Intra: true, AlphaIntra: 0.1}},
-	}
-	for _, m := range modes {
+	inst, pred := hotSetup(b)
+	for _, m := range hotModes(pred) {
+		if m.name == "inter" {
+			continue // combined sweeps the lockstep Inter path
+		}
 		for _, c := range hotChains {
 			for _, B := range []int{1, 2, 4, 8, 16} {
 				seqs := make([][]tensor.Vector, B)

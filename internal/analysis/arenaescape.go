@@ -5,10 +5,11 @@ import (
 	"go/ast"
 )
 
-// arenaescape guards the scratch-arena lifetime contract of the lstm
-// and gru forward passes: every buffer behind Run — gate activations,
-// cell states, the hidden-state ping-pong slab — lives in a growth-only
-// *Scratch arena that is reused (and overwritten) on the next call.
+// arenaescape guards the scratch-arena lifetime contract of the
+// recurrent forward pass: every buffer behind Run and RunBatch — gate
+// activations, cell states, the hidden-state ping-pong slab — lives in
+// a growth-only *Scratch arena (forwardScratch) that is reused (and
+// overwritten) by the next layer or call.
 // A value derived from the arena is therefore only valid inside the
 // call that produced it: storing one to a heap-reachable location
 // (a receiver field, a package-level variable, a channel) or returning

@@ -3,8 +3,8 @@ package analysis
 import "testing"
 
 // TestArenaEscapeSeededViolations runs the analyzer over a scratch
-// fixture that mirrors lstm's layerScratch arena. Expected findings,
-// in order:
+// fixture that mirrors the recurrent forwardScratch arena. Expected
+// findings, in order:
 //
 //	line 19 — Run stores an arena-backed view into a receiver field
 //	line 27 — Leak (exported) returns an arena-backed view directly
@@ -13,9 +13,10 @@ import "testing"
 //	line 43 — Stash parks an arena-backed view in a package variable
 //
 // view itself is silent (unexported helpers may hand arena views to
-// in-package callers; the fact rides its summary), and fill is silent
+// in-package callers; the fact rides its summary), fill is silent
 // because storing arena values into the arena itself is the intended
-// growth pattern.
+// growth pattern, and Note is silent because a literal of scalars read
+// out of the arena holds copies, not views.
 func TestArenaEscapeSeededViolations(t *testing.T) {
 	src := `package fix
 
@@ -61,6 +62,10 @@ func Stash(h int) {
 	sc := &layerScratch{buf: make([]float32, h)}
 	global = tensor.Vector(sc.buf)
 }
+
+type record struct{ firsts []float32 }
+
+func (r *record) Note(sc *layerScratch) { r.firsts = []float32{sc.buf[0]} }
 `
 	got := runFixtureWith(t, Lookup("arenaescape"), "mobilstm/internal/fix", "internal/fix/fix.go", src)
 	wantLines(t, got, "arenaescape", 19, 27, 34, 43)

@@ -48,7 +48,6 @@ func AbsRowSums(m *Matrix) Vector { return NewVector(m.Rows) }
 func Pack(ms ...*Matrix) *Matrix { return ms[0] }
 
 func Gemv(dst Vector, m *Matrix, x Vector)                                  {}
-func GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, f float32)      {}
 func PackedGemv(dsts []Vector, m *Matrix, x Vector)                         {}
 func PackedGemvRows(dsts []Vector, m *Matrix, x Vector, s []bool, f float32) {}
 func PackedGemm(dst *Matrix, m *Matrix, xs []Vector)                        {}
@@ -63,7 +62,6 @@ type Kernels struct{}
 func KernelsFor(c KernelChain) Kernels { return Kernels{} }
 
 func (k Kernels) Gemv(dst Vector, m *Matrix, x Vector)                                  {}
-func (k Kernels) GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, f float32)      {}
 func (k Kernels) PackedGemv(dsts []Vector, m *Matrix, x Vector)                         {}
 func (k Kernels) PackedGemvRows(dsts []Vector, m *Matrix, x Vector, s []bool, f float32) {}
 func (k Kernels) PackedGemm(dst *Matrix, m *Matrix, xs []Vector)                        {}
@@ -344,11 +342,11 @@ func layer(h int, x tensor.Vector, ks tensor.Kernels) {
 }
 
 func TestShapeCheckBatchArenaSlicingClean(t *testing.T) {
-	// The batch arena pattern of the lstm/gru batch path: per-member
-	// gates and masks carved out of flat slabs, the batched kernel views
-	// re-headed over scratch storage. Everything is shape-consistent and
-	// must stay silent — this is the fixture twin of the real
-	// runLayerBatch hot loop.
+	// The arena pattern of the recurrent layer loop: per-slot gates and
+	// masks carved out of flat slabs, the batched kernel views re-headed
+	// over scratch storage. Everything is shape-consistent and must stay
+	// silent — this is the fixture twin of the real group step
+	// (forwardScratch.step).
 	src := `package ok
 
 import "mobilstm/internal/tensor"
@@ -405,16 +403,6 @@ func TestShapeCheckTable(t *testing.T) {
 	wide := tensor.NewVector(2 * h)
 	tensor.Gemv(gates, U, wide)`,
 			want: []int{9},
-		},
-		{
-			name: "gemvrows skip mask against rows",
-			body: `
-	U := tensor.NewMatrix(4*h, h)
-	gates := tensor.NewVector(4 * h)
-	hv := tensor.NewVector(h)
-	skip := make([]bool, h)
-	tensor.GemvRows(gates, U, hv, skip, 0)`,
-			want: []int{10},
 		},
 		{
 			name: "element-wise lengths",

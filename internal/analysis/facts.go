@@ -265,11 +265,15 @@ func (fw *factsWalker) addExprOrigin(out originSet, e ast.Expr) {
 			fw.addExprOrigin(out, e.X)
 		}
 	case *ast.CompositeLit:
+		// A literal aliases its reference-typed elements only: scalars
+		// read out of an arena are copied in.
 		for _, el := range e.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
 				el = kv.Value
 			}
-			fw.addExprOrigin(out, el)
+			for r := range fw.exprOrigin(el) {
+				out.add(r)
+			}
 		}
 	case *ast.CallExpr:
 		for r := range fw.callResultOrigin(e, 0) {
@@ -936,7 +940,7 @@ func isInvalidatable(t types.Type) bool {
 
 // isScratchType reports whether t (possibly behind a pointer) is a
 // named scratch-arena struct, identified by the *Scratch naming
-// convention the hot paths use (layerScratch).
+// convention the hot paths use (forwardScratch).
 func isScratchType(t types.Type) bool {
 	if t == nil {
 		return false

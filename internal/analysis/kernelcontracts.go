@@ -41,8 +41,7 @@ func init() {
 // reductions ArgMax and MaxAbs, which have no cross-argument dimension
 // contract to check.
 var tensorKernelCoverage = map[string]bool{
-	"Gemv": true, "GemvRows": true,
-	"PackedGemv": true, "PackedGemvRows": true,
+	"Gemv": true, "PackedGemv": true, "PackedGemvRows": true,
 	"PackedGemm": true, "PackedGemmRows": true,
 	"WidePackedGemv": true, "WidePackedGemmRows": true,
 	"Pack": true,

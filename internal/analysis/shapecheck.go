@@ -22,7 +22,7 @@ import (
 // AbsRowSums/Clone/Pack/RowBlock and make(), integer dimensions fold
 // through named constants, coef·base products (4*h keeps the base h)
 // and same-base sums (4*h - h keeps 3*h for RowBlock views), and every
-// Gemv/GemvRows/Add/Mul/SigmoidVec/HardSigmoidVec/TanhVec call site is
+// Gemv/Add/Mul/SigmoidVec/HardSigmoidVec/TanhVec call site is
 // checked for compatible dst/m/x dimensions. The packed kernels carry
 // their own contracts: Pack inputs must agree on columns, a PackedGemm
 // destination's column count is the united row count, and a
@@ -369,13 +369,10 @@ func (c *shapeClient) check(ev *env, n ast.Node) {
 			return nil
 		}
 		switch name {
-		case "Gemv", "GemvRows":
+		case "Gemv":
 			rows, cols := c.mdims(ev, arg(1))
 			c.require(call, name, "dst length", c.vdim(ev, arg(0)), "m rows", rows)
 			c.require(call, name, "x length", c.vdim(ev, arg(2)), "m cols", cols)
-			if name == "GemvRows" {
-				c.require(call, name, "skip length", c.vdim(ev, arg(3)), "m rows", rows)
-			}
 		case "PackedGemv", "PackedGemvRows", "WidePackedGemv":
 			rows, cols := c.mdims(ev, arg(1))
 			c.require(call, name, "x length", c.vdim(ev, arg(2)), "m cols", cols)

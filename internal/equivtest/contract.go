@@ -158,7 +158,10 @@ func concurrently(f func(worker int)) {
 
 // BatchMatchesSerial pins the batched-forward contract: member i of
 // RunBatch is bitwise identical to serial Run(seqs[i]) in every mode,
-// at every batch size, over ragged lengths, on the given chain.
+// at every batch size, over ragged lengths, on the given chain. The
+// inter modes also batch a one-cell member (one tissue) with members of
+// 17, 9 and 4 cells (at least 5, 3 and 1 tissues of at most MTS = 4),
+// so lockstep by tissue index drops members at different steps.
 func BatchMatchesSerial(t *testing.T, k Kind, chain tensor.KernelChain) {
 	n := k.subject(24, 32, 2, 5, 301)
 	r := rng.New(302)
@@ -166,6 +169,13 @@ func BatchMatchesSerial(t *testing.T, k Kind, chain tensor.KernelChain) {
 		for _, b := range []int{1, 2, 3, 5} {
 			seqs := raggedSeqs(r, 24, 17, b)
 			Batch(t, chain.String()+" "+m.name+" B="+itoa(b), n.RunBatch(seqs, m.opt), serial(n, seqs, m.opt))
+		}
+		if m.opt.Inter {
+			var seqs [][]tensor.Vector
+			for _, ln := range []int{17, 1, 9, 4} {
+				seqs = append(seqs, Seqs(r, 24, ln, 1)[0])
+			}
+			Batch(t, chain.String()+" "+m.name+" tissue counts", n.RunBatch(seqs, m.opt), serial(n, seqs, m.opt))
 		}
 	}
 }

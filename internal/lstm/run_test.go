@@ -240,20 +240,24 @@ func TestGuardPassesForeignPanics(t *testing.T) {
 	}()
 }
 
-// TestRunBatchAllocsAtOneProc pins the allocation count of a serial
-// (GOMAXPROCS 1) B=1 RunBatch at its measured value: a kernel that
-// forks no shard must allocate nothing, so the 26 are the batch arena,
-// the flat cell list and the logits. One heap object per kernel call
-// would add 2 layers × (1 W·x GEMM + 15 steps × 2 recurrent stages).
+// TestRunBatchAllocsAtOneProc pins the allocation counts of a serial
+// (GOMAXPROCS 1) Run and B=1 RunBatch — the same layer loop — at their
+// measured value: a kernel that forks no shard must allocate nothing,
+// so the 12 are the arena and its eight slabs, the member lengths, the
+// output slice and the logits. One heap object per kernel call would
+// add 2 layers × (1 W·x GEMM + 15 steps × 2 recurrent stages).
 func TestRunBatchAllocsAtOneProc(t *testing.T) {
-	const want = 26
+	const wantRun, wantBatch = 12, 12
 	n := testNet(t, 12, 12, 2, 3, 27)
 	seqs := testSeqs(rng.New(28), 12, 15, 1)
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 	for _, opt := range []RunOptions{Baseline(), {Intra: true, AlphaIntra: 0.1}} {
-		if got := testing.AllocsPerRun(20, func() { n.RunBatch(seqs, opt) }); got > want {
-			t.Errorf("intra=%v: RunBatch B=1 makes %v allocs at GOMAXPROCS 1, want <= %d", opt.Intra, got, want)
+		if got := testing.AllocsPerRun(20, func() { n.Run(seqs[0], opt) }); got > wantRun {
+			t.Errorf("intra=%v: Run makes %v allocs at GOMAXPROCS 1, want <= %d", opt.Intra, got, wantRun)
+		}
+		if got := testing.AllocsPerRun(20, func() { n.RunBatch(seqs, opt) }); got > wantBatch {
+			t.Errorf("intra=%v: RunBatch B=1 makes %v allocs at GOMAXPROCS 1, want <= %d", opt.Intra, got, wantBatch)
 		}
 	}
 }

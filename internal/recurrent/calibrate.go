@@ -8,10 +8,11 @@ import (
 	"mobilstm/internal/tensor"
 )
 
-// exactLayer runs one layer's unmodified flow on the canonical chain —
-// offline artifacts (predictors, calibrated weights) are chain-neutral —
-// handing every cell's state to each.
-func exactLayer(l Cell, xs []tensor.Vector, sc *layerScratch, each func(t int, st tensor.Vector)) []tensor.Vector {
+// exactLayer runs one layer's unmodified flow over one sequence on the
+// canonical chain — offline artifacts (predictors, calibrated weights)
+// are chain-neutral — handing every cell's state to each.
+func exactLayer(l Cell, xs []tensor.Vector, sc *forwardScratch, each func(t int, st tensor.Vector)) []tensor.Vector {
+	sc.reset(l.Shape(), RunOptions{}, len(xs))
 	return runLayer(0, l, xs, RunOptions{}, nil, sc, tensor.KernelsFor(tensor.ChainSSE2), each)
 }
 
@@ -27,14 +28,11 @@ func CollectPredictors[C Cell](n *Network[C], samples [][]tensor.Vector) []inter
 	}
 	// A link is (h, c); cells whose state is h alone leave c zero.
 	link := tensor.NewVector(2 * h)
-	var sc *layerScratch
+	var sc forwardScratch
 	for _, xs := range samples {
-		if sc == nil {
-			sc = newLayerScratch(n.Layers[0].Shape(), len(xs))
-		}
 		seq := xs
 		for li, l := range n.Layers {
-			seq = exactLayer(l, seq, sc, func(_ int, st tensor.Vector) {
+			seq = exactLayer(l, seq, &sc, func(_ int, st tensor.Vector) {
 				copy(link, st)
 				stats[li].Observe(link[:h], link[h:])
 			})
@@ -158,13 +156,10 @@ func forwardAll(l Cell, seqs [][]tensor.Vector) ([][]tensor.Vector, tensor.Vecto
 	out := make([][]tensor.Vector, len(seqs))
 	sumAbs := make([]float64, h)
 	var count int64
-	var sc *layerScratch
+	var sc forwardScratch
 	for si, xs := range seqs {
-		if sc == nil {
-			sc = newLayerScratch(l.Shape(), len(xs))
-		}
 		hs := views(len(xs), h)
-		exactLayer(l, xs, sc, func(t int, st tensor.Vector) {
+		exactLayer(l, xs, &sc, func(t int, st tensor.Vector) {
 			copy(hs[t], st)
 			for j, v := range hs[t] {
 				sumAbs[j] += math.Abs(float64(v))

@@ -4,10 +4,17 @@
 // they carry to GRUs "with simple adjustment" (§II-B); this package
 // holds everything in the forward path that is not cell arithmetic
 // (options and traces, validation, the Run/RunBatch entry points, the
-// scratch arenas, the sequential, tissue and lockstep-batch layer
-// loops, the kernel-chain binding, the united-weight cache, predictor
-// collection and calibration) and is parameterized by a Cell: the few
-// facts and element-wise steps in which an LSTM and a GRU layer differ.
+// scratch arena, the layer loop, the kernel-chain binding, the
+// united-weight cache, predictor collection and calibration) and is
+// parameterized by a Cell: the few facts and element-wise steps in
+// which an LSTM and a GRU layer differ.
+//
+// There is one layer loop. Each of a pass's members — one sequence for
+// Run, B for RunBatch — is divided into sub-layers and aligned into
+// tissues (under Inter at its weak links, otherwise one sub-layer of
+// single-cell tissues), and step k advances tissue k of every member as
+// one group: each recurrent stage is one batched kernel over the
+// group's cells, so a tissue and a batch load U once alike.
 //
 // Both cells run in two recurrent stages. The first-stage gates need
 // only h_{t-1} and decide what the second stage may skip:
@@ -19,7 +26,7 @@
 //	state   = Update(wx, U₂ · operand)     (LSTM: f,i,c → c,h; GRU: ~h → h)
 //
 // Cell methods are called once per cell per stage, never per element,
-// and every matrix product is the same row-dot chain whichever loop
+// and every matrix product is the same row-dot chain whatever group
 // issues it — which is what makes serial, tissue and batch execution
 // bitwise interchangeable.
 package recurrent
@@ -72,7 +79,8 @@ type Cell interface {
 	Update(st, wx, a, g tensor.Vector, skip []bool)
 
 	// LinkRelevance returns the Algorithm 2 score S of the context link
-	// into a cell, as a function of that cell's wx row.
+	// into a cell, as a function of that cell's wx row. The core builds
+	// it once per packed build, beside the united weights.
 	LinkRelevance() func(wx tensor.Vector) float64
 	// InitPredicted loads st with the Eq. 6 predicted link that starts a
 	// sub-layer after a cut.
@@ -91,6 +99,9 @@ type Cell interface {
 type packedWeights struct {
 	w      *tensor.Matrix // Gates·h × Input
 	u1, u2 *tensor.Matrix // First·h × h and (Gates-First)·h × h
+	// relevance is the layer's LinkRelevance scorer, whose per-row norms
+	// of U are built with the united copies and dropped with them.
+	relevance func(wx tensor.Vector) float64
 }
 
 // PackedCache is the cache cell a layer embeds to become a Cell. The
@@ -127,6 +138,8 @@ func packed(l Cell) *packedWeights {
 		w:  tensor.Pack(l.InputWeights()...),
 		u1: tensor.Pack(first...),
 		u2: tensor.Pack(second...),
+
+		relevance: l.LinkRelevance(),
 	}
 	c.packed.Store(p)
 	return p

@@ -2,6 +2,7 @@ package recurrent
 
 import (
 	"fmt"
+	"slices"
 
 	"mobilstm/internal/tensor"
 )
@@ -48,37 +49,49 @@ func (n *Network[C]) Classes() int { return n.Head.Rows }
 // Run executes the network on one input sequence and returns the class
 // logits. The sequence is the layer input x_1..x_n (each of length
 // Input()); every layer consumes the previous layer's hidden outputs.
-//
-// The layer loop owns one scratch arena for the whole call: every
-// per-cell buffer (gate pre-activations, first-stage gates, hidden
-// outputs, sub-layer states) lives in it, so the hot path performs no
-// per-cell allocation and a Run's footprint is a handful of arena slabs.
+// Run is the layer loop with one member.
 func (n *Network[C]) Run(xs []tensor.Vector, opt RunOptions) tensor.Vector {
 	if len(xs) == 0 {
 		tensor.Panicf("recurrent: empty input sequence")
 	}
 	n.checkInter(opt)
+	return n.forward([][]tensor.Vector{xs}, opt)[0]
+}
+
+// forward is the layer loop: it runs every layer over the members'
+// sequences end to end and returns each member's logits, freshly
+// allocated. It owns one scratch arena for the whole call, which holds
+// every per-cell buffer (gate pre-activations, first-stage gates,
+// hidden outputs, sub-layer states), so the hot path performs no
+// per-cell allocation and a call's footprint is a handful of arena
+// slabs.
+func (n *Network[C]) forward(seqs [][]tensor.Vector, opt RunOptions) []tensor.Vector {
 	ks := tensor.KernelsFor(opt.Chain)
-	sc := newLayerScratch(n.Layers[0].Shape(), len(xs))
-	seq := xs
+	lens := make([]int, len(seqs))
+	for i, xs := range seqs {
+		lens[i] = len(xs)
+	}
+	var sc forwardScratch
+	sc.reset(n.Layers[0].Shape(), opt, lens...)
+	hs := seqs[0]
+	if len(seqs) > 1 {
+		hs = slices.Concat(seqs...)
+	}
 	for li, l := range n.Layers {
 		var lt *LayerTrace
 		if opt.Trace != nil {
-			opt.Trace.Layers = append(opt.Trace.Layers, LayerTrace{Layer: li, Cells: len(seq)})
+			opt.Trace.Layers = append(opt.Trace.Layers, LayerTrace{Layer: li, Cells: len(hs)})
 			lt = &opt.Trace.Layers[len(opt.Trace.Layers)-1]
 		}
-		seq = runLayer(li, l, seq, opt, lt, sc, ks, nil)
+		hs = runLayer(li, l, hs, opt, lt, &sc, ks, nil)
 	}
-	return n.headLogits(seq[len(seq)-1], ks)
-}
-
-// headLogits applies the linear head to a final hidden state, returning
-// freshly allocated logits (never an arena view).
-func (n *Network[C]) headLogits(last tensor.Vector, ks tensor.Kernels) tensor.Vector {
-	logits := tensor.NewVector(n.Head.Rows)
-	ks.Gemv(logits, n.Head, last)
-	tensor.Add(logits, logits, n.HeadBias)
-	return logits
+	out := make([]tensor.Vector, len(seqs))
+	for i, mb := range sc.members {
+		out[i] = tensor.NewVector(n.Head.Rows)
+		ks.Gemv(out[i], n.Head, hs[mb.off+mb.n-1])
+		tensor.Add(out[i], out[i], n.HeadBias)
+	}
+	return out
 }
 
 // checkInter validates the options Inter mode requires.
@@ -133,77 +146,35 @@ func (n *Network[C]) ClassifyE(xs []tensor.Vector, opt RunOptions) (class int, e
 	return n.Classify(xs, opt), nil
 }
 
-// The batch-B forward path: RunBatch executes B sequences together so
-// the recurrent united weights stream once per timestep for the whole
-// batch (tensor.PackedGemmRows — the Appleyard-style GEMV→GEMM
-// conversion), instead of B independent GEMV chains re-streaming U per
-// member. The serving loop dispatches a drained batching window through
-// this path as one call.
+// The batch-B forward path: RunBatch executes B sequences together as
+// the same layer loop as Run with B members. Step k of a layer advances
+// tissue k of every member as one group, so each recurrent stage streams
+// the united weights once for the whole batch (tensor.PackedGemmRows —
+// the Appleyard-style GEMV→GEMM conversion) instead of B independent
+// GEMV chains re-streaming U per member. The serving loop dispatches a
+// drained batching window through this path as one call.
 //
 // Output i of RunBatch(seqs...) is bitwise identical to serial
 // Run(seqs[i]) in every mode, at every GOMAXPROCS, cold or warm cache:
-// the batched kernels evaluate exactly the same row-dot chains and the
-// same Cell methods in the same order as the serial flow; batching only
-// changes which loop walks them.
+// every output element is the same row-dot chain and every Cell method
+// runs on the same values in the same per-cell order as the serial
+// flow; batching only changes which rows share a kernel call.
 //
-// Ragged lengths batch together in lockstep: at timestep t only the
-// members with t < len(member) are active — the batch shrinks as short
-// members finish, with no padding compute, and each member's logits
-// come from its own final hidden state.
+// Ragged lengths and Inter structures batch together in lockstep by
+// tissue index: at step k only the members with a k-th tissue are
+// active (a member without Inter has one tissue per cell) — the group
+// shrinks as short members finish, with no padding compute, and each
+// member's logits come from its own final hidden state.
 
 // RunBatch executes the network on a batch of input sequences and
 // returns one logits vector per member, bitwise identical to calling
 // Run on each member alone. Members may have different (non-zero)
-// lengths. Tracing is per-sequence instrumentation: a non-nil
-// opt.Trace rejects the batch — trace members serially instead.
-//
-// Inter mode's structure (breakpoints, sub-layers, tissues) is
-// data-dependent per member, so Inter batches fall back to per-member
-// execution over one shared arena; the batched lockstep kernels drive
-// the baseline and DRS (Intra) flows, where the serving loop runs.
+// lengths, and under Inter divide into different tissues. Tracing is
+// per-sequence instrumentation: a non-nil opt.Trace rejects the batch —
+// trace members serially instead.
 func (n *Network[C]) RunBatch(seqs [][]tensor.Vector, opt RunOptions) []tensor.Vector {
 	n.checkBatch(seqs, opt)
-	ks := tensor.KernelsFor(opt.Chain)
-	out := make([]tensor.Vector, len(seqs))
-	if opt.Inter {
-		// Bitwise identity with Run holds by construction — it is the
-		// same layer loop.
-		maxLen := 0
-		for _, xs := range seqs {
-			maxLen = max(maxLen, len(xs))
-		}
-		sc := newLayerScratch(n.Layers[0].Shape(), maxLen)
-		for i, xs := range seqs {
-			seq := xs
-			for li, l := range n.Layers {
-				seq = runLayer(li, l, seq, opt, nil, sc, ks, nil)
-			}
-			out[i] = n.headLogits(seq[len(seq)-1], ks)
-		}
-		return out
-	}
-
-	// The flat cell list concatenates member sequences in member order;
-	// member i's cell t lives at offs[i]+t in every flat slab.
-	lens := make([]int, len(seqs))
-	total := 0
-	for i, xs := range seqs {
-		lens[i] = len(xs)
-		total += len(xs)
-	}
-	flat := make([]tensor.Vector, 0, total)
-	for _, xs := range seqs {
-		flat = append(flat, xs...)
-	}
-	sc := newBatchScratch(n.Layers[0].Shape(), lens)
-	seq := flat
-	for _, l := range n.Layers {
-		seq = runLayerBatch(l, seq, opt, sc, ks)
-	}
-	for i := range seqs {
-		out[i] = n.headLogits(seq[sc.offs[i]+sc.lens[i]-1], ks)
-	}
-	return out
+	return n.forward(seqs, opt)
 }
 
 // RunBatchE is the serving-path RunBatch: validation and shape

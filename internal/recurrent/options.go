@@ -65,7 +65,7 @@ type LayerTrace struct {
 	SublayerSizes []int
 	TissueSizes   []int
 	// SkipCounts[k] is the number of trivial hidden elements shared by
-	// tissue k (combined mode) or of cell k (intra-only mode).
+	// tissue k — a single cell without Inter — and zero without Intra.
 	SkipCounts []int
 }
 

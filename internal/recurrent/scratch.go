@@ -12,203 +12,161 @@ func views(n, w int) []tensor.Vector {
 	return out
 }
 
-// heads returns the leading h elements of every vector in vs — the DRS
-// gate of each first-stage gate block.
-func heads(vs []tensor.Vector, h int) []tensor.Vector {
-	out := make([]tensor.Vector, len(vs))
-	for i, v := range vs {
-		out[i] = v[:h]
-	}
-	return out
+// forwardScratch is the one arena behind every forward pass over B ≥ 1
+// members (Run is one member, RunBatch B). Flat slabs hold one row per
+// cell of every member, its sequences end to end — member i's cell t at
+// members[i].off+t; group slabs hold one row per slot of the largest
+// group a step can form. Everything is carved out of a handful of
+// allocations sized from the cell's Shape and the pass, and regrown only
+// when a later pass outgrows them. Hidden outputs use two ping-pong
+// halves because layer k+1 reads layer k's outputs while producing its
+// own.
+type forwardScratch struct {
+	sh      Shape       // widths the slabs are carved for (Input sizes nothing)
+	cap     scratchSize // what the slabs hold
+	members []member
+
+	wxBuf []float32
+	wx    tensor.Matrix   // cells × Gates·h united W·x over the first rows of wxBuf
+	hs    []tensor.Vector // 2·cap.cells hidden outputs: the ping-pong halves
+	ping  bool
+
+	// The group of one step: slot s holds one cell, and the cells of one
+	// tissue take consecutive slots. prod is re-headed over the first
+	// rows of prodBuf for each stage's recurrent product.
+	slots        []slot
+	prodBuf      []float32
+	prod         tensor.Matrix
+	gates, drs   []tensor.Vector // first-stage gates (First·h) and their DRS heads
+	operands, in []tensor.Vector // operand buffers; each stage's kernel inputs
+	masks        [][]bool        // one DRS mask per tissue of the group
+	skips        [][]bool        // each slot's view of its tissue's mask
+	ends         []int           // the slot that closes each tissue of the group
+
+	states []tensor.Vector // every member's sub-layer states (State·h)
+	subOf  []int           // sub-layer of each flat cell
+	units  [][]int         // units[k] = {k}: a member's tissues without Inter
 }
 
-// layerScratch is the arena behind one serial forward pass: every
-// buffer the layer loop touches per cell is carved out of a few slabs
-// sized once from the cell's Shape (and re-sized only if a later call
-// sees a bigger shape). Hidden outputs use two ping-pong halves because
-// layer k+1 reads layer k's outputs while producing its own.
-type layerScratch struct {
-	sh       Shape // widths the slabs are carved for (Input sizes nothing)
-	cells    int   // cells of the current layer
-	capCells int   // slab capacity in cells
+// scratchSize is what one pass needs: cells of all members, group slots
+// (Σ min(len, MTS) under Inter — a tissue holds at most MTS cells — and
+// one per member otherwise), members, and sub-layer states (under Inter
+// up to one per cell, otherwise one per member).
+type scratchSize struct{ cells, slots, members, states int }
 
-	wxFull *tensor.Matrix // capCells × Gates·h united W·x slab
-	wx     *tensor.Matrix // first `cells` rows of wxFull
-
-	a1, a2  tensor.Vector   // U₁·h_{t-1} and U₂·operand, views into one slab
-	a2s     []tensor.Vector // a2's h-wide blocks: the PackedGemvRows destinations
-	operand tensor.Vector   // second-stage operand, for cells that build one
-	skip    []bool          // DRS mask reused across tissues
-
-	gates []tensor.Vector // per-tissue-member first-stage gates (First·h)
-	drs   []tensor.Vector // gates[i][:h]: the gate DRS thresholds
-
-	hs   []tensor.Vector // 2·capCells hidden outputs: the ping-pong halves
-	ping bool
-
-	states []tensor.Vector // per-sub-layer state (State·h)
-	subOf  []int
+// member is one sequence of the pass and its division for the current
+// layer. reset leaves it one sub-layer whose tissues are its single
+// cells — the division without Inter, built from arena views.
+type member struct {
+	off, n  int
+	tissues [][]int         // cell indices, tissue by tissue
+	subOf   []int           // sub-layer of each cell
+	states  []tensor.Vector // one per sub-layer
 }
 
-func newLayerScratch(sh Shape, cells int) *layerScratch {
-	sc := &layerScratch{}
-	sc.reset(sh, cells)
-	return sc
+// slot is one cell of a group: its flat row, its index within its
+// member, and its sub-layer state.
+type slot struct {
+	row, cell int
+	st        tensor.Vector
 }
 
-// reset prepares the arena for a layer of the given shape, reallocating
-// the slabs only when the shape outgrows them.
-func (sc *layerScratch) reset(sh Shape, cells int) {
+// reset prepares the arena for a pass over sequences of the given
+// lengths under opt, regrowing the slabs only when the pass outgrows
+// them.
+func (sc *forwardScratch) reset(sh Shape, opt RunOptions, lens ...int) {
 	sh.Input = 0
-	if sh != sc.sh || cells > sc.capCells {
-		c, h, second := cells, sh.Hidden, sh.Gates-sh.First
-		sc.sh, sc.capCells = sh, c
-		sc.wxFull = tensor.NewMatrix(c, sh.Gates*h)
-		prod := tensor.NewVector((sh.Gates + 1) * h)
-		sc.a1, sc.a2, sc.operand = prod[:sh.First*h], prod[sh.First*h:sh.Gates*h], prod[sh.Gates*h:]
-		sc.a2s = make([]tensor.Vector, second)
-		for k := range sc.a2s {
-			sc.a2s[k] = sc.a2[k*h : (k+1)*h]
+	need := scratchSize{members: len(lens)}
+	for _, n := range lens {
+		need.cells += n
+		if opt.Inter {
+			need.slots, need.states = need.slots+min(n, opt.MTS), need.states+n
+		} else {
+			need.slots, need.states = need.slots+1, need.states+1
 		}
-		sc.skip = make([]bool, h)
-		sc.gates = views(c, sh.First*h)
-		sc.drs = heads(sc.gates, h)
-		sc.hs = views(2*c, h)
-		sc.states = views(c, sh.State*h)
-		sc.subOf = make([]int, c)
-		sc.wx = nil
 	}
-	if sc.wx == nil || sc.wx.Rows != cells {
-		sc.wx = sc.wxFull.RowBlock(0, cells)
+	if sh == sc.sh {
+		need = scratchSize{max(need.cells, sc.cap.cells), max(need.slots, sc.cap.slots),
+			max(need.members, sc.cap.members), max(need.states, sc.cap.states)}
 	}
-	sc.cells = cells
+	if sh != sc.sh || need != sc.cap {
+		sc.grow(sh, need)
+	}
+	sc.members = sc.members[:0]
+	off, s := 0, 0
+	for _, n := range lens {
+		states := 1
+		if opt.Inter {
+			states = n
+		}
+		sc.members = append(sc.members, member{off, n, sc.units[:n], sc.subOf[off : off+n], sc.states[s : s+states]})
+		off, s = off+n, s+states
+	}
+	clear(sc.subOf[:off])
+	sc.wx.Rows, sc.wx.Data = off, sc.wxBuf[:off*sc.wx.Cols]
+}
+
+// grow allocates the slabs for the shape and size: every float and
+// every vector header of the arena is carved out of one allocation each.
+func (sc *forwardScratch) grow(sh Shape, c scratchSize) {
+	h, first, second := sh.Hidden, sh.First*sh.Hidden, (sh.Gates-sh.First)*sh.Hidden
+	f := make([]float32, c.cells*(sh.Gates+2)*h+c.slots*(max(first, second)+first+h)+c.states*sh.State*h)
+	v := make([]tensor.Vector, 2*c.cells+4*c.slots+c.states)
+	floats := func(n int) []float32 {
+		out := f[:n:n]
+		f = f[n:]
+		return out
+	}
+	carve := func(n, w int) []tensor.Vector {
+		out := v[:n:n]
+		v = v[n:]
+		for i := range out {
+			out[i] = floats(w)
+		}
+		return out
+	}
+	sc.sh, sc.cap = sh, c
+	sc.wxBuf, sc.wx = floats(c.cells*sh.Gates*h), tensor.Matrix{Cols: sh.Gates * h}
+	sc.hs = carve(2*c.cells, h)
+	sc.prodBuf = floats(c.slots * max(first, second))
+	sc.gates, sc.operands = carve(c.slots, first), carve(c.slots, h)
+	sc.drs, sc.in = carve(c.slots, 0), carve(c.slots, 0)
+	for i, g := range sc.gates {
+		sc.drs[i] = g[:h]
+	}
+	sc.states = carve(c.states, sh.State*h)
+
+	maskBuf, masks := make([]bool, c.members*h), make([][]bool, c.members+c.slots)
+	sc.masks, sc.skips = masks[:c.members], masks[c.members:]
+	for i := range sc.masks {
+		sc.masks[i] = maskBuf[i*h : (i+1)*h]
+	}
+	ints := make([]int, c.members+2*c.cells)
+	sc.ends, sc.subOf = ints[:0:c.members], ints[c.members:c.members+c.cells]
+	cells := ints[c.members+c.cells:]
+	sc.units = make([][]int, c.cells)
+	for k := range cells {
+		cells[k] = k
+		sc.units[k] = cells[k : k+1]
+	}
+	sc.slots = make([]slot, c.slots)
+	sc.members = make([]member, 0, c.members)
 }
 
 // nextHS flips the ping-pong and returns the hidden-output views for the
 // current layer: the previous layer's outputs (this layer's inputs)
 // stay valid in the other half.
-func (sc *layerScratch) nextHS() []tensor.Vector {
+func (sc *forwardScratch) nextHS() []tensor.Vector {
 	sc.ping = !sc.ping
 	if sc.ping {
-		return sc.hs[:sc.cells]
+		return sc.hs[:sc.wx.Rows]
 	}
-	return sc.hs[sc.capCells : sc.capCells+sc.cells]
+	return sc.hs[sc.cap.cells : sc.cap.cells+sc.wx.Rows]
 }
 
-// batchScratch is the arena behind one batched forward pass. Flat slabs
-// hold one row per cell of every member (wx, the hidden ping-pong);
-// per-member slabs hold one row per batch member (states, first-stage
-// gates, operands, DRS masks). Like layerScratch it is growth-only.
-type batchScratch struct {
-	sh         Shape
-	capMembers int
-	total      int // sum of member lengths
-	capTotal   int
-
-	lens []int // member lengths, fixed for the whole call
-	offs []int // member cell offsets into the flat slabs
-
-	wxFull *tensor.Matrix // capTotal × Gates·h united W·x slab
-	wx     *tensor.Matrix // first `total` rows; row offs[i]+t = member i cell t
-
-	// Batched recurrent products for the active members of one step:
-	// row k is active member k's U₁·h (a1B) or U₂·operand (a2B). The
-	// headers are re-headed per step so the hot loop allocates nothing.
-	a1Buf, a2Buf []float32
-	a1B, a2B     tensor.Matrix
-
-	gates    []tensor.Vector // per-member first-stage gates (First·h)
-	drs      []tensor.Vector // gates[i][:h]
-	operands []tensor.Vector // per-member second-stage operand buffers
-	masks    [][]bool        // per-member DRS mask buffers
-	skips    [][]bool        // active members' masks for PackedGemmRows
-
-	hs   []tensor.Vector // 2·capTotal flat hidden outputs: the ping-pong halves
-	ping bool
-
-	states []tensor.Vector // per-member state (State·h)
-
-	active []int           // active member indices at the current step
-	gather []tensor.Vector // active members' h_{t-1}, then their operands
-}
-
-// newBatchScratch sizes an arena for the given member lengths.
-func newBatchScratch(sh Shape, lens []int) *batchScratch {
-	sc := &batchScratch{}
-	sc.reset(sh, lens)
-	return sc
-}
-
-// reset prepares the arena for a batch of the given shape, reallocating
-// the slabs only when the shape outgrows them.
-func (sc *batchScratch) reset(sh Shape, lens []int) {
-	sh.Input = 0
-	members := len(lens)
-	total := 0
-	for _, ln := range lens {
-		total += ln
-	}
-	if sh != sc.sh || members > sc.capMembers || total > sc.capTotal {
-		cm, ct := members, total
-		if sh == sc.sh {
-			cm, ct = max(cm, sc.capMembers), max(ct, sc.capTotal)
-		}
-		h, second := sh.Hidden, sh.Gates-sh.First
-		sc.sh, sc.capMembers, sc.capTotal = sh, cm, ct
-		sc.wxFull = tensor.NewMatrix(ct, sh.Gates*h)
-		sc.a1Buf = make([]float32, cm*sh.First*h)
-		sc.a2Buf = make([]float32, cm*second*h)
-		sc.gates = views(cm, sh.First*h)
-		sc.drs = heads(sc.gates, h)
-		sc.operands = views(cm, h)
-		maskBuf := make([]bool, cm*h)
-		sc.masks = make([][]bool, cm)
-		for i := range sc.masks {
-			sc.masks[i] = maskBuf[i*h : (i+1)*h]
-		}
-		sc.skips = make([][]bool, cm)
-		sc.hs = views(2*ct, h)
-		sc.states = views(cm, sh.State*h)
-		sc.active = make([]int, cm)
-		sc.gather = make([]tensor.Vector, cm)
-		sc.lens = make([]int, 0, cm)
-		sc.offs = make([]int, 0, cm)
-		sc.wx = nil
-	}
-	sc.lens = append(sc.lens[:0], lens...)
-	sc.offs = sc.offs[:0]
-	off := 0
-	for _, ln := range lens {
-		sc.offs = append(sc.offs, off)
-		off += ln
-	}
-	if sc.wx == nil || sc.wx.Rows != total {
-		sc.wx = sc.wxFull.RowBlock(0, total)
-	}
-	sc.total = total
-}
-
-// nextHS flips the flat ping-pong and returns the per-cell hidden
-// views of the current layer.
-func (sc *batchScratch) nextHS() []tensor.Vector {
-	sc.ping = !sc.ping
-	if sc.ping {
-		return sc.hs[:sc.total]
-	}
-	return sc.hs[sc.capTotal : sc.capTotal+sc.total]
-}
-
-// a1View re-heads the scratch-owned first-stage destination header over
-// the first rows of its slab — the active-set view, without allocating.
-func (sc *batchScratch) a1View(rows int) *tensor.Matrix {
-	cols := sc.sh.First * sc.sh.Hidden
-	sc.a1B.Rows, sc.a1B.Cols, sc.a1B.Data = rows, cols, sc.a1Buf[:rows*cols]
-	return &sc.a1B
-}
-
-// a2View is a1View for the second-stage destination.
-func (sc *batchScratch) a2View(rows int) *tensor.Matrix {
-	cols := (sc.sh.Gates - sc.sh.First) * sc.sh.Hidden
-	sc.a2B.Rows, sc.a2B.Cols, sc.a2B.Data = rows, cols, sc.a2Buf[:rows*cols]
-	return &sc.a2B
+// product re-heads the product matrix over the first n rows of its slab,
+// cols wide: one recurrent stage's destination for an n-slot group.
+func (sc *forwardScratch) product(n, cols int) *tensor.Matrix {
+	sc.prod = tensor.Matrix{Rows: n, Cols: cols, Data: sc.prodBuf[:n*cols]}
+	return &sc.prod
 }

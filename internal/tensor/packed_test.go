@@ -142,8 +142,8 @@ func maskKinds(r *rng.RNG, n int) []namedMask {
 	}
 }
 
-// gemvEqualsRowBody: Gemv is one ref dot per row, and a nil-skip
-// GemvRows is Gemv.
+// gemvEqualsRowBody: Gemv is one ref dot per row, and so is a nil-skip
+// PackedGemvRows with one destination.
 func gemvEqualsRowBody(t *testing.T, k Kernels, ref rowBodyFn) {
 	r := rng.New(0x47)
 	for _, sh := range packedShapes {
@@ -151,34 +151,10 @@ func gemvEqualsRowBody(t *testing.T, k Kernels, ref rowBodyFn) {
 		x := randVector(r, sh.cols)
 		a, b := NewVector(m.Rows), NewVector(m.Rows)
 		k.Gemv(a, m, x)
-		k.GemvRows(b, m, x, nil, -1)
+		k.PackedGemvRows([]Vector{b}, m, x, nil, -1)
 		for i := range a {
 			if want := ref(m.Row(i), x); a[i] != want || b[i] != want {
-				t.Fatalf("shape %v row %d: Gemv %v, nil-skip GemvRows %v, row body %v", sh, i, a[i], b[i], want)
-			}
-		}
-	}
-}
-
-// gemvRowsEqualsRowBody: a masked GemvRows is fill on skipped rows and
-// one ref dot on the others.
-func gemvRowsEqualsRowBody(t *testing.T, k Kernels, ref rowBodyFn) {
-	r := rng.New(0x82)
-	for _, sh := range packedShapes {
-		m := randMatrix(r, sh.seg*sh.gates, sh.cols)
-		x := randVector(r, sh.cols)
-		for _, mk := range maskKinds(r, m.Rows) {
-			const fill = -7.5
-			dst := NewVector(m.Rows)
-			k.GemvRows(dst, m, x, mk.skip, fill)
-			for i := range dst {
-				want := ref(m.Row(i), x)
-				if mk.skip[i] {
-					want = fill
-				}
-				if dst[i] != want {
-					t.Fatalf("shape %v mask %s row %d: GemvRows %v != %v", sh, mk.name, i, dst[i], want)
-				}
+				t.Fatalf("shape %v row %d: Gemv %v, nil-skip PackedGemvRows %v, row body %v", sh, i, a[i], b[i], want)
 			}
 		}
 	}
@@ -210,28 +186,32 @@ func packedGemvEqualsPerGate(t *testing.T, k Kernels, _ rowBodyFn) {
 	}
 }
 
-// packedGemvRowsEqualsGemvRows: one segment-length DRS mask over the
-// united matrix is the same mask applied per gate by GemvRows.
-func packedGemvRowsEqualsGemvRows(t *testing.T, k Kernels, _ rowBodyFn) {
+// packedGemvRowsEqualsRowBody: a segment-length DRS mask over the united
+// matrix leaves fill on the masked rows of every segment and one ref dot
+// on the others — over one destination per gate, and over one
+// destination spanning the whole matrix (a masked Gemv).
+func packedGemvRowsEqualsRowBody(t *testing.T, k Kernels, ref rowBodyFn) {
 	r := rng.New(0x42)
 	for _, sh := range packedShapes {
-		gates, united := randGates(r, sh.seg, sh.cols, sh.gates)
+		m := randMatrix(r, sh.seg*sh.gates, sh.cols)
 		x := randVector(r, sh.cols)
-		for _, mk := range maskKinds(r, sh.seg) {
-			const fill = -7.5
-			dsts := make([]Vector, sh.gates)
-			want := make([]Vector, sh.gates)
-			for g := range dsts {
-				dsts[g] = NewVector(sh.seg)
-				want[g] = NewVector(sh.seg)
-				k.GemvRows(want[g], gates[g], x, mk.skip, fill)
-			}
-			k.PackedGemvRows(dsts, united, x, mk.skip, fill)
-			for g := range dsts {
-				for i := range dsts[g] {
-					if dsts[g][i] != want[g][i] {
-						t.Fatalf("shape %v mask %s gate %d row %d: packed %v != serial %v",
-							sh, mk.name, g, i, dsts[g][i], want[g][i])
+		for _, n := range []int{sh.gates, 1} {
+			seg := m.Rows / n
+			for _, mk := range maskKinds(r, seg) {
+				const fill = -7.5
+				out := NewVector(m.Rows)
+				dsts := make([]Vector, n)
+				for g := range dsts {
+					dsts[g] = out[g*seg : (g+1)*seg]
+				}
+				k.PackedGemvRows(dsts, m, x, mk.skip, fill)
+				for i := range out {
+					want := ref(m.Row(i), x)
+					if mk.skip[i%seg] {
+						want = fill
+					}
+					if out[i] != want {
+						t.Fatalf("shape %v, %d destinations, mask %s row %d: %v != %v", sh, n, mk.name, i, out[i], want)
 					}
 				}
 			}
@@ -321,7 +301,7 @@ func packedGemmRowsEqualsPerMember(t *testing.T, k Kernels, _ rowBodyFn) {
 	}
 }
 
-func TestGemvRowsNilSkipBitwiseEqualsGemv(t *testing.T) { forEachChain(t, gemvEqualsRowBody) }
+func TestGemvBitwiseEqualsRowBody(t *testing.T) { forEachChain(t, gemvEqualsRowBody) }
 
 // TestDRSSkipsWorkNotOutputs holds the masked kernels to aim 3 of the
 // roadmap: Dynamic Row Skip must skip the dot, not just overwrite its
@@ -385,8 +365,8 @@ func TestDRSSkipsWorkNotOutputs(t *testing.T) {
 				rowSkip := slices.Repeat(skip, gates) // the segment mask over every united row
 				dotted = map[[2]int]int{}
 				dst := NewVector(m.Rows)
-				k.GemvRows(dst, m, xs[0], rowSkip, fill)
-				check(t, "GemvRows/"+kinds[b-1].name, 1,
+				k.PackedGemvRows([]Vector{dst}, m, xs[0], rowSkip, fill)
+				check(t, "PackedGemvRows one destination/"+kinds[b-1].name, 1,
 					func(r, _ int) float32 { return dst[r] }, func(r, _ int) bool { return rowSkip[r] })
 
 				dotted = map[[2]int]int{}
@@ -409,8 +389,8 @@ func TestPackedGemvBitwiseEqualsPerGateGemv(t *testing.T) {
 	forEachChain(t, packedGemvEqualsPerGate)
 }
 
-func TestPackedGemvRowsBitwiseEqualsGemvRows(t *testing.T) {
-	forEachChain(t, packedGemvRowsEqualsGemvRows)
+func TestPackedGemvRowsBitwiseEqualsRowBody(t *testing.T) {
+	forEachChain(t, packedGemvRowsEqualsRowBody)
 }
 
 func TestPackedGemmBitwiseEqualsGemvAtAnyGOMAXPROCS(t *testing.T) {
@@ -529,12 +509,15 @@ func TestPackedShapePanics(t *testing.T) {
 	forEachChain(t, func(t *testing.T, k Kernels, _ rowBodyFn) {
 		m := NewMatrix(8, 4)
 		mustPanic(t, map[string]func(){
-			"dst rows":   func() { k.PackedGemv([]Vector{NewVector(3)}, m, NewVector(4)) },
-			"x cols":     func() { k.PackedGemv([]Vector{NewVector(8)}, m, NewVector(5)) },
-			"seg differ": func() { k.PackedGemvRows([]Vector{NewVector(3), NewVector(5)}, m, NewVector(4), nil, 0) },
-			"skip len":   func() { k.PackedGemvRows([]Vector{NewVector(4), NewVector(4)}, m, NewVector(4), make([]bool, 3), 0) },
-			"gemm dst":   func() { k.PackedGemm(NewMatrix(2, 7), m, []Vector{NewVector(4), NewVector(4)}) },
-			"gemm x":     func() { k.PackedGemm(NewMatrix(2, 8), m, []Vector{NewVector(4), NewVector(3)}) },
+			"dst rows":     func() { k.PackedGemv([]Vector{NewVector(3)}, m, NewVector(4)) },
+			"x cols":       func() { k.PackedGemv([]Vector{NewVector(8)}, m, NewVector(5)) },
+			"seg differ":   func() { k.PackedGemvRows([]Vector{NewVector(3), NewVector(5)}, m, NewVector(4), nil, 0) },
+			"skip len":     func() { k.PackedGemvRows([]Vector{NewVector(4), NewVector(4)}, m, NewVector(4), make([]bool, 3), 0) },
+			"one dst x":    func() { k.PackedGemvRows([]Vector{NewVector(8)}, m, NewVector(5), nil, 0) },
+			"one dst len":  func() { k.PackedGemvRows([]Vector{NewVector(7)}, m, NewVector(4), nil, 0) },
+			"one dst skip": func() { k.PackedGemvRows([]Vector{NewVector(8)}, m, NewVector(4), make([]bool, 4), 0) },
+			"gemm dst":     func() { k.PackedGemm(NewMatrix(2, 7), m, []Vector{NewVector(4), NewVector(4)}) },
+			"gemm x":       func() { k.PackedGemm(NewMatrix(2, 8), m, []Vector{NewVector(4), NewVector(3)}) },
 		})
 	})
 	mustPanic(t, map[string]func(){"rowblock": func() { NewMatrix(8, 4).RowBlock(3, 9) }})

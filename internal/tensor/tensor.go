@@ -9,16 +9,16 @@
 // four-row body — so all of a binding's kernels share one inner
 // accumulation chain and are bitwise interchangeable:
 //
-//   - serial: Gemv, GemvRows (DRS skip mask) — every output row is one
-//     row dot, walked four rows per call, a skip mask's unmasked rows
-//     gathered four at a time so skipped rows cost no dot;
+//   - serial: Gemv — every output row is one row dot, walked four rows
+//     per call;
 //   - packed (packed.go): PackedGemv/PackedGemvRows over a row-wise
 //     united gate matrix (Pack; the paper's U_{f,i,c,o}), streaming
-//     the input once per cell instead of once per gate, and the
-//     whole-layer / batch-B PackedGemm/PackedGemmRows, whose
-//     independent rows fan out over a size-gated fork-join
-//     (parallel.go), bitwise identical to the serial kernels at any
-//     GOMAXPROCS.
+//     the input once per cell instead of once per gate — under a DRS
+//     skip mask the unmasked rows are gathered four at a time, so
+//     skipped rows cost no dot — and the whole-layer / batch-B
+//     PackedGemm/PackedGemmRows, whose independent rows fan out over a
+//     size-gated fork-join (parallel.go), bitwise identical to the
+//     serial kernels at any GOMAXPROCS.
 //
 // The chains are the canonical 16-lane chain (dotRowGeneric; on amd64
 // the SSE2 row body and, with AVX, the four-row body) and the
@@ -100,31 +100,9 @@ func (k Kernels) Gemv(dst Vector, m *Matrix, x Vector) {
 	k.span(dst, m, x, 0)
 }
 
-// GemvRows computes dst[i] = m.Row(i) · x only for rows i where
-// skip[i] == false; skipped rows of dst are set to fill. skip may be nil,
-// in which case all rows are computed. This is the numeric counterpart of
-// the paper's Sgemv(U_{f,i,c}, h, R) kernel with trivial rows disabled.
-// Computed rows use the same dot chain as Gemv, so a nil-skip GemvRows
-// is bitwise identical to Gemv.
-func (k Kernels) GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, fill float32) {
-	if len(dst) != m.Rows || len(x) != m.Cols {
-		Panicf("tensor: GemvRows shape mismatch: dst %d, m %dx%d, x %d",
-			len(dst), m.Rows, m.Cols, len(x))
-	}
-	if skip != nil && len(skip) != m.Rows {
-		Panicf("tensor: GemvRows skip length mismatch")
-	}
-	k.spanMasked(dst, m, x, 0, skip, fill)
-}
-
 // Gemv is Kernels.Gemv on the canonical chain — what calibration and
 // every other chain-neutral caller uses.
 func Gemv(dst Vector, m *Matrix, x Vector) { KernelsFor(ChainSSE2).Gemv(dst, m, x) }
-
-// GemvRows is Kernels.GemvRows on the canonical chain.
-func GemvRows(dst Vector, m *Matrix, x Vector, skip []bool, fill float32) {
-	KernelsFor(ChainSSE2).GemvRows(dst, m, x, skip, fill)
-}
 
 // Add computes dst[i] = a[i] + b[i].
 func Add(dst, a, b Vector) {

@@ -67,25 +67,9 @@ func TestGemvShapePanics(t *testing.T) {
 		mustPanic(t, map[string]func(){
 			"x cols":   func() { k.Gemv(NewVector(3), m, NewVector(5)) },
 			"dst rows": func() { k.Gemv(NewVector(2), m, NewVector(4)) },
-			"rows x":   func() { k.GemvRows(NewVector(3), m, NewVector(5), nil, 0) },
-			"skip len": func() { k.GemvRows(NewVector(3), m, NewVector(4), make([]bool, 2), 0) },
 		})
 	})
 }
-
-func TestGemvRowsNilSkipEqualsGemv(t *testing.T) {
-	r := rng.New(2)
-	m := randMatrix(r, 20, 30)
-	x := randVector(r, 30)
-	a, b := NewVector(20), NewVector(20)
-	Gemv(a, m, x)
-	GemvRows(b, m, x, nil, -1)
-	if d := maxAbsDiff(a, b); d > 1e-4 {
-		t.Fatalf("GemvRows(nil) differs from Gemv by %v", d)
-	}
-}
-
-func TestGemvRowsSkips(t *testing.T) { forEachChain(t, gemvRowsEqualsRowBody) }
 
 func TestVectorOps(t *testing.T) {
 	a := Vector{1, 2, 3}

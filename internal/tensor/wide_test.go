@@ -16,13 +16,12 @@ func onWideChain(t *testing.T, body func(*testing.T, Kernels, rowBodyFn)) {
 	body(t, KernelsFor(ChainAVX2), dotRowWideGeneric)
 }
 
-func TestWideGemvBitwiseEqualsWideRef(t *testing.T)     { onWideChain(t, gemvEqualsRowBody) }
-func TestWideGemvRowsBitwiseEqualsWideRef(t *testing.T) { onWideChain(t, gemvRowsEqualsRowBody) }
+func TestWideGemvBitwiseEqualsWideRef(t *testing.T) { onWideChain(t, gemvEqualsRowBody) }
 func TestWidePackedGemvBitwiseEqualsWideGemv(t *testing.T) {
 	onWideChain(t, packedGemvEqualsPerGate)
 }
-func TestWidePackedGemvRowsBitwiseEqualsWideGemvRows(t *testing.T) {
-	onWideChain(t, packedGemvRowsEqualsGemvRows)
+func TestWidePackedGemvRowsBitwiseEqualsWideRef(t *testing.T) {
+	onWideChain(t, packedGemvRowsEqualsRowBody)
 }
 func TestWidePackedGemmBitwiseAtAnyGOMAXPROCS(t *testing.T) { onWideChain(t, packedGemmEqualsGemv) }
 func TestWidePackedGemmRowsBitwiseAtAnyGOMAXPROCS(t *testing.T) {
@@ -38,7 +37,7 @@ func TestEntryPointsBindTheirChain(t *testing.T) {
 	m := randMatrix(r, seg*gates, cols)
 	xs := []Vector{randVector(r, cols), randVector(r, cols), randVector(r, cols)}
 	x := xs[0]
-	skip, rowSkip := randMask(r, seg, 0.3), randMask(r, seg*gates, 0.3)
+	skip := randMask(r, seg, 0.3)
 	skips := [][]bool{nil, skip, nil}
 	// Every kernel writes into (row 0 of) a fresh len(xs) × rows matrix,
 	// which run returns flat; segs views row 0 as the per-gate dsts.
@@ -59,8 +58,6 @@ func TestEntryPointsBindTheirChain(t *testing.T) {
 	}
 	same("Gemv", func(d *Matrix) { Gemv(d.Row(0), m, x) },
 		func(d *Matrix) { canon.Gemv(d.Row(0), m, x) })
-	same("GemvRows", func(d *Matrix) { GemvRows(d.Row(0), m, x, rowSkip, 2) },
-		func(d *Matrix) { canon.GemvRows(d.Row(0), m, x, rowSkip, 2) })
 	same("PackedGemv", func(d *Matrix) { PackedGemv(segs(d), m, x) },
 		func(d *Matrix) { canon.PackedGemv(segs(d), m, x) })
 	same("PackedGemvRows", func(d *Matrix) { PackedGemvRows(segs(d), m, x, skip, 2) },
