@@ -1,9 +1,9 @@
 // Command mobilstm-lint runs the project's static-analysis suite
 // (internal/analysis) over the module: determinism, precision,
-// panic-policy, lock-discipline, threshold-constant and concurrency
-// contract checks (racecontract, detfloat, goroutinejoin,
-// kernelcontracts) that encode the paper-reproduction's correctness
-// contract. See docs/STATIC_ANALYSIS.md for the analyzer catalogue and
+// panic-policy, threshold-constant and concurrency contract checks
+// (racecontract, detfloat, goroutinejoin, kernelcontracts) that encode
+// the paper-reproduction's correctness contract. Lock copies are left
+// to go vet's copylocks check. See docs/STATIC_ANALYSIS.md for the analyzer catalogue and
 // the lint:ignore suppression syntax.
 //
 // Usage:

@@ -6,8 +6,8 @@
 // simulator's headline numbers (Table I timing/energy, DRS accuracy per
 // threshold set) are only trustworthy if randomness is seeded, float32
 // numerics don't silently round-trip through float64, library code
-// cannot crash the serving path, concurrency primitives aren't copied,
-// and threshold constants live in one place. Each analyzer documents
+// cannot crash the serving path, goroutines are joined, and threshold
+// constants live in one place. Each analyzer documents
 // which of those invariants it guards.
 //
 // Findings can be suppressed in source with
@@ -20,8 +20,8 @@
 //	//lint:file-ignore <analyzer> <reason>
 //
 // anywhere in the file. The reason is mandatory; a directive without
-// one is itself reported (analyzer name "ignore"). <analyzer> may be a
-// comma-separated list.
+// one, or naming no registered analyzer, is itself reported (analyzer
+// name "ignore"). <analyzer> may be a comma-separated list.
 package analysis
 
 import (
@@ -182,8 +182,10 @@ const (
 // collectSuppressions parses lint directives out of the files'
 // comments. A line directive written on its own line targets the next
 // line; written at the end of a code line it targets that line.
-// Directives missing an analyzer name or a reason are returned as
-// "ignore" findings.
+// Directives missing an analyzer name or a reason, or naming an
+// analyzer that is not registered, are returned as "ignore" findings —
+// whatever subset of analyzers the run enables, since a misspelled name
+// would otherwise suppress nothing and never be reported stale.
 func collectSuppressions(fset *token.FileSet, files []*ast.File) ([]suppression, []Finding) {
 	var sups []suppression
 	var malformed []Finding
@@ -227,6 +229,15 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) ([]suppression,
 					analyzers: strings.Split(parts[0], ","),
 					wholeFile: wholeFile,
 					pos:       pos,
+				}
+				for _, name := range s.analyzers {
+					if name != "*" && name != "ignore" && name != "stale" && Lookup(name) == nil {
+						malformed = append(malformed, Finding{
+							Analyzer: "ignore",
+							Pos:      pos,
+							Message:  fmt.Sprintf("%s names no registered analyzer %q", prefix, name),
+						})
+					}
 				}
 				if !wholeFile {
 					s.line = pos.Line

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"strings"
 	"testing"
 )
 
@@ -59,7 +60,7 @@ func wantLines(t *testing.T, findings []Finding, analyzer string, lines ...int) 
 }
 
 func TestRegistryHasAllAnalyzers(t *testing.T) {
-	want := []string{"arenaescape", "detfloat", "float64leak", "globalrand", "goroutinejoin", "invalidatecheck", "kernelcontracts", "locklint", "maporder", "panicpolicy", "racecontract", "shapecheck", "threshconst"}
+	want := []string{"arenaescape", "detfloat", "float64leak", "globalrand", "goroutinejoin", "invalidatecheck", "kernelcontracts", "maporder", "panicpolicy", "racecontract", "shapecheck", "threshconst"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d analyzers, want %d", len(all), len(want))
@@ -142,17 +143,25 @@ func a() {
 	//lint:ignore panicpolicy
 	panic("a")
 }
+
+//lint:ignore shapechek misspelled, so it suppresses nothing
+func b() {}
 `
 	pkg := parseFixture(t, "mobilstm/internal/foo", "internal/foo/foo.go", src)
+	// The unknown name is reported even though the run does not enable
+	// the analyzer it was meant to be.
 	got := Analyze([]*Package{pkg}, []*Analyzer{Lookup("panicpolicy")})
-	if len(got) != 2 {
-		t.Fatalf("want malformed-directive finding plus unsuppressed panic, got %v", got)
+	if len(got) != 3 {
+		t.Fatalf("want malformed-directive finding, unsuppressed panic and unknown-analyzer finding, got %v", got)
 	}
 	if got[0].Analyzer != "ignore" {
 		t.Errorf("first finding analyzer = %q, want \"ignore\"", got[0].Analyzer)
 	}
 	if got[1].Analyzer != "panicpolicy" {
 		t.Errorf("second finding analyzer = %q, want \"panicpolicy\" (reasonless directive must not suppress)", got[1].Analyzer)
+	}
+	if got[2].Analyzer != "ignore" || got[2].Pos.Line != 8 || !strings.Contains(got[2].Message, `no registered analyzer "shapechek"`) {
+		t.Errorf("third finding = %v, want the unknown analyzer reported at line 8", got[2])
 	}
 }
 

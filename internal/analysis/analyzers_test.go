@@ -176,68 +176,6 @@ func Panicf(format string, args ...any) {
 	}
 }
 
-func TestLockLintFires(t *testing.T) {
-	src := `package bad
-
-import "sync"
-
-func take(mu sync.Mutex) {}
-
-func copyOut(mu *sync.Mutex) {
-	m := *mu
-	take(m)
-}
-
-func fire() {
-	go func() {}()
-}
-`
-	got := runFixture(t, Lookup("locklint"), "mobilstm/internal/bad", "internal/bad/bad.go", src)
-	wantLines(t, got, "locklint", 5, 8, 9, 13)
-	if !strings.Contains(got[0].Message, "parameter or result") {
-		t.Errorf("by-value parameter should be reported as such: %s", got[0].Message)
-	}
-	if !strings.Contains(got[3].Message, "goroutine") {
-		t.Errorf("orphan goroutine finding missing: %s", got[3].Message)
-	}
-}
-
-func TestLockLintSeesEmbeddedWaitGroup(t *testing.T) {
-	src := `package bad
-
-import "sync"
-
-type pool struct {
-	wg sync.WaitGroup
-}
-
-func use(p pool) {}
-`
-	got := runFixture(t, Lookup("locklint"), "mobilstm/internal/bad", "internal/bad/bad.go", src)
-	wantLines(t, got, "locklint", 9)
-}
-
-func TestLockLintSilentOnClean(t *testing.T) {
-	src := `package ok
-
-import "sync"
-
-func run(mu *sync.Mutex) int {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done() }()
-	wg.Wait()
-
-	ch := make(chan int)
-	go func() { ch <- 1 }()
-	return <-ch
-}
-`
-	if got := runFixture(t, Lookup("locklint"), "mobilstm/internal/ok", "internal/ok/ok.go", src); len(got) != 0 {
-		t.Fatalf("pointer sharing and collected goroutines must pass: %v", got)
-	}
-}
-
 func TestThreshConstFires(t *testing.T) {
 	src := `package bad
 
@@ -299,51 +237,4 @@ const AlphaIntraMax = 0.45
 	if len(got) != 0 {
 		t.Fatalf("internal/thresholds is the designated home: %v", got)
 	}
-}
-
-func TestLockLintSanctionsDaemonRegistry(t *testing.T) {
-	// The serve.Daemons pattern: the launching function registers the
-	// goroutine in a WaitGroup at creation time; the Wait lives with the
-	// owner in another function. No finding, no lint:ignore needed.
-	src := `package ok
-
-import "sync"
-
-type daemons struct {
-	wg sync.WaitGroup
-}
-
-func (d *daemons) launch(fn func()) {
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		fn()
-	}()
-}
-
-func (d *daemons) collect() {
-	d.wg.Wait()
-}
-`
-	if got := runFixture(t, Lookup("locklint"), "mobilstm/internal/ok", "internal/ok/ok.go", src); len(got) != 0 {
-		t.Fatalf("WaitGroup-registered daemon launch must pass: %v", got)
-	}
-}
-
-func TestLockLintStillFlagsUnregisteredDaemon(t *testing.T) {
-	// Add on something that is not a sync.WaitGroup does not sanction
-	// the launch: the orphan rule must still fire.
-	src := `package bad
-
-type counter struct{ n int }
-
-func (c *counter) Add(k int) { c.n += k }
-
-func fire(c *counter) {
-	c.Add(1)
-	go func() {}()
-}
-`
-	got := runFixture(t, Lookup("locklint"), "mobilstm/internal/bad", "internal/bad/bad.go", src)
-	wantLines(t, got, "locklint", 9)
 }

@@ -4,35 +4,35 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // This file is the concurrency half of the summary engine: per-function
 // concurrency facts (does a function spawn goroutines, which parameters
 // it retains on a spawned goroutine, which WaitGroup parameters it marks
-// Done, which channel/context parameters it blocks on) plus a
-// per-package ConcurrencyInfo — goroutine spawn sites, value-publication
-// points, and a conservative may-happen-in-parallel approximation
-// layered on the package call graph. The contract analyzers
-// (racecontract, goroutinejoin) consume both: the facts make them
-// wrapper-aware (serve.Daemons.Go joins like a literal go statement; a
-// helper that defers wg.Done discharges the join obligation at its
-// spawn site), and the MHP layer answers "may these two functions run
-// at the same time" without a whole-program thread analysis.
+// Done, which channel/context parameters it blocks on). The contract
+// analyzers (racecontract, goroutinejoin) consume them to stay
+// wrapper-aware: serve.Daemons.Go joins like a literal go statement,
+// and a helper that defers wg.Done discharges the join obligation at
+// its spawn site.
 
 // --- type predicates --------------------------------------------------
+
+// namedObj returns the named type behind t (dropping one pointer), or
+// nil.
+func namedObj(t types.Type) *types.TypeName {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj()
+	}
+	return nil
+}
 
 // namedFrom reports whether t (possibly behind one pointer) is the
 // named type pkgPath.name.
 func namedFrom(t types.Type, pkgPath, name string) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
+	obj := namedObj(t)
 	return obj != nil && obj.Pkg() != nil &&
 		obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
@@ -49,15 +49,46 @@ func isOnceType(t types.Type) bool { return namedFrom(t, "sync", "Once") }
 // (Pointer[T], Int64, Bool, Value, ...): accesses through these are
 // synchronization, not racy data accesses.
 func isAtomicGuard(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
+	obj := namedObj(t)
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
+}
+
+// isWaitGroup reports whether t is sync.WaitGroup (possibly behind a
+// pointer): the receiver type whose Add registers a goroutine.
+func isWaitGroup(t types.Type) bool { return namedFrom(t, "sync", "WaitGroup") }
+
+// lockBearing reports whether t is (or transitively contains, by value)
+// one of the sync primitives: a guard, not shared data.
+func lockBearing(t types.Type) bool {
+	return lockBearingSeen(t, map[types.Type]bool{})
+}
+
+func lockBearingSeen(t types.Type, seen map[types.Type]bool) bool {
+	if t == nil || seen[t] {
 		return false
 	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
+	seen[t] = true
+	if named, ok := t.(*types.Named); ok {
+		obj := named.Obj()
+		if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
+			switch obj.Name() {
+			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
+				return true
+			}
+		}
+		return lockBearingSeen(named.Underlying(), seen)
+	}
+	switch t := t.(type) {
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if lockBearingSeen(t.Field(i).Type(), seen) {
+				return true
+			}
+		}
+	case *types.Array:
+		return lockBearingSeen(t.Elem(), seen)
+	}
+	return false
 }
 
 // isContextType reports whether t is context.Context.
@@ -75,20 +106,14 @@ func isChanType(t types.Type) bool {
 // namedStructOf returns the named struct type behind t (dropping one
 // pointer), or nil: the owner type a field access attaches to.
 func namedStructOf(t types.Type) *types.TypeName {
-	if t == nil {
+	obj := namedObj(t)
+	if obj == nil {
 		return nil
 	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
+	if _, ok := obj.Type().Underlying().(*types.Struct); !ok {
 		return nil
 	}
-	if _, ok := named.Underlying().(*types.Struct); !ok {
-		return nil
-	}
-	return named.Obj()
+	return obj
 }
 
 // --- per-function concurrency facts ----------------------------------
@@ -268,201 +293,6 @@ func (cw *concWalker) fill(s *FuncSummary) {
 	s.SpawnsParam = cw.spawnsParam
 	s.DonesParam = cw.donesParam
 	s.CtxWaits = cw.ctxWaits
-}
-
-// --- package-level MHP approximation ---------------------------------
-
-// SpawnSite is one goroutine creation point of a package: a literal go
-// statement, or a call handing a function value to a spawning callee
-// (serve.Daemons.Go style, recognized through summaries).
-type SpawnSite struct {
-	Pos token.Pos
-	// Callee names the spawned function when it is a declared function
-	// ("(mobilstm/internal/serve.*Server).batchLoop"); "func literal"
-	// otherwise.
-	Callee string
-}
-
-// Publication is one value-publication point: the position where a
-// value becomes reachable from another goroutine — captured by a
-// spawned literal, sent on a channel, stored through sync/atomic, or
-// passed to a callee that retains it on a goroutine.
-type Publication struct {
-	Pos  token.Pos
-	Kind string // "go-capture", "send", "atomic-store", "spawn-arg"
-	Type string // the published value's type
-}
-
-// ConcurrencyInfo is the package-level concurrency map: spawn sites,
-// publication points, and the set of functions that may execute off the
-// main goroutine (the transitive call-graph closure of everything
-// reachable from a spawn site).
-type ConcurrencyInfo struct {
-	Spawns       []SpawnSite
-	Publications []Publication
-
-	concurrent map[string]bool // summaryKey → may run on a spawned goroutine
-}
-
-// Concurrent reports whether fn may execute on a goroutine other than
-// the one that entered the package (conservatively: it is reachable
-// through the package call graph from any spawn site).
-func (ci *ConcurrencyInfo) Concurrent(fn *types.Func) bool {
-	return fn != nil && ci.concurrent[summaryKey(fn)]
-}
-
-// MHP is the conservative may-happen-in-parallel approximation: the
-// spawning goroutine keeps running, so two functions may overlap
-// whenever either of them can run off it. Within one goroutine —
-// neither function concurrent — they are ordered by the call stack.
-func (ci *ConcurrencyInfo) MHP(f, g *types.Func) bool {
-	return ci.Concurrent(f) || ci.Concurrent(g)
-}
-
-// concurrencyFor computes (or retrieves) pkg's ConcurrencyInfo.
-func (pr *Program) concurrencyFor(pkg *Package) *ConcurrencyInfo {
-	if ci := pr.conc[pkg.ImportPath]; ci != nil && pkg.ForTest == "" {
-		return ci
-	}
-	ci := buildConcurrencyInfo(pr, pkg)
-	if pkg.ForTest == "" {
-		pr.conc[pkg.ImportPath] = ci
-	}
-	return ci
-}
-
-// Concurrency returns the per-package concurrency map for this pass.
-func (p *Pass) Concurrency() *ConcurrencyInfo {
-	return p.program().concurrencyFor(p.Pkg)
-}
-
-func buildConcurrencyInfo(pr *Program, pkg *Package) *ConcurrencyInfo {
-	ci := &ConcurrencyInfo{concurrent: map[string]bool{}}
-	if pkg.Info == nil {
-		return ci
-	}
-	g := buildCallGraph(pkg)
-	pass := &Pass{Pkg: pkg, prog: pr}
-	w := &dfWalker{pass: pass}
-
-	// roots are the declared functions that may start executing on a
-	// fresh goroutine: named go targets, functions referenced inside
-	// spawned literals, and function values handed to spawning callees.
-	var roots []*types.Func
-	markRoot := func(obj *types.Func) {
-		if obj != nil {
-			roots = append(roots, obj)
-		}
-	}
-	// spawnedExpr records fn (a go target or spawn-bound argument) as a
-	// spawn of the package.
-	spawnedExpr := func(pos token.Pos, fn ast.Expr) {
-		fn = ast.Unparen(fn)
-		callee := "func literal"
-		switch fn := fn.(type) {
-		case *ast.FuncLit:
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					if obj, ok := pkg.Info.Uses[id].(*types.Func); ok {
-						markRoot(obj)
-					}
-				}
-				return true
-			})
-		case *ast.Ident:
-			if obj, ok := pkg.Info.Uses[fn].(*types.Func); ok {
-				markRoot(obj)
-				callee = summaryKey(obj)
-			}
-		case *ast.SelectorExpr:
-			if obj, ok := pkg.Info.Uses[fn.Sel].(*types.Func); ok {
-				markRoot(obj)
-				callee = summaryKey(obj)
-			}
-		}
-		ci.Spawns = append(ci.Spawns, SpawnSite{Pos: pos, Callee: callee})
-	}
-	publish := func(pos token.Pos, kind string, e ast.Expr) {
-		t := pass.TypeOf(e)
-		if namedStructOf(t) == nil {
-			return
-		}
-		ci.Publications = append(ci.Publications, Publication{
-			Pos: pos, Kind: kind, Type: types.TypeString(t, types.RelativeTo(pkg.Types)),
-		})
-	}
-
-	for _, fi := range g.nodes {
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				spawnedExpr(n.Pos(), n.Call.Fun)
-				for _, arg := range n.Call.Args {
-					publish(n.Pos(), "spawn-arg", arg)
-				}
-				if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-					for _, obj := range capturedVars(w, lit) {
-						if namedStructOf(obj.Type()) != nil {
-							ci.Publications = append(ci.Publications, Publication{
-								Pos: n.Pos(), Kind: "go-capture",
-								Type: types.TypeString(obj.Type(), types.RelativeTo(pkg.Types)),
-							})
-						}
-					}
-				}
-			case *ast.SendStmt:
-				publish(n.Pos(), "send", n.Value)
-			case *ast.CallExpr:
-				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok &&
-					(sel.Sel.Name == "Store" || sel.Sel.Name == "Swap" || sel.Sel.Name == "CompareAndSwap") &&
-					isAtomicGuard(pass.TypeOf(sel.X)) {
-					for _, arg := range n.Args {
-						publish(n.Pos(), "atomic-store", arg)
-					}
-				}
-				// A function value handed to a spawning callee runs on a
-				// goroutine of the callee's making.
-				if obj, rargs := calleeFunc(pkg.Info, n); obj != nil {
-					if sum := pr.summaryFor(obj); sum != nil {
-						for j, arg := range rargs {
-							if j < len(sum.SpawnsParam) && sum.SpawnsParam[j] {
-								if _, ok := pass.TypeOf(arg).Underlying().(*types.Signature); ok {
-									spawnedExpr(n.Pos(), arg)
-								} else {
-									publish(n.Pos(), "spawn-arg", arg)
-								}
-							}
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-
-	// Close the root set over the package call graph: a callee of a
-	// concurrent function is concurrent.
-	var work []*funcInfo
-	for _, obj := range roots {
-		if fi := g.byObj[obj]; fi != nil && !ci.concurrent[summaryKey(obj)] {
-			ci.concurrent[summaryKey(obj)] = true
-			work = append(work, fi)
-		}
-	}
-	for len(work) > 0 {
-		fi := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, callee := range fi.callees {
-			key := summaryKey(callee.obj)
-			if !ci.concurrent[key] {
-				ci.concurrent[key] = true
-				work = append(work, callee)
-			}
-		}
-	}
-	sort.Slice(ci.Spawns, func(i, j int) bool { return ci.Spawns[i].Pos < ci.Spawns[j].Pos })
-	sort.Slice(ci.Publications, func(i, j int) bool { return ci.Publications[i].Pos < ci.Publications[j].Pos })
-	return ci
 }
 
 // capturedVars lists the variables a function literal references but

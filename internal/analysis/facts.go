@@ -636,137 +636,36 @@ func joinInv(a, b invState) invState {
 // layer at L to a return passes an Invalidate of L (a registered defer
 // counts for every later return).
 func (fw *factsWalker) allPathsInvalidated(L ref) bool {
-	st, bad, terminated := fw.invScan(fw.decl.Body.List, invState{}, L)
-	if bad {
-		return false
-	}
-	// Falling off the end of the body is an implicit return.
-	return terminated || !st.pending
-}
-
-// invScan interprets a statement list, tracking whether a mutation of L
-// is pending at each point. It returns the fall-through state, whether
-// any return was reached with a pending mutation, and whether the list
-// always terminates (returns/panics) before falling through.
-func (fw *factsWalker) invScan(stmts []ast.Stmt, st invState, L ref) (invState, bool, bool) {
-	bad := false
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *ast.DeferStmt:
-			if fw.callInvalidates(s.Call, L) {
-				st.deferred = true
-				st.pending = false
-			}
-		case *ast.ReturnStmt:
-			if fw.stmtMutates(s, L) && !st.deferred {
-				st.pending = true
-			}
-			if st.pending {
-				bad = true
-			}
-			return st, bad, true
-		case *ast.BlockStmt:
-			var b, term bool
-			st, b, term = fw.invScan(s.List, st, L)
-			bad = bad || b
-			if term {
-				return st, bad, true
-			}
-		case *ast.IfStmt:
-			if fw.stmtInvalidates(s.Init, L) {
-				st.pending = false
-			} else if fw.stmtMutates(s.Init, L) && !st.deferred {
-				st.pending = true
-			}
-			t, tb, tterm := fw.invScan(s.Body.List, st, L)
-			var e invState
-			eterm := false
-			var eb bool
-			switch el := s.Else.(type) {
-			case nil:
-				e = st
-			case *ast.BlockStmt:
-				e, eb, eterm = fw.invScan(el.List, st, L)
-			case *ast.IfStmt:
-				e, eb, eterm = fw.invScan([]ast.Stmt{el}, st, L)
-			}
-			bad = bad || tb || eb
-			switch {
-			case tterm && eterm:
-				return st, bad, true
-			case tterm:
-				st = e
-			case eterm:
-				st = t
-			default:
-				st = joinInv(t, e)
-			}
-		case *ast.ForStmt:
-			st, bad = fw.invLoop(s.Body.List, st, L, bad)
-		case *ast.RangeStmt:
-			st, bad = fw.invLoop(s.Body.List, st, L, bad)
-		case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			var body *ast.BlockStmt
-			switch sw := s.(type) {
-			case *ast.SwitchStmt:
-				body = sw.Body
-			case *ast.TypeSwitchStmt:
-				body = sw.Body
-			case *ast.SelectStmt:
-				body = sw.Body
-			}
-			joined := st // the no-clause-taken path
-			for _, cl := range body.List {
-				var cstmts []ast.Stmt
-				switch cl := cl.(type) {
-				case *ast.CaseClause:
-					cstmts = cl.Body
-				case *ast.CommClause:
-					cstmts = cl.Body
+	bad := false // some return is reached with a mutation pending
+	pw := pathWalker[invState]{
+		info:  fw.pass.Pkg.Info,
+		clone: func(st invState) invState { return st },
+		join:  joinInv,
+		leaf: func(st invState, s ast.Stmt) invState {
+			switch s := s.(type) {
+			case *ast.DeferStmt:
+				if fw.callInvalidates(s.Call, L) {
+					st = invState{deferred: true}
 				}
-				cs, cb, cterm := fw.invScan(cstmts, st, L)
-				bad = bad || cb
-				if !cterm {
-					joined = joinInv(joined, cs)
+				return st
+			case *ast.ReturnStmt:
+				if fw.stmtMutates(s, L) && !st.deferred {
+					st.pending = true
 				}
-			}
-			st = joined
-		case *ast.LabeledStmt:
-			var b, term bool
-			st, b, term = fw.invScan([]ast.Stmt{s.Stmt}, st, L)
-			bad = bad || b
-			if term {
-				return st, bad, true
-			}
-		case *ast.BranchStmt:
-			// The path leaves this list; anything after is unreachable
-			// on it. Conservatively assume the jump target handles it.
-			return st, bad, true
-		default:
-			if fw.stmtTerminates(s) {
-				return st, bad, true
+				bad = bad || st.pending
+				return st
 			}
 			if fw.stmtInvalidates(s, L) {
 				st.pending = false
 			} else if fw.stmtMutates(s, L) && !st.deferred {
 				st.pending = true
 			}
-		}
+			return st
+		},
 	}
-	return st, bad, false
-}
-
-// invLoop approximates a loop body: the body may run zero or more
-// times, so the post-loop state joins the entry state with the body's
-// fall-through state, iterated twice for stability.
-func (fw *factsWalker) invLoop(body []ast.Stmt, st invState, L ref, bad bool) (invState, bool) {
-	cur := st
-	for i := 0; i < 2; i++ {
-		out, b, _ := fw.invScan(body, cur, L)
-		bad = bad || b
-		cur = joinInv(cur, out)
-	}
-	return cur, bad
+	st, ends := pw.stmts(invState{}, fw.decl.Body.List)
+	// Falling off the end of the body is an implicit return.
+	return !bad && (ends || !st.pending)
 }
 
 // stmtMutates reports whether the statement writes L's weights (by
@@ -876,30 +775,6 @@ func (fw *factsWalker) callInvalidates(call *ast.CallExpr, L ref) bool {
 	return false
 }
 
-// stmtTerminates recognizes statements that never fall through:
-// panics (including tensor.Panicf) and process exits.
-func (fw *factsWalker) stmtTerminates(s ast.Stmt) bool {
-	es, ok := s.(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := ast.Unparen(es.X).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fun.Name == "panic" {
-			_, b := fw.pass.Pkg.Info.Uses[fun].(*types.Builtin)
-			return b
-		}
-	case *ast.SelectorExpr:
-		name := fun.Sel.Name
-		return name == "Panicf" || name == "Fatal" || name == "Fatalf" || name == "Exit"
-	}
-	return false
-}
-
 // --- type predicates -------------------------------------------------
 
 // isInvalidatable reports whether t (possibly behind a pointer) is a
@@ -942,20 +817,8 @@ func isInvalidatable(t types.Type) bool {
 // named scratch-arena struct, identified by the *Scratch naming
 // convention the hot paths use (forwardScratch).
 func isScratchType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	if _, isStruct := n.Underlying().(*types.Struct); !isStruct {
-		return false
-	}
-	return strings.HasSuffix(n.Obj().Name(), "Scratch")
+	obj := namedStructOf(t)
+	return obj != nil && strings.HasSuffix(obj.Name(), "Scratch")
 }
 
 // isRefType reports whether values of t can alias other storage:

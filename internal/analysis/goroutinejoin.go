@@ -26,10 +26,9 @@ import (
 //
 // A go statement with none of the above is a finding: either join it,
 // register it with a registry like serve.Daemons, or bound its lifetime
-// on a context. locklint's orphan rule catches functions with no
-// collection point at all; this analyzer checks each spawn, so one
-// collected goroutine cannot sanction a leaked sibling in the same
-// function.
+// on a context. Each spawn is checked on its own, so one collected
+// goroutine cannot sanction a leaked sibling in the same function, and
+// an Add on a type that is not a sync.WaitGroup registers nothing.
 func init() {
 	Register(&Analyzer{
 		Name: "goroutinejoin",

@@ -31,15 +31,15 @@ import (
 // engine()'s once.Do is the evidence, not a violation. Exported
 // functions cannot lean on in-module callers and are checked locally.
 //
-// On top of the contract rule sit two publication rules fed by the MHP
-// layer: a field write after the base value was published to another
-// goroutine (go-capture, channel send, atomic store, spawn argument) is
-// a finding, and a spawned goroutine's unguarded field write that can
-// overlap an unguarded access to the same field in the spawning
-// function is a finding. Reads after publication are deliberately not
-// flagged — the reply-channel handoff idiom (send request, block on
-// response, read results) is safe by the channel's happens-before edge
-// and would drown the signal in false positives.
+// On top of the contract rule sit two publication rules, tracked by the
+// same path scan: a field write after the base value was published to
+// another goroutine (go-capture, channel send, atomic store, spawn
+// argument) is a finding, and a spawned goroutine's unguarded field
+// write that can overlap an unguarded access to the same field in the
+// spawning function is a finding. Reads after publication are
+// deliberately not flagged — the reply-channel handoff idiom (send
+// request, block on response, read results) is safe by the channel's
+// happens-before edge and would drown the signal in false positives.
 func init() {
 	Register(&Analyzer{
 		Name: "racecontract",
@@ -101,10 +101,6 @@ func (st *raceState) clone() *raceState {
 		out.published[b] = p
 	}
 	return out
-}
-
-func (st *raceState) replace(o *raceState) {
-	st.held, st.settled, st.published = o.held, o.settled, o.published
 }
 
 // join merges two branch states: guards and settledness must hold on
@@ -171,6 +167,9 @@ type raceScanner struct {
 	nres    int
 	locals  map[types.Object]bool // flow-insensitive fresh-allocation set
 
+	paths   pathWalker[*raceState]
+	inSpawn bool // scanning a spawned goroutine's body
+
 	accs []fieldAccess
 	pubs []Finding // publication-rule (R2) findings
 
@@ -190,6 +189,20 @@ func newRaceScanner(pass *Pass, decl *ast.FuncDecl, params []*types.Var) *raceSc
 	for i, p := range params {
 		sc.params[p] = i
 	}
+	sc.paths = pathWalker[*raceState]{
+		info:  pass.Pkg.Info,
+		clone: (*raceState).clone,
+		join:  joinRaceStates,
+		leaf:  sc.leaf,
+		expr: func(st *raceState, e ast.Expr, write bool) *raceState {
+			if write {
+				sc.scanWrite(st, e)
+			} else {
+				sc.scanExpr(st, e)
+			}
+			return st
+		},
+	}
 	if obj, ok := pass.Pkg.Info.Defs[decl.Name].(*types.Func); ok {
 		if sig, ok := obj.Type().(*types.Signature); ok {
 			sc.nres = sig.Results().Len()
@@ -203,8 +216,7 @@ func (sc *raceScanner) run() {
 		return
 	}
 	sc.findLocals()
-	st := newRaceState()
-	sc.scanStmts(st, sc.decl.Body.List, false)
+	sc.paths.stmts(newRaceState(), sc.decl.Body.List)
 }
 
 // findLocals marks every identifier the declaration binds to a fresh
@@ -275,169 +287,41 @@ func isFreshAlloc(e ast.Expr) bool {
 
 // --- statements -------------------------------------------------------
 
-// scanStmts interprets a statement list, returning whether the path
-// definitely terminates (return, branch, panic).
-func (sc *raceScanner) scanStmts(st *raceState, list []ast.Stmt, inSpawn bool) bool {
-	for _, s := range list {
-		if sc.scanStmt(st, s, inSpawn) {
-			return true
-		}
-	}
-	return false
-}
-
-func (sc *raceScanner) scanStmt(st *raceState, s ast.Stmt, inSpawn bool) bool {
+// leaf is the guard scanner's transfer function for one simple
+// statement; pathWalker supplies the control flow around it.
+func (sc *raceScanner) leaf(st *raceState, s ast.Stmt) *raceState {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
-		sc.scanExpr(st, s.X, inSpawn)
-		return sc.terminates(s)
+		sc.scanExpr(st, s.X)
 	case *ast.AssignStmt:
-		sc.scanAssign(st, s, inSpawn)
+		sc.scanAssign(st, s)
 	case *ast.IncDecStmt:
-		sc.scanWrite(st, s.X, inSpawn)
+		sc.scanWrite(st, s.X)
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
 					for _, v := range vs.Values {
-						sc.scanExpr(st, v, inSpawn)
+						sc.scanExpr(st, v)
 					}
 				}
 			}
 		}
 	case *ast.DeferStmt:
-		sc.scanDefer(st, s.Call, inSpawn)
+		sc.scanDefer(st, s.Call)
 	case *ast.GoStmt:
-		sc.scanGo(st, s, inSpawn)
+		sc.scanGo(st, s)
 	case *ast.SendStmt:
-		sc.scanExpr(st, s.Chan, inSpawn)
-		sc.scanExpr(st, s.Value, inSpawn)
+		sc.scanExpr(st, s.Chan)
+		sc.scanExpr(st, s.Value)
 		sc.publishExpr(st, s.Value, s.Pos())
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
-			sc.scanExpr(st, r, inSpawn)
+			sc.scanExpr(st, r)
 		}
 		sc.recordReturn(st, s)
-		return true
-	case *ast.BranchStmt:
-		return s.Tok != token.FALLTHROUGH
-	case *ast.BlockStmt:
-		return sc.scanStmts(st, s.List, inSpawn)
-	case *ast.LabeledStmt:
-		return sc.scanStmt(st, s.Stmt, inSpawn)
-	case *ast.IfStmt:
-		return sc.scanIf(st, s, inSpawn)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			sc.scanStmt(st, s.Init, inSpawn)
-		}
-		if s.Cond != nil {
-			sc.scanExpr(st, s.Cond, inSpawn)
-		}
-		sc.scanLoopBody(st, func(body *raceState) {
-			sc.scanStmts(body, s.Body.List, inSpawn)
-			if s.Post != nil {
-				sc.scanStmt(body, s.Post, inSpawn)
-			}
-		})
-	case *ast.RangeStmt:
-		sc.scanExpr(st, s.X, inSpawn)
-		if s.Key != nil {
-			sc.scanWrite(st, s.Key, inSpawn)
-		}
-		if s.Value != nil {
-			sc.scanWrite(st, s.Value, inSpawn)
-		}
-		sc.scanLoopBody(st, func(body *raceState) {
-			sc.scanStmts(body, s.Body.List, inSpawn)
-		})
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			sc.scanStmt(st, s.Init, inSpawn)
-		}
-		if s.Tag != nil {
-			sc.scanExpr(st, s.Tag, inSpawn)
-		}
-		sc.scanClauses(st, s.Body, inSpawn)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			sc.scanStmt(st, s.Init, inSpawn)
-		}
-		sc.scanStmt(st, s.Assign, inSpawn)
-		sc.scanClauses(st, s.Body, inSpawn)
-	case *ast.SelectStmt:
-		sc.scanClauses(st, s.Body, inSpawn)
 	}
-	return false
-}
-
-// scanLoopBody interprets a loop body twice on a branch state (so facts
-// established in iteration one govern iteration two) and joins the
-// result with the zero-iteration path.
-func (sc *raceScanner) scanLoopBody(st *raceState, body func(*raceState)) {
-	b := st.clone()
-	body(b)
-	body(b)
-	st.replace(joinRaceStates(st, b))
-}
-
-// scanClauses interprets each clause of a switch/select body on its own
-// branch state and joins the survivors with the entry state.
-func (sc *raceScanner) scanClauses(st *raceState, body *ast.BlockStmt, inSpawn bool) {
-	out := st.clone()
-	for _, cl := range body.List {
-		b := st.clone()
-		var stmts []ast.Stmt
-		switch cl := cl.(type) {
-		case *ast.CaseClause:
-			for _, e := range cl.List {
-				sc.scanExpr(b, e, inSpawn)
-			}
-			stmts = cl.Body
-		case *ast.CommClause:
-			if cl.Comm != nil {
-				sc.scanStmt(b, cl.Comm, inSpawn)
-			}
-			stmts = cl.Body
-		}
-		if !sc.scanStmts(b, stmts, inSpawn) {
-			out.replace(joinRaceStates(out, b))
-		}
-	}
-	st.replace(out)
-}
-
-func (sc *raceScanner) scanIf(st *raceState, s *ast.IfStmt, inSpawn bool) bool {
-	if s.Init != nil {
-		sc.scanStmt(st, s.Init, inSpawn)
-	}
-	sc.scanExpr(st, s.Cond, inSpawn)
-	thenSt := st.clone()
-	thenTerm := sc.scanStmts(thenSt, s.Body.List, inSpawn)
-	if s.Else == nil {
-		if !thenTerm {
-			st.replace(joinRaceStates(st, thenSt))
-		}
-		return false
-	}
-	elseSt := st.clone()
-	elseTerm := sc.scanStmt(elseSt, s.Else, inSpawn)
-	switch {
-	case thenTerm && elseTerm:
-		return true
-	case thenTerm:
-		st.replace(elseSt)
-	case elseTerm:
-		st.replace(thenSt)
-	default:
-		st.replace(joinRaceStates(thenSt, elseSt))
-	}
-	return false
-}
-
-func (sc *raceScanner) terminates(s ast.Stmt) bool {
-	fw := &factsWalker{pass: sc.pass}
-	return fw.stmtTerminates(s)
+	return st
 }
 
 func (sc *raceScanner) recordReturn(st *raceState, s *ast.ReturnStmt) {
@@ -468,9 +352,9 @@ func (sc *raceScanner) recordReturn(st *raceState, s *ast.ReturnStmt) {
 
 // --- assignment / calls ----------------------------------------------
 
-func (sc *raceScanner) scanAssign(st *raceState, s *ast.AssignStmt, inSpawn bool) {
+func (sc *raceScanner) scanAssign(st *raceState, s *ast.AssignStmt) {
 	for _, r := range s.Rhs {
-		sc.scanExpr(st, r, inSpawn)
+		sc.scanExpr(st, r)
 	}
 	// x := helper(...) where the helper proves its result settled
 	// (engine() returning a slot after once.Do) settles x.
@@ -493,11 +377,11 @@ func (sc *raceScanner) scanAssign(st *raceState, s *ast.AssignStmt, inSpawn bool
 		}
 	}
 	for _, l := range s.Lhs {
-		sc.scanWrite(st, l, inSpawn)
+		sc.scanWrite(st, l)
 	}
 }
 
-func (sc *raceScanner) scanDefer(st *raceState, call *ast.CallExpr, inSpawn bool) {
+func (sc *raceScanner) scanDefer(st *raceState, call *ast.CallExpr) {
 	// defer x.mu.Unlock() keeps the guard held for the rest of the
 	// function; other deferred calls are scanned for accesses on a
 	// throwaway state (they run later, but their receivers and
@@ -509,13 +393,13 @@ func (sc *raceScanner) scanDefer(st *raceState, call *ast.CallExpr, inSpawn bool
 			}
 		}
 	}
-	sc.scanCall(st.clone(), call, inSpawn)
+	sc.scanCall(st.clone(), call)
 }
 
-func (sc *raceScanner) scanGo(st *raceState, s *ast.GoStmt, inSpawn bool) {
+func (sc *raceScanner) scanGo(st *raceState, s *ast.GoStmt) {
 	call := s.Call
 	for _, arg := range call.Args {
-		sc.scanExpr(st, arg, inSpawn)
+		sc.scanExpr(st, arg)
 		sc.publishExpr(st, arg, s.Pos())
 	}
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
@@ -537,11 +421,14 @@ func (sc *raceScanner) scanGo(st *raceState, s *ast.GoStmt, inSpawn bool) {
 	}
 }
 
-// scanSpawnBody wraps scanStmts to stamp the spawn site on every access
-// collected from a spawned literal's body.
+// scanSpawnBody scans a spawned literal's body as spawned code and
+// stamps the spawn site on every access collected from it.
 func (sc *raceScanner) scanSpawnBody(st *raceState, list []ast.Stmt, spawnPos token.Pos) {
 	mark := len(sc.accs)
-	sc.scanStmts(st, list, true)
+	outer := sc.inSpawn
+	sc.inSpawn = true
+	sc.paths.stmts(st, list)
+	sc.inSpawn = outer
 	var lo, hi token.Pos
 	if len(list) > 0 {
 		lo, hi = list[0].Pos(), list[len(list)-1].End()
@@ -575,7 +462,7 @@ func (sc *raceScanner) publishExpr(st *raceState, e ast.Expr, pos token.Pos) {
 	}
 }
 
-func (sc *raceScanner) scanCall(st *raceState, call *ast.CallExpr, inSpawn bool) {
+func (sc *raceScanner) scanCall(st *raceState, call *ast.CallExpr) {
 	fun := ast.Unparen(call.Fun)
 	if sel, ok := fun.(*ast.SelectorExpr); ok {
 		name := sel.Sel.Name
@@ -598,9 +485,9 @@ func (sc *raceScanner) scanCall(st *raceState, call *ast.CallExpr, inSpawn bool)
 				if base != nil {
 					inner.hold(base, guard)
 				}
-				sc.scanStmts(inner, lit.Body.List, inSpawn)
+				sc.paths.stmts(inner, lit.Body.List)
 			} else {
-				sc.scanExpr(st, call.Args[0], inSpawn)
+				sc.scanExpr(st, call.Args[0])
 			}
 			if base != nil {
 				st.settled[base] = true
@@ -608,13 +495,13 @@ func (sc *raceScanner) scanCall(st *raceState, call *ast.CallExpr, inSpawn bool)
 			return
 		case (name == "Store" || name == "Swap" || name == "CompareAndSwap") && isAtomicGuard(recvT):
 			for _, arg := range call.Args {
-				sc.scanExpr(st, arg, inSpawn)
+				sc.scanExpr(st, arg)
 				sc.publishExpr(st, arg, call.Pos())
 			}
-			sc.scanExpr(st, sel.X, inSpawn)
+			sc.scanExpr(st, sel.X)
 			return
 		}
-		sc.scanExpr(st, sel.X, inSpawn)
+		sc.scanExpr(st, sel.X)
 	}
 	for i, arg := range call.Args {
 		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
@@ -628,11 +515,11 @@ func (sc *raceScanner) scanCall(st *raceState, call *ast.CallExpr, inSpawn bool)
 			} else {
 				// Ordinary literal: inherits the state in force at its
 				// creation (the bump-closure idiom reads settled fields).
-				sc.scanStmts(st.clone(), lit.Body.List, inSpawn)
+				sc.paths.stmts(st.clone(), lit.Body.List)
 			}
 			continue
 		}
-		sc.scanExpr(st, arg, inSpawn)
+		sc.scanExpr(st, arg)
 		if sc.argSpawned(call, i) {
 			sc.publishExpr(st, arg, call.Pos())
 			// A spawned method value (daemons.Go(s.batchLoop)) runs its
@@ -645,7 +532,7 @@ func (sc *raceScanner) scanCall(st *raceState, call *ast.CallExpr, inSpawn bool)
 			}
 		}
 	}
-	sc.synthesizeCall(st, call, inSpawn, token.NoPos)
+	sc.synthesizeCall(st, call, sc.inSpawn, token.NoPos)
 }
 
 // argSpawned reports whether argument i of call is retained on a
@@ -758,70 +645,70 @@ func (sc *raceScanner) guardPath(e ast.Expr) (types.Object, string) {
 
 // --- expressions ------------------------------------------------------
 
-func (sc *raceScanner) scanExpr(st *raceState, e ast.Expr, inSpawn bool) {
+func (sc *raceScanner) scanExpr(st *raceState, e ast.Expr) {
 	if e == nil {
 		return
 	}
 	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
-		sc.access(st, e, false, inSpawn)
-		sc.scanExpr(st, e.X, inSpawn)
+		sc.access(st, e, false)
+		sc.scanExpr(st, e.X)
 	case *ast.CallExpr:
-		sc.scanCall(st, e, inSpawn)
+		sc.scanCall(st, e)
 	case *ast.FuncLit:
-		sc.scanStmts(st.clone(), e.Body.List, inSpawn)
+		sc.paths.stmts(st.clone(), e.Body.List)
 	case *ast.BinaryExpr:
-		sc.scanExpr(st, e.X, inSpawn)
-		sc.scanExpr(st, e.Y, inSpawn)
+		sc.scanExpr(st, e.X)
+		sc.scanExpr(st, e.Y)
 	case *ast.UnaryExpr:
-		sc.scanExpr(st, e.X, inSpawn)
+		sc.scanExpr(st, e.X)
 	case *ast.StarExpr:
-		sc.scanExpr(st, e.X, inSpawn)
+		sc.scanExpr(st, e.X)
 	case *ast.IndexExpr:
-		sc.scanExpr(st, e.X, inSpawn)
-		sc.scanExpr(st, e.Index, inSpawn)
+		sc.scanExpr(st, e.X)
+		sc.scanExpr(st, e.Index)
 	case *ast.IndexListExpr:
-		sc.scanExpr(st, e.X, inSpawn)
+		sc.scanExpr(st, e.X)
 	case *ast.SliceExpr:
-		sc.scanExpr(st, e.X, inSpawn)
-		sc.scanExpr(st, e.Low, inSpawn)
-		sc.scanExpr(st, e.High, inSpawn)
-		sc.scanExpr(st, e.Max, inSpawn)
+		sc.scanExpr(st, e.X)
+		sc.scanExpr(st, e.Low)
+		sc.scanExpr(st, e.High)
+		sc.scanExpr(st, e.Max)
 	case *ast.TypeAssertExpr:
-		sc.scanExpr(st, e.X, inSpawn)
+		sc.scanExpr(st, e.X)
 	case *ast.CompositeLit:
 		for _, el := range e.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				sc.scanExpr(st, kv.Value, inSpawn)
+				sc.scanExpr(st, kv.Value)
 				continue
 			}
-			sc.scanExpr(st, el, inSpawn)
+			sc.scanExpr(st, el)
 		}
 	}
 }
 
-func (sc *raceScanner) scanWrite(st *raceState, e ast.Expr, inSpawn bool) {
+func (sc *raceScanner) scanWrite(st *raceState, e ast.Expr) {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
-		sc.access(st, e, true, inSpawn)
-		sc.scanExpr(st, e.X, inSpawn)
+		sc.access(st, e, true)
+		sc.scanExpr(st, e.X)
 	case *ast.IndexExpr:
 		// Writing an element through a struct field (s.stats[k] = v)
 		// mutates the field's referent: treated as a field write.
 		if sel, ok := ast.Unparen(e.X).(*ast.SelectorExpr); ok {
-			sc.access(st, sel, true, inSpawn)
-			sc.scanExpr(st, sel.X, inSpawn)
+			sc.access(st, sel, true)
+			sc.scanExpr(st, sel.X)
 		} else {
-			sc.scanExpr(st, e.X, inSpawn)
+			sc.scanExpr(st, e.X)
 		}
-		sc.scanExpr(st, e.Index, inSpawn)
+		sc.scanExpr(st, e.Index)
 	case *ast.StarExpr:
-		sc.scanExpr(st, e.X, inSpawn)
+		sc.scanExpr(st, e.X)
 	}
 }
 
 // access records one struct-field access under the current state.
-func (sc *raceScanner) access(st *raceState, sel *ast.SelectorExpr, write, inSpawn bool) {
+func (sc *raceScanner) access(st *raceState, sel *ast.SelectorExpr, write bool) {
 	info := sc.pass.Pkg.Info
 	v, ok := info.Uses[sel.Sel].(*types.Var)
 	if !ok || !v.IsField() {
@@ -845,7 +732,7 @@ func (sc *raceScanner) access(st *raceState, sel *ast.SelectorExpr, write, inSpa
 	if lockBearing(v.Type()) || isAtomicGuard(v.Type()) {
 		return
 	}
-	sc.record(st, sel.Pos(), base, owner, sel.Sel.Name, write, inSpawn, token.NoPos, false)
+	sc.record(st, sel.Pos(), base, owner, sel.Sel.Name, write, sc.inSpawn, token.NoPos, false)
 }
 
 func (sc *raceScanner) record(st *raceState, pos token.Pos, base types.Object, owner *types.TypeName, field string, write, inSpawn bool, spawnPos token.Pos, synth bool) {
@@ -1012,7 +899,7 @@ func runRaceContract(pass *Pass) []Finding {
 	// finding (R1), and a spawned goroutine's unguarded access that can
 	// overlap an unguarded access to the same field in its spawning
 	// function is one too (R2b) — both sides touch, neither holds
-	// anything, and MHP is trivially true across a spawn edge.
+	// anything, and the spawner keeps running past the spawn.
 	for _, da := range decls {
 		for _, a := range da.accs {
 			if a.guarded || a.transfer {

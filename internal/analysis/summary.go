@@ -199,7 +199,6 @@ type Program struct {
 	pkgs     map[string]*Package // base packages by import path
 	computed map[string]*pkgSummaries
 	inflight map[string]*pkgSummaries // partially computed (SCC iteration)
-	conc     map[string]*ConcurrencyInfo
 	cache    *SummaryCache
 }
 
@@ -214,7 +213,6 @@ func newProgram(pkgs []*Package, cache *SummaryCache) *Program {
 		pkgs:     map[string]*Package{},
 		computed: map[string]*pkgSummaries{},
 		inflight: map[string]*pkgSummaries{},
-		conc:     map[string]*ConcurrencyInfo{},
 		cache:    cache,
 	}
 	for _, pkg := range pkgs {

@@ -2,13 +2,12 @@ package serve
 
 import "sync"
 
-// Daemons is the sanctioned registry for long-lived goroutines — the
-// daemon pattern mobilstm-lint's locklint analyzer recognizes. The
-// orphan-goroutine rule normally requires every `go` statement to have a
-// collection point in the same function; a goroutine launched through
-// Go is instead accounted in the registry's WaitGroup at launch time
-// (the wg.Add is what locklint keys on), and the owner collects the
-// whole fleet with Wait during shutdown. This keeps the serving loop's
+// Daemons is the sanctioned registry for long-lived goroutines. Go
+// carries the WaitGroup pair mobilstm-lint's goroutinejoin analyzer
+// accepts as a join path — wg.Add before the launch, wg.Done in the
+// spawned body — and, through the function summaries, a call to Go
+// counts as that pair at every call site. The owner collects the whole
+// fleet with Wait during shutdown. This keeps the serving loop's
 // batcher and worker daemons lint:ignore-free while preserving the
 // invariant the rule protects: no goroutine outlives its owner
 // unobserved.

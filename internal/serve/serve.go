@@ -19,7 +19,7 @@
 // lstm.Network.ClassifyE, and evaluation through core.Engine's
 // EvaluateSetE, so a malformed request costs one error response instead
 // of the process. Worker goroutines are registered in the Daemons
-// registry (the locklint-sanctioned daemon pattern) and Close drains
+// registry (goroutinejoin's WaitGroup-pair rule) and Close drains
 // the queue gracefully: accepted requests are still served.
 package serve
 

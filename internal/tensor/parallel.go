@@ -65,10 +65,10 @@ type rowRange interface{ run(lo, hi int) }
 // launching goroutine registers every extra shard in a WaitGroup before
 // spawning it, computes the first shard inline, and waits for the rest
 // — every parallel kernel is a complete unit of work by the time it
-// returns (the locklint invariant). With one shard it degenerates to a
-// plain call and allocates nothing; a fork allocates the WaitGroup and
-// one goroutine closure (holding its copy of body) per extra shard —
-// at most parallelMaxShards allocations.
+// returns (goroutinejoin's WaitGroup pair). With one shard it
+// degenerates to a plain call and allocates nothing; a fork allocates
+// the WaitGroup and one goroutine closure (holding its copy of body)
+// per extra shard — at most parallelMaxShards allocations.
 func forkJoin[B rowRange](rows int, weightBytes int64, body B) {
 	shards := shardCount(rows, weightBytes)
 	if shards <= 1 {
