@@ -9,7 +9,7 @@ GO ?= go
 
 .PHONY: build test race vet vet386 lint lint-json lint-ci fuzz-smoke \
 	serve-race determinism-race batch-race fleet-race chain-matrix \
-	bench bench-json bench-batch serve-smoke fleet-smoke loc check
+	activation-exhaustive bench bench-json bench-batch serve-smoke fleet-smoke loc check
 
 build:
 	$(GO) build ./...
@@ -96,8 +96,10 @@ batch-race:
 # Kernel-chain matrix: the equivalence and determinism suites and the
 # golden logit bits re-run with each chain forced process-wide via
 # MOBILSTM_KERNEL_CHAIN. generic resolves every binding — explicit
-# selections too — to a pure-Go body (the reference configuration, and
-# the end-to-end witness that the SSE2 body and dotRowGeneric agree),
+# selections too — to a pure-Go body and runs SigmoidVec/TanhVec through
+# the scalar reference (the reference configuration, and the end-to-end
+# witness that the SSE2 body and dotRowGeneric, and the activation body
+# and the scalar Sigmoid/Tanh, agree on the golden corpora),
 # sse2 is the default canonical chain, and avx2 forces the wide chain —
 # bound to the pure-Go wide body when the host lacks AVX2+FMA, so the
 # matrix passes on any amd64 or non-amd64 runner. The 'Chain' pattern
@@ -111,13 +113,22 @@ chain-matrix:
 			$(FORWARD_PKGS) || exit 1; \
 	done
 
+# The vector activation contract in full: the AVX2+FMA SigmoidVec and
+# TanhVec bodies against the scalar Sigmoid/Tanh reference on all 2^32
+# float32 inputs each (tier-1 `go test` checks a ~1 s sample). One
+# worker per GOMAXPROCS; ~75 s on two cores. Skips itself on CPUs
+# without AVX2+FMA, where only the scalar loop exists.
+activation-exhaustive:
+	$(GO) test -count=1 -run '^TestActivationExhaustive$$' -v -timeout 30m \
+		./internal/tensor/ -activation-exhaustive
+
 # The repository benchmark (BENCHMARK.json, bench/README.md): every
 # workload untraced, then traced with the per-layer probes.
 bench:
 	$(GO) run ./bench
 
-# Hot-path benchmark trajectory: the united/packed kernel
-# micro-benchmarks plus the end-to-end Run benchmarks, folded into
+# Hot-path benchmark trajectory: the united/packed kernel and
+# activation micro-benchmarks plus the end-to-end Run benchmarks, folded into
 # BENCH_hotpath.json by cmd/benchjson (min ns/op over BENCHCOUNT
 # samples — the noise protocol of EXPERIMENTS.md). CI runs this as a
 # smoke with a short BENCHTIME; local trajectory numbers want the
@@ -126,7 +137,7 @@ BENCHTIME ?= 10x
 BENCHCOUNT ?= 3
 bench-json:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run='^$$' -bench='Gemv|Gemm' -benchmem \
+	$(GO) test -run='^$$' -bench='Gemv|Gemm|SigmoidVec|TanhVec' -benchmem \
 		-benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/tensor/ > /tmp/bench_hotpath.txt
 	$(GO) test -run='^$$' -bench='^BenchmarkRun' -benchmem \
 		-benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . >> /tmp/bench_hotpath.txt

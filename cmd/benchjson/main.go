@@ -2,8 +2,9 @@
 // JSON document (see `make bench-json`, which writes BENCH_hotpath.json
 // at the repo root). Each benchmark line contributes ns/op plus the
 // optional -benchmem and SetBytes columns (B/op, allocs/op, MB/s) and
-// the batch sweep's custom per-request metric (ns/req, reported by
-// BenchmarkRunBatch via b.ReportMetric).
+// two custom metrics reported via b.ReportMetric: the batch sweep's
+// per-request cost (ns/req, BenchmarkRunBatch) and the activation
+// passes' per-element cost (ns/elem, BenchmarkSigmoidVec/TanhVec).
 //
 // When the input holds several samples of the same benchmark (a
 // `-count` > 1 run), the emitted entry is the minimum-ns/op sample and
@@ -37,6 +38,7 @@ type result struct {
 	Samples     int      `json:"samples"`
 	NsPerOp     float64  `json:"ns_per_op"`
 	NsPerReq    float64  `json:"ns_per_req,omitempty"`
+	NsPerElem   float64  `json:"ns_per_elem,omitempty"`
 	MBPerS      float64  `json:"mb_per_s,omitempty"`
 	BytesPerOp  float64  `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
@@ -160,6 +162,8 @@ func parseLine(line string) (*result, error) {
 			// The batch sweep's per-request cost: one RunBatch op serves
 			// B requests, so ns/req = ns/op / B.
 			r.NsPerReq = v
+		case "ns/elem":
+			r.NsPerElem = v
 		case "MB/s":
 			r.MBPerS = v
 		case "B/op":

@@ -22,6 +22,16 @@ func TestParseLineBatchSweep(t *testing.T) {
 	}
 }
 
+func TestParseLineActivation(t *testing.T) {
+	r, err := parseLine("BenchmarkTanhVec/sigma=2-2  200000  363.6 ns/op  1.894 ns/elem  0 B/op  0 allocs/op")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Name != "BenchmarkTanhVec/sigma=2" || r.NsPerOp != 363.6 || r.NsPerElem != 1.894 {
+		t.Fatalf("name %q, ns/op %v, ns/elem %v", r.Name, r.NsPerOp, r.NsPerElem)
+	}
+}
+
 func TestParseFoldsMinNsWithItsMetrics(t *testing.T) {
 	// Sample folding is minimum-over-ns/op, and the custom ns/req metric
 	// must travel with the winning sample.

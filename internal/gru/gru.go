@@ -166,16 +166,18 @@ func (l *Layer) RecurrentWeights() (first, second []*tensor.Matrix) {
 }
 
 // FirstGates computes z_t and r_t into g = [z|r]; z gates the DRS
-// decision.
+// decision. Both blocks' pre-activations go into g, then one sigmoid
+// pass covers them.
 func (l *Layer) FirstGates(g, wx, a tensor.Vector) {
 	h := l.Hidden
 	z, r := g[:h], g[h:]
 	xz, xr := wx[:h], wx[h:2*h]
 	uz, ur := a[:h], a[h:]
 	for j := 0; j < h; j++ {
-		z[j] = tensor.Sigmoid(xz[j] + uz[j] + l.Bz[j])
-		r[j] = tensor.Sigmoid(xr[j] + ur[j] + l.Br[j])
+		z[j] = xz[j] + uz[j] + l.Bz[j]
+		r[j] = xr[j] + ur[j] + l.Br[j]
 	}
+	tensor.SigmoidVec(g, g)
 }
 
 // Operand builds r_t ⊙ h_{t-1} in dst.
@@ -185,16 +187,30 @@ func (l *Layer) Operand(dst, g, h tensor.Vector) tensor.Vector {
 }
 
 // Update blends the candidate into h in place. Rows marked in skip
-// carry: h_t[j] ~ h_{t-1}[j] since z[j] ~ 0.
+// carry: h_t[j] ~ h_{t-1}[j] since z[j] ~ 0. The kept rows'
+// pre-activations are gathered into a in place (kept row j lands at
+// k ≤ j, after a[k] was read), so the candidate's tanh is one pass over
+// the kept rows only.
 func (l *Layer) Update(st, wx, a, g tensor.Vector, skip []bool) {
 	h := l.Hidden
 	z, xh := g[:h], wx[2*h:]
+	n := 0
 	for j := 0; j < h; j++ {
 		if skip != nil && skip[j] {
 			continue
 		}
-		cand := tensor.Tanh(xh[j] + a[j] + l.Bh[j])
-		st[j] = (1-z[j])*st[j] + z[j]*cand
+		a[n] = xh[j] + a[j] + l.Bh[j]
+		n++
+	}
+	cand := a[:n]
+	tensor.TanhVec(cand, cand)
+	k := 0
+	for j := 0; j < h; j++ {
+		if skip != nil && skip[j] {
+			continue
+		}
+		st[j] = (1-z[j])*st[j] + z[j]*cand[k]
+		k++
 	}
 }
 

@@ -37,13 +37,15 @@ func (l *Layer) gateAct() tensor.Activation {
 	return *l.gate
 }
 
-// FirstGates computes o_t = σ(W_o x + U_o h_{t-1} + b_o) into g.
+// FirstGates computes o_t = σ(W_o x + U_o h_{t-1} + b_o) into g: the
+// pre-activations first, then one activation pass over them.
 func (l *Layer) FirstGates(g, wx, a tensor.Vector) {
-	h, gate := l.Hidden, l.gateAct()
+	h := l.Hidden
 	xo := wx[3*h:]
 	for j := 0; j < h; j++ {
-		g[j] = gate.Apply(xo[j] + a[j] + l.Bo[j])
+		g[j] = xo[j] + a[j] + l.Bo[j]
 	}
+	activate(l.gateAct(), g)
 }
 
 // Operand is h_{t-1} itself: U_{f,i,c} multiplies the hidden state
@@ -52,24 +54,62 @@ func (l *Layer) Operand(_, _, h tensor.Vector) tensor.Vector { return h }
 
 // Update computes f_t, i_t and the candidate from a = U_{f,i,c}·h_{t-1}
 // and advances (h, c) in place. Rows marked in skip were not computed;
-// their c and h elements are approximated to zero (§V-A).
+// their c and h elements are approximated to zero (§V-A). The
+// pre-activations of the kept rows are gathered into a's three blocks
+// in place (kept row j lands at k ≤ j, after a[k] was read), so each
+// gate is one activation pass over the kept rows only; tanh(c) reuses
+// the f block.
 func (l *Layer) Update(st, wx, a, g tensor.Vector, skip []bool) {
 	h, gate := l.Hidden, l.gateAct()
 	sh, sc := st[:h], st[h:]
 	xf, xi, xc := wx[:h], wx[h:2*h], wx[2*h:3*h]
-	uf, ui, uc := a[:h], a[h:2*h], a[2*h:]
+	f, i, cand := a[:h], a[h:2*h], a[2*h:3*h]
+	n := 0
 	for j := 0; j < h; j++ {
 		if skip != nil && skip[j] {
 			sc[j] = 0
 			sh[j] = 0
 			continue
 		}
-		f := gate.Apply(xf[j] + uf[j] + l.Bf[j])
-		i := gate.Apply(xi[j] + ui[j] + l.Bi[j])
-		cand := tensor.Tanh(xc[j] + uc[j] + l.Bc[j])
-		c := f*sc[j] + i*cand
-		sc[j] = c
-		sh[j] = g[j] * tensor.Tanh(c)
+		f[n] = xf[j] + f[j] + l.Bf[j]
+		i[n] = xi[j] + i[j] + l.Bi[j]
+		cand[n] = xc[j] + cand[j] + l.Bc[j]
+		n++
+	}
+	f, i, cand = f[:n], i[:n], cand[:n]
+	activate(gate, f)
+	activate(gate, i)
+	tensor.TanhVec(cand, cand)
+	k := 0
+	for j := 0; j < h; j++ {
+		if skip != nil && skip[j] {
+			continue
+		}
+		c := f[k]*sc[j] + i[k]*cand[k]
+		sc[j], f[k] = c, c
+		k++
+	}
+	tensor.TanhVec(f, f)
+	k = 0
+	for j := 0; j < h; j++ {
+		if skip != nil && skip[j] {
+			continue
+		}
+		sh[j] = g[j] * f[k]
+		k++
+	}
+}
+
+// activate applies the gate activation to v in place: one vector pass
+// for the exact sigmoid, the scalar loop for any other gate (the hard
+// sigmoid).
+func activate(gate tensor.Activation, v tensor.Vector) {
+	if gate == tensor.ActSigmoid {
+		tensor.SigmoidVec(v, v)
+		return
+	}
+	for j, x := range v {
+		v[j] = gate.Apply(x)
 	}
 }
 

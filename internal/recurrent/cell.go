@@ -75,7 +75,8 @@ type Cell interface {
 	Operand(dst, g, h tensor.Vector) tensor.Vector
 	// Update advances st by one cell. Elements marked in skip were not
 	// computed in a; the cell applies its own approximation to them
-	// (LSTM zeroes c and h, GRU carries h).
+	// (LSTM zeroes c and h, GRU carries h). The cell may overwrite a,
+	// which the core does not read again.
 	Update(st, wx, a, g tensor.Vector, skip []bool)
 
 	// LinkRelevance returns the Algorithm 2 score S of the context link

@@ -80,24 +80,36 @@ func (a Activation) String() string {
 	}
 }
 
-// SigmoidVec applies the sigmoid element-wise: dst[i] = σ(x[i]).
-// dst and x may alias.
+// SigmoidVec applies the sigmoid element-wise: dst[i] = σ(x[i]), bitwise
+// Sigmoid(x[i]). dst and x may alias. Where the CPU probe allows, an
+// AVX2+FMA body computes the bulk (act_amd64.s) and every lane its
+// rounding guard rejects is recomputed by Sigmoid; DESIGN.md §7 states
+// the contract.
 func SigmoidVec(dst, x Vector) {
 	if len(dst) != len(x) {
 		Panicf("tensor: SigmoidVec length mismatch")
 	}
-	for i, v := range x {
-		dst[i] = Sigmoid(v)
+	for i := actVec(dst, x, false); i < len(x); i++ {
+		dst[i] = Sigmoid(x[i])
 	}
 }
 
-// TanhVec applies tanh element-wise: dst[i] = tanh(x[i]). dst and x may
-// alias.
+// TanhVec applies tanh element-wise: dst[i] = tanh(x[i]), bitwise
+// Tanh(x[i]). dst and x may alias. The vector body and its fallback are
+// SigmoidVec's.
 func TanhVec(dst, x Vector) {
 	if len(dst) != len(x) {
 		Panicf("tensor: TanhVec length mismatch")
 	}
-	for i, v := range x {
-		dst[i] = Tanh(v)
+	for i := actVec(dst, x, true); i < len(x); i++ {
+		dst[i] = Tanh(x[i])
 	}
+}
+
+// actRef is the scalar reference a vector lane must match.
+func actRef(x float32, tanh bool) float32 {
+	if tanh {
+		return Tanh(x)
+	}
+	return Sigmoid(x)
 }

@@ -86,12 +86,48 @@ func TestActivationApplyAndString(t *testing.T) {
 	}
 }
 
+// fallbackCorpus mixes lanes the vector body keeps with every kind its
+// guard hands to the scalar reference — saturated (±100), tiny
+// (±1e-30), NaN, and an input whose float64 result sits within a few
+// ulps of a float32 rounding midpoint (near) — at a length that is not
+// a multiple of four, so the scalar tail runs too.
+func fallbackCorpus(near uint32) Vector {
+	nan := float32(math.NaN())
+	return Vector{
+		-1, 0.3, 1.7, -2.2, // a group the body keeps
+		100, 0.5, -0.25, 2, // saturated
+		-100, 1e-30, -1e-30, 0.75,
+		nan, -3, 3, 0.1,
+		math.Float32frombits(near), -0.9, 0.9, 4,
+		1.25, -1.5, nan, // tail
+	}
+}
+
+// checkInPlace runs vec in place over corpus and requires every element
+// to be bitwise ref of its original input: a lane the guard rejects must
+// be recomputed from x, not from what the vector pass wrote over it.
+func checkInPlace(t *testing.T, name string, vec func(dst, x Vector), ref func(float32) float32, corpus Vector) {
+	t.Helper()
+	for n := 0; n <= len(corpus); n++ {
+		orig := corpus[:n]
+		v := append(Vector(nil), orig...)
+		vec(v, v)
+		for i, x := range orig {
+			if want := ref(x); !sameBits(v[i], want) {
+				t.Fatalf("in-place %s n=%d lane %d: %s(%v) = %#08x, want %#08x",
+					name, n, i, name, x, math.Float32bits(v[i]), math.Float32bits(want))
+			}
+		}
+	}
+}
+
 func TestSigmoidVecAlias(t *testing.T) {
 	v := Vector{-1, 0, 1}
 	SigmoidVec(v, v)
 	if math.Abs(float64(v[1])-0.5) > 1e-6 {
 		t.Fatalf("in-place SigmoidVec: %v", v)
 	}
+	checkInPlace(t, "SigmoidVec", SigmoidVec, Sigmoid, fallbackCorpus(0x3f283bf2))
 }
 
 func TestTanhVec(t *testing.T) {
@@ -101,6 +137,7 @@ func TestTanhVec(t *testing.T) {
 	if dst[0] != 0 || math.Abs(float64(dst[1])-math.Tanh(1)) > 1e-6 {
 		t.Fatalf("TanhVec: %v", dst)
 	}
+	checkInPlace(t, "TanhVec", TanhVec, Tanh, fallbackCorpus(0x3f172be6))
 }
 
 // Property: sigmoid output is in [0,1], tanh in [-1,1], and both are

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"strconv"
 	"testing"
 
 	"mobilstm/internal/rng"
@@ -91,3 +92,35 @@ func BenchmarkPackedGemm(b *testing.B) { benchPackedGemm(b, PackedGemm) }
 func BenchmarkWidePackedGemv(b *testing.B) { benchPackedGemv(b, WidePackedGemv) }
 
 func BenchmarkWidePackedGemm(b *testing.B) { benchPackedGemm(b, KernelsFor(ChainAVX2).PackedGemm) }
+
+// BenchmarkSigmoidVec / BenchmarkTanhVec time activation passes over
+// h = 192 blocks (the PTB hidden size of the serve workloads) of
+// Gaussian pre-activations at three scales: σ = 0.5 stays inside the
+// vector body's range, σ = 6 sends more lanes to the scalar fallback
+// (sigmoid's saturated tails, tanh's large |x|). One op is 64 blocks,
+// so the short bench-json protocol still times ~1 ms; ns/elem is ns/op
+// over the 64·192 elements.
+func BenchmarkSigmoidVec(b *testing.B) { benchActivation(b, SigmoidVec) }
+
+func BenchmarkTanhVec(b *testing.B) { benchActivation(b, TanhVec) }
+
+func benchActivation(b *testing.B, vec func(dst, x Vector)) {
+	const h, blocks = 192, 64
+	for _, sigma := range []float64{0.5, 2, 6} {
+		b.Run("sigma="+strconv.FormatFloat(sigma, 'g', -1, 64), func(b *testing.B) {
+			r := rng.New(0xac71)
+			x, dst := NewMatrix(blocks, h), NewMatrix(blocks, h)
+			for i := range x.Data {
+				x.Data[i] = r.NormF32(0, sigma)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < blocks; k++ {
+					vec(dst.Row(k), x.Row(k))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(blocks*h), "ns/elem")
+		})
+	}
+}

@@ -26,8 +26,8 @@ import (
 // SetKernelChain moves the process default, which ChainAuto selections
 // (recurrent.RunOptions.Chain, serve.Config.Chain) follow.
 // A ChainGeneric process default additionally pins every chain to its
-// pure-Go body, which is how CI exercises the reference bodies on any
-// runner CPU.
+// pure-Go body, and SigmoidVec/TanhVec to their scalar loop, which is
+// how CI exercises the reference bodies on any runner CPU.
 
 // KernelChain selects which accumulation chain, through which body, a
 // Kernels value runs. The zero value is ChainAuto.

@@ -209,6 +209,16 @@ func TestChainMatrixLegRunsItsBodies(t *testing.T) {
 			t.Errorf("leg %v: KernelsFor(%v) runs %s, want %s", leg, c.sel, got, c.want)
 		}
 	}
+	// The activation body is not a chain: the probe picks it on every
+	// leg but the generic one, which keeps the scalar reference.
+	x := NewVector(8)
+	wantVec := 0
+	if leg != ChainGeneric && HasAVX2FMA() {
+		wantVec = len(x)
+	}
+	if got := actVec(x, x, false); got != wantVec {
+		t.Errorf("leg %v: the activation body wrote %d of %d elements, want %d", leg, got, len(x), wantVec)
+	}
 }
 
 // TestKernelsForRejectsUnknownChain: a value outside the four constants

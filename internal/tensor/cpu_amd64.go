@@ -48,3 +48,8 @@ var hasWideBody = cpuFeatures.AVX && cpuFeatures.AVX2 && cpuFeatures.FMA && cpuF
 // YMM state, nothing more. ChainSSE2 dots four rows as four row-body
 // calls otherwise (quadBody).
 var hasQuadBody = cpuFeatures.AVX && cpuFeatures.OSYMM
+
+// hasActBody reports whether SigmoidVec/TanhVec may run their AVX2+FMA
+// body (act_amd64.s): the same instructions as the wide chain's. Tests
+// clear it to reach the scalar loop.
+var hasActBody = hasWideBody

@@ -6,8 +6,10 @@ package tensor
 // bodies and every capability bit stays false.
 var cpuFeatures CPUInfo
 
-// hasWideBody, hasQuadBody: no AVX assembly body exists off amd64.
+// hasWideBody, hasQuadBody, hasActBody: no AVX assembly body exists
+// off amd64.
 const (
 	hasWideBody = false
 	hasQuadBody = false
+	hasActBody  = false
 )
