@@ -1,10 +1,11 @@
 // Command mobilstm-lint runs the project's static-analysis suite
-// (internal/analysis) over the module: determinism, precision,
-// panic-policy, threshold-constant and concurrency contract checks
-// (racecontract, detfloat, goroutinejoin, kernelcontracts) that encode
+// (internal/analysis) over the module: nine analyzers for determinism,
+// precision, panic policy, threshold constants, goroutine joins and
+// the forward path's arena and packed-weight contracts, which encode
 // the paper-reproduction's correctness contract. Lock copies are left
-// to go vet's copylocks check. See docs/STATIC_ANALYSIS.md for the analyzer catalogue and
-// the lint:ignore suppression syntax.
+// to go vet's copylocks check and data races to go test -race. See
+// docs/STATIC_ANALYSIS.md for the analyzer catalogue and the
+// lint:ignore suppression syntax.
 //
 // Usage:
 //

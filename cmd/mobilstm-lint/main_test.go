@@ -86,10 +86,15 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
-	for _, name := range []string{"detfloat", "racecontract", "goroutinejoin", "kernelcontracts", "shapecheck"} {
+	names := []string{"arenaescape", "detfloat", "float64leak", "globalrand", "goroutinejoin",
+		"invalidatecheck", "maporder", "panicpolicy", "threshconst"}
+	for _, name := range names {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
 		}
+	}
+	if n := strings.Count(out, "\n"); n != len(names) {
+		t.Errorf("-list printed %d analyzers, want %d:\n%s", n, len(names), out)
 	}
 }
 

@@ -9,11 +9,10 @@ import (
 // This file is the concurrency half of the summary engine: per-function
 // concurrency facts (does a function spawn goroutines, which parameters
 // it retains on a spawned goroutine, which WaitGroup parameters it marks
-// Done, which channel/context parameters it blocks on). The contract
-// analyzers (racecontract, goroutinejoin) consume them to stay
-// wrapper-aware: serve.Daemons.Go joins like a literal go statement,
-// and a helper that defers wg.Done discharges the join obligation at
-// its spawn site.
+// Done, which channel/context parameters it blocks on). goroutinejoin
+// consumes them to stay wrapper-aware: serve.Daemons.Go joins like a
+// literal go statement, and a helper that defers wg.Done discharges the
+// join obligation at its spawn site.
 
 // --- type predicates --------------------------------------------------
 
@@ -29,70 +28,12 @@ func namedObj(t types.Type) *types.TypeName {
 	return nil
 }
 
-// namedFrom reports whether t (possibly behind one pointer) is the
-// named type pkgPath.name.
-func namedFrom(t types.Type, pkgPath, name string) bool {
-	obj := namedObj(t)
-	return obj != nil && obj.Pkg() != nil &&
-		obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex.
-func isMutexType(t types.Type) bool {
-	return namedFrom(t, "sync", "Mutex") || namedFrom(t, "sync", "RWMutex")
-}
-
-// isOnceType reports whether t is sync.Once.
-func isOnceType(t types.Type) bool { return namedFrom(t, "sync", "Once") }
-
-// isAtomicGuard reports whether t is any named type from sync/atomic
-// (Pointer[T], Int64, Bool, Value, ...): accesses through these are
-// synchronization, not racy data accesses.
-func isAtomicGuard(t types.Type) bool {
-	obj := namedObj(t)
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-}
-
 // isWaitGroup reports whether t is sync.WaitGroup (possibly behind a
 // pointer): the receiver type whose Add registers a goroutine.
-func isWaitGroup(t types.Type) bool { return namedFrom(t, "sync", "WaitGroup") }
-
-// lockBearing reports whether t is (or transitively contains, by value)
-// one of the sync primitives: a guard, not shared data.
-func lockBearing(t types.Type) bool {
-	return lockBearingSeen(t, map[types.Type]bool{})
+func isWaitGroup(t types.Type) bool {
+	obj := namedObj(t)
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
 }
-
-func lockBearingSeen(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-				return true
-			}
-		}
-		return lockBearingSeen(named.Underlying(), seen)
-	}
-	switch t := t.(type) {
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if lockBearingSeen(t.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return lockBearingSeen(t.Elem(), seen)
-	}
-	return false
-}
-
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool { return namedFrom(t, "context", "Context") }
 
 // isChanType reports whether t's underlying type is a channel.
 func isChanType(t types.Type) bool {
@@ -101,19 +42,6 @@ func isChanType(t types.Type) bool {
 	}
 	_, ok := t.Underlying().(*types.Chan)
 	return ok
-}
-
-// namedStructOf returns the named struct type behind t (dropping one
-// pointer), or nil: the owner type a field access attaches to.
-func namedStructOf(t types.Type) *types.TypeName {
-	obj := namedObj(t)
-	if obj == nil {
-		return nil
-	}
-	if _, ok := obj.Type().Underlying().(*types.Struct); !ok {
-		return nil
-	}
-	return obj
 }
 
 // --- per-function concurrency facts ----------------------------------
@@ -267,9 +195,6 @@ func (cw *concWalker) call(call *ast.CallExpr) {
 		cw.spawns = true
 	}
 	for j, arg := range rargs {
-		if j >= sum.NumParams {
-			break
-		}
 		i := cw.rootParamIndex(arg)
 		if i < 0 {
 			// A spawned function literal is itself a spawn site of this
@@ -293,28 +218,4 @@ func (cw *concWalker) fill(s *FuncSummary) {
 	s.SpawnsParam = cw.spawnsParam
 	s.DonesParam = cw.donesParam
 	s.CtxWaits = cw.ctxWaits
-}
-
-// capturedVars lists the variables a function literal references but
-// does not declare — its closure captures.
-func capturedVars(w *dfWalker, lit *ast.FuncLit) []*types.Var {
-	seen := map[*types.Var]bool{}
-	var out []*types.Var
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := w.objectOf(id).(*types.Var)
-		if !ok || seen[v] || v.IsField() {
-			return true
-		}
-		if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
-			return true // declared inside the literal (params included)
-		}
-		seen[v] = true
-		out = append(out, v)
-		return true
-	})
-	return out
 }

@@ -6,172 +6,6 @@ import (
 	"testing"
 )
 
-// --- racecontract -----------------------------------------------------
-
-// TestRaceContractDoubleCheckedOnce is the seeded acceptance fixture:
-// the Engine.Baseline shape from the serving engine's history, where a
-// sync.Once guards the slow path but a bare fast-path read races with
-// the Do body. Both unguarded reads — the condition and the early
-// return — are findings; the post-Do read is settled and clean.
-func TestRaceContractDoubleCheckedOnce(t *testing.T) {
-	src := `package bad
-
-import "sync"
-
-type Model struct{ n int }
-
-type Engine struct {
-	once sync.Once
-	base *Model
-}
-
-func (e *Engine) Baseline() *Model {
-	if e.base != nil {
-		return e.base
-	}
-	e.once.Do(func() {
-		e.base = &Model{n: 1}
-	})
-	return e.base
-}
-`
-	got := runFixture(t, Lookup("racecontract"), "mobilstm/internal/bad", "internal/bad/bad.go", src)
-	wantLines(t, got, "racecontract", 13, 14)
-	for _, want := range []string{"Engine.base", "once", "sync/atomic"} {
-		if !strings.Contains(got[0].Message, want) {
-			t.Errorf("message should name the contract (%q): %s", want, got[0].Message)
-		}
-	}
-}
-
-// TestRaceContractWrapperAware drives the contract through summaries: an
-// unexported helper writes the field, so the guard evidence and the
-// violations both live at call sites, not at the literal store.
-func TestRaceContractWrapperAware(t *testing.T) {
-	src := `package bad
-
-import "sync"
-
-type S struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (s *S) fill() { s.n = 42 }
-
-func (s *S) Init() {
-	s.mu.Lock()
-	s.fill()
-	s.mu.Unlock()
-}
-
-func (s *S) Bad() int {
-	s.fill()
-	return s.n
-}
-`
-	got := runFixture(t, Lookup("racecontract"), "mobilstm/internal/bad", "internal/bad/bad.go", src)
-	wantLines(t, got, "racecontract", 19, 20)
-}
-
-// TestRaceContractPublishedWrite is the R2 rule: a write to a value
-// already reachable from another goroutine needs a guard even when no
-// package contract exists for the field.
-func TestRaceContractPublishedWrite(t *testing.T) {
-	src := `package bad
-
-type W struct{ n int }
-
-func Leak(w *W, ch chan *W) {
-	ch <- w
-	w.n = 1
-}
-`
-	got := runFixture(t, Lookup("racecontract"), "mobilstm/internal/bad", "internal/bad/bad.go", src)
-	wantLines(t, got, "racecontract", 7)
-	if !strings.Contains(got[0].Message, "published") {
-		t.Errorf("message should say the value was published: %s", got[0].Message)
-	}
-}
-
-// TestRaceContractSpawnPair is the pair rule: a spawned goroutine's
-// unguarded field access racing a same-field access positioned after
-// the spawn, with at least one side writing.
-func TestRaceContractSpawnPair(t *testing.T) {
-	src := `package bad
-
-type W struct{ n int }
-
-func Pair(w *W) {
-	go func() { w.n = 1 }()
-	_ = w.n
-}
-`
-	got := runFixture(t, Lookup("racecontract"), "mobilstm/internal/bad", "internal/bad/bad.go", src)
-	wantLines(t, got, "racecontract", 6)
-}
-
-// TestRaceContractCleanPatterns covers the idioms the analyzer must not
-// flag: lock-held writes and reads (defer included), owned locals,
-// goroutine-private copies, and the reply-channel handoff where the
-// spawned goroutine builds a fresh value and sends it exactly once.
-func TestRaceContractCleanPatterns(t *testing.T) {
-	src := `package good
-
-import "sync"
-
-type S struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (s *S) Set(v int) {
-	s.mu.Lock()
-	s.n = v
-	s.mu.Unlock()
-}
-
-func (s *S) Get() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-func Fresh() *S {
-	s := &S{}
-	s.n = 1
-	return s
-}
-
-type R struct{ n int }
-
-func Reply() int {
-	ch := make(chan *R)
-	go func() {
-		r := &R{}
-		r.n = 1
-		ch <- r
-	}()
-	out := <-ch
-	return out.n
-}
-
-type Opt struct{ Trace []int }
-
-func Copy(opt Opt, f func(func(int))) {
-	f(func(i int) {
-		o := opt
-		o.Trace = nil
-		_ = o
-	})
-}
-`
-	got := runFixture(t, Lookup("racecontract"), "mobilstm/internal/good", "internal/good/good.go", src)
-	if len(got) != 0 {
-		t.Fatalf("clean fixture produced findings:\n%v", got)
-	}
-}
-
 // --- detfloat ---------------------------------------------------------
 
 func TestDetFloatFlagsReductions(t *testing.T) {
@@ -462,68 +296,8 @@ func fire(c *counter) {
 	wantLines(t, got, "goroutinejoin", 9)
 }
 
-// --- kernelcontracts --------------------------------------------------
-
-func TestKernelContractsTensorCoverage(t *testing.T) {
-	src := `package tensor
-
-type Vector []float32
-
-type Matrix struct {
-	Rows, Cols int
-	Data       []float32
-}
-
-func Gemv(dst Vector, m *Matrix, x Vector) {}
-
-func FusedMagic(dst Vector, m *Matrix) {}
-
-func Scale(x float32) float32 { return x }
-
-type Kernels struct{}
-
-func (k Kernels) Gemv(dst Vector, m *Matrix, x Vector) {}
-
-func (k Kernels) FusedRows(dst Vector, m *Matrix) {}
-
-func (m *Matrix) Row(i int) Vector { return nil }
-`
-	got := runFixture(t, Lookup("kernelcontracts"), "mobilstmfix/internal/tensor", "internal/tensor/tensor.go", src)
-	wantLines(t, got, "kernelcontracts", 12, 20)
-	if !strings.Contains(got[0].Message, "FusedMagic") || !strings.Contains(got[0].Message, "shapecheck") {
-		t.Errorf("message should name the kernel and the registry: %s", got[0].Message)
-	}
-}
-
-func TestKernelContractsBuilderCoverage(t *testing.T) {
-	src := `package kernels
-
-type KernelSpec struct{ Name string }
-
-type Builder struct{}
-
-func (b *Builder) DRS(h, trivial int) KernelSpec { return KernelSpec{} }
-
-func (b *Builder) FusedEW(h, t int) KernelSpec { return KernelSpec{} }
-
-func (b *Builder) Batch(h int) []KernelSpec { return nil }
-
-func (b *Builder) Tissue(h int) (KernelSpec, bool) { return KernelSpec{}, true }
-
-func (b *Builder) helper(h int) KernelSpec { return KernelSpec{} }
-
-func (b *Builder) Name() string { return "" }
-`
-	got := runFixture(t, Lookup("kernelcontracts"), "mobilstmfix/internal/kernels", "internal/kernels/kernels.go", src)
-	wantLines(t, got, "kernelcontracts", 9, 11, 13)
-	if !strings.Contains(got[0].Message, "kernelContracts") {
-		t.Errorf("message should point at the contract table: %s", got[0].Message)
-	}
-}
-
-// TestSummaryConcurrencyFacts checks the per-function facts the
-// contract analyzers consume: Spawns, SpawnsParam, DonesParam,
-// CtxWaits, and the field-access transfer of unexported helpers.
+// TestSummaryConcurrencyFacts checks the per-function facts
+// goroutinejoin consumes: Spawns, SpawnsParam, DonesParam and CtxWaits.
 func TestSummaryConcurrencyFacts(t *testing.T) {
 	src := `package facts
 
@@ -541,10 +315,6 @@ func drain(ch chan int) {
 	for range ch {
 	}
 }
-
-type S struct{ n int }
-
-func (s *S) fill() { s.n = 1 }
 `
 	pkg := parseFixture(t, "mobilstm/internal/facts", "internal/facts/facts.go", src)
 	pass := &Pass{Pkg: pkg}
@@ -564,10 +334,5 @@ func (s *S) fill() { s.n = 1 }
 	}
 	if s := sum("drain"); len(s.CtxWaits) != 1 || !s.CtxWaits[0] {
 		t.Errorf("drain should wait on its channel parameter: %+v", s)
-	}
-	obj, _, _ := types.LookupFieldOrMethod(pkg.Types.Scope().Lookup("S").Type(), true, pkg.Types, "fill")
-	s := pass.program().summaryFor(obj.(*types.Func))
-	if s == nil || len(s.FieldWrites) == 0 || len(s.FieldWrites[0]) != 1 || s.FieldWrites[0][0] != "n" {
-		t.Errorf("fill should transfer its receiver field write: %+v", s)
 	}
 }

@@ -7,11 +7,10 @@ import (
 	"strings"
 )
 
-// This file is the intraprocedural dataflow layer the symbolic
-// analyzers (shapecheck, float64leak) are built on: a small abstract
-// interpreter over go/ast + go/types that propagates client-defined
-// facts through local assignments, short variable declarations,
-// branches and loops.
+// This file is the intraprocedural dataflow layer float64leak is built
+// on: a small abstract interpreter over go/ast + go/types that
+// propagates client-defined facts through local assignments, short
+// variable declarations, branches and loops.
 //
 // The engine owns control flow and the binding environment; a dfClient
 // owns the fact domain. Facts attach to refs — storage locations that
@@ -22,20 +21,11 @@ import (
 // carries a persistent fact.
 //
 // Join semantics are the client's choice via merge: a taint domain
-// unions (tainted on either branch stays tainted), a shape domain
-// intersects (a fact survives only if both branches agree). Loops are
+// unions (tainted on either branch stays tainted). Loops are
 // approximated by a bounded widening: a few silent trial passes let
 // facts established in iteration k reach uses in iteration k+1, then
 // one reporting pass runs with the widened environment. Function
 // literals are interpreted separately with fresh environments.
-
-// callResultClient is an optional dfClient extension: a client that can
-// derive per-result facts for a multi-value call (x, y := f(...)) from
-// interprocedural summaries. Returning nil means "no facts" and the
-// walker falls back to killing every LHS.
-type callResultClient interface {
-	evalCallResults(ev *env, call *ast.CallExpr, n int) []any
-}
 
 // dfClient is the fact domain plugged into the dataflow walker.
 type dfClient interface {
@@ -47,10 +37,6 @@ type dfClient interface {
 	// may be nil (fact absent on that path). Returning nil drops the
 	// binding.
 	merge(a, b any) any
-	// scrub rewrites a fact after the given ref was reassigned. Facts
-	// whose symbolic content mentioned the killed location must degrade
-	// (or return nil to be dropped); unrelated facts pass through.
-	scrub(f any, killed ref) any
 	// check inspects one statement-level node with the environment in
 	// force at that point. It runs only during the reporting pass, so
 	// it fires exactly once per node.
@@ -105,12 +91,6 @@ func (ev *env) lookup(e ast.Expr) (any, bool) {
 	return f, ok
 }
 
-// canonOf exposes the walker's canonical access-path renderer to
-// clients that key derived facts on spellings ("rows(l.Wf)").
-func (ev *env) canonOf(e ast.Expr) (string, types.Object) {
-	return ev.w.canon(e)
-}
-
 // loopTrialPasses bounds the widening iterations per loop. Facts here
 // flow through plain bindings (no arithmetic growth), so chains longer
 // than the bound across a single loop body are not expected; the bound
@@ -161,19 +141,6 @@ func runDataflow(pass *Pass, files []*ast.File, client dfClient) {
 	}
 }
 
-// runDataflowFunc interprets a single function body (plus any function
-// literals it schedules). Summary extraction uses it to analyze one
-// declaration at a time instead of whole files.
-func runDataflowFunc(pass *Pass, body *ast.BlockStmt, client dfClient) {
-	w := &dfWalker{pass: pass, client: client}
-	w.funcBody(body)
-	for len(w.queue) > 0 {
-		fl := w.queue[0]
-		w.queue = w.queue[1:]
-		w.funcBody(fl.Body)
-	}
-}
-
 func (w *dfWalker) funcBody(body *ast.BlockStmt) {
 	w.reporting = true
 	w.stmt(w.newEnv(), body)
@@ -199,9 +166,6 @@ func (w *dfWalker) stmt(ev *env, s ast.Stmt) {
 	case *ast.DeclStmt:
 		w.declStmt(ev, s)
 	case *ast.ReturnStmt:
-		// The whole statement is handed to the client so summary
-		// extraction can see returns with the environment in force;
-		// inspection still reaches every result expression.
 		w.checkNode(ev, s)
 		for _, r := range s.Results {
 			w.killAddrOf(ev, r)
@@ -322,46 +286,18 @@ func (w *dfWalker) assignStmt(ev *env, s *ast.AssignStmt) {
 			for i, lh := range s.Lhs {
 				w.bind(ev, lh, vals[i])
 			}
-		} else if vals, ok := w.callResults(ev, s.Rhs, len(s.Lhs)); ok {
-			// Multi-value assignment from a call whose callee has a
-			// summary: bind each LHS to the summarized result fact.
-			for i, lh := range s.Lhs {
-				w.bind(ev, lh, vals[i])
-			}
 		} else {
-			// Multi-value assignment with no summary: no facts survive.
+			// Multi-value assignment from a call: no facts survive.
 			for _, lh := range s.Lhs {
 				w.kill(ev, lh)
 			}
 		}
 	default:
 		// Compound assignment x op= y: the client's join decides the
-		// combined fact (union domains keep taint, intersection
-		// domains drop disagreeing shapes).
+		// combined fact (a union domain keeps taint).
 		combined := w.client.merge(ev.eval(s.Lhs[0]), ev.eval(s.Rhs[0]))
 		w.bind(ev, s.Lhs[0], combined)
 	}
-}
-
-// callResults asks a summary-capable client for the per-result facts of
-// a single multi-value call on the RHS of an assignment.
-func (w *dfWalker) callResults(ev *env, rhs []ast.Expr, n int) ([]any, bool) {
-	if len(rhs) != 1 {
-		return nil, false
-	}
-	call, ok := ast.Unparen(rhs[0]).(*ast.CallExpr)
-	if !ok {
-		return nil, false
-	}
-	cc, ok := w.client.(callResultClient)
-	if !ok {
-		return nil, false
-	}
-	vals := cc.evalCallResults(ev, call, n)
-	if len(vals) != n {
-		return nil, false
-	}
-	return vals, true
 }
 
 func (w *dfWalker) declStmt(ev *env, s *ast.DeclStmt) {
@@ -380,10 +316,6 @@ func (w *dfWalker) declStmt(ev *env, s *ast.DeclStmt) {
 		if len(vs.Values) == len(vs.Names) {
 			for i, name := range vs.Names {
 				w.bind(ev, name, ev.eval(vs.Values[i]))
-			}
-		} else if vals, ok := w.callResults(ev, vs.Values, len(vs.Names)); ok {
-			for i, name := range vs.Names {
-				w.bind(ev, name, vals[i])
 			}
 		} else {
 			for _, name := range vs.Names {
@@ -410,8 +342,7 @@ func (w *dfWalker) bind(ev *env, lhs ast.Expr, fact any) {
 }
 
 // kill removes the fact bound to lhs and invalidates dependents: refs
-// rooted at the same identifier, canonical paths mentioning it, and
-// facts whose symbolic content the client says referenced it.
+// rooted at the same identifier and canonical paths mentioning it.
 func (w *dfWalker) kill(ev *env, lhs ast.Expr) {
 	lhs = ast.Unparen(lhs)
 	r, ok := w.refFor(lhs)
@@ -430,14 +361,6 @@ func (w *dfWalker) kill(ev *env, lhs ast.Expr) {
 		}
 		if k.canon != "" && canonMentions(k.canon, name) {
 			delete(ev.facts, k)
-		}
-	}
-	for k, f := range ev.facts {
-		nf := w.client.scrub(f, r)
-		if nf == nil {
-			delete(ev.facts, k)
-		} else {
-			ev.facts[k] = nf
 		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"strings"
 )
 
-// This file computes the non-shape half of a function summary: a
-// flow-insensitive origin analysis over one function body. Every
-// reference-typed local is mapped to the set of roots its value may
+// This file computes the alias, escape and mutation facts of a function
+// summary: a flow-insensitive origin analysis over one function body.
+// Every reference-typed local is mapped to the set of roots its value may
 // derive from — a parameter, the weight fields of an invalidatable
 // value, or a scratch arena — by iterating the body's assignments to a
 // fixpoint (union semantics, no kills: origins only accumulate, which
@@ -134,13 +134,9 @@ func (fw *factsWalker) run() {
 // fill copies the walker's findings into the summary.
 func (fw *factsWalker) fill(s *FuncSummary) {
 	copy(s.Escapes, fw.escapes)
-	for i := range s.Results {
-		if i < len(fw.resAliases) {
-			s.ResultAliases[i] = fw.resAliases[i]
-			s.ResultWeights[i] = fw.resWeights[i]
-			s.ResultArena[i] = fw.resArena[i]
-		}
-	}
+	s.ResultAliases = fw.resAliases
+	s.ResultWeights = fw.resWeights
+	s.ResultArena = fw.resArena
 	for i, p := range fw.params {
 		if !isInvalidatable(p.Type()) {
 			continue
@@ -638,9 +634,8 @@ func joinInv(a, b invState) invState {
 func (fw *factsWalker) allPathsInvalidated(L ref) bool {
 	bad := false // some return is reached with a mutation pending
 	pw := pathWalker[invState]{
-		info:  fw.pass.Pkg.Info,
-		clone: func(st invState) invState { return st },
-		join:  joinInv,
+		info: fw.pass.Pkg.Info,
+		join: joinInv,
 		leaf: func(st invState, s ast.Stmt) invState {
 			switch s := s.(type) {
 			case *ast.DeferStmt:
@@ -777,6 +772,18 @@ func (fw *factsWalker) callInvalidates(call *ast.CallExpr, L ref) bool {
 
 // --- type predicates -------------------------------------------------
 
+// tensorPkgSuffix identifies the tensor package by import-path suffix,
+// so fixtures under any module path participate.
+const tensorPkgSuffix = "internal/tensor"
+
+// isTensorMatrix reports whether t is (a pointer to) the tensor.Matrix
+// struct.
+func isTensorMatrix(t types.Type) bool {
+	obj := namedObj(t)
+	return obj != nil && obj.Pkg() != nil && obj.Name() == "Matrix" &&
+		strings.HasSuffix(obj.Pkg().Path(), tensorPkgSuffix)
+}
+
 // isInvalidatable reports whether t (possibly behind a pointer) is a
 // named struct that owns cached packed weights: it has an Invalidate
 // method and at least one *tensor.Matrix field.
@@ -817,8 +824,12 @@ func isInvalidatable(t types.Type) bool {
 // named scratch-arena struct, identified by the *Scratch naming
 // convention the hot paths use (forwardScratch).
 func isScratchType(t types.Type) bool {
-	obj := namedStructOf(t)
-	return obj != nil && strings.HasSuffix(obj.Name(), "Scratch")
+	obj := namedObj(t)
+	if obj == nil || !strings.HasSuffix(obj.Name(), "Scratch") {
+		return false
+	}
+	_, ok := obj.Type().Underlying().(*types.Struct)
+	return ok
 }
 
 // isRefType reports whether values of t can alias other storage:

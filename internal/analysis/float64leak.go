@@ -100,9 +100,6 @@ func (c *taintClient) merge(a, b any) any {
 	return b
 }
 
-// scrub: taint carries no symbolic references to other locations.
-func (c *taintClient) scrub(f any, killed ref) any { return f }
-
 func (c *taintClient) check(ev *env, n ast.Node) {
 	inspectNoFuncLit(n, func(x ast.Node) bool {
 		switch x := x.(type) {

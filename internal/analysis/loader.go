@@ -65,9 +65,6 @@ func (p *Pass) program() *Program {
 	return p.prog
 }
 
-// Fileset returns the position table for the pass.
-func (p *Pass) Fileset() *token.FileSet { return p.Pkg.Fset }
-
 // TypeOf returns the type of an expression, or nil if unknown.
 func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	if p.Pkg.Info == nil {

@@ -6,34 +6,29 @@ import (
 	"go/types"
 )
 
-// pathWalker is the path-sensitive statement interpreter the guard
-// scanner (racecontract) and the all-paths Invalidate check
-// (invalidatecheck) share. It owns the control flow, generic over the
-// client's abstract state S; the client supplies only transfer
-// functions:
+// pathWalker is the path-sensitive statement interpreter behind the
+// all-paths Invalidate check (invalidatecheck). It owns the control
+// flow, generic over the client's abstract state S; the client supplies
+// only a join and a transfer function:
 //
 //   - each branch of an if, and each switch/select clause, runs on its
-//     own clone; an arm that ends its path is dropped, the survivors are
+//     own copy; an arm that ends its path is dropped, the survivors are
 //     joined (clauses also with the path where no clause is taken);
-//   - a loop body runs twice on a clone (so facts established in
+//   - a loop body runs twice on a copy (so facts established in
 //     iteration one govern iteration two) and joins the zero-iteration
 //     path;
 //   - return, break/continue/goto and stmtTerminates end a path.
 //
-// The hooks may mutate and return the state they are given; the walker
-// clones before every fork.
+// S is copied by value at every fork, so it must not share mutable
+// storage. Header expressions (conditions, switch tags, range operands)
+// carry no transfer.
 type pathWalker[S any] struct {
-	info  *types.Info
-	clone func(S) S
-	join  func(a, b S) S
+	info *types.Info
+	join func(a, b S) S
 	// leaf is the transfer function of a simple statement: assignments,
 	// expressions, sends, declarations, defer, go, return, and the
 	// init/post/comm statements of compound headers.
 	leaf func(S, ast.Stmt) S
-	// expr is the transfer function of a header expression: an if or
-	// for condition, a switch tag or case, a range operand, and (write
-	// set) a range key or value. Nil ignores header expressions.
-	expr func(st S, e ast.Expr, write bool) S
 }
 
 // stmts interprets a statement list, returning the fall-through state
@@ -62,22 +57,18 @@ func (pw *pathWalker[S]) stmt(st S, s ast.Stmt) (S, bool) {
 		return pw.ifStmt(st, s)
 	case *ast.ForStmt:
 		st = pw.simple(st, s.Init)
-		st = pw.header(st, s.Cond, false)
 		return pw.loop(st, func(b S) S {
 			b, _ = pw.stmts(b, s.Body.List)
 			return pw.simple(b, s.Post)
 		}), false
 	case *ast.RangeStmt:
-		st = pw.header(st, s.X, false)
-		st = pw.header(st, s.Key, true)
-		st = pw.header(st, s.Value, true)
 		return pw.loop(st, func(b S) S {
 			b, _ = pw.stmts(b, s.Body.List)
 			return b
 		}), false
 	case *ast.SwitchStmt:
 		st = pw.simple(st, s.Init)
-		return pw.clauses(pw.header(st, s.Tag, false), s.Body), false
+		return pw.clauses(st, s.Body), false
 	case *ast.TypeSwitchStmt:
 		st = pw.simple(st, s.Init)
 		return pw.clauses(pw.simple(st, s.Assign), s.Body), false
@@ -100,25 +91,16 @@ func (pw *pathWalker[S]) simple(st S, s ast.Stmt) S {
 	return pw.leaf(st, s)
 }
 
-// header applies expr to an optional header expression.
-func (pw *pathWalker[S]) header(st S, e ast.Expr, write bool) S {
-	if e == nil || pw.expr == nil {
-		return st
-	}
-	return pw.expr(st, e, write)
-}
-
 func (pw *pathWalker[S]) ifStmt(st S, s *ast.IfStmt) (S, bool) {
 	st = pw.simple(st, s.Init)
-	st = pw.header(st, s.Cond, false)
-	thenSt, thenEnds := pw.stmts(pw.clone(st), s.Body.List)
+	thenSt, thenEnds := pw.stmts(st, s.Body.List)
 	if s.Else == nil {
 		if thenEnds {
 			return st, false
 		}
 		return pw.join(st, thenSt), false
 	}
-	elseSt, elseEnds := pw.stmt(pw.clone(st), s.Else)
+	elseSt, elseEnds := pw.stmt(st, s.Else)
 	switch {
 	case thenEnds && elseEnds:
 		return st, true
@@ -130,23 +112,20 @@ func (pw *pathWalker[S]) ifStmt(st S, s *ast.IfStmt) (S, bool) {
 	return pw.join(thenSt, elseSt), false
 }
 
-// loop runs body twice on a clone and joins the zero-iteration path.
+// loop runs body twice on a copy and joins the zero-iteration path.
 func (pw *pathWalker[S]) loop(st S, body func(S) S) S {
-	return pw.join(st, body(body(pw.clone(st))))
+	return pw.join(st, body(body(st)))
 }
 
-// clauses interprets each switch/select clause on its own clone and
+// clauses interprets each switch/select clause on its own copy and
 // joins the survivors with the path where no clause is taken.
 func (pw *pathWalker[S]) clauses(st S, body *ast.BlockStmt) S {
-	out := pw.clone(st)
+	out := st
 	for _, cl := range body.List {
-		b := pw.clone(st)
+		b := st
 		var list []ast.Stmt
 		switch cl := cl.(type) {
 		case *ast.CaseClause:
-			for _, e := range cl.List {
-				b = pw.header(b, e, false)
-			}
 			list = cl.Body
 		case *ast.CommClause:
 			b = pw.simple(b, cl.Comm)

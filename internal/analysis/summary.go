@@ -14,13 +14,13 @@ import (
 )
 
 // This file is the interprocedural summary engine. For every function
-// declaration of a loaded package it computes a FuncSummary — a shape
-// transfer function (param dims → result dims), alias facts (which
-// params a result may alias, whether it aliases a callee-local scratch
-// arena or a param's weight fields), escape facts (is a param stored to
-// a heap-reachable location) and mutation facts (are an invalidatable
-// param's weight fields written, and is Invalidate guaranteed on every
-// path). Summaries are param-relative and contain no type-checker
+// declaration of a loaded package it computes a FuncSummary — alias
+// facts (which params a result may alias, whether it aliases a
+// callee-local scratch arena or a param's weight fields), escape facts
+// (is a param stored to a heap-reachable location), mutation facts (are
+// an invalidatable param's weight fields written, and is Invalidate
+// guaranteed on every path) and concurrency facts (concurrency.go).
+// Summaries are param-relative and contain no type-checker
 // identities, so they survive across runs: a SummaryCache keyed by the
 // package's source fingerprint reuses them until a file changes.
 //
@@ -35,54 +35,10 @@ import (
 // before its members widen to ⊤.
 const sccFixpointPasses = 3
 
-// sumKind classifies one summarized result value.
-type sumKind int
-
-const (
-	sumNone sumKind = iota // not summarized (⊤)
-	sumInt                 // integer dimension: D0
-	sumVec                 // vector/slice-of-basic: D0 = length
-	sumMat                 // tensor matrix: D0 = rows, D1 = cols
-	sumVov                 // slice of vectors: D0 = count, D1 = element length
-)
-
-// ShapeSum is the shape transfer function of one result: dims whose
-// bases are paramSym values (or literals), resolved against the actual
-// arguments at each call site.
-type ShapeSum struct {
-	Kind   sumKind
-	D0, D1 dim
-}
-
-// propKind names which property of a parameter a summary dim refers to.
-type propKind int
-
-const (
-	propVal   propKind = iota // the (integer) value itself
-	propRows                  // matrix row count
-	propCols                  // matrix column count
-	propLen                   // vector length
-	propCount                 // vector-of-vectors element count
-)
-
-// paramSym is a summary dim base: property prop of the value reached
-// from parameter index (receiver-first) through the field path. It is
-// pure data — no type-checker identities — so cached summaries remain
-// valid across type-check worlds.
-type paramSym struct {
-	index int
-	path  string // "" or ".Head" style selector path
-	prop  propKind
-}
-
 // FuncSummary is the interprocedural abstract of one function. All
 // parameter indices are receiver-first: a method's receiver is index 0
 // and its first declared parameter index 1.
 type FuncSummary struct {
-	NumParams int
-	Variadic  bool
-	// Results holds one shape transfer function per result value.
-	Results []ShapeSum
 	// ResultAliases[i] lists params result i may alias (arena slabs and
 	// plain slice/pointer pass-through both land here).
 	ResultAliases [][]int
@@ -105,7 +61,7 @@ type FuncSummary struct {
 	// (wrapper verification).
 	Invalidates []bool
 
-	// Concurrency facts (concurrency.go, racecontract.go):
+	// Concurrency facts (concurrency.go), read by goroutinejoin:
 
 	// Spawns: the function may start a goroutine, directly or through a
 	// callee.
@@ -122,16 +78,6 @@ type FuncSummary struct {
 	// at param i (receive, range, select, <-ctx.Done()) — its lifetime
 	// is bounded by that parameter.
 	CtxWaits []bool
-	// FieldWrites[i]/FieldReads[i] list the fields of param i the
-	// function accesses with no guard of its own: the racecontract
-	// check transfers to call sites, which know the guard state
-	// (non-nil only when any parameter has unguarded accesses).
-	FieldWrites [][]string
-	FieldReads  [][]string
-	// ResultSettled[i]: result i is a value whose sync.Once completed
-	// on every return path (engine() returning a built slot) — callers
-	// may access its contracted fields without re-guarding.
-	ResultSettled []bool
 }
 
 // summaryKey names a function across type-check worlds: go/types
@@ -311,174 +257,18 @@ func (pr *Program) summarize(pkg *Package, fi *funcInfo) *FuncSummary {
 	}
 	params := paramVarsOf(sig)
 	s := &FuncSummary{
-		NumParams:   len(params),
-		Variadic:    sig.Variadic(),
 		Escapes:     make([]bool, len(params)),
 		Mutates:     make([]bool, len(params)),
 		Invalidates: make([]bool, len(params)),
 	}
-	nres := sig.Results().Len()
-	s.Results = make([]ShapeSum, nres)
-	s.ResultAliases = make([][]int, nres)
-	s.ResultWeights = make([][]int, nres)
-	s.ResultArena = make([]bool, nres)
-
 	pass := &Pass{Pkg: pkg, prog: pr}
-	if nres > 0 {
-		rc := &returnCap{
-			shapeClient: &shapeClient{pass: pass},
-			params:      params,
-			nres:        nres,
-			named:       namedResults(sig),
-		}
-		runDataflowFunc(pass, fi.decl.Body, rc)
-		if rc.seen {
-			s.Results = rc.results
-		}
-	}
 	fw := newFactsWalker(pass, fi.decl, params)
 	fw.run()
 	fw.fill(s)
-	rs := newRaceScanner(pass, fi.decl, params)
-	rs.run()
-	rs.fill(s)
 	cw := newConcWalker(pass, fi.decl, params)
 	cw.run()
 	cw.fill(s)
 	return s
-}
-
-// namedResults returns the named result variables of sig, or nil when
-// any result is unnamed (bare returns are then not summarized).
-func namedResults(sig *types.Signature) []*types.Var {
-	res := sig.Results()
-	out := make([]*types.Var, res.Len())
-	for i := range out {
-		v := res.At(i)
-		if v.Name() == "" || v.Name() == "_" {
-			return nil
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// returnCap wraps the shape client to capture the facts of every return
-// statement and translate them into param-relative shape summaries.
-// Findings the wrapped client produces during this pass are discarded —
-// the reporting run of shapecheck happens separately.
-type returnCap struct {
-	*shapeClient
-	params  []*types.Var
-	nres    int
-	named   []*types.Var
-	seen    bool
-	results []ShapeSum
-}
-
-func (rc *returnCap) check(ev *env, n ast.Node) {
-	ret, ok := n.(*ast.ReturnStmt)
-	if !ok {
-		return
-	}
-	facts := make([]any, rc.nres)
-	switch {
-	case len(ret.Results) == rc.nres:
-		for i, e := range ret.Results {
-			facts[i] = ev.eval(e)
-		}
-	case len(ret.Results) == 0 && rc.named != nil:
-		for i, v := range rc.named {
-			facts[i] = ev.facts[ref{obj: v}]
-		}
-	case len(ret.Results) == 1:
-		// return f() pass-through of a multi-result callee.
-		if call, ok := ast.Unparen(ret.Results[0]).(*ast.CallExpr); ok {
-			if vals := rc.shapeClient.evalCallResults(ev, call, rc.nres); len(vals) == rc.nres {
-				facts = vals
-			}
-		}
-	}
-	shapes := make([]ShapeSum, rc.nres)
-	for i, f := range facts {
-		shapes[i] = translateShape(f, rc.params)
-	}
-	if !rc.seen {
-		rc.seen = true
-		rc.results = shapes
-		return
-	}
-	for i := range rc.results {
-		rc.results[i] = mergeShapeSum(rc.results[i], shapes[i])
-	}
-}
-
-func mergeShapeSum(a, b ShapeSum) ShapeSum {
-	if a.Kind != b.Kind {
-		return ShapeSum{}
-	}
-	return ShapeSum{Kind: a.Kind, D0: mergeDim(a.D0, b.D0), D1: mergeDim(a.D1, b.D1)}
-}
-
-// translateShape maps a body-space shape fact into param space.
-func translateShape(f any, params []*types.Var) ShapeSum {
-	switch f := f.(type) {
-	case intFact:
-		return ShapeSum{Kind: sumInt, D0: translateDim(f.d, params)}
-	case vecFact:
-		return ShapeSum{Kind: sumVec, D0: translateDim(f.n, params)}
-	case matFact:
-		return ShapeSum{Kind: sumMat, D0: translateDim(f.rows, params), D1: translateDim(f.cols, params)}
-	case vovFact:
-		return ShapeSum{Kind: sumVov, D0: translateDim(f.count, params), D1: translateDim(f.elem, params)}
-	}
-	return ShapeSum{}
-}
-
-// translateDim rewrites a body-space dim onto param-relative bases.
-// Bases that mention anything a caller cannot name (locals, complex
-// paths) translate to ⊤.
-func translateDim(d dim, params []*types.Var) dim {
-	if !d.known {
-		return d
-	}
-	switch b := d.base.(type) {
-	case nil:
-		return d
-	case types.Object:
-		for i, p := range params {
-			if b == p {
-				return dim{known: true, coef: d.coef, base: paramSym{index: i, prop: propVal}}
-			}
-		}
-	case canonSym:
-		prop := propVal
-		inner := b.canon
-		for _, pf := range [...]struct {
-			pre string
-			p   propKind
-		}{{"rows(", propRows}, {"cols(", propCols}, {"len(", propLen}, {"count(", propCount}} {
-			if strings.HasPrefix(inner, pf.pre) && strings.HasSuffix(inner, ")") {
-				prop = pf.p
-				inner = strings.TrimSuffix(strings.TrimPrefix(inner, pf.pre), ")")
-				break
-			}
-		}
-		if strings.ContainsAny(inner, "[]()* ") {
-			return dim{}
-		}
-		root, rest, _ := strings.Cut(inner, ".")
-		for i, p := range params {
-			if b.root == p && p.Name() == root {
-				path := ""
-				if rest != "" {
-					path = "." + rest
-				}
-				return dim{known: true, coef: d.coef, base: paramSym{index: i, path: path, prop: prop}}
-			}
-		}
-	}
-	return dim{}
 }
 
 // --- call-site resolution -------------------------------------------
@@ -517,36 +307,22 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) (*types.Func, []ast.Expr) 
 	return nil, nil
 }
 
-// variadicCutoff returns the first receiver-first parameter index whose
-// summary dims cannot be substituted at this call site (the variadic
-// tail), or -1 when every index is usable.
-func variadicCutoff(s *FuncSummary, call *ast.CallExpr) int {
-	if s.Variadic || call.Ellipsis.IsValid() {
-		return s.NumParams - 1
-	}
-	return -1
-}
-
 // --- JSON artifact ---------------------------------------------------
 
 // summaryJSON is the rendered form of one function's summary, written
 // by mobilstm-lint -summaries for CI artifacts.
 type summaryJSON struct {
 	Func        string   `json:"func"`
-	Results     []string `json:"results,omitempty"`
 	Aliases     []string `json:"result_aliases,omitempty"`
 	ArenaResult []int    `json:"arena_results,omitempty"`
 	Escapes     []int    `json:"escapes,omitempty"`
 	Mutates     []int    `json:"mutates,omitempty"`
 	Invalidates []int    `json:"invalidates,omitempty"`
 
-	Spawns        bool     `json:"spawns,omitempty"`
-	SpawnsParam   []int    `json:"spawns_param,omitempty"`
-	DonesParam    []int    `json:"dones_param,omitempty"`
-	CtxWaits      []int    `json:"ctx_waits,omitempty"`
-	FieldWrites   []string `json:"field_writes,omitempty"`
-	FieldReads    []string `json:"field_reads,omitempty"`
-	ResultSettled []int    `json:"result_settled,omitempty"`
+	Spawns      bool  `json:"spawns,omitempty"`
+	SpawnsParam []int `json:"spawns_param,omitempty"`
+	DonesParam  []int `json:"dones_param,omitempty"`
+	CtxWaits    []int `json:"ctx_waits,omitempty"`
 }
 
 // DumpSummaries computes (or retrieves) the summaries of every base
@@ -570,9 +346,19 @@ func DumpSummaries(pkgs []*Package, cache *SummaryCache) ([]byte, error) {
 	out := make([]summaryJSON, 0, len(keys))
 	for _, k := range keys {
 		s := all[k]
-		j := summaryJSON{Func: k}
-		for i, r := range s.Results {
-			j.Results = append(j.Results, renderShape(r))
+		j := summaryJSON{
+			Func:        k,
+			ArenaResult: trueIndices(s.ResultArena),
+			Escapes:     trueIndices(s.Escapes),
+			Mutates:     trueIndices(s.Mutates),
+			Invalidates: trueIndices(s.Invalidates),
+			Spawns:      s.Spawns,
+			SpawnsParam: trueIndices(s.SpawnsParam),
+			DonesParam:  trueIndices(s.DonesParam),
+			CtxWaits:    trueIndices(s.CtxWaits),
+		}
+		// One alias column per result, omitted when every column is empty.
+		for i := range s.ResultAliases {
 			var parts []string
 			for _, p := range s.ResultAliases[i] {
 				parts = append(parts, fmt.Sprintf("p%d", p))
@@ -581,67 +367,8 @@ func DumpSummaries(pkgs []*Package, cache *SummaryCache) ([]byte, error) {
 				parts = append(parts, fmt.Sprintf("weights(p%d)", p))
 			}
 			j.Aliases = append(j.Aliases, strings.Join(parts, ","))
-			if s.ResultArena[i] {
-				j.ArenaResult = append(j.ArenaResult, i)
-			}
 		}
-		for i := range s.Escapes {
-			if s.Escapes[i] {
-				j.Escapes = append(j.Escapes, i)
-			}
-		}
-		for i := range s.Mutates {
-			if s.Mutates[i] {
-				j.Mutates = append(j.Mutates, i)
-			}
-		}
-		for i := range s.Invalidates {
-			if s.Invalidates[i] {
-				j.Invalidates = append(j.Invalidates, i)
-			}
-		}
-		j.Spawns = s.Spawns
-		for i := range s.SpawnsParam {
-			if s.SpawnsParam[i] {
-				j.SpawnsParam = append(j.SpawnsParam, i)
-			}
-		}
-		for i := range s.DonesParam {
-			if s.DonesParam[i] {
-				j.DonesParam = append(j.DonesParam, i)
-			}
-		}
-		for i := range s.CtxWaits {
-			if s.CtxWaits[i] {
-				j.CtxWaits = append(j.CtxWaits, i)
-			}
-		}
-		for i, fields := range s.FieldWrites {
-			if len(fields) > 0 {
-				j.FieldWrites = append(j.FieldWrites,
-					fmt.Sprintf("p%d:%s", i, strings.Join(fields, "+")))
-			}
-		}
-		for i, fields := range s.FieldReads {
-			if len(fields) > 0 {
-				j.FieldReads = append(j.FieldReads,
-					fmt.Sprintf("p%d:%s", i, strings.Join(fields, "+")))
-			}
-		}
-		for i := range s.ResultSettled {
-			if s.ResultSettled[i] {
-				j.ResultSettled = append(j.ResultSettled, i)
-			}
-		}
-		// Trim all-empty alias columns for a compact artifact.
-		empty := true
-		for _, a := range j.Aliases {
-			if a != "" {
-				empty = false
-				break
-			}
-		}
-		if empty {
+		if strings.Join(j.Aliases, "") == "" {
 			j.Aliases = nil
 		}
 		out = append(out, j)
@@ -649,16 +376,13 @@ func DumpSummaries(pkgs []*Package, cache *SummaryCache) ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
-func renderShape(s ShapeSum) string {
-	switch s.Kind {
-	case sumInt:
-		return "int[" + s.D0.String() + "]"
-	case sumVec:
-		return "vec[" + s.D0.String() + "]"
-	case sumMat:
-		return "mat[" + s.D0.String() + " x " + s.D1.String() + "]"
-	case sumVov:
-		return "vecs[" + s.D0.String() + " x " + s.D1.String() + "]"
+// trueIndices lists the indices of bs that are set, or nil.
+func trueIndices(bs []bool) []int {
+	var out []int
+	for i, b := range bs {
+		if b {
+			out = append(out, i)
+		}
 	}
-	return "?"
+	return out
 }

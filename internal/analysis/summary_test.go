@@ -4,205 +4,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
-// interprocHelpers is the helper suite appended to every interproc
-// fixture: tensor-returning functions whose result dimensions only the
-// summary engine can see at the call sites inside f.
-const interprocHelpers = `
-func gates(h int) tensor.Vector { return tensor.NewVector(4 * h) }
-
-func gatesNamed(h int) (v tensor.Vector) {
-	v = tensor.NewVector(4 * h)
-	return
-}
-
-func pair(h int) (tensor.Vector, tensor.Vector) {
-	return tensor.NewVector(h), tensor.NewVector(4 * h)
-}
-
-func united(h, e int) *tensor.Matrix {
-	wf := tensor.NewMatrix(h, e)
-	wi := tensor.NewMatrix(h, e)
-	wc := tensor.NewMatrix(h, e)
-	wo := tensor.NewMatrix(h, e)
-	return tensor.Pack(wf, wi, wc, wo)
-}
-
-func ufic(m *tensor.Matrix, h int) *tensor.Matrix { return m.RowBlock(h, 4*h) }
-
-func rec(h int) tensor.Vector {
-	if h == 0 {
-		return tensor.NewVector(1)
-	}
-	return rec(h - 1)
-}
-
-func mrA(h int) tensor.Vector { return mrB(h) }
-
-func mrB(h int) tensor.Vector { return mrA(h + 1) }
-`
-
-// TestShapeCheckInterprocedural drives shapecheck through the summary
-// engine: helper results carry concrete symbolic dimensions (4*h gate
-// vectors, the 4h x e united pack, the 3h-row ufic view) into the
-// checks at their call sites. The first body statement is line 6.
-func TestShapeCheckInterprocedural(t *testing.T) {
-	cases := []struct {
-		name string
-		body string
-		want []int
-	}{
-		{
-			name: "helper dims line up end to end",
-			body: `
-	W := united(h, e)
-	g := gates(h)
-	tensor.Gemv(g, W, tensor.NewVector(e))`,
-			want: nil,
-		},
-		{
-			name: "cross-function dst mismatch through gates",
-			body: `
-	U := tensor.NewMatrix(3*h, h)
-	g := gates(h)
-	tensor.Gemv(g, U, tensor.NewVector(h))`,
-			want: []int{8},
-		},
-		{
-			name: "named-result helper propagates through bare return",
-			body: `
-	g := gatesNamed(h)
-	tensor.Gemv(g, tensor.NewMatrix(3*h, h), tensor.NewVector(h))`,
-			want: []int{7},
-		},
-		{
-			name: "multi-value helper results bind per position",
-			body: `
-	a, b := pair(h)
-	tensor.Gemv(b, tensor.NewMatrix(3*h, h), a)`,
-			want: []int{7},
-		},
-		{
-			name: "united pack cols propagate to the x argument",
-			body: `
-	W := united(h, e)
-	tensor.Gemv(tensor.NewVector(4*h), W, tensor.NewVector(2*e))`,
-			want: []int{7},
-		},
-		{
-			name: "chained helpers: ufic over united",
-			body: `
-	v := ufic(united(h, e), h)
-	tensor.Gemv(tensor.NewVector(4*h), v, tensor.NewVector(e))`,
-			want: []int{7},
-		},
-		{
-			name: "interproc skip mask must tile the ufic view",
-			body: `
-	W := united(h, e)
-	v := ufic(W, h)
-	skip := make([]bool, 2*h)
-	var dsts []tensor.Vector
-	tensor.PackedGemvRows(dsts, v, tensor.NewVector(e), skip, 0)`,
-			want: []int{10},
-		},
-		{
-			name: "interproc skip mask that tiles stays clean",
-			body: `
-	W := united(h, e)
-	v := ufic(W, h)
-	skip := make([]bool, h)
-	var dsts []tensor.Vector
-	tensor.PackedGemvRows(dsts, v, tensor.NewVector(e), skip, 0)`,
-			want: nil,
-		},
-		{
-			name: "self-recursive helper widens to unknown and terminates",
-			body: `
-	g := rec(h)
-	tensor.Gemv(g, tensor.NewMatrix(3*h, h), tensor.NewVector(h))`,
-			want: nil,
-		},
-		{
-			name: "mutually recursive helpers widen and terminate",
-			body: `
-	g := mrA(h)
-	tensor.Gemv(g, tensor.NewMatrix(3*h, h), tensor.NewVector(h))`,
-			want: nil,
-		},
-		{
-			name: "packed dst segments must divide the united rows",
-			body: `
-	W := united(h, e)
-	dsts := []tensor.Vector{tensor.NewVector(3 * h)}
-	tensor.PackedGemv(dsts, W, tensor.NewVector(e))`,
-			want: []int{8},
-		},
-		{
-			name: "packed dst segments that divide stay clean",
-			body: `
-	W := united(h, e)
-	dsts := []tensor.Vector{tensor.NewVector(h), tensor.NewVector(h)}
-	tensor.PackedGemv(dsts, W, tensor.NewVector(e))`,
-			want: nil,
-		},
-		{
-			name: "packed gemm dst rows against xs count",
-			body: `
-	W := united(h, e)
-	wx := tensor.NewMatrix(7, 4*h)
-	xs := make([]tensor.Vector, 9)
-	tensor.PackedGemm(wx, W, xs)`,
-			want: []int{9},
-		},
-		{
-			name: "packed gemm xs element length against m cols",
-			body: `
-	W := united(h, e)
-	wx := tensor.NewMatrix(1, 4*h)
-	xs := []tensor.Vector{tensor.NewVector(2 * e)}
-	tensor.PackedGemm(wx, W, xs)`,
-			want: []int{9},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			src := "package fix\n\nimport \"mobilstm/internal/tensor\"\n\nfunc f(h, e int, x tensor.Vector) {" +
-				tc.body + "\n}\n" + interprocHelpers
-			got := runFixtureWith(t, Lookup("shapecheck"), "mobilstm/internal/fix", "internal/fix/fix.go", src)
-			wantLines(t, got, "shapecheck", tc.want...)
-		})
-	}
-}
-
-// TestDumpSummariesRendersConcreteShapes locks the summary lattice's
-// rendered form: a helper returning NewVector(4*h) must summarize as a
-// vector of 4 times its first parameter, not an opaque symbol.
-func TestDumpSummariesRendersConcreteShapes(t *testing.T) {
-	src := "package fix\n\nimport \"mobilstm/internal/tensor\"\n" + interprocHelpers
-	pkg := parseFixtureWith(t, "mobilstm/internal/fix", "internal/fix/fix.go", src)
-	data, err := DumpSummaries([]*Package{pkg}, NewSummaryCache())
-	if err != nil {
-		t.Fatalf("DumpSummaries: %v", err)
-	}
-	out := string(data)
-	for _, want := range []string{
-		`"mobilstm/internal/fix.gates"`,
-		`"vec[4*p0]"`,
-		`"mat[4*p0 x p1]"`, // united
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary dump missing %s:\n%s", want, out)
-		}
-	}
-}
-
 // TestSummaryCacheInvalidation proves the source-fingerprint keying: a
 // cached summary survives an identical reload but is recomputed when
-// the helper's source changes, flipping the caller's finding off.
+// the helper's source changes. The helper mutates weights without
+// Invalidate, so its summary hands the obligation to the exported
+// caller, which invalidatecheck flags; once the helper invalidates, the
+// stale cached summary must not keep the finding alive.
 func TestSummaryCacheInvalidation(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, src string) {
@@ -221,11 +31,20 @@ func TestSummaryCacheInvalidation(t *testing.T) {
 
 import "tmpmod/internal/tensor"
 
-func buf(h int) tensor.Vector { return tensor.NewVector(%d * h) }
+type Layer struct {
+	W      *tensor.Matrix
+	packed *tensor.Matrix
+}
 
-func Use(h int, x tensor.Vector) {
-	U := tensor.NewMatrix(3*h, h)
-	tensor.Gemv(buf(h), U, x)
+func (l *Layer) Invalidate() { l.packed = nil }
+
+func scale(l *Layer, s float32) {
+	l.W.Data[0] = s
+	%s
+}
+
+func Scale(l *Layer, s float32) {
+	scale(l, s)
 }
 `
 	cache := NewSummaryCache()
@@ -239,14 +58,14 @@ func Use(h int, x tensor.Vector) {
 		if err != nil {
 			t.Fatalf("Load: %v", err)
 		}
-		return AnalyzeOptions(pkgs, []*Analyzer{Lookup("shapecheck")}, Options{Cache: cache})
+		return AnalyzeOptions(pkgs, []*Analyzer{Lookup("invalidatecheck")}, Options{Cache: cache})
 	}
-	write("internal/app/app.go", fmt.Sprintf(appSrc, 4))
-	wantLines(t, analyze(), "shapecheck", 9)
+	write("internal/app/app.go", fmt.Sprintf(appSrc, ""))
+	wantLines(t, analyze(), "invalidatecheck", 18)
 	// An identical reload must answer from the cache and still flag.
-	wantLines(t, analyze(), "shapecheck", 9)
+	wantLines(t, analyze(), "invalidatecheck", 18)
 	// Fixing the helper changes its package fingerprint: the stale
 	// cached summary must not keep the finding alive.
-	write("internal/app/app.go", fmt.Sprintf(appSrc, 3))
-	wantLines(t, analyze(), "shapecheck")
+	write("internal/app/app.go", fmt.Sprintf(appSrc, "l.Invalidate()"))
+	wantLines(t, analyze(), "invalidatecheck")
 }

@@ -459,6 +459,8 @@ func TestPackedGemmRowsShapePanics(t *testing.T) {
 			"skips count": func() { k.PackedGemmRows(NewMatrix(2, 8), m, xs, make([][]bool, 3), 0) },
 			"mask tiling": func() { k.PackedGemmRows(NewMatrix(2, 8), m, xs, [][]bool{make([]bool, 3), nil}, 0) },
 			"empty mask":  func() { k.PackedGemmRows(NewMatrix(2, 8), m, xs, [][]bool{{}, nil}, 0) },
+			// A GRU 2h skip mask on its 3h united matrix (h = 2).
+			"gru 2h mask on 3h": func() { k.PackedGemmRows(NewMatrix(2, 6), NewMatrix(6, 4), xs, [][]bool{make([]bool, 4), nil}, 0) },
 		})
 	})
 }
@@ -518,6 +520,10 @@ func TestPackedShapePanics(t *testing.T) {
 			"one dst skip": func() { k.PackedGemvRows([]Vector{NewVector(8)}, m, NewVector(4), make([]bool, 4), 0) },
 			"gemm dst":     func() { k.PackedGemm(NewMatrix(2, 7), m, []Vector{NewVector(4), NewVector(4)}) },
 			"gemm x":       func() { k.PackedGemm(NewMatrix(2, 8), m, []Vector{NewVector(4), NewVector(3)}) },
+			// A GRU 2h skip mask on its 3h united matrix (h = 2).
+			"gru 2h mask on 3h": func() {
+				k.PackedGemvRows([]Vector{NewVector(2), NewVector(2), NewVector(2)}, NewMatrix(6, 4), NewVector(4), make([]bool, 4), 0)
+			},
 		})
 	})
 	mustPanic(t, map[string]func(){"rowblock": func() { NewMatrix(8, 4).RowBlock(3, 9) }})
