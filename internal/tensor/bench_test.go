@@ -85,6 +85,52 @@ func benchPackedGemm(b *testing.B, packedGemm func(*Matrix, *Matrix, []Vector)) 
 
 func BenchmarkPackedGemm(b *testing.B) { benchPackedGemm(b, PackedGemm) }
 
+// servedUnited is the united matrix of the served PTB forward (h = 192,
+// 4h × h) and n Gaussian inputs for it.
+func servedUnited(n int) (*Matrix, []Vector) {
+	const h = 192
+	united, _, _ := benchDims(h)
+	r := rng.New(0x5e7d)
+	xs := make([]Vector, n)
+	for t := range xs {
+		xs[t] = randVector(r, h)
+	}
+	return united, xs
+}
+
+// BenchmarkPackedGemmLayer is the served input GEMM (step 2 of
+// Algorithm 1): the 768×192 united W over a 48-cell layer, the shape of
+// the repository benchmark's tensor.packed_gemm probe.
+func BenchmarkPackedGemmLayer(b *testing.B) {
+	united, xs := servedUnited(48)
+	dst := NewMatrix(len(xs), united.Rows)
+	b.SetBytes(united.SizeBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PackedGemm(dst, united, xs)
+	}
+}
+
+// BenchmarkPackedGemmRows is one recurrent step of a B = 4 batch over
+// the served 768×192 united U with nil masks (the first stage, and the
+// second stage without Intra) — the shape of the repository
+// benchmark's tensor.packed_gemm_rows probe. One op is 16 steps, so the
+// short bench-json protocol still times ~0.5 ms.
+func BenchmarkPackedGemmRows(b *testing.B) {
+	const steps = 16
+	united, xs := servedUnited(4)
+	dst := NewMatrix(len(xs), united.Rows)
+	b.SetBytes(steps * united.SizeBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for range steps {
+			PackedGemmRows(dst, united, xs, nil, 0)
+		}
+	}
+}
+
 // BenchmarkWidePackedGemv / BenchmarkWidePackedGemm are the same bodies
 // on the wide chain (AVX2/FMA 32-lane). The canonical names stay
 // unsuffixed so the BENCH_hotpath.json trajectory is uninterrupted; the

@@ -18,11 +18,13 @@ import (
 //     equality at any GOMAXPROCS and any batch B).
 //
 // A KernelChain names a chain; a body is code that carries it. The
-// canonical chain has three bodies — the pure-Go definition, the SSE2
-// row body and the AVX four-row body (dot_quad_amd64.s, four rows
-// against one x per call) — and the wide chain two. There is one kernel
-// family (Kernels): KernelsFor resolves a selection to its bodies once,
-// and every kernel of a run dots its rows through that binding.
+// canonical chain has four bodies — the pure-Go definition, the SSE2
+// row body, the AVX four-row body (dot_quad_amd64.s, four rows against
+// one x per call) and the AVX-512 block body (dot_block_amd64.s, four
+// rows against four inputs per call) — and the wide chain two. There is
+// one kernel family (Kernels): KernelsFor resolves a selection to its
+// bodies once, and every kernel of a run dots its rows through that
+// binding.
 // SetKernelChain moves the process default, which ChainAuto selections
 // (recurrent.RunOptions.Chain, serve.Config.Chain) follow.
 // A ChainGeneric process default additionally pins every chain to its
@@ -154,14 +156,19 @@ func KernelsFor(c KernelChain) Kernels {
 		c = def
 	}
 	asm := def != ChainGeneric
-	return Kernels{dot: rowBody(c, asm, asm && hasWideBody), quad: quadBody(c, asm && hasQuadBody)}
+	return Kernels{
+		dot:   rowBody(c, asm, asm && hasWideBody),
+		quad:  quadBody(c, asm && hasQuadBody),
+		block: blockBody(c, asm && hasBlockBody),
+	}
 }
 
 // rowBody is the resolution table — one row per chain: the row body
 // that carries chain c when assembly is allowed (asm) and the AVX2+FMA
-// body is usable (avx2); quadBody is its four-row column. Adding a
-// chain is a constant with its name, a reference Go body, optionally an
-// assembly body behind a probe, and a row here.
+// body is usable (avx2); quadBody is its four-row column and blockBody
+// its four-row × four-input column. Adding a chain is a constant with
+// its name, a reference Go body, optionally an assembly body behind a
+// probe, and a row here.
 func rowBody(c KernelChain, asm, avx2 bool) rowBodyFn {
 	switch c {
 	case ChainGeneric:
@@ -190,6 +197,19 @@ func rowBody(c KernelChain, asm, avx2 bool) rowBodyFn {
 func quadBody(c KernelChain, avx bool) quadBodyFn {
 	if c == ChainSSE2 && avx {
 		return dotQuadAVX
+	}
+	return nil
+}
+
+// blockBody is the table's four-row × four-input column: the body that
+// dots four rows against four inputs for chain c when the AVX-512 block
+// body is usable (avx512: the probe allows it and the process is not
+// forced generic), or nil — four four-row calls (Kernels.dot4x4). As in
+// quadBody, only the canonical chain through its assembly binding has
+// one.
+func blockBody(c KernelChain, avx512 bool) blockBodyFn {
+	if c == ChainSSE2 && avx512 {
+		return dotBlockAVX512
 	}
 	return nil
 }

@@ -76,11 +76,11 @@ func TestChainFromEnv(t *testing.T) {
 	}
 }
 
-// bodyName names a row or four-row body by identity (func values
-// compare only through their code pointers), so the resolution tests
-// assert on which body a binding runs rather than on output bits — the
-// canonical bodies agree bitwise by construction, so bits cannot tell
-// them apart. An unbound four-row body is "none".
+// bodyName names a row, four-row or block body by identity (func
+// values compare only through their code pointers), so the resolution
+// tests assert on which body a binding runs rather than on output bits
+// — the canonical bodies agree bitwise by construction, so bits cannot
+// tell them apart. An unbound four-row or block body is "none".
 func bodyName(f any) string {
 	fv := reflect.ValueOf(f)
 	if fv.IsNil() {
@@ -89,7 +89,7 @@ func bodyName(f any) string {
 	for name, b := range map[string]any{
 		"dotRowGeneric": dotRowGeneric, "dotRowSSE2": dotRowSSE2,
 		"dotRowWideGeneric": dotRowWideGeneric, "dotRowAVX2": dotRowAVX2,
-		"dotQuadAVX": dotQuadAVX,
+		"dotQuadAVX": dotQuadAVX, "dotBlockAVX512": dotBlockAVX512,
 	} {
 		if fv.Pointer() == reflect.ValueOf(b).Pointer() {
 			return name
@@ -103,9 +103,20 @@ func bodyName(f any) string {
 // from it rather than from hasQuadBody, so they check the probe too.
 func quadProbe() bool { c := CPU(); return c.AVX && c.OSYMM }
 
+// blockProbe is what the CPU reports for the AVX-512 block body:
+// AVX-512F with OS-saved opmask and ZMM state.
+func blockProbe() bool { c := CPU(); return c.AVX512F && c.OSZMM }
+
+// boundBodies names the three bodies a binding runs: row, four-row and
+// block.
+func boundBodies(k Kernels) [3]string {
+	return [3]string{bodyName(k.dot), bodyName(k.quad), bodyName(k.block)}
+}
+
 // TestForcedGenericDisablesAssemblyBodies pins the resolution table:
 // which row body carries each chain with and without the AVX2+FMA
-// probe, which four-row body with and without the AVX probe, and that
+// probe, which four-row body with and without the AVX probe, which
+// block body with and without the AVX-512 probe, and that
 // a forced-generic process default (the CI reference configuration)
 // leaves nothing but the pure-Go bodies — for explicit selections too,
 // not only for ChainAuto.
@@ -142,31 +153,47 @@ func TestForcedGenericDisablesAssemblyBodies(t *testing.T) {
 			t.Errorf("quadBody(%v, avx=%v) = %s, want %s", c.chain, c.avx, got, c.want)
 		}
 	}
-	wide, quad := "dotRowWideGeneric", "none"
+	for _, c := range []struct {
+		chain  KernelChain
+		avx512 bool
+		want   string
+	}{
+		{ChainGeneric, true, "none"},
+		{ChainSSE2, true, "dotBlockAVX512"},
+		{ChainSSE2, false, "none"},
+		{ChainAVX2, true, "none"},
+	} {
+		if got := bodyName(blockBody(c.chain, c.avx512)); got != c.want {
+			t.Errorf("blockBody(%v, avx512=%v) = %s, want %s", c.chain, c.avx512, got, c.want)
+		}
+	}
+	wide, quad, block := "dotRowWideGeneric", "none", "none"
 	if HasAVX2FMA() {
 		wide = "dotRowAVX2"
 	}
 	if quadProbe() {
 		quad = "dotQuadAVX"
 	}
+	if blockProbe() {
+		block = "dotBlockAVX512"
+	}
+	canon := [3]string{"dotRowSSE2", quad, block}
 	for _, c := range []struct {
-		def, sel          KernelChain
-		wantRow, wantQuad string
+		def, sel KernelChain
+		want     [3]string
 	}{
-		{ChainGeneric, ChainAuto, "dotRowGeneric", "none"},
-		{ChainGeneric, ChainSSE2, "dotRowGeneric", "none"},
-		{ChainGeneric, ChainAVX2, "dotRowWideGeneric", "none"},
-		{ChainSSE2, ChainAuto, "dotRowSSE2", quad},
-		{ChainSSE2, ChainGeneric, "dotRowGeneric", "none"},
-		{ChainSSE2, ChainAVX2, wide, "none"},
-		{ChainAVX2, ChainAuto, wide, "none"},
-		{ChainAVX2, ChainSSE2, "dotRowSSE2", quad},
+		{ChainGeneric, ChainAuto, [3]string{"dotRowGeneric", "none", "none"}},
+		{ChainGeneric, ChainSSE2, [3]string{"dotRowGeneric", "none", "none"}},
+		{ChainGeneric, ChainAVX2, [3]string{"dotRowWideGeneric", "none", "none"}},
+		{ChainSSE2, ChainAuto, canon},
+		{ChainSSE2, ChainGeneric, [3]string{"dotRowGeneric", "none", "none"}},
+		{ChainSSE2, ChainAVX2, [3]string{wide, "none", "none"}},
+		{ChainAVX2, ChainAuto, [3]string{wide, "none", "none"}},
+		{ChainAVX2, ChainSSE2, canon},
 	} {
 		withChain(t, c.def, func(t *testing.T) {
-			k := KernelsFor(c.sel)
-			if got, gotQuad := bodyName(k.dot), bodyName(k.quad); got != c.wantRow || gotQuad != c.wantQuad {
-				t.Errorf("default %v: KernelsFor(%v) runs %s + %s, want %s + %s",
-					c.def, c.sel, got, gotQuad, c.wantRow, c.wantQuad)
+			if got := boundBodies(KernelsFor(c.sel)); got != c.want {
+				t.Errorf("default %v: KernelsFor(%v) runs %s, want %s", c.def, c.sel, got, c.want)
 			}
 		})
 	}
@@ -181,11 +208,12 @@ func TestChainMatrixLegRunsItsBodies(t *testing.T) {
 	if got := ActiveKernelChain(); got != leg {
 		t.Fatalf("process default %v, want the %s leg %v", got, KernelChainEnv, leg)
 	}
-	// Row body and four-row body per chain: the generic leg binds no
-	// assembly; otherwise the canonical chain runs the SSE2 row body and
-	// the AVX four-row body iff the CPU has AVX with OS-saved YMM state,
-	// and the wide chain its AVX2+FMA body iff the probe allows.
-	canon, wide := [2]string{"dotRowSSE2", "none"}, [2]string{"dotRowWideGeneric", "none"}
+	// Row, four-row and block body per chain: the generic leg binds no
+	// assembly; otherwise the canonical chain runs the SSE2 row body,
+	// the AVX four-row body iff the CPU has AVX with OS-saved YMM state
+	// and the AVX-512 block body iff it has AVX-512F with OS-saved ZMM
+	// state, and the wide chain its AVX2+FMA body iff the probe allows.
+	canon, wide := [3]string{"dotRowSSE2", "none", "none"}, [3]string{"dotRowWideGeneric", "none", "none"}
 	if leg == ChainGeneric {
 		canon[0] = "dotRowGeneric"
 	} else {
@@ -195,6 +223,9 @@ func TestChainMatrixLegRunsItsBodies(t *testing.T) {
 		if quadProbe() {
 			canon[1] = "dotQuadAVX"
 		}
+		if blockProbe() {
+			canon[2] = "dotBlockAVX512"
+		}
 	}
 	auto := canon
 	if leg == ChainAVX2 {
@@ -202,10 +233,11 @@ func TestChainMatrixLegRunsItsBodies(t *testing.T) {
 	}
 	for _, c := range []struct {
 		sel  KernelChain
-		want [2]string
+		want [3]string
 	}{{ChainAuto, auto}, {ChainSSE2, canon}, {ChainAVX2, wide}} {
-		k := KernelsFor(c.sel)
-		if got := [2]string{bodyName(k.dot), bodyName(k.quad)}; got != c.want {
+		got := boundBodies(KernelsFor(c.sel))
+		t.Logf("leg %v (CPU %s): KernelsFor(%v) runs %s", leg, CPU(), c.sel, got)
+		if got != c.want {
 			t.Errorf("leg %v: KernelsFor(%v) runs %s, want %s", leg, c.sel, got, c.want)
 		}
 	}
@@ -263,8 +295,8 @@ func TestCPUStringStable(t *testing.T) {
 	if got := (CPUInfo{}).String(); got != "none" {
 		t.Errorf("empty CPUInfo = %q, want none", got)
 	}
-	all := CPUInfo{SSE2: true, AVX: true, FMA: true, AVX2: true, OSYMM: true}
-	if got := all.String(); got != "sse2+avx+fma+avx2+osymm" {
+	all := CPUInfo{SSE2: true, AVX: true, FMA: true, AVX2: true, OSYMM: true, AVX512F: true, OSZMM: true}
+	if got := all.String(); got != "sse2+avx+fma+avx2+osymm+avx512f+oszmm" {
 		t.Errorf("full CPUInfo = %q", got)
 	}
 	if HasAVX2FMA() {

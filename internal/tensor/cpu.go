@@ -6,18 +6,21 @@ import "strings"
 // about, as detected at process start. bench tooling records it next to
 // the active chain so cross-box trajectories stay comparable.
 type CPUInfo struct {
-	SSE2  bool // amd64 baseline; false only off amd64
-	AVX   bool // CPUID.1:ECX.AVX
-	FMA   bool // CPUID.1:ECX.FMA (VFMADD231PS et al.)
-	AVX2  bool // CPUID.7.0:EBX.AVX2
-	OSYMM bool // OS saves YMM state (OSXSAVE + XCR0[2:1] == 11b)
+	SSE2    bool // amd64 baseline; false only off amd64
+	AVX     bool // CPUID.1:ECX.AVX
+	FMA     bool // CPUID.1:ECX.FMA (VFMADD231PS et al.)
+	AVX2    bool // CPUID.7.0:EBX.AVX2
+	OSYMM   bool // OS saves YMM state (OSXSAVE + XCR0[2:1] == 11b)
+	AVX512F bool // CPUID.7.0:EBX.AVX512F
+	OSZMM   bool // OS also saves opmask + ZMM state (XCR0 & 0xE6 == 0xE6)
 }
 
 // CPU returns the detected feature set of this machine.
 func CPU() CPUInfo { return cpuFeatures }
 
 // String renders the detected features as a stable "+"-joined list
-// ("sse2+avx+fma+avx2+osymm"), or "none" when nothing is detected.
+// ("sse2+avx+fma+avx2+osymm+avx512f+oszmm"), or "none" when nothing is
+// detected.
 func (c CPUInfo) String() string {
 	var parts []string
 	if c.SSE2 {
@@ -34,6 +37,12 @@ func (c CPUInfo) String() string {
 	}
 	if c.OSYMM {
 		parts = append(parts, "osymm")
+	}
+	if c.AVX512F {
+		parts = append(parts, "avx512f")
+	}
+	if c.OSZMM {
+		parts = append(parts, "oszmm")
 	}
 	if len(parts) == 0 {
 		return "none"

@@ -7,7 +7,9 @@ package tensor
 // and both need OS-saved YMM state: a kernel that does not
 // context-switch the upper register halves (XCR0 bits 1-2 clear) would
 // silently corrupt them, so the probe checks OSXSAVE + XGETBV exactly
-// like runtime·cpuinit does. golang.org/x/sys/cpu is the usual home for
+// like runtime·cpuinit does. The canonical chain's block body needs
+// AVX-512F and, by the same argument, OS-saved opmask and ZMM state
+// (XCR0 bits 5-7). golang.org/x/sys/cpu is the usual home for
 // this; the repo is stdlib-only, and the probe is four CPUID leaves.
 
 // cpuid and xgetbv0 are implemented in cpu_amd64.s.
@@ -30,11 +32,13 @@ func probeCPU() CPUInfo {
 	info.AVX = ecx1&(1<<28) != 0
 	if osxsave {
 		xcr0, _ := xgetbv0()
-		info.OSYMM = xcr0&0x6 == 0x6 // XMM + YMM state saved
+		info.OSYMM = xcr0&0x6 == 0x6   // XMM + YMM state saved
+		info.OSZMM = xcr0&0xE6 == 0xE6 // ... and opmask, ZMM0-15 upper halves, ZMM16-31
 	}
 	if maxLeaf >= 7 {
 		_, ebx7, _, _ := cpuid(7, 0)
 		info.AVX2 = ebx7&(1<<5) != 0
+		info.AVX512F = ebx7&(1<<16) != 0
 	}
 	return info
 }
@@ -48,6 +52,13 @@ var hasWideBody = cpuFeatures.AVX && cpuFeatures.AVX2 && cpuFeatures.FMA && cpuF
 // YMM state, nothing more. ChainSSE2 dots four rows as four row-body
 // calls otherwise (quadBody).
 var hasQuadBody = cpuFeatures.AVX && cpuFeatures.OSYMM
+
+// hasBlockBody reports whether the canonical chain's AVX-512 block body
+// is usable on this CPU: 512-bit VMULPS/VADDPS and the ZMM16-31
+// accumulators need AVX-512F and OS-saved opmask and ZMM state. A block
+// is four four-row calls otherwise (blockBody). Tests clear it to reach
+// that path.
+var hasBlockBody = cpuFeatures.AVX512F && cpuFeatures.OSZMM
 
 // hasActBody reports whether SigmoidVec/TanhVec may run their AVX2+FMA
 // body (act_amd64.s): the same instructions as the wide chain's. Tests

@@ -6,10 +6,11 @@ package tensor
 // bodies and every capability bit stays false.
 var cpuFeatures CPUInfo
 
-// hasWideBody, hasQuadBody, hasActBody: no AVX assembly body exists
-// off amd64.
+// hasWideBody, hasQuadBody, hasBlockBody, hasActBody: no AVX assembly
+// body exists off amd64.
 const (
-	hasWideBody = false
-	hasQuadBody = false
-	hasActBody  = false
+	hasWideBody  = false
+	hasQuadBody  = false
+	hasBlockBody = false
+	hasActBody   = false
 )

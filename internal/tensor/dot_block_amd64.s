@@ -1,0 +1,173 @@
+// func dot4x4AVX512(out *[4][4]float32, r0, r1, r2, r3, x0, x1, x2, x3 *float32, n int)
+//
+// AVX-512 block body of the canonical dot-product chain: four rows
+// dotted against four inputs per call, out[b][i] bitwise the chain that
+// dotRowGeneric in kernel.go defines for row i and input b. The chain
+// has sixteen lanes, so one ZMM register holds a (row, input) pair's
+// whole accumulator — groups [A|B|C|D] — and Z16+4b+i is pair (i, b).
+// VMULPS and VADDPS apply lanewise IEEE float32 multiply then add — no
+// FMA — so each lane sum is the same operation sequence as its Go
+// counterpart. Per 16-float block each row and each input is loaded
+// once and used four times: the weight stream is read once per four
+// inputs instead of once per input.
+//
+// The fold runs all sixteen pairs at once and keeps each pair's order of
+// operations: a transpose of 128-bit blocks lines up the A, B, C and D
+// groups of four pairs for the lanewise (A+B)+(C+D), a transpose within
+// the blocks lines up their lanes l0..l3 for the scalar
+// ((l0+l1)+l2)+l3, and the serial remainder adds one rounded product per
+// element to every pair's sum in one register, whose lane 4b+i is
+// out[b][i]. Every instruction is AVX-512F (no VL, DQ or BW forms):
+// VPXORD clears the accumulators, and the only 128-bit ops (the
+// remainder's loads) touch X4/X5 alone.
+
+#include "textflag.h"
+
+// GROUP gathers one row's four accumulators a0..a3 (inputs 0..3, each
+// [A|B|C|D] in 128-bit blocks) into dst = [l(a0)|l(a1)|l(a2)|l(a3)],
+// where l is the lanewise fold (A+B)+(C+D): a 4×4 transpose of 128-bit
+// blocks (VSHUFF32X4) puts the four A blocks in one register, the B
+// blocks in the next, and so on, and three lanewise adds fold them.
+#define GROUP(a0, a1, a2, a3, dst) \
+	VSHUFF32X4 $0x44, a1, a0, Z0; \
+	VSHUFF32X4 $0xEE, a1, a0, Z1; \
+	VSHUFF32X4 $0x44, a3, a2, Z2; \
+	VSHUFF32X4 $0xEE, a3, a2, Z3; \
+	VSHUFF32X4 $0x88, Z2, Z0, Z4; \
+	VSHUFF32X4 $0xDD, Z2, Z0, Z5; \
+	VSHUFF32X4 $0x88, Z3, Z1, Z6; \
+	VSHUFF32X4 $0xDD, Z3, Z1, Z7; \
+	VADDPS     Z5, Z4, Z4; \
+	VADDPS     Z7, Z6, Z6; \
+	VADDPS     Z6, Z4, dst
+
+// PAIRS multiplies a row's block by each input's (Z0..Z3) and adds the
+// products to the row's four accumulators a0..a3 (inputs 0..3).
+#define PAIRS(row, a0, a1, a2, a3) \
+	VMULPS row, Z0, Z8; \
+	VMULPS row, Z1, Z9; \
+	VMULPS row, Z2, Z10; \
+	VMULPS row, Z3, Z11; \
+	VADDPS Z8, a0, a0; \
+	VADDPS Z9, a1, a1; \
+	VADDPS Z10, a2, a2; \
+	VADDPS Z11, a3, a3
+
+// tailIdx spreads [x0 x1 x2 x3] to x_b in every lane of 128-bit block b
+// (VPERMPS), the lane order of the folded sums.
+DATA tailIdx<>+0(SB)/4, $0
+DATA tailIdx<>+4(SB)/4, $0
+DATA tailIdx<>+8(SB)/4, $0
+DATA tailIdx<>+12(SB)/4, $0
+DATA tailIdx<>+16(SB)/4, $1
+DATA tailIdx<>+20(SB)/4, $1
+DATA tailIdx<>+24(SB)/4, $1
+DATA tailIdx<>+28(SB)/4, $1
+DATA tailIdx<>+32(SB)/4, $2
+DATA tailIdx<>+36(SB)/4, $2
+DATA tailIdx<>+40(SB)/4, $2
+DATA tailIdx<>+44(SB)/4, $2
+DATA tailIdx<>+48(SB)/4, $3
+DATA tailIdx<>+52(SB)/4, $3
+DATA tailIdx<>+56(SB)/4, $3
+DATA tailIdx<>+60(SB)/4, $3
+GLOBL tailIdx<>(SB), RODATA|NOPTR, $64
+
+TEXT ·dot4x4AVX512(SB), NOSPLIT, $0-80
+	MOVQ   out+0(FP), R12
+	MOVQ   r0+8(FP), R8
+	MOVQ   r1+16(FP), R9
+	MOVQ   r2+24(FP), R10
+	MOVQ   r3+32(FP), R11
+	MOVQ   x0+40(FP), DI
+	MOVQ   x1+48(FP), SI
+	MOVQ   x2+56(FP), DX
+	MOVQ   x3+64(FP), BX
+	MOVQ   n+72(FP), CX
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	VPXORD Z20, Z20, Z20
+	VPXORD Z21, Z21, Z21
+	VPXORD Z22, Z22, Z22
+	VPXORD Z23, Z23, Z23
+	VPXORD Z24, Z24, Z24
+	VPXORD Z25, Z25, Z25
+	VPXORD Z26, Z26, Z26
+	VPXORD Z27, Z27, Z27
+	VPXORD Z28, Z28, Z28
+	VPXORD Z29, Z29, Z29
+	VPXORD Z30, Z30, Z30
+	VPXORD Z31, Z31, Z31
+	XORQ   AX, AX            // byte offset into every row and input
+	MOVQ   CX, R13
+	SHRQ   $4, R13           // R13 = number of full 16-float blocks
+	JZ     fold
+
+loop16:
+	VMOVUPS (DI)(AX*1), Z0   // input 0
+	VMOVUPS (SI)(AX*1), Z1   // input 1
+	VMOVUPS (DX)(AX*1), Z2   // input 2
+	VMOVUPS (BX)(AX*1), Z3   // input 3
+	VMOVUPS (R8)(AX*1), Z4   // row 0
+	VMOVUPS (R9)(AX*1), Z5   // row 1
+	VMOVUPS (R10)(AX*1), Z6  // row 2
+	VMOVUPS (R11)(AX*1), Z7  // row 3
+	PAIRS(Z4, Z16, Z20, Z24, Z28)
+	PAIRS(Z5, Z17, Z21, Z25, Z29)
+	PAIRS(Z6, Z18, Z22, Z26, Z30)
+	PAIRS(Z7, Z19, Z23, Z27, Z31)
+	ADDQ    $64, AX
+	DECQ    R13
+	JNZ     loop16
+
+fold:
+	// One register per row of [l(input 0)|..|l(input 3)], then a 4×4
+	// transpose within every 128-bit block (VUNPCK*) puts lane k of every
+	// pair's l in Z8+k, so the scalar fold ((l0+l1)+l2)+l3 of all sixteen
+	// pairs is three lanewise adds. Lane 4b+i of Z8 is then pair (i, b):
+	// out's own order.
+	GROUP(Z16, Z20, Z24, Z28, Z12)
+	GROUP(Z17, Z21, Z25, Z29, Z13)
+	GROUP(Z18, Z22, Z26, Z30, Z14)
+	GROUP(Z19, Z23, Z27, Z31, Z15)
+	VUNPCKLPS Z13, Z12, Z0
+	VUNPCKHPS Z13, Z12, Z1
+	VUNPCKLPS Z15, Z14, Z2
+	VUNPCKHPS Z15, Z14, Z3
+	VUNPCKLPD Z2, Z0, Z8     // l0 of every pair
+	VUNPCKHPD Z2, Z0, Z9     // l1
+	VUNPCKLPD Z3, Z1, Z10    // l2
+	VUNPCKHPD Z3, Z1, Z11    // l3
+	VADDPS    Z9, Z8, Z8     // l0+l1
+	VADDPS    Z10, Z8, Z8    // +l2
+	VADDPS    Z11, Z8, Z8    // +l3
+	ANDQ      $15, CX
+	JZ        done
+	VMOVUPS   tailIdx<>(SB), Z6
+
+tail:
+	// Serial remainder, s += row[j]*x[j] for every pair at once: lane
+	// 4b+i multiplies row i's element by input b's, one rounded multiply
+	// and one rounded add per lane.
+	VMOVSS     (R8)(AX*1), X4
+	VINSERTPS  $0x10, (R9)(AX*1), X4, X4
+	VINSERTPS  $0x20, (R10)(AX*1), X4, X4
+	VINSERTPS  $0x30, (R11)(AX*1), X4, X4
+	VSHUFF32X4 $0, Z4, Z4, Z4     // [r0..r3] in every block
+	VMOVSS     (DI)(AX*1), X5
+	VINSERTPS  $0x10, (SI)(AX*1), X5, X5
+	VINSERTPS  $0x20, (DX)(AX*1), X5, X5
+	VINSERTPS  $0x30, (BX)(AX*1), X5, X5
+	VPERMPS    Z5, Z6, Z5         // x_b in every lane of block b
+	VMULPS     Z5, Z4, Z4
+	VADDPS     Z4, Z8, Z8
+	ADDQ       $4, AX
+	DECQ       CX
+	JNZ        tail
+
+done:
+	VMOVUPS Z8, (R12)
+	VZEROUPPER
+	RET

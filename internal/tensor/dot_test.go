@@ -160,3 +160,83 @@ func TestDotQuadMatchesGeneric(t *testing.T) {
 		}
 	}
 }
+
+// blockCase is four rows of one length and the four inputs they are
+// dotted against.
+type blockCase struct {
+	name string
+	rows [4][]float32
+	xs   [4][]float32
+}
+
+// blockCorpus extends quadCorpus to four inputs for one length n: each
+// four-row case against its x and three more drawn by the same law
+// (the non-finite case with a -Inf lane in its last input), plus the
+// first case with one input passed three times.
+func blockCorpus(r *rng.RNG, n int) []blockCase {
+	draw := func(wild bool) []float32 {
+		if wild {
+			x := make([]float32, n)
+			for i := range x {
+				x[i] = float32(r.Norm() / (1 + r.Float64()*1e5))
+			}
+			return x
+		}
+		x := make([]float32, n+3)
+		for i := range x {
+			x[i] = float32(r.Norm())
+		}
+		return x
+	}
+	var cs []blockCase
+	for _, c := range quadCorpus(r, n) {
+		wild := c.name == "wild"
+		xs := [4][]float32{c.x, draw(wild), draw(wild), draw(wild)}
+		if c.name == "non-finite" && n > 0 {
+			xs[3][r.Intn(n)] = float32(math.Inf(-1))
+		}
+		cs = append(cs, blockCase{c.name, c.rows, xs})
+	}
+	a := cs[0]
+	return append(cs, blockCase{"x thrice", a.rows, [4][]float32{a.xs[1], a.xs[0], a.xs[1], a.xs[1]}})
+}
+
+// TestDotBlockMatchesGeneric pins every four-row × four-input binding
+// to its chain's definition, pair by pair: the AVX-512 block body
+// (where the probe binds it) against sixteen dotRowGeneric calls, and
+// each chain's Kernels.dot4x4 — the block body, or four dot4 calls —
+// against its reference body. Outputs must be bitwise equal, or both
+// NaN.
+func TestDotBlockMatchesGeneric(t *testing.T) {
+	r := rng.New(0x64)
+	type body struct {
+		name  string
+		block blockBodyFn
+		ref   rowBodyFn
+	}
+	var bodies []body
+	if hasBlockBody {
+		bodies = append(bodies, body{"dotBlockAVX512", dotBlockAVX512, dotRowGeneric})
+	} else {
+		t.Logf("no AVX-512 block body on this CPU (%s): checking the dot4x4 fallbacks only", CPU())
+	}
+	for _, c := range chainRefs {
+		bodies = append(bodies, body{c.chain.String() + ".dot4x4", KernelsFor(c.chain).dot4x4, c.ref})
+	}
+	for _, n := range dotSizes {
+		for _, c := range blockCorpus(r, n) {
+			for _, b := range bodies {
+				r, x := c.rows, c.xs
+				got := b.block(r[0], r[1], r[2], r[3], x[0], x[1], x[2], x[3])
+				for bi, x := range c.xs {
+					for i, row := range c.rows {
+						if want := b.ref(row, x); !sameBits(got[bi][i], want) {
+							t.Errorf("%s n=%d %s row %d input %d: %v (%#08x), reference %v (%#08x)", b.name, n, c.name, i, bi,
+								got[bi][i], math.Float32bits(got[bi][i]), want, math.Float32bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -3,9 +3,10 @@ package tensor
 // The shared inner kernels of the GEMV family. Every kernel in this
 // package — serial or packed — reduces each output element to exactly
 // one row dot of the chain its Kernels value is bound to, so results
-// are bitwise identical however rows are blocked (four per dot4 call,
-// tiled, gathered under a mask), sharded across goroutines, or
-// scattered across united-gate destinations. Do not add a kernel with
+// are bitwise identical however rows and inputs are blocked (four rows
+// per dot4 call, four rows × four inputs per dot4x4 call, tiled,
+// gathered under a mask), sharded across goroutines, or scattered
+// across united-gate destinations. Do not add a kernel with
 // a different summation order: the equivalence tests (and the lstm/gru
 // bitwise-determinism guarantees) all lean on this invariant.
 
@@ -13,7 +14,7 @@ package tensor
 // chain (KernelsFor): each shape is written once as a method — its
 // validation, traversal and fork-join sharding — and dots rows through
 // the binding's bodies. The canonical chain's bodies (ChainGeneric,
-// ChainSSE2 with or without the four-row body) are bitwise
+// ChainSSE2 with or without the four-row and block bodies) are bitwise
 // interchangeable; the wide chain (ChainAVX2)
 // has its own wide-vs-wide contract and drifts a few ULP from the
 // canonical bits, so one run uses one Kernels value throughout.
@@ -24,12 +25,18 @@ type Kernels struct {
 	// of one length against one x per call, each output bitwise its row
 	// body's. nil means dot4 makes four row-body calls.
 	quad quadBodyFn
+	// block, when bound, is a four-row × four-input body of the same
+	// chain: out[b][i] is bitwise the row body's dot of ri and xb. nil
+	// means dot4x4 makes four dot4 calls.
+	block blockBodyFn
 }
 
-// rowBodyFn and quadBodyFn are the body signatures of Kernels.
+// rowBodyFn, quadBodyFn and blockBodyFn are the body signatures of
+// Kernels.
 type (
-	rowBodyFn  = func(row, x []float32) float32
-	quadBodyFn = func(r0, r1, r2, r3, x []float32) (float32, float32, float32, float32)
+	rowBodyFn   = func(row, x []float32) float32
+	quadBodyFn  = func(r0, r1, r2, r3, x []float32) (float32, float32, float32, float32)
+	blockBodyFn = func(r0, r1, r2, r3, x0, x1, x2, x3 []float32) [4][4]float32
 )
 
 // dotRowGeneric is the reference row kernel and the definition of the
@@ -41,7 +48,10 @@ type (
 // so each XMM register holds exactly one group's four sums and the
 // assembly is bitwise identical to this function (pinned by
 // TestDotRowMatchesGeneric); dot_quad_amd64.s carries it for four rows
-// at once with two groups per YMM register (TestDotQuadMatchesGeneric). The x re-slice lets the compiler prove
+// at once with two groups per YMM register (TestDotQuadMatchesGeneric),
+// and dot_block_amd64.s for four rows against four inputs with all four
+// groups in one ZMM register per (row, input) pair
+// (TestDotBlockMatchesGeneric). The x re-slice lets the compiler prove
 // both index streams in-bounds, erasing the per-element checks.
 func dotRowGeneric(row, x []float32) float32 {
 	n := len(row)
@@ -91,6 +101,21 @@ func (k Kernels) dot4(r0, r1, r2, r3, x []float32) (float32, float32, float32, f
 	return k.dot(r0, x), k.dot(r1, x), k.dot(r2, x), k.dot(r3, x)
 }
 
+// dot4x4 dots four rows of one length against four inputs: one call of
+// the bound block body, or four dot4 calls where none is bound — just
+// as dot4 falls back to four row-body calls. Either way out[b][i] is
+// the row body's dot of ri and xb, so a blocked traversal is one
+// traversal for every binding.
+func (k Kernels) dot4x4(r0, r1, r2, r3, x0, x1, x2, x3 []float32) (out [4][4]float32) {
+	if k.block != nil {
+		return k.block(r0, r1, r2, r3, x0, x1, x2, x3)
+	}
+	for b, x := range [4][]float32{x0, x1, x2, x3} {
+		out[b][0], out[b][1], out[b][2], out[b][3] = k.dot4(r0, r1, r2, r3, x)
+	}
+	return out
+}
+
 // span computes dst[i] = row(row0+i) · x for every i in
 // [0, len(dst)) — the shared row-range body of Gemv and the packed
 // kernels — four rows per dot4 call and the last len(dst)%4 through
@@ -106,6 +131,31 @@ func (k Kernels) span(dst Vector, m *Matrix, x Vector, row0 int) {
 	}
 	for ; i < len(dst); i++ {
 		dst[i] = k.dot(w[i*n:i*n+n], x)
+	}
+}
+
+// span4 is span over four inputs at once: dsts[b][i] = row(row0+i) ·
+// xs[b] for every i in [0, len(dsts[0])), the four destinations of one
+// length. Rows go four at a time through dot4x4, so each weight row is
+// loaded once per four inputs; the last len(dsts[0])%4 rows go through
+// the row body, once per input. Every (row, input) pair is one dot
+// chain, dotted exactly once.
+func (k Kernels) span4(dsts [4]Vector, m *Matrix, xs [4][]float32, row0 int) {
+	n, rows := m.Cols, len(dsts[0])
+	w := m.Data[row0*n : (row0+rows)*n]
+	i := 0
+	for ; i+4 <= rows; i += 4 {
+		q := w[i*n : (i+4)*n]
+		out := k.dot4x4(q[:n], q[n:2*n], q[2*n:3*n], q[3*n:], xs[0], xs[1], xs[2], xs[3])
+		for b, d := range dsts {
+			copy(d[i:i+4], out[b][:])
+		}
+	}
+	for ; i < rows; i++ {
+		row := w[i*n : i*n+n]
+		for b, d := range dsts {
+			d[i] = k.dot(row, xs[b])
+		}
 	}
 }
 

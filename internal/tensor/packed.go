@@ -110,16 +110,19 @@ func (k Kernels) PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool,
 //
 // The traversal is tile-outer: the united weight rows are walked in
 // L1-sized tiles (gemmTileRows), and each tile streams from memory once
-// and is dotted against every input — each member's unmasked rows of
-// the tile gathered four at a time (spanMasked) — before the next tile
-// is touched. That is the Appleyard-style GEMV→GEMM conversion that
-// amortizes weight traffic over the inputs, which is why the fork-join
-// shards the weight rows (tall: 4h/3h/2h) rather than the inputs (wide
-// but short). A single input shares a tile with nothing, so it walks
-// its rows untiled and its gather never restarts at a tile edge. Every
-// output element is the same dot chain as the serial
-// per-member call, so the result is bitwise identical to len(xs)
-// independent Gemv/PackedGemvRows calls at any GOMAXPROCS.
+// and is dotted against every input before the next tile is touched.
+// Within a tile the members without a mask go four at a time through
+// four-row × four-input blocks (span4), so each weight row is loaded
+// once per four of them; the 1–3 left over, and every masked member,
+// go through spanMasked, whose gather skips the masked rows' dots. That
+// is the Appleyard-style GEMV→GEMM conversion that amortizes weight
+// traffic over the inputs, which is why the fork-join shards the weight
+// rows (tall: 4h/3h/2h) rather than the inputs (wide but short). A
+// single input shares a tile with nothing, so it walks its rows untiled
+// and its gather never restarts at a tile edge. Every output element is
+// the same dot chain as the serial per-member call, so the result is
+// bitwise identical to len(xs) independent Gemv/PackedGemvRows calls at
+// any GOMAXPROCS.
 func (k Kernels) PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill float32) {
 	if dst.Rows != len(xs) || dst.Cols != m.Rows {
 		Panicf("tensor: PackedGemmRows shape mismatch: dst %dx%d, m %dx%d, %d inputs",
@@ -172,12 +175,25 @@ func (j gemmRows) run(lo, hi int) {
 	}
 	for t0 := lo; t0 < hi; t0 += tile {
 		t1 := min(t0+tile, hi)
+		var open [4]int // unmasked members waiting for a block
+		g := 0
 		for b, x := range j.xs {
-			var skip []bool
-			if j.skips != nil {
-				skip = j.skips[b]
+			if j.skips != nil && j.skips[b] != nil {
+				j.k.spanMasked(j.dst.Row(b)[t0:t1], j.m, x, t0, j.skips[b], j.fill)
+			} else if open[g] = b; g < 3 {
+				g++
+			} else {
+				var dsts [4]Vector
+				var xs [4][]float32
+				for i, o := range open {
+					dsts[i], xs[i] = j.dst.Row(o)[t0:t1], j.xs[o]
+				}
+				j.k.span4(dsts, j.m, xs, t0)
+				g = 0
 			}
-			j.k.spanMasked(j.dst.Row(b)[t0:t1], j.m, x, t0, skip, j.fill)
+		}
+		for _, b := range open[:g] {
+			j.k.span(j.dst.Row(b)[t0:t1], j.m, j.xs[b], t0)
 		}
 	}
 }
@@ -185,10 +201,13 @@ func (j gemmRows) run(lo, hi int) {
 // PackedGemm computes dst row t = m · xs[t] for every input vector —
 // the whole-layer united W·x stage (step 2 of Algorithm 1, where all
 // cell inputs are ready up-front): dst is a len(xs) × m.Rows row-major
-// matrix whose row t is the united gate pre-activation of cell t. A W
-// too large for L2 fans the independent t rows out over the parallel
-// worker shards (see parallel.go); each row is one span, so the result is bitwise
-// identical to len(xs) serial Gemv calls at any GOMAXPROCS.
+// matrix whose row t is the united gate pre-activation of cell t. The
+// inputs go four at a time through four-row × four-input blocks
+// (span4), so W streams once per four cells rather than once per cell;
+// the 1–3 left over go through span. A W too large for L2 fans the
+// independent t rows out over the parallel worker shards (see
+// parallel.go). Every output element is one dot chain, so the result is
+// bitwise identical to len(xs) serial Gemv calls at any GOMAXPROCS.
 func (k Kernels) PackedGemm(dst *Matrix, m *Matrix, xs []Vector) {
 	if dst.Rows != len(xs) || dst.Cols != m.Rows {
 		Panicf("tensor: PackedGemm shape mismatch: dst %dx%d, m %dx%d, %d inputs",
@@ -202,7 +221,8 @@ func (k Kernels) PackedGemm(dst *Matrix, m *Matrix, xs []Vector) {
 	forkJoin(len(xs), m.SizeBytes(), gemm{k, dst, m, xs})
 }
 
-// gemm is PackedGemm's row-range body: rows of dst, one span each.
+// gemm is PackedGemm's row-range body: rows of dst, four per span4
+// and the rest one span each.
 type gemm struct {
 	k      Kernels
 	dst, m *Matrix
@@ -210,7 +230,13 @@ type gemm struct {
 }
 
 func (j gemm) run(lo, hi int) {
-	for t := lo; t < hi; t++ {
+	t := lo
+	for ; t+4 <= hi; t += 4 {
+		d, x := j.dst, j.xs
+		j.k.span4([4]Vector{d.Row(t), d.Row(t + 1), d.Row(t + 2), d.Row(t + 3)}, j.m,
+			[4][]float32{x[t], x[t+1], x[t+2], x[t+3]}, 0)
+	}
+	for ; t < hi; t++ {
 		j.k.span(j.dst.Row(t), j.m, j.xs[t], 0)
 	}
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"mobilstm/internal/rng"
@@ -303,15 +304,103 @@ func packedGemmRowsEqualsPerMember(t *testing.T, k Kernels, _ rowBodyFn) {
 
 func TestGemvBitwiseEqualsRowBody(t *testing.T) { forEachChain(t, gemvEqualsRowBody) }
 
+// TestBlockedGemmBitwiseEqualsRowBody pins the four-row × four-input
+// traversal of PackedGemm and PackedGemmRows through a pure-Go block
+// body (sixteen dotRowGeneric calls) bound in a test-only Kernels
+// value, so its edges are pinned on runners without AVX-512 too: input
+// counts of every class mod 4, row counts of every class mod 4 (ending
+// PackedGemmRows' last weight tile), unmasked and masked members
+// interleaved in one call, and the fork-join shard edges of the h = 650
+// united matrix (2600 rows in shards of 1300 or 325, 17 inputs in
+// shards of 9 and 8). Every output must be its pair's dotRowGeneric, or
+// fill where masked.
+func TestBlockedGemmBitwiseEqualsRowBody(t *testing.T) {
+	var blocks atomic.Int64
+	k := Kernels{dot: dotRowGeneric, block: func(r0, r1, r2, r3, x0, x1, x2, x3 []float32) (out [4][4]float32) {
+		blocks.Add(1)
+		for b, x := range [4][]float32{x0, x1, x2, x3} {
+			for i, row := range [4][]float32{r0, r1, r2, r3} {
+				out[b][i] = dotRowGeneric(row, x)
+			}
+		}
+		return out
+	}}
+	const fill = -2.5
+	r := rng.New(0x4b)
+	// check runs both kernels over m and xs — PackedGemmRows with a
+	// random DRS mask on every member b where masked(b) — and compares
+	// every output with its pair's reference.
+	check := func(t *testing.T, m *Matrix, xs []Vector, masked func(b int) bool) {
+		t.Helper()
+		skips := make([][]bool, len(xs))
+		for b := range skips {
+			if masked(b) {
+				skips[b] = randMask(r, m.Rows, 0.4)
+			}
+		}
+		want := NewMatrix(len(xs), m.Rows)
+		for b, x := range xs {
+			for i := range m.Rows {
+				want.Set(b, i, dotRowGeneric(m.Row(i), x))
+			}
+		}
+		gemm, rows := NewMatrix(len(xs), m.Rows), NewMatrix(len(xs), m.Rows)
+		k.PackedGemm(gemm, m, xs)
+		k.PackedGemmRows(rows, m, xs, skips, fill)
+		for b := range xs {
+			for i := range m.Rows {
+				w := want.At(b, i)
+				if got := gemm.At(b, i); got != w {
+					t.Fatalf("GOMAXPROCS %d, %dx%d, %d inputs: PackedGemm input %d row %d = %v, want %v",
+						runtime.GOMAXPROCS(0), m.Rows, m.Cols, len(xs), b, i, got, w)
+				}
+				if skips[b] != nil && skips[b][i] {
+					w = fill
+				}
+				if got := rows.At(b, i); got != w {
+					t.Fatalf("GOMAXPROCS %d, %dx%d, %d inputs: PackedGemmRows member %d (masked %v) row %d = %v, want %v",
+						runtime.GOMAXPROCS(0), m.Rows, m.Cols, len(xs), b, skips[b] != nil, i, got, w)
+				}
+			}
+		}
+	}
+	inputs := func(n, cols int) []Vector {
+		xs := make([]Vector, n)
+		for b := range xs {
+			xs[b] = randVector(r, cols)
+		}
+		return xs
+	}
+	// 129 columns make 28-row weight tiles: 57..60 rows end in a
+	// partial tile of every row count mod 4.
+	for rows := 57; rows <= 60; rows++ {
+		m := randMatrix(r, rows, 129)
+		for n := 1; n <= 10; n++ {
+			check(t, m, inputs(n, m.Cols), func(b int) bool { return b%3 == 1 })
+		}
+	}
+	m := randMatrix(r, 2600, 650)
+	atGOMAXPROCS(t, []int{1, 2, 8}, func(t *testing.T) {
+		mustFork(t, m.Rows, m)
+		xs := inputs(17, m.Cols)
+		mustFork(t, len(xs), m)
+		check(t, m, xs, func(b int) bool { return b == 2 || b == 9 })
+	})
+	if blocks.Load() == 0 {
+		t.Fatal("the block body was never called")
+	}
+}
+
 // TestDRSSkipsWorkNotOutputs holds the masked kernels to aim 3 of the
 // roadmap: Dynamic Row Skip must skip the dot, not just overwrite its
 // output. The kernels are bound to counting bodies — a row body alone
-// (four-row calls are four row calls) and a row body plus a four-row
-// body — that record every (row, member) pair they dot; each united
-// row's first element is its row index and each input's its member
-// index, which is also what the bodies return. Every unmasked pair
-// must be dotted exactly once and land in its own output, every masked
-// output must be fill, and no masked pair may be dotted at all.
+// (four-row calls are four row calls), a row body plus a four-row
+// body, and those plus a block body — that record every (row, member)
+// pair they dot; each united row's first element is its row index and
+// each input's its member index, which is also what the bodies return.
+// Every unmasked pair must be dotted exactly once and land in its own
+// output, every masked output must be fill, and no masked pair may be
+// dotted at all.
 func TestDRSSkipsWorkNotOutputs(t *testing.T) {
 	const seg, gates, cols, fill = 10, 3, 300, -1 // 30 rows: tiles of 12, 12, 6
 	m := NewMatrix(seg*gates, cols)
@@ -319,13 +408,15 @@ func TestDRSSkipsWorkNotOutputs(t *testing.T) {
 		m.Set(r, 0, float32(r))
 	}
 	kinds := maskKinds(rng.New(0x4d), seg)
-	xs := make([]Vector, 1+len(kinds)) // member 0 unmasked, then one per kind
+	// Unmasked members at the even indices (five: one block and one
+	// left over), one member per mask kind between them.
+	xs := make([]Vector, 1+2*len(kinds))
 	skips := make([][]bool, len(xs))
 	for b := range xs {
 		xs[b] = NewVector(cols)
 		xs[b][0] = float32(b)
-		if b > 0 {
-			skips[b] = kinds[b-1].skip
+		if b%2 == 1 {
+			skips[b] = kinds[b/2].skip
 		}
 	}
 	var dotted map[[2]int]int
@@ -335,6 +426,12 @@ func TestDRSSkipsWorkNotOutputs(t *testing.T) {
 	}
 	quad := func(r0, r1, r2, r3, x []float32) (float32, float32, float32, float32) {
 		return dot(r0, x), dot(r1, x), dot(r2, x), dot(r3, x)
+	}
+	block := func(r0, r1, r2, r3, x0, x1, x2, x3 []float32) (out [4][4]float32) {
+		for b, x := range [4][]float32{x0, x1, x2, x3} {
+			out[b][0], out[b][1], out[b][2], out[b][3] = quad(r0, r1, r2, r3, x)
+		}
+		return out
 	}
 	// check compares one kernel call's dots and outputs with the masks:
 	// out(r, b) is where the call left row r of member b, masked(r, b)
@@ -357,23 +454,20 @@ func TestDRSSkipsWorkNotOutputs(t *testing.T) {
 		}
 	}
 	atGOMAXPROCS(t, []int{1}, func(t *testing.T) {
-		for _, k := range []Kernels{{dot: dot}, {dot: dot, quad: quad}} {
-			for b, skip := range skips {
-				if skip == nil {
-					continue
-				}
-				rowSkip := slices.Repeat(skip, gates) // the segment mask over every united row
+		for _, k := range []Kernels{{dot: dot}, {dot: dot, quad: quad}, {dot: dot, quad: quad, block: block}} {
+			for _, mk := range kinds {
+				rowSkip := slices.Repeat(mk.skip, gates) // the segment mask over every united row
 				dotted = map[[2]int]int{}
 				dst := NewVector(m.Rows)
 				k.PackedGemvRows([]Vector{dst}, m, xs[0], rowSkip, fill)
-				check(t, "PackedGemvRows one destination/"+kinds[b-1].name, 1,
+				check(t, "PackedGemvRows one destination/"+mk.name, 1,
 					func(r, _ int) float32 { return dst[r] }, func(r, _ int) bool { return rowSkip[r] })
 
 				dotted = map[[2]int]int{}
 				dsts := []Vector{NewVector(seg), NewVector(seg), NewVector(seg)}
-				k.PackedGemvRows(dsts, m, xs[0], skip, fill)
-				check(t, "PackedGemvRows/"+kinds[b-1].name, 1,
-					func(r, _ int) float32 { return dsts[r/seg][r%seg] }, func(r, _ int) bool { return skip[r%seg] })
+				k.PackedGemvRows(dsts, m, xs[0], mk.skip, fill)
+				check(t, "PackedGemvRows/"+mk.name, 1,
+					func(r, _ int) float32 { return dsts[r/seg][r%seg] }, func(r, _ int) bool { return mk.skip[r%seg] })
 			}
 			dotted = map[[2]int]int{}
 			dst := NewMatrix(len(xs), m.Rows)
@@ -381,6 +475,11 @@ func TestDRSSkipsWorkNotOutputs(t *testing.T) {
 			check(t, "PackedGemmRows", len(xs),
 				func(r, b int) float32 { return dst.At(b, r) },
 				func(r, b int) bool { return skips[b] != nil && skips[b][r%seg] })
+
+			dotted = map[[2]int]int{}
+			k.PackedGemm(dst, m, xs)
+			check(t, "PackedGemm", len(xs),
+				func(r, b int) float32 { return dst.At(b, r) }, func(int, int) bool { return false })
 		}
 	})
 }
