@@ -42,14 +42,14 @@ lint-json:
 	status=$$?; if [ $$status -ge 2 ]; then exit $$status; fi
 
 # The CI lint gate: findings fail the build (exit 1), and so does
-# blowing the wall-clock budget — the interprocedural summary engine
-# must stay cheap enough to run on every push. Emits lint-findings.json
-# and lint-summaries.json as artifacts regardless of outcome.
+# blowing the wall-clock budget — the suite must stay cheap enough to
+# run on every push. Emits lint-findings.json as an artifact regardless
+# of outcome.
 LINT_BUDGET_SECS ?= 60
 lint-ci:
 	$(GO) build -o /tmp/mobilstm-lint ./cmd/mobilstm-lint
 	start=$$(date +%s); \
-	/tmp/mobilstm-lint -json -summaries lint-summaries.json ./... > lint-findings.json; \
+	/tmp/mobilstm-lint -json ./... > lint-findings.json; \
 	status=$$?; elapsed=$$(( $$(date +%s) - start )); \
 	echo "mobilstm-lint: $${elapsed}s elapsed (budget $(LINT_BUDGET_SECS)s)"; \
 	if [ $$elapsed -gt $(LINT_BUDGET_SECS) ]; then \

@@ -1,9 +1,10 @@
 // Command mobilstm-lint runs the project's static-analysis suite
-// (internal/analysis) over the module: nine analyzers for determinism,
-// precision, panic policy, threshold constants, goroutine joins and
-// the forward path's arena and packed-weight contracts, which encode
-// the paper-reproduction's correctness contract. Lock copies are left
-// to go vet's copylocks check and data races to go test -race. See
+// (internal/analysis) over the module: six analyzers for determinism,
+// precision, panic policy and threshold constants, which encode the
+// paper-reproduction's correctness contract. Lock copies are left to
+// go vet's copylocks check, data races to go test -race, and the
+// forward and serving contracts (packed-cache coherence, output
+// ownership, goroutine lifetimes) to run-time tests. See
 // docs/STATIC_ANALYSIS.md for the analyzer catalogue and the
 // lint:ignore suppression syntax.
 //
@@ -43,7 +44,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		list    = fs.Bool("list", false, "list registered analyzers and exit")
 		tests   = fs.Bool("tests", true, "also analyze _test.go packages (test-scoped analyzers only)")
 		stale   = fs.Bool("stale", true, "report lint:ignore directives that no longer suppress any finding")
-		sumOut  = fs.String("summaries", "", "write the interprocedural function summaries to this JSON file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -82,21 +82,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	cache := analysis.NewSummaryCache()
-	findings := analysis.AnalyzeOptions(pkgs, analyzers, analysis.Options{Stale: *stale, Cache: cache})
-	if *sumOut != "" {
-		// The cache is warm from the analysis run, so this renders the
-		// already-computed summaries instead of recomputing them.
-		data, err := analysis.DumpSummaries(pkgs, cache)
-		if err != nil {
-			fmt.Fprintln(stderr, "mobilstm-lint:", err)
-			return 2
-		}
-		if err := os.WriteFile(*sumOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(stderr, "mobilstm-lint:", err)
-			return 2
-		}
-	}
+	findings := analysis.AnalyzeOptions(pkgs, analyzers, analysis.Options{Stale: *stale})
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")

@@ -86,8 +86,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
-	names := []string{"arenaescape", "detfloat", "float64leak", "globalrand", "goroutinejoin",
-		"invalidatecheck", "maporder", "panicpolicy", "threshconst"}
+	names := []string{"detfloat", "float64leak", "globalrand", "maporder", "panicpolicy", "threshconst"}
 	for _, name := range names {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
@@ -172,25 +171,6 @@ func TestJSONCleanIsEmptyArray(t *testing.T) {
 	}
 	if strings.TrimSpace(out) != "[]" {
 		t.Errorf("clean -json output = %q, want []", strings.TrimSpace(out))
-	}
-}
-
-func TestSummariesFlag(t *testing.T) {
-	dir := inModule(t, map[string]string{"ok.go": cleanSrc})
-	sumPath := filepath.Join(dir, "sums.json")
-	if code, _, errOut := capture(t, []string{"-summaries", sumPath}); code != 0 {
-		t.Fatalf("exit = %d, want 0\n%s", code, errOut)
-	}
-	data, err := os.ReadFile(sumPath)
-	if err != nil {
-		t.Fatalf("-summaries wrote nothing: %v", err)
-	}
-	var anyJSON any
-	if err := json.Unmarshal(data, &anyJSON); err != nil {
-		t.Fatalf("summaries file is not JSON: %v", err)
-	}
-	if !strings.Contains(string(data), "Scale") {
-		t.Errorf("summaries should cover the module's functions:\n%s", data)
 	}
 }
 

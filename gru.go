@@ -5,6 +5,7 @@ import (
 
 	"mobilstm/internal/gpu"
 	"mobilstm/internal/gru"
+	"mobilstm/internal/thresholds"
 )
 
 // GRUBenchmark describes one of the built-in GRU workloads (§II-B
@@ -74,11 +75,13 @@ func (s *GRUSystem) Evaluate(set int) GRUOutcome {
 	}
 }
 
-// AO returns the accuracy-oriented GRU operating point (loss <= 2%).
+// AO returns the accuracy-oriented GRU operating point: the highest
+// threshold set whose accuracy meets thresholds.UserAccuracyFloor, or
+// set 0 — the same rule as core.AOSet on the LSTM curve.
 func (s *GRUSystem) AO() GRUOutcome {
 	best := s.Evaluate(0)
-	for set := 1; set <= 10; set++ {
-		if o := s.Evaluate(set); o.Accuracy >= 0.98 {
+	for set := 1; set <= thresholds.Sets-1; set++ {
+		if o := s.Evaluate(set); o.Accuracy >= thresholds.UserAccuracyFloor {
 			best = o
 		}
 	}

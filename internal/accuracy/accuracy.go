@@ -6,9 +6,6 @@
 package accuracy
 
 import (
-	"runtime"
-	"sync"
-
 	"mobilstm/internal/lstm"
 	"mobilstm/internal/tensor"
 )
@@ -24,7 +21,7 @@ func Score(net *lstm.Network, seqs [][]tensor.Vector, refs []int, opt lstm.RunOp
 		tensor.Panicf("accuracy: sequence/reference length mismatch")
 	}
 	match := make([]bool, len(seqs))
-	parallelFor(len(seqs), func(i int) {
+	tensor.ParallelFor(len(seqs), func(i int) {
 		o := opt
 		o.Trace = nil // traces are per-goroutine state; scoring never needs them
 		match[i] = net.Classify(seqs[i], o) == refs[i]
@@ -36,34 +33,4 @@ func Score(net *lstm.Network, seqs [][]tensor.Vector, refs []int, opt lstm.RunOp
 		}
 	}
 	return float64(n) / float64(len(seqs))
-}
-
-// parallelFor runs f(0..n-1) across GOMAXPROCS workers.
-func parallelFor(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }

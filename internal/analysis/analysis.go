@@ -5,9 +5,10 @@
 // The analyzers encode the repository's reproducibility contract: the
 // simulator's headline numbers (Table I timing/energy, DRS accuracy per
 // threshold set) are only trustworthy if randomness is seeded, float32
-// numerics don't silently round-trip through float64, library code
-// cannot crash the serving path, goroutines are joined, and threshold
-// constants live in one place. Each analyzer documents
+// numerics don't silently round-trip through float64, float32
+// reductions stay on the canonical chain, report output does not
+// follow map order, library code cannot crash the serving path, and
+// threshold constants live in one place. Each analyzer documents
 // which of those invariants it guards.
 //
 // Findings can be suppressed in source with
@@ -95,9 +96,6 @@ type Options struct {
 	// part of the run (a "*" directive requires the full registry), so
 	// partial runs don't cry stale over suppressions they cannot judge.
 	Stale bool
-	// Cache carries interprocedural summaries across runs, keyed by
-	// package source fingerprints. Nil uses the process-wide default.
-	Cache *SummaryCache
 }
 
 // Analyze runs the given analyzers over the packages, applies
@@ -112,9 +110,8 @@ func Analyze(pkgs []*Package, analyzers []*Analyzer) []Finding {
 func AnalyzeOptions(pkgs []*Package, analyzers []*Analyzer, opts Options) []Finding {
 	var findings []Finding
 	var sups []suppression
-	prog := newProgram(pkgs, opts.Cache)
 	for _, pkg := range pkgs {
-		pass := &Pass{Pkg: pkg, prog: prog}
+		pass := &Pass{Pkg: pkg}
 		for _, a := range analyzers {
 			if pkg.ForTest != "" && !a.Tests {
 				continue

@@ -60,7 +60,7 @@ func wantLines(t *testing.T, findings []Finding, analyzer string, lines ...int) 
 }
 
 func TestRegistryHasAllAnalyzers(t *testing.T) {
-	want := []string{"arenaescape", "detfloat", "float64leak", "globalrand", "goroutinejoin", "invalidatecheck", "maporder", "panicpolicy", "threshconst"}
+	want := []string{"detfloat", "float64leak", "globalrand", "maporder", "panicpolicy", "threshconst"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d analyzers, want %d", len(all), len(want))

@@ -15,20 +15,6 @@ import (
 
 // --- fixture plumbing -------------------------------------------------
 
-// tensorStub is a miniature mobilstm/internal/tensor: just enough
-// surface for the arena and weight-mutation fixtures to type-check.
-const tensorStub = `package tensor
-
-type Vector []float32
-
-func NewVector(n int) Vector { return make(Vector, n) }
-
-type Matrix struct {
-	Rows, Cols int
-	Data       []float32
-}
-`
-
 // reportStub is a miniature mobilstm/internal/report for maporder
 // fixtures.
 const reportStub = `package report
@@ -54,7 +40,6 @@ func newStubImporter(fset *token.FileSet) *stubImporter {
 		fset: fset,
 		std:  importer.ForCompiler(fset, "source", nil),
 		srcs: map[string]string{
-			"mobilstm/internal/tensor": tensorStub,
 			"mobilstm/internal/report": reportStub,
 		},
 		pkgs: map[string]*types.Package{},
@@ -83,7 +68,7 @@ func (si *stubImporter) Import(path string) (*types.Package, error) {
 }
 
 // parseFixtureWith type-checks a fixture that imports the in-memory
-// tensor/report stubs.
+// report stub.
 func parseFixtureWith(t *testing.T, importPath, filename, src string) *Package {
 	t.Helper()
 	fset := token.NewFileSet()

@@ -52,7 +52,7 @@ func runDetFloat(pass *Pass) []Finding {
 	if pass.Pkg.Info == nil {
 		return nil
 	}
-	inTensor := strings.HasSuffix(pass.Pkg.ScopePath(), tensorPkgSuffix)
+	inTensor := strings.HasSuffix(pass.Pkg.ScopePath(), "internal/tensor")
 	var findings []Finding
 	for _, file := range pass.Pkg.Files {
 		for _, d := range file.Decls {

@@ -49,20 +49,6 @@ func (p *Package) ScopePath() string {
 // Pass is the per-package unit of work handed to an analyzer.
 type Pass struct {
 	Pkg *Package
-
-	// prog is the interprocedural summary program shared by every pass
-	// of one Analyze run. Passes constructed directly (fixture tests)
-	// leave it nil and program() lazily builds a single-package world.
-	prog *Program
-}
-
-// program returns the summary program for this pass, building a
-// single-package one on first use when none was attached.
-func (p *Pass) program() *Program {
-	if p.prog == nil {
-		p.prog = newProgram([]*Package{p.Pkg}, nil)
-	}
-	return p.prog
 }
 
 // TypeOf returns the type of an expression, or nil if unknown.

@@ -1,7 +1,9 @@
 package equivtest
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -32,6 +34,9 @@ type Net interface {
 	ClassifyBatch(seqs [][]tensor.Vector, opt recurrent.RunOptions) []int
 	ClassifyBatchE(seqs [][]tensor.Vector, opt recurrent.RunOptions) ([]int, error)
 	CheckSequence(xs []tensor.Vector) error
+	// InitRandom is the kind's synthetic weight generator, a production
+	// weight writer.
+	InitRandom(r *rng.RNG, linkScale func(layer int) float64, frac float64)
 }
 
 // Kind is one cell kind as the suite needs it.
@@ -44,6 +49,13 @@ type Kind struct {
 	Poke func(n Net) (invalidate func())
 	// AlphaIntra is a DRS threshold that skips some rows but not all.
 	AlphaIntra float64
+	// Calibrate and CollectPredictors are the kind's offline passes:
+	// its Calibrate (a production weight writer) with some per-layer
+	// spread, and its CollectPredictors.
+	Calibrate         func(n Net, seqs [][]tensor.Vector)
+	CollectPredictors func(n Net, seqs [][]tensor.Vector) []intercell.Predictor
+	// InvalidateAll drops the packed cache of every layer.
+	InvalidateAll func(n Net)
 }
 
 // Seqs draws count sequences of the given length.
@@ -318,6 +330,158 @@ func InvalidateRefreshesPackedCache(t *testing.T, k Kind) {
 	if MaxULP(t, "after Invalidate", n.Run(xs, recurrent.RunOptions{}), before) == 0 {
 		t.Fatal("Invalidate did not pick up the weight mutation")
 	}
+}
+
+// WritersInvalidatePackedCache pins the packed-cache contract at every
+// production weight writer, where InvalidateRefreshesPackedCache pins
+// the mechanism: with every layer's united copy warm, a writer runs,
+// and the next run in each mode must equal a run on freshly packed
+// weights. A writer that misses an Invalidate on any layer it writes
+// leaves that run on the stale copy. The writers are InitRandom and
+// Calibrate (which rescales every layer's inputs and co-adapts the deep
+// layers).
+func WritersInvalidatePackedCache(t *testing.T, k Kind) {
+	r := rng.New(417)
+	calib := Seqs(r, 16, 12, 3)
+	xs := Seqs(r, 16, 14, 1)[0]
+	writers := []struct {
+		name  string
+		write func(Net)
+	}{
+		{"InitRandom", func(n Net) {
+			n.InitRandom(rng.New(418), func(l int) float64 { return 0.8 + 0.3*float64(l) }, 0.3)
+		}},
+		{"Calibrate", func(n Net) { k.Calibrate(n, calib) }},
+	}
+	for _, w := range writers {
+		n := k.subject(16, 24, 3, 4, 419)
+		ms := k.modes(n, tensor.ChainAuto)
+		warm := n.Run(xs, ms[0].opt) // every layer's united copy is built
+		w.write(n.Net)
+		after := make([]tensor.Vector, len(ms))
+		for i, m := range ms {
+			after[i] = n.Run(xs, m.opt)
+		}
+		k.InvalidateAll(n.Net)
+		for i, m := range ms {
+			Vectors(t, w.name+" "+m.name+": run after the writer vs after Invalidate", after[i], n.Run(xs, m.opt))
+		}
+		if MaxULP(t, w.name, after[0], warm) == 0 {
+			t.Fatalf("%s left the baseline logits unchanged; the check needs a writer that writes", w.name)
+		}
+	}
+}
+
+// held is one forward output a caller kept, with its bits at the time.
+type held struct {
+	name string
+	live any // tensor.Vector, []float64 or []int, as returned
+	bits []uint64
+}
+
+func bitsOf(v any) []uint64 {
+	var out []uint64
+	switch v := v.(type) {
+	case tensor.Vector:
+		for _, x := range v {
+			out = append(out, uint64(math.Float32bits(x)))
+		}
+	case []float64:
+		for _, x := range v {
+			out = append(out, math.Float64bits(x))
+		}
+	case []int:
+		for _, x := range v {
+			out = append(out, uint64(x))
+		}
+	}
+	return out
+}
+
+// poison overwrites every element of a kept output.
+func poison(v any) {
+	switch v := v.(type) {
+	case tensor.Vector:
+		v.Fill(float32(math.NaN()))
+	case []float64:
+		for i := range v {
+			v[i] = math.NaN()
+		}
+	case []int:
+		for i := range v {
+			v[i] = -7
+		}
+	}
+}
+
+func unchanged(t *testing.T, when string, h held) {
+	t.Helper()
+	if got := bitsOf(h.live); !slices.Equal(got, h.bits) {
+		t.Fatalf("%s changed %s: %x, kept %x", when, h.name, got, h.bits)
+	}
+}
+
+// OutputsOutliveNextPass pins that what a pass hands back belongs to
+// the caller: the logits of Run and RunBatch, a Trace's Relevance,
+// Breakpoints and SkipCounts, and CollectPredictors' predictors
+//
+//   - stay bitwise unchanged through later passes over other inputs, at
+//     another batch size, in every mode;
+//   - share no memory with each other (overwriting one leaves the rest
+//     as they were);
+//   - share none with anything a later pass reads (a rerun after all of
+//     them are overwritten still gives the kept logits).
+//
+// A view of the forward's scratch arena, whose slabs the next layer of a
+// pass (and the next pass, if the arena outlived its call) writes
+// again, fails one of the three.
+func OutputsOutliveNextPass(t *testing.T, k Kind) {
+	n := k.subject(16, 24, 3, 4, 420)
+	r := rng.New(421)
+	ms := k.modes(n, tensor.ChainAuto)
+	combined := ms[len(ms)-1].opt
+	seqs := raggedSeqs(r, 16, 14, 3)
+
+	var kept []held
+	keep := func(name string, v any) { kept = append(kept, held{name, v, bitsOf(v)}) }
+	traced := combined
+	tr := &recurrent.Trace{}
+	traced.Trace = tr
+	keep("Run logits", n.Run(seqs[0], traced))
+	for li, lt := range tr.Layers {
+		layer := "layer " + itoa(li) + " "
+		keep(layer+"Relevance", lt.Relevance)
+		keep(layer+"Breakpoints", lt.Breakpoints)
+		keep(layer+"SkipCounts", lt.SkipCounts)
+	}
+	for i, logits := range n.RunBatch(seqs, combined) {
+		keep(labelMember("RunBatch logits", i), logits)
+	}
+	for li, p := range k.CollectPredictors(n.Net, seqs) {
+		keep("predictor "+itoa(li)+" H", p.H)
+		keep("predictor "+itoa(li)+" C", p.C)
+	}
+
+	others := raggedSeqs(r, 16, 17, 5)
+	for _, m := range ms {
+		opt := m.opt
+		opt.Trace = &recurrent.Trace{}
+		n.Run(others[0], opt)
+		n.RunBatch(others, m.opt)
+	}
+	k.CollectPredictors(n.Net, others)
+	for _, h := range kept {
+		unchanged(t, "a second pass", h)
+	}
+
+	for i := range kept {
+		poison(kept[i].live)
+		for _, h := range kept[i+1:] {
+			unchanged(t, "overwriting "+kept[i].name, h)
+		}
+	}
+	kept[0].live = n.Run(seqs[0], combined)
+	unchanged(t, "overwriting every kept output", kept[0])
 }
 
 // RunBatchBitwiseAcrossGOMAXPROCS extends the determinism guarantee to

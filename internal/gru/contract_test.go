@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mobilstm/internal/equivtest"
+	"mobilstm/internal/intercell"
 	"mobilstm/internal/rng"
 	"mobilstm/internal/tensor"
 )
@@ -26,6 +27,17 @@ var kind = equivtest.Kind{
 		return l.Invalidate
 	},
 	AlphaIntra: 0.15,
+	Calibrate: func(n equivtest.Net, seqs [][]tensor.Vector) {
+		Calibrate(n.(*Network), seqs, func(l int) float64 { return 1.2 + 0.4*float64(l) })
+	},
+	CollectPredictors: func(n equivtest.Net, seqs [][]tensor.Vector) []intercell.Predictor {
+		return CollectPredictors(n.(*Network), seqs)
+	},
+	InvalidateAll: func(n equivtest.Net) {
+		for _, l := range n.(*Network).Layers {
+			l.Invalidate()
+		}
+	},
 }
 
 const canonical, wide = tensor.ChainAuto, tensor.ChainAVX2
@@ -62,6 +74,10 @@ func TestGRUConcurrentRunBatchSharesColdCache(t *testing.T) {
 func TestGRUInvalidateRefreshesPackedCache(t *testing.T) {
 	equivtest.InvalidateRefreshesPackedCache(t, kind)
 }
+func TestGRUWritersInvalidatePackedCache(t *testing.T) {
+	equivtest.WritersInvalidatePackedCache(t, kind)
+}
+func TestGRUOutputsOutliveNextPass(t *testing.T) { equivtest.OutputsOutliveNextPass(t, kind) }
 func TestGRUChainAutoFollowsProcessDefault(t *testing.T) {
 	equivtest.ChainAutoFollowsProcessDefault(t, kind)
 }

@@ -11,8 +11,6 @@ package model
 import (
 	"math"
 	"os"
-	"runtime"
-	"sync"
 
 	"mobilstm/internal/lstm"
 	"mobilstm/internal/rng"
@@ -231,7 +229,7 @@ func buildSamples(net *lstm.Network, r *rng.RNG, seqs [][]tensor.Vector, labels 
 	for i := range probeSeqs {
 		probeSeqs[i] = genSequence(r, dim, length, pauseRate)
 	}
-	parallelFor(probeN, func(i int) {
+	tensor.ParallelFor(probeN, func(i int) {
 		probeLabels[i], probeMargins[i] = classifyMargin(net, probeSeqs[i])
 	})
 	noise := referenceNoise(net, probeSeqs[:8])
@@ -255,7 +253,7 @@ func buildSamples(net *lstm.Network, r *rng.RNG, seqs [][]tensor.Vector, labels 
 		}
 		lab := make([]int, batch)
 		margin := make([]float64, batch)
-		parallelFor(batch, func(i int) {
+		tensor.ParallelFor(batch, func(i int) {
 			lab[i], margin[i] = classifyMargin(net, cand[i])
 		})
 		for i := range cand {
@@ -293,7 +291,7 @@ func referenceNoise(net *lstm.Network, probe [][]tensor.Vector) float64 {
 		Intra: true, AlphaIntra: calibAlphaIntra,
 	}
 	dists := make([]float64, len(probe))
-	parallelFor(len(probe), func(i int) {
+	tensor.ParallelFor(len(probe), func(i int) {
 		base := net.Run(probe[i], lstm.Baseline())
 		approx := net.Run(probe[i], opt)
 		var d float32
@@ -322,36 +320,6 @@ func classifyMargin(net *lstm.Network, xs []tensor.Vector) (int, float64) {
 		}
 	}
 	return best, float64(margin)
-}
-
-// parallelFor runs f(0..n-1) across GOMAXPROCS workers.
-func parallelFor(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 }
 
 // genSequence synthesizes one token-embedding sequence. Ordinary tokens

@@ -18,9 +18,9 @@
 // goes through experiments.Lookup, inference through
 // lstm.Network.ClassifyE, and evaluation through core.Engine's
 // EvaluateSetE, so a malformed request costs one error response instead
-// of the process. Worker goroutines are registered in the Daemons
-// registry (goroutinejoin's WaitGroup-pair rule) and Close drains
-// the queue gracefully: accepted requests are still served.
+// of the process. The batching and worker goroutines are counted in
+// the Server's WaitGroup and Close drains the queue gracefully:
+// accepted requests are still served, and no goroutine outlives Close.
 package serve
 
 import (
@@ -192,7 +192,7 @@ type Server struct {
 
 	queue    chan *request
 	dispatch chan []*request
-	daemons  Daemons
+	daemons  sync.WaitGroup // the batcher and the workers; Close waits on it
 
 	mu      sync.Mutex
 	closed  bool
@@ -202,8 +202,8 @@ type Server struct {
 	stats   map[string]*benchStats
 }
 
-// New starts a server: one batching daemon plus the worker pool, all
-// registered in the Daemons registry and collected by Close.
+// New starts a server: one batching daemon plus the worker pool, each
+// counted in s.daemons before it is spawned and collected by Close.
 func New(cfg Config) *Server {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
@@ -222,9 +222,11 @@ func New(cfg Config) *Server {
 		engines:  make(map[string]*engineSlot),
 		stats:    make(map[string]*benchStats),
 	}
-	s.daemons.Go(s.batchLoop)
+	s.daemons.Add(1)
+	go s.batchLoop()
 	for i := 0; i < cfg.Workers; i++ {
-		s.daemons.Go(s.workerLoop)
+		s.daemons.Add(1)
+		go s.workerLoop()
 	}
 	return s
 }
@@ -334,6 +336,7 @@ type pendingBatch struct {
 // before every Reset, left disarmed while no window is open, and flush
 // always evaluates deadlines against a fresh time.Now().
 func (s *Server) batchLoop() {
+	defer s.daemons.Done()
 	defer close(s.dispatch)
 	pending := make(map[string]*pendingBatch)
 	timer := time.NewTimer(time.Hour)
@@ -425,6 +428,7 @@ func sortedBatchKeys(pending map[string]*pendingBatch) []string {
 // workerLoop serves dispatched batches until the batcher closes the
 // dispatch channel.
 func (s *Server) workerLoop() {
+	defer s.daemons.Done()
 	for batch := range s.dispatch {
 		s.serveBatch(batch)
 	}

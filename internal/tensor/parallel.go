@@ -65,7 +65,7 @@ type rowRange interface{ run(lo, hi int) }
 // launching goroutine registers every extra shard in a WaitGroup before
 // spawning it, computes the first shard inline, and waits for the rest
 // — every parallel kernel is a complete unit of work by the time it
-// returns (goroutinejoin's WaitGroup pair). With one shard it
+// returns, and no shard goroutine outlives the call. With one shard it
 // degenerates to a plain call and allocates nothing; a fork allocates
 // the WaitGroup and one goroutine closure (holding its copy of body)
 // per extra shard — at most parallelMaxShards allocations.
@@ -89,5 +89,39 @@ func forkJoin[B rowRange](rows int, weightBytes int64, body B) {
 		}()
 	}
 	body.run(0, chunk)
+	wg.Wait()
+}
+
+// ParallelFor runs f(0..n-1) across GOMAXPROCS workers that pull
+// indices from a shared channel, and returns once every call has
+// returned. It is the work pool of the offline per-sequence loops
+// (model calibration, accuracy scoring): callers write results by
+// index, so the output does not depend on which worker ran which i.
+func ParallelFor(n int, f func(i int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				f(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
 	wg.Wait()
 }

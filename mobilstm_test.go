@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"mobilstm"
+	"mobilstm/internal/core"
+	"mobilstm/internal/thresholds"
 )
 
 func TestBenchmarksList(t *testing.T) {
@@ -76,6 +78,19 @@ func TestPublicAPIFlow(t *testing.T) {
 	loose := sys.UO(mobilstm.ModeCombined, 0.5)
 	if strict.Set > loose.Set {
 		t.Fatalf("UO not monotone in demanded accuracy: %d vs %d", strict.Set, loose.Set)
+	}
+
+	// The GRU facade's AO is core.AOSet's rule applied to its own curve.
+	gsys, err := mobilstm.OpenGRU("KWS-GRU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := make([]*core.Outcome, thresholds.Sets)
+	for set := range outs {
+		outs[set] = &core.Outcome{Accuracy: gsys.Evaluate(set).Accuracy}
+	}
+	if got, want := gsys.AO(), gsys.Evaluate(core.AOSet(outs)); got != want {
+		t.Fatalf("GRU AO = %+v, want the core.AOSet point %+v", got, want)
 	}
 }
 
