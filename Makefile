@@ -95,8 +95,11 @@ batch-race:
 
 # Kernel-chain matrix: the equivalence and determinism suites and the
 # golden logit bits re-run with each chain forced process-wide via
-# MOBILSTM_KERNEL_CHAIN. generic resolves every binding — explicit
-# selections too — to a pure-Go body and runs SigmoidVec/TanhVec through
+# MOBILSTM_KERNEL_CHAIN, the one production chain selector (tests that
+# compare chains switch it with equivtest.UseChain, and each forward
+# package's TestMain fails a leg a switch leaked from; the golden bits
+# switch only the avx2 leg, to sse2). generic resolves every binding —
+# the explicit entry points too — to a pure-Go body and runs SigmoidVec/TanhVec through
 # the scalar reference (the reference configuration, and the end-to-end
 # witness that the SSE2 body and dotRowGeneric, and the activation body
 # and the scalar Sigmoid/Tanh, agree on the golden corpora),

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"mobilstm/internal/equivtest"
 	"mobilstm/internal/gru"
 	"mobilstm/internal/intercell"
 	"mobilstm/internal/lstm"
@@ -81,15 +82,16 @@ func hotModes(pred []intercell.Predictor) []struct {
 	}
 }
 
-// hotChains is the kernel-chain sweep dimension: the canonical SSE2
-// chain keeps the unsuffixed benchmark names (so the
+// hotChains is the kernel-chain sweep dimension; each sub-benchmark
+// switches the process default to its chain (equivtest.UseChain). The
+// canonical chain keeps the unsuffixed benchmark names (so the
 // BENCH_hotpath.json trajectory across PRs is uninterrupted) and the
 // wide AVX2/FMA chain lands as a /avx2 sub-benchmark next to it.
 var hotChains = []struct {
 	suffix string
 	chain  tensor.KernelChain
 }{
-	{"", tensor.ChainSSE2},
+	{"", equivtest.Canonical()},
 	{"/avx2", tensor.ChainAVX2},
 }
 
@@ -102,8 +104,8 @@ func BenchmarkRun(b *testing.B) {
 	for _, m := range hotModes(pred) {
 		for _, c := range hotChains {
 			opt := m.opt
-			opt.Chain = c.chain
 			b.Run(m.name+c.suffix, func(b *testing.B) {
+				equivtest.UseChain(b, c.chain)
 				b.SetBytes(hotBytes(inst.Net, len(xs)))
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -139,8 +141,8 @@ func BenchmarkRunBatch(b *testing.B) {
 					bytes += hotBytes(inst.Net, len(seqs[i]))
 				}
 				opt := m.opt
-				opt.Chain = c.chain
 				b.Run(fmt.Sprintf("%s%s/B=%d", m.name, c.suffix, B), func(b *testing.B) {
+					equivtest.UseChain(b, c.chain)
 					b.SetBytes(bytes)
 					b.ReportAllocs()
 					b.ResetTimer()
@@ -188,8 +190,8 @@ func BenchmarkRunGRU(b *testing.B) {
 	for _, m := range modes {
 		for _, c := range hotChains {
 			opt := m.opt
-			opt.Chain = c.chain
 			b.Run(m.name+c.suffix, func(b *testing.B) {
+				equivtest.UseChain(b, c.chain)
 				b.SetBytes(bytes)
 				b.ReportAllocs()
 				b.ResetTimer()

@@ -32,7 +32,6 @@ import (
 
 	"mobilstm/internal/rng"
 	"mobilstm/internal/serve"
-	"mobilstm/internal/tensor"
 )
 
 func main() {
@@ -43,7 +42,6 @@ func main() {
 	window := flag.Duration("window", -1, "batching window (default: serve.DefaultConfig)")
 	maxBatch := flag.Int("maxbatch", 0, "batch-size cap (default: serve.DefaultConfig)")
 	set := flag.Int("set", serve.AutoSet, "threshold set (default: per-benchmark AO point)")
-	chain := flag.String("chain", "auto", "kernel chain: auto, generic, sse2 or avx2")
 	seed := flag.Uint64("seed", 1, "arrival-process seed")
 	shards := flag.Int("shards", 0, "fleet size; 0 serves on a single device")
 	prewarm := flag.Bool("prewarm", true, "fleet mode: propagate warmed engines to peer shards")
@@ -53,12 +51,6 @@ func main() {
 
 	cfg := serve.DefaultConfig()
 	cfg.Set = *set
-	kc, ok := tensor.ParseKernelChain(*chain)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "mobilstm-serve: unknown -chain %q (want auto, generic, sse2 or avx2)\n", *chain)
-		os.Exit(2)
-	}
-	cfg.Chain = kc
 	if *workers > 0 {
 		cfg.Workers = *workers
 	}

@@ -6,6 +6,7 @@ import (
 	"mobilstm/internal/gpu"
 	"mobilstm/internal/gru"
 	"mobilstm/internal/thresholds"
+	"mobilstm/internal/tradeoff"
 )
 
 // GRUBenchmark describes one of the built-in GRU workloads (§II-B
@@ -66,7 +67,8 @@ type GRUOutcome struct {
 }
 
 // Evaluate measures the combined adjusted optimizations at threshold set
-// 0..10.
+// 0..10. An out-of-range set evaluates, and reports, the nearest valid
+// one.
 func (s *GRUSystem) Evaluate(set int) GRUOutcome {
 	o := s.engine.Evaluate(set)
 	return GRUOutcome{
@@ -75,15 +77,15 @@ func (s *GRUSystem) Evaluate(set int) GRUOutcome {
 	}
 }
 
-// AO returns the accuracy-oriented GRU operating point: the highest
-// threshold set whose accuracy meets thresholds.UserAccuracyFloor, or
-// set 0 — the same rule as core.AOSet on the LSTM curve.
+// AO returns the accuracy-oriented GRU operating point: the point at
+// tradeoff.Curve.AO of its threshold sweep, the same rule as the LSTM
+// System.AO.
 func (s *GRUSystem) AO() GRUOutcome {
-	best := s.Evaluate(0)
-	for set := 1; set <= thresholds.Sets-1; set++ {
-		if o := s.Evaluate(set); o.Accuracy >= thresholds.UserAccuracyFloor {
-			best = o
-		}
+	outs := make([]GRUOutcome, thresholds.Sets)
+	curve := make(tradeoff.Curve, len(outs))
+	for set := range outs {
+		outs[set] = s.Evaluate(set)
+		curve[set] = tradeoff.Point{Set: set, Speedup: outs[set].Speedup, Accuracy: outs[set].Accuracy}
 	}
-	return best
+	return outs[curve.AO()]
 }

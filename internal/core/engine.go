@@ -147,12 +147,7 @@ func tissueCountAtRate(n int, rate float64, mts int) int {
 // additional links — the observed distribution is heavily concentrated
 // and a linear walk would leave most sets inert.
 func (e *Engine) Thresholds(set int) (alphaInter, alphaIntra float64) {
-	if set < 0 {
-		set = 0
-	}
-	if set >= ThresholdSets {
-		set = ThresholdSets - 1
-	}
+	set = thresholds.ClampSet(set)
 	f := float64(set) / float64(ThresholdSets-1)
 	alphaIntra = AlphaIntraMax * f
 	if set == 0 || len(e.relDist) == 0 {
@@ -286,12 +281,14 @@ func (e *Engine) Evaluate(mode sched.Mode, alphaInter, alphaIntra float64) *Outc
 	return out
 }
 
-// EvaluateSet evaluates a mode at threshold set i (0..10).
+// EvaluateSet evaluates a mode at threshold set i (0..10); an
+// out-of-range set evaluates the nearest valid one.
 func (e *Engine) EvaluateSet(mode sched.Mode, set int) *Outcome {
-	ai, aa := e.Thresholds(set)
+	set = thresholds.ClampSet(set)
 	if set == 0 {
 		return e.Baseline()
 	}
+	ai, aa := e.Thresholds(set)
 	return e.Evaluate(mode, ai, aa)
 }
 

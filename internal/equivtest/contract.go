@@ -21,8 +21,10 @@ import (
 //	mode {baseline, intra, inter, combined} × B × ragged lengths
 //	× GOMAXPROCS {1, 2, 8} × chain {canonical, wide}
 //
-// with wide-vs-wide equality only: the chains drift by design, and
-// that drift is measured (ChainULPDrift) rather than forbidden.
+// Every check runs under the process-default chain, which the Wide
+// twins switch with UseChain. Equality holds within one chain only: the
+// chains drift by design, and that drift is measured (ChainULPDrift)
+// rather than forbidden.
 
 // Net is the forward surface every cell kind's network has by embedding
 // recurrent.Network.
@@ -110,11 +112,11 @@ type mode struct {
 	opt  recurrent.RunOptions
 }
 
-// modes returns the four execution modes on the given chain. The
-// inter-cell threshold is the median link relevance the network shows
-// on a probe sequence, so the inter flows both cut links (predicted
-// starts, multi-cell tissues) and keep links.
-func (k Kind) modes(n subject, chain tensor.KernelChain) []mode {
+// modes returns the four execution modes. The inter-cell threshold is
+// the median link relevance the network shows on a probe sequence, so
+// the inter flows both cut links (predicted starts, multi-cell tissues)
+// and keep links.
+func (k Kind) modes(n subject) []mode {
 	preds := ZeroPredictors(n.layers, n.hidden)
 	tr := &recurrent.Trace{}
 	n.Run(Seqs(rng.New(7), n.input, 24, 1)[0], recurrent.RunOptions{Inter: true, MTS: 4, Predictors: preds, Trace: tr})
@@ -125,10 +127,10 @@ func (k Kind) modes(n subject, chain tensor.KernelChain) []mode {
 	sort.Float64s(rel)
 	alphaInter := rel[len(rel)/2]
 	return []mode{
-		{"baseline", recurrent.RunOptions{Chain: chain}},
-		{"intra", recurrent.RunOptions{Chain: chain, Intra: true, AlphaIntra: k.AlphaIntra}},
-		{"inter", recurrent.RunOptions{Chain: chain, Inter: true, AlphaInter: alphaInter, MTS: 4, Predictors: preds}},
-		{"combined", recurrent.RunOptions{Chain: chain, Inter: true, AlphaInter: alphaInter, MTS: 4, Predictors: preds,
+		{"baseline", recurrent.RunOptions{}},
+		{"intra", recurrent.RunOptions{Intra: true, AlphaIntra: k.AlphaIntra}},
+		{"inter", recurrent.RunOptions{Inter: true, AlphaInter: alphaInter, MTS: 4, Predictors: preds}},
+		{"combined", recurrent.RunOptions{Inter: true, AlphaInter: alphaInter, MTS: 4, Predictors: preds,
 			Intra: true, AlphaIntra: k.AlphaIntra}},
 	}
 }
@@ -170,24 +172,24 @@ func concurrently(f func(worker int)) {
 
 // BatchMatchesSerial pins the batched-forward contract: member i of
 // RunBatch is bitwise identical to serial Run(seqs[i]) in every mode,
-// at every batch size, over ragged lengths, on the given chain. The
+// at every batch size, over ragged lengths, on the default chain. The
 // inter modes also batch a one-cell member (one tissue) with members of
 // 17, 9 and 4 cells (at least 5, 3 and 1 tissues of at most MTS = 4),
 // so lockstep by tissue index drops members at different steps.
-func BatchMatchesSerial(t *testing.T, k Kind, chain tensor.KernelChain) {
+func BatchMatchesSerial(t *testing.T, k Kind) {
 	n := k.subject(24, 32, 2, 5, 301)
 	r := rng.New(302)
-	for _, m := range k.modes(n, chain) {
+	for _, m := range k.modes(n) {
 		for _, b := range []int{1, 2, 3, 5} {
 			seqs := raggedSeqs(r, 24, 17, b)
-			Batch(t, chain.String()+" "+m.name+" B="+itoa(b), n.RunBatch(seqs, m.opt), serial(n, seqs, m.opt))
+			Batch(t, m.name+" B="+itoa(b), n.RunBatch(seqs, m.opt), serial(n, seqs, m.opt))
 		}
 		if m.opt.Inter {
 			var seqs [][]tensor.Vector
 			for _, ln := range []int{17, 1, 9, 4} {
 				seqs = append(seqs, Seqs(r, 24, ln, 1)[0])
 			}
-			Batch(t, chain.String()+" "+m.name+" tissue counts", n.RunBatch(seqs, m.opt), serial(n, seqs, m.opt))
+			Batch(t, m.name+" tissue counts", n.RunBatch(seqs, m.opt), serial(n, seqs, m.opt))
 		}
 	}
 }
@@ -197,7 +199,7 @@ func BatchMatchesSerial(t *testing.T, k Kind, chain tensor.KernelChain) {
 func ClassifyBatchMatchesSerial(t *testing.T, k Kind) {
 	n := k.subject(16, 24, 2, 6, 303)
 	r := rng.New(304)
-	for _, m := range k.modes(n, tensor.ChainAuto) {
+	for _, m := range k.modes(n) {
 		seqs := raggedSeqs(r, 16, 12, 4)
 		want := make([]int, len(seqs))
 		for i, xs := range seqs {
@@ -229,7 +231,6 @@ func RunBatchEValidation(t *testing.T, k Kind) {
 		{"trace", [][]tensor.Vector{good}, recurrent.RunOptions{Trace: &recurrent.Trace{}}, "per-sequence"},
 		{"inter no mts", [][]tensor.Vector{good}, recurrent.RunOptions{Inter: true}, "MTS"},
 		{"inter predictors", [][]tensor.Vector{good}, recurrent.RunOptions{Inter: true, MTS: 2}, "predictors"},
-		{"unknown chain", [][]tensor.Vector{good}, recurrent.RunOptions{Chain: 9}, "unknown kernel chain"},
 	}
 	for _, tc := range cases {
 		if _, err := n.RunBatchE(tc.seqs, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -269,13 +270,13 @@ func CheckSequence(t *testing.T, k Kind) {
 // core's L2, which no test network here has; that it shards rows, never
 // accumulation chains, is pinned kernel by kernel in tensor's
 // *AtAnyGOMAXPROCS tests, on shapes that fork.
-func RunBitwiseAcrossGOMAXPROCS(t *testing.T, k Kind, chain tensor.KernelChain) {
+func RunBitwiseAcrossGOMAXPROCS(t *testing.T, k Kind) {
 	n := k.subject(48, 64, 2, 5, 91)
 	xs := Seqs(rng.New(92), 48, 40, 1)[0]
-	for _, m := range k.modes(n, chain) {
+	for _, m := range k.modes(n) {
 		ref := n.Run(xs, m.opt)
 		atGOMAXPROCS(func(procs string) {
-			Vectors(t, chain.String()+" "+m.name+procs, n.Run(xs, m.opt), ref)
+			Vectors(t, m.name+procs, n.Run(xs, m.opt), ref)
 		})
 	}
 }
@@ -297,22 +298,22 @@ func RunRepeatable(t *testing.T, k Kind) {
 // ConcurrentRunsShareColdCache races first-use builds of the packed
 // weight cache: a fresh network run from many goroutines at once (the
 // serve-worker pattern) must agree on one united copy and produce
-// bitwise identical logits. Even workers run on the given chain, odd
-// ones on the canonical chain: the cache is chain-neutral (it holds
-// weights, not results), so mixed first touches must be safe too. Run
-// under -race in CI, this guards the lock-free cache read.
-func ConcurrentRunsShareColdCache(t *testing.T, k Kind, chain tensor.KernelChain) {
-	n := k.New(24, 32, 2, 4, 89)
+// bitwise identical logits. Run under -race in CI, this guards the
+// lock-free cache read. The cache holds weights, not results, so it is
+// chain-neutral: a network whose cache was first built under the wide
+// chain must give a fresh network's bits once the switch is undone.
+func ConcurrentRunsShareColdCache(t *testing.T, k Kind) {
 	xs := Seqs(rng.New(90), 24, 18, 1)[0]
-	opts := [2]recurrent.RunOptions{{Chain: chain}, {}}
-	refNet := k.New(24, 32, 2, 4, 89)
-	refs := [2]tensor.Vector{refNet.Run(xs, opts[0]), refNet.Run(xs, opts[1])}
-
+	want := k.New(24, 32, 2, 4, 89).Run(xs, recurrent.RunOptions{})
+	n := k.New(24, 32, 2, 4, 89)
 	var results [8]tensor.Vector
-	concurrently(func(w int) { results[w] = n.Run(xs, opts[w%2]) })
+	concurrently(func(w int) { results[w] = n.Run(xs, recurrent.RunOptions{}) })
 	for w, got := range results {
-		Vectors(t, chain.String()+" worker "+itoa(w), got, refs[w%2])
+		Vectors(t, "worker "+itoa(w), got, want)
 	}
+	wideBuilt := k.New(24, 32, 2, 4, 89)
+	under(t, tensor.ChainAVX2, func() { wideBuilt.Run(xs, recurrent.RunOptions{}) })
+	Vectors(t, "run on a cache built under avx2", wideBuilt.Run(xs, recurrent.RunOptions{}), want)
 }
 
 // InvalidateRefreshesPackedCache documents the cache contract: a direct
@@ -355,7 +356,7 @@ func WritersInvalidatePackedCache(t *testing.T, k Kind) {
 	}
 	for _, w := range writers {
 		n := k.subject(16, 24, 3, 4, 419)
-		ms := k.modes(n, tensor.ChainAuto)
+		ms := k.modes(n)
 		warm := n.Run(xs, ms[0].opt) // every layer's united copy is built
 		w.write(n.Net)
 		after := make([]tensor.Vector, len(ms))
@@ -438,7 +439,7 @@ func unchanged(t *testing.T, when string, h held) {
 func OutputsOutliveNextPass(t *testing.T, k Kind) {
 	n := k.subject(16, 24, 3, 4, 420)
 	r := rng.New(421)
-	ms := k.modes(n, tensor.ChainAuto)
+	ms := k.modes(n)
 	combined := ms[len(ms)-1].opt
 	seqs := raggedSeqs(r, 16, 14, 3)
 
@@ -488,17 +489,17 @@ func OutputsOutliveNextPass(t *testing.T, k Kind) {
 // the batched forward path: the batch GEMMs shard united weight rows,
 // never accumulation chains, so a ragged batch matches its per-member
 // serial runs bit for bit whatever the scheduler does.
-func RunBatchBitwiseAcrossGOMAXPROCS(t *testing.T, k Kind, chain tensor.KernelChain) {
+func RunBatchBitwiseAcrossGOMAXPROCS(t *testing.T, k Kind) {
 	n := k.subject(48, 64, 2, 5, 91)
 	r := rng.New(92)
 	var seqs [][]tensor.Vector
 	for _, ln := range []int{40, 23, 31, 40} {
 		seqs = append(seqs, Seqs(r, 48, ln, 1)[0])
 	}
-	for _, m := range k.modes(n, chain) {
+	for _, m := range k.modes(n) {
 		want := serial(n, seqs, m.opt)
 		atGOMAXPROCS(func(procs string) {
-			Batch(t, chain.String()+" "+m.name+procs, n.RunBatch(seqs, m.opt), want)
+			Batch(t, m.name+procs, n.RunBatch(seqs, m.opt), want)
 		})
 	}
 }
@@ -523,21 +524,29 @@ func ConcurrentRunBatchSharesColdCache(t *testing.T, k Kind) {
 	}
 }
 
-// ChainAutoFollowsProcessDefault pins the env/SetKernelChain path end
-// to end: a ChainAuto run under a forced process default produces
-// exactly the bits of the matching explicit selection.
-func ChainAutoFollowsProcessDefault(t *testing.T, k Kind) {
-	n := k.New(16, 24, 2, 4, 410)
-	xs := Seqs(rng.New(411), 16, 12, 1)[0]
-	explicit := n.Run(xs, recurrent.RunOptions{Chain: tensor.ChainAVX2})
-	canonical := n.Run(xs, recurrent.RunOptions{})
+// under runs f in a subtest named after c, under UseChain(c).
+func under(t *testing.T, c tensor.KernelChain, f func()) {
+	t.Run(c.String(), func(t *testing.T) { UseChain(t, c); f() })
+}
 
-	prev := tensor.ActiveKernelChain()
-	tensor.SetKernelChain(tensor.ChainAVX2)
-	auto := n.Run(xs, recurrent.RunOptions{})
-	tensor.SetKernelChain(prev)
-	Vectors(t, "auto-under-avx2-default", auto, explicit)
-	Vectors(t, "auto-after-restore", n.Run(xs, recurrent.RunOptions{}), canonical)
+// ChainAutoFollowsProcessDefault pins the one chain selector end to
+// end: a run binds the process default, so switching it to the wide
+// chain moves the logits off the canonical bits, a fresh network under
+// the same switch gives the moved bits exactly, and undoing the switch
+// restores the canonical bits.
+func ChainAutoFollowsProcessDefault(t *testing.T, k Kind) {
+	xs := Seqs(rng.New(411), 16, 12, 1)[0]
+	n := k.New(16, 24, 2, 4, 410)
+	run := func(n Net) tensor.Vector { return n.Run(xs, recurrent.RunOptions{}) }
+	var canonical, wide, fresh, restored tensor.Vector
+	under(t, Canonical(), func() { canonical = run(n) })
+	under(t, tensor.ChainAVX2, func() { wide, fresh = run(n), run(k.New(16, 24, 2, 4, 410)) })
+	under(t, Canonical(), func() { restored = run(n) })
+	Vectors(t, "fresh network under the avx2 default", fresh, wide)
+	Vectors(t, "canonical after the avx2 switch is undone", restored, canonical)
+	if MaxULP(t, "avx2 default vs canonical", wide, canonical) == 0 {
+		t.Fatal("switching the process default to avx2 left the logits on the canonical bits")
+	}
 }
 
 // ChainULPDrift measures — not forbids — the wide chain's drift from
@@ -546,15 +555,15 @@ func ChainAutoFollowsProcessDefault(t *testing.T, k Kind) {
 // measured values are reported in EXPERIMENTS.md.
 func ChainULPDrift(t *testing.T, k Kind) {
 	n := k.New(24, 32, 3, 5, 412)
-	r := rng.New(413)
+	seqs := Seqs(rng.New(413), 24, 20, 8)
+	var canon, wide []tensor.Vector
+	under(t, Canonical(), func() { canon = serial(n, seqs, recurrent.RunOptions{}) })
+	under(t, tensor.ChainAVX2, func() { wide = serial(n, seqs, recurrent.RunOptions{}) })
 	var worst uint32
-	for trial := 0; trial < 8; trial++ {
-		xs := Seqs(r, 24, 20, 1)[0]
-		canon := n.Run(xs, recurrent.RunOptions{Chain: tensor.ChainSSE2})
-		wide := n.Run(xs, recurrent.RunOptions{Chain: tensor.ChainAVX2})
-		worst = max(worst, MaxULP(t, "drift", wide, canon))
+	for i := range seqs {
+		worst = max(worst, MaxULP(t, "drift", wide[i], canon[i]))
 	}
-	t.Logf("max ULP drift wide vs canonical over 8 sequences: %d", worst)
+	t.Logf("max ULP drift wide vs canonical over %d sequences: %d", len(seqs), worst)
 	if worst > 1<<16 {
 		t.Fatalf("wide chain drifted %d ULP from canonical — beyond any plausible rounding divergence", worst)
 	}

@@ -12,7 +12,9 @@
 package equivtest
 
 import (
+	"fmt"
 	"math"
+	"os"
 	"testing"
 
 	"mobilstm/internal/rng"
@@ -150,4 +152,36 @@ func RaggedLengths(r *rng.RNG, b, maxLen int) []int {
 		}
 	}
 	return lens
+}
+
+// UseChain switches the process-default kernel chain, the one chain
+// selector a forward pass reads, to c for the rest of tb, and restores
+// the previous default in tb.Cleanup. A subtest scopes the switch.
+func UseChain(tb testing.TB, c tensor.KernelChain) {
+	prev := tensor.ActiveKernelChain()
+	tensor.SetKernelChain(c)
+	tb.Cleanup(func() { tensor.SetKernelChain(prev) })
+}
+
+// Canonical is the canonical chain as this process binds it: the
+// process default, or sse2 when that is the wide chain. A generic
+// default stays, so that chain-matrix leg keeps the pure-Go bodies.
+func Canonical() tensor.KernelChain {
+	if c := tensor.ActiveKernelChain(); c != tensor.ChainAVX2 {
+		return c
+	}
+	return tensor.ChainSSE2
+}
+
+// Main runs a forward test package and fails it if its tests leave the
+// process-default chain other than MOBILSTM_KERNEL_CHAIN resolved it,
+// so a leaked switch cannot turn later canonical runs wide.
+func Main(m *testing.M) {
+	start := tensor.ActiveKernelChain()
+	code := m.Run()
+	if end := tensor.ActiveKernelChain(); end != start {
+		fmt.Fprintf(os.Stderr, "FAIL: kernel chain leaked: tests left the default at %v, %s set %v\n", end, tensor.KernelChainEnv, start)
+		code = 1
+	}
+	os.Exit(code)
 }

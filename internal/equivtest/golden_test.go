@@ -106,15 +106,13 @@ func goldenFixture() (batch [][]tensor.Vector, nets []goldenNet) {
 	}
 }
 
-// goldenModes returns baseline, inter, intra and combined on the
-// canonical chain, whatever the process default.
+// goldenModes returns baseline, inter, intra and combined.
 func goldenModes(p []intercell.Predictor, alphaInter, alphaIntra float64) []goldenMode {
-	const chain = tensor.ChainSSE2
 	return []goldenMode{
-		{"baseline", recurrent.RunOptions{Chain: chain}},
-		{"inter", recurrent.RunOptions{Chain: chain, Inter: true, AlphaInter: alphaInter, MTS: 3, Predictors: p}},
-		{"intra", recurrent.RunOptions{Chain: chain, Intra: true, AlphaIntra: alphaIntra}},
-		{"combined", recurrent.RunOptions{Chain: chain, Inter: true, AlphaInter: alphaInter, MTS: 3, Predictors: p,
+		{"baseline", recurrent.RunOptions{}},
+		{"inter", recurrent.RunOptions{Inter: true, AlphaInter: alphaInter, MTS: 3, Predictors: p}},
+		{"intra", recurrent.RunOptions{Intra: true, AlphaIntra: alphaIntra}},
+		{"combined", recurrent.RunOptions{Inter: true, AlphaInter: alphaInter, MTS: 3, Predictors: p,
 			Intra: true, AlphaIntra: alphaIntra}},
 	}
 }
@@ -209,11 +207,14 @@ func goldenTraceLines(*testing.T) []string {
 }
 
 // checkGolden compares the computed lines with testdata/name, or
-// rewrites the file under -update-golden.
+// rewrites the file under -update-golden. The lines are computed on the
+// canonical chain: a wide process default is switched to sse2, and a
+// generic one stays, so that leg checks the pure-Go bodies.
 func checkGolden(t *testing.T, name string, compute func(*testing.T) []string) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden bits are recorded on amd64; other architectures may contract float32 multiply-adds")
 	}
+	equivtest.UseChain(t, equivtest.Canonical())
 	path := filepath.Join("testdata", name)
 	got := compute(t)
 	if *updateGolden {
@@ -237,6 +238,10 @@ func checkGolden(t *testing.T, name string, compute func(*testing.T) []string) {
 		}
 	}
 }
+
+// TestMain fails the package if a test leaves the process-default
+// kernel chain switched.
+func TestMain(m *testing.M) { equivtest.Main(m) }
 
 func TestGoldenLogitBits(t *testing.T) { checkGolden(t, "golden_logits.txt", goldenLogitLines) }
 

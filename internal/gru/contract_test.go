@@ -40,33 +40,41 @@ var kind = equivtest.Kind{
 	},
 }
 
-const canonical, wide = tensor.ChainAuto, tensor.ChainAVX2
+// TestMain fails the package if a test leaves the process-default
+// kernel chain switched.
+func TestMain(m *testing.M) { equivtest.Main(m) }
 
-func TestGRURunBatchMatchesSerial(t *testing.T)      { equivtest.BatchMatchesSerial(t, kind, canonical) }
-func TestGRUWideRunBatchMatchesSerial(t *testing.T)  { equivtest.BatchMatchesSerial(t, kind, wide) }
+func TestGRURunBatchMatchesSerial(t *testing.T) { equivtest.BatchMatchesSerial(t, kind) }
+func TestGRUWideRunBatchMatchesSerial(t *testing.T) {
+	equivtest.UseChain(t, tensor.ChainAVX2)
+	equivtest.BatchMatchesSerial(t, kind)
+}
 func TestGRUClassifyBatchMatchesSerial(t *testing.T) { equivtest.ClassifyBatchMatchesSerial(t, kind) }
 func TestGRURunBatchEValidation(t *testing.T)        { equivtest.RunBatchEValidation(t, kind) }
 func TestGRUCheckSequence(t *testing.T)              { equivtest.CheckSequence(t, kind) }
 func TestGRURunRepeatable(t *testing.T)              { equivtest.RunRepeatable(t, kind) }
 
 func TestGRURunBitwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	equivtest.RunBitwiseAcrossGOMAXPROCS(t, kind, canonical)
+	equivtest.RunBitwiseAcrossGOMAXPROCS(t, kind)
 }
 func TestGRUWideRunBitwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	equivtest.RunBitwiseAcrossGOMAXPROCS(t, kind, wide)
+	equivtest.UseChain(t, tensor.ChainAVX2)
+	equivtest.RunBitwiseAcrossGOMAXPROCS(t, kind)
 }
 func TestGRURunBatchBitwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	equivtest.RunBatchBitwiseAcrossGOMAXPROCS(t, kind, canonical)
+	equivtest.RunBatchBitwiseAcrossGOMAXPROCS(t, kind)
 }
 func TestGRUWideRunBatchBitwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	equivtest.RunBatchBitwiseAcrossGOMAXPROCS(t, kind, wide)
+	equivtest.UseChain(t, tensor.ChainAVX2)
+	equivtest.RunBatchBitwiseAcrossGOMAXPROCS(t, kind)
 }
 
 func TestGRUConcurrentRunsShareColdCache(t *testing.T) {
-	equivtest.ConcurrentRunsShareColdCache(t, kind, canonical)
+	equivtest.ConcurrentRunsShareColdCache(t, kind)
 }
 func TestGRUConcurrentWideRunsShareColdCache(t *testing.T) {
-	equivtest.ConcurrentRunsShareColdCache(t, kind, wide)
+	equivtest.UseChain(t, tensor.ChainAVX2)
+	equivtest.ConcurrentRunsShareColdCache(t, kind)
 }
 func TestGRUConcurrentRunBatchSharesColdCache(t *testing.T) {
 	equivtest.ConcurrentRunBatchSharesColdCache(t, kind)

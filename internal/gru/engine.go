@@ -58,7 +58,7 @@ type Engine struct {
 
 	relDist []float64
 	sim     *gpu.Simulator
-	baseCyc float64
+	baseCyc float64 // baseline cycles, fixed by NewEngine
 }
 
 // EngineProfile bounds the numeric shapes (mirrors model.Profile).
@@ -118,6 +118,7 @@ func NewEngine(b Benchmark, p EngineProfile, cfg gpu.Config) *Engine {
 	}
 	e.Predictors = CollectPredictors(net, e.Seqs[p.AccSamples:])
 	e.collectRelevance(p.AccSamples)
+	e.baseCyc = e.simulate(0, 0)
 	return e
 }
 
@@ -229,15 +230,10 @@ func (e *Engine) collectRelevance(accSamples int) {
 }
 
 // Thresholds maps set 0..10 to (alpha_inter, alpha_intra), walking the
-// relevance quantiles like the LSTM engine.
+// relevance quantiles like the LSTM engine. Out-of-range sets clamp.
 func (e *Engine) Thresholds(set int) (float64, float64) {
-	if set < 0 {
-		set = 0
-	}
-	if set > 10 {
-		set = 10
-	}
-	f := float64(set) / 10
+	set = thresholds.ClampSet(set)
+	f := float64(set) / (thresholds.Sets - 1)
 	alphaIntra := thresholds.AlphaIntraMax * f
 	if set == 0 || len(e.relDist) == 0 {
 		return 0, alphaIntra
@@ -256,12 +252,12 @@ type Outcome struct {
 	BreakRate         float64
 }
 
-// Evaluate measures the combined adjusted optimizations at one set.
+// Evaluate measures the combined adjusted optimizations at one set; an
+// out-of-range set evaluates, and reports, the nearest valid one. Safe
+// for concurrent use.
 func (e *Engine) Evaluate(set int) Outcome {
-	if e.baseCyc == 0 {
-		e.baseCyc = e.simulate(0, 0)
-	}
-	if set <= 0 {
+	set = thresholds.ClampSet(set)
+	if set == 0 {
 		return Outcome{Set: 0, Speedup: 1, Accuracy: 1}
 	}
 	ai, aa := e.Thresholds(set)

@@ -40,33 +40,41 @@ var kind = equivtest.Kind{
 	},
 }
 
-const canonical, wide = tensor.ChainAuto, tensor.ChainAVX2
+// TestMain fails the package if a test leaves the process-default
+// kernel chain switched.
+func TestMain(m *testing.M) { equivtest.Main(m) }
 
-func TestRunBatchMatchesSerial(t *testing.T)      { equivtest.BatchMatchesSerial(t, kind, canonical) }
-func TestWideRunBatchMatchesSerial(t *testing.T)  { equivtest.BatchMatchesSerial(t, kind, wide) }
+func TestRunBatchMatchesSerial(t *testing.T) { equivtest.BatchMatchesSerial(t, kind) }
+func TestWideRunBatchMatchesSerial(t *testing.T) {
+	equivtest.UseChain(t, tensor.ChainAVX2)
+	equivtest.BatchMatchesSerial(t, kind)
+}
 func TestClassifyBatchMatchesSerial(t *testing.T) { equivtest.ClassifyBatchMatchesSerial(t, kind) }
 func TestRunBatchEValidation(t *testing.T)        { equivtest.RunBatchEValidation(t, kind) }
 func TestCheckSequence(t *testing.T)              { equivtest.CheckSequence(t, kind) }
 func TestRunRepeatable(t *testing.T)              { equivtest.RunRepeatable(t, kind) }
 
 func TestRunBitwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	equivtest.RunBitwiseAcrossGOMAXPROCS(t, kind, canonical)
+	equivtest.RunBitwiseAcrossGOMAXPROCS(t, kind)
 }
 func TestWideRunBitwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	equivtest.RunBitwiseAcrossGOMAXPROCS(t, kind, wide)
+	equivtest.UseChain(t, tensor.ChainAVX2)
+	equivtest.RunBitwiseAcrossGOMAXPROCS(t, kind)
 }
 func TestRunBatchBitwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	equivtest.RunBatchBitwiseAcrossGOMAXPROCS(t, kind, canonical)
+	equivtest.RunBatchBitwiseAcrossGOMAXPROCS(t, kind)
 }
 func TestWideRunBatchBitwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	equivtest.RunBatchBitwiseAcrossGOMAXPROCS(t, kind, wide)
+	equivtest.UseChain(t, tensor.ChainAVX2)
+	equivtest.RunBatchBitwiseAcrossGOMAXPROCS(t, kind)
 }
 
 func TestConcurrentRunsShareColdCache(t *testing.T) {
-	equivtest.ConcurrentRunsShareColdCache(t, kind, canonical)
+	equivtest.ConcurrentRunsShareColdCache(t, kind)
 }
 func TestConcurrentWideRunsShareColdCache(t *testing.T) {
-	equivtest.ConcurrentRunsShareColdCache(t, kind, wide)
+	equivtest.UseChain(t, tensor.ChainAVX2)
+	equivtest.ConcurrentRunsShareColdCache(t, kind)
 }
 func TestConcurrentRunBatchSharesColdCache(t *testing.T) {
 	equivtest.ConcurrentRunBatchSharesColdCache(t, kind)

@@ -197,7 +197,6 @@ func TestRunEErrors(t *testing.T) {
 		{"inter without MTS", xs, RunOptions{Inter: true, Predictors: zeroPredictors(n)}},
 		{"predictor mismatch", xs, RunOptions{Inter: true, MTS: 4,
 			Predictors: zeroPredictors(n)[:1]}},
-		{"unknown chain", xs, RunOptions{Chain: 9}},
 	}
 	for _, c := range cases {
 		if _, err := n.RunE(c.xs, c.opt); err == nil {

@@ -66,7 +66,7 @@ func (n *Network[C]) Run(xs []tensor.Vector, opt RunOptions) tensor.Vector {
 // per-cell allocation and a call's footprint is a handful of arena
 // slabs.
 func (n *Network[C]) forward(seqs [][]tensor.Vector, opt RunOptions) []tensor.Vector {
-	ks := tensor.KernelsFor(opt.Chain)
+	ks := tensor.KernelsFor(tensor.ChainAuto)
 	lens := make([]int, len(seqs))
 	for i, xs := range seqs {
 		lens[i] = len(xs)

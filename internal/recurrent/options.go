@@ -1,9 +1,6 @@
 package recurrent
 
-import (
-	"mobilstm/internal/intercell"
-	"mobilstm/internal/tensor"
-)
+import "mobilstm/internal/intercell"
 
 // RunOptions selects the execution mode and its thresholds.
 type RunOptions struct {
@@ -26,19 +23,6 @@ type RunOptions struct {
 	// update gate).
 	Intra      bool
 	AlphaIntra float64
-
-	// Chain selects the accumulation chain the GEMV/GEMM kernels run
-	// (tensor.KernelChain). Run/RunBatch resolve it once, through
-	// tensor.KernelsFor, and call every kernel on that binding, so
-	// chains never mix within a run; an unknown value is an error on
-	// the E entry points. The zero value (ChainAuto) follows the
-	// process default — the canonical bitwise-deterministic chain
-	// unless tensor.SetKernelChain or MOBILSTM_KERNEL_CHAIN moved it.
-	// ChainAVX2 opts this run into the wide FMA fast mode: logits keep
-	// the same determinism guarantees within the wide chain
-	// (Run≡RunBatch, any GOMAXPROCS) but drift a few ULP from the
-	// canonical chain's bits (see EXPERIMENTS.md).
-	Chain tensor.KernelChain
 
 	// Trace, when non-nil, collects the structural decisions of the run
 	// (relevance values, breakpoints, tissue layout, skip counts) — the

@@ -4,16 +4,20 @@ import (
 	"context"
 	"testing"
 
+	"mobilstm/internal/equivtest"
 	"mobilstm/internal/tensor"
 )
 
-// TestServeChainPlumbing pins the Config.Chain path end to end: the
-// engine slot's run options carry the configured chain, requests are
-// served under it, and the stats snapshot reports the resolved name.
+// TestMain fails the package if a test leaves the process-default
+// kernel chain switched.
+func TestMain(m *testing.M) { equivtest.Main(m) }
+
+// TestServeChainPlumbing pins the process default as the server's one
+// chain selector: with it switched to the wide chain, requests are
+// served and the stats snapshot reports avx2.
 func TestServeChainPlumbing(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Chain = tensor.ChainAVX2
-	s := New(cfg)
+	equivtest.UseChain(t, tensor.ChainAVX2)
+	s := New(tinyConfig())
 	defer s.Close()
 
 	resp, err := s.Submit(context.Background(), Request{Bench: "MR"})
@@ -23,55 +27,41 @@ func TestServeChainPlumbing(t *testing.T) {
 	if resp.Bench != "MR" {
 		t.Fatalf("bad response %+v", resp)
 	}
-	slot := s.engine("MR")
-	if slot.err != nil {
-		t.Fatalf("engine: %v", slot.err)
-	}
-	if slot.opts.Chain != tensor.ChainAVX2 {
-		t.Fatalf("slot chain %v, want ChainAVX2", slot.opts.Chain)
-	}
 	if got := s.Stats().Chain; got != "avx2" {
 		t.Fatalf("Stats().Chain = %q, want avx2", got)
 	}
 }
 
 // TestServeChainArtifactNeutral pins the warm-cache contract: the
-// published engine artifact carries no chain (a wide shard's cold build
-// is adoptable by a canonical shard and vice versa), and each adopter
-// stamps its own Config.Chain onto its run options at install time.
+// engine artifact carries no chain, so a cold build published under the
+// wide default is adopted by a server under the canonical default,
+// which serves from it and reports its own chain.
 func TestServeChainArtifactNeutral(t *testing.T) {
-	cache := NewEngineCache()
-
-	wide := tinyConfig()
-	wide.Chain = tensor.ChainAVX2
-	wide.Cache = cache
-	a := New(wide)
-	if _, err := a.Submit(context.Background(), Request{Bench: "MR"}); err != nil {
-		t.Fatalf("cold submit: %v", err)
-	}
-	a.Close()
-
-	art, ok := cache.Acquire(artifactKey("MR", wide))
-	if !ok {
+	cfg := tinyConfig()
+	cfg.Cache = NewEngineCache()
+	t.Run("cold build under avx2", func(t *testing.T) {
+		equivtest.UseChain(t, tensor.ChainAVX2)
+		a := New(cfg)
+		defer a.Close()
+		if _, err := a.Submit(context.Background(), Request{Bench: "MR"}); err != nil {
+			t.Fatalf("cold submit: %v", err)
+		}
+	})
+	if _, ok := cfg.Cache.Acquire(artifactKey("MR", cfg)); !ok {
 		t.Fatal("cold build did not publish an artifact")
 	}
-	if art.Opts.Chain != tensor.ChainAuto {
-		t.Fatalf("published artifact carries chain %v, want ChainAuto (chain-neutral)", art.Opts.Chain)
-	}
 
-	canon := tinyConfig()
-	canon.Chain = tensor.ChainSSE2
-	canon.Cache = cache
-	b := New(canon)
+	canon := equivtest.Canonical()
+	equivtest.UseChain(t, canon)
+	b := New(cfg)
 	defer b.Close()
 	if _, err := b.Submit(context.Background(), Request{Bench: "MR"}); err != nil {
 		t.Fatalf("warm submit: %v", err)
 	}
-	slot := b.engine("MR")
-	if !slot.installed {
+	if !b.engine("MR").installed {
 		t.Fatal("second server did not adopt the cached artifact")
 	}
-	if slot.opts.Chain != tensor.ChainSSE2 {
-		t.Fatalf("adopter chain %v, want ChainSSE2", slot.opts.Chain)
+	if got := b.Stats().Chain; got != canon.String() {
+		t.Fatalf("adopter Stats().Chain = %q, want %v", got, canon)
 	}
 }

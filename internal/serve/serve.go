@@ -88,15 +88,6 @@ type Config struct {
 	Mode sched.Mode
 	Set  int
 
-	// Chain selects the kernel chain requests execute under
-	// (tensor.ChainAuto follows the process default, which honors
-	// MOBILSTM_KERNEL_CHAIN). The engine artifact itself is
-	// chain-neutral — thresholds, predictors and cached weights are
-	// identical under every chain — so warm-cache hits stay valid
-	// across shards serving different chains; only the per-request
-	// run options carry the selection.
-	Chain tensor.KernelChain
-
 	// Workers is the worker-pool size; QueueDepth bounds the request
 	// queue; MaxBatch caps the batching window's batch size; and
 	// BatchWindow is how long a partial batch waits for company before
@@ -706,7 +697,6 @@ func (slot *engineSlot) build(bench string, cfg Config) {
 		// Warm path: adopt the peer-built artifact and pay only the
 		// install cost (weight upload + unpack) instead of the JIT build.
 		slot.eng, slot.set, slot.opts = art.Eng, art.Set, art.Opts
-		slot.opts.Chain = cfg.Chain
 		slot.installed = true
 		slot.chargeMs = slot.simMs(slot.kb.EngineInstall(b.Hidden, b.Layers))
 		slot.chargeCold = false
@@ -735,11 +725,7 @@ func (slot *engineSlot) build(bench string, cfg Config) {
 	slot.chargeMs = slot.simMs(slot.kb.EngineBuild(b.Hidden, b.Layers))
 	slot.chargeCold = true
 	slot.charge.Store(true)
-	// Publish the chain-neutral artifact before stamping this shard's
-	// chain onto the local run options: peers adopting the artifact pick
-	// their own chain.
 	cfg.Cache.Store(key, &EngineArtifact{Eng: slot.eng, Set: slot.set, Opts: slot.opts})
-	slot.opts.Chain = cfg.Chain
 }
 
 // simMs prices a launch sequence on the slot's device class. Only

@@ -120,9 +120,8 @@ type Snapshot struct {
 	// Device names the simulated device class the server's cost model
 	// runs on (the shard's hardware in a fleet).
 	Device string
-	// Chain names the resolved kernel chain requests execute under
-	// (the server's Config.Chain after ChainAuto resolves to the
-	// process default).
+	// Chain names the kernel chain requests execute under: the process
+	// default, which MOBILSTM_KERNEL_CHAIN sets.
 	Chain   string
 	Benches []BenchSnapshot
 
@@ -158,7 +157,7 @@ func (s *Server) Stats() Snapshot {
 	snap := Snapshot{
 		Uptime: now.Sub(s.start),
 		Device: s.device(),
-		Chain:  tensor.ResolveChain(s.cfg.Chain).String(),
+		Chain:  tensor.ActiveKernelChain().String(),
 	}
 	names := make([]string, 0, len(s.stats))
 	for name := range s.stats {

@@ -25,9 +25,9 @@ import (
 // one kernel family (Kernels): KernelsFor resolves a selection to its
 // bodies once, and every kernel of a run dots its rows through that
 // binding.
-// SetKernelChain moves the process default, which ChainAuto selections
-// (recurrent.RunOptions.Chain, serve.Config.Chain) follow.
-// A ChainGeneric process default additionally pins every chain to its
+// The process default (MOBILSTM_KERNEL_CHAIN) is the only production
+// selector; explicit bindings are the package-level entry points
+// (PackedGemv…, WidePacked…) and calibration's. A ChainGeneric process default additionally pins every chain to its
 // pure-Go body, and SigmoidVec/TanhVec to their scalar loop, which is
 // how CI exercises the reference bodies on any runner CPU.
 
@@ -119,9 +119,9 @@ func chainFromEnv(v string) KernelChain {
 // off process-wide (the reference configuration is all-Go).
 //
 // The switch is atomic but a binding already resolved keeps its body:
-// set it at startup or between runs. Production selects chains through
-// MOBILSTM_KERNEL_CHAIN, RunOptions.Chain and serve.Config.Chain; only
-// tests call this.
+// set it between runs. Production selects the chain through
+// MOBILSTM_KERNEL_CHAIN alone; only tests call this, through
+// equivtest.UseChain, which restores the previous default.
 func SetKernelChain(c KernelChain) KernelChain {
 	if c == ChainAuto {
 		c = ChainSSE2
@@ -133,15 +133,6 @@ func SetKernelChain(c KernelChain) KernelChain {
 // ActiveKernelChain returns the current process-default chain.
 func ActiveKernelChain() KernelChain {
 	return KernelChain(activeChain.Load())
-}
-
-// ResolveChain maps ChainAuto to the process default and returns every
-// other selection unchanged.
-func ResolveChain(c KernelChain) KernelChain {
-	if c == ChainAuto {
-		return ActiveKernelChain()
-	}
-	return c
 }
 
 // KernelsFor binds the kernel family to the chain c selects. The

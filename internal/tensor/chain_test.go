@@ -48,12 +48,6 @@ func TestSetKernelChainResolution(t *testing.T) {
 	if got := ActiveKernelChain(); got != ChainAVX2 {
 		t.Fatalf("ActiveKernelChain = %v after forcing avx2", got)
 	}
-	if got := ResolveChain(ChainAuto); got != ChainAVX2 {
-		t.Fatalf("ResolveChain(auto) = %v, want the forced default", got)
-	}
-	if got := ResolveChain(ChainGeneric); got != ChainGeneric {
-		t.Fatalf("ResolveChain(generic) = %v, explicit selections must pass through", got)
-	}
 }
 
 func TestChainFromEnv(t *testing.T) {

@@ -64,3 +64,6 @@ const (
 	// extension leans on DRS instead (see internal/gru).
 	GRUQuantileDepth = 0.3
 )
+
+// ClampSet maps a threshold-set index onto 0..Sets-1.
+func ClampSet(set int) int { return min(max(set, 0), Sets-1) }

@@ -3,7 +3,11 @@
 // operating-point selections used in Fig. 18 and Fig. 19.
 package tradeoff
 
-import "fmt"
+import (
+	"fmt"
+
+	"mobilstm/internal/thresholds"
+)
 
 // Point is one evaluated threshold set.
 type Point struct {
@@ -30,14 +34,10 @@ func (c Curve) Validate() error {
 	return nil
 }
 
-// UserImperceptibleLoss is the accuracy loss end users generally cannot
-// perceive (§VI-A): 2%.
-const UserImperceptibleLoss = 0.02
-
 // AO returns the accuracy-oriented set: the largest set whose accuracy
-// loss stays user-imperceptible.
+// loss stays user-imperceptible (thresholds.UserAccuracyFloor, §VI-A).
 func (c Curve) AO() int {
-	return c.LargestWithAccuracy(1 - UserImperceptibleLoss)
+	return c.LargestWithAccuracy(thresholds.UserAccuracyFloor)
 }
 
 // BPA returns the best performance-accuracy set: argmax speedup*accuracy.

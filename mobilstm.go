@@ -23,6 +23,7 @@ import (
 	"mobilstm/internal/gpu"
 	"mobilstm/internal/model"
 	"mobilstm/internal/sched"
+	"mobilstm/internal/thresholds"
 	"mobilstm/internal/tradeoff"
 )
 
@@ -161,8 +162,10 @@ func (s *System) Name() string { return s.engine.B.Name }
 // MTS returns the platform's maximum tissue size for this benchmark.
 func (s *System) MTS() int { return s.engine.MTS }
 
-// Evaluate measures one mode at threshold set 0..10.
+// Evaluate measures one mode at threshold set 0..10. An out-of-range
+// set evaluates, and reports, the nearest valid one.
 func (s *System) Evaluate(mode Mode, set int) Outcome {
+	set = thresholds.ClampSet(set)
 	o := s.engine.EvaluateSet(mode.internal(), set)
 	return Outcome{
 		Mode:         mode,

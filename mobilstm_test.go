@@ -1,6 +1,7 @@
 package mobilstm_test
 
 import (
+	"sync"
 	"testing"
 
 	"mobilstm"
@@ -91,6 +92,60 @@ func TestPublicAPIFlow(t *testing.T) {
 	}
 	if got, want := gsys.AO(), gsys.Evaluate(core.AOSet(outs)); got != want {
 		t.Fatalf("GRU AO = %+v, want the core.AOSet point %+v", got, want)
+	}
+}
+
+// TestOutOfRangeSetsClamp pins one rule for threshold sets outside
+// 0..10 on both facades: a set below the range evaluates and reports
+// set 0, the exact baseline, and a set above it set 10, field for field.
+func TestOutOfRangeSetsClamp(t *testing.T) {
+	sys, err := mobilstm.Open("MR", mobilstm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []mobilstm.Mode{
+		mobilstm.ModeBaseline, mobilstm.ModeInter, mobilstm.ModeIntra, mobilstm.ModeCombined,
+	} {
+		for _, c := range []struct{ out, in int }{{-1, 0}, {thresholds.Sets, thresholds.Sets - 1}} {
+			if got, want := sys.Evaluate(m, c.out), sys.Evaluate(m, c.in); got != want {
+				t.Errorf("%v set %d = %+v, want set %d's %+v", m, c.out, got, c.in, want)
+			}
+		}
+	}
+	gsys, err := mobilstm.OpenGRU("KWS-GRU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ out, in int }{{-1, 0}, {thresholds.Sets, thresholds.Sets - 1}} {
+		if got, want := gsys.Evaluate(c.out), gsys.Evaluate(c.in); got != want {
+			t.Errorf("GRU set %d = %+v, want set %d's %+v", c.out, got, c.in, want)
+		}
+	}
+}
+
+// TestGRUSystemEvaluateConcurrent: GRUSystem is public API, so callers
+// may evaluate one fresh system from several goroutines. Under -race
+// this pins that Evaluate writes no shared state, and each goroutine
+// must get the outcome a serial caller gets.
+func TestGRUSystemEvaluateConcurrent(t *testing.T) {
+	sys, err := mobilstm.OpenGRU("KWS-GRU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2]mobilstm.GRUOutcome
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = sys.Evaluate(4 + i)
+		}()
+	}
+	wg.Wait()
+	for i, o := range got {
+		if want := sys.Evaluate(4 + i); o != want {
+			t.Errorf("concurrent Evaluate(%d) = %+v, serial %+v", 4+i, o, want)
+		}
 	}
 }
 
