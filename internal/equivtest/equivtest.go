@@ -15,6 +15,9 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"mobilstm/internal/rng"
@@ -184,4 +187,35 @@ func Main(m *testing.M) {
 		code = 1
 	}
 	os.Exit(code)
+}
+
+// Golden compares got with the lines of testdata/name, or rewrites the
+// file when update is set. The pinned bits are recorded on amd64; other
+// architectures may contract float32 multiply-adds, so they skip.
+func Golden(t *testing.T, name string, got []string, update bool) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden bits are recorded on amd64; other architectures may contract float32 multiply-adds")
+	}
+	path := filepath.Join("testdata", name)
+	if update {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d lines)", path, len(got))
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d lines computed, golden file has %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("line %d drifted from the golden bits:\n got  %s\n want %s", i+1, got[i], want[i])
+		}
+	}
 }

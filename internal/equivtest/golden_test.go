@@ -4,9 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -211,32 +208,8 @@ func goldenTraceLines(*testing.T) []string {
 // canonical chain: a wide process default is switched to sse2, and a
 // generic one stays, so that leg checks the pure-Go bodies.
 func checkGolden(t *testing.T, name string, compute func(*testing.T) []string) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("golden bits are recorded on amd64; other architectures may contract float32 multiply-adds")
-	}
 	equivtest.UseChain(t, equivtest.Canonical())
-	path := filepath.Join("testdata", name)
-	got := compute(t)
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d lines)", path, len(got))
-		return
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	if len(got) != len(want) {
-		t.Fatalf("%d lines computed, golden file has %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("line %d drifted from the golden bits:\n got  %s\n want %s", i+1, got[i], want[i])
-		}
-	}
+	equivtest.Golden(t, name, compute(t), *updateGolden)
 }
 
 // TestMain fails the package if a test leaves the process-default
