@@ -178,17 +178,17 @@ fleet-smoke:
 	$(GO) run ./cmd/mobilstm-serve -shards 3 -fleetcheck \
 		-benches MR,BABI -requests 16 -interarrival 1 -seed 7
 
-# Non-test and test Go lines per internal package and in total — the
+# Non-test and test Go lines per area — each internal package, the root
+# package (the mobilstm facade), cmd/ and bench/ — and in total: the
 # numbers ROADMAP quotes and every aim-2 PR reports.
+LOC_ROW = all=$$(find $(1) -name '*.go' | xargs cat /dev/null | wc -l); \
+	tst=$$(find $(1) -name '*_test.go' | xargs cat /dev/null | wc -l); \
+	printf '%-22s %6d non-test %6d test\n' $(2) $$((all - tst)) $$tst
+
 loc:
-	@for d in internal/*/; do \
-		all=$$(find $$d -name '*.go' | xargs cat | wc -l); \
-		tst=$$(find $$d -name '*_test.go' | xargs cat /dev/null | wc -l); \
-		printf '%-22s %6d non-test %6d test\n' $$d $$((all - tst)) $$tst; \
-	done
-	@all=$$(find . -name '*.go' -not -path './.bench_build/*' | xargs cat | wc -l); \
-	tst=$$(find . -name '*_test.go' -not -path './.bench_build/*' | xargs cat | wc -l); \
-	printf '%-22s %6d non-test %6d test\n' total $$((all - tst)) $$tst
+	@for d in internal/*/ cmd/ bench/; do $(call LOC_ROW,$$d,$$d); done
+	@$(call LOC_ROW,. -maxdepth 1,root)
+	@$(call LOC_ROW,. -not -path './.bench_build/*',total)
 
 check:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...

@@ -14,6 +14,7 @@ import (
 	"mobilstm/internal/lstm"
 	"mobilstm/internal/model"
 	"mobilstm/internal/rng"
+	"mobilstm/internal/sched"
 	"mobilstm/internal/stats"
 	"mobilstm/internal/tensor"
 )
@@ -39,7 +40,7 @@ func BenchmarkAblationTissueAlignment(b *testing.B) {
 		var ks []gpu.KernelSpec
 		for _, tis := range tissues {
 			k, _ := kb.SgemmTissue(650, len(tis))
-			ks = append(ks, k, kb.LstmEW(650, len(tis)))
+			ks = append(ks, k, kb.EW(650, len(tis)))
 		}
 		return sim.Run(ks).Cycles
 	}
@@ -161,11 +162,15 @@ func BenchmarkExtGRU(b *testing.B) {
 	}
 	preds := gru.CollectPredictors(net, seqs[:2])
 
-	// Timing side: full BABI shape, GRU kernels.
+	// Timing side: one MT-shaped GRU layer (large enough to amortize the
+	// extra launches), baseline against DRS with half the candidate rows
+	// skipped, lowered through the GRU's block counts.
 	cfg := gpu.TegraX1()
 	sim := gpu.NewSimulator(cfg)
-	kb := kernels.NewBuilder(cfg)
-	h, cells := 500, 50 // the MT shape: large enough to amortize the extra launches
+	basePlan := sched.Plan{Cfg: cfg, Mode: sched.Baseline, Hidden: 500, Input: 500, Length: 50, Layers: 1,
+		Cell: net.Shape()}
+	drsPlan := basePlan
+	drsPlan.Mode, drsPlan.Stats = sched.Intra, []sched.LayerStats{{SkipFrac: 0.5}}
 	var acc float64
 	var speedup float64
 	for i := 0; i < b.N; i++ {
@@ -181,16 +186,7 @@ func BenchmarkExtGRU(b *testing.B) {
 		}
 		acc = float64(match) / float64(len(seqs))
 
-		var base, opt []gpu.KernelSpec
-		base = append(base, kb.GRUSgemmWx(h, h, cells))
-		opt = append(opt, kb.GRUSgemmWx(h, h, cells))
-		for c := 0; c < cells; c++ {
-			base = append(base, kb.GRUSgemvU(h), kb.GRUEW(h, 1))
-			opt = append(opt,
-				kb.GRUSgemvZR(h), kb.GRUEW(h, 1), kb.GRUDRS(h, h/2),
-				kb.GRUSgemvUh(h, h/2, kernels.DRSHardware), kb.GRUEW(h, 1))
-		}
-		speedup = sim.Run(base).Cycles / sim.Run(opt).Cycles
+		speedup = sim.Run(sched.Kernels(basePlan)).Cycles / sim.Run(sched.Kernels(drsPlan)).Cycles
 		if i == 0 {
 			b.Logf("GRU carry-DRS: accuracy %.3f, simulated DRS-flow speedup %.2fx "+
 				"(ceiling lower than LSTM: only U_h rows are skippable)", acc, speedup)

@@ -33,14 +33,14 @@ const hotMTS = 5
 
 var (
 	hotOnce sync.Once
-	hotInst *model.Instance
+	hotInst *model.Instance[*lstm.Network]
 	hotPred []intercell.Predictor
 )
 
 // hotSetup builds the quick-profile PTB instance shared by every
 // hot-path benchmark (and its Eq. 6 predictors, so the inter-cell modes
 // run the full predicted-link flow).
-func hotSetup(b *testing.B) (*model.Instance, []intercell.Predictor) {
+func hotSetup(b *testing.B) (*model.Instance[*lstm.Network], []intercell.Predictor) {
 	b.Helper()
 	hotOnce.Do(func() {
 		bench, ok := model.ByName("PTB")

@@ -3,8 +3,10 @@ package mobilstm
 import (
 	"fmt"
 
+	"mobilstm/internal/core"
 	"mobilstm/internal/gpu"
-	"mobilstm/internal/gru"
+	"mobilstm/internal/model"
+	"mobilstm/internal/sched"
 	"mobilstm/internal/thresholds"
 	"mobilstm/internal/tradeoff"
 )
@@ -22,7 +24,7 @@ type GRUBenchmark struct {
 // GRUBenchmarks lists the built-in GRU workloads.
 func GRUBenchmarks() []GRUBenchmark {
 	out := make([]GRUBenchmark, 0, 3)
-	for _, b := range gru.Zoo() {
+	for _, b := range model.GRUZoo() {
 		out = append(out, GRUBenchmark{
 			Name: b.Name, Hidden: b.Hidden, Layers: b.Layers,
 			Length: b.Length, Classes: b.Classes,
@@ -34,19 +36,20 @@ func GRUBenchmarks() []GRUBenchmark {
 // GRUSystem is a GRU benchmark loaded on the simulated platform with the
 // paper's optimizations adjusted for the GRU cell: tissue parallelism
 // over weak context links, and carry-based Dynamic Row Skip on the
-// candidate matrix.
+// candidate matrix. It runs on the LSTM's engine, calibration and
+// lowering.
 type GRUSystem struct {
-	engine *gru.Engine
+	engine *core.GRUEngine
 }
 
 // OpenGRU builds the named GRU benchmark (see GRUBenchmarks) on the
 // simulated Tegra X1.
 func OpenGRU(benchmark string) (*GRUSystem, error) {
-	b, ok := gru.ZooByName(benchmark)
+	b, ok := model.GRUByName(benchmark)
 	if !ok {
 		return nil, fmt.Errorf("mobilstm: unknown GRU benchmark %q", benchmark)
 	}
-	return &GRUSystem{engine: gru.NewEngine(b, gru.QuickProfile(), gpu.TegraX1())}, nil
+	return &GRUSystem{engine: core.NewGRUEngine(b, model.GRUQuick(), gpu.TegraX1())}, nil
 }
 
 // Name returns the benchmark name.
@@ -60,9 +63,11 @@ type GRUOutcome struct {
 	Set      int
 	Speedup  float64
 	Accuracy float64
-	// SkipFraction is the share of candidate (U_h) rows carry-skipped.
+	// SkipFraction is the share of candidate (U_h) rows carry-skipped,
+	// averaged over the layers.
 	SkipFraction float64
-	// BreakRate is the fraction of context links cut.
+	// BreakRate is the fraction of context links cut, averaged over the
+	// layers.
 	BreakRate float64
 }
 
@@ -70,10 +75,12 @@ type GRUOutcome struct {
 // 0..10. An out-of-range set evaluates, and reports, the nearest valid
 // one.
 func (s *GRUSystem) Evaluate(set int) GRUOutcome {
-	o := s.engine.Evaluate(set)
+	set = thresholds.ClampSet(set)
+	o := s.engine.EvaluateSet(sched.Combined, set)
+	st := o.MeanStats()
 	return GRUOutcome{
-		Set: o.Set, Speedup: o.Speedup, Accuracy: o.Accuracy,
-		SkipFraction: o.SkipFrac, BreakRate: o.BreakRate,
+		Set: set, Speedup: o.Speedup, Accuracy: o.Accuracy,
+		SkipFraction: st.SkipFrac, BreakRate: st.BreakRate,
 	}
 }
 

@@ -3,26 +3,31 @@
 // Engine owns a benchmark's synthetic model, the offline calibration
 // artifacts of Fig. 10 (MTS, threshold upper limits, predicted context
 // links), and evaluates any execution mode for speed, energy and accuracy.
+// The offline flow does not depend on the cell, so the same engine runs
+// the GRU extension of §II-B (GRUEngine).
 package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
 	"mobilstm/internal/accuracy"
 	"mobilstm/internal/energy"
 	"mobilstm/internal/gpu"
+	"mobilstm/internal/gru"
 	"mobilstm/internal/intercell"
 	"mobilstm/internal/intracell"
+	"mobilstm/internal/kernels"
 	"mobilstm/internal/lstm"
 	"mobilstm/internal/model"
+	"mobilstm/internal/recurrent"
 	"mobilstm/internal/rng"
 	"mobilstm/internal/sched"
 	"mobilstm/internal/stats"
 	"mobilstm/internal/tensor"
 	"mobilstm/internal/thresholds"
+	"mobilstm/internal/tradeoff"
 )
 
 // AlphaIntraMax is the upper limit of the DRS near-zero threshold; see
@@ -35,12 +40,20 @@ const AlphaIntraMax = thresholds.AlphaIntraMax
 // aggressive (§VI-C).
 const ThresholdSets = thresholds.Sets
 
-// Engine evaluates the memory-friendly LSTM system on one benchmark.
-type Engine struct {
+// Net is the network an engine evaluates: *lstm.Network or *gru.Network.
+type Net interface {
+	model.Net
+	Classify(xs []tensor.Vector, opt recurrent.RunOptions) int
+	Shape() recurrent.Shape
+}
+
+// EngineOf evaluates the memory-friendly system on one benchmark built
+// as a network of type N.
+type EngineOf[N Net] struct {
 	Cfg     gpu.Config
 	EnergyP energy.Params
 	B       model.Benchmark
-	Inst    *model.Instance
+	Inst    *model.Instance[N]
 
 	// Offline artifacts (Fig. 10 steps 1-4).
 	MTS           int
@@ -64,16 +77,32 @@ type Engine struct {
 	baseline     *Outcome
 }
 
-// NewEngine builds the benchmark instance and performs the offline
+// Engine is the paper's system: the engine over an LSTM.
+type Engine = EngineOf[*lstm.Network]
+
+// GRUEngine is the engine over a GRU (§II-B).
+type GRUEngine = EngineOf[*gru.Network]
+
+// NewEngine builds the benchmark as an LSTM and performs the offline
 // calibration: MTS discovery (step 1), the alpha_inter upper limit that
 // reaches the minimal tissue count N_min (step 2), and the Eq. 6
 // predicted-link collection (step 4).
 func NewEngine(b model.Benchmark, prof model.Profile, cfg gpu.Config) *Engine {
-	e := &Engine{Cfg: cfg, EnergyP: energy.TegraX1(), B: b}
-	e.Inst = model.Build(b, prof)
+	return newEngine(model.LSTM, b, prof, cfg)
+}
+
+// NewGRUEngine is NewEngine for a GRU benchmark (model.GRUZoo).
+func NewGRUEngine(b model.Benchmark, prof model.Profile, cfg gpu.Config) *GRUEngine {
+	return newEngine(model.GRU, b, prof, cfg)
+}
+
+func newEngine[N Net](c model.Cell[N], b model.Benchmark, prof model.Profile, cfg gpu.Config) *EngineOf[N] {
+	e := &EngineOf[N]{Cfg: cfg, EnergyP: energy.TegraX1(), B: b}
+	e.Inst = model.BuildCell(c, b, prof)
 	e.sim = gpu.NewSimulator(cfg)
-	e.MTS = intercell.FindMTS(cfg, b.Hidden, 16)
-	e.Predictors = lstm.CollectPredictors(e.Inst.Net, e.Inst.PredictorSeqs())
+	s := e.Inst.Net.Shape()
+	e.MTS = intercell.FindCellMTS(cfg, kernels.Cell{Gates: s.Gates, First: s.First, State: s.State}, b.Hidden, 16)
+	e.Predictors = c.Predictors(e.Inst.Net, e.Inst.PredictorSeqs())
 	e.AlphaInterMax = e.calibrateAlphaInter()
 	return e
 }
@@ -83,7 +112,7 @@ func NewEngine(b model.Benchmark, prof model.Profile, cfg gpu.Config) *Engine {
 // N_min = ceil(N/MTS) per layer; that value is the upper limit of
 // alpha_inter. If even full division cannot reach N_min (short layers),
 // the limit is just above the largest observed relevance.
-func (e *Engine) calibrateAlphaInter() float64 {
+func (e *EngineOf[N]) calibrateAlphaInter() float64 {
 	rels := e.collectRelevance()
 	if len(rels) == 0 {
 		return 0
@@ -110,11 +139,11 @@ func (e *Engine) calibrateAlphaInter() float64 {
 
 // collectRelevance gathers Algorithm 2 values across the structural
 // sample set and all layers.
-func (e *Engine) collectRelevance() []float64 {
+func (e *EngineOf[N]) collectRelevance() []float64 {
 	var out []float64
 	for _, xs := range e.Inst.StatSeqs() {
-		tr := &lstm.Trace{}
-		opt := lstm.RunOptions{
+		tr := &recurrent.Trace{}
+		opt := recurrent.RunOptions{
 			Inter: true, AlphaInter: 0, MTS: e.MTS,
 			Predictors: e.Predictors, Trace: tr,
 		}
@@ -146,7 +175,7 @@ func tissueCountAtRate(n int, rate float64, mts int) int {
 // the offline-profiled relevance distribution, so each step breaks
 // additional links — the observed distribution is heavily concentrated
 // and a linear walk would leave most sets inert.
-func (e *Engine) Thresholds(set int) (alphaInter, alphaIntra float64) {
+func (e *EngineOf[N]) Thresholds(set int) (alphaInter, alphaIntra float64) {
 	set = thresholds.ClampSet(set)
 	f := float64(set) / float64(ThresholdSets-1)
 	alphaIntra = AlphaIntraMax * f
@@ -163,7 +192,7 @@ func (e *Engine) Thresholds(set int) (alphaInter, alphaIntra float64) {
 // Structure measures the per-layer structural statistics (break rate,
 // skip fraction) of the numeric pipeline under the thresholds — the
 // information the paper's PyTorch stage exports to the board replay.
-func (e *Engine) Structure(mode sched.Mode, alphaInter, alphaIntra float64) []sched.LayerStats {
+func (e *EngineOf[N]) Structure(mode sched.Mode, alphaInter, alphaIntra float64) []sched.LayerStats {
 	stats := make([]sched.LayerStats, e.B.Layers)
 	if mode == sched.Baseline || mode == sched.ZeroPrune {
 		return stats
@@ -174,7 +203,7 @@ func (e *Engine) Structure(mode sched.Mode, alphaInter, alphaIntra float64) []sc
 	skipSum := make([]float64, e.B.Layers)
 	skipUnits := make([]float64, e.B.Layers)
 	for _, xs := range e.Inst.StatSeqs() {
-		tr := &lstm.Trace{}
+		tr := &recurrent.Trace{}
 		o := opt
 		o.Trace = tr
 		e.Inst.Net.Run(xs, o)
@@ -200,8 +229,8 @@ func (e *Engine) Structure(mode sched.Mode, alphaInter, alphaIntra float64) []sc
 }
 
 // runOptions maps a mode and thresholds to numeric execution options.
-func (e *Engine) runOptions(mode sched.Mode, alphaInter, alphaIntra float64) lstm.RunOptions {
-	opt := lstm.RunOptions{}
+func (e *EngineOf[N]) runOptions(mode sched.Mode, alphaInter, alphaIntra float64) recurrent.RunOptions {
+	opt := recurrent.RunOptions{}
 	switch mode {
 	case sched.Inter:
 		opt.Inter, opt.AlphaInter = true, alphaInter
@@ -242,7 +271,7 @@ type Outcome struct {
 // Baseline evaluates (and caches) the unoptimized Algorithm 1 flow.
 // Safe for concurrent use: serve workers share one engine per benchmark
 // and all race to fill the cache on their first request.
-func (e *Engine) Baseline() *Outcome {
+func (e *EngineOf[N]) Baseline() *Outcome {
 	e.baselineOnce.Do(func() {
 		res := e.sim.Run(sched.Kernels(e.plan(sched.Baseline, nil, 0)))
 		e.baseline = &Outcome{
@@ -259,7 +288,7 @@ func (e *Engine) Baseline() *Outcome {
 // Evaluate measures one mode at the given thresholds: numeric accuracy
 // and structure at the profile shape, timing and energy at the full
 // Table II shape.
-func (e *Engine) Evaluate(mode sched.Mode, alphaInter, alphaIntra float64) *Outcome {
+func (e *EngineOf[N]) Evaluate(mode sched.Mode, alphaInter, alphaIntra float64) *Outcome {
 	base := e.Baseline()
 	if mode == sched.Baseline {
 		return base
@@ -283,7 +312,7 @@ func (e *Engine) Evaluate(mode sched.Mode, alphaInter, alphaIntra float64) *Outc
 
 // EvaluateSet evaluates a mode at threshold set i (0..10); an
 // out-of-range set evaluates the nearest valid one.
-func (e *Engine) EvaluateSet(mode sched.Mode, set int) *Outcome {
+func (e *EngineOf[N]) EvaluateSet(mode sched.Mode, set int) *Outcome {
 	set = thresholds.ClampSet(set)
 	if set == 0 {
 		return e.Baseline()
@@ -295,7 +324,7 @@ func (e *Engine) EvaluateSet(mode sched.Mode, set int) *Outcome {
 // EvaluateSetE is the serving-path entry point of EvaluateSet: any
 // tensor.Panicf invariant violation raised during the evaluation comes
 // back as an error instead of crashing the worker's process.
-func (e *Engine) EvaluateSetE(mode sched.Mode, set int) (out *Outcome, err error) {
+func (e *EngineOf[N]) EvaluateSetE(mode sched.Mode, set int) (out *Outcome, err error) {
 	defer tensor.Guard(&err)
 	return e.EvaluateSet(mode, set), nil
 }
@@ -304,17 +333,22 @@ func (e *Engine) EvaluateSetE(mode sched.Mode, set int) (out *Outcome, err error
 // threshold set) operating point, so external request loops (the serve
 // worker pool) can run per-request inference with the engine's
 // calibration artifacts without re-deriving MTS and predictors.
-func (e *Engine) RunOptionsFor(mode sched.Mode, set int) lstm.RunOptions {
+func (e *EngineOf[N]) RunOptionsFor(mode sched.Mode, set int) recurrent.RunOptions {
 	ai, aa := e.Thresholds(set)
 	return e.runOptions(mode, ai, aa)
 }
 
 // EvaluateZeroPrune evaluates the element-pruning baseline [31] at the
 // given surviving density: accuracy from a pruned clone of the network,
-// timing from the CSR gemv kernel model.
-func (e *Engine) EvaluateZeroPrune(density float64) *Outcome {
+// timing from the CSR gemv kernel model. The pruned clone is an LSTM's:
+// a GRU engine panics.
+func (e *EngineOf[N]) EvaluateZeroPrune(density float64) *Outcome {
+	net, ok := any(e.Inst.Net).(*lstm.Network)
+	if !ok {
+		tensor.Panicf("core: zero-pruning is modelled for the LSTM only")
+	}
 	base := e.Baseline()
-	pruned := e.prunedNetwork(density)
+	pruned := prunedNetwork(net, density)
 	plan := e.plan(sched.ZeroPrune, nil, density)
 	res := e.sim.Run(sched.Kernels(plan))
 	out := &Outcome{
@@ -330,10 +364,9 @@ func (e *Engine) EvaluateZeroPrune(density float64) *Outcome {
 	return out
 }
 
-// prunedNetwork clones the instance network with its recurrent matrices
-// magnitude-pruned to the target density.
-func (e *Engine) prunedNetwork(density float64) *lstm.Network {
-	src := e.Inst.Net
+// prunedNetwork clones src with its recurrent matrices magnitude-pruned
+// to the target density.
+func prunedNetwork(src *lstm.Network, density float64) *lstm.Network {
 	dst := lstm.NewNetwork(src.Input(), src.Hidden(), len(src.Layers), src.Classes())
 	dst.Gate = src.Gate
 	copyM := func(d, s *tensor.Matrix) { copy(d.Data, s.Data) }
@@ -362,7 +395,7 @@ func (e *Engine) prunedNetwork(density float64) *lstm.Network {
 // layout is synthesized from break rates are averaged over several
 // synthesis seeds: at low break rates the longest-sub-layer tail makes a
 // single draw noisy.
-func (e *Engine) simulate(mode sched.Mode, stats []sched.LayerStats, density float64) *gpu.Result {
+func (e *EngineOf[N]) simulate(mode sched.Mode, stats []sched.LayerStats, density float64) *gpu.Result {
 	const replicas = 5
 	if mode != sched.Inter && mode != sched.Combined {
 		return e.sim.Run(sched.Kernels(e.plan(mode, stats, density)))
@@ -413,7 +446,7 @@ func averageResults(rs []*gpu.Result) *gpu.Result {
 }
 
 // plan assembles the full-shape execution plan for a mode.
-func (e *Engine) plan(mode sched.Mode, stats []sched.LayerStats, density float64) sched.Plan {
+func (e *EngineOf[N]) plan(mode sched.Mode, stats []sched.LayerStats, density float64) sched.Plan {
 	if stats == nil {
 		stats = make([]sched.LayerStats, e.B.Layers)
 	}
@@ -424,6 +457,7 @@ func (e *Engine) plan(mode sched.Mode, stats []sched.LayerStats, density float64
 		Input:        e.B.Hidden,
 		Length:       e.B.Length,
 		Layers:       e.B.Layers,
+		Cell:         e.Inst.Net.Shape(),
 		MTS:          e.MTS,
 		Stats:        stats,
 		PruneDensity: density,
@@ -431,30 +465,26 @@ func (e *Engine) plan(mode sched.Mode, stats []sched.LayerStats, density float64
 	}
 }
 
-// AOSet returns the accuracy-oriented threshold set: the largest set whose
-// accuracy loss stays within the user-imperceptible 2% (§VI-C). The
-// outcomes slice must be indexed by set (EvaluateSet results 0..10).
+// AOSet returns the accuracy-oriented threshold set, tradeoff.Curve.AO
+// of the sweep: the largest set whose accuracy loss stays within the
+// user-imperceptible 2% (§VI-C). The outcomes slice must be indexed by
+// set (EvaluateSet results 0..10).
 func AOSet(outcomes []*Outcome) int {
-	ao := 0
+	curve := make(tradeoff.Curve, len(outcomes))
 	for i, o := range outcomes {
-		if o.Accuracy >= thresholds.UserAccuracyFloor {
-			ao = i
-		}
+		curve[i] = tradeoff.Point{Set: i, Accuracy: o.Accuracy}
 	}
-	return ao
+	return curve.AO()
 }
 
-// BPASet returns the best performance-accuracy set: argmax of
-// speedup x accuracy (§VI-C).
-func BPASet(outcomes []*Outcome) int {
-	best, bestV := 0, math.Inf(-1)
-	for i, o := range outcomes {
-		v := o.Speedup * o.Accuracy
-		if v > bestV {
-			best, bestV = i, v
-		}
+// MeanStats is the layer mean of Stats (zero for the baseline).
+func (o *Outcome) MeanStats() sched.LayerStats {
+	var m sched.LayerStats
+	for _, st := range o.Stats {
+		m.BreakRate += st.BreakRate / float64(len(o.Stats))
+		m.SkipFrac += st.SkipFrac / float64(len(o.Stats))
 	}
-	return best
+	return m
 }
 
 // String summarizes an outcome for logs.

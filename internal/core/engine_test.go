@@ -1,10 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"mobilstm/internal/gpu"
+	"mobilstm/internal/gru"
+	"mobilstm/internal/lstm"
 	"mobilstm/internal/model"
 	"mobilstm/internal/sched"
 )
@@ -15,9 +18,16 @@ func tinyProfile() model.Profile {
 		AccSamples: 10, PredictorSamples: 3, StatSamples: 2}
 }
 
+// tinyGRUProfile is tinyProfile's counterpart for the GRU rows.
+func tinyGRUProfile() model.Profile {
+	return model.Profile{Name: "tiny-gru", HiddenCap: 48, LengthCap: 16,
+		AccSamples: 12, PredictorSamples: 2, StatSamples: 2}
+}
+
 var (
-	engOnce sync.Once
-	eng     *Engine
+	engOnce, gruOnce sync.Once
+	eng              *Engine
+	gruEng           *GRUEngine
 )
 
 // testEngine builds one shared MR engine (cheapest benchmark).
@@ -30,8 +40,30 @@ func testEngine(t *testing.T) *Engine {
 	return eng
 }
 
+// newGRUEngine builds the KWS-GRU engine the GRU rows run on.
+func newGRUEngine() *GRUEngine {
+	b, _ := model.GRUByName("KWS-GRU")
+	return NewGRUEngine(b, tinyGRUProfile(), gpu.TegraX1())
+}
+
+// testGRUEngine is the shared KWS-GRU engine.
+func testGRUEngine(t *testing.T) *GRUEngine {
+	t.Helper()
+	gruOnce.Do(func() { gruEng = newGRUEngine() })
+	return gruEng
+}
+
+// bothCells runs check as an MR (LSTM) and a KWS-GRU subtest.
+func bothCells(t *testing.T, lstm func(*testing.T, *Engine), gru func(*testing.T, *GRUEngine)) {
+	t.Run("MR", func(t *testing.T) { lstm(t, testEngine(t)) })
+	t.Run("KWS-GRU", func(t *testing.T) { gru(t, testGRUEngine(t)) })
+}
+
 func TestOfflineCalibration(t *testing.T) {
-	e := testEngine(t)
+	bothCells(t, offlineCalibration[*lstm.Network], offlineCalibration[*gru.Network])
+}
+
+func offlineCalibration[N Net](t *testing.T, e *EngineOf[N]) {
 	if e.MTS < 2 || e.MTS > 10 {
 		t.Fatalf("MTS %d out of plausible range", e.MTS)
 	}
@@ -44,7 +76,10 @@ func TestOfflineCalibration(t *testing.T) {
 }
 
 func TestThresholdsMonotone(t *testing.T) {
-	e := testEngine(t)
+	bothCells(t, thresholdsMonotone[*lstm.Network], thresholdsMonotone[*gru.Network])
+}
+
+func thresholdsMonotone[N Net](t *testing.T, e *EngineOf[N]) {
 	prevI, prevA := -1.0, -1.0
 	for set := 0; set < ThresholdSets; set++ {
 		ai, aa := e.Thresholds(set)
@@ -69,7 +104,10 @@ func TestThresholdsMonotone(t *testing.T) {
 }
 
 func TestBaselineCachedAndExact(t *testing.T) {
-	e := testEngine(t)
+	bothCells(t, baselineCachedAndExact[*lstm.Network], baselineCachedAndExact[*gru.Network])
+}
+
+func baselineCachedAndExact[N Net](t *testing.T, e *EngineOf[N]) {
 	b1 := e.Baseline()
 	b2 := e.Baseline()
 	if b1 != b2 {
@@ -98,6 +136,22 @@ func TestEvaluateCombinedImproves(t *testing.T) {
 	if len(o.Stats) != e.B.Layers {
 		t.Fatalf("stats per layer: %d", len(o.Stats))
 	}
+	t.Run("KWS-GRU", func(t *testing.T) {
+		o := testGRUEngine(t).EvaluateSet(sched.Combined, 8)
+		if o.Speedup <= 1 {
+			t.Fatalf("no speedup at set 8: %v", o)
+		}
+		if o.Accuracy < 0.6 {
+			t.Fatalf("accuracy collapsed: %v", o)
+		}
+		var skip float64
+		for _, st := range o.Stats {
+			skip += st.SkipFrac
+		}
+		if skip <= 0 {
+			t.Fatal("no candidate rows skipped")
+		}
+	})
 }
 
 func TestInterStatsHaveNoSkips(t *testing.T) {
@@ -131,6 +185,8 @@ func TestZeroPruneOutcome(t *testing.T) {
 	}
 }
 
+// TestAOAndBPASelectors pins AOSet; BPA is tradeoff.Curve.BPA, whose
+// case lives in tradeoff's tests.
 func TestAOAndBPASelectors(t *testing.T) {
 	outs := []*Outcome{
 		{Speedup: 1.0, Accuracy: 1.0},
@@ -140,9 +196,6 @@ func TestAOAndBPASelectors(t *testing.T) {
 	}
 	if ao := AOSet(outs); ao != 1 {
 		t.Fatalf("AO = %d", ao)
-	}
-	if bpa := BPASet(outs); bpa != 3 {
-		t.Fatalf("BPA = %d (2.4*0.90=2.16 is max)", bpa)
 	}
 }
 
@@ -160,6 +213,14 @@ func TestEvaluateDeterministic(t *testing.T) {
 	if a.Speedup != b.Speedup || a.Accuracy != b.Accuracy {
 		t.Fatalf("evaluation not deterministic: %+v vs %+v", a, b)
 	}
+	t.Run("KWS-GRU", func(t *testing.T) {
+		// Two builds of the same benchmark evaluate identically.
+		a := testGRUEngine(t).EvaluateSet(sched.Combined, 6)
+		c := newGRUEngine().EvaluateSet(sched.Combined, 6)
+		if a.Speedup != c.Speedup || a.Accuracy != c.Accuracy || !reflect.DeepEqual(a.Stats, c.Stats) {
+			t.Fatalf("engine nondeterministic: %v %+v vs %v %+v", a, a.Stats, c, c.Stats)
+		}
+	})
 }
 
 func TestAverageResults(t *testing.T) {

@@ -117,7 +117,7 @@ func (s *Suite) Fig9(maxT int) (*report.Figure, *report.Figure, map[string]int) 
 			ks = append(ks, kb.SgemmWx(b.Hidden, b.Hidden, b.Length))
 			for i := 0; i < tissues; i++ {
 				k, _ := kb.SgemmTissue(b.Hidden, tt)
-				ks = append(ks, k, kb.LstmEW(b.Hidden, tt))
+				ks = append(ks, k, kb.EW(b.Hidden, tt))
 			}
 			res := sim.Run(ks)
 			if tt == 1 {

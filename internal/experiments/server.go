@@ -3,7 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"mobilstm/internal/gru"
+	"mobilstm/internal/core"
+	"mobilstm/internal/model"
 	"mobilstm/internal/report"
 	"mobilstm/internal/sched"
 )
@@ -61,13 +62,14 @@ func (s *Suite) ServerContrast(benchName string) *report.Table {
 func (s *Suite) GRUSweep() *report.Table {
 	t := report.NewTable("§II-B extension: GRU combined optimizations across threshold sets",
 		"Benchmark", "set", "speedup", "accuracy", "break rate", "skip frac")
-	for _, b := range gru.Zoo() {
-		e := gru.NewEngine(b, gru.QuickProfile(), s.cfg.GPU)
+	for _, b := range model.GRUZoo() {
+		e := core.NewGRUEngine(b, model.GRUQuick(), s.cfg.GPU)
 		for _, set := range []int{0, 2, 4, 6, 8, 10} {
-			o := e.Evaluate(set)
+			o := e.EvaluateSet(sched.Combined, set)
+			st := o.MeanStats()
 			t.AddRowf(b.Name, fmt.Sprintf("%d", set),
 				report.X(o.Speedup), fmt.Sprintf("%.3f", o.Accuracy),
-				fmt.Sprintf("%.2f", o.BreakRate), fmt.Sprintf("%.2f", o.SkipFrac))
+				fmt.Sprintf("%.2f", st.BreakRate), fmt.Sprintf("%.2f", st.SkipFrac))
 		}
 	}
 	return t

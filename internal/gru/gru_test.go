@@ -232,3 +232,43 @@ func TestGRUPanics(t *testing.T) {
 		}()
 	}
 }
+
+func TestGRUCalibrateSpread(t *testing.T) {
+	n := testNet(31, 2, 4)
+	seqs := seqsFor(32, 12, 3)
+	Calibrate(n, seqs, func(int) float64 { return 1.0 })
+	// Layer 0 spread exactly normalized.
+	var sumSq float64
+	var count int
+	tmp := make([]float32, n.Layers[0].Hidden)
+	for _, xs := range seqs {
+		for _, x := range xs {
+			for _, w := range n.Layers[0].InputWeights() {
+				for i := 0; i < w.Rows; i++ {
+					var s float32
+					row := w.Row(i)
+					for j := range row {
+						s += row[j] * x[j]
+					}
+					tmp[i] = s
+					sumSq += float64(s) * float64(s)
+					count++
+				}
+			}
+		}
+	}
+	rms := sumSq / float64(count)
+	if rms < 0.9 || rms > 1.1 {
+		t.Fatalf("layer-0 spread^2 %v, want ~1", rms)
+	}
+}
+
+func TestGRUCalibratePanics(t *testing.T) {
+	n := testNet(33, 1, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic without sequences")
+		}
+	}()
+	Calibrate(n, nil, func(int) float64 { return 1 })
+}

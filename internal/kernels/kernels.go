@@ -1,23 +1,32 @@
 // Package kernels builds gpu.KernelSpec cost descriptors for the GPU
-// kernels of the paper's LSTM execution flows (Algorithm 1 baseline,
+// kernels of the paper's recurrent execution flows (Algorithm 1 baseline,
 // Algorithm 3 DRS flow, and the tissue-parallel inter-cell flow), plus the
 // zero-pruning comparison baseline [Han et al., Deep Compression].
+//
+// Every row is written for a cell's block geometry (Cell): G h-tall gate
+// blocks in the united matrices, the first F of them in the DRS flow's
+// first stage. The LSTM is G = 4 (f,i,c,o; F = 1, the output gate o);
+// the GRU of §II-B ("the proposed methods can also be applied to GRUs
+// with simple adjustment") is G = 3 (z,r,h; F = 2). Its update gate z
+// plays the output-filter role — where z_t[j] ~ 0, h_t[j] carries
+// h_{t-1}[j] — so only the candidate block U_h is skippable, and GRU-DRS
+// tops out at lower compression than LSTM-DRS.
 //
 // Traffic models (H = hidden size, E = input size, N = cells, T = tissue
 // size; float32 = 4 bytes):
 //
-//   - united recurrent matrix U_{f,i,c,o} is (4H x H): 16*H^2 bytes
-//   - united input matrix W_{f,i,c,o} is (4H x E): 16*H*E bytes
+//   - united recurrent matrix U (GH x H): 4G*H^2 bytes (LSTM 16*H^2)
+//   - united input matrix W (GH x E): 4G*H*E bytes
 //
 // Baseline Sgemv(U, h): one thread per output row; the input vector h is
-// staged in shared memory and read by every row thread (16*H^2 bytes of
+// staged in shared memory and read by every row thread (4G*H^2 bytes of
 // shared traffic), while U streams from DRAM. Because U is far larger than
 // the mobile GPU's L2 and is evicted between cells (validated against the
 // cache simulator in gpu), every launch re-loads the full matrix — the
 // paper's inter-cell redundancy.
 //
 // Tissue Sgemm(U, H_T): the T batched input vectors are staged in shared
-// memory and each row thread reads all of them (16*H^2*T shared bytes),
+// memory and each row thread reads all of them (4G*H^2*T shared bytes),
 // while U still streams from DRAM once per tissue. Shared-memory traffic
 // grows linearly with T while DRAM traffic stays ~flat, so past a
 // crossover tissue size the kernel saturates on-chip bandwidth — the
@@ -34,17 +43,48 @@ import (
 	"mobilstm/internal/tensor"
 )
 
+// Cell is a recurrent cell's block geometry in units of the hidden size
+// — recurrent.Shape's Gates, First and State (this package sits below
+// recurrent and cannot import it).
+type Cell struct {
+	// Gates is the number of h-tall blocks in the united W and U.
+	Gates int
+	// First is the number of blocks in the DRS flow's first stage; the
+	// other Gates-First form the skippable second stage.
+	First int
+	// State is the number of h-wide state blocks a cell writes back.
+	State int
+}
+
+// LSTM is the cell of Eqs. 1-5: f,i,c,o with o first, state h|c.
+var LSTM = Cell{Gates: 4, First: 1, State: 2}
+
+// ewFLOPsPerElem counts the element-wise gate math per hidden element
+// (adds, multiplies and activation evaluations): Eqs. 1-5 for the
+// LSTM's four gates; the z, r, candidate mix and interpolation for the
+// GRU's three.
+func (c Cell) ewFLOPsPerElem() float64 {
+	switch c.Gates {
+	case 4:
+		return 30
+	case 3:
+		return 22
+	}
+	tensor.Panicf("kernels: no element-wise model for a %d-gate cell", c.Gates)
+	return 0
+}
+
 // Names used for per-kernel aggregation in simulation results.
 const (
-	NameSgemmWx    = "sgemm_wx"     // per-layer W_{f,i,c,o} x X
-	NameSgemvU     = "sgemv_u"      // baseline per-cell U_{f,i,c,o} x h
-	NameSgemmT     = "sgemm_tissue" // per-tissue U_{f,i,c,o} x H_T
+	NameSgemmWx    = "sgemm_wx"     // per-layer W x X
+	NameSgemvU     = "sgemv_u"      // baseline per-cell U x h
+	NameSgemmT     = "sgemm_tissue" // per-tissue U x H_T
 	NameLstmEW     = "lstm_ew"      // element-wise gate math
-	NameSgemvUo    = "sgemv_uo"     // DRS: U_o x h (o_t first)
+	NameSgemvUo    = "sgemv_uo"     // DRS: first-stage U x h (DRS gate first)
 	NameDRS        = "drs"          // DRS threshold scan producing R
-	NameSgemvUfic  = "sgemv_ufic"   // DRS: U_{f,i,c} x h with rows skipped
-	NameSgemmTUo   = "sgemm_t_uo"   // combined: per-tissue U_o gemm
-	NameSgemmTUfic = "sgemm_t_ufic" // combined: per-tissue U_{f,i,c} gemm w/ skips
+	NameSgemvUfic  = "sgemv_ufic"   // DRS: second-stage U x operand with rows skipped
+	NameSgemmTUo   = "sgemm_t_uo"   // combined: per-tissue first-stage gemm
+	NameSgemmTUfic = "sgemm_t_ufic" // combined: per-tissue second-stage gemm w/ skips
 	NamePruned     = "sgemv_csr"    // zero-pruning CSR gemv baseline
 	NameRelevance  = "relevance"    // Algorithm 2 breakpoint search
 	NamePredict    = "predict"      // predicted-link injection
@@ -88,10 +128,6 @@ const (
 	reconfigSharedScale  = 1.35
 	reconfigExtraBarrier = 2
 
-	// ewFLOPsPerElem counts the element-wise gate math of Eqs. 1-5
-	// (adds, multiplies and activation evaluations) per hidden element.
-	ewFLOPsPerElem = 30
-
 	// engineJitVariants is the number of kernel variants a serving
 	// engine JIT-compiles on a cold start: the united-gate gemv/gemm
 	// family, the DRS flow, the tissue variants and their reconfigured
@@ -105,15 +141,22 @@ const (
 	engineInstallUnpackCycles = 2e6 // warm install: unpack a propagated artifact
 )
 
-// Builder constructs kernel specs for one platform.
+// Builder constructs kernel specs for one platform and one cell.
 type Builder struct {
-	cfg gpu.Config
-	crm crm.Module
+	cfg  gpu.Config
+	crm  crm.Module
+	cell Cell
 }
 
-// NewBuilder returns a builder for the platform.
-func NewBuilder(cfg gpu.Config) *Builder {
-	return &Builder{cfg: cfg, crm: crm.Default()}
+// NewBuilder returns an LSTM builder for the platform.
+func NewBuilder(cfg gpu.Config) *Builder { return NewCellBuilder(cfg, LSTM) }
+
+// NewCellBuilder returns a builder for the platform and cell geometry.
+func NewCellBuilder(cfg gpu.Config, c Cell) *Builder {
+	if c.First < 1 || c.First >= c.Gates || c.State < 1 {
+		tensor.Panicf("kernels: invalid cell geometry %+v", c)
+	}
+	return &Builder{cfg: cfg, crm: crm.Default(), cell: c}
 }
 
 // CRM returns the CTA-reorganization module model used for hardware DRS.
@@ -121,37 +164,42 @@ func (b *Builder) CRM() crm.Module { return b.crm }
 
 const f32 = 4 // bytes per float32
 
-// SgemmWx is the per-layer kernel computing W_{f,i,c,o} x X for all N
-// cells at once (Algorithm 1 step 2). With proper tiling W streams from
-// DRAM once; the activations and outputs stream as well.
+// SgemmWx is the per-layer kernel computing W x X for all N cells at
+// once (Algorithm 1 step 2). With proper tiling W streams from DRAM once;
+// the activations and outputs stream as well.
 func (b *Builder) SgemmWx(h, e, n int) gpu.KernelSpec {
-	flops := 2 * 4 * float64(h) * float64(e) * float64(n)
-	dram := float64(16 * h * e) // W once: 4h x e floats * 4 bytes
-	dram += float64(4 * e * n)  // X in
-	dram += float64(16 * h * n) // pre-activations out
+	g := b.cell.Gates
+	flops := 2 * float64(g) * float64(h) * float64(e) * float64(n)
+	dram := float64(4 * g * h * e) // W once: gh x e floats * 4 bytes
+	dram += float64(4 * e * n)     // X in
+	dram += float64(4 * g * h * n) // pre-activations out
 	return gpu.KernelSpec{
 		Name:        NameSgemmWx,
 		FLOPs:       flops,
 		DRAMBytes:   dram,
 		SharedBytes: flops * f32 / gemmRegTile,
-		Threads:     4 * h,
+		Threads:     g * h,
 		Barriers:    2,
 	}
 }
 
-// SgemvU is the baseline per-cell kernel computing U_{f,i,c,o} x h_{t-1}
-// (Algorithm 1 step 1). uInDRAM should be the matrix bytes that miss L2 —
-// for every Table II benchmark the united U exceeds the TX1's 256 KB L2
-// and the whole matrix re-loads each cell.
+// SgemvU is the baseline per-cell kernel computing the united U x h_{t-1}
+// (Algorithm 1 step 1). For every Table II benchmark the united U
+// exceeds the TX1's 256 KB L2 and the whole matrix re-loads each cell.
 func (b *Builder) SgemvU(h int) gpu.KernelSpec {
+	return b.gemv(NameSgemvU, b.cell.Gates, h)
+}
+
+// gemv is a per-cell gemv over blocks h-tall blocks of U: U streams
+// from DRAM, h is broadcast through shared memory to every row thread.
+func (b *Builder) gemv(name string, blocks, h int) gpu.KernelSpec {
 	hh := float64(h) * float64(h)
-	flops := 2 * 4 * hh
 	return gpu.KernelSpec{
-		Name:        NameSgemvU,
-		FLOPs:       flops,
-		DRAMBytes:   16*hh + float64(4*h) + float64(16*h), // U + h in + gates out
-		SharedBytes: 16 * hh,                              // h broadcast to 4h row threads
-		Threads:     4 * h,
+		Name:        name,
+		FLOPs:       2 * float64(blocks) * hh,
+		DRAMBytes:   float64(4*blocks)*hh + float64(4*h) + float64(4*blocks*h), // U + h in + gates out
+		SharedBytes: float64(4*blocks) * hh,                                    // h broadcast to the row threads
+		Threads:     blocks * h,
 		Barriers:    1,
 	}
 }
@@ -194,57 +242,43 @@ func (b *Builder) tissueGemm(name string, rows, h, t int, liveFrac float64) (gpu
 	return spec, false
 }
 
-// SgemmTissue is the per-tissue kernel U_{f,i,c,o} x H_T of the inter-cell
+// SgemmTissue is the per-tissue kernel U x H_T of the inter-cell
 // optimization. The boolean reports whether the tissue size forced a
 // kernel re-configuration (it is true above the MTS).
 func (b *Builder) SgemmTissue(h, t int) (gpu.KernelSpec, bool) {
-	return b.tissueGemm(NameSgemmT, 4*h, h, t, 1)
+	return b.tissueGemm(NameSgemmT, b.cell.Gates*h, h, t, 1)
 }
 
-// LstmEW is the element-wise kernel of Algorithm 1 step 3, covering t
-// cells' worth of gate math (t=1 for the baseline flow).
-func (b *Builder) LstmEW(h, t int) gpu.KernelSpec {
+// EW is the element-wise kernel of Algorithm 1 step 3, covering t cells'
+// worth of gate math (t=1 for the baseline flow).
+func (b *Builder) EW(h, t int) gpu.KernelSpec { return b.EWPartial(h, t, b.cell.Gates) }
+
+// EWPartial is the element-wise work for blocks of the cell's gate
+// blocks (e.g. just o_t in the LSTM DRS flow, Algorithm 3 line 5): the
+// state write-back to DRAM and the freshly produced gates (plus the
+// bias) re-read from L2, scaled by the share of blocks processed.
+func (b *Builder) EWPartial(h, t, blocks int) gpu.KernelSpec {
 	elems := float64(h) * float64(t)
+	frac := float64(blocks) / float64(b.cell.Gates)
 	return gpu.KernelSpec{
 		Name:       NameLstmEW,
-		FLOPs:      ewFLOPsPerElem * elems,
-		DRAMBytes:  8 * elems,  // c_t, h_t write-back
-		L2HitBytes: 20 * elems, // freshly-produced gates re-read from L2
+		FLOPs:      b.cell.ewFLOPsPerElem() * elems * frac,
+		DRAMBytes:  float64(4*b.cell.State) * elems * frac,
+		L2HitBytes: float64(4*(b.cell.Gates+1)) * elems * frac,
 		Threads:    h * t,
 	}
 }
 
-// LstmEWPartial is the element-wise work for a subset of gates (e.g. just
-// o_t in the DRS flow, Algorithm 3 line 5). gates is the number of gate
-// vectors processed (1..4).
-func (b *Builder) LstmEWPartial(h, t, gates int) gpu.KernelSpec {
-	elems := float64(h) * float64(t)
-	frac := float64(gates) / 4
-	return gpu.KernelSpec{
-		Name:       NameLstmEW,
-		FLOPs:      ewFLOPsPerElem * elems * frac,
-		DRAMBytes:  8 * elems * frac,
-		L2HitBytes: 20 * elems * frac,
-		Threads:    h * t,
-	}
-}
-
-// SgemvUo is the DRS flow's first kernel, U_o x h_{t-1} (Algorithm 3 line
-// 4). U_o is the (H x H) quarter of the united matrix.
+// SgemvUo is the DRS flow's first kernel, the first-stage blocks of U x
+// h_{t-1} (Algorithm 3 line 4): the LSTM's U_o, the GRU's U_{z,r}, so the
+// DRS gate exists before the skippable blocks are touched.
 func (b *Builder) SgemvUo(h int) gpu.KernelSpec {
-	hh := float64(h) * float64(h)
-	return gpu.KernelSpec{
-		Name:        NameSgemvUo,
-		FLOPs:       2 * hh,
-		DRAMBytes:   4*hh + float64(4*h) + float64(4*h),
-		SharedBytes: 4 * hh,
-		Threads:     h,
-		Barriers:    1,
-	}
+	return b.gemv(NameSgemvUo, b.cell.First, h)
 }
 
-// DRS is the threshold-scan kernel comparing o_t against alpha_intra and
-// emitting the trivial-row list R (Algorithm 3 line 6). trivial is the
+// DRS is the threshold-scan kernel comparing the DRS gate (LSTM o_t, GRU
+// z_t) against alpha_intra and emitting the trivial-row list R
+// (Algorithm 3 line 6). trivial is the
 // number of rows that will be skipped; the list transfer to the GMU is
 // charged as extra cycles.
 func (b *Builder) DRS(h, trivial int) gpu.KernelSpec {
@@ -271,10 +305,11 @@ const (
 	DRSSoftware
 )
 
-// SgemvUfic is the DRS flow's main kernel, U_{f,i,c} x h_{t-1} with
-// skipRows of the 3H rows disabled (Algorithm 3 line 7).
+// SgemvUfic is the DRS flow's main kernel, the second-stage blocks of U
+// (LSTM U_{f,i,c}, GRU U_h) times the operand, with skipRows of their
+// rows disabled (Algorithm 3 line 7).
 func (b *Builder) SgemvUfic(h, skipRows int, mode DRSMode) gpu.KernelSpec {
-	rows := 3 * h
+	rows := (b.cell.Gates - b.cell.First) * h
 	if skipRows < 0 {
 		skipRows = 0
 	}
@@ -309,18 +344,17 @@ func (b *Builder) SgemvUfic(h, skipRows int, mode DRSMode) gpu.KernelSpec {
 	return spec
 }
 
-// SgemmTissueUo is the combined flow's per-tissue U_o gemm.
+// SgemmTissueUo is the combined flow's per-tissue first-stage gemm.
 func (b *Builder) SgemmTissueUo(h, t int) (gpu.KernelSpec, bool) {
-	spec, re := b.tissueGemm(NameSgemmTUo, h, h, t, 1)
-	return spec, re
+	return b.tissueGemm(NameSgemmTUo, b.cell.First*h, h, t, 1)
 }
 
-// SgemmTissueUfic is the combined flow's per-tissue U_{f,i,c} gemm with
-// skipRows of the 3H rows disabled for the whole tissue (rows trivial for
-// every cell in the tissue). Hardware DRS semantics: the CRM compacts the
-// surviving rows.
+// SgemmTissueUfic is the combined flow's per-tissue second-stage gemm
+// with skipRows of its rows disabled for the whole tissue (rows trivial
+// for every cell in the tissue). Hardware DRS semantics: the CRM
+// compacts the surviving rows.
 func (b *Builder) SgemmTissueUfic(h, t, skipRows int) (gpu.KernelSpec, bool) {
-	rows := 3 * h
+	rows := (b.cell.Gates - b.cell.First) * h
 	if skipRows < 0 {
 		skipRows = 0
 	}
@@ -344,14 +378,15 @@ func (b *Builder) PrunedSgemv(h int, density float64) gpu.KernelSpec {
 	if density > 1 {
 		density = 1
 	}
+	g := b.cell.Gates
 	hh := float64(h) * float64(h)
-	nnz := 4 * hh * density
+	nnz := float64(g) * hh * density
 	return gpu.KernelSpec{
 		Name:              NamePruned,
 		FLOPs:             2 * nnz,
-		DRAMBytes:         nnz*(f32+f32) + float64(4*h) + float64(16*h) + float64(4*h)*f32, // values+indices, h, out, row ptrs
+		DRAMBytes:         nnz*(f32+f32) + float64(4*h) + float64(4*g*h) + float64(g*h)*f32, // values+indices, h, out, row ptrs
 		SharedBytes:       nnz * f32,
-		Threads:           4 * h,
+		Threads:           g * h,
 		Barriers:          1,
 		ComputeScale:      csrDivergenceScale,
 		EffectiveDRAMFrac: csrCoalesceFrac,
@@ -371,7 +406,7 @@ func (b *Builder) RequestBatch(h, length, layers, batch int) []gpu.KernelSpec {
 		ks = append(ks, b.SgemmWx(h, h, length*batch))
 		for c := 0; c < length; c++ {
 			k, _ := b.SgemmTissue(h, batch)
-			ks = append(ks, k, b.LstmEW(h, batch))
+			ks = append(ks, k, b.EW(h, batch))
 		}
 	}
 	return ks
@@ -407,7 +442,7 @@ func (b *Builder) RequestBatchRagged(h, layers int, lens []int) []gpu.KernelSpec
 				}
 			}
 			k, _ := b.SgemmTissue(h, active)
-			ks = append(ks, k, b.LstmEW(h, active))
+			ks = append(ks, k, b.EW(h, active))
 		}
 	}
 	return ks
@@ -471,23 +506,24 @@ func (b *Builder) EngineInstall(h, layers int) []gpu.KernelSpec {
 // offline (Fig. 10), so the runtime cost is only the O(H) overlap math per
 // link against the freshly produced W*x pre-activations (in L2).
 func (b *Builder) Relevance(h, n int) gpu.KernelSpec {
+	g := b.cell.Gates
 	return gpu.KernelSpec{
 		Name:       NameRelevance,
-		FLOPs:      20 * float64(h) * float64(n),
-		L2HitBytes: 16 * float64(h) * float64(n),
+		FLOPs:      float64(5*g) * float64(h) * float64(n),
+		L2HitBytes: float64(4*g) * float64(h) * float64(n),
 		DRAMBytes:  4 * float64(n),
-		Threads:    4 * h,
+		Threads:    g * h,
 		HostCycles: float64(n) * 60, // threshold compare + sublayer bookkeeping
 	}
 }
 
 // Predict is the accuracy-recovery step injecting the predicted context
-// link at breakpoints (Fig. 10, step 6) — a vector copy per break.
+// link at breakpoints (Fig. 10, step 6) — a state copy per break.
 func (b *Builder) Predict(h, breaks int) gpu.KernelSpec {
 	return gpu.KernelSpec{
 		Name:       NamePredict,
 		FLOPs:      float64(h * breaks),
-		DRAMBytes:  8 * float64(h*breaks),
+		DRAMBytes:  float64(4*b.cell.State) * float64(h*breaks),
 		Threads:    h,
 		HostCycles: float64(breaks) * 40,
 	}

@@ -8,6 +8,12 @@ import (
 
 func builder() *Builder { return NewBuilder(gpu.TegraX1()) }
 
+// gruBuilder builds the GRU's rows: the LSTM's at three gate blocks (z,
+// r, h), a two-block first stage and a one-block state.
+func gruBuilder() *Builder {
+	return NewCellBuilder(gpu.TegraX1(), Cell{Gates: 3, First: 2, State: 1})
+}
+
 func TestSgemvUTraffic(t *testing.T) {
 	b := builder()
 	h := 650
@@ -159,8 +165,8 @@ func TestPrunedSgemvDensityClamped(t *testing.T) {
 
 func TestLstmEWScalesWithTissue(t *testing.T) {
 	b := builder()
-	k1 := b.LstmEW(256, 1)
-	k4 := b.LstmEW(256, 4)
+	k1 := b.EW(256, 1)
+	k4 := b.EW(256, 4)
 	if k4.FLOPs != 4*k1.FLOPs {
 		t.Fatalf("EW FLOPs not linear in tissue size")
 	}
@@ -168,8 +174,8 @@ func TestLstmEWScalesWithTissue(t *testing.T) {
 
 func TestLstmEWPartial(t *testing.T) {
 	b := builder()
-	full := b.LstmEW(256, 1)
-	quarter := b.LstmEWPartial(256, 1, 1)
+	full := b.EW(256, 1)
+	quarter := b.EWPartial(256, 1, 1)
 	if quarter.FLOPs*4 != full.FLOPs {
 		t.Fatalf("partial EW: %v vs full %v", quarter.FLOPs, full.FLOPs)
 	}
@@ -195,7 +201,7 @@ func TestRelevanceAndPredictOverheadSmall(t *testing.T) {
 	h, n := 650, 200
 	layer := []gpu.KernelSpec{b.SgemmWx(h, h, n)}
 	for i := 0; i < n; i++ {
-		layer = append(layer, b.SgemvU(h), b.LstmEW(h, 1))
+		layer = append(layer, b.SgemvU(h), b.EW(h, 1))
 	}
 	base := sim.Run(layer)
 	over := sim.Run([]gpu.KernelSpec{b.Relevance(h, n), b.Predict(h, 20)})
@@ -247,5 +253,83 @@ func TestEngineCostsScaleWithModel(t *testing.T) {
 	bigI := sim.Run(b.EngineInstall(650, 3)).Seconds
 	if bigI <= smallI {
 		t.Fatalf("install cost not monotone: %.4fs vs %.4fs", smallI, bigI)
+	}
+}
+
+// The GRU rows are the LSTM rows at Gates=3.
+
+func TestGRUUnitedSmallerThanLSTM(t *testing.T) {
+	lstm := builder().SgemvU(512)
+	gru := gruBuilder().SgemvU(512)
+	// 3 gates vs 4: the GRU united matrix is 25% smaller.
+	ratio := gru.DRAMBytes / lstm.DRAMBytes
+	if ratio < 0.72 || ratio > 0.78 {
+		t.Fatalf("GRU/LSTM traffic ratio %v, want ~0.75", ratio)
+	}
+}
+
+func TestGRUSgemvDRAMBound(t *testing.T) {
+	sim := gpu.NewSimulator(gpu.TegraX1())
+	_, krs := sim.RunResults([]gpu.KernelSpec{gruBuilder().SgemvU(512)})
+	if krs[0].DRAMUtil < 0.9 {
+		t.Fatalf("GRU Sgemv DRAM util %v", krs[0].DRAMUtil)
+	}
+}
+
+func TestGRUTissueReconfigures(t *testing.T) {
+	b := gruBuilder()
+	reconfAt := 0
+	for tt := 1; tt <= 12; tt++ {
+		if _, re := b.SgemmTissue(512, tt); re {
+			reconfAt = tt
+			break
+		}
+	}
+	if reconfAt < 4 || reconfAt > 8 {
+		t.Fatalf("GRU MTS neighbourhood: reconfig at %d", reconfAt)
+	}
+}
+
+func TestGRUDRSHardwareBeatsSoftware(t *testing.T) {
+	sim := gpu.NewSimulator(gpu.TegraX1())
+	b := gruBuilder()
+	h := 512
+	skip := h / 2
+	hw := sim.Run([]gpu.KernelSpec{b.SgemvUfic(h, skip, DRSHardware)})
+	sw := sim.Run([]gpu.KernelSpec{b.SgemvUfic(h, skip, DRSSoftware)})
+	dense := sim.Run([]gpu.KernelSpec{b.SgemvUfic(h, 0, DRSHardware)})
+	if !(hw.Cycles < sw.Cycles && hw.Cycles < dense.Cycles) {
+		t.Fatalf("GRU DRS ordering: hw %v sw %v dense %v", hw.Cycles, sw.Cycles, dense.Cycles)
+	}
+}
+
+func TestGRUDRSFlowBeatsBaselinePerCell(t *testing.T) {
+	// The split flow (U_{z,r} then skipped U_h) must beat the united
+	// per-cell gemv when half the candidate rows are trivial.
+	sim := gpu.NewSimulator(gpu.TegraX1())
+	b := gruBuilder()
+	h := 650
+	base := sim.Run([]gpu.KernelSpec{b.SgemvU(h), b.EW(h, 1)})
+	drs := sim.Run([]gpu.KernelSpec{
+		b.SgemvUo(h), b.EWPartial(h, 1, 2), b.DRS(h, h/2),
+		b.SgemvUfic(h, h/2, DRSHardware), b.EWPartial(h, 1, 1),
+	})
+	if drs.Cycles >= base.Cycles {
+		t.Fatalf("GRU DRS flow slower: %v vs %v", drs.Cycles, base.Cycles)
+	}
+	// But the ceiling is lower than LSTM DRS (only a third of the matrix
+	// is skippable).
+	if base.Cycles/drs.Cycles > 1.5 {
+		t.Fatalf("GRU DRS gain %v implausibly high", base.Cycles/drs.Cycles)
+	}
+}
+
+func TestGRUSkipClamps(t *testing.T) {
+	b := gruBuilder()
+	if k := b.SgemvUfic(64, 1000, DRSHardware); k.FLOPs != 0 {
+		t.Fatal("over-skip not clamped")
+	}
+	if k := b.SgemvUfic(64, -2, DRSHardware); k.FLOPs != b.SgemvUfic(64, 0, DRSHardware).FLOPs {
+		t.Fatal("negative skip not clamped")
 	}
 }

@@ -5,18 +5,44 @@
 // observations (non-uniform context-link strength across cells, and
 // DRS-trivial output-gate rows), and input corpora whose reference labels
 // are defined by the full-precision network itself (model-as-ground-truth;
-// see DESIGN.md §2).
+// see DESIGN.md §2). The GRU workloads of the §II-B extension are built
+// by the same code from their own list (GRUZoo).
 package model
 
 import (
 	"math"
 	"os"
 
+	"mobilstm/internal/gru"
+	"mobilstm/internal/intercell"
 	"mobilstm/internal/lstm"
+	"mobilstm/internal/recurrent"
 	"mobilstm/internal/rng"
 	"mobilstm/internal/stats"
 	"mobilstm/internal/tensor"
 	"mobilstm/internal/thresholds"
+)
+
+// Net is the numeric network of an instance: *lstm.Network or
+// *gru.Network.
+type Net interface {
+	InitRandom(r *rng.RNG, linkScale func(layer int) float64, trivialFrac float64)
+	Run(xs []tensor.Vector, opt recurrent.RunOptions) tensor.Vector
+}
+
+// Cell binds one recurrent cell's network constructor and offline
+// passes (pseudo-training, Eq. 6 predictor collection) for the corpus
+// builder and the engine.
+type Cell[N Net] struct {
+	New        func(input, hidden, layers, classes int) N
+	Calibrate  func(n N, seqs [][]tensor.Vector, spreadFor func(layer int) float64)
+	Predictors func(n N, samples [][]tensor.Vector) []intercell.Predictor
+}
+
+// LSTM and GRU are the two cells.
+var (
+	LSTM = Cell[*lstm.Network]{New: lstm.NewNetwork, Calibrate: lstm.Calibrate, Predictors: lstm.CollectPredictors}
+	GRU  = Cell[*gru.Network]{New: gru.NewNetwork, Calibrate: gru.Calibrate, Predictors: gru.CollectPredictors}
 )
 
 // Task is the NLP task class of a benchmark (Table II "Abbr" column).
@@ -29,6 +55,9 @@ const (
 	Entailment              Task = "ET" // sentence-pair inference
 	LanguageModeling        Task = "LM" // word-level language modeling
 	MachineTranslation      Task = "MT" // English -> French
+
+	// KeywordSpotting is the GRU extension's phone-sized task.
+	KeywordSpotting Task = "KWS"
 )
 
 // Benchmark describes one Table II application.
@@ -51,8 +80,9 @@ type Benchmark struct {
 	// (punctuation, topic shift) whose strong input projection saturates
 	// the gates and weakens the incoming context link.
 	PauseRate float64
-	// TrivialFrac is the fraction of hidden units whose output-gate bias
-	// sits in the low saturation, making their rows DRS-trivial.
+	// TrivialFrac is the fraction of hidden units whose DRS-gate bias
+	// (LSTM output gate, GRU update gate) sits in the low saturation,
+	// making their rows DRS-trivial.
 	TrivialFrac float64
 	// LinkBase and LinkStep set the per-layer recurrent magnitude
 	// target: layer l gets D ~ LinkBase + l*LinkStep. Deeper layers
@@ -83,9 +113,28 @@ func Zoo() []Benchmark {
 	}
 }
 
-// ByName returns the zoo benchmark with the given name.
-func ByName(name string) (Benchmark, bool) {
-	for _, b := range Zoo() {
+// GRUZoo returns the GRU workloads of the §II-B extension (GRUs are the
+// lighter RNN of choice on phones): a keyword-spotting-sized model, a
+// BABI-shaped QA model and an MT-shaped translation model.
+func GRUZoo() []Benchmark {
+	return []Benchmark{
+		{Name: "KWS-GRU", Task: KeywordSpotting, Hidden: 128, Layers: 2, Length: 60,
+			Classes: 8, PauseRate: 0.35, TrivialFrac: 0.5, LinkBase: 1.0, LinkStep: 0.15, Seed: 0x9a01},
+		{Name: "QA-GRU", Task: QuestionAnswering, Hidden: 256, Layers: 3, Length: 86,
+			Classes: 12, PauseRate: 0.4, TrivialFrac: 0.5, LinkBase: 1.0, LinkStep: 0.15, Seed: 0x9b02},
+		{Name: "MT-GRU", Task: MachineTranslation, Hidden: 500, Layers: 4, Length: 50,
+			Classes: 12, PauseRate: 0.28, TrivialFrac: 0.52, LinkBase: 1.0, LinkStep: 0.15, Seed: 0x9c03},
+	}
+}
+
+// ByName returns the Table II benchmark with the given name.
+func ByName(name string) (Benchmark, bool) { return find(Zoo(), name) }
+
+// GRUByName returns the GRU benchmark with the given name.
+func GRUByName(name string) (Benchmark, bool) { return find(GRUZoo(), name) }
+
+func find(zoo []Benchmark, name string) (Benchmark, bool) {
+	for _, b := range zoo {
 		if b.Name == name {
 			return b, true
 		}
@@ -121,6 +170,13 @@ func Full() Profile {
 	return Profile{Name: "full", AccSamples: 50, PredictorSamples: 8, StatSamples: 3}
 }
 
+// GRUQuick is the profile the GRU facade evaluates under: capped at the
+// KWS-GRU shape (hidden 128) and 40 cells.
+func GRUQuick() Profile {
+	return Profile{Name: "gru-quick", HiddenCap: 128, LengthCap: 40,
+		AccSamples: 30, PredictorSamples: 3, StatSamples: 3}
+}
+
 // Default returns Full when the MOBILSTM_FULL environment variable is set
 // to a non-empty value other than "0", and Quick otherwise.
 func Default() Profile {
@@ -139,10 +195,10 @@ func capInt(v, c int) int {
 
 // Instance is a materialized benchmark: the synthetic network, its input
 // corpus, and the reference labels the full-precision flow assigns.
-type Instance struct {
+type Instance[N Net] struct {
 	B Benchmark
 	// Net is the numeric network at the (possibly capped) profile shape.
-	Net *lstm.Network
+	Net N
 	// Hidden and Length are the numeric shapes actually used.
 	Hidden, Length int
 	// Seqs is the input corpus: AccSamples + PredictorSamples +
@@ -155,14 +211,17 @@ type Instance struct {
 	prof Profile
 }
 
-// Build materializes the benchmark under the profile. The same
-// (benchmark, profile) pair always yields identical bits.
-func Build(b Benchmark, p Profile) *Instance {
+// Build materializes the benchmark as an LSTM under the profile. The
+// same (benchmark, profile) pair always yields identical bits.
+func Build(b Benchmark, p Profile) *Instance[*lstm.Network] { return BuildCell(LSTM, b, p) }
+
+// BuildCell materializes the benchmark as a network of the cell.
+func BuildCell[N Net](c Cell[N], b Benchmark, p Profile) *Instance[N] {
 	h := capInt(b.Hidden, p.HiddenCap)
 	length := capInt(b.Length, p.LengthCap)
 	r := rng.New(b.Seed)
 
-	net := lstm.NewNetwork(h, h, b.Layers, b.Classes)
+	net := c.New(h, h, b.Layers, b.Classes)
 	net.InitRandom(r.Split(), func(layer int) float64 {
 		return b.LinkBase + float64(layer)*b.LinkStep
 	}, b.TrivialFrac)
@@ -175,7 +234,7 @@ func Build(b Benchmark, p Profile) *Instance {
 	for i := range calSeqs {
 		calSeqs[i] = genSequence(calGen, h, length, b.PauseRate)
 	}
-	lstm.Calibrate(net, calSeqs, func(layer int) float64 {
+	c.Calibrate(net, calSeqs, func(layer int) float64 {
 		// Deeper layers see smoother inputs (no boundary tokens); a
 		// wider pre-activation spread restores the heavy tail trained
 		// deep layers exhibit, so weak links exist at every depth —
@@ -187,9 +246,9 @@ func Build(b Benchmark, p Profile) *Instance {
 	gen := r.Split()
 	seqs := make([][]tensor.Vector, total)
 	labels := make([]int, total)
-	buildSamples(net, gen, seqs, labels, h, length, b.PauseRate)
+	buildSamples(c, net, gen, seqs, labels, h, length, b.PauseRate)
 
-	return &Instance{B: b, Net: net, Hidden: h, Length: length,
+	return &Instance[N]{B: b, Net: net, Hidden: h, Length: length,
 		Seqs: seqs, RefLabels: labels, prof: p}
 }
 
@@ -219,7 +278,7 @@ const (
 
 // buildSamples fills seqs/labels with margin-filtered sequences, running
 // reference classification in parallel batches.
-func buildSamples(net *lstm.Network, r *rng.RNG, seqs [][]tensor.Vector, labels []int, dim, length int, pauseRate float64) {
+func buildSamples[N Net](c Cell[N], net N, r *rng.RNG, seqs [][]tensor.Vector, labels []int, dim, length int, pauseRate float64) {
 	// Probe batch: establish the benchmark's margin scale and its
 	// perturbation scale at the reference operating point.
 	const probeN = 32
@@ -232,7 +291,7 @@ func buildSamples(net *lstm.Network, r *rng.RNG, seqs [][]tensor.Vector, labels 
 	tensor.ParallelFor(probeN, func(i int) {
 		probeLabels[i], probeMargins[i] = classifyMargin(net, probeSeqs[i])
 	})
-	noise := referenceNoise(net, probeSeqs[:8])
+	noise := referenceNoise(c, net, probeSeqs[:8])
 	minMargin := noiseMarginFactor * noise
 	if cap := stats.QuantileOf(probeMargins, marginCapQuantile); minMargin > cap {
 		minMargin = cap
@@ -270,14 +329,14 @@ func buildSamples(net *lstm.Network, r *rng.RNG, seqs [][]tensor.Vector, labels 
 // its mid threshold and layer division at the 35th percentile of the
 // probe relevance distribution. Returns the median infinity-norm logit
 // change across the probe sequences.
-func referenceNoise(net *lstm.Network, probe [][]tensor.Vector) float64 {
+func referenceNoise[N Net](c Cell[N], net N, probe [][]tensor.Vector) float64 {
 	if len(probe) == 0 {
 		return 0
 	}
-	preds := lstm.CollectPredictors(net, probe[:1])
+	preds := c.Predictors(net, probe[:1])
 	// Relevance distribution from one traced run.
-	tr := &lstm.Trace{}
-	net.Run(probe[0], lstm.RunOptions{Inter: true, MTS: calibMTS, Predictors: preds, Trace: tr})
+	tr := &recurrent.Trace{}
+	net.Run(probe[0], recurrent.RunOptions{Inter: true, MTS: calibMTS, Predictors: preds, Trace: tr})
 	var rels []float64
 	for _, lt := range tr.Layers {
 		rels = append(rels, lt.Relevance...)
@@ -286,13 +345,13 @@ func referenceNoise(net *lstm.Network, probe [][]tensor.Vector) float64 {
 	if len(rels) > 0 {
 		alphaInter = stats.QuantileOf(rels, thresholds.CalibInterQuantile)
 	}
-	opt := lstm.RunOptions{
+	opt := recurrent.RunOptions{
 		Inter: true, AlphaInter: alphaInter, MTS: calibMTS, Predictors: preds,
 		Intra: true, AlphaIntra: calibAlphaIntra,
 	}
 	dists := make([]float64, len(probe))
 	tensor.ParallelFor(len(probe), func(i int) {
-		base := net.Run(probe[i], lstm.Baseline())
+		base := net.Run(probe[i], recurrent.RunOptions{})
 		approx := net.Run(probe[i], opt)
 		var d float32
 		for j := range base {
@@ -310,8 +369,8 @@ func referenceNoise(net *lstm.Network, probe [][]tensor.Vector) float64 {
 }
 
 // classifyMargin returns the reference label and the top-2 logit margin.
-func classifyMargin(net *lstm.Network, xs []tensor.Vector) (int, float64) {
-	logits := net.Run(xs, lstm.Baseline())
+func classifyMargin[N Net](net N, xs []tensor.Vector) (int, float64) {
+	logits := net.Run(xs, recurrent.RunOptions{})
 	best := tensor.ArgMax(logits)
 	margin := float32(math.Inf(1))
 	for j, v := range logits {
@@ -349,19 +408,19 @@ func genSequence(r *rng.RNG, dim, length int, pauseRate float64) []tensor.Vector
 
 // AccSeqs returns the accuracy-scoring slice of the corpus with its
 // reference labels.
-func (in *Instance) AccSeqs() ([][]tensor.Vector, []int) {
+func (in *Instance[N]) AccSeqs() ([][]tensor.Vector, []int) {
 	n := in.prof.AccSamples
 	return in.Seqs[:n], in.RefLabels[:n]
 }
 
 // PredictorSeqs returns the sequences reserved for Eq. 6 link collection.
-func (in *Instance) PredictorSeqs() [][]tensor.Vector {
+func (in *Instance[N]) PredictorSeqs() [][]tensor.Vector {
 	lo := in.prof.AccSamples
 	return in.Seqs[lo : lo+in.prof.PredictorSamples]
 }
 
 // StatSeqs returns the sequences reserved for structural statistics.
-func (in *Instance) StatSeqs() [][]tensor.Vector {
+func (in *Instance[N]) StatSeqs() [][]tensor.Vector {
 	lo := in.prof.AccSamples + in.prof.PredictorSamples
 	return in.Seqs[lo:]
 }

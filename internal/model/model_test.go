@@ -213,3 +213,20 @@ func TestBuildParallelPath(t *testing.T) {
 		}
 	}
 }
+
+// TestZoo checks the GRU workloads' list: three, found by name, kept
+// apart from the Table II zoo.
+func TestZoo(t *testing.T) {
+	if len(GRUZoo()) != 3 {
+		t.Fatalf("zoo size %d", len(GRUZoo()))
+	}
+	if _, ok := GRUByName("QA-GRU"); !ok {
+		t.Fatal("QA-GRU missing")
+	}
+	if _, ok := GRUByName("nope"); ok {
+		t.Fatal("bogus benchmark found")
+	}
+	if _, ok := ByName("KWS-GRU"); ok {
+		t.Fatal("a GRU workload leaked into the Table II zoo")
+	}
+}

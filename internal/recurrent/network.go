@@ -37,6 +37,10 @@ func NewNetwork[C Cell](input, hidden, layers, classes int, newLayer func(hidden
 	return n
 }
 
+// Shape returns the first layer's cell shape: the network's input size,
+// the hidden size and the cell's block counts.
+func (n *Network[C]) Shape() Shape { return n.Layers[0].Shape() }
+
 // Hidden returns the hidden size (uniform across layers).
 func (n *Network[C]) Hidden() int { return n.Layers[0].Shape().Hidden }
 

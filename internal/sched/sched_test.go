@@ -1,11 +1,13 @@
 package sched
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"mobilstm/internal/gpu"
 	"mobilstm/internal/kernels"
+	"mobilstm/internal/recurrent"
 )
 
 func plan(mode Mode) Plan {
@@ -176,5 +178,40 @@ func TestCombinedSkipsReduceTraffic(t *testing.T) {
 	b := sim.Run(Kernels(withSkip))
 	if b.DRAMBytes >= a.DRAMBytes {
 		t.Fatal("combined skip did not reduce DRAM traffic")
+	}
+}
+
+// TestPlanCell: the zero Cell lowers the LSTM, and a GRU plan is the
+// same kernel sequence at three gate blocks — its baseline recurrent
+// gemv streams three quarters of the LSTM's U bytes, and its DRS flow
+// skips rows of the one candidate block.
+func TestPlanCell(t *testing.T) {
+	lstmCell := recurrent.Shape{Gates: 4, First: 1, State: 2}
+	gruCell := recurrent.Shape{Gates: 3, First: 2, State: 1}
+	for _, mode := range []Mode{Baseline, Inter, Intra, Combined, IntraSW, ZeroPrune} {
+		p := plan(mode)
+		zero := Kernels(p)
+		p.Cell = lstmCell
+		if explicit := Kernels(p); !reflect.DeepEqual(zero, explicit) {
+			t.Fatalf("%v: the zero Cell does not lower the LSTM", mode)
+		}
+		p.Cell = gruCell
+		if g := Kernels(p); len(g) != len(zero) {
+			t.Fatalf("%v: GRU lowers to %d kernels, LSTM to %d", mode, len(g), len(zero))
+		}
+	}
+	p := plan(Baseline)
+	lstmU := Kernels(p)[1]
+	p.Cell = gruCell
+	if gruU := Kernels(p)[1]; gruU.Name != kernels.NameSgemvU || gruU.DRAMBytes >= lstmU.DRAMBytes {
+		t.Fatalf("GRU gemv %+v not smaller than the LSTM's %+v", gruU, lstmU)
+	}
+	p = plan(Intra)
+	p.Cell = gruCell
+	for _, k := range Kernels(p)[:6] {
+		// Layer 0 skips half the hidden units: h/2 of the h candidate rows.
+		if k.Name == kernels.NameSgemvUfic && k.Threads > 512/2 {
+			t.Fatalf("GRU candidate gemv runs %d threads, want at most %d", k.Threads, 512/2)
+		}
 	}
 }

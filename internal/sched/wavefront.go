@@ -93,7 +93,7 @@ func Wavefront(p WavefrontPlan) WavefrontResult {
 	residentSpec.L2HitBytes += residentSpec.DRAMBytes
 	residentSpec.DRAMBytes = 0
 	streamSpec := kb.SgemvU(p.Hidden)
-	ew := kb.LstmEW(p.Hidden, 1)
+	ew := kb.EW(p.Hidden, 1)
 
 	// A wavefront step runs up to min(Layers, active) cells at once. The
 	// DRAM-streaming cells share bandwidth: charge their combined DRAM

@@ -32,8 +32,7 @@ const (
 
 	// TieBreakUp nudges a calibrated threshold just above an observed
 	// relevance value so that the observation itself falls below the
-	// threshold. Both engines use the same factor so quantile walks
-	// stay bit-reproducible across LSTM and GRU.
+	// threshold.
 	TieBreakUp = 1.0000001
 
 	// CalibOvershoot is the fallback alpha_inter upper limit when even
@@ -47,22 +46,9 @@ const (
 	// realistic approximation.
 	CalibAlphaIntra = 0.2
 
-	// CalibInterQuantile is the relevance quantile defining the LSTM
+	// CalibInterQuantile is the relevance quantile defining the
 	// corpus-calibration alpha_inter (division at the 35th percentile).
 	CalibInterQuantile = 0.35
-
-	// GRUCalibAlphaIntra and GRUCalibInterQuantile are the GRU
-	// extension's corpus-calibration operating point (internal/gru);
-	// shallower than the LSTM's because carry-dominated GRU units give
-	// fewer weak links.
-	GRUCalibAlphaIntra    = 0.18
-	GRUCalibInterQuantile = 0.2
-
-	// GRUQuantileDepth caps the GRU engine's relevance-quantile walk at
-	// the 30th percentile at set 10: carry-dominated units give GRU
-	// layers fewer genuinely weak links than LSTM layers, so the
-	// extension leans on DRS instead (see internal/gru).
-	GRUQuantileDepth = 0.3
 )
 
 // ClampSet maps a threshold-set index onto 0..Sets-1.

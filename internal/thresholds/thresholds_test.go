@@ -27,9 +27,6 @@ func TestCalibrationFactors(t *testing.T) {
 		t.Fatalf("CalibOvershoot (%v) must overshoot more than TieBreakUp (%v)",
 			CalibOvershoot, TieBreakUp)
 	}
-	if GRUQuantileDepth <= 0 || GRUQuantileDepth > 1 {
-		t.Fatalf("GRUQuantileDepth = %v, want a quantile in (0, 1]", GRUQuantileDepth)
-	}
 	if UserAccuracyFloor != 0.98 {
 		t.Fatalf("UserAccuracyFloor = %v, want 0.98 (2%% imperceptible loss)", UserAccuracyFloor)
 	}
