@@ -38,6 +38,11 @@ var kind = equivtest.Kind{
 			l.Invalidate()
 		}
 	},
+	Misshape: func(n equivtest.Net, layer int) {
+		l := n.(*Network).Layers[layer]
+		l.Wz = tensor.NewMatrix(l.Hidden, l.Input+1)
+		l.Invalidate()
+	},
 }
 
 // TestMain fails the package if a test leaves the process-default
@@ -85,7 +90,11 @@ func TestGRUInvalidateRefreshesPackedCache(t *testing.T) {
 func TestGRUWritersInvalidatePackedCache(t *testing.T) {
 	equivtest.WritersInvalidatePackedCache(t, kind)
 }
-func TestGRUOutputsOutliveNextPass(t *testing.T) { equivtest.OutputsOutliveNextPass(t, kind) }
+func TestGRUOutputsOutliveNextPass(t *testing.T)    { equivtest.OutputsOutliveNextPass(t, kind) }
+func TestGRUWavefrontBitwiseEqualsRun(t *testing.T) { equivtest.WavefrontMatchesRun(t, kind) }
+func TestGRUWavefrontHelperPanicIsError(t *testing.T) {
+	equivtest.WavefrontHelperPanicIsError(t, kind)
+}
 func TestGRUChainAutoFollowsProcessDefault(t *testing.T) {
 	equivtest.ChainAutoFollowsProcessDefault(t, kind)
 }

@@ -38,6 +38,11 @@ var kind = equivtest.Kind{
 			l.Invalidate()
 		}
 	},
+	Misshape: func(n equivtest.Net, layer int) {
+		l := n.(*Network).Layers[layer]
+		l.Wf = tensor.NewMatrix(l.Hidden, l.Input+1)
+		l.Invalidate()
+	},
 }
 
 // TestMain fails the package if a test leaves the process-default
@@ -85,7 +90,9 @@ func TestInvalidateRefreshesPackedCache(t *testing.T) {
 func TestWritersInvalidatePackedCache(t *testing.T) {
 	equivtest.WritersInvalidatePackedCache(t, kind)
 }
-func TestOutputsOutliveNextPass(t *testing.T) { equivtest.OutputsOutliveNextPass(t, kind) }
+func TestWavefrontBitwiseEqualsRun(t *testing.T)   { equivtest.WavefrontMatchesRun(t, kind) }
+func TestWavefrontHelperPanicIsError(t *testing.T) { equivtest.WavefrontHelperPanicIsError(t, kind) }
+func TestOutputsOutliveNextPass(t *testing.T)      { equivtest.OutputsOutliveNextPass(t, kind) }
 func TestChainAutoFollowsProcessDefault(t *testing.T) {
 	equivtest.ChainAutoFollowsProcessDefault(t, kind)
 }

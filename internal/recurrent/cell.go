@@ -14,7 +14,9 @@
 // tissues (under Inter at its weak links, otherwise one sub-layer of
 // single-cell tissues), and step k advances tissue k of every member as
 // one group: each recurrent stage is one batched kernel over the
-// group's cells, so a tissue and a batch load U once alike.
+// group's cells, so a tissue and a batch load U once alike. The layer
+// wavefront (RunWavefrontE) takes the same steps for one sequence with
+// the stacked layers pipelined over goroutines, four cells at a time.
 //
 // Both cells run in two recurrent stages. The first-stage gates need
 // only h_{t-1} and decide what the second stage may skip:

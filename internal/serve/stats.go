@@ -28,6 +28,7 @@ type benchStats struct {
 	batches    int64
 	dropped    int64
 	runBatches int64
+	wavefronts int64
 	sumBatch   int64
 
 	coldBuilds int64
@@ -81,10 +82,14 @@ type BenchSnapshot struct {
 	// the window failed outright).
 	Windows        int64
 	DroppedWindows int64
-	// RunBatches counts batched forward launches (one ClassifyBatch per
-	// successfully served window): Served/RunBatches is the realized
+	// RunBatches counts forward launches (one per successfully served
+	// window: a ClassifyBatch, or a lone member's wavefront):
+	// Served/RunBatches is the realized
 	// host-side weight-reuse factor of the §II-C batching trade.
 	RunBatches int64
+	// Wavefronts counts the served windows among them whose lone member
+	// ran as a layer wavefront on a spare core.
+	Wavefronts int64
 	// WindowS is the benchmark's activity window in seconds (since its
 	// first submit or Warm); Throughput is served requests per second of
 	// that window.
@@ -179,6 +184,7 @@ func (s *Server) Stats() Snapshot {
 			Windows:        st.batches,
 			DroppedWindows: st.dropped,
 			RunBatches:     st.runBatches,
+			Wavefronts:     st.wavefronts,
 			ColdBuilds:     st.coldBuilds,
 			Installs:       st.installs,
 			ColdServed:     int64(len(st.coldLats)),

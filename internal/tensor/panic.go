@@ -48,3 +48,23 @@ func Guard(err *error) {
 		panic(r)
 	}
 }
+
+// Recovered runs f and returns the value it panicked with, or nil when
+// it returned. Guard sees only the panics of its own goroutine, so a
+// helper goroutine of an error-returning call runs its work through
+// Recovered and hands the value to the caller, which re-raises it with
+// Repanic after the join: a Panicf violation in the helper then becomes
+// the call's error instead of killing the process.
+func Recovered(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
+// Repanic re-raises, on the calling goroutine, a value Recovered
+// returned; nil is a no-op.
+func Repanic(r any) {
+	if r != nil {
+		panic(r)
+	}
+}

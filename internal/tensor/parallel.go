@@ -17,14 +17,17 @@ const (
 	// parallelMinBytes is the gate: a kernel forks only when its weight
 	// matrix is larger than one core's L2 (2 MiB on the two-vCPU
 	// benchmark box), i.e. when it is memory-bound. Over L2-resident
-	// weights the kernels are compute-bound, and that box's two vCPUs
-	// share one core's execution units — any load on one slows the
-	// other's kernels ~1.6× — so a second shard does not speed them up
-	// (576×192 at B=1 with the four-row body: ~7.4 µs serial, ~8.2 µs
-	// forked at the median, p90 ~10 vs ~15 µs) and makes each call's
-	// time depend on what the other vCPU happens to be doing. A
-	// memory-bound kernel does gain: over 2600×650, B=1 ~220–250 →
-	// ~180 µs and 16 inputs ~3.3–4.2 → ~1.9–2.0 ms (medians).
+	// weights one call is a 7–10 µs step, and a fork pays a goroutine
+	// hand-off and a join on every call — synchronization that eats
+	// the second shard's share (576×192 at B=1 with the four-row body:
+	// ~7.4 µs serial, ~8.2 µs forked at the median, p90 ~10 vs ~15 µs).
+	// The second vCPU itself is real capacity: two independent Runs on
+	// that box scale 1.7–2.1×. It pays for work handed over in larger
+	// pieces, which is why the layer wavefront (internal/recurrent)
+	// hands the layer above four cells at a time, not a step. A
+	// memory-bound kernel does gain from a fork: over 2600×650, B=1
+	// ~220–250 → ~180 µs and 16 inputs ~3.3–4.2 → ~1.9–2.0 ms
+	// (medians).
 	parallelMinBytes = 2 << 20
 	// parallelMinRows is the smallest shard height: thinner shards
 	// spend more time in the scheduler than in the kernel.
