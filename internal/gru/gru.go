@@ -186,31 +186,23 @@ func (l *Layer) Operand(dst, g, h tensor.Vector) tensor.Vector {
 	return dst
 }
 
-// Update blends the candidate into h in place. Rows marked in skip
-// carry: h_t[j] ~ h_{t-1}[j] since z[j] ~ 0. The kept rows'
-// pre-activations are gathered into a in place (kept row j lands at
+// Update blends the candidate into h in place over the kept rows, the
+// ascending list the second stage computed; every other row was skipped
+// and carries: h_t[j] ~ h_{t-1}[j] since z[j] ~ 0. The walk gathers the
+// kept rows' pre-activations into a in place (kept row j lands at
 // k ≤ j, after a[k] was read), so the candidate's tanh is one pass over
-// the kept rows only.
-func (l *Layer) Update(st, wx, a, g tensor.Vector, skip []bool) {
+// the kept rows only, then blends them back into h. No row is tested,
+// and a skipped row's product is never read.
+func (l *Layer) Update(st, wx, a, g tensor.Vector, kept []int) {
 	h := l.Hidden
 	z, xh := g[:h], wx[2*h:]
-	n := 0
-	for j := 0; j < h; j++ {
-		if skip != nil && skip[j] {
-			continue
-		}
-		a[n] = xh[j] + a[j] + l.Bh[j]
-		n++
+	cand := a[:len(kept)]
+	for k, j := range kept {
+		cand[k] = xh[j] + a[j] + l.Bh[j]
 	}
-	cand := a[:n]
 	tensor.TanhVec(cand, cand)
-	k := 0
-	for j := 0; j < h; j++ {
-		if skip != nil && skip[j] {
-			continue
-		}
+	for k, j := range kept {
 		st[j] = (1-z[j])*st[j] + z[j]*cand[k]
-		k++
 	}
 }
 

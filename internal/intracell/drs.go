@@ -42,41 +42,67 @@ func TissueTrivialRows(os []tensor.Vector, alpha float64) ([]bool, int) {
 	if alpha <= 0 || len(os) == 0 {
 		return nil, 0
 	}
-	return TissueTrivialRowsInto(make([]bool, len(os[0])), os, alpha)
+	skip := make([]bool, len(os[0]))
+	for j := range skip {
+		skip[j] = true
+	}
+	kept := TissueKeptRowsInto(make([]int, len(os[0])), os, alpha)
+	for _, j := range kept {
+		skip[j] = false
+	}
+	return skip, len(skip) - len(kept)
 }
 
-// TissueTrivialRowsInto is TissueTrivialRows writing the mask into a
-// caller-owned buffer of length len(os[0]), so per-tissue calls on the
-// inference hot path do not allocate. Every element of dst is rewritten
-// (stale contents from a previous tissue are harmless). It returns
-// (nil, 0) when DRS is off, like TissueTrivialRows.
-func TissueTrivialRowsInto(dst []bool, os []tensor.Vector, alpha float64) ([]bool, int) {
-	if alpha <= 0 || len(os) == 0 {
-		return nil, 0
+// TissueKeptRowsInto is the tissue's DRS mask compacted into the rows
+// the second stage computes — the host side of the CRM's prefix sum
+// (§V-B). dst[:n] receives, ascending, every row j that some cell o of
+// the tissue keeps (o[j] >= alpha; a row is trivial for a cell where
+// !(o[j] >= alpha), so a NaN is trivial), and the result is dst[:n].
+// dst is a caller-owned buffer of the cells' length, so per-tissue calls
+// on the inference hot path do not allocate. Every cell is validated
+// before any row is read. The pass is branch-free per row: row j is
+// written to dst[n] unconditionally and kept by advancing n. With
+// alpha <= 0 (DRS off) every row is kept.
+func TissueKeptRowsInto(dst []int, os []tensor.Vector, alpha float64) []int {
+	dim := len(dst)
+	for _, o := range os {
+		if len(o) != dim {
+			tensor.Panicf("intracell: TissueKeptRowsInto cell length %d, mask length %d", len(o), dim)
+		}
+	}
+	if alpha <= 0 {
+		for j := range dst {
+			dst[j] = j
+		}
+		return dst
 	}
 	a := float32(alpha)
-	dim := len(os[0])
-	if len(dst) != dim {
-		tensor.Panicf("intracell: TissueTrivialRowsInto mask length %d, want %d", len(dst), dim)
+	n := 0
+	if len(os) == 1 {
+		for j, v := range os[0] {
+			dst[n] = j
+			n += keep(v >= a)
+		}
+		return dst[:n]
 	}
-	count := 0
-	for j := 0; j < dim; j++ {
-		trivial := true
+	for j := range dst {
+		dst[n] = j
+		k := 0
 		for _, o := range os {
-			if len(o) != dim {
-				tensor.Panicf("intracell: TissueTrivialRows dimension mismatch")
-			}
-			if o[j] >= a {
-				trivial = false
-				break
-			}
+			k |= keep(o[j] >= a)
 		}
-		dst[j] = trivial
-		if trivial {
-			count++
-		}
+		n += k
 	}
-	return dst, count
+	return dst[:n]
+}
+
+// keep is 1 for a kept row and 0 for a trivial one; the compiler lowers
+// it to a flag-setting instruction, not a branch.
+func keep(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // SkipFraction returns count/len as a convenience for reporting.

@@ -71,6 +71,78 @@ func TestTissueTrivialRowsEmpty(t *testing.T) {
 	}
 }
 
+// TestTissueKeptRowsMatchesTissueTrivialRows: the kept list is the
+// complement of the tissue's skip set, ascending, for one cell (the
+// comparison pass) and for several; with DRS off it is every row.
+func TestTissueKeptRowsMatchesTissueTrivialRows(t *testing.T) {
+	r := rng.New(13)
+	for cells := 1; cells <= 4; cells++ {
+		os := make([]tensor.Vector, cells)
+		for c := range os {
+			os[c] = tensor.NewVector(37)
+			for j := range os[c] {
+				os[c][j] = r.Float32()
+			}
+		}
+		skip, n := TissueTrivialRows(os, 0.6)
+		kept := TissueKeptRowsInto(make([]int, 37), os, 0.6)
+		if len(kept) != 37-n {
+			t.Fatalf("%d cells: %d kept, %d skipped of 37", cells, len(kept), n)
+		}
+		k := 0
+		for j, s := range skip {
+			if !s {
+				if kept[k] != j {
+					t.Fatalf("%d cells: kept[%d] = %d, want %d", cells, k, kept[k], j)
+				}
+				k++
+			}
+		}
+		for _, alpha := range []float64{0, -1} {
+			if all := TissueKeptRowsInto(make([]int, 37), os, alpha); len(all) != 37 || all[36] != 36 {
+				t.Fatalf("alpha %v: kept %v, want every row", alpha, all)
+			}
+		}
+	}
+}
+
+// TestTissueKeptRowsNaNIsTrivial pins the tissue rule !(o >= alpha): a
+// NaN row is trivial for its cell, on the one-cell pass and on the
+// several-cell one, where another cell can still keep the row.
+func TestTissueKeptRowsNaNIsTrivial(t *testing.T) {
+	nan := float32(math.NaN())
+	one := TissueKeptRowsInto(make([]int, 3), []tensor.Vector{{nan, 0.5, 0.05}}, 0.1)
+	if len(one) != 1 || one[0] != 1 {
+		t.Fatalf("one cell: kept %v, want [1]", one)
+	}
+	two := TissueKeptRowsInto(make([]int, 3), []tensor.Vector{{nan, nan, 0.05}, {0.5, nan, 0.05}}, 0.1)
+	if len(two) != 1 || two[0] != 0 {
+		t.Fatalf("two cells: kept %v, want [0]", two)
+	}
+}
+
+// TestTissueKeptRowsValidatesEveryCell: a mis-sized cell is a Panicf
+// violation wherever it sits in the tissue, before any row is read —
+// also after a cell whose first row is kept, the row at which a scan
+// that stops at the first keeping cell would never reach it.
+func TestTissueKeptRowsValidatesEveryCell(t *testing.T) {
+	for name, os := range map[string][]tensor.Vector{
+		"one cell":    {{0.5, 0.5}},
+		"first cell":  {{0.5, 0.5}, {0.5, 0.5, 0.5}},
+		"later short": {{0.5, 0.5, 0.5}, {0.5, 0.5}},
+		"later long":  {{0.5, 0.5, 0.5}, {0.05, 0.05, 0.05}, {0.5, 0.5, 0.5, 0.5}},
+	} {
+		var err error
+		func() {
+			defer tensor.Guard(&err)
+			TissueKeptRowsInto(make([]int, 3), os, 0.1)
+		}()
+		if err == nil {
+			t.Errorf("%s: no violation", name)
+		}
+	}
+}
+
 // Property: the tissue intersection never skips more rows than any single
 // cell would.
 func TestTissueIntersectionSubsetProperty(t *testing.T) {

@@ -53,50 +53,36 @@ func (l *Layer) FirstGates(g, wx, a tensor.Vector) {
 func (l *Layer) Operand(_, _, h tensor.Vector) tensor.Vector { return h }
 
 // Update computes f_t, i_t and the candidate from a = U_{f,i,c}·h_{t-1}
-// and advances (h, c) in place. Rows marked in skip were not computed;
-// their c and h elements are approximated to zero (§V-A). The
-// pre-activations of the kept rows are gathered into a's three blocks
-// in place (kept row j lands at k ≤ j, after a[k] was read), so each
-// gate is one activation pass over the kept rows only; tanh(c) reuses
-// the f block.
-func (l *Layer) Update(st, wx, a, g tensor.Vector, skip []bool) {
-	h, gate := l.Hidden, l.gateAct()
+// and advances (h, c) in place over the kept rows, the ascending list
+// the second stage computed; every other row was skipped, and its c and
+// h elements are approximated to zero (§V-A). The walk gathers the kept
+// rows' pre-activations into a's three blocks in place (kept row j
+// lands at k ≤ j, after a[k] was read), so each gate is one activation
+// pass over the kept rows only; it then zeroes the whole state and
+// scatters the kept rows' new c and h back. No row is tested, and a
+// skipped row's product is never read. tanh(c) reuses the f block.
+func (l *Layer) Update(st, wx, a, g tensor.Vector, kept []int) {
+	h, gate, n := l.Hidden, l.gateAct(), len(kept)
 	sh, sc := st[:h], st[h:]
 	xf, xi, xc := wx[:h], wx[h:2*h], wx[2*h:3*h]
-	f, i, cand := a[:h], a[h:2*h], a[2*h:3*h]
-	n := 0
-	for j := 0; j < h; j++ {
-		if skip != nil && skip[j] {
-			sc[j] = 0
-			sh[j] = 0
-			continue
-		}
-		f[n] = xf[j] + f[j] + l.Bf[j]
-		i[n] = xi[j] + i[j] + l.Bi[j]
-		cand[n] = xc[j] + cand[j] + l.Bc[j]
-		n++
+	af, ai, ac := a[:h], a[h:2*h], a[2*h:3*h]
+	f, i, cand := af[:n], ai[:n], ac[:n]
+	for k, j := range kept {
+		f[k] = xf[j] + af[j] + l.Bf[j]
+		i[k] = xi[j] + ai[j] + l.Bi[j]
+		cand[k] = xc[j] + ac[j] + l.Bc[j]
 	}
-	f, i, cand = f[:n], i[:n], cand[:n]
 	activate(gate, f)
 	activate(gate, i)
 	tensor.TanhVec(cand, cand)
-	k := 0
-	for j := 0; j < h; j++ {
-		if skip != nil && skip[j] {
-			continue
-		}
+	for k, j := range kept {
 		c := f[k]*sc[j] + i[k]*cand[k]
-		sc[j], f[k] = c, c
-		k++
+		i[k], f[k] = c, c
 	}
 	tensor.TanhVec(f, f)
-	k = 0
-	for j := 0; j < h; j++ {
-		if skip != nil && skip[j] {
-			continue
-		}
-		sh[j] = g[j] * f[k]
-		k++
+	clear(st)
+	for k, j := range kept {
+		sc[j], sh[j] = i[k], g[j]*f[k]
 	}
 }
 

@@ -21,11 +21,11 @@
 // Both cells run in two recurrent stages. The first-stage gates need
 // only h_{t-1} and decide what the second stage may skip:
 //
-//	wx      = W · x_t                      (all cells up-front, one GEMM)
-//	gates   = FirstGates(wx, U₁ · h_{t-1}) (LSTM: o;    GRU: z, r)
-//	skip    = gates[:h] < α_intra          (LSTM: o;    GRU: z)
-//	operand = Operand(gates, h_{t-1})      (LSTM: h;    GRU: r ⊙ h)
-//	state   = Update(wx, U₂ · operand)     (LSTM: f,i,c → c,h; GRU: ~h → h)
+//	wx      = W · x_t                        (all cells up-front, one GEMM)
+//	gates   = FirstGates(wx, U₁ · h_{t-1})   (LSTM: o;    GRU: z, r)
+//	kept    = rows j with gates[j] ≥ α_intra (LSTM: o;    GRU: z)
+//	operand = Operand(gates, h_{t-1})        (LSTM: h;    GRU: r ⊙ h)
+//	state   = Update(wx, U₂ · operand, kept) (LSTM: f,i,c → c,h; GRU: ~h → h)
 //
 // Cell methods are called once per cell per stage, never per element,
 // and every matrix product is the same row-dot chain whatever group
@@ -75,11 +75,13 @@ type Cell interface {
 	// Operand returns the second-stage input: h itself or a vector built
 	// in dst.
 	Operand(dst, g, h tensor.Vector) tensor.Vector
-	// Update advances st by one cell. Elements marked in skip were not
-	// computed in a; the cell applies its own approximation to them
-	// (LSTM zeroes c and h, GRU carries h). The cell may overwrite a,
-	// which the core does not read again.
-	Update(st, wx, a, g tensor.Vector, skip []bool)
+	// Update advances st by one cell. kept lists, ascending, the rows of
+	// each h-tall block of a that the second stage computed (every row
+	// without DRS); the others hold no product, and the cell applies its
+	// own approximation to them (LSTM zeroes c and h, GRU carries h)
+	// without reading them. The cell may overwrite a, which the core
+	// does not read again.
+	Update(st, wx, a, g tensor.Vector, kept []int)
 
 	// LinkRelevance returns the Algorithm 2 score S of the context link
 	// into a cell, as a function of that cell's wx row. The core builds

@@ -99,7 +99,7 @@ func (sc *forwardScratch) step(k int, l Cell, pw *packedWeights, opt RunOptions,
 		}
 		ends = append(ends, n)
 	}
-	slots, in, skips := sc.slots[:n], sc.in[:n], sc.skips[:n]
+	slots, in, masks := sc.slots[:n], sc.in[:n], sc.masks[:n]
 
 	// First stage: the gates that need only h_{t-1}, which decide what
 	// the second stage may skip (Algorithm 3 lines 4-6).
@@ -109,33 +109,34 @@ func (sc *forwardScratch) step(k int, l Cell, pw *packedWeights, opt RunOptions,
 		l.FirstGates(sc.gates[s], sc.wx.Row(sl.row), a1.Row(s))
 	}
 
-	// One DRS mask per tissue: the rows trivial for every one of its
-	// cells, shared by all of them.
+	// One DRS mask per tissue, compacted once into the rows that some
+	// cell of the tissue keeps — the CRM's list — and shared by all of
+	// them. Without DRS the list is every row, which the kernel runs as
+	// no mask.
 	lo := 0
 	for j, hi := range ends {
-		var skip []bool
-		var count int
+		kept := sc.every
 		if opt.Intra {
-			skip, count = intracell.TissueTrivialRowsInto(sc.masks[j], sc.drs[lo:hi], opt.AlphaIntra)
+			kept = intracell.TissueKeptRowsInto(sc.keptBuf[j*h:(j+1)*h], sc.drs[lo:hi], opt.AlphaIntra)
 		}
 		if lt != nil {
-			lt.SkipCounts = append(lt.SkipCounts, count)
+			lt.SkipCounts = append(lt.SkipCounts, h-len(kept))
 		}
 		for s := lo; s < hi; s++ {
-			skips[s] = skip
+			masks[s] = tensor.RowMask{Seg: h, Kept: kept}
 		}
 		lo = hi
 	}
 
-	// Second stage: one united pass over U₂ with the trivial rows
-	// disabled, then every cell's element-wise state update.
+	// Second stage: one united pass over U₂ that computes the kept rows
+	// only, then every cell's element-wise state update over them.
 	for s, sl := range slots {
 		in[s] = l.Operand(sc.operands[s], sc.gates[s], sl.st[:h])
 	}
 	a2 := sc.product(n, (sc.sh.Gates-sc.sh.First)*h)
-	ks.PackedGemmRows(a2, pw.u2, in, skips, 0)
+	ks.PackedGemmRows(a2, pw.u2, in, masks, 0)
 	for s, sl := range slots {
-		l.Update(sl.st, sc.wx.Row(sl.row), a2.Row(s), sc.gates[s], skips[s])
+		l.Update(sl.st, sc.wx.Row(sl.row), a2.Row(s), sc.gates[s], masks[s].Kept)
 		copy(hs[sl.row], sl.st[:h])
 		if each != nil {
 			each(sl.cell, sl.st)

@@ -37,11 +37,12 @@ type forwardScratch struct {
 	slots        []slot
 	prodBuf      []float32
 	prod         tensor.Matrix
-	gates, drs   []tensor.Vector // first-stage gates (First·h) and their DRS heads
-	operands, in []tensor.Vector // operand buffers; each stage's kernel inputs
-	masks        [][]bool        // one DRS mask per tissue of the group
-	skips        [][]bool        // each slot's view of its tissue's mask
-	ends         []int           // the slot that closes each tissue of the group
+	gates, drs   []tensor.Vector  // first-stage gates (First·h) and their DRS heads
+	operands, in []tensor.Vector  // operand buffers; each stage's kernel inputs
+	keptBuf      []int            // one h-row kept list per tissue of the group
+	every        []int            // 0..h-1: the kept list without DRS
+	masks        []tensor.RowMask // each slot's view of its tissue's kept list
+	ends         []int            // the slot that closes each tissue of the group
 
 	states []tensor.Vector // every member's sub-layer states (State·h)
 	subOf  []int           // sub-layer of each flat cell
@@ -136,14 +137,14 @@ func (sc *forwardScratch) grow(sh Shape, c scratchSize) {
 	}
 	sc.states = carve(c.states, sh.State*h)
 
-	maskBuf, masks := make([]bool, c.members*h), make([][]bool, c.members+c.slots)
-	sc.masks, sc.skips = masks[:c.members], masks[c.members:]
-	for i := range sc.masks {
-		sc.masks[i] = maskBuf[i*h : (i+1)*h]
-	}
-	ints := make([]int, c.members+2*c.cells)
+	ints := make([]int, c.members+2*c.cells+(c.members+1)*h)
 	sc.ends, sc.subOf = ints[:0:c.members], ints[c.members:c.members+c.cells]
-	cells := ints[c.members+c.cells:]
+	cells := ints[c.members+c.cells : c.members+2*c.cells]
+	sc.keptBuf, sc.every = ints[c.members+2*c.cells:len(ints)-h], ints[len(ints)-h:]
+	for j := range sc.every {
+		sc.every[j] = j
+	}
+	sc.masks = make([]tensor.RowMask, c.slots)
 	sc.units = make([][]int, c.cells)
 	for k := range cells {
 		cells[k] = k

@@ -66,6 +66,31 @@ func BenchmarkPackedGemvRowsSkipHalf(b *testing.B) {
 	}
 }
 
+// BenchmarkPackedGemvRowsSkipRandom is BenchmarkPackedGemvRowsSkipHalf
+// under seeded random masks at the served skip share (0.6 of the rows
+// trivial at α_intra = 0.225), a fresh one per op from a set of 16 as
+// in the forward, where every step has its own: a pattern the branch
+// predictor cannot learn, unlike SkipHalf's alternation, so a per-row
+// skip test shows its cost here.
+func BenchmarkPackedGemvRowsSkipRandom(b *testing.B) {
+	const h = 650
+	united, _, x := benchDims(h)
+	dsts := []Vector{NewVector(h), NewVector(h), NewVector(h), NewVector(h)}
+	r := rng.New(0x5c1b)
+	skips := make([][]bool, 16)
+	var kept int64
+	for i := range skips {
+		skips[i] = randMask(r, h, 0.6)
+		kept += int64(len(maskOf(skips[i]).Kept))
+	}
+	b.SetBytes(united.SizeBytes() * kept / int64(len(skips)*h))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PackedGemvRows(dsts, united, x, skips[i%len(skips)], -1)
+	}
+}
+
 func benchPackedGemm(b *testing.B, packedGemm func(*Matrix, *Matrix, []Vector)) {
 	const h, steps = 650, 16
 	united, _, _ := benchDims(h)
@@ -127,6 +152,37 @@ func BenchmarkPackedGemmRows(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for range steps {
 			PackedGemmRows(dst, united, xs, nil, 0)
+		}
+	}
+}
+
+// BenchmarkPackedGemmRowsMasked is the masked second stage of that
+// B = 4 step: the served 576×192 united U_{f,i,c}, each member under a
+// seeded random DRS mask at the served skip share (0.6 of the rows
+// trivial), compacted once. As in the forward, every step of the 16 in
+// an op draws its own masks, so the branch predictor cannot learn them
+// across steps.
+func BenchmarkPackedGemmRowsMasked(b *testing.B) {
+	const steps, h = 16, 192
+	united, xs := servedUnited(4)
+	u2 := united.RowBlock(0, 3*h)
+	r := rng.New(0x5c1c)
+	masks := make([][]RowMask, steps)
+	var kept int64
+	for s := range masks {
+		masks[s] = make([]RowMask, len(xs))
+		for i := range masks[s] {
+			masks[s][i] = maskOf(randMask(r, h, 0.6))
+			kept += int64(len(masks[s][i].Kept))
+		}
+	}
+	dst := NewMatrix(len(xs), u2.Rows)
+	b.SetBytes(u2.SizeBytes() * kept / int64(len(xs)*h))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range masks {
+			PackedGemmRows(dst, u2, xs, m, 0)
 		}
 	}
 }

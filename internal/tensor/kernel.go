@@ -1,5 +1,7 @@
 package tensor
 
+import "slices"
+
 // The shared inner kernels of the GEMV family. Every kernel in this
 // package — serial or packed — reduces each output element to exactly
 // one row dot of the chain its Kernels value is bound to, so results
@@ -159,37 +161,84 @@ func (k Kernels) span4(dsts [4]Vector, m *Matrix, xs [4][]float32, row0 int) {
 	}
 }
 
-// spanMasked is span under a Dynamic Row Skip mask: row row0+i is
-// skipped — dst[i] set to fill, no dot — where skip[(row0+i) %
-// len(skip)] is true, so one mask tiles any run of rows (a united
-// segment, a batch tile). The unskipped rows are gathered four at a
-// time into dot4 calls and the last few go through the row body: DRS
-// skips the work, not just the outputs. An empty skip (which the
-// callers' validation allows only over zero rows) is span.
-func (k Kernels) spanMasked(dst Vector, m *Matrix, x Vector, row0 int, skip []bool, fill float32) {
-	if len(skip) == 0 {
-		k.span(dst, m, x, row0)
-		return
+// RowMask is a Dynamic Row Skip mask compacted into its kept rows — the
+// host's CTA Reorganization Module (§V-B, Fig. 12), which prefix-sums a
+// launch's surviving rows into dense thread blocks so that a skipped row
+// costs no lane and no branch. Kept lists the computed rows of one
+// Seg-row segment, strictly ascending in [0, Seg). The mask tiles a
+// united matrix whose row count is a multiple of Seg: united row g·Seg+r
+// is computed exactly when r is in Kept, and every other row is skipped.
+// The zero RowMask, like any mask that keeps all Seg rows, skips nothing.
+type RowMask struct {
+	Seg  int
+	Kept []int
+}
+
+// skips reports whether the mask skips any row.
+func (mk RowMask) skips() bool { return len(mk.Kept) < mk.Seg }
+
+// maskOf compacts a []bool mask (skip[r] marks row r skipped) into a
+// RowMask over len(skip) rows; a nil skip is the zero mask.
+func maskOf(skip []bool) RowMask {
+	kept := make([]int, 0, len(skip))
+	for r, s := range skip {
+		if !s {
+			kept = append(kept, r)
+		}
 	}
-	n := m.Cols
-	row := func(i int) []float32 { o := (row0 + i) * n; return m.Data[o : o+n] }
-	var at [4]int // the gathered rows' dst indices
-	g, s := 0, row0%len(skip)
+	return RowMask{Seg: len(skip), Kept: kept}
+}
+
+// spanKept is span under a compacted DRS mask: dst[i] = row(row0+i) · x
+// for the rows mk keeps and fill for the others. The skipped outputs
+// are filled in one pass; then the kept rows of [row0, row0+len(dst))
+// are read off mk's list segment by segment — the walk may start and end
+// inside a segment (a fork shard's edge), found by binary search — and
+// dotted four at a time through dot4, the gather carried across segment
+// edges, so only the call's last 1–3 kept rows go through the row body.
+// No row is tested: DRS skips the work, not just the outputs.
+func (k Kernels) spanKept(dst Vector, m *Matrix, x Vector, row0 int, mk RowMask, fill float32) {
 	for i := range dst {
-		if skip[s] {
-			dst[i] = fill
-		} else if at[g] = i; g < 3 {
-			g++
-		} else {
+		dst[i] = fill
+	}
+	n, seg, end := m.Cols, mk.Seg, row0+len(dst)
+	row := func(i int) []float32 { o := (row0 + i) * n; return m.Data[o : o+n] }
+	var at [4]int // gathered rows waiting for a dot4, as dst indices
+	g := 0
+	for base := row0 - row0%seg; base < end; base += seg {
+		kept := mk.Kept
+		if base+seg > end {
+			kept = kept[:firstAtLeast(kept, end-base)]
+		}
+		if base < row0 {
+			kept = kept[firstAtLeast(kept, row0-base):]
+		}
+		off := base - row0
+		for ; g > 0 && len(kept) > 0; kept = kept[1:] {
+			if at[g] = off + kept[0]; g < 3 {
+				g++
+				continue
+			}
 			dst[at[0]], dst[at[1]], dst[at[2]], dst[at[3]] =
 				k.dot4(row(at[0]), row(at[1]), row(at[2]), row(at[3]), x)
 			g = 0
 		}
-		if s++; s == len(skip) {
-			s = 0
+		for ; len(kept) >= 4; kept = kept[4:] {
+			i0, i1, i2, i3 := off+kept[0], off+kept[1], off+kept[2], off+kept[3]
+			dst[i0], dst[i1], dst[i2], dst[i3] = k.dot4(row(i0), row(i1), row(i2), row(i3), x)
+		}
+		for _, r := range kept {
+			at[g] = off + r
+			g++
 		}
 	}
 	for _, i := range at[:g] {
 		dst[i] = k.dot(row(i), x)
 	}
+}
+
+// firstAtLeast returns the index of the first kept row at or past r.
+func firstAtLeast(kept []int, r int) int {
+	i, _ := slices.BinarySearch(kept, r)
+	return i
 }

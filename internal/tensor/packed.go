@@ -79,6 +79,8 @@ func (k Kernels) PackedGemv(dsts []Vector, m *Matrix, x Vector) {
 // Sgemv(U_{f,i,c}, h, R) kernel with trivial rows disabled: one skip
 // decision covers the row in all gates, exactly as Algorithm 3 shares
 // o_t's triviality across U_f, U_i, U_c. A nil skip computes every row.
+// The mask is compacted into its kept rows once and every segment is
+// walked off that list (spanKept), as PackedGemmRows walks a RowMask.
 func (k Kernels) PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool, fill float32) {
 	packedRows("PackedGemvRows", dsts, m, x)
 	if len(dsts) == 0 {
@@ -93,8 +95,13 @@ func (k Kernels) PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool,
 	if skip != nil && len(skip) != seg {
 		Panicf("tensor: PackedGemvRows skip length %d, segment %d", len(skip), seg)
 	}
+	mk := maskOf(skip)
 	for g, d := range dsts {
-		k.spanMasked(d, m, x, g*seg, skip, fill)
+		if mk.skips() {
+			k.spanKept(d, m, x, g*seg, mk, fill)
+		} else {
+			k.span(d, m, x, g*seg)
+		}
 	}
 }
 
@@ -102,28 +109,29 @@ func (k Kernels) PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool,
 // with a per-input Dynamic Row Skip mask — the recurrent kernel of the
 // forward path, whose inputs are one step's group of cells (a cell, a
 // tissue, a batch of either). dst is a len(xs) × m.Rows row-major
-// matrix; skips is nil (compute everything), or holds one mask per
-// input, each mask nil (compute every row for that input) or of a
-// length that tiles m.Rows the way PackedGemvRows' segment mask does:
-// united row r of input b is skipped — set to fill — where
-// skips[b][r % len(skips[b])] is true.
+// matrix; masks is nil (compute everything), or holds one RowMask per
+// input, each the zero mask (compute every row for that input) or one
+// whose Seg tiles m.Rows: united row r of input b is skipped — set to
+// fill — unless r % Seg is in its Kept list.
 //
-// The traversal is tile-outer: the united weight rows are walked in
-// L1-sized tiles (gemmTileRows), and each tile streams from memory once
-// and is dotted against every input before the next tile is touched.
-// Within a tile the members without a mask go four at a time through
-// four-row × four-input blocks (span4), so each weight row is loaded
-// once per four of them; the 1–3 left over, and every masked member,
-// go through spanMasked, whose gather skips the masked rows' dots. That
-// is the Appleyard-style GEMV→GEMM conversion that amortizes weight
-// traffic over the inputs, which is why the fork-join shards the weight
-// rows (tall: 4h/3h/2h) rather than the inputs (wide but short). A
-// single input shares a tile with nothing, so it walks its rows untiled
-// and its gather never restarts at a tile edge. Every output element is
-// the same dot chain as the serial per-member call, so the result is
+// A masked member walks its kept rows of the shard's row range once,
+// off its list (spanKept): four rows per dot4, with no per-row test and
+// at most one tail of 1–3 rows, so the skipped rows cost neither a dot
+// nor a branch — the software CRM. The members without a mask (and
+// those whose mask keeps every row) go tile-outer: the united weight
+// rows are walked in L1-sized tiles (gemmTileRows), and each tile
+// streams from memory once and is dotted against every such member
+// before the next tile is touched, four members at a time through
+// four-row × four-input blocks (span4) and the 1–3 left over through
+// span. That is the Appleyard-style GEMV→GEMM conversion that amortizes
+// weight traffic over the inputs, which is why the fork-join shards the
+// weight rows (tall: 4h/3h/2h) rather than the inputs (wide but short).
+// A tile serves only members that share its rows, so a masked member,
+// or a lone unmasked one, walks its range untiled. Every output element
+// is the same dot chain as the serial per-member call, so the result is
 // bitwise identical to len(xs) independent Gemv/PackedGemvRows calls at
 // any GOMAXPROCS.
-func (k Kernels) PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill float32) {
+func (k Kernels) PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, masks []RowMask, fill float32) {
 	if dst.Rows != len(xs) || dst.Cols != m.Rows {
 		Panicf("tensor: PackedGemmRows shape mismatch: dst %dx%d, m %dx%d, %d inputs",
 			dst.Rows, dst.Cols, m.Rows, m.Cols, len(xs))
@@ -133,18 +141,19 @@ func (k Kernels) PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]b
 			Panicf("tensor: PackedGemmRows input length %d, m cols %d", len(x), m.Cols)
 		}
 	}
-	if skips != nil && len(skips) != len(xs) {
-		Panicf("tensor: PackedGemmRows %d masks for %d inputs", len(skips), len(xs))
+	if masks != nil && len(masks) != len(xs) {
+		Panicf("tensor: PackedGemmRows %d masks for %d inputs", len(masks), len(xs))
 	}
-	if skips != nil {
-		for _, sk := range skips {
-			if sk != nil && (len(sk) == 0 || m.Rows%len(sk) != 0) {
-				Panicf("tensor: PackedGemmRows mask length %d does not tile %d united rows",
-					len(sk), m.Rows)
-			}
+	for _, mk := range masks {
+		if mk.Seg < 0 || mk.Seg > 0 && m.Rows%mk.Seg != 0 {
+			Panicf("tensor: PackedGemmRows mask segment %d does not tile %d united rows", mk.Seg, m.Rows)
+		}
+		if n := len(mk.Kept); n > mk.Seg || n > 0 && (mk.Kept[0] < 0 || mk.Kept[n-1] >= mk.Seg) {
+			Panicf("tensor: PackedGemmRows mask keeps %d rows in [%d, %d] of a %d-row segment",
+				n, mk.Kept[0], mk.Kept[n-1], mk.Seg)
 		}
 	}
-	forkJoin(m.Rows, m.SizeBytes(), gemmRows{k, dst, m, xs, skips, fill})
+	forkJoin(m.Rows, m.SizeBytes(), gemmRows{k, dst, m, xs, masks, fill})
 }
 
 // gemmTileBytes sizes PackedGemmRows' weight tile: small enough to stay
@@ -164,33 +173,48 @@ type gemmRows struct {
 	k      Kernels
 	dst, m *Matrix
 	xs     []Vector
-	skips  [][]bool
+	masks  []RowMask
 	fill   float32
 }
 
+// masked reports whether member b skips rows.
+func (j gemmRows) masked(b int) bool { return j.masks != nil && j.masks[b].skips() }
+
 func (j gemmRows) run(lo, hi int) {
+	dense := 0
+	for b, x := range j.xs {
+		if j.masked(b) {
+			j.k.spanKept(j.dst.Row(b)[lo:hi], j.m, x, lo, j.masks[b], j.fill)
+		} else {
+			dense++
+		}
+	}
+	if dense == 0 {
+		return
+	}
 	tile := hi - lo
-	if len(j.xs) > 1 {
+	if dense > 1 {
 		tile = gemmTileRows(j.m.Cols)
 	}
 	for t0 := lo; t0 < hi; t0 += tile {
 		t1 := min(t0+tile, hi)
 		var open [4]int // unmasked members waiting for a block
 		g := 0
-		for b, x := range j.xs {
-			if j.skips != nil && j.skips[b] != nil {
-				j.k.spanMasked(j.dst.Row(b)[t0:t1], j.m, x, t0, j.skips[b], j.fill)
-			} else if open[g] = b; g < 3 {
-				g++
-			} else {
-				var dsts [4]Vector
-				var xs [4][]float32
-				for i, o := range open {
-					dsts[i], xs[i] = j.dst.Row(o)[t0:t1], j.xs[o]
-				}
-				j.k.span4(dsts, j.m, xs, t0)
-				g = 0
+		for b := range j.xs {
+			if j.masked(b) {
+				continue
 			}
+			if open[g] = b; g < 3 {
+				g++
+				continue
+			}
+			var dsts [4]Vector
+			var xs [4][]float32
+			for i, o := range open {
+				dsts[i], xs[i] = j.dst.Row(o)[t0:t1], j.xs[o]
+			}
+			j.k.span4(dsts, j.m, xs, t0)
+			g = 0
 		}
 		for _, b := range open[:g] {
 			j.k.span(j.dst.Row(b)[t0:t1], j.m, j.xs[b], t0)
@@ -255,8 +279,8 @@ func PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool, fill float3
 func PackedGemm(dst *Matrix, m *Matrix, xs []Vector) { KernelsFor(ChainSSE2).PackedGemm(dst, m, xs) }
 
 // PackedGemmRows is Kernels.PackedGemmRows on the canonical chain.
-func PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill float32) {
-	KernelsFor(ChainSSE2).PackedGemmRows(dst, m, xs, skips, fill)
+func PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, masks []RowMask, fill float32) {
+	KernelsFor(ChainSSE2).PackedGemmRows(dst, m, xs, masks, fill)
 }
 
 // WidePackedGemv is Kernels.PackedGemv on the wide chain; it and
@@ -264,6 +288,6 @@ func PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill fl
 func WidePackedGemv(dsts []Vector, m *Matrix, x Vector) { KernelsFor(ChainAVX2).PackedGemv(dsts, m, x) }
 
 // WidePackedGemmRows is Kernels.PackedGemmRows on the wide chain.
-func WidePackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, skips [][]bool, fill float32) {
-	KernelsFor(ChainAVX2).PackedGemmRows(dst, m, xs, skips, fill)
+func WidePackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, masks []RowMask, fill float32) {
+	KernelsFor(ChainAVX2).PackedGemmRows(dst, m, xs, masks, fill)
 }

@@ -28,7 +28,7 @@ func TestBlockProbeOffBitwiseUnchanged(t *testing.T) {
 	run := func() (gemm, rows *Matrix) {
 		gemm, rows = NewMatrix(len(xs), m.Rows), NewMatrix(len(xs), m.Rows)
 		PackedGemm(gemm, m, xs)
-		PackedGemmRows(rows, m, xs, skips, -1)
+		PackedGemmRows(rows, m, xs, masksOf(skips), -1)
 		return gemm, rows
 	}
 	onGemm, onRows := run()

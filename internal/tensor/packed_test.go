@@ -1,8 +1,10 @@
 package tensor
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -120,6 +122,21 @@ func randMask(r *rng.RNG, n int, p float64) []bool {
 		mask[i] = r.Bernoulli(p)
 	}
 	return mask
+}
+
+// masksOf compacts one []bool skip mask per member (nil: no mask) into
+// the kernels' RowMask set; a nil set stays nil.
+func masksOf(skips [][]bool) []RowMask {
+	if skips == nil {
+		return nil
+	}
+	masks := make([]RowMask, len(skips))
+	for b, sk := range skips {
+		if sk != nil {
+			masks[b] = maskOf(sk)
+		}
+	}
+	return masks
 }
 
 // namedMask is one skip mask of a contract corpus.
@@ -288,7 +305,7 @@ func packedGemmRowsEqualsPerMember(t *testing.T, k Kernels, _ rowBodyFn) {
 				mustFork(t, rows, m)
 			}
 			dst := NewMatrix(members, rows)
-			k.PackedGemmRows(dst, m, xs, skips, fill)
+			k.PackedGemmRows(dst, m, xs, masksOf(skips), fill)
 			for b := range xs {
 				row := dst.Row(b)
 				for i := range row {
@@ -346,7 +363,7 @@ func TestBlockedGemmBitwiseEqualsRowBody(t *testing.T) {
 		}
 		gemm, rows := NewMatrix(len(xs), m.Rows), NewMatrix(len(xs), m.Rows)
 		k.PackedGemm(gemm, m, xs)
-		k.PackedGemmRows(rows, m, xs, skips, fill)
+		k.PackedGemmRows(rows, m, xs, masksOf(skips), fill)
 		for b := range xs {
 			for i := range m.Rows {
 				w := want.At(b, i)
@@ -391,41 +408,39 @@ func TestBlockedGemmBitwiseEqualsRowBody(t *testing.T) {
 	}
 }
 
-// TestDRSSkipsWorkNotOutputs holds the masked kernels to aim 3 of the
-// roadmap: Dynamic Row Skip must skip the dot, not just overwrite its
-// output. The kernels are bound to counting bodies — a row body alone
-// (four-row calls are four row calls), a row body plus a four-row
-// body, and those plus a block body — that record every (row, member)
-// pair they dot; each united row's first element is its row index and
-// each input's its member index, which is also what the bodies return.
-// Every unmasked pair must be dotted exactly once and land in its own
-// output, every masked output must be fill, and no masked pair may be
-// dotted at all.
-func TestDRSSkipsWorkNotOutputs(t *testing.T) {
-	const seg, gates, cols, fill = 10, 3, 300, -1 // 30 rows: tiles of 12, 12, 6
-	m := NewMatrix(seg*gates, cols)
-	for r := 0; r < m.Rows; r++ {
-		m.Set(r, 0, float32(r))
-	}
-	kinds := maskKinds(rng.New(0x4d), seg)
-	// Unmasked members at the even indices (five: one block and one
-	// left over), one member per mask kind between them.
-	xs := make([]Vector, 1+2*len(kinds))
-	skips := make([][]bool, len(xs))
-	for b := range xs {
-		xs[b] = NewVector(cols)
-		xs[b][0] = float32(b)
-		if b%2 == 1 {
-			skips[b] = kinds[b/2].skip
-		}
-	}
-	var dotted map[[2]int]int
+// dotCounter binds kernels to counting bodies that record every
+// (row, member) pair they dot: each united row's first element is its
+// row index and each input's its member index, and a body returns
+// 100·row + member. Forked shards count under the mutex.
+type dotCounter struct {
+	mu     sync.Mutex
+	dotted map[[2]int]int
+	tails  int // row-body calls: the dots outside a four-row or block body
+}
+
+func (c *dotCounter) reset() {
+	c.dotted, c.tails = map[[2]int]int{}, 0
+}
+
+func (c *dotCounter) count(row, x []float32) float32 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dotted[[2]int{int(row[0]), int(x[0])}]++
+	return 100*row[0] + x[0]
+}
+
+// bodySets returns the three bindings every DRS contract runs under: a
+// row body alone (four-row calls are four row calls), a row body plus a
+// four-row body, and those plus a block body.
+func (c *dotCounter) bodySets() map[string]Kernels {
 	dot := func(row, x []float32) float32 {
-		dotted[[2]int{int(row[0]), int(x[0])}]++
-		return 100*row[0] + x[0]
+		c.mu.Lock()
+		c.tails++
+		c.mu.Unlock()
+		return c.count(row, x)
 	}
 	quad := func(r0, r1, r2, r3, x []float32) (float32, float32, float32, float32) {
-		return dot(r0, x), dot(r1, x), dot(r2, x), dot(r3, x)
+		return c.count(r0, x), c.count(r1, x), c.count(r2, x), c.count(r3, x)
 	}
 	block := func(r0, r1, r2, r3, x0, x1, x2, x3 []float32) (out [4][4]float32) {
 		for b, x := range [4][]float32{x0, x1, x2, x3} {
@@ -433,55 +448,165 @@ func TestDRSSkipsWorkNotOutputs(t *testing.T) {
 		}
 		return out
 	}
-	// check compares one kernel call's dots and outputs with the masks:
-	// out(r, b) is where the call left row r of member b, masked(r, b)
-	// whether the call was told to skip it.
-	check := func(t *testing.T, name string, members int, out func(r, b int) float32, masked func(r, b int) bool) {
-		t.Helper()
-		for r := 0; r < m.Rows; r++ {
-			for b := 0; b < members; b++ {
-				want, wantDots := float32(100*r+b), 1
-				if masked(r, b) {
-					want, wantDots = fill, 0
+	return map[string]Kernels{"dot": {dot: dot}, "+quad": {dot: dot, quad: quad}, "+block": {dot: dot, quad: quad, block: block}}
+}
+
+// countedMatrix is a rows × cols matrix whose row r starts with r, and
+// members inputs whose input b starts with b, for a dotCounter.
+func countedMatrix(rows, cols, members int) (*Matrix, []Vector) {
+	m := NewMatrix(rows, cols)
+	for r := 0; r < rows; r++ {
+		m.Set(r, 0, float32(r))
+	}
+	xs := make([]Vector, members)
+	for b := range xs {
+		xs[b] = NewVector(cols)
+		xs[b][0] = float32(b)
+	}
+	return m, xs
+}
+
+// checkDots compares one kernel call's dots and outputs over rows
+// [lo, hi) of members members with the masks: out(r, b) is where the
+// call left row r of member b, masked(r, b) whether the call was told to
+// skip it. Every kept pair must be dotted exactly once and land in its
+// own output, every masked output must be fill, and no masked pair may
+// be dotted at all.
+func checkDots(t *testing.T, c *dotCounter, name string, lo, hi, members int, fill float32, out func(r, b int) float32, masked func(r, b int) bool) {
+	t.Helper()
+	for r := lo; r < hi; r++ {
+		for b := 0; b < members; b++ {
+			want, wantDots := float32(100*r+b), 1
+			if masked(r, b) {
+				want, wantDots = fill, 0
+			}
+			if got := out(r, b); got != want {
+				t.Errorf("%s: row %d member %d = %v, want %v", name, r, b, got, want)
+			}
+			if got := c.dotted[[2]int{r, b}]; got != wantDots {
+				t.Errorf("%s: row %d member %d dotted %d times, want %d", name, r, b, got, wantDots)
+			}
+		}
+	}
+	if n := len(c.dotted); n > (hi-lo)*members {
+		t.Errorf("%s: %d pairs dotted, more than the %d of the call", name, n, (hi-lo)*members)
+	}
+}
+
+// TestDRSSkipsWorkNotOutputs holds the masked kernels to aim 3 of the
+// roadmap: Dynamic Row Skip must skip the dot, not just overwrite its
+// output. The kernels are bound to counting bodies (dotCounter) under
+// every body set. Two shapes: 30 united rows of three 10-row segments,
+// serial (the unmasked members' weight tiles are 12 rows, so tile edges
+// fall inside segments); and 771 rows of three 257-row segments, large
+// enough to fork, at GOMAXPROCS 1 and 2 — two shards of 386 rows, so
+// the second shard's masked walks start inside a segment. Neither
+// segment is a multiple of four rows, and the masks include none and all
+// skipped.
+func TestDRSSkipsWorkNotOutputs(t *testing.T) {
+	const gates, fill = 3, -1
+	for _, sh := range []struct {
+		seg, cols int
+		procs     []int
+	}{{10, 300, []int{1}}, {257, 700, []int{1, 2}}} {
+		kinds := maskKinds(rng.New(0x4d), sh.seg)
+		// Unmasked members at the even indices (five: one block and one
+		// left over), one member per mask kind between them.
+		m, xs := countedMatrix(sh.seg*gates, sh.cols, 1+2*len(kinds))
+		skips := make([][]bool, len(xs))
+		for b := range xs {
+			if b%2 == 1 {
+				skips[b] = kinds[b/2].skip
+			}
+		}
+		c := &dotCounter{}
+		atGOMAXPROCS(t, sh.procs, func(t *testing.T) {
+			if sh.seg > 10 {
+				mustFork(t, m.Rows, m)
+			}
+			for set, k := range c.bodySets() {
+				label := func(call string) string {
+					return fmt.Sprintf("seg %d GOMAXPROCS %d %s %s", sh.seg, runtime.GOMAXPROCS(0), set, call)
 				}
-				if got := out(r, b); got != want {
-					t.Errorf("%s: row %d member %d = %v, want %v", name, r, b, got, want)
+				for _, mk := range kinds {
+					rowSkip := slices.Repeat(mk.skip, gates) // the segment mask over every united row
+					c.reset()
+					dst := NewVector(m.Rows)
+					k.PackedGemvRows([]Vector{dst}, m, xs[0], rowSkip, fill)
+					checkDots(t, c, label("PackedGemvRows one destination/"+mk.name), 0, m.Rows, 1, fill,
+						func(r, _ int) float32 { return dst[r] }, func(r, _ int) bool { return rowSkip[r] })
+
+					c.reset()
+					dsts := make([]Vector, gates)
+					for g := range dsts {
+						dsts[g] = NewVector(sh.seg)
+					}
+					k.PackedGemvRows(dsts, m, xs[0], mk.skip, fill)
+					checkDots(t, c, label("PackedGemvRows/"+mk.name), 0, m.Rows, 1, fill,
+						func(r, _ int) float32 { return dsts[r/sh.seg][r%sh.seg] }, func(r, _ int) bool { return mk.skip[r%sh.seg] })
 				}
-				if got := dotted[[2]int{r, b}]; got != wantDots {
-					t.Errorf("%s: row %d member %d dotted %d times, want %d", name, r, b, got, wantDots)
+				c.reset()
+				dst := NewMatrix(len(xs), m.Rows)
+				k.PackedGemmRows(dst, m, xs, masksOf(skips), fill)
+				checkDots(t, c, label("PackedGemmRows"), 0, m.Rows, len(xs), fill,
+					func(r, b int) float32 { return dst.At(b, r) },
+					func(r, b int) bool { return skips[b] != nil && skips[b][r%sh.seg] })
+
+				c.reset()
+				k.PackedGemm(dst, m, xs)
+				checkDots(t, c, label("PackedGemm"), 0, m.Rows, len(xs), fill,
+					func(r, b int) float32 { return dst.At(b, r) }, func(int, int) bool { return false })
+			}
+		})
+	}
+}
+
+// TestDRSKeptWalkMatchesMaskAtEveryBoundary walks one member's kept list
+// (spanKept) over every row range [lo, hi) of 30 united rows in three
+// 10-row segments — ranges that start and end inside segments, as a
+// fork shard's do, span none, one or all of the segments, and hold any
+// kept-row count mod 4 — under every body set and mask kind (none, all,
+// alternating, random skipped). Each call must dot every kept pair of
+// its range once and nothing else, leave fill on the skipped rows and
+// no write outside its range, and, where a four-row body is bound, send
+// exactly its kept-row count mod 4 through the row body: the gather is
+// carried across segment edges, so a call has at most one short tail.
+func TestDRSKeptWalkMatchesMaskAtEveryBoundary(t *testing.T) {
+	const seg, gates, cols, fill, outside = 10, 3, 40, -1, -2
+	m, xs := countedMatrix(seg*gates, cols, 1)
+	c := &dotCounter{}
+	for set, k := range c.bodySets() {
+		for _, mk := range maskKinds(rng.New(0x4e), seg) {
+			mask := maskOf(mk.skip)
+			for lo := 0; lo <= m.Rows; lo++ {
+				for hi := lo; hi <= m.Rows; hi++ {
+					c.reset()
+					buf := slices.Repeat([]float32{outside}, m.Rows)
+					k.spanKept(buf[lo:hi], m, xs[0], lo, mask, fill)
+					name := fmt.Sprintf("%s/%s [%d, %d)", set, mk.name, lo, hi)
+					checkDots(t, c, name, lo, hi, 1, fill,
+						func(r, _ int) float32 { return buf[r] }, func(r, _ int) bool { return mk.skip[r%seg] })
+					for r, v := range buf {
+						if (r < lo || r >= hi) && v != outside {
+							t.Fatalf("%s: wrote row %d outside the range", name, r)
+						}
+					}
+					if k.quad == nil {
+						continue
+					}
+					kept := 0
+					for r := lo; r < hi; r++ {
+						if !mk.skip[r%seg] {
+							kept++
+						}
+					}
+					if c.tails != kept%4 {
+						t.Fatalf("%s: %d row-body dots for %d kept rows, want %d", name, c.tails, kept, kept%4)
+					}
 				}
 			}
 		}
 	}
-	atGOMAXPROCS(t, []int{1}, func(t *testing.T) {
-		for _, k := range []Kernels{{dot: dot}, {dot: dot, quad: quad}, {dot: dot, quad: quad, block: block}} {
-			for _, mk := range kinds {
-				rowSkip := slices.Repeat(mk.skip, gates) // the segment mask over every united row
-				dotted = map[[2]int]int{}
-				dst := NewVector(m.Rows)
-				k.PackedGemvRows([]Vector{dst}, m, xs[0], rowSkip, fill)
-				check(t, "PackedGemvRows one destination/"+mk.name, 1,
-					func(r, _ int) float32 { return dst[r] }, func(r, _ int) bool { return rowSkip[r] })
-
-				dotted = map[[2]int]int{}
-				dsts := []Vector{NewVector(seg), NewVector(seg), NewVector(seg)}
-				k.PackedGemvRows(dsts, m, xs[0], mk.skip, fill)
-				check(t, "PackedGemvRows/"+mk.name, 1,
-					func(r, _ int) float32 { return dsts[r/seg][r%seg] }, func(r, _ int) bool { return mk.skip[r%seg] })
-			}
-			dotted = map[[2]int]int{}
-			dst := NewMatrix(len(xs), m.Rows)
-			k.PackedGemmRows(dst, m, xs, skips, fill)
-			check(t, "PackedGemmRows", len(xs),
-				func(r, b int) float32 { return dst.At(b, r) },
-				func(r, b int) bool { return skips[b] != nil && skips[b][r%seg] })
-
-			dotted = map[[2]int]int{}
-			k.PackedGemm(dst, m, xs)
-			check(t, "PackedGemm", len(xs),
-				func(r, b int) float32 { return dst.At(b, r) }, func(int, int) bool { return false })
-		}
-	})
 }
 
 func TestPackedGemvBitwiseEqualsPerGateGemv(t *testing.T) {
@@ -532,12 +657,13 @@ func TestPackedGemmRowsNilSkipsEqualsPackedGemm(t *testing.T) {
 		}
 		want := NewMatrix(members, rows)
 		k.PackedGemm(want, m, xs)
-		for name, skips := range map[string][][]bool{
-			"nil set":   nil,
-			"nil masks": make([][]bool, members),
+		for name, masks := range map[string][]RowMask{
+			"nil set":    nil,
+			"zero masks": make([]RowMask, members),
+			"keep all":   slices.Repeat([]RowMask{maskOf(make([]bool, rows))}, members),
 		} {
 			dst := NewMatrix(members, rows)
-			k.PackedGemmRows(dst, m, xs, skips, 0)
+			k.PackedGemmRows(dst, m, xs, masks, 0)
 			for i := range dst.Data {
 				if dst.Data[i] != want.Data[i] {
 					t.Fatalf("%s: element %d: %v != %v", name, i, dst.Data[i], want.Data[i])
@@ -552,14 +678,23 @@ func TestPackedGemmRowsShapePanics(t *testing.T) {
 		m := NewMatrix(8, 4)
 		xs := []Vector{NewVector(4), NewVector(4)}
 		mustPanic(t, map[string]func(){
-			"dst rows":    func() { k.PackedGemmRows(NewMatrix(3, 8), m, xs, nil, 0) },
-			"dst cols":    func() { k.PackedGemmRows(NewMatrix(2, 7), m, xs, nil, 0) },
-			"x cols":      func() { k.PackedGemmRows(NewMatrix(2, 8), m, []Vector{NewVector(4), NewVector(5)}, nil, 0) },
-			"skips count": func() { k.PackedGemmRows(NewMatrix(2, 8), m, xs, make([][]bool, 3), 0) },
-			"mask tiling": func() { k.PackedGemmRows(NewMatrix(2, 8), m, xs, [][]bool{make([]bool, 3), nil}, 0) },
-			"empty mask":  func() { k.PackedGemmRows(NewMatrix(2, 8), m, xs, [][]bool{{}, nil}, 0) },
+			"dst rows":     func() { k.PackedGemmRows(NewMatrix(3, 8), m, xs, nil, 0) },
+			"dst cols":     func() { k.PackedGemmRows(NewMatrix(2, 7), m, xs, nil, 0) },
+			"x cols":       func() { k.PackedGemmRows(NewMatrix(2, 8), m, []Vector{NewVector(4), NewVector(5)}, nil, 0) },
+			"skips count":  func() { k.PackedGemmRows(NewMatrix(2, 8), m, xs, make([]RowMask, 3), 0) },
+			"mask tiling":  func() { k.PackedGemmRows(NewMatrix(2, 8), m, xs, []RowMask{maskOf(make([]bool, 3)), {}}, 0) },
+			"negative seg": func() { k.PackedGemmRows(NewMatrix(2, 8), m, xs, []RowMask{{Seg: -4}, {}}, 0) },
+			"kept, no seg": func() { k.PackedGemmRows(NewMatrix(2, 8), m, xs, []RowMask{{Kept: []int{0}}, {}}, 0) },
+			"kept past seg": func() {
+				k.PackedGemmRows(NewMatrix(2, 8), m, xs, []RowMask{{Seg: 4, Kept: []int{1, 4}}, {}}, 0)
+			},
+			"kept below 0": func() {
+				k.PackedGemmRows(NewMatrix(2, 8), m, xs, []RowMask{{Seg: 4, Kept: []int{-1, 2}}, {}}, 0)
+			},
 			// A GRU 2h skip mask on its 3h united matrix (h = 2).
-			"gru 2h mask on 3h": func() { k.PackedGemmRows(NewMatrix(2, 6), NewMatrix(6, 4), xs, [][]bool{make([]bool, 4), nil}, 0) },
+			"gru 2h mask on 3h": func() {
+				k.PackedGemmRows(NewMatrix(2, 6), NewMatrix(6, 4), xs, []RowMask{maskOf([]bool{true, false, false, true}), {}}, 0)
+			},
 		})
 	})
 }

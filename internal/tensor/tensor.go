@@ -14,8 +14,9 @@
 //   - packed (packed.go): PackedGemv/PackedGemvRows over a row-wise
 //     united gate matrix (Pack; the paper's U_{f,i,c,o}), streaming
 //     the input once per cell instead of once per gate — under a DRS
-//     skip mask the unmasked rows are gathered four at a time, so
-//     skipped rows cost no dot — and the whole-layer / batch-B
+//     mask the kept rows are walked off a compacted list (RowMask) four
+//     at a time, so skipped rows cost neither a dot nor a branch — and
+//     the whole-layer / batch-B
 //     PackedGemm/PackedGemmRows, whose independent rows fan out over a
 //     size-gated fork-join (parallel.go), bitwise identical to the
 //     serial kernels at any GOMAXPROCS.

@@ -38,7 +38,7 @@ func TestEntryPointsBindTheirChain(t *testing.T) {
 	xs := []Vector{randVector(r, cols), randVector(r, cols), randVector(r, cols)}
 	x := xs[0]
 	skip := randMask(r, seg, 0.3)
-	skips := [][]bool{nil, skip, nil}
+	skips := masksOf([][]bool{nil, skip, nil})
 	// Every kernel writes into (row 0 of) a fresh len(xs) × rows matrix,
 	// which run returns flat; segs views row 0 as the per-gate dsts.
 	run := func(fn func(d *Matrix)) []float32 {
