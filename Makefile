@@ -57,10 +57,11 @@ lint-ci:
 	fi; \
 	exit $$status
 
-# Short deterministic shake of the gpu fuzz targets; CI runs this in
-# addition to `check`.
+# Short shake of the fuzz targets (the gpu cache simulator and the
+# tensor span bodies); CI runs these in addition to `check`.
 fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzCacheAccess -fuzztime=10s ./internal/gpu/
+	$(GO) test -run=Fuzz -fuzz=FuzzSpanBodies -fuzztime=10s ./internal/tensor/
 
 # Focused race gate for the concurrent serving path: the serve package
 # plus the shared-engine regression tests in core. Already covered by

@@ -19,12 +19,13 @@ import (
 //
 // A KernelChain names a chain; a body is code that carries it. The
 // canonical chain has four bodies — the pure-Go definition, the SSE2
-// row body, the AVX four-row body (dot_quad_amd64.s, four rows against
-// one x per call) and the AVX-512 block body (dot_block_amd64.s, four
-// rows against four inputs per call) — and the wide chain two. There is
-// one kernel family (Kernels): KernelsFor resolves a selection to its
-// bodies once, and every kernel of a run dots its rows through that
-// binding.
+// row body, the AVX four-row span bodies (dot_quad_amd64.s, the
+// four-row groups of a row range, a kept-row list or one gathered group
+// against one x per call) and the AVX-512 block span body
+// (dot_block_amd64.s, the four-row groups of a row range against four
+// inputs per call) — and the wide chain two. There is one kernel family
+// (Kernels): KernelsFor resolves a selection to its bodies once, and
+// every kernel of a run dots its rows through that binding.
 // The process default (MOBILSTM_KERNEL_CHAIN) is the only production
 // selector; explicit bindings are the package-level entry points
 // (PackedGemv…, WidePacked…) and calibration's. A ChainGeneric process default additionally pins every chain to its
@@ -147,19 +148,22 @@ func KernelsFor(c KernelChain) Kernels {
 		c = def
 	}
 	asm := def != ChainGeneric
-	return Kernels{
-		dot:   rowBody(c, asm, asm && hasWideBody),
-		quad:  quadBody(c, asm && hasQuadBody),
-		block: blockBody(c, asm && hasBlockBody),
+	k := goKernels(rowBody(c, asm, asm && hasWideBody))
+	if quad, kept, gather := quadBody(c, asm && hasQuadBody); quad != nil {
+		k.quad, k.kept, k.gather = quad, kept, gather
 	}
+	if block := blockBody(c, asm && hasBlockBody); block != nil {
+		k.block = block
+	}
+	return k
 }
 
 // rowBody is the resolution table — one row per chain: the row body
 // that carries chain c when assembly is allowed (asm) and the AVX2+FMA
-// body is usable (avx2); quadBody is its four-row column and blockBody
-// its four-row × four-input column. Adding a chain is a constant with
-// its name, a reference Go body, optionally an assembly body behind a
-// probe, and a row here.
+// body is usable (avx2); quadBody is its four-row span column and
+// blockBody its four-row × four-input span column. Adding a chain is a
+// constant with its name, a reference Go body, optionally an assembly
+// body behind a probe, and a row here.
 func rowBody(c KernelChain, asm, avx2 bool) rowBodyFn {
 	switch c {
 	case ChainGeneric:
@@ -179,28 +183,31 @@ func rowBody(c KernelChain, asm, avx2 bool) rowBodyFn {
 	return nil
 }
 
-// quadBody is the table's four-row column: the body that dots four rows
-// against one x for chain c when the AVX four-row body is usable (avx:
-// the probe allows it and the process is not forced generic), or nil —
-// four calls of the row body (Kernels.dot4). Only the canonical chain
-// through its assembly binding has one; the wide chain and the pure-Go
-// canonical binding dot row by row.
-func quadBody(c KernelChain, avx bool) quadBodyFn {
+// quadBody is the table's four-row column: the span bodies that dot the
+// four-row groups of a row range, of a kept-row list and of one gathered
+// group against one x for chain c when the AVX four-row body is usable
+// (avx: the probe allows it and the process is not forced generic), or
+// nils — the binding keeps the pure-Go spans over its row body
+// (goKernels). Only the canonical chain through its assembly binding
+// has them; the wide chain and the pure-Go canonical binding dot row by
+// row.
+func quadBody(c KernelChain, avx bool) (quadBodyFn, keptBodyFn, gatherBodyFn) {
 	if c == ChainSSE2 && avx {
-		return dotQuadAVX
+		return quadSpanAVX, keptSpanAVX, gatherAVX
 	}
-	return nil
+	return nil, nil, nil
 }
 
-// blockBody is the table's four-row × four-input column: the body that
-// dots four rows against four inputs for chain c when the AVX-512 block
-// body is usable (avx512: the probe allows it and the process is not
-// forced generic), or nil — four four-row calls (Kernels.dot4x4). As in
-// quadBody, only the canonical chain through its assembly binding has
-// one.
+// blockBody is the table's four-row × four-input column: the span body
+// that dots the four-row groups of a row range against four inputs for
+// chain c when the AVX-512 block body is usable (avx512: the probe
+// allows it and the process is not forced generic), or nil — the
+// binding keeps the pure-Go block span, one four-row span per input
+// (blockRows). As in quadBody, only the canonical chain through its
+// assembly binding has one.
 func blockBody(c KernelChain, avx512 bool) blockBodyFn {
 	if c == ChainSSE2 && avx512 {
-		return dotBlockAVX512
+		return blockSpanAVX512
 	}
 	return nil
 }

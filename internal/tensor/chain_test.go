@@ -74,7 +74,7 @@ func TestChainFromEnv(t *testing.T) {
 // values compare only through their code pointers), so the resolution
 // tests assert on which body a binding runs rather than on output bits
 // — the canonical bodies agree bitwise by construction, so bits cannot
-// tell them apart. An unbound four-row or block body is "none".
+// tell them apart. A table column that binds nothing is "none".
 func bodyName(f any) string {
 	fv := reflect.ValueOf(f)
 	if fv.IsNil() {
@@ -83,7 +83,9 @@ func bodyName(f any) string {
 	for name, b := range map[string]any{
 		"dotRowGeneric": dotRowGeneric, "dotRowSSE2": dotRowSSE2,
 		"dotRowWideGeneric": dotRowWideGeneric, "dotRowAVX2": dotRowAVX2,
-		"dotQuadAVX": dotQuadAVX, "dotBlockAVX512": dotBlockAVX512,
+		"quadRows": quadRows, "keptRows": keptRows, "gatherRows": gatherRows, "blockRows": blockRows,
+		"quadSpanAVX": quadSpanAVX, "keptSpanAVX": keptSpanAVX, "gatherAVX": gatherAVX,
+		"blockSpanAVX512": blockSpanAVX512,
 	} {
 		if fv.Pointer() == reflect.ValueOf(b).Pointer() {
 			return name
@@ -101,10 +103,24 @@ func quadProbe() bool { c := CPU(); return c.AVX && c.OSYMM }
 // AVX-512F with OS-saved opmask and ZMM state.
 func blockProbe() bool { c := CPU(); return c.AVX512F && c.OSZMM }
 
-// boundBodies names the three bodies a binding runs: row, four-row and
-// block.
-func boundBodies(k Kernels) [3]string {
-	return [3]string{bodyName(k.dot), bodyName(k.quad), bodyName(k.block)}
+// boundBodies names the five bodies a binding runs: row, the three
+// four-row spans (range, kept list, gathered group) and the block span.
+func boundBodies(k Kernels) [5]string {
+	return [5]string{bodyName(k.dot), bodyName(k.quad), bodyName(k.kept), bodyName(k.gather), bodyName(k.block)}
+}
+
+// withSpans is a binding's expected names: row body dot, and the
+// assembly four-row and block span bodies where quad and block say
+// they are bound, the pure-Go spans otherwise.
+func withSpans(dot string, quad, block bool) [5]string {
+	want := [5]string{dot, "quadRows", "keptRows", "gatherRows", "blockRows"}
+	if quad {
+		want[1], want[2], want[3] = "quadSpanAVX", "keptSpanAVX", "gatherAVX"
+	}
+	if block {
+		want[4] = "blockSpanAVX512"
+	}
+	return want
 }
 
 // TestForcedGenericDisablesAssemblyBodies pins the resolution table:
@@ -139,12 +155,17 @@ func TestForcedGenericDisablesAssemblyBodies(t *testing.T) {
 		want  string
 	}{
 		{ChainGeneric, true, "none"},
-		{ChainSSE2, true, "dotQuadAVX"},
+		{ChainSSE2, true, "quadSpanAVX"},
 		{ChainSSE2, false, "none"},
 		{ChainAVX2, true, "none"},
 	} {
-		if got := bodyName(quadBody(c.chain, c.avx)); got != c.want {
-			t.Errorf("quadBody(%v, avx=%v) = %s, want %s", c.chain, c.avx, got, c.want)
+		quad, kept, gather := quadBody(c.chain, c.avx)
+		want := [3]string{"none", "none", "none"}
+		if c.want != "none" {
+			want = [3]string{"quadSpanAVX", "keptSpanAVX", "gatherAVX"}
+		}
+		if got := [3]string{bodyName(quad), bodyName(kept), bodyName(gather)}; got != want {
+			t.Errorf("quadBody(%v, avx=%v) = %s, want %s", c.chain, c.avx, got, want)
 		}
 	}
 	for _, c := range []struct {
@@ -153,7 +174,7 @@ func TestForcedGenericDisablesAssemblyBodies(t *testing.T) {
 		want   string
 	}{
 		{ChainGeneric, true, "none"},
-		{ChainSSE2, true, "dotBlockAVX512"},
+		{ChainSSE2, true, "blockSpanAVX512"},
 		{ChainSSE2, false, "none"},
 		{ChainAVX2, true, "none"},
 	} {
@@ -161,28 +182,23 @@ func TestForcedGenericDisablesAssemblyBodies(t *testing.T) {
 			t.Errorf("blockBody(%v, avx512=%v) = %s, want %s", c.chain, c.avx512, got, c.want)
 		}
 	}
-	wide, quad, block := "dotRowWideGeneric", "none", "none"
+	wide := "dotRowWideGeneric"
 	if HasAVX2FMA() {
 		wide = "dotRowAVX2"
 	}
-	if quadProbe() {
-		quad = "dotQuadAVX"
-	}
-	if blockProbe() {
-		block = "dotBlockAVX512"
-	}
-	canon := [3]string{"dotRowSSE2", quad, block}
+	canon := withSpans("dotRowSSE2", quadProbe(), blockProbe())
+	generic := withSpans("dotRowGeneric", false, false)
 	for _, c := range []struct {
 		def, sel KernelChain
-		want     [3]string
+		want     [5]string
 	}{
-		{ChainGeneric, ChainAuto, [3]string{"dotRowGeneric", "none", "none"}},
-		{ChainGeneric, ChainSSE2, [3]string{"dotRowGeneric", "none", "none"}},
-		{ChainGeneric, ChainAVX2, [3]string{"dotRowWideGeneric", "none", "none"}},
+		{ChainGeneric, ChainAuto, generic},
+		{ChainGeneric, ChainSSE2, generic},
+		{ChainGeneric, ChainAVX2, withSpans("dotRowWideGeneric", false, false)},
 		{ChainSSE2, ChainAuto, canon},
-		{ChainSSE2, ChainGeneric, [3]string{"dotRowGeneric", "none", "none"}},
-		{ChainSSE2, ChainAVX2, [3]string{wide, "none", "none"}},
-		{ChainAVX2, ChainAuto, [3]string{wide, "none", "none"}},
+		{ChainSSE2, ChainGeneric, generic},
+		{ChainSSE2, ChainAVX2, withSpans(wide, false, false)},
+		{ChainAVX2, ChainAuto, withSpans(wide, false, false)},
 		{ChainAVX2, ChainSSE2, canon},
 	} {
 		withChain(t, c.def, func(t *testing.T) {
@@ -202,23 +218,18 @@ func TestChainMatrixLegRunsItsBodies(t *testing.T) {
 	if got := ActiveKernelChain(); got != leg {
 		t.Fatalf("process default %v, want the %s leg %v", got, KernelChainEnv, leg)
 	}
-	// Row, four-row and block body per chain: the generic leg binds no
+	// Row, four-row and block bodies per chain: the generic leg binds no
 	// assembly; otherwise the canonical chain runs the SSE2 row body,
-	// the AVX four-row body iff the CPU has AVX with OS-saved YMM state
-	// and the AVX-512 block body iff it has AVX-512F with OS-saved ZMM
-	// state, and the wide chain its AVX2+FMA body iff the probe allows.
-	canon, wide := [3]string{"dotRowSSE2", "none", "none"}, [3]string{"dotRowWideGeneric", "none", "none"}
-	if leg == ChainGeneric {
-		canon[0] = "dotRowGeneric"
-	} else {
+	// the AVX four-row span bodies iff the CPU has AVX with OS-saved YMM
+	// state and the AVX-512 block span body iff it has AVX-512F with
+	// OS-saved ZMM state, and the wide chain its AVX2+FMA body iff the
+	// probe allows.
+	canon := withSpans("dotRowGeneric", false, false)
+	wide := withSpans("dotRowWideGeneric", false, false)
+	if leg != ChainGeneric {
+		canon = withSpans("dotRowSSE2", quadProbe(), blockProbe())
 		if HasAVX2FMA() {
 			wide[0] = "dotRowAVX2"
-		}
-		if quadProbe() {
-			canon[1] = "dotQuadAVX"
-		}
-		if blockProbe() {
-			canon[2] = "dotBlockAVX512"
 		}
 	}
 	auto := canon
@@ -227,7 +238,7 @@ func TestChainMatrixLegRunsItsBodies(t *testing.T) {
 	}
 	for _, c := range []struct {
 		sel  KernelChain
-		want [3]string
+		want [5]string
 	}{{ChainAuto, auto}, {ChainSSE2, canon}, {ChainAVX2, wide}} {
 		got := boundBodies(KernelsFor(c.sel))
 		t.Logf("leg %v (CPU %s): KernelsFor(%v) runs %s", leg, CPU(), c.sel, got)

@@ -49,15 +49,15 @@ var hasWideBody = cpuFeatures.AVX && cpuFeatures.AVX2 && cpuFeatures.FMA && cpuF
 
 // hasQuadBody reports whether the canonical chain's AVX four-row body
 // is usable on this CPU: 256-bit VMULPS/VADDPS need AVX and OS-saved
-// YMM state, nothing more. ChainSSE2 dots four rows as four row-body
-// calls otherwise (quadBody).
+// YMM state, nothing more. ChainSSE2 binds the pure-Go four-row spans,
+// one row-body call per row, otherwise (quadBody).
 var hasQuadBody = cpuFeatures.AVX && cpuFeatures.OSYMM
 
 // hasBlockBody reports whether the canonical chain's AVX-512 block body
 // is usable on this CPU: 512-bit VMULPS/VADDPS and the ZMM16-31
 // accumulators need AVX-512F and OS-saved opmask and ZMM state. A block
-// is four four-row calls otherwise (blockBody). Tests clear it to reach
-// that path.
+// span is four four-row spans otherwise (blockBody). Tests clear it to
+// reach that path.
 var hasBlockBody = cpuFeatures.AVX512F && cpuFeatures.OSZMM
 
 // hasActBody reports whether SigmoidVec/TanhVec may run their AVX2+FMA

@@ -19,45 +19,110 @@ func dotRowSSE2(row, x []float32) float32 {
 // bitwise; see the chain definition in kernel.go.
 func dotSSE(row, x *float32, n int) float32
 
-// dotQuadAVX carries the canonical chain four rows at a time in the
-// AVX body in dot_quad_amd64.s: output k is bitwise dotRowGeneric(rk,
-// x). The rows must share one length and x must be at least as long;
-// as in dotRowSSE2 the re-slices keep the slice contract in Go.
-// KernelsFor binds it only where the probe reports AVX with OS-saved
-// YMM state (hasQuadBody) and the process is not forced generic.
-func dotQuadAVX(r0, r1, r2, r3, x []float32) (float32, float32, float32, float32) {
-	n := len(r0)
-	if n == 0 {
-		return 0, 0, 0, 0
+// The span bodies below carry the canonical chain four rows at a time
+// over a whole span in one assembly call: every output is bitwise
+// dotRowGeneric of its row. The assembly has no bounds checks, so each
+// wrapper proves its span in bounds once per call — every destination
+// it writes and every row it reads — and handles the empty row in Go,
+// where a zero-length slice has no address. KernelsFor binds the
+// four-row bodies only where the probe reports AVX with OS-saved YMM
+// state (hasQuadBody), the block body only where it reports AVX-512F
+// with OS-saved opmask and ZMM state (hasBlockBody), and neither in a
+// process forced generic.
+
+// quadSpanAVX is quadRows (kernel.go) through the AVX four-row body in
+// dot_quad_amd64.s.
+func quadSpanAVX(_ Kernels, dst, w, x []float32) {
+	groups, n := len(dst)/4, len(x)
+	if groups == 0 {
+		return
 	}
-	r1, r2, r3, x = r1[:n], r2[:n], r3[:n], x[:n]
-	return dot4AVX(&r0[0], &r1[0], &r2[0], &r3[0], &x[0], n)
+	if n == 0 {
+		clear(dst[:4*groups])
+		return
+	}
+	w = w[:4*groups*n]
+	dot4SpanAVX(&dst[0], &w[0], &x[0], nil, 0, n, groups)
 }
 
-// dot4AVX is implemented in dot_quad_amd64.s. Each result must match
-// dotRowGeneric bitwise; see the chain definition in kernel.go.
-func dot4AVX(r0, r1, r2, r3, x *float32, n int) (s0, s1, s2, s3 float32)
-
-// dotBlockAVX512 carries the canonical chain four rows against four
-// inputs at a time in the AVX-512 body in dot_block_amd64.s: out[b][i]
-// is bitwise dotRowGeneric(ri, xb). The rows must share one length and
-// every input must be at least as long; as in dotQuadAVX the re-slices
-// keep the slice contract in Go. KernelsFor binds it only where the
-// probe reports AVX-512F with OS-saved opmask and ZMM state
-// (hasBlockBody) and the process is not forced generic.
-func dotBlockAVX512(r0, r1, r2, r3, x0, x1, x2, x3 []float32) (out [4][4]float32) {
-	n := len(r0)
-	if n == 0 {
-		return out
+// keptSpanAVX is keptRows through the AVX four-row body. kept is
+// strictly ascending (RowMask's contract, which PackedGemmRows
+// validates), so its first and last rows bound every row it names.
+func keptSpanAVX(_ Kernels, dst, w, x []float32, kept []int, off int) {
+	groups, n := len(kept)/4, len(x)
+	if groups == 0 {
+		return
 	}
-	r1, r2, r3 = r1[:n], r2[:n], r3[:n]
-	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
-	dot4x4AVX512(&out, &r0[0], &r1[0], &r2[0], &r3[0], &x0[0], &x1[0], &x2[0], &x3[0], n)
-	return out
+	kept = kept[:4*groups]
+	if first, last := off+kept[0], off+kept[len(kept)-1]; first < 0 || last >= len(dst) || first > last {
+		Panicf("tensor: kept rows [%d, %d] outside a %d-row span", first, last, len(dst))
+	}
+	if n == 0 {
+		for _, r := range kept {
+			dst[off+r] = 0
+		}
+		return
+	}
+	w = w[:len(dst)*n]
+	dot4SpanAVX(&dst[0], &w[0], &x[0], &kept[0], off, n, groups)
 }
 
-// dot4x4AVX512 is implemented in dot_block_amd64.s. Each result must
-// match dotRowGeneric bitwise; see the chain definition in kernel.go.
+// gatherAVX is gatherRows through the AVX four-row body: one group of
+// four rows named by index, each checked.
+func gatherAVX(_ Kernels, dst, w, x []float32, at [4]int) {
+	for _, i := range at {
+		if uint(i) >= uint(len(dst)) {
+			Panicf("tensor: gathered row %d outside a %d-row span", i, len(dst))
+		}
+	}
+	n := len(x)
+	if n == 0 {
+		for _, i := range at {
+			dst[i] = 0
+		}
+		return
+	}
+	w = w[:len(dst)*n]
+	dot4SpanAVX(&dst[0], &w[0], &x[0], &at[0], 0, n, 1)
+}
+
+// dot4SpanAVX is implemented in dot_quad_amd64.s: groups groups of four
+// rows — rows 4g..4g+3 when idx is nil, rows off+idx[4g..4g+3]
+// otherwise — each dotted against x and stored to dst at its row
+// index. Each result must match dotRowGeneric bitwise; see the chain
+// definition in kernel.go.
 //
 //go:noescape
-func dot4x4AVX512(out *[4][4]float32, r0, r1, r2, r3, x0, x1, x2, x3 *float32, n int)
+func dot4SpanAVX(dst, w, x *float32, idx *int, off, n, groups int)
+
+// blockSpanAVX512 is blockRows (kernel.go) through the AVX-512 block
+// body in dot_block_amd64.s.
+func blockSpanAVX512(_ Kernels, dsts [4][]float32, w []float32, xs [4][]float32) {
+	groups, n := len(dsts[0])/4, len(xs[0])
+	if groups == 0 {
+		return
+	}
+	for b := range dsts {
+		dsts[b] = dsts[b][:4*groups]
+	}
+	if n == 0 {
+		for _, d := range dsts {
+			clear(d)
+		}
+		return
+	}
+	for b := range xs {
+		xs[b] = xs[b][:n]
+	}
+	w = w[:4*groups*n]
+	dot4x4SpanAVX512(&dsts[0][0], &dsts[1][0], &dsts[2][0], &dsts[3][0], &w[0],
+		&xs[0][0], &xs[1][0], &xs[2][0], &xs[3][0], n, groups)
+}
+
+// dot4x4SpanAVX512 is implemented in dot_block_amd64.s: groups groups
+// of four rows of w, rows 4g..4g+3, each dotted against the four
+// inputs, db[i] the dot of row i and xb. Each result must match
+// dotRowGeneric bitwise; see the chain definition in kernel.go.
+//
+//go:noescape
+func dot4x4SpanAVX512(d0, d1, d2, d3, w, x0, x1, x2, x3 *float32, n, groups int)

@@ -1,25 +1,28 @@
-// func dot4x4AVX512(out *[4][4]float32, r0, r1, r2, r3, x0, x1, x2, x3 *float32, n int)
+// func dot4x4SpanAVX512(d0, d1, d2, d3, w, x0, x1, x2, x3 *float32, n, groups int)
 //
-// AVX-512 block body of the canonical dot-product chain: four rows
-// dotted against four inputs per call, out[b][i] bitwise the chain that
-// dotRowGeneric in kernel.go defines for row i and input b. The chain
-// has sixteen lanes, so one ZMM register holds a (row, input) pair's
-// whole accumulator — groups [A|B|C|D] — and Z16+4b+i is pair (i, b).
-// VMULPS and VADDPS apply lanewise IEEE float32 multiply then add — no
-// FMA — so each lane sum is the same operation sequence as its Go
-// counterpart. Per 16-float block each row and each input is loaded
-// once and used four times: the weight stream is read once per four
-// inputs instead of once per input.
+// AVX-512 block span body of the canonical dot-product chain: groups
+// groups of four rows of w (rows of n floats, group g is rows
+// 4g..4g+3) dotted against four inputs per call, db[i] bitwise the
+// chain that dotRowGeneric in kernel.go defines for row i and input b.
+// The Go wrapper in dot_amd64.go proves every row and destination in
+// bounds. The chain has sixteen lanes, so one ZMM register holds a
+// (row, input) pair's whole accumulator — groups [A|B|C|D] — and
+// Z16+4b+i is pair (i, b). VMULPS and VADDPS apply lanewise IEEE
+// float32 multiply then add — no FMA — so each lane sum is the same
+// operation sequence as its Go counterpart. Per 16-float block each row
+// and each input is loaded once and used four times: the weight stream
+// is read once per four inputs instead of once per input.
 //
 // The fold runs all sixteen pairs at once and keeps each pair's order of
 // operations: a transpose of 128-bit blocks lines up the A, B, C and D
 // groups of four pairs for the lanewise (A+B)+(C+D), a transpose within
 // the blocks lines up their lanes l0..l3 for the scalar
 // ((l0+l1)+l2)+l3, and the serial remainder adds one rounded product per
-// element to every pair's sum in one register, whose lane 4b+i is
-// out[b][i]. Every instruction is AVX-512F (no VL, DQ or BW forms):
-// VPXORD clears the accumulators, and the only 128-bit ops (the
-// remainder's loads) touch X4/X5 alone.
+// element to every pair's sum in one register, whose lane 4b+i is pair
+// (i, b): 128-bit block b of it is db's four outputs. Every instruction
+// is AVX-512F (no VL, DQ or BW forms): VPXORD clears the accumulators,
+// and the only 128-bit ops are the remainder's loads (X4/X5) and the
+// stores of the four output blocks.
 
 #include "textflag.h"
 
@@ -73,17 +76,21 @@ DATA tailIdx<>+56(SB)/4, $3
 DATA tailIdx<>+60(SB)/4, $3
 GLOBL tailIdx<>(SB), RODATA|NOPTR, $64
 
-TEXT ·dot4x4AVX512(SB), NOSPLIT, $0-80
-	MOVQ   out+0(FP), R12
-	MOVQ   r0+8(FP), R8
-	MOVQ   r1+16(FP), R9
-	MOVQ   r2+24(FP), R10
-	MOVQ   r3+32(FP), R11
-	MOVQ   x0+40(FP), DI
-	MOVQ   x1+48(FP), SI
-	MOVQ   x2+56(FP), DX
-	MOVQ   x3+64(FP), BX
+TEXT ·dot4x4SpanAVX512(SB), NOSPLIT, $0-88
+	MOVQ w+32(FP), R8        // row 0 of the first group
+	MOVQ x0+40(FP), DI
+	MOVQ x1+48(FP), SI
+	MOVQ x2+56(FP), DX
+	MOVQ x3+64(FP), BX
+	XORQ R12, R12            // byte offset of the group's outputs
+
+group:
 	MOVQ   n+72(FP), CX
+	MOVQ   CX, AX
+	SHLQ   $2, AX            // bytes per row
+	LEAQ   (R8)(AX*1), R9
+	LEAQ   (R9)(AX*1), R10
+	LEAQ   (R10)(AX*1), R11
 	VPXORD Z16, Z16, Z16
 	VPXORD Z17, Z17, Z17
 	VPXORD Z18, Z18, Z18
@@ -126,8 +133,7 @@ fold:
 	// One register per row of [l(input 0)|..|l(input 3)], then a 4×4
 	// transpose within every 128-bit block (VUNPCK*) puts lane k of every
 	// pair's l in Z8+k, so the scalar fold ((l0+l1)+l2)+l3 of all sixteen
-	// pairs is three lanewise adds. Lane 4b+i of Z8 is then pair (i, b):
-	// out's own order.
+	// pairs is three lanewise adds. Lane 4b+i of Z8 is then pair (i, b).
 	GROUP(Z16, Z20, Z24, Z28, Z12)
 	GROUP(Z17, Z21, Z25, Z29, Z13)
 	GROUP(Z18, Z22, Z26, Z30, Z14)
@@ -144,7 +150,7 @@ fold:
 	VADDPS    Z10, Z8, Z8    // +l2
 	VADDPS    Z11, Z8, Z8    // +l3
 	ANDQ      $15, CX
-	JZ        done
+	JZ        store
 	VMOVUPS   tailIdx<>(SB), Z6
 
 tail:
@@ -167,7 +173,23 @@ tail:
 	DECQ       CX
 	JNZ        tail
 
-done:
-	VMOVUPS Z8, (R12)
+store:
+	// Block b of Z8 is db's four outputs. AX is now the row length in
+	// bytes, so the next group starts one row past row 3.
+	LEAQ          (R11)(AX*1), R8
+	MOVQ          d0+0(FP), AX
+	VMOVUPS       X8, (AX)(R12*1)
+	VEXTRACTF32X4 $1, Z8, X9
+	MOVQ          d1+8(FP), AX
+	VMOVUPS       X9, (AX)(R12*1)
+	VEXTRACTF32X4 $2, Z8, X9
+	MOVQ          d2+16(FP), AX
+	VMOVUPS       X9, (AX)(R12*1)
+	VEXTRACTF32X4 $3, Z8, X9
+	MOVQ          d3+24(FP), AX
+	VMOVUPS       X9, (AX)(R12*1)
+	ADDQ          $16, R12
+	DECQ          groups+80(FP)
+	JNZ           group
 	VZEROUPPER
 	RET

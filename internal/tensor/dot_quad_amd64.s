@@ -1,29 +1,66 @@
-// func dot4AVX(r0, r1, r2, r3, x *float32, n int) (s0, s1, s2, s3 float32)
+// func dot4SpanAVX(dst, w, x *float32, idx *int, off, n, groups int)
 //
-// AVX four-row body of the canonical dot-product chain: four rows
-// dotted against one x per call, each output bitwise the chain that
-// dotRowGeneric in kernel.go defines and dotSSE carries one row at a
-// time. Per row, YMM register 2k holds the chain's groups [A|B] (lanes
-// 0..7) and 2k+1 holds [C|D] (lanes 8..15): VMULPS and VADDPS apply
-// lanewise IEEE float32 multiply then add — no FMA — so each lane sum
-// is the same operation sequence as its Go counterpart, just two
-// groups per register. The fold is VEXTRACTF128 plus lanewise
-// (A+B)+(C+D), then scalar ((l0+l1)+l2)+l3, then the serial scalar
-// remainder, exactly as in dotSSE. The x block is loaded once per 16
-// floats and reused by all four rows, and the four rows keep eight
-// independent accumulator chains in flight where dotSSE has four.
-// VZEROUPPER runs once the last 256-bit instruction has retired, before
-// the scalar fold.
+// AVX four-row span body of the canonical dot-product chain: groups
+// groups of four rows of w (rows of n floats) dotted against one x per
+// call, each output bitwise the chain that dotRowGeneric in kernel.go
+// defines and dotSSE carries one row at a time. Group g is rows
+// 4g..4g+3 when idx is nil, and rows off+idx[4g..4g+3] otherwise (a
+// kept-row list); row i's dot is stored to dst[i]. The Go wrappers in
+// dot_amd64.go prove every row and destination in bounds.
+//
+// Per row, YMM register 2k holds the chain's groups [A|B] (lanes 0..7)
+// and 2k+1 holds [C|D] (lanes 8..15): VMULPS and VADDPS apply lanewise
+// IEEE float32 multiply then add — no FMA — so each lane sum is the
+// same operation sequence as its Go counterpart, just two groups per
+// register. The fold is VEXTRACTF128 plus lanewise (A+B)+(C+D), then
+// scalar ((l0+l1)+l2)+l3, then the serial scalar remainder, exactly as
+// in dotSSE. The x block is loaded once per 16 floats and reused by all
+// four rows, and the four rows keep eight independent accumulator
+// chains in flight where dotSSE has four. VZEROUPPER runs once each
+// group's last 256-bit instruction has retired, before the scalar fold.
 
 #include "textflag.h"
 
-TEXT ·dot4AVX(SB), NOSPLIT, $0-64
-	MOVQ   r0+0(FP), R8
-	MOVQ   r1+8(FP), R9
-	MOVQ   r2+16(FP), R10
-	MOVQ   r3+24(FP), R11
-	MOVQ   x+32(FP), DI
+TEXT ·dot4SpanAVX(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), R12
+	MOVQ w+8(FP), R13
+	MOVQ x+16(FP), DI
+	MOVQ idx+24(FP), SI
+	XORQ DX, DX              // first row of a contiguous group
+
+group:
+	// The group's row indices into R8..R11, then their addresses.
+	TESTQ SI, SI
+	JZ    seqrows
+	MOVQ  0(SI), R8
+	MOVQ  8(SI), R9
+	MOVQ  16(SI), R10
+	MOVQ  24(SI), R11
+	MOVQ  off+32(FP), AX
+	ADDQ  AX, R8
+	ADDQ  AX, R9
+	ADDQ  AX, R10
+	ADDQ  AX, R11
+	JMP   rows
+
+seqrows:
+	MOVQ DX, R8
+	LEAQ 1(DX), R9
+	LEAQ 2(DX), R10
+	LEAQ 3(DX), R11
+
+rows:
 	MOVQ   n+40(FP), CX
+	MOVQ   CX, AX
+	SHLQ   $2, AX            // bytes per row
+	IMULQ  AX, R8
+	IMULQ  AX, R9
+	IMULQ  AX, R10
+	IMULQ  AX, R11
+	ADDQ   R13, R8
+	ADDQ   R13, R9
+	ADDQ   R13, R10
+	ADDQ   R13, R11
 	VXORPS Y0, Y0, Y0        // row 0 [A|B]
 	VXORPS Y1, Y1, Y1        // row 0 [C|D]
 	VXORPS Y2, Y2, Y2        // row 1 [A|B]
@@ -111,7 +148,7 @@ fold:
 	VADDSS  X9, X6, X6
 	VADDSS  X10, X6, X6
 	ANDQ    $15, CX
-	JZ      done
+	JZ      store
 
 tail:
 	// Serial remainder, s += row[j]*x[j] for each row: one rounded
@@ -129,9 +166,35 @@ tail:
 	DECQ   CX
 	JNZ    tail
 
-done:
-	VMOVSS X0, s0+48(FP)
-	VMOVSS X2, s1+52(FP)
-	VMOVSS X4, s2+56(FP)
-	VMOVSS X6, s3+60(FP)
+store:
+	// dst[i] for the group's rows i, read again off the list or the
+	// contiguous row counter.
+	TESTQ  SI, SI
+	JZ     seqstore
+	MOVQ   off+32(FP), AX
+	MOVQ   0(SI), R8
+	ADDQ   AX, R8
+	VMOVSS X0, (R12)(R8*4)
+	MOVQ   8(SI), R8
+	ADDQ   AX, R8
+	VMOVSS X2, (R12)(R8*4)
+	MOVQ   16(SI), R8
+	ADDQ   AX, R8
+	VMOVSS X4, (R12)(R8*4)
+	MOVQ   24(SI), R8
+	ADDQ   AX, R8
+	VMOVSS X6, (R12)(R8*4)
+	ADDQ   $32, SI
+	JMP    next
+
+seqstore:
+	VMOVSS X0, (R12)(DX*4)
+	VMOVSS X2, 4(R12)(DX*4)
+	VMOVSS X4, 8(R12)(DX*4)
+	VMOVSS X6, 12(R12)(DX*4)
+	ADDQ   $4, DX
+
+next:
+	DECQ groups+48(FP)
+	JNZ  group
 	RET

@@ -6,11 +6,11 @@ import "slices"
 // package — serial or packed — reduces each output element to exactly
 // one row dot of the chain its Kernels value is bound to, so results
 // are bitwise identical however rows and inputs are blocked (four rows
-// per dot4 call, four rows × four inputs per dot4x4 call, tiled,
-// gathered under a mask), sharded across goroutines, or scattered
-// across united-gate destinations. Do not add a kernel with
-// a different summation order: the equivalence tests (and the lstm/gru
-// bitwise-determinism guarantees) all lean on this invariant.
+// per group, four rows × four inputs per block, tiled, gathered under a
+// mask), sharded across goroutines, or scattered across united-gate
+// destinations. Do not add a kernel with a different summation order:
+// the equivalence tests (and the lstm/gru bitwise-determinism
+// guarantees) all lean on this invariant.
 
 // Kernels is the GEMV/GEMM kernel family bound to one accumulation
 // chain (KernelsFor): each shape is written once as a method — its
@@ -20,26 +20,56 @@ import "slices"
 // interchangeable; the wide chain (ChainAVX2)
 // has its own wide-vs-wide contract and drifts a few ULP from the
 // canonical bits, so one run uses one Kernels value throughout.
+//
+// Besides the row body, a binding has four span bodies, each called
+// once per span rather than once per four rows: a vector body pays its
+// call — argument set-up, bounds proofs, the ABI transition — once for
+// a whole row range or kept-row list, the host's counterpart of the
+// paper's one launch for many rows (§IV-C). Every span body computes
+// whole groups of four rows only; its caller dots the last 1–3 rows
+// through the row body. A span body receives its own binding, so the
+// pure-Go spans (quadRows, keptRows, gatherRows, blockRows) loop over
+// the binding's row and four-row bodies, and a binding with no vector
+// body keeps the one traversal of one with.
 type Kernels struct {
 	// dot is the row body: row · x[:len(row)], one accumulation chain.
 	dot rowBodyFn
-	// quad, when bound, is a four-row body of the same chain: four rows
-	// of one length against one x per call, each output bitwise its row
-	// body's. nil means dot4 makes four row-body calls.
+	// quad is the four-row span body over a row range: dst[i] = row i ·
+	// x for every i in [0, len(dst)&^3), where row i is w[i*n:(i+1)*n]
+	// and n = len(x).
 	quad quadBodyFn
-	// block, when bound, is a four-row × four-input body of the same
-	// chain: out[b][i] is bitwise the row body's dot of ri and xb. nil
-	// means dot4x4 makes four dot4 calls.
+	// kept is the four-row span body over a kept-row list: dst[i] = row
+	// i · x for every i = off+kept[j], j in [0, len(kept)&^3). kept is
+	// strictly ascending and every such i lies in [0, len(dst)); w holds
+	// len(dst) rows.
+	kept keptBodyFn
+	// gather is the four-row body over one group named by value: dst[i]
+	// = row i · x for the four i of at, each in [0, len(dst)). A caller
+	// whose indices live on its stack passes them here, by value, so
+	// they never escape to the heap through the indirect call.
+	gather gatherBodyFn
+	// block is the four-row × four-input span body over a row range:
+	// dsts[b][i] = row i · xs[b] for every i in [0, len(dsts[0])&^3),
+	// the four destinations of one length and n = len(xs[0]).
 	block blockBodyFn
 }
 
-// rowBodyFn, quadBodyFn and blockBodyFn are the body signatures of
-// Kernels.
+// rowBodyFn is the row body's signature; quadBodyFn, keptBodyFn,
+// gatherBodyFn and blockBodyFn are the span bodies' (see Kernels).
 type (
-	rowBodyFn   = func(row, x []float32) float32
-	quadBodyFn  = func(r0, r1, r2, r3, x []float32) (float32, float32, float32, float32)
-	blockBodyFn = func(r0, r1, r2, r3, x0, x1, x2, x3 []float32) [4][4]float32
+	rowBodyFn    = func(row, x []float32) float32
+	quadBodyFn   = func(k Kernels, dst, w, x []float32)
+	keptBodyFn   = func(k Kernels, dst, w, x []float32, kept []int, off int)
+	gatherBodyFn = func(k Kernels, dst, w, x []float32, at [4]int)
+	blockBodyFn  = func(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32)
 )
+
+// goKernels binds row body dot with the pure-Go span bodies over it —
+// every binding without a vector span body, and the base KernelsFor
+// overrides where the probes allow.
+func goKernels(dot rowBodyFn) Kernels {
+	return Kernels{dot: dot, quad: quadRows, kept: keptRows, gather: gatherRows, block: blockRows}
+}
 
 // dotRowGeneric is the reference row kernel and the definition of the
 // canonical accumulation chain: sixteen partial sums over the
@@ -49,12 +79,13 @@ type (
 // carries the same chain in packed SSE2 — MULPS/ADDPS apply lanewise,
 // so each XMM register holds exactly one group's four sums and the
 // assembly is bitwise identical to this function (pinned by
-// TestDotRowMatchesGeneric); dot_quad_amd64.s carries it for four rows
-// at once with two groups per YMM register (TestDotQuadMatchesGeneric),
-// and dot_block_amd64.s for four rows against four inputs with all four
-// groups in one ZMM register per (row, input) pair
-// (TestDotBlockMatchesGeneric). The x re-slice lets the compiler prove
-// both index streams in-bounds, erasing the per-element checks.
+// TestDotRowMatchesGeneric); dot_quad_amd64.s carries it for the
+// four-row groups of a span with two groups per YMM register
+// (TestDotQuadMatchesGeneric), and dot_block_amd64.s for the four-row
+// groups of a span against four inputs with all four groups in one ZMM
+// register per (row, input) pair (TestDotBlockMatchesGeneric). The x
+// re-slice lets the compiler prove both index streams in-bounds,
+// erasing the per-element checks.
 func dotRowGeneric(row, x []float32) float32 {
 	n := len(row)
 	x = x[:n]
@@ -92,68 +123,65 @@ func dotRowGeneric(row, x []float32) float32 {
 	return s
 }
 
-// dot4 dots four rows of one length against x: one call of the bound
-// four-row body, or four calls of the row body where none is bound.
-// Either way output k is the row body's dot of rk — bitwise the same
-// chain — so the kernels below keep one traversal for every binding.
-func (k Kernels) dot4(r0, r1, r2, r3, x []float32) (float32, float32, float32, float32) {
-	if k.quad != nil {
-		return k.quad(r0, r1, r2, r3, x)
+// quadRows is the pure-Go four-row span: each row of the whole groups
+// one call of k's row body.
+func quadRows(k Kernels, dst, w, x []float32) {
+	n := len(x)
+	for i := range len(dst) &^ 3 {
+		dst[i] = k.dot(w[i*n:i*n+n], x)
 	}
-	return k.dot(r0, x), k.dot(r1, x), k.dot(r2, x), k.dot(r3, x)
 }
 
-// dot4x4 dots four rows of one length against four inputs: one call of
-// the bound block body, or four dot4 calls where none is bound — just
-// as dot4 falls back to four row-body calls. Either way out[b][i] is
-// the row body's dot of ri and xb, so a blocked traversal is one
-// traversal for every binding.
-func (k Kernels) dot4x4(r0, r1, r2, r3, x0, x1, x2, x3 []float32) (out [4][4]float32) {
-	if k.block != nil {
-		return k.block(r0, r1, r2, r3, x0, x1, x2, x3)
+// keptRows is the pure-Go kept-row span: each listed row of the whole
+// groups one call of k's row body.
+func keptRows(k Kernels, dst, w, x []float32, kept []int, off int) {
+	n := len(x)
+	for _, r := range kept[:len(kept)&^3] {
+		i := off + r
+		dst[i] = k.dot(w[i*n:i*n+n], x)
 	}
-	for b, x := range [4][]float32{x0, x1, x2, x3} {
-		out[b][0], out[b][1], out[b][2], out[b][3] = k.dot4(r0, r1, r2, r3, x)
+}
+
+// gatherRows is the pure-Go gather: keptRows over the four indices.
+func gatherRows(k Kernels, dst, w, x []float32, at [4]int) { keptRows(k, dst, w, x, at[:], 0) }
+
+// blockRows is the pure-Go block span: one four-row span of k per
+// input, each output the row body's dot of its pair.
+func blockRows(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32) {
+	for b, d := range dsts {
+		k.quad(k, d, w, xs[b])
 	}
-	return out
 }
 
 // span computes dst[i] = row(row0+i) · x for every i in
 // [0, len(dst)) — the shared row-range body of Gemv and the packed
-// kernels — four rows per dot4 call and the last len(dst)%4 through
-// the row body. Every row is one dot chain, so shard, segment and
-// four-row boundaries never change a single output bit.
+// kernels — in one call of the four-row span body and the last
+// len(dst)%4 rows through the row body. Every row is one dot chain, so
+// shard, segment and four-row boundaries never change a single output
+// bit.
 func (k Kernels) span(dst Vector, m *Matrix, x Vector, row0 int) {
-	n := m.Cols
-	w := m.Data[row0*n : (row0+len(dst))*n]
-	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		q := w[i*n : (i+4)*n]
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = k.dot4(q[:n], q[n:2*n], q[2*n:3*n], q[3*n:], x)
-	}
-	for ; i < len(dst); i++ {
+	n, rows := m.Cols, len(dst)
+	w, x := m.Data[row0*n:(row0+rows)*n], x[:n]
+	k.quad(k, dst, w, x)
+	for i := rows &^ 3; i < rows; i++ {
 		dst[i] = k.dot(w[i*n:i*n+n], x)
 	}
 }
 
 // span4 is span over four inputs at once: dsts[b][i] = row(row0+i) ·
 // xs[b] for every i in [0, len(dsts[0])), the four destinations of one
-// length. Rows go four at a time through dot4x4, so each weight row is
-// loaded once per four inputs; the last len(dsts[0])%4 rows go through
-// the row body, once per input. Every (row, input) pair is one dot
-// chain, dotted exactly once.
-func (k Kernels) span4(dsts [4]Vector, m *Matrix, xs [4][]float32, row0 int) {
+// length. One call of the block span body dots the whole four-row
+// groups, so each weight row is loaded once per four inputs; the last
+// len(dsts[0])%4 rows go through the row body, once per input. Every
+// (row, input) pair is one dot chain, dotted exactly once.
+func (k Kernels) span4(dsts [4][]float32, m *Matrix, xs [4][]float32, row0 int) {
 	n, rows := m.Cols, len(dsts[0])
 	w := m.Data[row0*n : (row0+rows)*n]
-	i := 0
-	for ; i+4 <= rows; i += 4 {
-		q := w[i*n : (i+4)*n]
-		out := k.dot4x4(q[:n], q[n:2*n], q[2*n:3*n], q[3*n:], xs[0], xs[1], xs[2], xs[3])
-		for b, d := range dsts {
-			copy(d[i:i+4], out[b][:])
-		}
+	for b := range xs {
+		xs[b] = xs[b][:n]
 	}
-	for ; i < rows; i++ {
+	k.block(k, dsts, w, xs)
+	for i := rows &^ 3; i < rows; i++ {
 		row := w[i*n : i*n+n]
 		for b, d := range dsts {
 			d[i] = k.dot(row, xs[b])
@@ -177,33 +205,37 @@ type RowMask struct {
 // skips reports whether the mask skips any row.
 func (mk RowMask) skips() bool { return len(mk.Kept) < mk.Seg }
 
-// maskOf compacts a []bool mask (skip[r] marks row r skipped) into a
-// RowMask over len(skip) rows; a nil skip is the zero mask.
-func maskOf(skip []bool) RowMask {
-	kept := make([]int, 0, len(skip))
-	for r, s := range skip {
-		if !s {
-			kept = append(kept, r)
+// badKept returns the position of the first entry of Kept that breaks
+// its contract — strictly ascending in [0, Seg) — or -1: one pass that
+// proves every index a walk of the list gathers.
+func (mk RowMask) badKept() int {
+	prev := -1
+	for j, r := range mk.Kept {
+		if r <= prev || r >= mk.Seg {
+			return j
 		}
+		prev = r
 	}
-	return RowMask{Seg: len(skip), Kept: kept}
+	return -1
 }
 
 // spanKept is span under a compacted DRS mask: dst[i] = row(row0+i) · x
 // for the rows mk keeps and fill for the others. The skipped outputs
 // are filled in one pass; then the kept rows of [row0, row0+len(dst))
 // are read off mk's list segment by segment — the walk may start and end
-// inside a segment (a fork shard's edge), found by binary search — and
-// dotted four at a time through dot4, the gather carried across segment
-// edges, so only the call's last 1–3 kept rows go through the row body.
-// No row is tested: DRS skips the work, not just the outputs.
+// inside a segment (a fork shard's edge), found by binary search — one
+// kept span body call per segment. A segment's 1–3 rows past its last
+// whole group are carried into the next segment's first group, which
+// goes through the gather body, so only the call's last 1–3 kept rows go
+// through the row body. No row is tested: DRS skips the work, not just
+// the outputs.
 func (k Kernels) spanKept(dst Vector, m *Matrix, x Vector, row0 int, mk RowMask, fill float32) {
 	for i := range dst {
 		dst[i] = fill
 	}
 	n, seg, end := m.Cols, mk.Seg, row0+len(dst)
-	row := func(i int) []float32 { o := (row0 + i) * n; return m.Data[o : o+n] }
-	var at [4]int // gathered rows waiting for a dot4, as dst indices
+	w, x := m.Data[row0*n:end*n], x[:n]
+	var at [4]int // carried rows waiting for a group, as dst indices
 	g := 0
 	for base := row0 - row0%seg; base < end; base += seg {
 		kept := mk.Kept
@@ -219,21 +251,51 @@ func (k Kernels) spanKept(dst Vector, m *Matrix, x Vector, row0 int, mk RowMask,
 				g++
 				continue
 			}
-			dst[at[0]], dst[at[1]], dst[at[2]], dst[at[3]] =
-				k.dot4(row(at[0]), row(at[1]), row(at[2]), row(at[3]), x)
+			k.gather(k, dst, w, x, at)
 			g = 0
 		}
-		for ; len(kept) >= 4; kept = kept[4:] {
-			i0, i1, i2, i3 := off+kept[0], off+kept[1], off+kept[2], off+kept[3]
-			dst[i0], dst[i1], dst[i2], dst[i3] = k.dot4(row(i0), row(i1), row(i2), row(i3), x)
-		}
-		for _, r := range kept {
+		k.kept(k, dst, w, x, kept, off)
+		for _, r := range kept[len(kept)&^3:] {
 			at[g] = off + r
 			g++
 		}
 	}
 	for _, i := range at[:g] {
-		dst[i] = k.dot(row(i), x)
+		dst[i] = k.dot(w[i*n:i*n+n], x)
+	}
+}
+
+// skipChunk is how many mask rows spanSkip compacts at a time.
+const skipChunk = 64
+
+// spanSkip is spanKept for a []bool mask over one segment: dst[i] =
+// row i of w · x where skip[i] is false, and fill where it is true. The
+// mask is compacted skipChunk rows at a time into a list on the stack,
+// with no per-row branch, and each chunk's whole groups go through the
+// gather body by value, so the list never escapes; the 1–3 rows past a
+// chunk's last group are held for the next, and the call's last 1–3
+// kept rows go through the row body.
+func (k Kernels) spanSkip(dst Vector, w []float32, x Vector, skip []bool, fill float32) {
+	dst.Fill(fill)
+	n := len(x)
+	var buf [skipChunk + 3]int
+	held := 0
+	for c0 := 0; c0 < len(skip); c0 += skipChunk {
+		c := held
+		for r, s := range skip[c0:min(c0+skipChunk, len(skip))] {
+			buf[c] = c0 + r
+			if !s {
+				c++
+			}
+		}
+		list := buf[:c]
+		for ; len(list) >= 4; list = list[4:] {
+			k.gather(k, dst, w, x, [4]int(list))
+		}
+		held = copy(buf[:], list)
+	}
+	for _, i := range buf[:held] {
+		dst[i] = k.dot(w[i*n:i*n+n], x)
 	}
 }
 

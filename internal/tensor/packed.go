@@ -1,5 +1,7 @@
 package tensor
 
+import "slices"
+
 // United-gate packed kernels: the paper's central trick — concatenate
 // the per-gate weight matrices row-wise into one united matrix
 // (U_{f,i,c,o} is 4h×h, the GRU's U_{z,r} is 2h×h) and stream the input
@@ -79,8 +81,8 @@ func (k Kernels) PackedGemv(dsts []Vector, m *Matrix, x Vector) {
 // Sgemv(U_{f,i,c}, h, R) kernel with trivial rows disabled: one skip
 // decision covers the row in all gates, exactly as Algorithm 3 shares
 // o_t's triviality across U_f, U_i, U_c. A nil skip computes every row.
-// The mask is compacted into its kept rows once and every segment is
-// walked off that list (spanKept), as PackedGemmRows walks a RowMask.
+// Each segment compacts the mask into its kept rows chunk by chunk
+// (spanSkip), so the call allocates nothing.
 func (k Kernels) PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool, fill float32) {
 	packedRows("PackedGemvRows", dsts, m, x)
 	if len(dsts) == 0 {
@@ -95,10 +97,10 @@ func (k Kernels) PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool,
 	if skip != nil && len(skip) != seg {
 		Panicf("tensor: PackedGemvRows skip length %d, segment %d", len(skip), seg)
 	}
-	mk := maskOf(skip)
+	masked := slices.Contains(skip, true)
 	for g, d := range dsts {
-		if mk.skips() {
-			k.spanKept(d, m, x, g*seg, mk, fill)
+		if masked {
+			k.spanSkip(d, m.Data[g*seg*m.Cols:(g+1)*seg*m.Cols], x, skip, fill)
 		} else {
 			k.span(d, m, x, g*seg)
 		}
@@ -115,19 +117,23 @@ func (k Kernels) PackedGemvRows(dsts []Vector, m *Matrix, x Vector, skip []bool,
 // fill — unless r % Seg is in its Kept list.
 //
 // A masked member walks its kept rows of the shard's row range once,
-// off its list (spanKept): four rows per dot4, with no per-row test and
-// at most one tail of 1–3 rows, so the skipped rows cost neither a dot
-// nor a branch — the software CRM. The members without a mask (and
+// off its list (spanKept): one four-row span body call per segment, with
+// no per-row test and at most one tail of 1–3 rows, so the skipped rows
+// cost neither a dot nor a branch — the software CRM. Every list must be
+// strictly ascending in [0, Seg); the call checks each one whole before
+// any row is dotted, since the assembly bodies gather rows by index
+// with no bounds checks of their own. The members without a mask (and
 // those whose mask keeps every row) go tile-outer: the united weight
 // rows are walked in L1-sized tiles (gemmTileRows), and each tile
 // streams from memory once and is dotted against every such member
 // before the next tile is touched, four members at a time through
-// four-row × four-input blocks (span4) and the 1–3 left over through
-// span. That is the Appleyard-style GEMV→GEMM conversion that amortizes
+// four-row × four-input block span calls (span4) and the 1–3 left over
+// through span. That is the Appleyard-style GEMV→GEMM conversion that amortizes
 // weight traffic over the inputs, which is why the fork-join shards the
 // weight rows (tall: 4h/3h/2h) rather than the inputs (wide but short).
-// A tile serves only members that share its rows, so a masked member,
-// or a lone unmasked one, walks its range untiled. Every output element
+// A tile pays only where more than one span call dots it, so a masked
+// member, a lone unmasked one, and exactly four unmasked ones (one
+// block) walk the range untiled, in one call. Every output element
 // is the same dot chain as the serial per-member call, so the result is
 // bitwise identical to len(xs) independent Gemv/PackedGemvRows calls at
 // any GOMAXPROCS.
@@ -148,9 +154,9 @@ func (k Kernels) PackedGemmRows(dst *Matrix, m *Matrix, xs []Vector, masks []Row
 		if mk.Seg < 0 || mk.Seg > 0 && m.Rows%mk.Seg != 0 {
 			Panicf("tensor: PackedGemmRows mask segment %d does not tile %d united rows", mk.Seg, m.Rows)
 		}
-		if n := len(mk.Kept); n > mk.Seg || n > 0 && (mk.Kept[0] < 0 || mk.Kept[n-1] >= mk.Seg) {
-			Panicf("tensor: PackedGemmRows mask keeps %d rows in [%d, %d] of a %d-row segment",
-				n, mk.Kept[0], mk.Kept[n-1], mk.Seg)
+		if j := mk.badKept(); j >= 0 {
+			Panicf("tensor: PackedGemmRows mask keeps row %d at %d, not strictly ascending in [0, %d)",
+				mk.Kept[j], j, mk.Seg)
 		}
 	}
 	forkJoin(m.Rows, m.SizeBytes(), gemmRows{k, dst, m, xs, masks, fill})
@@ -192,8 +198,10 @@ func (j gemmRows) run(lo, hi int) {
 	if dense == 0 {
 		return
 	}
+	// A tile pays only when several span calls (a block per four
+	// members, a span per member left over) reuse it from L1.
 	tile := hi - lo
-	if dense > 1 {
+	if dense/4+dense%4 > 1 {
 		tile = gemmTileRows(j.m.Cols)
 	}
 	for t0 := lo; t0 < hi; t0 += tile {
@@ -208,8 +216,7 @@ func (j gemmRows) run(lo, hi int) {
 				g++
 				continue
 			}
-			var dsts [4]Vector
-			var xs [4][]float32
+			var dsts, xs [4][]float32
 			for i, o := range open {
 				dsts[i], xs[i] = j.dst.Row(o)[t0:t1], j.xs[o]
 			}
@@ -226,8 +233,8 @@ func (j gemmRows) run(lo, hi int) {
 // the whole-layer united W·x stage (step 2 of Algorithm 1, where all
 // cell inputs are ready up-front): dst is a len(xs) × m.Rows row-major
 // matrix whose row t is the united gate pre-activation of cell t. The
-// inputs go four at a time through four-row × four-input blocks
-// (span4), so W streams once per four cells rather than once per cell;
+// inputs go four at a time through four-row × four-input block span
+// calls (span4), so W streams once per four cells rather than once per cell;
 // the 1–3 left over go through span. A W too large for L2 fans the
 // independent t rows out over the parallel worker shards (see
 // parallel.go). Every output element is one dot chain, so the result is
@@ -257,7 +264,7 @@ func (j gemm) run(lo, hi int) {
 	t := lo
 	for ; t+4 <= hi; t += 4 {
 		d, x := j.dst, j.xs
-		j.k.span4([4]Vector{d.Row(t), d.Row(t + 1), d.Row(t + 2), d.Row(t + 3)}, j.m,
+		j.k.span4([4][]float32{d.Row(t), d.Row(t + 1), d.Row(t + 2), d.Row(t + 3)}, j.m,
 			[4][]float32{x[t], x[t+1], x[t+2], x[t+3]}, 0)
 	}
 	for ; t < hi; t++ {

@@ -35,7 +35,7 @@ func TestBlockProbeOffBitwiseUnchanged(t *testing.T) {
 	prev := hasBlockBody
 	hasBlockBody = false
 	defer func() { hasBlockBody = prev }()
-	if got := bodyName(KernelsFor(ChainSSE2).block); got != "none" {
+	if got := bodyName(KernelsFor(ChainSSE2).block); got != "blockRows" {
 		t.Fatalf("probe off: the canonical chain binds %s", got)
 	}
 	offGemm, offRows := run()

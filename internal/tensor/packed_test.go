@@ -124,6 +124,18 @@ func randMask(r *rng.RNG, n int, p float64) []bool {
 	return mask
 }
 
+// maskOf compacts a []bool mask (skip[r] marks row r skipped) into a
+// RowMask over len(skip) rows.
+func maskOf(skip []bool) RowMask {
+	kept := make([]int, 0, len(skip))
+	for r, s := range skip {
+		if !s {
+			kept = append(kept, r)
+		}
+	}
+	return RowMask{Seg: len(skip), Kept: kept}
+}
+
 // masksOf compacts one []bool skip mask per member (nil: no mask) into
 // the kernels' RowMask set; a nil set stays nil.
 func masksOf(skips [][]bool) []RowMask {
@@ -323,25 +335,26 @@ func TestGemvBitwiseEqualsRowBody(t *testing.T) { forEachChain(t, gemvEqualsRowB
 
 // TestBlockedGemmBitwiseEqualsRowBody pins the four-row × four-input
 // traversal of PackedGemm and PackedGemmRows through a pure-Go block
-// body (sixteen dotRowGeneric calls) bound in a test-only Kernels
-// value, so its edges are pinned on runners without AVX-512 too: input
-// counts of every class mod 4, row counts of every class mod 4 (ending
-// PackedGemmRows' last weight tile), unmasked and masked members
-// interleaved in one call, and the fork-join shard edges of the h = 650
-// united matrix (2600 rows in shards of 1300 or 325, 17 inputs in
-// shards of 9 and 8). Every output must be its pair's dotRowGeneric, or
-// fill where masked.
+// span body (sixteen dotRowGeneric calls per group) bound in a
+// test-only Kernels value, so its edges are pinned on runners without
+// AVX-512 too: input counts of every class mod 4, row counts of every
+// class mod 4 (ending PackedGemmRows' last weight tile), unmasked and
+// masked members interleaved in one call, and the fork-join shard edges
+// of the h = 650 united matrix (2600 rows in shards of 1300 or 325, 17
+// inputs in shards of 9 and 8). Every output must be its pair's
+// dotRowGeneric, or fill where masked.
 func TestBlockedGemmBitwiseEqualsRowBody(t *testing.T) {
 	var blocks atomic.Int64
-	k := Kernels{dot: dotRowGeneric, block: func(r0, r1, r2, r3, x0, x1, x2, x3 []float32) (out [4][4]float32) {
+	k := goKernels(dotRowGeneric)
+	k.block = func(_ Kernels, dsts [4][]float32, w []float32, xs [4][]float32) {
 		blocks.Add(1)
-		for b, x := range [4][]float32{x0, x1, x2, x3} {
-			for i, row := range [4][]float32{r0, r1, r2, r3} {
-				out[b][i] = dotRowGeneric(row, x)
+		n := len(xs[0])
+		for b, d := range dsts {
+			for i := range len(d) &^ 3 {
+				d[i] = dotRowGeneric(w[i*n:i*n+n], xs[b])
 			}
 		}
-		return out
-	}}
+	}
 	const fill = -2.5
 	r := rng.New(0x4b)
 	// check runs both kernels over m and xs — PackedGemmRows with a
@@ -429,9 +442,12 @@ func (c *dotCounter) count(row, x []float32) float32 {
 	return 100*row[0] + x[0]
 }
 
-// bodySets returns the three bindings every DRS contract runs under: a
-// row body alone (four-row calls are four row calls), a row body plus a
-// four-row body, and those plus a block body.
+// bodySets returns the three bindings every DRS contract runs under,
+// each with span-level counting bodies: a row body alone (every span is
+// the pure-Go loop over it, so every dot is a row-body call), a row
+// body plus four-row span bodies, and those plus a block span body. The
+// span bodies dot through count, not the row body: their rows are not
+// tails.
 func (c *dotCounter) bodySets() map[string]Kernels {
 	dot := func(row, x []float32) float32 {
 		c.mu.Lock()
@@ -439,16 +455,16 @@ func (c *dotCounter) bodySets() map[string]Kernels {
 		c.mu.Unlock()
 		return c.count(row, x)
 	}
-	quad := func(r0, r1, r2, r3, x []float32) (float32, float32, float32, float32) {
-		return c.count(r0, x), c.count(r1, x), c.count(r2, x), c.count(r3, x)
-	}
-	block := func(r0, r1, r2, r3, x0, x1, x2, x3 []float32) (out [4][4]float32) {
-		for b, x := range [4][]float32{x0, x1, x2, x3} {
-			out[b][0], out[b][1], out[b][2], out[b][3] = quad(r0, r1, r2, r3, x)
-		}
-		return out
-	}
-	return map[string]Kernels{"dot": {dot: dot}, "+quad": {dot: dot, quad: quad}, "+block": {dot: dot, quad: quad, block: block}}
+	spans := goKernels(c.count)
+	quad := func(_ Kernels, dst, w, x []float32) { quadRows(spans, dst, w, x) }
+	kept := func(_ Kernels, dst, w, x []float32, kept []int, off int) { keptRows(spans, dst, w, x, kept, off) }
+	gather := func(_ Kernels, dst, w, x []float32, at [4]int) { gatherRows(spans, dst, w, x, at) }
+	block := func(_ Kernels, dsts [4][]float32, w []float32, xs [4][]float32) { blockRows(spans, dsts, w, xs) }
+	plusQuad := goKernels(dot)
+	plusQuad.quad, plusQuad.kept, plusQuad.gather = quad, kept, gather
+	plusBlock := plusQuad
+	plusBlock.block = block
+	return map[string]Kernels{"dot": goKernels(dot), "+quad": plusQuad, "+block": plusBlock}
 }
 
 // countedMatrix is a rows × cols matrix whose row r starts with r, and
@@ -568,9 +584,10 @@ func TestDRSSkipsWorkNotOutputs(t *testing.T) {
 // kept-row count mod 4 — under every body set and mask kind (none, all,
 // alternating, random skipped). Each call must dot every kept pair of
 // its range once and nothing else, leave fill on the skipped rows and
-// no write outside its range, and, where a four-row body is bound, send
-// exactly its kept-row count mod 4 through the row body: the gather is
-// carried across segment edges, so a call has at most one short tail.
+// no write outside its range, and, where four-row span bodies are
+// bound, send exactly its kept-row count mod 4 through the row body: the
+// gather is carried across segment edges, so a call has at most one
+// short tail.
 func TestDRSKeptWalkMatchesMaskAtEveryBoundary(t *testing.T) {
 	const seg, gates, cols, fill, outside = 10, 3, 40, -1, -2
 	m, xs := countedMatrix(seg*gates, cols, 1)
@@ -591,7 +608,7 @@ func TestDRSKeptWalkMatchesMaskAtEveryBoundary(t *testing.T) {
 							t.Fatalf("%s: wrote row %d outside the range", name, r)
 						}
 					}
-					if k.quad == nil {
+					if set == "dot" {
 						continue
 					}
 					kept := 0
@@ -761,4 +778,52 @@ func TestPackedShapePanics(t *testing.T) {
 		})
 	})
 	mustPanic(t, map[string]func(){"rowblock": func() { NewMatrix(8, 4).RowBlock(3, 9) }})
+}
+
+// TestPackedGemmRowsRejectsMalformedKept: PackedGemmRows checks every
+// kept list whole — strictly ascending in [0, Seg) — before it dots a
+// row, since the assembly bodies gather rows by index with no bounds
+// checks of their own. An interior index past the segment, a repeated
+// index and a descending list, each with in-range ends, must be Panicf
+// violations that leave dst and the canaries around it untouched.
+func TestPackedGemmRowsRejectsMalformedKept(t *testing.T) {
+	forEachChain(t, func(t *testing.T, k Kernels, _ rowBodyFn) {
+		r := rng.New(0x4f)
+		m := randMatrix(r, 32, 8)
+		xs := []Vector{randVector(r, 8), randVector(r, 8)}
+		for name, kept := range map[string][]int{
+			"interior past seg": {0, 1, 9, 3},
+			"duplicate":         {1, 2, 2, 5},
+			"descending":        {6, 4, 3, 1},
+		} {
+			dst, buf := canaried(len(xs) * m.Rows)
+			var err error
+			func() {
+				defer Guard(&err)
+				k.PackedGemmRows(&Matrix{Rows: len(xs), Cols: m.Rows, Data: dst}, m, xs,
+					[]RowMask{{}, {Seg: 8, Kept: kept}}, 0)
+			}()
+			if err == nil {
+				t.Errorf("%s %v: no violation", name, kept)
+			}
+			checkCanaried(t, name, buf, func(int) bool { return false }, nil)
+		}
+	})
+}
+
+// TestPackedGemvRowsAllocatesNothing pins the []bool-masked kernel at
+// zero allocations: the mask is compacted chunk by chunk on the stack
+// and handed to the gather body by value.
+func TestPackedGemvRowsAllocatesNothing(t *testing.T) {
+	forEachChain(t, func(t *testing.T, k Kernels, _ rowBodyFn) {
+		r := rng.New(0x50)
+		const seg = 200 // more than three mask chunks
+		m := randMatrix(r, 3*seg, 24)
+		x := randVector(r, m.Cols)
+		dsts := []Vector{NewVector(seg), NewVector(seg), NewVector(seg)}
+		skip := randMask(r, seg, 0.6)
+		if got := testing.AllocsPerRun(50, func() { k.PackedGemvRows(dsts, m, x, skip, -1) }); got != 0 {
+			t.Errorf("PackedGemvRows makes %v allocs, want 0", got)
+		}
+	})
 }

@@ -5,24 +5,28 @@
 //
 // There is one kernel family, Kernels (kernel.go): every shape is a
 // method written once and bound (KernelsFor, chain.go) to the bodies of
-// a KernelChain — a row body and, where the chain and CPU have one, a
-// four-row body — so all of a binding's kernels share one inner
-// accumulation chain and are bitwise interchangeable:
+// a KernelChain — a row body and span bodies that dot the four-row
+// groups of a whole row range, kept-row list or four inputs per call
+// (in assembly where the chain and CPU have it, otherwise the pure-Go
+// loops over the row body) — so all of a binding's kernels share one
+// inner accumulation chain and are bitwise interchangeable:
 //
-//   - serial: Gemv — every output row is one row dot, walked four rows
-//     per call;
+//   - serial: Gemv — every output row is one row dot, a row range's
+//     whole four-row groups in one span body call;
 //   - packed (packed.go): PackedGemv/PackedGemvRows over a row-wise
 //     united gate matrix (Pack; the paper's U_{f,i,c,o}), streaming
 //     the input once per cell instead of once per gate — under a DRS
-//     mask the kept rows are walked off a compacted list (RowMask) four
-//     at a time, so skipped rows cost neither a dot nor a branch — and
+//     mask the kept rows are walked off a compacted list (RowMask), one
+//     span body call per segment, so skipped rows cost neither a dot
+//     nor a branch — and
 //     the whole-layer / batch-B
 //     PackedGemm/PackedGemmRows, whose independent rows fan out over a
 //     size-gated fork-join (parallel.go), bitwise identical to the
 //     serial kernels at any GOMAXPROCS.
 //
 // The chains are the canonical 16-lane chain (dotRowGeneric; on amd64
-// the SSE2 row body and, with AVX, the four-row body) and the
+// the SSE2 row body, with AVX the four-row span bodies and with
+// AVX-512 the block span body) and the
 // explicitly selected wide 32-lane FMA chain (dotRowWideGeneric,
 // AVX2+FMA assembly on capable amd64), which
 // carries its own wide-vs-wide bitwise contract and is not
