@@ -58,7 +58,8 @@ lint-ci:
 	exit $$status
 
 # Short shake of the fuzz targets (the gpu cache simulator and the
-# tensor span bodies); CI runs these in addition to `check`.
+# tensor span bodies); the one list of them, which CI runs in addition
+# to `check`.
 fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzCacheAccess -fuzztime=10s ./internal/gpu/
 	$(GO) test -run=Fuzz -fuzz=FuzzSpanBodies -fuzztime=10s ./internal/tensor/

@@ -18,7 +18,6 @@ import (
 	"mobilstm/internal/model"
 	"mobilstm/internal/rng"
 	"mobilstm/internal/sched"
-	"mobilstm/internal/tradeoff"
 	"mobilstm/internal/userstudy"
 )
 
@@ -37,11 +36,11 @@ func main() {
 		log.Fatalf("unknown benchmark %q", *bench)
 	}
 	e := core.NewEngine(b, model.Quick(), gpu.TegraX1())
-	curve := make(tradeoff.Curve, core.ThresholdSets)
-	for set := 0; set < core.ThresholdSets; set++ {
-		o := e.EvaluateSet(sched.Combined, set)
-		curve[set] = tradeoff.Point{Set: set, Speedup: o.Speedup, EnergySaving: o.EnergySaving, Accuracy: o.Accuracy}
+	outs := make([]*core.Outcome, core.ThresholdSets)
+	for set := range outs {
+		outs[set] = e.EvaluateSet(sched.Combined, set)
 	}
+	curve := core.Curve(outs)
 
 	var set int
 	switch strings.ToUpper(*scheme) {

@@ -13,7 +13,6 @@ import (
 	"mobilstm/internal/model"
 	"mobilstm/internal/report"
 	"mobilstm/internal/sched"
-	"mobilstm/internal/tradeoff"
 )
 
 func main() {
@@ -45,17 +44,19 @@ func main() {
 	}
 
 	e := core.NewEngine(b, prof, gpu.TegraX1())
-	curve := make(tradeoff.Curve, core.ThresholdSets)
+	outs := make([]*core.Outcome, core.ThresholdSets)
+	for set := range outs {
+		outs[set] = e.EvaluateSet(mode, set)
+	}
+	curve := core.Curve(outs)
 	t := report.NewTable(
 		fmt.Sprintf("%s / %v: performance-accuracy trade-off", b.Name, mode),
 		"set", "alpha_inter", "alpha_intra", "speedup", "energy saving", "accuracy")
-	for set := 0; set < core.ThresholdSets; set++ {
-		o := e.EvaluateSet(mode, set)
-		ai, aa := e.Thresholds(set)
-		curve[set] = tradeoff.Point{Set: set, Speedup: o.Speedup, EnergySaving: o.EnergySaving, Accuracy: o.Accuracy}
-		t.AddRowf(fmt.Sprintf("%d", set),
+	for _, p := range curve {
+		ai, aa := e.Thresholds(p.Set)
+		t.AddRowf(fmt.Sprintf("%d", p.Set),
 			fmt.Sprintf("%.1f", ai), fmt.Sprintf("%.3f", aa),
-			report.X(o.Speedup), report.Pct(o.EnergySaving), fmt.Sprintf("%.3f", o.Accuracy))
+			report.X(p.Speedup), report.Pct(p.EnergySaving), fmt.Sprintf("%.3f", p.Accuracy))
 	}
 	fmt.Println(t)
 	ao, bpa := curve.AO(), curve.BPA()

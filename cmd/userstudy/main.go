@@ -14,7 +14,6 @@ import (
 	"mobilstm/internal/report"
 	"mobilstm/internal/rng"
 	"mobilstm/internal/sched"
-	"mobilstm/internal/tradeoff"
 	"mobilstm/internal/userstudy"
 )
 
@@ -46,11 +45,11 @@ func main() {
 			log.Fatalf("unknown benchmark %q", name)
 		}
 		e := core.NewEngine(b, model.Quick(), gpu.TegraX1())
-		curve := make(tradeoff.Curve, core.ThresholdSets)
-		for set := 0; set < core.ThresholdSets; set++ {
-			o := e.EvaluateSet(sched.Combined, set)
-			curve[set] = tradeoff.Point{Set: set, Speedup: o.Speedup, EnergySaving: o.EnergySaving, Accuracy: o.Accuracy}
+		outs := make([]*core.Outcome, core.ThresholdSets)
+		for set := range outs {
+			outs[set] = e.EvaluateSet(sched.Combined, set)
 		}
+		curve := core.Curve(outs)
 		res := userstudy.Run(name, curve, panel, *replays, r.Split())
 		t.AddRowf(name,
 			fmt.Sprintf("%.2f", res.Scores[userstudy.SchemeBaseline]),

@@ -465,17 +465,21 @@ func (e *EngineOf[N]) plan(mode sched.Mode, stats []sched.LayerStats, density fl
 	}
 }
 
-// AOSet returns the accuracy-oriented threshold set, tradeoff.Curve.AO
-// of the sweep: the largest set whose accuracy loss stays within the
-// user-imperceptible 2% (§VI-C). The outcomes slice must be indexed by
-// set (EvaluateSet results 0..10).
-func AOSet(outcomes []*Outcome) int {
+// Curve maps a threshold sweep to its trade-off curve. The outcomes
+// slice must be indexed by set (EvaluateSet results 0..10).
+func Curve(outcomes []*Outcome) tradeoff.Curve {
 	curve := make(tradeoff.Curve, len(outcomes))
 	for i, o := range outcomes {
-		curve[i] = tradeoff.Point{Set: i, Accuracy: o.Accuracy}
+		curve[i] = tradeoff.Point{Set: i, Speedup: o.Speedup, EnergySaving: o.EnergySaving, Accuracy: o.Accuracy}
 	}
-	return curve.AO()
+	return curve
 }
+
+// AOSet returns the accuracy-oriented threshold set, tradeoff.Curve.AO
+// of the sweep: the largest set whose accuracy loss stays within the
+// user-imperceptible 2% (§VI-C). The outcomes slice is indexed as for
+// Curve.
+func AOSet(outcomes []*Outcome) int { return Curve(outcomes).AO() }
 
 // MeanStats is the layer mean of Stats (zero for the baseline).
 func (o *Outcome) MeanStats() sched.LayerStats {

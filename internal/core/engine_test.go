@@ -274,8 +274,8 @@ func TestBaselineConcurrent(t *testing.T) {
 }
 
 // TestEvaluateSetE: the error-returning wrapper is identical to
-// EvaluateSet on the happy path (the error leg is pinned down by the
-// lstm RunE tests, where Panicf validation genuinely fires).
+// EvaluateSet on the happy path (the error leg is pinned down by lstm's
+// TestRunEErrors, where Panicf validation genuinely fires).
 func TestEvaluateSetE(t *testing.T) {
 	e := testEngine(t)
 	out, err := e.EvaluateSetE(sched.Combined, 6)

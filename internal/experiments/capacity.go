@@ -46,19 +46,15 @@ func (s *Suite) Fig17() *report.Figure {
 	return fig
 }
 
-// Fig18 reproduces the user study (§VI-E): a simulated panel of 30
-// participants rates 100 replays per application under the baseline, AO,
-// BPA and UO schemes.
+// Fig18 renders the user study (UserStudyResults): each application's
+// mean satisfaction per scheme, and the average over applications.
 func (s *Suite) Fig18() *report.Table {
 	t := report.NewTable("Fig. 18: user satisfaction score (1-5) per scheme",
 		"Benchmark", "baseline", "AO", "BPA", "UO", "mean UO set")
-	r := rng.New(0x57ed)
-	panel := userstudy.Panel(30, r.Split())
 	totals := map[userstudy.Scheme]float64{}
-	for _, name := range BenchmarkNames() {
-		curve := s.Curve(name, sched.Combined)
-		res := userstudy.Run(name, curve, panel, 100, r.Split())
-		t.AddRowf(name,
+	results := s.UserStudyResults()
+	for _, res := range results {
+		t.AddRowf(res.App,
 			fmt.Sprintf("%.2f", res.Scores[userstudy.SchemeBaseline]),
 			fmt.Sprintf("%.2f", res.Scores[userstudy.SchemeAO]),
 			fmt.Sprintf("%.2f", res.Scores[userstudy.SchemeBPA]),
@@ -68,7 +64,7 @@ func (s *Suite) Fig18() *report.Table {
 			totals[scheme] += res.Scores[scheme]
 		}
 	}
-	n := float64(len(BenchmarkNames()))
+	n := float64(len(results))
 	t.AddRowf("average",
 		fmt.Sprintf("%.2f", totals[userstudy.SchemeBaseline]/n),
 		fmt.Sprintf("%.2f", totals[userstudy.SchemeAO]/n),
@@ -78,11 +74,13 @@ func (s *Suite) Fig18() *report.Table {
 	return t
 }
 
-// UserStudyResults exposes the raw per-app study results for tests.
+// UserStudyResults runs the user study (§VI-E): a simulated panel of 30
+// participants rates 100 replays per application, over its combined-mode
+// trade-off curve, under the baseline, AO, BPA and UO schemes.
 func (s *Suite) UserStudyResults() []userstudy.Result {
 	r := rng.New(0x57ed)
 	panel := userstudy.Panel(30, r.Split())
-	out := make([]userstudy.Result, 0, 6)
+	out := make([]userstudy.Result, 0, len(BenchmarkNames()))
 	for _, name := range BenchmarkNames() {
 		curve := s.Curve(name, sched.Combined)
 		out = append(out, userstudy.Run(name, curve, panel, 100, r.Split()))

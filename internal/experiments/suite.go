@@ -119,17 +119,11 @@ func (s *Suite) Outcome(bench string, mode sched.Mode, set int) *core.Outcome {
 
 // Curve sweeps all threshold sets for one benchmark and mode.
 func (s *Suite) Curve(bench string, mode sched.Mode) tradeoff.Curve {
-	curve := make(tradeoff.Curve, core.ThresholdSets)
-	for set := 0; set < core.ThresholdSets; set++ {
-		o := s.Outcome(bench, mode, set)
-		curve[set] = tradeoff.Point{
-			Set:          set,
-			Speedup:      o.Speedup,
-			EnergySaving: o.EnergySaving,
-			Accuracy:     o.Accuracy,
-		}
+	outs := make([]*core.Outcome, core.ThresholdSets)
+	for set := range outs {
+		outs[set] = s.Outcome(bench, mode, set)
 	}
-	return curve
+	return core.Curve(outs)
 }
 
 // AOOutcome returns the accuracy-oriented outcome for one benchmark and

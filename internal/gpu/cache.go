@@ -119,6 +119,3 @@ func (c *Cache) Misses() int64 { return c.misses }
 
 // MissBytes returns the DRAM traffic generated so far, in bytes.
 func (c *Cache) MissBytes() int64 { return c.misses * c.lineBytes }
-
-// LineBytes returns the cache line size.
-func (c *Cache) LineBytes() int64 { return c.lineBytes }

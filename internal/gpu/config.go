@@ -129,12 +129,6 @@ func Platforms() []Config {
 // Cores returns the total CUDA core count.
 func (c Config) Cores() int { return c.SMs * c.CoresPerSM }
 
-// PeakFLOPs returns the peak single-precision throughput in FLOP/s
-// (each core retires one FMA = 2 FLOPs per cycle).
-func (c Config) PeakFLOPs() float64 {
-	return float64(c.Cores()) * 2 * c.ClockHz
-}
-
 // DRAMBytesPerCycle returns the off-chip bandwidth expressed in bytes per
 // core clock cycle — the roofline denominator for memory-bound kernels.
 func (c Config) DRAMBytesPerCycle() float64 {

@@ -37,11 +37,6 @@ func (s StallCause) String() string {
 	}
 }
 
-// StallCauses lists all causes in display order.
-func StallCauses() []StallCause {
-	return []StallCause{StallOffChip, StallOnChip, StallBarrier, StallLaunch, StallOther}
-}
-
 // KernelSpec is the cost descriptor of one GPU kernel launch, produced by
 // the internal/kernels package. The simulator turns it into cycles,
 // traffic and stall attribution.

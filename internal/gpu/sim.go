@@ -130,11 +130,8 @@ func (r *Result) Groups() []KernelGroup {
 	return out
 }
 
-// Stall returns the total stall cycles attributed to the cause.
-func (r *Result) Stall(c StallCause) float64 { return r.Stalls[c] }
-
 // StallFractions returns each cause's share of total stall cycles (summing
-// to 1 when any stall occurred), in StallCauses order.
+// to 1 when any stall occurred), indexed by StallCause.
 func (r *Result) StallFractions() []float64 {
 	var total float64
 	for _, v := range r.Stalls {

@@ -13,9 +13,6 @@ func TestTegraX1Config(t *testing.T) {
 	if cfg.DRAMBandwidth != 25.6e9 {
 		t.Fatalf("DRAM BW = %v, want 25.6 GB/s (Table I)", cfg.DRAMBandwidth)
 	}
-	if got := cfg.PeakFLOPs(); math.Abs(got-512*998e6) > 1 {
-		t.Fatalf("peak FLOPs = %v", got)
-	}
 	if bpc := cfg.DRAMBytesPerCycle(); math.Abs(bpc-25.6e9/998e6) > 1e-9 {
 		t.Fatalf("bytes/cycle = %v", bpc)
 	}
@@ -162,7 +159,7 @@ func TestStallFractionsSumToOne(t *testing.T) {
 }
 
 func TestStallCauseStrings(t *testing.T) {
-	for _, c := range StallCauses() {
+	for c := StallCause(0); c < numStallCauses; c++ {
 		if c.String() == "unknown" {
 			t.Fatalf("cause %d unnamed", c)
 		}

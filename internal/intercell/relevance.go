@@ -40,9 +40,6 @@ func NewAnalyzer(uf, ui, uc, uo *tensor.Matrix, bf, bi, bc, bo tensor.Vector) *A
 	}
 }
 
-// Dim returns the hidden size H.
-func (a *Analyzer) Dim() int { return a.dim }
-
 func clamp(x, lo, hi float64) float64 {
 	if x < lo {
 		return lo
@@ -117,12 +114,4 @@ func (a *Analyzer) Relevance(xf, xi, xc, xo tensor.Vector) float64 {
 		s += so * (sf + si*sc)
 	}
 	return s
-}
-
-// MaxRelevance returns the largest possible S for this layer's dimension.
-// Per element, the forget-gate term saturates at 4 and each line-5
-// overlap at 2, so S^j <= 2 * (4 + 2*2) = 16. It is the natural
-// normalizer when comparing thresholds across layer sizes.
-func (a *Analyzer) MaxRelevance() float64 {
-	return 16 * float64(a.dim)
 }

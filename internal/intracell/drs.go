@@ -13,7 +13,8 @@ import (
 	"mobilstm/internal/tensor"
 )
 
-// TrivialRows returns skip[j] = (o[j] < alpha) and the number of trivial
+// TrivialRows returns skip[j] = !(o[j] >= alpha) — o[j] below alpha, or
+// NaN, the rule TissueKeptRowsInto applies — and the number of trivial
 // rows. skip[j] marks hidden element j, i.e. rows j of each of U_f, U_i,
 // U_c (3 skipped matrix rows per marked element). With alpha <= 0 nothing
 // is skipped and TrivialRows returns (nil, 0).
@@ -25,7 +26,7 @@ func TrivialRows(o tensor.Vector, alpha float64) ([]bool, int) {
 	skip := make([]bool, len(o))
 	count := 0
 	for j, v := range o {
-		if v < a {
+		if !(v >= a) {
 			skip[j] = true
 			count++
 		}
@@ -33,29 +34,11 @@ func TrivialRows(o tensor.Vector, alpha float64) ([]bool, int) {
 	return skip, count
 }
 
-// TissueTrivialRows returns the skip set shared by a whole tissue: a row
-// may be disabled in the per-tissue Sgemm only if it is trivial for every
-// cell in the tissue (the gemm computes each surviving row against all
-// batched columns). Because row triviality is dominated by the
-// output-gate bias, the intersection stays close to the per-cell rate.
-func TissueTrivialRows(os []tensor.Vector, alpha float64) ([]bool, int) {
-	if alpha <= 0 || len(os) == 0 {
-		return nil, 0
-	}
-	skip := make([]bool, len(os[0]))
-	for j := range skip {
-		skip[j] = true
-	}
-	kept := TissueKeptRowsInto(make([]int, len(os[0])), os, alpha)
-	for _, j := range kept {
-		skip[j] = false
-	}
-	return skip, len(skip) - len(kept)
-}
-
 // TissueKeptRowsInto is the tissue's DRS mask compacted into the rows
 // the second stage computes — the host side of the CRM's prefix sum
-// (§V-B). dst[:n] receives, ascending, every row j that some cell o of
+// (§V-B). The tissue's gemm computes each surviving row against all its
+// cells, so a row is skipped only if it is trivial for every cell. dst[:n]
+// receives, ascending, every row j that some cell o of
 // the tissue keeps (o[j] >= alpha; a row is trivial for a cell where
 // !(o[j] >= alpha), so a NaN is trivial), and the result is dst[:n].
 // dst is a caller-owned buffer of the cells' length, so per-tissue calls
@@ -103,14 +86,6 @@ func keep(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// SkipFraction returns count/len as a convenience for reporting.
-func SkipFraction(count, dim int) float64 {
-	if dim == 0 {
-		return 0
-	}
-	return float64(count) / float64(dim)
 }
 
 // PruneMatrix returns a copy of m with every element of magnitude below

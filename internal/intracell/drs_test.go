@@ -2,6 +2,7 @@ package intracell
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,9 +11,10 @@ import (
 )
 
 func TestTrivialRowsBasic(t *testing.T) {
-	o := tensor.Vector{0.01, 0.5, 0.09, 0.3}
+	// A NaN row is trivial, as in TissueKeptRowsInto: !(o >= alpha).
+	o := tensor.Vector{0.01, 0.5, 0.09, 0.3, float32(math.NaN())}
 	skip, n := TrivialRows(o, 0.1)
-	if n != 2 || !skip[0] || skip[1] || !skip[2] || skip[3] {
+	if n != 3 || !skip[0] || skip[1] || !skip[2] || skip[3] || !skip[4] {
 		t.Fatalf("skip=%v n=%d", skip, n)
 	}
 }
@@ -40,10 +42,10 @@ func TestTissueTrivialRowsIntersection(t *testing.T) {
 		{0.01, 0.5, 0.05},
 		{0.02, 0.02, 0.5},
 	}
-	skip, n := TissueTrivialRows(os, 0.1)
+	kept := TissueKeptRowsInto(make([]int, 3), os, 0.1)
 	// Only element 0 is trivial in every cell.
-	if n != 1 || !skip[0] || skip[1] || skip[2] {
-		t.Fatalf("skip=%v n=%d", skip, n)
+	if !slices.Equal(kept, []int{1, 2}) {
+		t.Fatalf("kept=%v, want [1 2]", kept)
 	}
 }
 
@@ -53,29 +55,55 @@ func TestTissueTrivialRowsSingleCellMatchesPerCell(t *testing.T) {
 	for i := range o {
 		o[i] = r.Float32()
 	}
-	s1, n1 := TrivialRows(o, 0.3)
-	s2, n2 := TissueTrivialRows([]tensor.Vector{o}, 0.3)
-	if n1 != n2 {
-		t.Fatalf("counts differ: %d vs %d", n1, n2)
+	skip, n := TrivialRows(o, 0.3)
+	kept := TissueKeptRowsInto(make([]int, 64), []tensor.Vector{o}, 0.3)
+	if len(kept) != 64-n {
+		t.Fatalf("%d kept, %d skipped of 64", len(kept), n)
 	}
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatalf("skip sets differ at %d", i)
+	for _, j := range kept {
+		if skip[j] {
+			t.Fatalf("row %d kept, but trivial for the one cell", j)
 		}
 	}
 }
 
 func TestTissueTrivialRowsEmpty(t *testing.T) {
-	if skip, n := TissueTrivialRows(nil, 0.1); skip != nil || n != 0 {
-		t.Fatal("empty tissue skipped rows")
+	if kept := TissueKeptRowsInto(nil, nil, 0.1); len(kept) != 0 {
+		t.Fatalf("empty tissue kept %v", kept)
+	}
+	if kept := TissueKeptRowsInto([]int{}, []tensor.Vector{{}}, 0.1); len(kept) != 0 {
+		t.Fatalf("zero-width cell kept %v", kept)
 	}
 }
 
+// perCellKept is the reference for TissueKeptRowsInto built from the
+// per-cell TrivialRows: row j is kept unless every cell skips it.
+func perCellKept(os []tensor.Vector, dim int, alpha float64) []int {
+	skips := make([][]bool, len(os))
+	for c, o := range os {
+		skips[c], _ = TrivialRows(o, alpha)
+	}
+	kept := []int{}
+	for j := 0; j < dim; j++ {
+		trivial := alpha > 0
+		for _, skip := range skips {
+			trivial = trivial && skip[j]
+		}
+		if !trivial {
+			kept = append(kept, j)
+		}
+	}
+	return kept
+}
+
 // TestTissueKeptRowsMatchesTissueTrivialRows: the kept list is the
-// complement of the tissue's skip set, ascending, for one cell (the
-// comparison pass) and for several; with DRS off it is every row.
+// complement, ascending, of the tissue's trivial rows — the intersection
+// of the per-cell TrivialRows skip sets — for one cell (the comparison
+// pass) and for several, NaN outputs included; with DRS off it is every
+// row.
 func TestTissueKeptRowsMatchesTissueTrivialRows(t *testing.T) {
 	r := rng.New(13)
+	nan := float32(math.NaN())
 	for cells := 1; cells <= 4; cells++ {
 		os := make([]tensor.Vector, cells)
 		for c := range os {
@@ -83,24 +111,13 @@ func TestTissueKeptRowsMatchesTissueTrivialRows(t *testing.T) {
 			for j := range os[c] {
 				os[c][j] = r.Float32()
 			}
+			os[c][(5*c)%37] = nan
+			os[c][36] = nan
 		}
-		skip, n := TissueTrivialRows(os, 0.6)
-		kept := TissueKeptRowsInto(make([]int, 37), os, 0.6)
-		if len(kept) != 37-n {
-			t.Fatalf("%d cells: %d kept, %d skipped of 37", cells, len(kept), n)
-		}
-		k := 0
-		for j, s := range skip {
-			if !s {
-				if kept[k] != j {
-					t.Fatalf("%d cells: kept[%d] = %d, want %d", cells, k, kept[k], j)
-				}
-				k++
-			}
-		}
-		for _, alpha := range []float64{0, -1} {
-			if all := TissueKeptRowsInto(make([]int, 37), os, alpha); len(all) != 37 || all[36] != 36 {
-				t.Fatalf("alpha %v: kept %v, want every row", alpha, all)
+		for _, alpha := range []float64{0.6, 0, -1} {
+			want := perCellKept(os, 37, alpha)
+			if got := TissueKeptRowsInto(make([]int, 37), os, alpha); !slices.Equal(got, want) {
+				t.Fatalf("%d cells, alpha %v: kept %v, want %v", cells, alpha, got, want)
 			}
 		}
 	}
@@ -144,7 +161,7 @@ func TestTissueKeptRowsValidatesEveryCell(t *testing.T) {
 }
 
 // Property: the tissue intersection never skips more rows than any single
-// cell would.
+// cell would, and never a row some cell keeps.
 func TestTissueIntersectionSubsetProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -158,14 +175,18 @@ func TestTissueIntersectionSubsetProperty(t *testing.T) {
 			}
 		}
 		alpha := 0.05 + 0.4*r.Float64()
-		tSkip, tN := TissueTrivialRows(os, alpha)
+		kept := TissueKeptRowsInto(make([]int, dim), os, alpha)
+		inKept := make([]bool, dim)
+		for _, j := range kept {
+			inKept[j] = true
+		}
 		for _, o := range os {
 			cSkip, cN := TrivialRows(o, alpha)
-			if tN > cN {
+			if dim-len(kept) > cN {
 				return false
 			}
-			for j := range tSkip {
-				if tSkip[j] && !cSkip[j] {
+			for j := range cSkip {
+				if !cSkip[j] && !inKept[j] {
 					return false
 				}
 			}
@@ -174,15 +195,6 @@ func TestTissueIntersectionSubsetProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Values: quickSeedVals()}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSkipFraction(t *testing.T) {
-	if f := SkipFraction(5, 10); f != 0.5 {
-		t.Fatalf("SkipFraction = %v", f)
-	}
-	if f := SkipFraction(1, 0); f != 0 {
-		t.Fatalf("SkipFraction div0 = %v", f)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package lstm is the LSTM cell of the inference library: layer weights,
-// the cell math (Eqs. 1-5 of the paper), the synthetic "trained" weight
-// generator and the binary network format. The four execution modes the
+// the cell math (Eqs. 1-5 of the paper) and the synthetic "trained"
+// weight generator. The four execution modes the
 // paper evaluates — the baseline cuDNN-style flow (Algorithm 1), the
 // inter-cell tissue-parallel flow (§IV), the intra-cell Dynamic Row Skip
 // flow (Algorithm 3), and their combination — live in the shared forward
@@ -13,8 +13,6 @@
 package lstm
 
 import (
-	"fmt"
-
 	"mobilstm/internal/intercell"
 	"mobilstm/internal/recurrent"
 	"mobilstm/internal/rng"
@@ -126,21 +124,6 @@ func Calibrate(n *Network, seqs [][]tensor.Vector, spreadFor func(layer int) flo
 	recurrent.Calibrate(&n.Network, seqs, spreadFor)
 }
 
-// Params returns the total parameter count.
-func (n *Network) Params() int64 {
-	return paramCount(len(n.Layers), n.Input(), n.Hidden(), n.Classes())
-}
-
-// paramCount is the parameter count of a network of the given shape;
-// it cannot overflow for dimensions the deserializer admits (≤ 2^20
-// each, ≤ 1024 layers).
-func paramCount(layers, input, hidden, classes int) int64 {
-	h := int64(hidden)
-	first := 4 * h * (int64(input) + h + 1)
-	deeper := int64(layers-1) * 4 * h * (2*h + 1)
-	return first + deeper + int64(classes)*(h+1)
-}
-
 // InitRandom fills the network with the synthetic "trained" weight
 // distribution described in DESIGN.md §5. The generator knobs:
 //
@@ -206,44 +189,4 @@ func initLayer(r *rng.RNG, l *Layer, dTarget, trivialFrac, inputRMS float64) {
 		l.Bc[j] = r.NormF32(0, 0.3)
 		l.Bo[j] = r.NormF32(muO, 1.6)
 	}
-}
-
-// Validate checks internal shape consistency, returning a descriptive
-// error for malformed networks (useful when loading external configs).
-func (n *Network) Validate() error {
-	if len(n.Layers) == 0 {
-		return fmt.Errorf("lstm: network has no layers")
-	}
-	if n.Gate != tensor.ActSigmoid && n.Gate != tensor.ActHardSigmoid {
-		return fmt.Errorf("lstm: unknown gate activation %d", int(n.Gate))
-	}
-	in := n.Layers[0].Input
-	for i, l := range n.Layers {
-		if l.Input != in {
-			return fmt.Errorf("lstm: layer %d input %d, want %d", i, l.Input, in)
-		}
-		for _, m := range l.InputWeights() {
-			if m.Rows != l.Hidden || m.Cols != l.Input {
-				return fmt.Errorf("lstm: layer %d W shape %dx%d, want %dx%d", i, m.Rows, m.Cols, l.Hidden, l.Input)
-			}
-		}
-		for _, m := range l.UMatrices() {
-			if m.Rows != l.Hidden || m.Cols != l.Hidden {
-				return fmt.Errorf("lstm: layer %d U shape %dx%d, want %dx%d", i, m.Rows, m.Cols, l.Hidden, l.Hidden)
-			}
-		}
-		for _, b := range []tensor.Vector{l.Bf, l.Bi, l.Bc, l.Bo} {
-			if len(b) != l.Hidden {
-				return fmt.Errorf("lstm: layer %d bias length %d, want %d", i, len(b), l.Hidden)
-			}
-		}
-		in = l.Hidden
-	}
-	if n.Head.Cols != in {
-		return fmt.Errorf("lstm: head cols %d, want %d", n.Head.Cols, in)
-	}
-	if len(n.HeadBias) != n.Head.Rows {
-		return fmt.Errorf("lstm: head bias length %d, want %d", len(n.HeadBias), n.Head.Rows)
-	}
-	return nil
 }

@@ -133,16 +133,6 @@ func (n *Network[C]) Classify(xs []tensor.Vector, opt RunOptions) int {
 	return tensor.ArgMax(n.Run(xs, opt))
 }
 
-// RunE is the serving-path entry point of Run: the same validation
-// (empty sequence, missing MTS, predictor/layer mismatch, shape
-// violations in the cell math) reports as an error instead of a
-// process-killing panic, so a server worker survives a malformed
-// request. The happy path is identical to Run.
-func (n *Network[C]) RunE(xs []tensor.Vector, opt RunOptions) (logits tensor.Vector, err error) {
-	defer tensor.Guard(&err)
-	return n.Run(xs, opt), nil
-}
-
 // ClassifyE runs the network and returns the argmax class, reporting
 // validation failures as errors (the serving-path Classify).
 func (n *Network[C]) ClassifyE(xs []tensor.Vector, opt RunOptions) (class int, err error) {

@@ -55,16 +55,3 @@ type LayerTrace struct {
 
 // Sublayers returns the number of sub-layers the layer divided into.
 func (lt *LayerTrace) Sublayers() int { return len(lt.SublayerSizes) }
-
-// MeanSkipFraction returns the average skipped fraction of hidden
-// elements across the layer's execution units.
-func (lt *LayerTrace) MeanSkipFraction(hidden int) float64 {
-	if len(lt.SkipCounts) == 0 || hidden == 0 {
-		return 0
-	}
-	var s int
-	for _, c := range lt.SkipCounts {
-		s += c
-	}
-	return float64(s) / float64(len(lt.SkipCounts)*hidden)
-}

@@ -46,12 +46,6 @@ type FleetConfig struct {
 	HotQueue int
 }
 
-// DefaultFleetConfig is a three-shard fleet over the Table I platform
-// mix with pre-warming on.
-func DefaultFleetConfig() FleetConfig {
-	return FleetConfig{Base: DefaultConfig(), Shards: 3, PreWarm: true, HotQueue: 8}
-}
-
 // Fleet is the sharded serving tier. Create with NewFleet, stop with
 // Close.
 type Fleet struct {

@@ -16,11 +16,12 @@
 //
 // The serving path is error-returning end to end: request validation
 // goes through experiments.Lookup, inference through
-// lstm.Network.ClassifyE, and evaluation through core.Engine's
-// EvaluateSetE, so a malformed request costs one error response instead
-// of the process. The batching and worker goroutines are counted in
-// the Server's WaitGroup and Close drains the queue gracefully:
-// accepted requests are still served, and no goroutine outlives Close.
+// lstm.Network.ClassifyBatchE or RunWavefrontE, and evaluation through
+// core.Engine's EvaluateSetE, so a malformed request costs one error
+// response instead of the process. The batching and worker goroutines
+// are counted in the Server's WaitGroup and Close drains the queue
+// gracefully: accepted requests are still served, and no goroutine
+// outlives Close.
 package serve
 
 import (

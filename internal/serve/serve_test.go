@@ -293,7 +293,8 @@ func TestCallerSequence(t *testing.T) {
 }
 
 // TestMalformedSequence: a shape-violating request costs one error
-// response, not the process — the Guard/RunE serving-path contract.
+// response, not the process — the tensor.Guard contract of the serving
+// entry points (ClassifyBatchE, RunWavefrontE).
 func TestMalformedSequence(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.BatchWindow = 0

@@ -1,6 +1,6 @@
 // Package stats provides the small statistics toolkit the calibration
 // and reporting layers share: quantiles with a fixed index convention,
-// moments, and a streaming accumulator.
+// the mean and the standard deviation.
 //
 // The quantile convention is sorted[int(q*(n-1))] — the lower empirical
 // quantile. Every calibration site uses this same convention so that
@@ -65,50 +65,4 @@ func Std(xs []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// MinMax returns the extrema; (0, 0) for empty input.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
-// Accumulator computes streaming mean and variance (Welford).
-type Accumulator struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add feeds one observation.
-func (a *Accumulator) Add(x float64) {
-	a.n++
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-}
-
-// N returns the observation count.
-func (a *Accumulator) N() int64 { return a.n }
-
-// Mean returns the running mean; 0 before any observation.
-func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Std returns the running population standard deviation.
-func (a *Accumulator) Std() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return math.Sqrt(a.m2 / float64(a.n))
 }

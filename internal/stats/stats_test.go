@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestQuantileConvention(t *testing.T) {
@@ -80,46 +79,5 @@ func TestMeanStd(t *testing.T) {
 	}
 	if Mean(nil) != 0 || Std(nil) != 0 || Std([]float64{1}) != 0 {
 		t.Fatal("empty/short cases")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Fatalf("minmax %v %v", lo, hi)
-	}
-	if lo, hi := MinMax(nil); lo != 0 || hi != 0 {
-		t.Fatal("empty minmax")
-	}
-}
-
-// Property: the Welford accumulator matches the batch formulas.
-func TestAccumulatorMatchesBatch(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e6 {
-				continue
-			}
-			xs = append(xs, x)
-		}
-		var a Accumulator
-		for _, x := range xs {
-			a.Add(x)
-		}
-		if a.N() != int64(len(xs)) {
-			return false
-		}
-		if len(xs) == 0 {
-			return a.Mean() == 0 && a.Std() == 0
-		}
-		scale := 1 + math.Abs(Mean(xs))
-		if math.Abs(a.Mean()-Mean(xs))/scale > 1e-9 {
-			return false
-		}
-		return math.Abs(a.Std()-Std(xs))/(1+Std(xs)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -18,16 +18,6 @@ const (
 	ActTanh
 )
 
-// SensitiveLo and SensitiveHi bound the input region in which the sigmoid
-// and tanh outputs respond ~linearly to their input (Fig. 7). Outside this
-// region the output is saturated and insensitive to the input — the
-// property both the inter-cell relevance analysis and the hard sigmoid
-// exploit.
-const (
-	SensitiveLo = -2.0
-	SensitiveHi = 2.0
-)
-
 // Sigmoid returns 1/(1+e^-x).
 func Sigmoid(x float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(x))))

@@ -22,10 +22,10 @@ func TestSigmoidValues(t *testing.T) {
 
 func TestHardSigmoidSaturation(t *testing.T) {
 	// Exactly 0 below the sensitive area and 1 above (Fig. 7a).
-	if HardSigmoid(float32(SensitiveLo)) != 0 {
+	if HardSigmoid(-2) != 0 {
 		t.Fatal("hard sigmoid not 0 at -2")
 	}
-	if HardSigmoid(float32(SensitiveHi)) != 1 {
+	if HardSigmoid(2) != 1 {
 		t.Fatal("hard sigmoid not 1 at +2")
 	}
 	if HardSigmoid(0) != 0.5 {

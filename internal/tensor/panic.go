@@ -32,12 +32,13 @@ type violation string
 func (v violation) Error() string { return string(v) }
 
 // Guard is the error boundary of the serving path: deferred in an
-// error-returning wrapper (lstm.Network.RunE, core.Engine.EvaluateSetE),
-// it converts a Panicf abort into *err and re-panics on anything else.
+// error-returning wrapper (recurrent.Network.ClassifyBatchE and
+// RunWavefrontE, core.Engine.EvaluateSetE), it converts a Panicf abort
+// into *err and re-panics on anything else.
 //
-//	func (n *Network) RunE(...) (v Vector, err error) {
+//	func (n *Network) ClassifyBatchE(...) (classes []int, err error) {
 //	    defer tensor.Guard(&err)
-//	    return n.Run(...), nil
+//	    return n.ClassifyBatch(...), nil
 //	}
 func Guard(err *error) {
 	switch r := recover().(type) {

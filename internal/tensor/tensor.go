@@ -164,18 +164,3 @@ func ArgMax(v Vector) int {
 	}
 	return best
 }
-
-// MaxAbs returns max_i |v[i]|, or 0 for an empty vector.
-func MaxAbs(v Vector) float32 {
-	var m float32
-	for _, x := range v {
-		a := x
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}

@@ -103,15 +103,6 @@ func TestArgMax(t *testing.T) {
 	}
 }
 
-func TestMaxAbs(t *testing.T) {
-	if m := MaxAbs(Vector{1, -7, 3}); m != 7 {
-		t.Fatalf("MaxAbs: %v", m)
-	}
-	if m := MaxAbs(nil); m != 0 {
-		t.Fatalf("MaxAbs(nil): %v", m)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.Set(0, 0, 1)

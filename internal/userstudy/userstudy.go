@@ -65,14 +65,10 @@ func Schemes() []Scheme {
 	return []Scheme{SchemeBaseline, SchemeAO, SchemeBPA, SchemeUO}
 }
 
-// Rate returns one replay's satisfaction score in [1, 5]: 5 minus the
-// delay annoyance minus the perceived-error annoyance, with rating noise.
-func (p Participant) Rate(delay, accuracy float64, r *rng.RNG) float64 {
-	return p.rateWithNoise(delay, accuracy, r.Norm()*0.3)
-}
-
-// rateWithNoise scores with an externally supplied noise draw, enabling
-// common-random-number comparisons across schemes.
+// rateWithNoise returns one replay's satisfaction score in [1, 5]: 5
+// minus the delay annoyance minus the perceived-error annoyance, plus an
+// externally supplied noise draw, enabling common-random-number
+// comparisons across schemes.
 func (p Participant) rateWithNoise(delay, accuracy, noise float64) float64 {
 	s := p.Expected(delay, accuracy) + noise
 	if s < 1 {

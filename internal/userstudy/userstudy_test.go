@@ -45,7 +45,7 @@ func TestRateBounds(t *testing.T) {
 	r := rng.New(2)
 	p := Participant{DelayWeight: 1.5, ErrWeight: 30, JND: 0.02, PrefAccuracy: 0.98}
 	for i := 0; i < 500; i++ {
-		s := p.Rate(r.Float64()*2, 0.7+0.3*r.Float64(), r)
+		s := p.rateWithNoise(r.Float64()*2, 0.7+0.3*r.Float64(), r.Norm()*0.3)
 		if s < 1 || s > 5 {
 			t.Fatalf("score %v out of [1,5]", s)
 		}
@@ -59,7 +59,7 @@ func TestRatePrefersFastAccurate(t *testing.T) {
 		r := rng.New(seed)
 		var s float64
 		for i := 0; i < 2000; i++ {
-			s += p.Rate(delay, acc, r)
+			s += p.rateWithNoise(delay, acc, r.Norm()*0.3)
 		}
 		return s / 2000
 	}
@@ -77,9 +77,9 @@ func TestRatePrefersFastAccurate(t *testing.T) {
 
 func TestImperceptibleLossNotPenalized(t *testing.T) {
 	p := Participant{DelayWeight: 1, ErrWeight: 30, JND: 0.02}
-	r1, r2 := rng.New(7), rng.New(7)
-	exact := p.Rate(0.5, 1.0, r1)
-	slight := p.Rate(0.5, 0.985, r2)
+	noise := rng.New(7).Norm() * 0.3
+	exact := p.rateWithNoise(0.5, 1.0, noise)
+	slight := p.rateWithNoise(0.5, 0.985, noise)
 	if exact != slight {
 		t.Fatalf("sub-JND loss penalized: %v vs %v", exact, slight)
 	}
