@@ -57,12 +57,13 @@ lint-ci:
 	fi; \
 	exit $$status
 
-# Short shake of the fuzz targets (the gpu cache simulator and the
-# tensor span bodies); the one list of them, which CI runs in addition
-# to `check`.
+# Short shake of the fuzz targets (the gpu cache simulator, the tensor
+# span bodies and the LSTM batch forward); the one list of them, which
+# CI runs in addition to `check`.
 fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzCacheAccess -fuzztime=10s ./internal/gpu/
 	$(GO) test -run=Fuzz -fuzz=FuzzSpanBodies -fuzztime=10s ./internal/tensor/
+	$(GO) test -run=Fuzz -fuzz='^FuzzRunBatchEquivalence$$' -fuzztime=10s ./internal/lstm/
 
 # Focused race gate for the concurrent serving path: the serve package
 # plus the shared-engine regression tests in core. Already covered by

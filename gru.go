@@ -8,7 +8,6 @@ import (
 	"mobilstm/internal/model"
 	"mobilstm/internal/sched"
 	"mobilstm/internal/thresholds"
-	"mobilstm/internal/tradeoff"
 )
 
 // GRUBenchmark describes one of the built-in GRU workloads (§II-B
@@ -89,10 +88,10 @@ func (s *GRUSystem) Evaluate(set int) GRUOutcome {
 // System.AO.
 func (s *GRUSystem) AO() GRUOutcome {
 	outs := make([]GRUOutcome, thresholds.Sets)
-	curve := make(tradeoff.Curve, len(outs))
 	for set := range outs {
 		outs[set] = s.Evaluate(set)
-		curve[set] = tradeoff.Point{Set: set, Speedup: outs[set].Speedup, Accuracy: outs[set].Accuracy}
 	}
-	return outs[curve.AO()]
+	return outs[core.CurveOf(outs, func(o GRUOutcome) (float64, float64, float64) {
+		return o.Speedup, 0, o.Accuracy
+	}).AO()]
 }

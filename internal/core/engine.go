@@ -468,9 +468,20 @@ func (e *EngineOf[N]) plan(mode sched.Mode, stats []sched.LayerStats, density fl
 // Curve maps a threshold sweep to its trade-off curve. The outcomes
 // slice must be indexed by set (EvaluateSet results 0..10).
 func Curve(outcomes []*Outcome) tradeoff.Curve {
-	curve := make(tradeoff.Curve, len(outcomes))
-	for i, o := range outcomes {
-		curve[i] = tradeoff.Point{Set: i, Speedup: o.Speedup, EnergySaving: o.EnergySaving, Accuracy: o.Accuracy}
+	return CurveOf(outcomes, func(o *Outcome) (float64, float64, float64) {
+		return o.Speedup, o.EnergySaving, o.Accuracy
+	})
+}
+
+// CurveOf is the one mapping from a threshold sweep to its trade-off
+// curve, for outcomes of any type: point reads an outcome's speedup,
+// energy saving and accuracy, and outs is indexed by set. Curve and the
+// root package's LSTM and GRU systems call it.
+func CurveOf[O any](outs []O, point func(O) (speedup, energySaving, accuracy float64)) tradeoff.Curve {
+	curve := make(tradeoff.Curve, len(outs))
+	for i, o := range outs {
+		sp, es, acc := point(o)
+		curve[i] = tradeoff.Point{Set: i, Speedup: sp, EnergySaving: es, Accuracy: acc}
 	}
 	return curve
 }

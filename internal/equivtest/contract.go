@@ -33,7 +33,6 @@ import (
 type Net interface {
 	Run(xs []tensor.Vector, opt recurrent.RunOptions) tensor.Vector
 	RunBatch(seqs [][]tensor.Vector, opt recurrent.RunOptions) []tensor.Vector
-	RunBatchE(seqs [][]tensor.Vector, opt recurrent.RunOptions) ([]tensor.Vector, error)
 	Classify(xs []tensor.Vector, opt recurrent.RunOptions) int
 	ClassifyBatch(seqs [][]tensor.Vector, opt recurrent.RunOptions) []int
 	ClassifyBatchE(seqs [][]tensor.Vector, opt recurrent.RunOptions) ([]int, error)
@@ -221,7 +220,8 @@ func ClassifyBatchMatchesSerial(t *testing.T, k Kind) {
 	}
 }
 
-// RunBatchEValidation pins the error contract of the Guard boundary:
+// RunBatchEValidation pins the error contract of the Guard boundary at
+// ClassifyBatchE, the batch entry point the serving loop calls:
 // malformed batches surface as errors, not panics, and do not poison
 // shared state.
 func RunBatchEValidation(t *testing.T, k Kind) {
@@ -240,14 +240,11 @@ func RunBatchEValidation(t *testing.T, k Kind) {
 		{"inter predictors", [][]tensor.Vector{good}, recurrent.RunOptions{Inter: true, MTS: 2}, "predictors"},
 	}
 	for _, tc := range cases {
-		if _, err := n.RunBatchE(tc.seqs, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := n.ClassifyBatchE(tc.seqs, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %v, want substring %q", tc.name, err, tc.want)
 		}
-		if _, err := n.ClassifyBatchE(tc.seqs, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s (classify): error %v, want substring %q", tc.name, err, tc.want)
-		}
 	}
-	if _, err := n.RunBatchE([][]tensor.Vector{good, good}, recurrent.RunOptions{}); err != nil {
+	if _, err := n.ClassifyBatchE([][]tensor.Vector{good, good}, recurrent.RunOptions{}); err != nil {
 		t.Fatalf("valid batch after failures: %v", err)
 	}
 }
@@ -670,9 +667,14 @@ func FuzzRunBatchEquivalence(f *testing.F, k Kind) {
 			opt.Inter, opt.AlphaInter, opt.MTS = true, 8*16*r.Float64(), 1+r.Intn(4)
 			opt.Predictors = ZeroPredictors(layers, 16)
 		}
-		got, err := n.RunBatchE(seqs, opt)
+		var got []tensor.Vector
+		err := func() (err error) {
+			defer tensor.Guard(&err)
+			got = n.RunBatch(seqs, opt)
+			return nil
+		}()
 		if err != nil {
-			t.Fatalf("RunBatchE: %v", err)
+			t.Fatalf("RunBatch: %v", err)
 		}
 		Batch(t, "seed "+itoa(int(seed%1000)), got, serial(n, seqs, opt))
 	})

@@ -61,6 +61,13 @@ func (s *Simulator) Run(kernels []KernelSpec) *Result {
 	return res
 }
 
+// Cycles returns the cycles one launch of k adds to Run's Result.Cycles.
+// A launch's result is a pure function of its spec, so a caller that
+// adds Cycles over a sequence in launch order, and converts the sum with
+// Config().CyclesToSeconds, has Run's Seconds bit for bit without
+// building the sequence.
+func (s *Simulator) Cycles(k KernelSpec) float64 { return simulateKernel(s.cfg, k).Cycles }
+
 // RunResults simulates the sequence and additionally returns the
 // per-launch results, for callers that need kernel-level detail.
 func (s *Simulator) RunResults(kernels []KernelSpec) (*Result, []KernelResult) {

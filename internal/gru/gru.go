@@ -151,8 +151,8 @@ func initLayer(r *rng.RNG, l *Layer, dTarget, carryFrac float64) {
 
 var _ recurrent.Cell = (*Layer)(nil)
 
-// Shape declares three gates, a two-block first stage and a one-block
-// state.
+// Shape declares three gates, a two-block first stage at the start of
+// the wx row and a one-block state.
 func (l *Layer) Shape() recurrent.Shape {
 	return recurrent.Shape{Hidden: l.Hidden, Input: l.Input, Gates: 3, First: 2, State: 1}
 }

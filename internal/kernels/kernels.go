@@ -418,34 +418,70 @@ func (b *Builder) RequestBatch(h, length, layers, batch int) []gpu.KernelSpec {
 // still-active requests (no padding compute). The W·x stage covers the
 // sum of the lengths. With all lengths equal it reduces to RequestBatch.
 func (b *Builder) RequestBatchRagged(h, layers int, lens []int) []gpu.KernelSpec {
-	if len(lens) == 0 {
-		tensor.Panicf("kernels: RequestBatchRagged of an empty batch")
-	}
-	total, maxLen := 0, 0
-	for _, ln := range lens {
-		if ln < 1 {
-			tensor.Panicf("kernels: RequestBatchRagged length %d", ln)
-		}
-		total += ln
-		if ln > maxLen {
-			maxLen = ln
-		}
-	}
+	total, maxLen := raggedShape(lens)
 	var ks []gpu.KernelSpec
 	for layer := 0; layer < layers; layer++ {
 		ks = append(ks, b.SgemmWx(h, h, total))
 		for c := 0; c < maxLen; c++ {
-			active := 0
-			for _, ln := range lens {
-				if c < ln {
-					active++
-				}
-			}
+			active := activeAt(lens, c)
 			k, _ := b.SgemmTissue(h, active)
 			ks = append(ks, k, b.EW(h, active))
 		}
 	}
 	return ks
+}
+
+// RequestBatchRaggedMs is sim's milliseconds for RequestBatchRagged(h,
+// layers, lens) — bit for bit sim.Run(...).Seconds·1e3 — without building
+// the sequence: the same launches' cycles (gpu.Simulator.Cycles) added in
+// the same order, a tissue and element-wise pair priced once per run of
+// cells with one active count. A serving window prices its lengths this
+// way in about a microsecond, allocating nothing.
+func (b *Builder) RequestBatchRaggedMs(sim *gpu.Simulator, h, layers int, lens []int) float64 {
+	total, maxLen := raggedShape(lens)
+	wx := sim.Cycles(b.SgemmWx(h, h, total))
+	var cycles float64
+	for layer := 0; layer < layers; layer++ {
+		cycles += wx
+		priced, tissue, ew := 0, 0.0, 0.0
+		for c := 0; c < maxLen; c++ {
+			if active := activeAt(lens, c); active != priced {
+				k, _ := b.SgemmTissue(h, active)
+				priced, tissue, ew = active, sim.Cycles(k), sim.Cycles(b.EW(h, active))
+			}
+			cycles += tissue
+			cycles += ew
+		}
+	}
+	return sim.Config().CyclesToSeconds(cycles) * 1e3
+}
+
+// raggedShape validates a ragged batch's lengths and returns their sum
+// and maximum.
+func raggedShape(lens []int) (total, maxLen int) {
+	if len(lens) == 0 {
+		tensor.Panicf("kernels: RequestBatchRagged of an empty batch")
+	}
+	for _, ln := range lens {
+		if ln < 1 {
+			tensor.Panicf("kernels: RequestBatchRagged length %d", ln)
+		}
+		total += ln
+		maxLen = max(maxLen, ln)
+	}
+	return total, maxLen
+}
+
+// activeAt is how many requests of a ragged batch are still running at
+// cell c.
+func activeAt(lens []int, c int) int {
+	active := 0
+	for _, ln := range lens {
+		if c < ln {
+			active++
+		}
+	}
+	return active
 }
 
 // engineWeightBytes is the device-resident weight footprint of a

@@ -13,10 +13,10 @@ import (
 
 var _ recurrent.Cell = (*Layer)(nil)
 
-// Shape declares four gates, a one-block first stage and a two-block
-// state.
+// Shape declares four gates, a one-block first stage at the end of the
+// wx row and a two-block state.
 func (l *Layer) Shape() recurrent.Shape {
-	return recurrent.Shape{Hidden: l.Hidden, Input: l.Input, Gates: 4, First: 1, State: 2}
+	return recurrent.Shape{Hidden: l.Hidden, Input: l.Input, Gates: 4, First: 1, FirstAt: 3, State: 2}
 }
 
 // InputWeights returns the four input projections in f,i,c,o order.

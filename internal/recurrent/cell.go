@@ -52,6 +52,12 @@ type Shape struct {
 	// U₁; the remaining Gates-First blocks form the second-stage,
 	// DRS-skippable U₂.
 	First int
+	// FirstAt is the block of a wx row where the First first-stage
+	// blocks begin: at either end of the row, the second-stage blocks
+	// filling the rest (LSTM [xf|xi|xc|xo]: 3; GRU [xz|xr|xh]: 0). The
+	// same split cuts W into its first-stage rows W₁ and second-stage
+	// rows W₂.
+	FirstAt int
 	// State is the number of h-wide blocks carried along a sub-layer;
 	// the hidden output is always the first (LSTM h|c: 2, GRU h: 1).
 	State int
@@ -103,6 +109,7 @@ type Cell interface {
 // stage.
 type packedWeights struct {
 	w      *tensor.Matrix // Gates·h × Input
+	w1, w2 *tensor.Matrix // W's first-stage and second-stage rows (views of w)
 	u1, u2 *tensor.Matrix // First·h × h and (Gates-First)·h × h
 	// relevance is the layer's LinkRelevance scorer, whose per-row norms
 	// of U are built with the united copies and dropped with them.
@@ -146,6 +153,22 @@ func packed(l Cell) *packedWeights {
 
 		relevance: l.LinkRelevance(),
 	}
+	c1, c2 := l.Shape().wxCols()
+	p.w1, p.w2 = p.w.RowBlock(c1, c1+p.u1.Rows), p.w.RowBlock(c2, c2+p.u2.Rows)
 	c.packed.Store(p)
 	return p
+}
+
+// wxCols returns where the stages' blocks begin in a wx row (and their
+// rows in W): c1 for the first stage, c2 for the second.
+func (sh Shape) wxCols() (c1, c2 int) {
+	h := sh.Hidden
+	switch sh.FirstAt {
+	case 0:
+		return 0, sh.First * h
+	case sh.Gates - sh.First:
+		return sh.FirstAt * h, 0
+	}
+	tensor.Panicf("recurrent: first stage at block %d of %d splits the second stage", sh.FirstAt, sh.Gates)
+	return 0, 0
 }

@@ -171,13 +171,6 @@ func (n *Network[C]) RunBatch(seqs [][]tensor.Vector, opt RunOptions) []tensor.V
 	return n.forward(seqs, opt)
 }
 
-// RunBatchE is the serving-path RunBatch: validation and shape
-// violations report as an error instead of a panic.
-func (n *Network[C]) RunBatchE(seqs [][]tensor.Vector, opt RunOptions) (logits []tensor.Vector, err error) {
-	defer tensor.Guard(&err)
-	return n.RunBatch(seqs, opt), nil
-}
-
 // ClassifyBatch runs the batch and returns the argmax class per member.
 func (n *Network[C]) ClassifyBatch(seqs [][]tensor.Vector, opt RunOptions) []int {
 	outs := n.RunBatch(seqs, opt)

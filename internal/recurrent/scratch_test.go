@@ -2,7 +2,7 @@ package recurrent
 
 import "testing"
 
-var lstmShape = Shape{Hidden: 8, Input: 5, Gates: 4, First: 1, State: 2}
+var lstmShape = Shape{Hidden: 8, Input: 5, Gates: 4, First: 1, FirstAt: 3, State: 2}
 
 // TestForwardScratchGrowthOnly pins the arena's layout and reuse rule:
 // members lie end to end in the flat slabs; the group slabs hold the

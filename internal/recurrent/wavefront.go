@@ -21,7 +21,7 @@ const wavefrontChunk = 4
 // layer has nothing to pipeline, and dividing a layer under Inter or
 // Combined needs the whole layer's relevance first, so those run Run's
 // layer loop on the caller. The logits (and a Trace) are bitwise those
-// of Run either way, at any GOMAXPROCS. Like RunBatchE it reports
+// of Run either way, at any GOMAXPROCS. Like ClassifyBatchE it reports
 // validation and shape violations as an error — a helper's included —
 // and no goroutine it starts outlives the call.
 func (n *Network[C]) RunWavefrontE(xs []tensor.Vector, opt RunOptions) (logits tensor.Vector, pipelined bool, err error) {

@@ -655,10 +655,8 @@ type engineSlot struct {
 
 	cursor atomic.Int64
 
-	costMu sync.Mutex
-	costMs map[int]float64
-	sim    *gpu.Simulator
-	kb     *kernels.Builder
+	sim *gpu.Simulator
+	kb  *kernels.Builder
 }
 
 // takeCharge consumes the slot's pending engine-materialization charge:
@@ -683,7 +681,7 @@ func (s *Server) engine(bench string) *engineSlot {
 	s.mu.Lock()
 	slot, ok := s.engines[bench]
 	if !ok {
-		slot = &engineSlot{costMs: make(map[int]float64)}
+		slot = &engineSlot{}
 		s.engines[bench] = slot
 	}
 	s.mu.Unlock()
@@ -773,9 +771,7 @@ func (slot *engineSlot) build(bench string, cfg Config) {
 	cfg.Cache.Store(key, &EngineArtifact{Eng: slot.eng, Set: slot.set, Opts: slot.opts})
 }
 
-// simMs prices a launch sequence on the slot's device class. Only
-// called from build (inside the slot's Once), so no cost-cache lock is
-// needed.
+// simMs prices a launch sequence on the slot's device class.
 func (slot *engineSlot) simMs(ks []gpu.KernelSpec) float64 {
 	return slot.sim.Run(ks).Seconds * 1e3
 }
@@ -790,43 +786,12 @@ func (slot *engineSlot) corpus() ([]tensor.Vector, int) {
 	return seqs[i], refs[i]
 }
 
-// batchMs returns the simulated GPU milliseconds of one batch-B launch
-// sequence at the benchmark's full Table II shape, cached per batch
-// size.
-func (slot *engineSlot) batchMs(batch int) (ms float64, err error) {
-	slot.costMu.Lock()
-	defer slot.costMu.Unlock()
-	if ms, ok := slot.costMs[batch]; ok {
-		return ms, nil
-	}
-	defer tensor.Guard(&err)
-	b := slot.eng.B
-	ks := slot.kb.RequestBatch(b.Hidden, b.Length, b.Layers, batch)
-	ms = slot.sim.Run(ks).Seconds * 1e3
-	slot.costMs[batch] = ms
-	return ms, nil
-}
-
-// batchMsRagged is batchMs for a window of per-request lengths: equal
-// lengths at the benchmark's Table II shape take the cached
-// RequestBatch path; a ragged window replays the active-set launch
-// sequence (RequestBatchRagged), uncached since its shape is the whole
-// length vector.
+// batchMsRagged returns the simulated GPU milliseconds of a window of
+// per-request lengths at the benchmark's Table II width: the active-set
+// launch sequence (kernels.RequestBatchRagged) priced in closed form,
+// which equal lengths reduce to the batch-B RequestBatch sequence.
 func (slot *engineSlot) batchMsRagged(lens []int) (ms float64, err error) {
-	b := slot.eng.B
-	uniform := true
-	for _, ln := range lens {
-		if ln != b.Length {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		return slot.batchMs(len(lens))
-	}
 	defer tensor.Guard(&err)
-	slot.costMu.Lock()
-	defer slot.costMu.Unlock()
-	ks := slot.kb.RequestBatchRagged(b.Hidden, b.Layers, lens)
-	return slot.sim.Run(ks).Seconds * 1e3, nil
+	b := slot.eng.B
+	return slot.kb.RequestBatchRaggedMs(slot.sim, b.Hidden, b.Layers, lens), nil
 }

@@ -85,7 +85,8 @@ func bodyName(f any) string {
 		"dotRowWideGeneric": dotRowWideGeneric, "dotRowAVX2": dotRowAVX2,
 		"quadRows": quadRows, "keptRows": keptRows, "gatherRows": gatherRows, "blockRows": blockRows,
 		"quadSpanAVX": quadSpanAVX, "keptSpanAVX": keptSpanAVX, "gatherAVX": gatherAVX,
-		"blockSpanAVX512": blockSpanAVX512,
+		"keptBlockRows": keptBlockRows, "blockSpanAVX512": blockSpanAVX512,
+		"keptBlockSpanAVX512": keptBlockSpanAVX512,
 	} {
 		if fv.Pointer() == reflect.ValueOf(b).Pointer() {
 			return name
@@ -105,20 +106,21 @@ func blockProbe() bool { c := CPU(); return c.AVX512F && c.OSZMM }
 
 // boundBodies names the five bodies a binding runs: row, the three
 // four-row spans (range, kept list, gathered group) and the block span.
-func boundBodies(k Kernels) [5]string {
-	return [5]string{bodyName(k.dot), bodyName(k.quad), bodyName(k.kept), bodyName(k.gather), bodyName(k.block)}
+func boundBodies(k Kernels) [6]string {
+	return [6]string{bodyName(k.dot), bodyName(k.quad), bodyName(k.kept), bodyName(k.gather), bodyName(k.block),
+		bodyName(k.keptBlock)}
 }
 
 // withSpans is a binding's expected names: row body dot, and the
 // assembly four-row and block span bodies where quad and block say
 // they are bound, the pure-Go spans otherwise.
-func withSpans(dot string, quad, block bool) [5]string {
-	want := [5]string{dot, "quadRows", "keptRows", "gatherRows", "blockRows"}
+func withSpans(dot string, quad, block bool) [6]string {
+	want := [6]string{dot, "quadRows", "keptRows", "gatherRows", "blockRows", "keptBlockRows"}
 	if quad {
 		want[1], want[2], want[3] = "quadSpanAVX", "keptSpanAVX", "gatherAVX"
 	}
 	if block {
-		want[4] = "blockSpanAVX512"
+		want[4], want[5] = "blockSpanAVX512", "keptBlockSpanAVX512"
 	}
 	return want
 }
@@ -178,8 +180,13 @@ func TestForcedGenericDisablesAssemblyBodies(t *testing.T) {
 		{ChainSSE2, false, "none"},
 		{ChainAVX2, true, "none"},
 	} {
-		if got := bodyName(blockBody(c.chain, c.avx512)); got != c.want {
-			t.Errorf("blockBody(%v, avx512=%v) = %s, want %s", c.chain, c.avx512, got, c.want)
+		block, keptBlock := blockBody(c.chain, c.avx512)
+		want := [2]string{c.want, "none"}
+		if c.want != "none" {
+			want[1] = "keptBlockSpanAVX512"
+		}
+		if got := [2]string{bodyName(block), bodyName(keptBlock)}; got != want {
+			t.Errorf("blockBody(%v, avx512=%v) = %s, want %s", c.chain, c.avx512, got, want)
 		}
 	}
 	wide := "dotRowWideGeneric"
@@ -190,7 +197,7 @@ func TestForcedGenericDisablesAssemblyBodies(t *testing.T) {
 	generic := withSpans("dotRowGeneric", false, false)
 	for _, c := range []struct {
 		def, sel KernelChain
-		want     [5]string
+		want     [6]string
 	}{
 		{ChainGeneric, ChainAuto, generic},
 		{ChainGeneric, ChainSSE2, generic},
@@ -238,7 +245,7 @@ func TestChainMatrixLegRunsItsBodies(t *testing.T) {
 	}
 	for _, c := range []struct {
 		sel  KernelChain
-		want [5]string
+		want [6]string
 	}{{ChainAuto, auto}, {ChainSSE2, canon}, {ChainAVX2, wide}} {
 		got := boundBodies(KernelsFor(c.sel))
 		t.Logf("leg %v (CPU %s): KernelsFor(%v) runs %s", leg, CPU(), c.sel, got)

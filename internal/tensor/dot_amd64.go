@@ -2,6 +2,8 @@
 
 package tensor
 
+import "slices"
+
 // dotRowSSE2 carries the canonical row chain in the SSE2 body in
 // dot_amd64.s. The slice contract stays in Go: the re-slice panics
 // exactly where dotRowGeneric would if x is shorter than row, and a
@@ -126,3 +128,48 @@ func blockSpanAVX512(_ Kernels, dsts [4][]float32, w []float32, xs [4][]float32)
 //
 //go:noescape
 func dot4x4SpanAVX512(d0, d1, d2, d3, w, x0, x1, x2, x3 *float32, n, groups int)
+
+// keptBlockSpanAVX512 is keptBlockRows (kernel.go) through the AVX-512
+// gathered block body in dot_block_amd64.s. An absent input takes the
+// first present input's place: its lanes dot that input again and store
+// the same bits over the same outputs, so a group of one to three
+// inputs is one call too. kept is strictly ascending (PackedGemmKept
+// validates it), so its first and last rows bound every row it names.
+func keptBlockSpanAVX512(_ Kernels, dsts [4][]float32, w []float32, xs [4][]float32, kept []int, off int) {
+	groups, first := len(kept)/4, slices.IndexFunc(dsts[:], func(d []float32) bool { return d != nil })
+	if groups == 0 || first < 0 {
+		return
+	}
+	kept = kept[:4*groups]
+	lo, hi := off+kept[0], off+kept[len(kept)-1]
+	n := len(xs[first])
+	for b, d := range dsts {
+		if d == nil {
+			dsts[b], xs[b] = dsts[first], xs[first]
+			continue
+		}
+		if lo < 0 || hi >= len(d) || lo > hi {
+			Panicf("tensor: kept rows [%d, %d] outside a %d-row span", lo, hi, len(d))
+		}
+		xs[b] = xs[b][:n]
+	}
+	if n == 0 {
+		for _, d := range dsts {
+			for _, r := range kept {
+				d[off+r] = 0
+			}
+		}
+		return
+	}
+	w = w[:(hi+1)*n]
+	dot4x4KeptAVX512(&dsts[0][0], &dsts[1][0], &dsts[2][0], &dsts[3][0], &w[0],
+		&xs[0][0], &xs[1][0], &xs[2][0], &xs[3][0], &kept[0], off, n, groups)
+}
+
+// dot4x4KeptAVX512 is implemented in dot_block_amd64.s: groups groups
+// of four rows of w, rows off+idx[4g..4g+3], each dotted against the
+// four inputs, db[i] the dot of row i and xb. Each result must match
+// dotRowGeneric bitwise; see the chain definition in kernel.go.
+//
+//go:noescape
+func dot4x4KeptAVX512(d0, d1, d2, d3, w, x0, x1, x2, x3 *float32, idx *int, off, n, groups int)

@@ -193,3 +193,158 @@ store:
 	JNZ           group
 	VZEROUPPER
 	RET
+
+// func dot4x4KeptAVX512(d0, d1, d2, d3, w, x0, x1, x2, x3 *float32, idx *int, off, n, groups int)
+//
+// The block body over a kept-row list: group g is rows
+// off+idx[4g..4g+3] of w, each dotted against the four inputs and
+// stored to db at its row index. The accumulation, the fold and the
+// serial remainder are dot4x4SpanAVX512's, instruction for instruction;
+// only the row addresses (read off the list, as dot4SpanAVX does) and
+// the stores (one lane per row index) differ. The Go wrapper in
+// dot_amd64.go proves every row and destination in bounds.
+TEXT ·dot4x4KeptAVX512(SB), NOSPLIT, $0-104
+	MOVQ x0+40(FP), DI
+	MOVQ x1+48(FP), SI
+	MOVQ x2+56(FP), DX
+	MOVQ x3+64(FP), BX
+	MOVQ idx+72(FP), R12     // the group's four row indices
+
+kgroup:
+	// Row addresses w + (off+idx[j])·4n into R8..R11.
+	MOVQ   n+88(FP), CX
+	MOVQ   CX, AX
+	SHLQ   $2, AX            // bytes per row
+	MOVQ   off+80(FP), R13
+	MOVQ   0(R12), R8
+	MOVQ   8(R12), R9
+	MOVQ   16(R12), R10
+	MOVQ   24(R12), R11
+	ADDQ   R13, R8
+	ADDQ   R13, R9
+	ADDQ   R13, R10
+	ADDQ   R13, R11
+	IMULQ  AX, R8
+	IMULQ  AX, R9
+	IMULQ  AX, R10
+	IMULQ  AX, R11
+	MOVQ   w+32(FP), R13
+	ADDQ   R13, R8
+	ADDQ   R13, R9
+	ADDQ   R13, R10
+	ADDQ   R13, R11
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	VPXORD Z20, Z20, Z20
+	VPXORD Z21, Z21, Z21
+	VPXORD Z22, Z22, Z22
+	VPXORD Z23, Z23, Z23
+	VPXORD Z24, Z24, Z24
+	VPXORD Z25, Z25, Z25
+	VPXORD Z26, Z26, Z26
+	VPXORD Z27, Z27, Z27
+	VPXORD Z28, Z28, Z28
+	VPXORD Z29, Z29, Z29
+	VPXORD Z30, Z30, Z30
+	VPXORD Z31, Z31, Z31
+	XORQ   AX, AX            // byte offset into every row and input
+	MOVQ   CX, R13
+	SHRQ   $4, R13           // R13 = number of full 16-float blocks
+	JZ     kfold
+
+kloop16:
+	VMOVUPS (DI)(AX*1), Z0   // input 0
+	VMOVUPS (SI)(AX*1), Z1   // input 1
+	VMOVUPS (DX)(AX*1), Z2   // input 2
+	VMOVUPS (BX)(AX*1), Z3   // input 3
+	VMOVUPS (R8)(AX*1), Z4   // row 0
+	VMOVUPS (R9)(AX*1), Z5   // row 1
+	VMOVUPS (R10)(AX*1), Z6  // row 2
+	VMOVUPS (R11)(AX*1), Z7  // row 3
+	PAIRS(Z4, Z16, Z20, Z24, Z28)
+	PAIRS(Z5, Z17, Z21, Z25, Z29)
+	PAIRS(Z6, Z18, Z22, Z26, Z30)
+	PAIRS(Z7, Z19, Z23, Z27, Z31)
+	ADDQ    $64, AX
+	DECQ    R13
+	JNZ     kloop16
+
+kfold:
+	GROUP(Z16, Z20, Z24, Z28, Z12)
+	GROUP(Z17, Z21, Z25, Z29, Z13)
+	GROUP(Z18, Z22, Z26, Z30, Z14)
+	GROUP(Z19, Z23, Z27, Z31, Z15)
+	VUNPCKLPS Z13, Z12, Z0
+	VUNPCKHPS Z13, Z12, Z1
+	VUNPCKLPS Z15, Z14, Z2
+	VUNPCKHPS Z15, Z14, Z3
+	VUNPCKLPD Z2, Z0, Z8     // l0 of every pair
+	VUNPCKHPD Z2, Z0, Z9     // l1
+	VUNPCKLPD Z3, Z1, Z10    // l2
+	VUNPCKHPD Z3, Z1, Z11    // l3
+	VADDPS    Z9, Z8, Z8     // l0+l1
+	VADDPS    Z10, Z8, Z8    // +l2
+	VADDPS    Z11, Z8, Z8    // +l3
+	ANDQ      $15, CX
+	JZ        kstore
+	VMOVUPS   tailIdx<>(SB), Z6
+
+ktail:
+	VMOVSS     (R8)(AX*1), X4
+	VINSERTPS  $0x10, (R9)(AX*1), X4, X4
+	VINSERTPS  $0x20, (R10)(AX*1), X4, X4
+	VINSERTPS  $0x30, (R11)(AX*1), X4, X4
+	VSHUFF32X4 $0, Z4, Z4, Z4     // [r0..r3] in every block
+	VMOVSS     (DI)(AX*1), X5
+	VINSERTPS  $0x10, (SI)(AX*1), X5, X5
+	VINSERTPS  $0x20, (DX)(AX*1), X5, X5
+	VINSERTPS  $0x30, (BX)(AX*1), X5, X5
+	VPERMPS    Z5, Z6, Z5         // x_b in every lane of block b
+	VMULPS     Z5, Z4, Z4
+	VADDPS     Z4, Z8, Z8
+	ADDQ       $4, AX
+	DECQ       CX
+	JNZ        ktail
+
+kstore:
+	// Lane i of block b of Z8 is row i's dot with input b: the group's
+	// row indices into R8..R11 again, and one scalar store per pair.
+	MOVQ          off+80(FP), R13
+	MOVQ          0(R12), R8
+	MOVQ          8(R12), R9
+	MOVQ          16(R12), R10
+	MOVQ          24(R12), R11
+	ADDQ          R13, R8
+	ADDQ          R13, R9
+	ADDQ          R13, R10
+	ADDQ          R13, R11
+	MOVQ          d0+0(FP), AX
+	VMOVSS        X8, (AX)(R8*4)
+	VEXTRACTPS    $1, X8, (AX)(R9*4)
+	VEXTRACTPS    $2, X8, (AX)(R10*4)
+	VEXTRACTPS    $3, X8, (AX)(R11*4)
+	VEXTRACTF32X4 $1, Z8, X9
+	MOVQ          d1+8(FP), AX
+	VMOVSS        X9, (AX)(R8*4)
+	VEXTRACTPS    $1, X9, (AX)(R9*4)
+	VEXTRACTPS    $2, X9, (AX)(R10*4)
+	VEXTRACTPS    $3, X9, (AX)(R11*4)
+	VEXTRACTF32X4 $2, Z8, X9
+	MOVQ          d2+16(FP), AX
+	VMOVSS        X9, (AX)(R8*4)
+	VEXTRACTPS    $1, X9, (AX)(R9*4)
+	VEXTRACTPS    $2, X9, (AX)(R10*4)
+	VEXTRACTPS    $3, X9, (AX)(R11*4)
+	VEXTRACTF32X4 $3, Z8, X9
+	MOVQ          d3+24(FP), AX
+	VMOVSS        X9, (AX)(R8*4)
+	VEXTRACTPS    $1, X9, (AX)(R9*4)
+	VEXTRACTPS    $2, X9, (AX)(R10*4)
+	VEXTRACTPS    $3, X9, (AX)(R11*4)
+	ADDQ          $32, R12
+	DECQ          groups+96(FP)
+	JNZ           kgroup
+	VZEROUPPER
+	RET

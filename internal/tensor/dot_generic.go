@@ -22,3 +22,7 @@ func gatherAVX(k Kernels, dst, w, x []float32, at [4]int) { gatherRows(k, dst, w
 func blockSpanAVX512(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32) {
 	blockRows(k, dsts, w, xs)
 }
+
+func keptBlockSpanAVX512(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32, kept []int, off int) {
+	keptBlockRows(k, dsts, w, xs, kept, off)
+}

@@ -244,31 +244,124 @@ func (k Kernels) PackedGemm(dst *Matrix, m *Matrix, xs []Vector) {
 		Panicf("tensor: PackedGemm shape mismatch: dst %dx%d, m %dx%d, %d inputs",
 			dst.Rows, dst.Cols, m.Rows, m.Cols, len(xs))
 	}
-	for _, x := range xs {
-		if len(x) != m.Cols {
-			Panicf("tensor: PackedGemm input length %d, m cols %d", len(x), m.Cols)
-		}
-	}
-	forkJoin(len(xs), m.SizeBytes(), gemm{k, dst, m, xs})
+	k.runGemm(gemm{k: k, dst: dst, m: m, xs: xs})
 }
 
-// gemm is PackedGemm's row-range body: rows of dst, four per span4
-// and the rest one span each.
+// PackedGemmInto is PackedGemm into destination vectors: dsts[t] = m ·
+// xs[t] for every t, each destination m.Rows long and anywhere in
+// memory — a block of one matrix row, rows of several. The forward core
+// uses it to compute one stage's rows of W·x into their blocks of the
+// cells' wx rows, four cells per block call whichever members they
+// belong to.
+func (k Kernels) PackedGemmInto(dsts []Vector, m *Matrix, xs []Vector) {
+	if len(dsts) != len(xs) {
+		Panicf("tensor: PackedGemmInto %d destinations for %d inputs", len(dsts), len(xs))
+	}
+	for _, d := range dsts {
+		if len(d) != m.Rows {
+			Panicf("tensor: PackedGemmInto destination %d, m %dx%d", len(d), m.Rows, m.Cols)
+		}
+	}
+	k.runGemm(gemm{k: k, dsts: dsts, m: m, xs: xs})
+}
+
+// runGemm checks the inputs of a PackedGemm body and runs it, its
+// destinations sharded where the weights overflow L2.
+func (k Kernels) runGemm(j gemm) {
+	for _, x := range j.xs {
+		if len(x) != j.m.Cols {
+			Panicf("tensor: PackedGemm input length %d, m cols %d", len(x), j.m.Cols)
+		}
+	}
+	forkJoin(len(j.xs), j.m.SizeBytes(), j)
+}
+
+// gemm is the row-range body of PackedGemm and PackedGemmInto:
+// destinations four per span4 and the rest one span each. Destination t
+// is dsts[t], or row t of dst where dsts is nil.
 type gemm struct {
-	k      Kernels
-	dst, m *Matrix
-	xs     []Vector
+	k    Kernels
+	dst  *Matrix
+	dsts []Vector
+	m    *Matrix
+	xs   []Vector
+}
+
+func (j gemm) row(t int) []float32 {
+	if j.dsts != nil {
+		return j.dsts[t]
+	}
+	return j.dst.Row(t)
 }
 
 func (j gemm) run(lo, hi int) {
 	t := lo
 	for ; t+4 <= hi; t += 4 {
-		d, x := j.dst, j.xs
-		j.k.span4([4][]float32{d.Row(t), d.Row(t + 1), d.Row(t + 2), d.Row(t + 3)}, j.m,
+		x := j.xs
+		j.k.span4([4][]float32{j.row(t), j.row(t + 1), j.row(t + 2), j.row(t + 3)}, j.m,
 			[4][]float32{x[t], x[t+1], x[t+2], x[t+3]}, 0)
 	}
 	for ; t < hi; t++ {
-		j.k.span(j.dst.Row(t), j.m, j.xs[t], 0)
+		j.k.span(j.row(t), j.m, j.xs[t], 0)
+	}
+}
+
+// PackedGemmKept computes dsts[b][i] = row i of m · xs[b] for every
+// input b and every row i in kept, and writes no other element: the
+// rows no input needs cost no dot. kept must be strictly ascending in
+// [0, m.Rows), and every destination m.Rows long. It is the batch's
+// Dynamic Row Skip over a weight stream shared by every input — the
+// forward core's second-stage W·x of a lockstep group, over the union
+// of its members' kept rows. The inputs go four at a time through the
+// gathered block span body, which loads each listed row once per four
+// inputs — Appleyard et al.'s weight reuse across inputs under one
+// shared mask; a group of one to three left over takes one more call
+// with the absent inputs marked, and the last len(kept)%4 rows go
+// through the row body, once per input. A W too large for L2 shards
+// the kept list over the worker pool. Every output element is one dot
+// chain, dotted once, so the result is bitwise that of PackedGemm at
+// the listed rows, at any GOMAXPROCS.
+func (k Kernels) PackedGemmKept(dsts []Vector, m *Matrix, xs []Vector, kept []int) {
+	if len(dsts) != len(xs) {
+		Panicf("tensor: PackedGemmKept %d destinations for %d inputs", len(dsts), len(xs))
+	}
+	for b, x := range xs {
+		if len(x) != m.Cols || len(dsts[b]) != m.Rows {
+			Panicf("tensor: PackedGemmKept member %d: destination %d, input %d, m %dx%d",
+				b, len(dsts[b]), len(x), m.Rows, m.Cols)
+		}
+	}
+	if j := (RowMask{Seg: m.Rows, Kept: kept}).badKept(); j >= 0 {
+		Panicf("tensor: PackedGemmKept keeps row %d at %d, not strictly ascending in [0, %d)",
+			kept[j], j, m.Rows)
+	}
+	forkJoin(len(kept), m.SizeBytes(), gemmKept{k, dsts, m, xs, kept})
+}
+
+// gemmKept is PackedGemmKept's body over the kept-list range [lo, hi).
+type gemmKept struct {
+	k    Kernels
+	dsts []Vector
+	m    *Matrix
+	xs   []Vector
+	kept []int
+}
+
+func (j gemmKept) run(lo, hi int) {
+	kept, n, w := j.kept[lo:hi], j.m.Cols, j.m.Data
+	for b0 := 0; b0 < len(j.xs); b0 += 4 {
+		var dsts, xs [4][]float32
+		for b := b0; b < min(b0+4, len(j.xs)); b++ {
+			dsts[b-b0], xs[b-b0] = j.dsts[b], j.xs[b]
+		}
+		j.k.keptBlock(j.k, dsts, w, xs, kept, 0)
+		for _, i := range kept[len(kept)&^3:] {
+			for b, d := range dsts {
+				if d != nil {
+					d[i] = j.k.dot(w[i*n:i*n+n], xs[b])
+				}
+			}
+		}
 	}
 }
 

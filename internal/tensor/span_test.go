@@ -13,7 +13,8 @@ import (
 // bitwise the row body's dot of its row (or both NaN), it writes
 // nothing else, and the kernels built on the bodies (span, span4,
 // spanKept) compute every row of a window that may start and end inside
-// a segment. The assembly bodies gather rows by index with no bounds
+// a segment, and the gathered block body every listed row of four, or
+// fewer, inputs. The assembly bodies gather rows by index with no bounds
 // checks of their own, so every destination sits between canaries that
 // must survive the call.
 
@@ -250,6 +251,67 @@ func TestDotBlockMatchesGeneric(t *testing.T) {
 	})
 }
 
+// presence is the input patterns of the gathered block body: all four
+// inputs present, and groups of three, two and one with the absent
+// slots marked nil in different places.
+var presence = [][4]bool{{true, true, true, true}, {true, true, true, false}, {false, true, false, true}, {false, false, true, false}}
+
+// checkKeptBlock runs k's gathered block body over kept (offset off)
+// with the inputs present marks, each destination between canaries, and
+// holds every output of a present input at a listed row of the whole
+// groups to want, every other slot untouched.
+func checkKeptBlock(t *testing.T, name string, k Kernels, w []float32, xs [4][]float32, rows int, kept []int, off int, present [4]bool, want func(b, i int) float32) {
+	t.Helper()
+	var dsts, bufs [4][]float32
+	for b, p := range present {
+		if p {
+			dsts[b], bufs[b] = canaried(rows)
+		}
+	}
+	groups := kept[:len(kept)&^3]
+	in := func(i int) bool { _, ok := slices.BinarySearch(groups, i-off); return ok }
+	k.keptBlock(k, dsts, w, xs, kept, off)
+	for b, buf := range bufs {
+		if buf != nil {
+			checkCanaried(t, fmt.Sprintf("%s input %d of %v", name, b, present), buf, in,
+				func(i int) float32 { return want(b, i) })
+		}
+	}
+}
+
+// TestDotKeptBlockMatchesGeneric pins the gathered block span body of
+// every binding (spanBindings: the pure-Go gathered block over each
+// binding's kept span, and the AVX-512 body where the probe binds it) to
+// dotRowGeneric, pair by pair, over the span corpus with four inputs:
+// random, empty, full and single-row lists, at offset 0 and at a
+// negative offset as a shard window has, with four inputs present and
+// with one to three. Outputs must be bitwise equal, or both NaN, and
+// every other slot of the destinations untouched.
+func TestDotKeptBlockMatchesGeneric(t *testing.T) {
+	r := rng.New(0x66)
+	bindings := spanBindings()
+	c := 0
+	spanShapes(func(rows, n int, kind string) {
+		w, xs := spanCorpus(r, kind, rows, n)
+		want := spanRef(w, xs, rows)
+		ref := func(b, i int) float32 { return want[b][i] }
+		present := presence[c%len(presence)]
+		c++
+		for lname, kept := range keptKinds(r, rows) {
+			s := rows / 3
+			shifted := make([]int, len(kept))
+			for j, k := range kept {
+				shifted[j] = k + s
+			}
+			for _, bd := range bindings {
+				name := fmt.Sprintf("%s %d×%d %s kept %s", bd.name, rows, n, kind, lname)
+				checkKeptBlock(t, name, bd.k, w, xs, rows, kept, 0, [4]bool{true, true, true, true}, ref)
+				checkKeptBlock(t, name+" at an offset", bd.k, w, xs, rows, shifted, -s, present, ref)
+			}
+		}
+	})
+}
+
 // checkWindow runs span, span4 and spanKept of k over the window
 // [lo, hi) of m's rows, each destination between canaries, and holds
 // every output to dotRowGeneric of its row (or fill where mk skips it).
@@ -282,6 +344,20 @@ func checkWindow(t *testing.T, name string, k Kernels, m *Matrix, xs [4][]float3
 		}
 		return want[0][lo+i]
 	})
+
+	// The gathered block body over the window's kept rows, numbered from
+	// the window's start: mk tiled over [lo, hi), as the union list of a
+	// group's second-stage W·x tiles the stage's blocks.
+	var kept []int
+	for i := lo; i < hi; i++ {
+		if _, ok := slices.BinarySearch(mk.Kept, i%mk.Seg); ok {
+			kept = append(kept, i)
+		}
+	}
+	for _, present := range presence {
+		checkKeptBlock(t, name+" keptBlock", k, m.Data, xs, m.Rows, kept, 0, present,
+			func(b, i int) float32 { return want[b][i] })
+	}
 }
 
 // TestSpanWindowsMatchesGeneric holds the span kernels of every binding
@@ -324,9 +400,10 @@ func TestSpanWindowsMatchesGeneric(t *testing.T) {
 	}
 }
 
-// FuzzSpanBodies drives the span kernels of every binding over random
-// shapes, value kinds, kept lists and shard windows, each destination
-// between canaries, against dotRowGeneric (checkWindow).
+// FuzzSpanBodies drives the span kernels of every binding — the
+// gathered block body among them — over random shapes, value kinds,
+// kept lists and shard windows, each destination between canaries,
+// against dotRowGeneric (checkWindow).
 func FuzzSpanBodies(f *testing.F) {
 	f.Add(uint64(1), uint8(10), uint8(3), uint16(192), uint16(5), uint16(20), uint8(128))
 	f.Add(uint64(2), uint8(1), uint8(4), uint16(17), uint16(0), uint16(4), uint8(0))

@@ -3,11 +3,7 @@
 // operating-point selections used in Fig. 18 and Fig. 19.
 package tradeoff
 
-import (
-	"fmt"
-
-	"mobilstm/internal/thresholds"
-)
+import "mobilstm/internal/thresholds"
 
 // Point is one evaluated threshold set.
 type Point struct {
@@ -23,16 +19,6 @@ type Point struct {
 
 // Curve is a full threshold sweep, indexed by set.
 type Curve []Point
-
-// Validate checks the curve covers sets 0..n-1 in order.
-func (c Curve) Validate() error {
-	for i, p := range c {
-		if p.Set != i {
-			return fmt.Errorf("tradeoff: point %d has set %d", i, p.Set)
-		}
-	}
-	return nil
-}
 
 // AO returns the accuracy-oriented set: the largest set whose accuracy
 // loss stays user-imperceptible (thresholds.UserAccuracyFloor, §VI-A).

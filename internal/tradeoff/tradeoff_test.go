@@ -18,16 +18,6 @@ func testCurve() Curve {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	if err := testCurve().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := Curve{{Set: 3}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("misordered curve validated")
-	}
-}
-
 func TestAO(t *testing.T) {
 	// Largest set with accuracy >= 0.98.
 	if ao := testCurve().AO(); ao != 5 {

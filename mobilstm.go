@@ -210,9 +210,7 @@ func (s *System) UO(mode Mode, preferredAccuracy float64) Outcome {
 }
 
 func curveOf(outs []Outcome) tradeoff.Curve {
-	c := make(tradeoff.Curve, len(outs))
-	for i, o := range outs {
-		c[i] = tradeoff.Point{Set: i, Speedup: o.Speedup, EnergySaving: o.EnergySaving, Accuracy: o.Accuracy}
-	}
-	return c
+	return core.CurveOf(outs, func(o Outcome) (float64, float64, float64) {
+		return o.Speedup, o.EnergySaving, o.Accuracy
+	})
 }
