@@ -83,6 +83,15 @@ func TestVectorOps(t *testing.T) {
 	if dst[0] != 4 || dst[1] != 10 || dst[2] != 18 {
 		t.Fatalf("Mul: %v", dst)
 	}
+	// Fill's +0 fast path is a clear; a −0 fill keeps its sign bit.
+	for _, x := range []float32{0, float32(math.Copysign(0, -1)), -1.5} {
+		dst.Fill(x)
+		for _, v := range dst {
+			if math.Float32bits(v) != math.Float32bits(x) {
+				t.Fatalf("Fill(%v) left %#08x", x, math.Float32bits(v))
+			}
+		}
+	}
 }
 
 func TestAbsRowSums(t *testing.T) {
