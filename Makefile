@@ -181,12 +181,14 @@ fleet-smoke:
 	$(GO) run ./cmd/mobilstm-serve -shards 3 -fleetcheck \
 		-benches MR,BABI -requests 16 -interarrival 1 -seed 7
 
-# Non-test and test Go lines per area — each internal package, the root
-# package (the mobilstm facade), cmd/ and bench/ — and in total: the
-# numbers ROADMAP quotes and every aim-2 PR reports.
+# Non-test and test Go lines and assembly lines per area — each
+# internal package, the root package (the mobilstm facade), cmd/ and
+# bench/ — and in total: the numbers ROADMAP quotes and every aim-2 PR
+# reports.
 LOC_ROW = all=$$(find $(1) -name '*.go' | xargs cat /dev/null | wc -l); \
 	tst=$$(find $(1) -name '*_test.go' | xargs cat /dev/null | wc -l); \
-	printf '%-22s %6d non-test %6d test\n' $(2) $$((all - tst)) $$tst
+	asm=$$(find $(1) -name '*.s' | xargs cat /dev/null | wc -l); \
+	printf '%-22s %6d non-test %6d test %6d asm\n' $(2) $$((all - tst)) $$tst $$asm
 
 loc:
 	@for d in internal/*/ cmd/ bench/; do $(call LOC_ROW,$$d,$$d); done

@@ -43,9 +43,11 @@ func TrivialRows(o tensor.Vector, alpha float64) ([]bool, int) {
 // !(o[j] >= alpha), so a NaN is trivial), and the result is dst[:n].
 // dst is a caller-owned buffer of the cells' length, so per-tissue calls
 // on the inference hot path do not allocate. Every cell is validated
-// before any row is read. The pass is branch-free per row: row j is
-// written to dst[n] unconditionally and kept by advancing n. With
-// alpha <= 0 (DRS off) every row is kept.
+// before any row is read. The pass is branch-free per row: with several
+// cells, each cell ORs its keep flags into dst in one pass of its own,
+// and then row j is written to dst[n] unconditionally and kept by
+// advancing n by its flag (n <= j, so the compaction runs in place).
+// With alpha <= 0 (DRS off) every row is kept.
 func TissueKeptRowsInto(dst []int, os []tensor.Vector, alpha float64) []int {
 	dim := len(dst)
 	for _, o := range os {
@@ -68,12 +70,14 @@ func TissueKeptRowsInto(dst []int, os []tensor.Vector, alpha float64) []int {
 		}
 		return dst[:n]
 	}
-	for j := range dst {
-		dst[n] = j
-		k := 0
-		for _, o := range os {
-			k |= keep(o[j] >= a)
+	clear(dst)
+	for _, o := range os {
+		for j, v := range o[:len(dst)] {
+			dst[j] |= keep(v >= a)
 		}
+	}
+	for j, k := range dst {
+		dst[n] = j
 		n += k
 	}
 	return dst[:n]

@@ -10,8 +10,10 @@
 // batch-B GPU launch sequence (kernels.RequestBatch — the §II-C
 // server-style weight reuse), so each request's simulated latency is
 // its queueing wait plus its batch's GPU time. A worker pool drains the
-// batches: each worker replays the batch cost model on the simulator
-// and runs real per-request inference at the engine's serving operating
+// batches: each worker prices its window in closed form
+// (kernels.Builder.RequestBatchRaggedMs adds up the simulator's
+// per-launch cycles, with no per-window simulation and no cache) and
+// runs real per-request inference at the engine's serving operating
 // point, scoring accuracy against the corpus reference labels.
 //
 // The serving path is error-returning end to end: request validation
@@ -632,7 +634,8 @@ func (s *Server) serveBatch(batch []*request) {
 // engineSlot is one benchmark's shared serving state: the engine (built
 // once, then shared by every worker), the resolved threshold set and
 // its run options, the corpus cursor, the pending engine-materialization
-// charge, and the per-batch-size GPU cost cache.
+// charge, and the simulator and kernel builder that price a window in
+// closed form (batchMsRagged: no cost is cached).
 type engineSlot struct {
 	once sync.Once
 	err  error

@@ -18,14 +18,16 @@ import (
 //     equality at any GOMAXPROCS and any batch B).
 //
 // A KernelChain names a chain; a body is code that carries it. The
-// canonical chain has four bodies — the pure-Go definition, the SSE2
-// row body, the AVX four-row span bodies (dot_quad_amd64.s, the
-// four-row groups of a row range, a kept-row list or one gathered group
-// against one x per call) and the AVX-512 block span bodies
-// (dot_block_amd64.s, the four-row groups of a row range or a kept-row
-// list against four inputs per call) — and the wide chain two. There is one kernel family
-// (Kernels): KernelsFor resolves a selection to its bodies once, and
-// every kernel of a run dots its rows through that binding.
+// canonical chain has four bodies — the pure-Go definition and one per
+// register width: the SSE2 row body, the AVX four-row body
+// (dot_quad_amd64.s: the four-row groups of a row range, of a kept-row
+// list or one gathered group against one x per call) and the AVX-512
+// block body (dot_block_amd64.s: the four-row groups of a row range or
+// a kept-row list against four inputs per call); a range is the
+// list-less case of a vector body, not a body of its own. The wide
+// chain has two. There is one kernel family (Kernels): KernelsFor
+// resolves a selection to its bodies once, and every kernel of a run
+// dots its rows through that binding.
 // The process default (MOBILSTM_KERNEL_CHAIN) is the only production
 // selector; explicit bindings are the package-level entry points
 // (PackedGemv…, WidePacked…) and calibration's. A ChainGeneric process default additionally pins every chain to its
@@ -149,11 +151,11 @@ func KernelsFor(c KernelChain) Kernels {
 	}
 	asm := def != ChainGeneric
 	k := goKernels(rowBody(c, asm, asm && hasWideBody))
-	if quad, kept, gather := quadBody(c, asm && hasQuadBody); quad != nil {
-		k.quad, k.kept, k.gather = quad, kept, gather
+	if quad, gather := quadBody(c, asm && hasQuadBody); quad != nil {
+		k.quad, k.gather = quad, gather
 	}
-	if block, keptBlock := blockBody(c, asm && hasBlockBody); block != nil {
-		k.block, k.keptBlock = block, keptBlock
+	if block := blockBody(c, asm && hasBlockBody); block != nil {
+		k.block = block
 	}
 	return k
 }
@@ -184,30 +186,30 @@ func rowBody(c KernelChain, asm, avx2 bool) rowBodyFn {
 }
 
 // quadBody is the table's four-row column: the span bodies that dot the
-// four-row groups of a row range, of a kept-row list and of one gathered
-// group against one x for chain c when the AVX four-row body is usable
+// four-row groups of a row range or a kept-row list, and of one gathered
+// group, against one x for chain c when the AVX four-row body is usable
 // (avx: the probe allows it and the process is not forced generic), or
 // nils — the binding keeps the pure-Go spans over its row body
 // (goKernels). Only the canonical chain through its assembly binding
 // has them; the wide chain and the pure-Go canonical binding dot row by
 // row.
-func quadBody(c KernelChain, avx bool) (quadBodyFn, keptBodyFn, gatherBodyFn) {
+func quadBody(c KernelChain, avx bool) (quadBodyFn, gatherBodyFn) {
 	if c == ChainSSE2 && avx {
-		return quadSpanAVX, keptSpanAVX, gatherAVX
-	}
-	return nil, nil, nil
-}
-
-// blockBody is the table's four-row × four-input column: the span
-// bodies that dot the four-row groups of a row range and of a kept-row
-// list against four inputs for chain c when the AVX-512 block body is
-// usable (avx512: the probe allows it and the process is not forced
-// generic), or nils — the binding keeps the pure-Go block spans, one
-// four-row span per input (blockRows, keptBlockRows). As in quadBody,
-// only the canonical chain through its assembly binding has them.
-func blockBody(c KernelChain, avx512 bool) (blockBodyFn, keptBlockBodyFn) {
-	if c == ChainSSE2 && avx512 {
-		return blockSpanAVX512, keptBlockSpanAVX512
+		return quadSpanAVX, gatherAVX
 	}
 	return nil, nil
+}
+
+// blockBody is the table's four-row × four-input column: the span body
+// that dots the four-row groups of a row range or a kept-row list
+// against four inputs for chain c when the AVX-512 block body is usable
+// (avx512: the probe allows it and the process is not forced generic),
+// or nil — the binding keeps the pure-Go block span, one four-row span
+// per input (blockRows). As in quadBody, only the canonical chain
+// through its assembly binding has it.
+func blockBody(c KernelChain, avx512 bool) blockBodyFn {
+	if c == ChainSSE2 && avx512 {
+		return blockSpanAVX512
+	}
+	return nil
 }

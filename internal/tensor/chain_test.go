@@ -83,10 +83,8 @@ func bodyName(f any) string {
 	for name, b := range map[string]any{
 		"dotRowGeneric": dotRowGeneric, "dotRowSSE2": dotRowSSE2,
 		"dotRowWideGeneric": dotRowWideGeneric, "dotRowAVX2": dotRowAVX2,
-		"quadRows": quadRows, "keptRows": keptRows, "gatherRows": gatherRows, "blockRows": blockRows,
-		"quadSpanAVX": quadSpanAVX, "keptSpanAVX": keptSpanAVX, "gatherAVX": gatherAVX,
-		"keptBlockRows": keptBlockRows, "blockSpanAVX512": blockSpanAVX512,
-		"keptBlockSpanAVX512": keptBlockSpanAVX512,
+		"quadRows": quadRows, "gatherRows": gatherRows, "blockRows": blockRows,
+		"quadSpanAVX": quadSpanAVX, "gatherAVX": gatherAVX, "blockSpanAVX512": blockSpanAVX512,
 	} {
 		if fv.Pointer() == reflect.ValueOf(b).Pointer() {
 			return name
@@ -104,23 +102,23 @@ func quadProbe() bool { c := CPU(); return c.AVX && c.OSYMM }
 // AVX-512F with OS-saved opmask and ZMM state.
 func blockProbe() bool { c := CPU(); return c.AVX512F && c.OSZMM }
 
-// boundBodies names the five bodies a binding runs: row, the three
-// four-row spans (range, kept list, gathered group) and the block span.
-func boundBodies(k Kernels) [6]string {
-	return [6]string{bodyName(k.dot), bodyName(k.quad), bodyName(k.kept), bodyName(k.gather), bodyName(k.block),
-		bodyName(k.keptBlock)}
+// boundBodies names the four bodies a binding runs: row, the four-row
+// span (a row range or a kept-row list), the gathered group and the
+// block span.
+func boundBodies(k Kernels) [4]string {
+	return [4]string{bodyName(k.dot), bodyName(k.quad), bodyName(k.gather), bodyName(k.block)}
 }
 
 // withSpans is a binding's expected names: row body dot, and the
 // assembly four-row and block span bodies where quad and block say
 // they are bound, the pure-Go spans otherwise.
-func withSpans(dot string, quad, block bool) [6]string {
-	want := [6]string{dot, "quadRows", "keptRows", "gatherRows", "blockRows", "keptBlockRows"}
+func withSpans(dot string, quad, block bool) [4]string {
+	want := [4]string{dot, "quadRows", "gatherRows", "blockRows"}
 	if quad {
-		want[1], want[2], want[3] = "quadSpanAVX", "keptSpanAVX", "gatherAVX"
+		want[1], want[2] = "quadSpanAVX", "gatherAVX"
 	}
 	if block {
-		want[4], want[5] = "blockSpanAVX512", "keptBlockSpanAVX512"
+		want[3] = "blockSpanAVX512"
 	}
 	return want
 }
@@ -161,12 +159,12 @@ func TestForcedGenericDisablesAssemblyBodies(t *testing.T) {
 		{ChainSSE2, false, "none"},
 		{ChainAVX2, true, "none"},
 	} {
-		quad, kept, gather := quadBody(c.chain, c.avx)
-		want := [3]string{"none", "none", "none"}
+		quad, gather := quadBody(c.chain, c.avx)
+		want := [2]string{"none", "none"}
 		if c.want != "none" {
-			want = [3]string{"quadSpanAVX", "keptSpanAVX", "gatherAVX"}
+			want = [2]string{"quadSpanAVX", "gatherAVX"}
 		}
-		if got := [3]string{bodyName(quad), bodyName(kept), bodyName(gather)}; got != want {
+		if got := [2]string{bodyName(quad), bodyName(gather)}; got != want {
 			t.Errorf("quadBody(%v, avx=%v) = %s, want %s", c.chain, c.avx, got, want)
 		}
 	}
@@ -180,13 +178,8 @@ func TestForcedGenericDisablesAssemblyBodies(t *testing.T) {
 		{ChainSSE2, false, "none"},
 		{ChainAVX2, true, "none"},
 	} {
-		block, keptBlock := blockBody(c.chain, c.avx512)
-		want := [2]string{c.want, "none"}
-		if c.want != "none" {
-			want[1] = "keptBlockSpanAVX512"
-		}
-		if got := [2]string{bodyName(block), bodyName(keptBlock)}; got != want {
-			t.Errorf("blockBody(%v, avx512=%v) = %s, want %s", c.chain, c.avx512, got, want)
+		if got := bodyName(blockBody(c.chain, c.avx512)); got != c.want {
+			t.Errorf("blockBody(%v, avx512=%v) = %s, want %s", c.chain, c.avx512, got, c.want)
 		}
 	}
 	wide := "dotRowWideGeneric"
@@ -197,7 +190,7 @@ func TestForcedGenericDisablesAssemblyBodies(t *testing.T) {
 	generic := withSpans("dotRowGeneric", false, false)
 	for _, c := range []struct {
 		def, sel KernelChain
-		want     [6]string
+		want     [4]string
 	}{
 		{ChainGeneric, ChainAuto, generic},
 		{ChainGeneric, ChainSSE2, generic},
@@ -245,7 +238,7 @@ func TestChainMatrixLegRunsItsBodies(t *testing.T) {
 	}
 	for _, c := range []struct {
 		sel  KernelChain
-		want [6]string
+		want [4]string
 	}{{ChainAuto, auto}, {ChainSSE2, canon}, {ChainAVX2, wide}} {
 		got := boundBodies(KernelsFor(c.sel))
 		t.Logf("leg %v (CPU %s): KernelsFor(%v) runs %s", leg, CPU(), c.sel, got)

@@ -54,10 +54,11 @@ var hasWideBody = cpuFeatures.AVX && cpuFeatures.AVX2 && cpuFeatures.FMA && cpuF
 var hasQuadBody = cpuFeatures.AVX && cpuFeatures.OSYMM
 
 // hasBlockBody reports whether the canonical chain's AVX-512 block body
-// is usable on this CPU: 512-bit VMULPS/VADDPS and the ZMM16-31
-// accumulators need AVX-512F and OS-saved opmask and ZMM state. A block
-// span is four four-row spans otherwise (blockBody). Tests clear it to
-// reach that path.
+// — one body for a row range and a kept-row list — is usable on this
+// CPU: 512-bit VMULPS/VADDPS and the ZMM16-31 accumulators need AVX-512F
+// and OS-saved opmask and ZMM state. A block span, over a range or a
+// list, is one four-row span per present input otherwise (blockRows,
+// blockBody). Tests clear it to reach that path.
 var hasBlockBody = cpuFeatures.AVX512F && cpuFeatures.OSZMM
 
 // hasActBody reports whether SigmoidVec/TanhVec may run their AVX2+FMA

@@ -32,41 +32,43 @@ func dotSSE(row, x *float32, n int) float32
 // with OS-saved opmask and ZMM state (hasBlockBody), and neither in a
 // process forced generic.
 
-// quadSpanAVX is quadRows (kernel.go) through the AVX four-row body in
-// dot_quad_amd64.s.
-func quadSpanAVX(_ Kernels, dst, w, x []float32) {
-	groups, n := len(dst)/4, len(x)
-	if groups == 0 {
-		return
+// spanOf proves the rows of one span body call in bounds and returns
+// what the assembly walks: the list's first entry, or nil for the range;
+// the offset its row indices take (0 for the range); how many whole
+// groups of four rows it dots; and the last of those rows. The range's
+// groups are rows 0..4·groups-1 of rows. A list is strictly ascending
+// (RowMask's contract, which PackedGemmRows and PackedGemmKept
+// validate), so its first and last rows bound every row it names.
+func spanOf(rows int, kept []int, off int) (idx *int, from, groups, last int) {
+	if kept == nil {
+		groups = rows / 4
+		return nil, 0, groups, 4*groups - 1
 	}
-	if n == 0 {
-		clear(dst[:4*groups])
-		return
+	if groups = len(kept) / 4; groups == 0 {
+		return nil, 0, 0, -1
 	}
-	w = w[:4*groups*n]
-	dot4SpanAVX(&dst[0], &w[0], &x[0], nil, 0, n, groups)
+	first, last := off+kept[0], off+kept[4*groups-1]
+	if first < 0 || last >= rows || first > last {
+		Panicf("tensor: kept rows [%d, %d] outside a %d-row span", first, last, rows)
+	}
+	return &kept[0], off, groups, last
 }
 
-// keptSpanAVX is keptRows through the AVX four-row body. kept is
-// strictly ascending (RowMask's contract, which PackedGemmRows
-// validates), so its first and last rows bound every row it names.
-func keptSpanAVX(_ Kernels, dst, w, x []float32, kept []int, off int) {
-	groups, n := len(kept)/4, len(x)
+// quadSpanAVX is quadRows (kernel.go) through the AVX four-row body in
+// dot_quad_amd64.s. An empty row has no address, so a zero-length x
+// goes through quadRows.
+func quadSpanAVX(k Kernels, dst, w, x []float32, kept []int, off int) {
+	idx, from, groups, last := spanOf(len(dst), kept, off)
+	n := len(x)
 	if groups == 0 {
 		return
 	}
-	kept = kept[:4*groups]
-	if first, last := off+kept[0], off+kept[len(kept)-1]; first < 0 || last >= len(dst) || first > last {
-		Panicf("tensor: kept rows [%d, %d] outside a %d-row span", first, last, len(dst))
-	}
 	if n == 0 {
-		for _, r := range kept {
-			dst[off+r] = 0
-		}
+		quadRows(k, dst, w, x, kept, off)
 		return
 	}
-	w = w[:len(dst)*n]
-	dot4SpanAVX(&dst[0], &w[0], &x[0], &kept[0], off, n, groups)
+	w = w[:(last+1)*n]
+	dot4SpanAVX(&dst[0], &w[0], &x[0], idx, from, n, groups)
 }
 
 // gatherAVX is gatherRows through the AVX four-row body: one group of
@@ -98,78 +100,45 @@ func gatherAVX(_ Kernels, dst, w, x []float32, at [4]int) {
 func dot4SpanAVX(dst, w, x *float32, idx *int, off, n, groups int)
 
 // blockSpanAVX512 is blockRows (kernel.go) through the AVX-512 block
-// body in dot_block_amd64.s.
-func blockSpanAVX512(_ Kernels, dsts [4][]float32, w []float32, xs [4][]float32) {
-	groups, n := len(dsts[0])/4, len(xs[0])
+// body in dot_block_amd64.s. An absent input takes the first present
+// input's place: its lanes dot that input again and store the same bits
+// over the same outputs, so a group of one to three inputs is one call
+// too. Every present destination must hold the call's last row, and a
+// zero-length input goes through blockRows.
+func blockSpanAVX512(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32, kept []int, off int) {
+	first := slices.IndexFunc(dsts[:], func(d []float32) bool { return d != nil })
+	if first < 0 {
+		return
+	}
+	idx, from, groups, last := spanOf(len(dsts[first]), kept, off)
+	n := len(xs[first])
 	if groups == 0 {
 		return
 	}
-	for b := range dsts {
-		dsts[b] = dsts[b][:4*groups]
-	}
 	if n == 0 {
-		for _, d := range dsts {
-			clear(d)
-		}
+		blockRows(k, dsts, w, xs, kept, off)
 		return
 	}
-	for b := range xs {
-		xs[b] = xs[b][:n]
-	}
-	w = w[:4*groups*n]
-	dot4x4SpanAVX512(&dsts[0][0], &dsts[1][0], &dsts[2][0], &dsts[3][0], &w[0],
-		&xs[0][0], &xs[1][0], &xs[2][0], &xs[3][0], n, groups)
-}
-
-// dot4x4SpanAVX512 is implemented in dot_block_amd64.s: groups groups
-// of four rows of w, rows 4g..4g+3, each dotted against the four
-// inputs, db[i] the dot of row i and xb. Each result must match
-// dotRowGeneric bitwise; see the chain definition in kernel.go.
-//
-//go:noescape
-func dot4x4SpanAVX512(d0, d1, d2, d3, w, x0, x1, x2, x3 *float32, n, groups int)
-
-// keptBlockSpanAVX512 is keptBlockRows (kernel.go) through the AVX-512
-// gathered block body in dot_block_amd64.s. An absent input takes the
-// first present input's place: its lanes dot that input again and store
-// the same bits over the same outputs, so a group of one to three
-// inputs is one call too. kept is strictly ascending (PackedGemmKept
-// validates it), so its first and last rows bound every row it names.
-func keptBlockSpanAVX512(_ Kernels, dsts [4][]float32, w []float32, xs [4][]float32, kept []int, off int) {
-	groups, first := len(kept)/4, slices.IndexFunc(dsts[:], func(d []float32) bool { return d != nil })
-	if groups == 0 || first < 0 {
-		return
-	}
-	kept = kept[:4*groups]
-	lo, hi := off+kept[0], off+kept[len(kept)-1]
-	n := len(xs[first])
 	for b, d := range dsts {
 		if d == nil {
 			dsts[b], xs[b] = dsts[first], xs[first]
 			continue
 		}
-		if lo < 0 || hi >= len(d) || lo > hi {
-			Panicf("tensor: kept rows [%d, %d] outside a %d-row span", lo, hi, len(d))
+		if last >= len(d) {
+			Panicf("tensor: block row %d outside a %d-row destination", last, len(d))
 		}
 		xs[b] = xs[b][:n]
 	}
-	if n == 0 {
-		for _, d := range dsts {
-			for _, r := range kept {
-				d[off+r] = 0
-			}
-		}
-		return
-	}
-	w = w[:(hi+1)*n]
-	dot4x4KeptAVX512(&dsts[0][0], &dsts[1][0], &dsts[2][0], &dsts[3][0], &w[0],
-		&xs[0][0], &xs[1][0], &xs[2][0], &xs[3][0], &kept[0], off, n, groups)
+	w = w[:(last+1)*n]
+	dot4x4AVX512(&dsts[0][0], &dsts[1][0], &dsts[2][0], &dsts[3][0], &w[0],
+		&xs[0][0], &xs[1][0], &xs[2][0], &xs[3][0], idx, from, n, groups)
 }
 
-// dot4x4KeptAVX512 is implemented in dot_block_amd64.s: groups groups
-// of four rows of w, rows off+idx[4g..4g+3], each dotted against the
-// four inputs, db[i] the dot of row i and xb. Each result must match
-// dotRowGeneric bitwise; see the chain definition in kernel.go.
+// dot4x4AVX512 is implemented in dot_block_amd64.s: groups groups of
+// four rows — rows 4g..4g+3 when idx is nil (off is then 0), rows
+// off+idx[4g..4g+3] otherwise — each dotted against the four inputs,
+// db[i] the dot of row i and xb. Each result must match dotRowGeneric
+// bitwise; see the chain definition in kernel.go.
 //
 //go:noescape
-func dot4x4KeptAVX512(d0, d1, d2, d3, w, x0, x1, x2, x3 *float32, idx *int, off, n, groups int)
+func dot4x4AVX512(d0, d1, d2, d3, w, x0, x1, x2, x3 *float32, idx *int, off, n, groups int)

@@ -1,9 +1,13 @@
-// func dot4x4SpanAVX512(d0, d1, d2, d3, w, x0, x1, x2, x3 *float32, n, groups int)
+// func dot4x4AVX512(d0, d1, d2, d3, w, x0, x1, x2, x3 *float32, idx *int, off, n, groups int)
 //
 // AVX-512 block span body of the canonical dot-product chain: groups
-// groups of four rows of w (rows of n floats, group g is rows
-// 4g..4g+3) dotted against four inputs per call, db[i] bitwise the
-// chain that dotRowGeneric in kernel.go defines for row i and input b.
+// groups of four rows of w (rows of n floats) dotted against four
+// inputs per call, db[i] bitwise the chain that dotRowGeneric in
+// kernel.go defines for row i and input b. Group g is rows
+// off+4g..off+4g+3 when idx is nil (a row range: the Go wrapper passes
+// off = 0, and the body counts the range's rows in off) and rows
+// off+idx[4g..4g+3] otherwise (a kept-row list), as in dot4SpanAVX; the
+// two differ only in where the rows are and how the outputs are stored.
 // The Go wrapper in dot_amd64.go proves every row and destination in
 // bounds. The chain has sixteen lanes, so one ZMM register holds a
 // (row, input) pair's whole accumulator — groups [A|B|C|D] — and
@@ -22,7 +26,7 @@
 // (i, b): 128-bit block b of it is db's four outputs. Every instruction
 // is AVX-512F (no VL, DQ or BW forms): VPXORD clears the accumulators,
 // and the only 128-bit ops are the remainder's loads (X4/X5) and the
-// stores of the four output blocks.
+// stores.
 
 #include "textflag.h"
 
@@ -76,21 +80,46 @@ DATA tailIdx<>+56(SB)/4, $3
 DATA tailIdx<>+60(SB)/4, $3
 GLOBL tailIdx<>(SB), RODATA|NOPTR, $64
 
-TEXT ·dot4x4SpanAVX512(SB), NOSPLIT, $0-88
-	MOVQ w+32(FP), R8        // row 0 of the first group
+TEXT ·dot4x4AVX512(SB), NOSPLIT, $0-104
 	MOVQ x0+40(FP), DI
 	MOVQ x1+48(FP), SI
 	MOVQ x2+56(FP), DX
 	MOVQ x3+64(FP), BX
-	XORQ R12, R12            // byte offset of the group's outputs
+	MOVQ idx+72(FP), R12     // the group's four row indices, or nil
 
 group:
-	MOVQ   n+72(FP), CX
+	// The group's row indices into R8..R11, then their addresses
+	// w + row·4n.
+	MOVQ  off+80(FP), R8
+	TESTQ R12, R12
+	JZ    seqrows
+	MOVQ  R8, R9
+	MOVQ  R8, R10
+	MOVQ  R8, R11
+	ADDQ  0(R12), R8
+	ADDQ  8(R12), R9
+	ADDQ  16(R12), R10
+	ADDQ  24(R12), R11
+	JMP   rows
+
+seqrows:
+	LEAQ 1(R8), R9
+	LEAQ 2(R8), R10
+	LEAQ 3(R8), R11
+
+rows:
+	MOVQ   n+88(FP), CX
 	MOVQ   CX, AX
 	SHLQ   $2, AX            // bytes per row
-	LEAQ   (R8)(AX*1), R9
-	LEAQ   (R9)(AX*1), R10
-	LEAQ   (R10)(AX*1), R11
+	IMULQ  AX, R8
+	IMULQ  AX, R9
+	IMULQ  AX, R10
+	IMULQ  AX, R11
+	MOVQ   w+32(FP), R13
+	ADDQ   R13, R8
+	ADDQ   R13, R9
+	ADDQ   R13, R10
+	ADDQ   R13, R11
 	VPXORD Z16, Z16, Z16
 	VPXORD Z17, Z17, Z17
 	VPXORD Z18, Z18, Z18
@@ -174,152 +203,19 @@ tail:
 	JNZ        tail
 
 store:
-	// Block b of Z8 is db's four outputs. AX is now the row length in
-	// bytes, so the next group starts one row past row 3.
-	LEAQ          (R11)(AX*1), R8
-	MOVQ          d0+0(FP), AX
-	VMOVUPS       X8, (AX)(R12*1)
-	VEXTRACTF32X4 $1, Z8, X9
-	MOVQ          d1+8(FP), AX
-	VMOVUPS       X9, (AX)(R12*1)
-	VEXTRACTF32X4 $2, Z8, X9
-	MOVQ          d2+16(FP), AX
-	VMOVUPS       X9, (AX)(R12*1)
-	VEXTRACTF32X4 $3, Z8, X9
-	MOVQ          d3+24(FP), AX
-	VMOVUPS       X9, (AX)(R12*1)
-	ADDQ          $16, R12
-	DECQ          groups+80(FP)
-	JNZ           group
-	VZEROUPPER
-	RET
-
-// func dot4x4KeptAVX512(d0, d1, d2, d3, w, x0, x1, x2, x3 *float32, idx *int, off, n, groups int)
-//
-// The block body over a kept-row list: group g is rows
-// off+idx[4g..4g+3] of w, each dotted against the four inputs and
-// stored to db at its row index. The accumulation, the fold and the
-// serial remainder are dot4x4SpanAVX512's, instruction for instruction;
-// only the row addresses (read off the list, as dot4SpanAVX does) and
-// the stores (one lane per row index) differ. The Go wrapper in
-// dot_amd64.go proves every row and destination in bounds.
-TEXT ·dot4x4KeptAVX512(SB), NOSPLIT, $0-104
-	MOVQ x0+40(FP), DI
-	MOVQ x1+48(FP), SI
-	MOVQ x2+56(FP), DX
-	MOVQ x3+64(FP), BX
-	MOVQ idx+72(FP), R12     // the group's four row indices
-
-kgroup:
-	// Row addresses w + (off+idx[j])·4n into R8..R11.
-	MOVQ   n+88(FP), CX
-	MOVQ   CX, AX
-	SHLQ   $2, AX            // bytes per row
-	MOVQ   off+80(FP), R13
-	MOVQ   0(R12), R8
-	MOVQ   8(R12), R9
-	MOVQ   16(R12), R10
-	MOVQ   24(R12), R11
-	ADDQ   R13, R8
-	ADDQ   R13, R9
-	ADDQ   R13, R10
-	ADDQ   R13, R11
-	IMULQ  AX, R8
-	IMULQ  AX, R9
-	IMULQ  AX, R10
-	IMULQ  AX, R11
-	MOVQ   w+32(FP), R13
-	ADDQ   R13, R8
-	ADDQ   R13, R9
-	ADDQ   R13, R10
-	ADDQ   R13, R11
-	VPXORD Z16, Z16, Z16
-	VPXORD Z17, Z17, Z17
-	VPXORD Z18, Z18, Z18
-	VPXORD Z19, Z19, Z19
-	VPXORD Z20, Z20, Z20
-	VPXORD Z21, Z21, Z21
-	VPXORD Z22, Z22, Z22
-	VPXORD Z23, Z23, Z23
-	VPXORD Z24, Z24, Z24
-	VPXORD Z25, Z25, Z25
-	VPXORD Z26, Z26, Z26
-	VPXORD Z27, Z27, Z27
-	VPXORD Z28, Z28, Z28
-	VPXORD Z29, Z29, Z29
-	VPXORD Z30, Z30, Z30
-	VPXORD Z31, Z31, Z31
-	XORQ   AX, AX            // byte offset into every row and input
-	MOVQ   CX, R13
-	SHRQ   $4, R13           // R13 = number of full 16-float blocks
-	JZ     kfold
-
-kloop16:
-	VMOVUPS (DI)(AX*1), Z0   // input 0
-	VMOVUPS (SI)(AX*1), Z1   // input 1
-	VMOVUPS (DX)(AX*1), Z2   // input 2
-	VMOVUPS (BX)(AX*1), Z3   // input 3
-	VMOVUPS (R8)(AX*1), Z4   // row 0
-	VMOVUPS (R9)(AX*1), Z5   // row 1
-	VMOVUPS (R10)(AX*1), Z6  // row 2
-	VMOVUPS (R11)(AX*1), Z7  // row 3
-	PAIRS(Z4, Z16, Z20, Z24, Z28)
-	PAIRS(Z5, Z17, Z21, Z25, Z29)
-	PAIRS(Z6, Z18, Z22, Z26, Z30)
-	PAIRS(Z7, Z19, Z23, Z27, Z31)
-	ADDQ    $64, AX
-	DECQ    R13
-	JNZ     kloop16
-
-kfold:
-	GROUP(Z16, Z20, Z24, Z28, Z12)
-	GROUP(Z17, Z21, Z25, Z29, Z13)
-	GROUP(Z18, Z22, Z26, Z30, Z14)
-	GROUP(Z19, Z23, Z27, Z31, Z15)
-	VUNPCKLPS Z13, Z12, Z0
-	VUNPCKHPS Z13, Z12, Z1
-	VUNPCKLPS Z15, Z14, Z2
-	VUNPCKHPS Z15, Z14, Z3
-	VUNPCKLPD Z2, Z0, Z8     // l0 of every pair
-	VUNPCKHPD Z2, Z0, Z9     // l1
-	VUNPCKLPD Z3, Z1, Z10    // l2
-	VUNPCKHPD Z3, Z1, Z11    // l3
-	VADDPS    Z9, Z8, Z8     // l0+l1
-	VADDPS    Z10, Z8, Z8    // +l2
-	VADDPS    Z11, Z8, Z8    // +l3
-	ANDQ      $15, CX
-	JZ        kstore
-	VMOVUPS   tailIdx<>(SB), Z6
-
-ktail:
-	VMOVSS     (R8)(AX*1), X4
-	VINSERTPS  $0x10, (R9)(AX*1), X4, X4
-	VINSERTPS  $0x20, (R10)(AX*1), X4, X4
-	VINSERTPS  $0x30, (R11)(AX*1), X4, X4
-	VSHUFF32X4 $0, Z4, Z4, Z4     // [r0..r3] in every block
-	VMOVSS     (DI)(AX*1), X5
-	VINSERTPS  $0x10, (SI)(AX*1), X5, X5
-	VINSERTPS  $0x20, (DX)(AX*1), X5, X5
-	VINSERTPS  $0x30, (BX)(AX*1), X5, X5
-	VPERMPS    Z5, Z6, Z5         // x_b in every lane of block b
-	VMULPS     Z5, Z4, Z4
-	VADDPS     Z4, Z8, Z8
-	ADDQ       $4, AX
-	DECQ       CX
-	JNZ        ktail
-
-kstore:
-	// Lane i of block b of Z8 is row i's dot with input b: the group's
-	// row indices into R8..R11 again, and one scalar store per pair.
-	MOVQ          off+80(FP), R13
-	MOVQ          0(R12), R8
-	MOVQ          8(R12), R9
-	MOVQ          16(R12), R10
-	MOVQ          24(R12), R11
-	ADDQ          R13, R8
-	ADDQ          R13, R9
-	ADDQ          R13, R10
-	ADDQ          R13, R11
+	// Lane i of block b of Z8 is row i's dot with input b. The group's
+	// row indices into R8..R11 again: a list stores one lane per row
+	// index, a range block b to db's four outputs from row off on.
+	MOVQ          off+80(FP), R8
+	TESTQ         R12, R12
+	JZ            seqstore
+	MOVQ          R8, R9
+	MOVQ          R8, R10
+	MOVQ          R8, R11
+	ADDQ          0(R12), R8
+	ADDQ          8(R12), R9
+	ADDQ          16(R12), R10
+	ADDQ          24(R12), R11
 	MOVQ          d0+0(FP), AX
 	VMOVSS        X8, (AX)(R8*4)
 	VEXTRACTPS    $1, X8, (AX)(R9*4)
@@ -344,7 +240,24 @@ kstore:
 	VEXTRACTPS    $2, X9, (AX)(R10*4)
 	VEXTRACTPS    $3, X9, (AX)(R11*4)
 	ADDQ          $32, R12
-	DECQ          groups+96(FP)
-	JNZ           kgroup
+	JMP           next
+
+seqstore:
+	MOVQ          d0+0(FP), AX
+	VMOVUPS       X8, (AX)(R8*4)
+	VEXTRACTF32X4 $1, Z8, X9
+	MOVQ          d1+8(FP), AX
+	VMOVUPS       X9, (AX)(R8*4)
+	VEXTRACTF32X4 $2, Z8, X9
+	MOVQ          d2+16(FP), AX
+	VMOVUPS       X9, (AX)(R8*4)
+	VEXTRACTF32X4 $3, Z8, X9
+	MOVQ          d3+24(FP), AX
+	VMOVUPS       X9, (AX)(R8*4)
+	ADDQ          $4, off+80(FP)
+
+next:
+	DECQ groups+96(FP)
+	JNZ  group
 	VZEROUPPER
 	RET

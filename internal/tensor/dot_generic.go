@@ -11,18 +11,12 @@ func dotRowSSE2(row, x []float32) float32 { return dotRowGeneric(row, x) }
 // kernel.go. They exist so the resolution table compiles on every
 // architecture.
 
-func quadSpanAVX(k Kernels, dst, w, x []float32) { quadRows(k, dst, w, x) }
-
-func keptSpanAVX(k Kernels, dst, w, x []float32, kept []int, off int) {
-	keptRows(k, dst, w, x, kept, off)
+func quadSpanAVX(k Kernels, dst, w, x []float32, kept []int, off int) {
+	quadRows(k, dst, w, x, kept, off)
 }
 
 func gatherAVX(k Kernels, dst, w, x []float32, at [4]int) { gatherRows(k, dst, w, x, at) }
 
-func blockSpanAVX512(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32) {
-	blockRows(k, dsts, w, xs)
-}
-
-func keptBlockSpanAVX512(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32, kept []int, off int) {
-	keptBlockRows(k, dsts, w, xs, kept, off)
+func blockSpanAVX512(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32, kept []int, off int) {
+	blockRows(k, dsts, w, xs, kept, off)
 }

@@ -21,65 +21,57 @@ import "slices"
 // has its own wide-vs-wide contract and drifts a few ULP from the
 // canonical bits, so one run uses one Kernels value throughout.
 //
-// Besides the row body, a binding has five span bodies, each called
+// Besides the row body, a binding has three span bodies, each called
 // once per span rather than once per four rows: a vector body pays its
 // call — argument set-up, bounds proofs, the ABI transition — once for
 // a whole row range or kept-row list, the host's counterpart of the
-// paper's one launch for many rows (§IV-C). Every span body computes
+// paper's one launch for many rows (§IV-C). The range and the list are
+// one body: as in the CRM (§V-B, Fig. 12), a span that skips nothing is
+// the list-less case of the compacted one, so quad and block take an
+// optional kept list and its offset, and a nil list is the row range
+// (a list that names no row must not be nil). Every span body computes
 // whole groups of four rows only; its caller dots the last 1–3 rows
 // through the row body. A span body receives its own binding, so the
-// pure-Go spans (quadRows, keptRows, gatherRows, blockRows,
-// keptBlockRows) loop over the binding's row and four-row bodies, and a
-// binding with no vector body keeps the one traversal of one with.
+// pure-Go spans (quadRows, gatherRows, blockRows) loop over the
+// binding's row and four-row bodies, and a binding with no vector body
+// keeps the one traversal of one with.
 type Kernels struct {
 	// dot is the row body: row · x[:len(row)], one accumulation chain.
 	dot rowBodyFn
-	// quad is the four-row span body over a row range: dst[i] = row i ·
-	// x for every i in [0, len(dst)&^3), where row i is w[i*n:(i+1)*n]
-	// and n = len(x).
+	// quad is the four-row span body: dst[i] = row i · x, where row i is
+	// w[i*n:(i+1)*n] and n = len(x), for every i in [0, len(dst)&^3)
+	// when kept is nil (the row range), and for every i = off+kept[j],
+	// j in [0, len(kept)&^3), otherwise. A list is strictly ascending
+	// and every such i lies in [0, len(dst)).
 	quad quadBodyFn
-	// kept is the four-row span body over a kept-row list: dst[i] = row
-	// i · x for every i = off+kept[j], j in [0, len(kept)&^3). kept is
-	// strictly ascending and every such i lies in [0, len(dst)); w holds
-	// len(dst) rows.
-	kept keptBodyFn
 	// gather is the four-row body over one group named by value: dst[i]
 	// = row i · x for the four i of at, each in [0, len(dst)). A caller
 	// whose indices live on its stack passes them here, by value, so
 	// they never escape to the heap through the indirect call.
 	gather gatherBodyFn
-	// block is the four-row × four-input span body over a row range:
-	// dsts[b][i] = row i · xs[b] for every i in [0, len(dsts[0])&^3),
-	// the four destinations of one length and n = len(xs[0]).
+	// block is the four-row × four-input span body: dsts[b][i] = row i ·
+	// xs[b] for the rows quad's would dot into dsts[b] (the range of
+	// len(dsts[b]) rows, or the list's), and every input b whose
+	// dsts[b] is non-nil — a nil destination marks an absent input, so
+	// one call serves a group of one to four inputs. The present
+	// destinations have one length and n = len(xs[b]) for each of them.
 	block blockBodyFn
-	// keptBlock is the four-row × four-input span body over a kept-row
-	// list: dsts[b][i] = row i · xs[b] for every i = off+kept[j], j in
-	// [0, len(kept)&^3), and every input b whose dsts[b] is non-nil —
-	// a nil destination marks an absent input, so one call serves a
-	// group of one to four inputs. kept is strictly ascending, every such
-	// i lies in [0, len(d)) for every present d, and w holds that many
-	// rows; n = len(xs[b]) for every present b.
-	keptBlock keptBlockBodyFn
 }
 
-// rowBodyFn is the row body's signature; quadBodyFn, keptBodyFn,
-// gatherBodyFn, blockBodyFn and keptBlockBodyFn are the span bodies'
-// (see Kernels).
+// rowBodyFn is the row body's signature; quadBodyFn, gatherBodyFn and
+// blockBodyFn are the span bodies' (see Kernels).
 type (
-	rowBodyFn       = func(row, x []float32) float32
-	quadBodyFn      = func(k Kernels, dst, w, x []float32)
-	keptBodyFn      = func(k Kernels, dst, w, x []float32, kept []int, off int)
-	gatherBodyFn    = func(k Kernels, dst, w, x []float32, at [4]int)
-	blockBodyFn     = func(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32)
-	keptBlockBodyFn = func(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32, kept []int, off int)
+	rowBodyFn    = func(row, x []float32) float32
+	quadBodyFn   = func(k Kernels, dst, w, x []float32, kept []int, off int)
+	gatherBodyFn = func(k Kernels, dst, w, x []float32, at [4]int)
+	blockBodyFn  = func(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32, kept []int, off int)
 )
 
 // goKernels binds row body dot with the pure-Go span bodies over it —
 // every binding without a vector span body, and the base KernelsFor
 // overrides where the probes allow.
 func goKernels(dot rowBodyFn) Kernels {
-	return Kernels{dot: dot, quad: quadRows, kept: keptRows, gather: gatherRows, block: blockRows,
-		keptBlock: keptBlockRows}
+	return Kernels{dot: dot, quad: quadRows, gather: gatherRows, block: blockRows}
 }
 
 // dotRowGeneric is the reference row kernel and the definition of the
@@ -93,9 +85,10 @@ func goKernels(dot rowBodyFn) Kernels {
 // TestDotRowMatchesGeneric); dot_quad_amd64.s carries it for the
 // four-row groups of a span with two groups per YMM register
 // (TestDotQuadMatchesGeneric), and dot_block_amd64.s for the four-row
-// groups of a span or a kept-row list against four inputs with all four
-// groups in one ZMM register per (row, input) pair
-// (TestDotBlockMatchesGeneric, TestDotKeptBlockMatchesGeneric). The x
+// groups of a row range or a kept-row list against four inputs with all
+// four groups in one ZMM register per (row, input) pair
+// (TestDotBlockMatchesGeneric over a range, TestDotKeptBlockMatchesGeneric
+// over lists). The x
 // re-slice lets the compiler prove both index streams in-bounds,
 // erasing the per-element checks.
 func dotRowGeneric(row, x []float32) float32 {
@@ -136,41 +129,31 @@ func dotRowGeneric(row, x []float32) float32 {
 }
 
 // quadRows is the pure-Go four-row span: each row of the whole groups
-// one call of k's row body.
-func quadRows(k Kernels, dst, w, x []float32) {
+// — of the range when kept is nil, of the list otherwise — one call of
+// k's row body.
+func quadRows(k Kernels, dst, w, x []float32, kept []int, off int) {
 	n := len(x)
-	for i := range len(dst) &^ 3 {
-		dst[i] = k.dot(w[i*n:i*n+n], x)
+	if kept == nil {
+		for i := range len(dst) &^ 3 {
+			dst[i] = k.dot(w[i*n:i*n+n], x)
+		}
+		return
 	}
-}
-
-// keptRows is the pure-Go kept-row span: each listed row of the whole
-// groups one call of k's row body.
-func keptRows(k Kernels, dst, w, x []float32, kept []int, off int) {
-	n := len(x)
 	for _, r := range kept[:len(kept)&^3] {
 		i := off + r
 		dst[i] = k.dot(w[i*n:i*n+n], x)
 	}
 }
 
-// gatherRows is the pure-Go gather: keptRows over the four indices.
-func gatherRows(k Kernels, dst, w, x []float32, at [4]int) { keptRows(k, dst, w, x, at[:], 0) }
+// gatherRows is the pure-Go gather: quadRows over the four indices.
+func gatherRows(k Kernels, dst, w, x []float32, at [4]int) { quadRows(k, dst, w, x, at[:], 0) }
 
 // blockRows is the pure-Go block span: one four-row span of k per
-// input, each output the row body's dot of its pair.
-func blockRows(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32) {
-	for b, d := range dsts {
-		k.quad(k, d, w, xs[b])
-	}
-}
-
-// keptBlockRows is the pure-Go gathered block span: one kept-row span
-// of k per present input.
-func keptBlockRows(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32, kept []int, off int) {
+// present input, each output the row body's dot of its pair.
+func blockRows(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32, kept []int, off int) {
 	for b, d := range dsts {
 		if d != nil {
-			k.kept(k, d, w, xs[b], kept, off)
+			k.quad(k, d, w, xs[b], kept, off)
 		}
 	}
 }
@@ -184,7 +167,7 @@ func keptBlockRows(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32, k
 func (k Kernels) span(dst Vector, m *Matrix, x Vector, row0 int) {
 	n, rows := m.Cols, len(dst)
 	w, x := m.Data[row0*n:(row0+rows)*n], x[:n]
-	k.quad(k, dst, w, x)
+	k.quad(k, dst, w, x, nil, 0)
 	for i := rows &^ 3; i < rows; i++ {
 		dst[i] = k.dot(w[i*n:i*n+n], x)
 	}
@@ -202,7 +185,7 @@ func (k Kernels) span4(dsts [4][]float32, m *Matrix, xs [4][]float32, row0 int) 
 	for b := range xs {
 		xs[b] = xs[b][:n]
 	}
-	k.block(k, dsts, w, xs)
+	k.block(k, dsts, w, xs, nil, 0)
 	for i := rows &^ 3; i < rows; i++ {
 		row := w[i*n : i*n+n]
 		for b, d := range dsts {
@@ -253,6 +236,9 @@ func (mk RowMask) badKept() int {
 // the outputs.
 func (k Kernels) spanKept(dst Vector, m *Matrix, x Vector, row0 int, mk RowMask, fill float32) {
 	dst.Fill(fill)
+	if len(mk.Kept) == 0 {
+		return // and a nil list would name the whole range
+	}
 	n, seg, end := m.Cols, mk.Seg, row0+len(dst)
 	w, x := m.Data[row0*n:end*n], x[:n]
 	var at [4]int // carried rows waiting for a group, as dst indices
@@ -274,7 +260,7 @@ func (k Kernels) spanKept(dst Vector, m *Matrix, x Vector, row0 int, mk RowMask,
 			k.gather(k, dst, w, x, at)
 			g = 0
 		}
-		k.kept(k, dst, w, x, kept, off)
+		k.quad(k, dst, w, x, kept, off)
 		for _, r := range kept[len(kept)&^3:] {
 			at[g] = off + r
 			g++

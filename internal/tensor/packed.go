@@ -335,6 +335,9 @@ func (k Kernels) PackedGemmKept(dsts []Vector, m *Matrix, xs []Vector, kept []in
 		Panicf("tensor: PackedGemmKept keeps row %d at %d, not strictly ascending in [0, %d)",
 			kept[j], j, m.Rows)
 	}
+	if len(kept) == 0 {
+		return // and a nil list would name the whole range
+	}
 	forkJoin(len(kept), m.SizeBytes(), gemmKept{k, dsts, m, xs, kept})
 }
 
@@ -354,7 +357,7 @@ func (j gemmKept) run(lo, hi int) {
 		for b := b0; b < min(b0+4, len(j.xs)); b++ {
 			dsts[b-b0], xs[b-b0] = j.dsts[b], j.xs[b]
 		}
-		j.k.keptBlock(j.k, dsts, w, xs, kept, 0)
+		j.k.block(j.k, dsts, w, xs, kept, 0)
 		for _, i := range kept[len(kept)&^3:] {
 			for b, d := range dsts {
 				if d != nil {

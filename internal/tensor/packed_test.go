@@ -346,14 +346,9 @@ func TestGemvBitwiseEqualsRowBody(t *testing.T) { forEachChain(t, gemvEqualsRowB
 func TestBlockedGemmBitwiseEqualsRowBody(t *testing.T) {
 	var blocks atomic.Int64
 	k := goKernels(dotRowGeneric)
-	k.block = func(_ Kernels, dsts [4][]float32, w []float32, xs [4][]float32) {
+	k.block = func(_ Kernels, dsts [4][]float32, w []float32, xs [4][]float32, kept []int, off int) {
 		blocks.Add(1)
-		n := len(xs[0])
-		for b, d := range dsts {
-			for i := range len(d) &^ 3 {
-				d[i] = dotRowGeneric(w[i*n:i*n+n], xs[b])
-			}
-		}
+		blockRows(goKernels(dotRowGeneric), dsts, w, xs, kept, off)
 	}
 	const fill = -2.5
 	r := rng.New(0x4b)
@@ -456,17 +451,15 @@ func (c *dotCounter) bodySets() map[string]Kernels {
 		return c.count(row, x)
 	}
 	spans := goKernels(c.count)
-	quad := func(_ Kernels, dst, w, x []float32) { quadRows(spans, dst, w, x) }
-	kept := func(_ Kernels, dst, w, x []float32, kept []int, off int) { keptRows(spans, dst, w, x, kept, off) }
+	quad := func(_ Kernels, dst, w, x []float32, kept []int, off int) { quadRows(spans, dst, w, x, kept, off) }
 	gather := func(_ Kernels, dst, w, x []float32, at [4]int) { gatherRows(spans, dst, w, x, at) }
-	block := func(_ Kernels, dsts [4][]float32, w []float32, xs [4][]float32) { blockRows(spans, dsts, w, xs) }
-	keptBlock := func(_ Kernels, dsts [4][]float32, w []float32, xs [4][]float32, kept []int, off int) {
-		keptBlockRows(spans, dsts, w, xs, kept, off)
+	block := func(_ Kernels, dsts [4][]float32, w []float32, xs [4][]float32, kept []int, off int) {
+		blockRows(spans, dsts, w, xs, kept, off)
 	}
 	plusQuad := goKernels(dot)
-	plusQuad.quad, plusQuad.kept, plusQuad.gather = quad, kept, gather
+	plusQuad.quad, plusQuad.gather = quad, gather
 	plusBlock := plusQuad
-	plusBlock.block, plusBlock.keptBlock = block, keptBlock
+	plusBlock.block = block
 	return map[string]Kernels{"dot": goKernels(dot), "+quad": plusQuad, "+block": plusBlock}
 }
 
@@ -601,6 +594,16 @@ func TestDRSSkipsWorkNotOutputs(t *testing.T) {
 					checkDots(t, c, label("PackedGemmKept/"+mk.name), 0, m.Rows, len(xs), fill,
 						func(r, b int) float32 { return dsts[b][r] }, func(r, _ int) bool { return mk.skip[r%sh.seg] })
 				}
+				// A nil list keeps no row: a span body would read it as
+				// the whole range.
+				c.reset()
+				dsts := make([]Vector, len(xs))
+				for b := range dsts {
+					dsts[b] = slices.Repeat(Vector{fill}, m.Rows)
+				}
+				k.PackedGemmKept(dsts, m, xs, nil)
+				checkDots(t, c, label("PackedGemmKept/nil"), 0, m.Rows, len(xs), fill,
+					func(r, b int) float32 { return dsts[b][r] }, func(int, int) bool { return true })
 			}
 		})
 	}

@@ -13,8 +13,8 @@ import (
 // bitwise the row body's dot of its row (or both NaN), it writes
 // nothing else, and the kernels built on the bodies (span, span4,
 // spanKept) compute every row of a window that may start and end inside
-// a segment, and the gathered block body every listed row of four, or
-// fewer, inputs. The assembly bodies gather rows by index with no bounds
+// a segment, and the block body every row of a range or a list for four,
+// or fewer, inputs. The assembly bodies gather rows by index with no bounds
 // checks of their own, so every destination sits between canaries that
 // must survive the call.
 
@@ -157,13 +157,14 @@ func spanShapes(fn func(rows, n int, kind string)) {
 }
 
 // keptKinds draws the kept-row lists of the corpus over rows rows:
-// random, empty, every row, and a single row.
+// random, empty, every row, and a single row. The empty list is not nil:
+// a span body reads a nil list as the row range.
 func keptKinds(r *rng.RNG, rows int) map[string][]int {
 	all := make([]int, rows)
 	for i := range all {
 		all[i] = i
 	}
-	lists := map[string][]int{"random": maskOf(randMask(r, rows, 0.5)).Kept, "empty": nil, "full": all}
+	lists := map[string][]int{"random": maskOf(randMask(r, rows, 0.5)).Kept, "empty": {}, "full": all}
 	if rows > 0 {
 		lists["single"] = []int{r.Intn(rows)}
 	}
@@ -173,10 +174,10 @@ func keptKinds(r *rng.RNG, rows int) map[string][]int {
 // TestDotQuadMatchesGeneric pins the four-row span bodies of every
 // binding (spanBindings: the pure-Go spans, and the AVX bodies with the
 // block probe as detected and cleared) to dotRowGeneric over the span
-// corpus: the range body over every whole group of a row range; the
-// kept body over random, empty, full and single-row lists, at offset 0
-// and at a negative offset as a shard window inside a segment has; and
-// the gather body over four random rows, repeats allowed. Outputs must
+// corpus: the span body over every whole group of a row range, and over
+// random, empty, full and single-row lists, at offset 0 and at a
+// negative offset as a shard window inside a segment has; and the
+// gather body over four random rows, repeats allowed. Outputs must
 // be bitwise equal, or both NaN, and every other slot untouched.
 func TestDotQuadMatchesGeneric(t *testing.T) {
 	r := rng.New(0x63)
@@ -196,23 +197,19 @@ func TestDotQuadMatchesGeneric(t *testing.T) {
 		for _, b := range bindings {
 			name := fmt.Sprintf("%s %d×%d %s", b.name, rows, n, kind)
 			dst, buf := canaried(rows)
-			b.k.quad(b.k, dst, w, x)
+			b.k.quad(b.k, dst, w, x, nil, 0)
 			checkCanaried(t, name+" quad", buf, func(i int) bool { return i < rows&^3 }, ref)
 			for lname, kept := range lists {
 				groups := kept[:len(kept)&^3]
 				in := func(i int) bool { _, ok := slices.BinarySearch(groups, i); return ok }
 				dst, buf := canaried(rows)
-				b.k.kept(b.k, dst, w, x, kept, 0)
+				b.k.quad(b.k, dst, w, x, kept, 0)
 				checkCanaried(t, name+" kept "+lname, buf, in, ref)
 				// The same rows as a shard window's list: entries past
 				// the window's start, a negative offset back to them.
 				s := rows / 3
-				shifted := make([]int, len(kept))
-				for j, k := range kept {
-					shifted[j] = k + s
-				}
 				dst, buf = canaried(rows)
-				b.k.kept(b.k, dst, w, x, shifted, -s)
+				b.k.quad(b.k, dst, w, x, shifted(kept, s), -s)
 				checkCanaried(t, name+" kept "+lname+" at an offset", buf, in, ref)
 			}
 			if rows > 0 {
@@ -224,43 +221,31 @@ func TestDotQuadMatchesGeneric(t *testing.T) {
 	})
 }
 
-// TestDotBlockMatchesGeneric pins the block span body of every binding
-// (spanBindings: the pure-Go block span over each binding's four-row
-// span, and the AVX-512 body where the probe binds it) to
-// dotRowGeneric, pair by pair, over the span corpus with four inputs.
-// Outputs must be bitwise equal, or both NaN, and every other slot of
-// the four destinations untouched.
-func TestDotBlockMatchesGeneric(t *testing.T) {
-	r := rng.New(0x64)
-	bindings := spanBindings()
-	spanShapes(func(rows, n int, kind string) {
-		w, xs := spanCorpus(r, kind, rows, n)
-		want := spanRef(w, xs, rows)
-		for _, bd := range bindings {
-			var dsts [4][]float32
-			var bufs [4][]float32
-			for b := range dsts {
-				dsts[b], bufs[b] = canaried(rows)
-			}
-			bd.k.block(bd.k, dsts, w, xs)
-			for b, buf := range bufs {
-				checkCanaried(t, fmt.Sprintf("%s %d×%d %s input %d", bd.name, rows, n, kind, b), buf,
-					func(i int) bool { return i < rows&^3 }, func(i int) float32 { return want[b][i] })
-			}
-		}
-	})
+// shifted is kept as a shard window's list: every entry s rows past the
+// window's start, which an offset of -s takes back. A nil list (the row
+// range) stays nil.
+func shifted(kept []int, s int) []int {
+	if kept == nil {
+		return nil
+	}
+	out := make([]int, len(kept))
+	for j, k := range kept {
+		out[j] = k + s
+	}
+	return out
 }
 
-// presence is the input patterns of the gathered block body: all four
-// inputs present, and groups of three, two and one with the absent
-// slots marked nil in different places.
+// presence is the input patterns of the block body: all four inputs
+// present, and groups of three, two and one with the absent slots marked
+// nil in different places.
 var presence = [][4]bool{{true, true, true, true}, {true, true, true, false}, {false, true, false, true}, {false, false, true, false}}
 
-// checkKeptBlock runs k's gathered block body over kept (offset off)
-// with the inputs present marks, each destination between canaries, and
-// holds every output of a present input at a listed row of the whole
-// groups to want, every other slot untouched.
-func checkKeptBlock(t *testing.T, name string, k Kernels, w []float32, xs [4][]float32, rows int, kept []int, off int, present [4]bool, want func(b, i int) float32) {
+// checkBlock runs k's block span body over kept (offset off; a nil list
+// is the range of rows rows, which ignores off) with the inputs present
+// marks, each destination between canaries, and holds every output of a
+// present input at a row of the whole groups to want, every other slot
+// untouched.
+func checkBlock(t *testing.T, name string, k Kernels, w []float32, xs [4][]float32, rows int, kept []int, off int, present [4]bool, want func(b, i int) float32) {
 	t.Helper()
 	var dsts, bufs [4][]float32
 	for b, p := range present {
@@ -268,9 +253,12 @@ func checkKeptBlock(t *testing.T, name string, k Kernels, w []float32, xs [4][]f
 			dsts[b], bufs[b] = canaried(rows)
 		}
 	}
-	groups := kept[:len(kept)&^3]
-	in := func(i int) bool { _, ok := slices.BinarySearch(groups, i-off); return ok }
-	k.keptBlock(k, dsts, w, xs, kept, off)
+	in := func(i int) bool { return i < rows&^3 }
+	if kept != nil {
+		groups := kept[:len(kept)&^3]
+		in = func(i int) bool { _, ok := slices.BinarySearch(groups, i-off); return ok }
+	}
+	k.block(k, dsts, w, xs, kept, off)
 	for b, buf := range bufs {
 		if buf != nil {
 			checkCanaried(t, fmt.Sprintf("%s input %d of %v", name, b, present), buf, in,
@@ -279,16 +267,18 @@ func checkKeptBlock(t *testing.T, name string, k Kernels, w []float32, xs [4][]f
 	}
 }
 
-// TestDotKeptBlockMatchesGeneric pins the gathered block span body of
-// every binding (spanBindings: the pure-Go gathered block over each
-// binding's kept span, and the AVX-512 body where the probe binds it) to
-// dotRowGeneric, pair by pair, over the span corpus with four inputs:
-// random, empty, full and single-row lists, at offset 0 and at a
-// negative offset as a shard window has, with four inputs present and
-// with one to three. Outputs must be bitwise equal, or both NaN, and
-// every other slot of the destinations untouched.
-func TestDotKeptBlockMatchesGeneric(t *testing.T) {
-	r := rng.New(0x66)
+// blockCorpus is the block span body tests' one corpus loop: the block
+// body of every binding (spanBindings: the pure-Go block span over each
+// binding's four-row span, and the AVX-512 body where the probe binds
+// it) against dotRowGeneric, pair by pair, over the span corpus with
+// four inputs. Each shape runs every list lists draws for it — a nil one
+// is the row range — with four inputs present at offset 0, and as a
+// shard window's list at a negative offset with one to four present
+// (presence, in turn; the range must ignore the offset). Outputs must be
+// bitwise equal, or both NaN, and every other slot of the destinations
+// untouched.
+func blockCorpus(t *testing.T, seed uint64, lists func(r *rng.RNG, rows int) map[string][]int) {
+	r := rng.New(seed)
 	bindings := spanBindings()
 	c := 0
 	spanShapes(func(rows, n int, kind string) {
@@ -297,25 +287,36 @@ func TestDotKeptBlockMatchesGeneric(t *testing.T) {
 		ref := func(b, i int) float32 { return want[b][i] }
 		present := presence[c%len(presence)]
 		c++
-		for lname, kept := range keptKinds(r, rows) {
+		for lname, kept := range lists(r, rows) {
 			s := rows / 3
-			shifted := make([]int, len(kept))
-			for j, k := range kept {
-				shifted[j] = k + s
-			}
 			for _, bd := range bindings {
-				name := fmt.Sprintf("%s %d×%d %s kept %s", bd.name, rows, n, kind, lname)
-				checkKeptBlock(t, name, bd.k, w, xs, rows, kept, 0, [4]bool{true, true, true, true}, ref)
-				checkKeptBlock(t, name+" at an offset", bd.k, w, xs, rows, shifted, -s, present, ref)
+				name := fmt.Sprintf("%s %d×%d %s %s", bd.name, rows, n, kind, lname)
+				checkBlock(t, name, bd.k, w, xs, rows, kept, 0, [4]bool{true, true, true, true}, ref)
+				checkBlock(t, name+" at an offset", bd.k, w, xs, rows, shifted(kept, s), -s, present, ref)
 			}
 		}
 	})
 }
 
+// TestDotBlockMatchesGeneric pins the block span body of every binding
+// over a row range (blockCorpus).
+func TestDotBlockMatchesGeneric(t *testing.T) {
+	blockCorpus(t, 0x64, func(*rng.RNG, int) map[string][]int { return map[string][]int{"range": nil} })
+}
+
+// TestDotKeptBlockMatchesGeneric pins the block span body of every
+// binding over random, empty, full and single-row kept lists
+// (blockCorpus).
+func TestDotKeptBlockMatchesGeneric(t *testing.T) {
+	blockCorpus(t, 0x66, keptKinds)
+}
+
 // checkWindow runs span, span4 and spanKept of k over the window
-// [lo, hi) of m's rows, each destination between canaries, and holds
-// every output to dotRowGeneric of its row (or fill where mk skips it).
-func checkWindow(t *testing.T, name string, k Kernels, m *Matrix, xs [4][]float32, lo, hi int, mk RowMask, fill float32) {
+// [lo, hi) of m's rows, and the block body over the window's rows as a
+// range, or over its kept rows as a list where list is set, each
+// destination between canaries, and holds every output to dotRowGeneric
+// of its row (or fill where mk skips it).
+func checkWindow(t *testing.T, name string, k Kernels, m *Matrix, xs [4][]float32, lo, hi int, mk RowMask, fill float32, list bool) {
 	t.Helper()
 	want := spanRef(m.Data, xs, m.Rows)
 	rows := hi - lo
@@ -345,18 +346,23 @@ func checkWindow(t *testing.T, name string, k Kernels, m *Matrix, xs [4][]float3
 		return want[0][lo+i]
 	})
 
-	// The gathered block body over the window's kept rows, numbered from
-	// the window's start: mk tiled over [lo, hi), as the union list of a
-	// group's second-stage W·x tiles the stage's blocks.
+	// The block body over the window, with one to four inputs present.
+	// As a list, mk tiled over [lo, hi), as the union list of a group's
+	// second-stage W·x tiles the stage's blocks; its entries are rows of
+	// m, and the offset -lo numbers them from the window's start.
 	var kept []int
-	for i := lo; i < hi; i++ {
-		if _, ok := slices.BinarySearch(mk.Kept, i%mk.Seg); ok {
-			kept = append(kept, i)
+	if list {
+		kept = []int{}
+		for i := lo; i < hi; i++ {
+			if _, ok := slices.BinarySearch(mk.Kept, i%mk.Seg); ok {
+				kept = append(kept, i)
+			}
 		}
 	}
+	n := m.Cols
 	for _, present := range presence {
-		checkKeptBlock(t, name+" keptBlock", k, m.Data, xs, m.Rows, kept, 0, present,
-			func(b, i int) float32 { return want[b][i] })
+		checkBlock(t, name+" block", k, m.Data[lo*n:hi*n], xs, rows, kept, -lo, present,
+			func(b, i int) float32 { return want[b][lo+i] })
 	}
 }
 
@@ -364,9 +370,10 @@ func checkWindow(t *testing.T, name string, k Kernels, m *Matrix, xs [4][]float3
 // to dotRowGeneric over windows of a three-segment united matrix that
 // start and end inside segments, as fork shards do — the whole matrix,
 // one row in from either end, across a segment edge, and random
-// windows — under random, empty, full and single-row kept lists, at
-// segment lengths of every class mod 4 and row lengths around the
-// 16-float block.
+// windows — under random, empty, nil, full and single-row kept lists,
+// at segment lengths of every class mod 4 and row lengths around the
+// 16-float block; the block body takes every other window as a range,
+// the rest as a list.
 func TestSpanWindowsMatchesGeneric(t *testing.T) {
 	const fill = -4.5
 	r := rng.New(0x65)
@@ -384,15 +391,17 @@ func TestSpanWindowsMatchesGeneric(t *testing.T) {
 				lo := r.Intn(rows + 1)
 				windows = append(windows, [2]int{lo, lo + r.Intn(rows-lo+1)})
 			}
-			for lname, kept := range keptKinds(r, seg) {
+			lists := keptKinds(r, seg)
+			lists["nil"] = nil // keeps no row, like the empty list
+			for lname, kept := range lists {
 				mk := RowMask{Seg: seg, Kept: kept}
-				for _, win := range windows {
+				for wi, win := range windows {
 					lo, hi := max(win[0], 0), min(win[1], rows)
 					if lo > hi {
 						continue
 					}
 					for _, b := range bindings {
-						checkWindow(t, fmt.Sprintf("%s %s %s", b.name, kind, lname), b.k, m, xs, lo, hi, mk, fill)
+						checkWindow(t, fmt.Sprintf("%s %s %s", b.name, kind, lname), b.k, m, xs, lo, hi, mk, fill, wi%2 == 1)
 					}
 				}
 			}
@@ -400,16 +409,17 @@ func TestSpanWindowsMatchesGeneric(t *testing.T) {
 	}
 }
 
-// FuzzSpanBodies drives the span kernels of every binding — the
-// gathered block body among them — over random shapes, value kinds,
-// kept lists and shard windows, each destination between canaries,
-// against dotRowGeneric (checkWindow).
+// FuzzSpanBodies drives the span kernels of every binding — the block
+// body among them, over a range or a list as the fuzzer draws — over
+// random shapes, value kinds, kept lists and shard windows, each
+// destination between canaries, against dotRowGeneric (checkWindow).
 func FuzzSpanBodies(f *testing.F) {
-	f.Add(uint64(1), uint8(10), uint8(3), uint16(192), uint16(5), uint16(20), uint8(128))
-	f.Add(uint64(2), uint8(1), uint8(4), uint16(17), uint16(0), uint16(4), uint8(0))
-	f.Add(uint64(3), uint8(63), uint8(2), uint16(650), uint16(40), uint16(100), uint8(255))
+	f.Add(uint64(1), uint8(10), uint8(3), uint16(192), uint16(5), uint16(20), uint8(128), true)
+	f.Add(uint64(2), uint8(1), uint8(4), uint16(17), uint16(0), uint16(4), uint8(0), false)
+	f.Add(uint64(3), uint8(63), uint8(2), uint16(650), uint16(40), uint16(100), uint8(255), true)
+	f.Add(uint64(4), uint8(48), uint8(4), uint16(40), uint16(7), uint16(150), uint8(90), false)
 	bindings := spanBindings()
-	f.Fuzz(func(t *testing.T, seed uint64, segB, gatesB uint8, nB, loB, lenB uint16, density uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, segB, gatesB uint8, nB, loB, lenB uint16, density uint8, list bool) {
 		r := rng.New(seed)
 		seg, gates, n := 1+int(segB)%96, 1+int(gatesB)%4, int(nB)%701
 		rows := seg * gates
@@ -420,7 +430,7 @@ func FuzzSpanBodies(f *testing.F) {
 		m := &Matrix{Rows: rows, Cols: n, Data: w}
 		mk := maskOf(randMask(r, seg, float64(density)/255))
 		for _, b := range bindings {
-			checkWindow(t, b.name+" "+kind, b.k, m, xs, lo, hi, mk, -1)
+			checkWindow(t, b.name+" "+kind, b.k, m, xs, lo, hi, mk, -1, list)
 		}
 	})
 }
