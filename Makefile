@@ -8,8 +8,8 @@
 GO ?= go
 
 .PHONY: build test race vet vet386 lint lint-json lint-ci fuzz-smoke \
-	serve-race determinism-race batch-race fleet-race chain-matrix \
-	activation-exhaustive bench bench-json bench-batch serve-smoke fleet-smoke loc check
+	serve-race determinism-race batch-race fleet-race alloc-pins \
+	chain-matrix activation-exhaustive bench bench-json bench-batch serve-smoke fleet-smoke loc check
 
 build:
 	$(GO) build ./...
@@ -79,11 +79,12 @@ FORWARD_PKGS = ./internal/tensor/ ./internal/recurrent/ ./internal/lstm/ \
 
 # Focused race gate for the packed hot path: the network-level
 # determinism tests (bitwise-identical logits across GOMAXPROCS, the
-# cold-cache build race, Invalidate) plus the kernel equivalence suite.
+# cold-cache build race, Invalidate, the pooled forward arenas shared by
+# concurrent passes) plus the kernel equivalence suite.
 # Already inside `make race`; kept separate so CI reruns it -count=2.
 determinism-race:
 	$(GO) test -race -count=2 \
-		-run 'Bitwise|Repeatable|ColdCache|Invalidate|Equivalent|Matches|Golden' \
+		-run 'Bitwise|Repeatable|ColdCache|Invalidate|Equivalent|Matches|Golden|Arena' \
 		$(FORWARD_PKGS)
 
 # Focused race gate for the batched forward path: the RunBatch
@@ -95,6 +96,16 @@ determinism-race:
 batch-race:
 	$(GO) test -race -count=2 -run 'Batch|Window|Malformed|GemmRows' \
 		$(FORWARD_PKGS) ./internal/serve/
+
+# The forward path's allocation pins at their exact counts. They run
+# under the race detector too, but there sync.Pool drops a random
+# quarter of the pooled forward arenas, so the count pins carry an
+# arena per layer of headroom; this run, without the detector, holds
+# them to the steady-state counts (no arena allocated) and to the
+# Intra-equals-Baseline B=4 count.
+alloc-pins:
+	$(GO) test -count=1 -run 'Allocs|AllocatesNoArena' \
+		./internal/lstm/ ./internal/gru/
 
 # Kernel-chain matrix: the equivalence and determinism suites and the
 # golden logit bits re-run with each chain forced process-wide via

@@ -62,8 +62,9 @@ type Kind struct {
 	InvalidateAll func(n Net)
 	// Misshape replaces one input projection of the layer with a matrix
 	// one column too wide and invalidates the layer, so its next run
-	// fails a shape check.
-	Misshape func(n Net, layer int)
+	// fails a shape check. restore puts the projection back and
+	// invalidates the layer again.
+	Misshape func(n Net, layer int) (restore func())
 }
 
 // Seqs draws count sequences of the given length.
@@ -427,38 +428,56 @@ func unchanged(t *testing.T, when string, h held) {
 }
 
 // OutputsOutliveNextPass pins that what a pass hands back belongs to
-// the caller: the logits of Run and RunBatch, a Trace's Relevance,
-// Breakpoints and SkipCounts, and CollectPredictors' predictors
+// the caller: the logits of Run, RunBatch and a pipelined
+// RunWavefrontE, a Trace's Relevance, Breakpoints, SkipCounts and
+// TissueSizes, and CollectPredictors' predictors
 //
-//   - stay bitwise unchanged through later passes over other inputs, at
-//     another batch size, in every mode;
+//   - stay bitwise unchanged through later passes over other inputs, of
+//     the same lengths and at another batch size, in every mode;
 //   - share no memory with each other (overwriting one leaves the rest
 //     as they were);
 //   - share none with anything a later pass reads (a rerun after all of
 //     them are overwritten still gives the kept logits).
 //
 // A view of the forward's scratch arena, whose slabs the next layer of a
-// pass (and the next pass, if the arena outlived its call) writes
+// pass and every later pass that takes the arena from its pool write
 // again, fails one of the three.
 func OutputsOutliveNextPass(t *testing.T, k Kind) {
 	n := k.subject(16, 24, 3, 4, 420)
 	r := rng.New(421)
 	ms := k.modes(n)
-	combined := ms[len(ms)-1].opt
+	intra, combined := ms[1].opt, ms[len(ms)-1].opt
 	seqs := raggedSeqs(r, 16, 14, 3)
 
 	var kept []held
 	keep := func(name string, v any) { kept = append(kept, held{name, v, bitsOf(v)}) }
-	traced := combined
-	tr := &recurrent.Trace{}
-	traced.Trace = tr
-	keep("Run logits", n.Run(seqs[0], traced))
-	for li, lt := range tr.Layers {
-		layer := "layer " + itoa(li) + " "
-		keep(layer+"Relevance", lt.Relevance)
-		keep(layer+"Breakpoints", lt.Breakpoints)
-		keep(layer+"SkipCounts", lt.SkipCounts)
+	keepTrace := func(pass string, tr *recurrent.Trace) {
+		for li, lt := range tr.Layers {
+			layer := pass + " layer " + itoa(li) + " "
+			keep(layer+"Relevance", lt.Relevance)
+			keep(layer+"Breakpoints", lt.Breakpoints)
+			keep(layer+"SkipCounts", lt.SkipCounts)
+			keep(layer+"TissueSizes", lt.TissueSizes)
+		}
 	}
+	// Grow layer 0's pooled arena to the largest pass kept below, so
+	// that no later pass of the same lengths regrows it: a regrown
+	// arena drops the slabs a kept view would alias.
+	n.RunBatch(seqs, combined)
+	traced := combined
+	traced.Trace = &recurrent.Trace{}
+	keep("Run logits", n.Run(seqs[0], traced))
+	keepTrace("Run", traced.Trace)
+	// The wavefront pipelines only outside Inter; Intra gives its trace
+	// skip counts.
+	traced = intra
+	traced.Trace = &recurrent.Trace{}
+	logits, pipelined, err := n.RunWavefrontE(seqs[0], traced)
+	if err != nil || !pipelined {
+		t.Fatalf("RunWavefrontE: pipelined %v, error %v", pipelined, err)
+	}
+	keep("RunWavefrontE logits", logits)
+	keepTrace("RunWavefrontE", traced.Trace)
 	for i, logits := range n.RunBatch(seqs, combined) {
 		keep(labelMember("RunBatch logits", i), logits)
 	}
@@ -467,14 +486,26 @@ func OutputsOutliveNextPass(t *testing.T, k Kind) {
 		keep("predictor "+itoa(li)+" C", p.C)
 	}
 
-	others := raggedSeqs(r, 16, 17, 5)
-	for _, m := range ms {
-		opt := m.opt
-		opt.Trace = &recurrent.Trace{}
-		n.Run(others[0], opt)
-		n.RunBatch(others, m.opt)
+	// Inputs of the kept passes' own lengths reuse the pooled arenas as
+	// they are; the larger batch regrows them.
+	again := make([][]tensor.Vector, len(seqs))
+	for i, xs := range seqs {
+		again[i] = Seqs(r, 16, len(xs), 1)[0]
 	}
-	k.CollectPredictors(n.Net, others)
+	others := raggedSeqs(r, 16, 17, 5)
+	for _, later := range [][][]tensor.Vector{again, others} {
+		for _, m := range ms {
+			opt := m.opt
+			opt.Trace = &recurrent.Trace{}
+			n.Run(later[0], opt)
+			opt.Trace = &recurrent.Trace{}
+			if _, _, err := n.RunWavefrontE(later[0], opt); err != nil {
+				t.Fatalf("%s: RunWavefrontE: %v", m.name, err)
+			}
+			n.RunBatch(later, m.opt)
+		}
+		k.CollectPredictors(n.Net, later)
+	}
 	for _, h := range kept {
 		unchanged(t, "a second pass", h)
 	}
@@ -528,6 +559,133 @@ func ConcurrentRunBatchSharesColdCache(t *testing.T, k Kind) {
 	}
 }
 
+// ArenasRecycleAcrossGoroutines pins the pooled forward arenas under
+// concurrency: eight goroutines share one warm network, and each runs
+// the same schedule from its own starting point. The schedule mixes
+// Run, ragged RunBatch of three to five members and RunWavefrontE over
+// lengths from one cell to three chunks in Baseline, Intra and Combined
+// (which the wavefront runs as the layer loop), so an arena
+// one pass hands back is taken next by a pass of another size or mode,
+// often on another goroutine. Every result is bitwise its serial
+// reference, computed before the race. Run under -race in CI.
+func ArenasRecycleAcrossGoroutines(t *testing.T, k Kind) {
+	n := k.subject(16, 24, 3, 4, 440)
+	r := rng.New(441)
+	ms := k.modes(n)
+	type pass struct {
+		name string
+		opt  recurrent.RunOptions
+		seqs [][]tensor.Vector // one member, or a ragged batch
+		wave bool              // RunWavefrontE rather than Run
+		want []tensor.Vector
+	}
+	var passes []pass
+	for _, m := range []mode{ms[0], ms[1], ms[3]} {
+		for i, length := range []int{1, 5, 12} {
+			xs := Seqs(r, 16, length, 1)
+			batch := raggedSeqs(r, 16, length+2, 3+i)
+			name := m.name + " T=" + itoa(length)
+			passes = append(passes,
+				pass{name + " Run", m.opt, xs, false, serial(n, xs, m.opt)},
+				pass{name + " RunWavefrontE", m.opt, xs, true, serial(n, xs, m.opt)},
+				pass{name + " RunBatch", m.opt, batch, false, serial(n, batch, m.opt)})
+		}
+	}
+	var results [8][][]tensor.Vector
+	errs := make([]error, len(results))
+	concurrently(func(w int) {
+		results[w] = make([][]tensor.Vector, len(passes))
+		for i := range passes {
+			j := (i + 5*w) % len(passes)
+			p := passes[j]
+			switch {
+			case p.wave:
+				logits, _, err := n.RunWavefrontE(p.seqs[0], p.opt)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				results[w][j] = []tensor.Vector{logits}
+			case len(p.seqs) == 1:
+				results[w][j] = []tensor.Vector{n.Run(p.seqs[0], p.opt)}
+			default:
+				results[w][j] = n.RunBatch(p.seqs, p.opt)
+			}
+		}
+	})
+	for w, got := range results {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		for j, p := range passes {
+			Batch(t, "worker "+itoa(w)+" "+p.name, got[j], p.want)
+		}
+	}
+}
+
+// arenaFreeBytes bounds the heap bytes of one steady-state forward of
+// SteadyStateAllocatesNoArena's network: the logits, the member lengths
+// and the wavefront's goroutine bookkeeping, at most 1,080 B measured.
+// One arena per call exceeds it at every length: a Run that allocates
+// its arena takes 9.4 KB (GRU) to 10.9 KB (LSTM) already at T = 4.
+const arenaFreeBytes = 2 << 10
+
+// SteadyStateAllocatesNoArena pins that a steady-state forward takes
+// its arenas from the layers' pools rather than allocating them: under
+// Baseline and Intra, the heap bytes of one Run, one B = 4 RunBatch and
+// one pipelined RunWavefrontE of a three-layer network stay under
+// arenaFreeBytes at every length, where an arena's flat slabs grow with
+// the length. The bytes are those of the cheapest of many calls at
+// GOMAXPROCS 1 (see bytesPerPass), so the pin holds under the race
+// detector as well.
+func SteadyStateAllocatesNoArena(t *testing.T, k Kind) {
+	n := k.subject(32, 64, 3, 5, 445)
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	for _, m := range k.modes(n)[:2] { // Baseline and Intra
+		for _, length := range []int{4, 12, 48} {
+			seqs := Seqs(rng.New(446), 32, length, 4)
+			name := m.name + " T=" + itoa(length) + " "
+			for _, c := range []struct {
+				name string
+				pass func()
+			}{
+				{"Run", func() { n.Run(seqs[0], m.opt) }},
+				{"RunBatch B=4", func() { n.RunBatch(seqs, m.opt) }},
+				{"RunWavefrontE", func() {
+					if _, _, err := n.RunWavefrontE(seqs[0], m.opt); err != nil {
+						t.Fatal(err)
+					}
+				}},
+			} {
+				if b := bytesPerPass(c.pass); b > arenaFreeBytes {
+					t.Errorf("%s%s allocates %d B per steady-state pass, want <= %d", name, c.name, b, arenaFreeBytes)
+				}
+			}
+		}
+	}
+}
+
+// bytesPerPass returns the heap bytes one warm call of pass allocates:
+// the least over 40 calls, each measured alone, so that a collection
+// that empties a pool, or a value the pool drops, costs one call and
+// not the pin. The race detector makes sync.Pool drop a random quarter
+// of the values put back; a three-layer wavefront then finds all three
+// arenas pooled with odds 27/64 per call, and 40 calls all miss with
+// odds under 1e-9.
+func bytesPerPass(pass func()) uint64 {
+	pass()
+	best := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 40 {
+		runtime.ReadMemStats(&before)
+		pass()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
 // WavefrontMatchesRun pins the layer wavefront to the layer loop: the
 // logits of RunWavefrontE, traced or not, and the trace it records are
 // bitwise those of Run — over one and three layers, sequences shorter
@@ -576,15 +734,24 @@ func WavefrontMatchesRun(t *testing.T, k Kind) {
 // wavefront's goroutines: a shape violation in layer 1, which runs on a
 // helper goroutine, comes back from RunWavefrontE as an error on the
 // caller instead of killing the process, and no goroutine the call
-// started outlives it.
+// started outlives it. The failed passes, and a misshaped batch through
+// the layer loop, hand their half-written arenas back to the layers'
+// pools; once the layer is restored and invalidated, the next Run,
+// RunBatch and RunWavefrontE on those arenas are bitwise a fresh
+// network's.
 func WavefrontHelperPanicIsError(t *testing.T, k Kind) {
-	n := k.New(12, 16, 3, 4, 433)
+	n := k.subject(12, 16, 3, 4, 433)
 	xs := Seqs(rng.New(434), 12, 9, 1)[0]
-	k.Misshape(n, 1)
+	seqs := raggedSeqs(rng.New(435), 12, 9, 3)
+	ms := k.modes(n)[:2] // Baseline and Intra; the probe run warms layer 0's pool
+	restore := k.Misshape(n.Net, 1)
 	before := runtime.NumGoroutine()
-	for _, opt := range []recurrent.RunOptions{{}, {Intra: true, AlphaIntra: k.AlphaIntra}} {
-		if _, _, err := n.RunWavefrontE(xs, opt); err == nil || !strings.Contains(err.Error(), "mismatch") {
-			t.Fatalf("intra=%v: error %v, want the layer-1 shape violation", opt.Intra, err)
+	for _, m := range ms {
+		if _, _, err := n.RunWavefrontE(xs, m.opt); err == nil || !strings.Contains(err.Error(), "mismatch") {
+			t.Fatalf("%s: error %v, want the layer-1 shape violation", m.name, err)
+		}
+		if _, err := n.ClassifyBatchE(seqs, m.opt); err == nil || !strings.Contains(err.Error(), "mismatch") {
+			t.Fatalf("%s: batch error %v, want the layer-1 shape violation", m.name, err)
 		}
 	}
 	// A helper counted done by the join still needs a moment to return
@@ -593,6 +760,20 @@ func WavefrontHelperPanicIsError(t *testing.T, k Kind) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after the failed calls, %d before", runtime.NumGoroutine(), before)
 		}
+	}
+
+	restore()
+	fresh := k.New(12, 16, 3, 4, 433)
+	for _, m := range ms {
+		label := m.name + " after the failed passes: "
+		want := fresh.Run(xs, m.opt)
+		got, _, err := n.RunWavefrontE(xs, m.opt)
+		if err != nil {
+			t.Fatalf("%sRunWavefrontE: %v", label, err)
+		}
+		Vectors(t, label+"RunWavefrontE", got, want)
+		Vectors(t, label+"Run", n.Run(xs, m.opt), want)
+		Batch(t, label+"RunBatch", n.RunBatch(seqs, m.opt), serial(fresh, seqs, m.opt))
 	}
 }
 

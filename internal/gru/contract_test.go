@@ -38,10 +38,12 @@ var kind = equivtest.Kind{
 			l.Invalidate()
 		}
 	},
-	Misshape: func(n equivtest.Net, layer int) {
+	Misshape: func(n equivtest.Net, layer int) func() {
 		l := n.(*Network).Layers[layer]
+		w := l.Wz
 		l.Wz = tensor.NewMatrix(l.Hidden, l.Input+1)
 		l.Invalidate()
+		return func() { l.Wz = w; l.Invalidate() }
 	},
 }
 
@@ -90,7 +92,13 @@ func TestGRUInvalidateRefreshesPackedCache(t *testing.T) {
 func TestGRUWritersInvalidatePackedCache(t *testing.T) {
 	equivtest.WritersInvalidatePackedCache(t, kind)
 }
-func TestGRUOutputsOutliveNextPass(t *testing.T)    { equivtest.OutputsOutliveNextPass(t, kind) }
+func TestGRUOutputsOutliveNextPass(t *testing.T) { equivtest.OutputsOutliveNextPass(t, kind) }
+func TestGRUArenasRecycleAcrossGoroutines(t *testing.T) {
+	equivtest.ArenasRecycleAcrossGoroutines(t, kind)
+}
+func TestGRUSteadyStateAllocatesNoArena(t *testing.T) {
+	equivtest.SteadyStateAllocatesNoArena(t, kind)
+}
 func TestGRUWavefrontBitwiseEqualsRun(t *testing.T) { equivtest.WavefrontMatchesRun(t, kind) }
 func TestGRUWavefrontHelperPanicIsError(t *testing.T) {
 	equivtest.WavefrontHelperPanicIsError(t, kind)

@@ -38,10 +38,12 @@ var kind = equivtest.Kind{
 			l.Invalidate()
 		}
 	},
-	Misshape: func(n equivtest.Net, layer int) {
+	Misshape: func(n equivtest.Net, layer int) func() {
 		l := n.(*Network).Layers[layer]
+		w := l.Wf
 		l.Wf = tensor.NewMatrix(l.Hidden, l.Input+1)
 		l.Invalidate()
+		return func() { l.Wf = w; l.Invalidate() }
 	},
 }
 
@@ -93,6 +95,12 @@ func TestWritersInvalidatePackedCache(t *testing.T) {
 func TestWavefrontBitwiseEqualsRun(t *testing.T)   { equivtest.WavefrontMatchesRun(t, kind) }
 func TestWavefrontHelperPanicIsError(t *testing.T) { equivtest.WavefrontHelperPanicIsError(t, kind) }
 func TestOutputsOutliveNextPass(t *testing.T)      { equivtest.OutputsOutliveNextPass(t, kind) }
+func TestArenasRecycleAcrossGoroutines(t *testing.T) {
+	equivtest.ArenasRecycleAcrossGoroutines(t, kind)
+}
+func TestSteadyStateAllocatesNoArena(t *testing.T) {
+	equivtest.SteadyStateAllocatesNoArena(t, kind)
+}
 func TestChainAutoFollowsProcessDefault(t *testing.T) {
 	equivtest.ChainAutoFollowsProcessDefault(t, kind)
 }

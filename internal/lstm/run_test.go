@@ -254,14 +254,20 @@ func TestGuardPassesForeignPanics(t *testing.T) {
 // TestRunBatchAllocsAtOneProc pins the allocation counts of a serial
 // (GOMAXPROCS 1) Run and B=1 RunBatch — the same layer loop — at their
 // measured value: a kernel that forks no shard must allocate nothing,
-// so the 12 are the arena and its eight slabs, the member lengths, the
-// output slice and the logits. One heap object per kernel call would
-// add 2 layers × (1 W·x GEMM + 15 steps × 2 recurrent stages). A B=4
-// Intra RunBatch, whose every step computes its group's second-stage
-// W·x over the union of the members' kept rows, makes exactly the
-// allocations of a B=4 Baseline one: the union lists live in the arena.
+// and the arena comes from the layer's pool, so the 3 are the member
+// lengths, the output slice and the logits. One heap object per kernel
+// call would add 2 layers × (1 W·x GEMM + 15 steps × 2 recurrent
+// stages), and an arena allocated per call arenaAllocs. A B=4 RunBatch
+// makes 6 (four logits). Under Intra, whose every step computes its
+// group's second-stage W·x over the union of the members' kept rows, it
+// makes exactly the allocations of a B=4 Baseline one: the union lists
+// live in the arena. Under the race detector each bound grows by
+// poolSlack, and the Intra and Baseline counts, which then depend on
+// which arenas the pool dropped, are not compared; `make alloc-pins`
+// runs the exact counts without the detector.
 func TestRunBatchAllocsAtOneProc(t *testing.T) {
-	const wantRun, wantBatch = 12, 12
+	slack := poolSlack(1)
+	wantRun, wantBatch, wantBatch4 := 3+slack, 3+slack, 6+slack
 	n := testNet(t, 12, 12, 2, 3, 27)
 	seqs := testSeqs(rng.New(28), 12, 15, 4)
 	prev := runtime.GOMAXPROCS(1)
@@ -269,26 +275,51 @@ func TestRunBatchAllocsAtOneProc(t *testing.T) {
 	var batch4 [2]float64
 	for i, opt := range []RunOptions{Baseline(), {Intra: true, AlphaIntra: 0.1}} {
 		if got := testing.AllocsPerRun(20, func() { n.Run(seqs[0], opt) }); got > wantRun {
-			t.Errorf("intra=%v: Run makes %v allocs at GOMAXPROCS 1, want <= %d", opt.Intra, got, wantRun)
+			t.Errorf("intra=%v: Run makes %v allocs at GOMAXPROCS 1, want <= %v", opt.Intra, got, wantRun)
 		}
 		if got := testing.AllocsPerRun(20, func() { n.RunBatch(seqs[:1], opt) }); got > wantBatch {
-			t.Errorf("intra=%v: RunBatch B=1 makes %v allocs at GOMAXPROCS 1, want <= %d", opt.Intra, got, wantBatch)
+			t.Errorf("intra=%v: RunBatch B=1 makes %v allocs at GOMAXPROCS 1, want <= %v", opt.Intra, got, wantBatch)
 		}
 		batch4[i] = testing.AllocsPerRun(20, func() { n.RunBatch(seqs, opt) })
+		if batch4[i] > wantBatch4 {
+			t.Errorf("intra=%v: RunBatch B=4 makes %v allocs at GOMAXPROCS 1, want <= %v", opt.Intra, batch4[i], wantBatch4)
+		}
 	}
-	if batch4[1] != batch4[0] {
+	if !equivtest.RaceEnabled && batch4[1] != batch4[0] {
 		t.Errorf("RunBatch B=4 makes %v allocs under Intra and %v under Baseline at GOMAXPROCS 1", batch4[1], batch4[0])
 	}
 }
 
+// arenaAllocs is what a forward arena costs a pass that allocates it
+// instead of taking it from its layer's pool: the arena and its seven
+// slabs.
+const arenaAllocs = 8
+
+// poolSlack is the allocation bound's headroom for a pass that takes
+// the given number of arenas. Without the race detector it is none.
+// Under it, where sync.Pool drops a random quarter of the values put
+// back, it is an arena allocated for every layer pool on every call:
+// each bound is then about what a pass allocated before arenas were
+// pooled (Run 11, the wavefront 39), and still fails a kernel, or a
+// cell or chunk of the path, that allocates per call.
+func poolSlack(arenas int) float64 {
+	if equivtest.RaceEnabled {
+		return float64(arenas * arenaAllocs)
+	}
+	return 0
+}
+
 // TestWavefrontAllocsDoNotGrowWithT pins the allocation count of a
 // three-layer RunWavefrontE at its measured value, at every sequence
-// length: per layer an arena of Run's eight slabs and its chunk
-// channel, the helper goroutines and their join, and the logits —
-// nothing per chunk or per cell (a chunk's W·x view is re-headed once
-// per layer, and a chunk's token is a buffered send).
+// length: the per-layer tables (arena pointers, outputs, channels,
+// panics), each layer's chunk channel, the helper goroutines and their
+// join, and the logits. No arena: each layer's comes from its pool,
+// where an arena per call would add arenaAllocs per layer. Nothing per
+// chunk or per cell: a chunk's W·x view is re-headed once per layer,
+// and a chunk's token is a buffered send. Under the race detector the
+// bound grows by poolSlack for the three layers.
 func TestWavefrontAllocsDoNotGrowWithT(t *testing.T) {
-	const want = 39
+	want := 15 + poolSlack(3)
 	n := testNet(t, 12, 12, 3, 3, 29)
 	for _, opt := range []RunOptions{Baseline(), {Intra: true, AlphaIntra: 0.1}} {
 		for _, length := range []int{4, 12, 48} {
@@ -299,7 +330,7 @@ func TestWavefrontAllocsDoNotGrowWithT(t *testing.T) {
 				}
 			})
 			if got > want {
-				t.Errorf("intra=%v T=%d: RunWavefrontE makes %v allocs, want <= %d", opt.Intra, length, got, want)
+				t.Errorf("intra=%v T=%d: RunWavefrontE makes %v allocs, want <= %v", opt.Intra, length, got, want)
 			}
 		}
 	}

@@ -10,7 +10,9 @@ import (
 
 // exactLayer runs one layer's unmodified flow over one sequence on the
 // canonical chain — offline artifacts (predictors, calibrated weights)
-// are chain-neutral — handing every cell's state to each.
+// are chain-neutral — handing every cell's state to each. The caller
+// owns sc for its whole walk, so the outputs, views of sc, stay valid
+// until the layer after next reuses them.
 func exactLayer(l Cell, xs []tensor.Vector, sc *forwardScratch, each func(t int, st tensor.Vector)) []tensor.Vector {
 	sc.reset(l.Shape(), RunOptions{}, len(xs))
 	return runLayer(0, l, xs, RunOptions{}, nil, sc, tensor.KernelsFor(tensor.ChainSSE2), each)
@@ -28,11 +30,13 @@ func CollectPredictors[C Cell](n *Network[C], samples [][]tensor.Vector) []inter
 	}
 	// A link is (h, c); cells whose state is h alone leave c zero.
 	link := tensor.NewVector(2 * h)
-	var sc forwardScratch
+	pool := n.Layers[0].cache()
+	sc := pool.arena()
+	defer pool.release(sc)
 	for _, xs := range samples {
 		seq := xs
 		for li, l := range n.Layers {
-			seq = exactLayer(l, seq, &sc, func(_ int, st tensor.Vector) {
+			seq = exactLayer(l, seq, sc, func(_ int, st tensor.Vector) {
 				copy(link, st)
 				stats[li].Observe(link[:h], link[h:])
 			})
@@ -156,10 +160,11 @@ func forwardAll(l Cell, seqs [][]tensor.Vector) ([][]tensor.Vector, tensor.Vecto
 	out := make([][]tensor.Vector, len(seqs))
 	sumAbs := make([]float64, h)
 	var count int64
-	var sc forwardScratch
+	sc := l.cache().arena()
+	defer l.cache().release(sc)
 	for si, xs := range seqs {
 		hs := views(len(xs), h)
-		exactLayer(l, xs, &sc, func(t int, st tensor.Vector) {
+		exactLayer(l, xs, sc, func(t int, st tensor.Vector) {
 			copy(hs[t], st)
 			for j, v := range hs[t] {
 				sumAbs[j] += math.Abs(float64(v))

@@ -116,11 +116,16 @@ type packedWeights struct {
 	relevance func(wx tensor.Vector) float64
 }
 
-// PackedCache is the cache cell a layer embeds to become a Cell. The
-// zero value means "not built"; the mutex only guards the build.
+// PackedCache is the per-layer state a layer embeds to become a Cell:
+// the united-weight cache and the pool of forward arenas. The zero
+// value means "not built" and an empty pool; the mutex only guards the
+// build.
 type PackedCache struct {
 	mu     sync.Mutex
 	packed atomic.Pointer[packedWeights]
+	// arenas recycles the forward arenas of passes over this layer (see
+	// arena): weights do not size an arena, so Invalidate keeps them.
+	arenas sync.Pool
 }
 
 // Invalidate drops the cached united matrices. Every code path that

@@ -2,7 +2,6 @@ package recurrent
 
 import (
 	"fmt"
-	"slices"
 
 	"mobilstm/internal/tensor"
 )
@@ -64,30 +63,29 @@ func (n *Network[C]) Run(xs []tensor.Vector, opt RunOptions) tensor.Vector {
 
 // forward is the layer loop: it runs every layer over the members'
 // sequences end to end and returns each member's logits, freshly
-// allocated. It owns one scratch arena for the whole call, which holds
-// every per-cell buffer (gate pre-activations, first-stage gates,
-// hidden outputs, sub-layer states), so the hot path performs no
-// per-cell allocation and a call's footprint is a handful of arena
-// slabs.
+// allocated. It takes one arena from layer 0's pool for the whole call
+// and hands it back when the call ends. The arena holds every per-cell
+// buffer (gate pre-activations, first-stage gates, hidden outputs,
+// sub-layer states), so the hot path performs no per-cell allocation,
+// and a steady-state call allocates no arena either.
 func (n *Network[C]) forward(seqs [][]tensor.Vector, opt RunOptions) []tensor.Vector {
 	ks := tensor.KernelsFor(tensor.ChainAuto)
 	lens := make([]int, len(seqs))
 	for i, xs := range seqs {
 		lens[i] = len(xs)
 	}
-	var sc forwardScratch
+	pool := n.Layers[0].cache()
+	sc := pool.arena()
+	defer pool.release(sc)
 	sc.reset(n.Layers[0].Shape(), opt, lens...)
-	hs := seqs[0]
-	if len(seqs) > 1 {
-		hs = slices.Concat(seqs...)
-	}
+	hs := sc.concat(seqs)
 	for li, l := range n.Layers {
 		var lt *LayerTrace
 		if opt.Trace != nil {
 			opt.Trace.Layers = append(opt.Trace.Layers, LayerTrace{Layer: li, Cells: len(hs)})
 			lt = &opt.Trace.Layers[len(opt.Trace.Layers)-1]
 		}
-		hs = runLayer(li, l, hs, opt, lt, &sc, ks, nil)
+		hs = runLayer(li, l, hs, opt, lt, sc, ks, nil)
 	}
 	out := make([]tensor.Vector, len(seqs))
 	for i, mb := range sc.members {

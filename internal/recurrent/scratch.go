@@ -21,11 +21,21 @@ func views(n, w int) []tensor.Vector {
 // when a later pass outgrows them. Hidden outputs use two ping-pong
 // halves because layer k+1 reads layer k's outputs while producing its
 // own.
+//
+// An arena outlives its pass: a pass takes one from a layer's pool
+// (PackedCache.arena) and hands it back when it ends, so a steady-state
+// pass allocates none. Nothing a pass returns — logits, a Trace field —
+// may be a view of it. reset never shrinks an arena of the same shape,
+// so a pooled arena keeps the size of the largest pass it has served for
+// as long as passes keep taking it, and its input headers (flat, xs,
+// cellIn, in) keep its last pass's inputs reachable until a later pass
+// overwrites them.
 type forwardScratch struct {
 	sh      Shape       // widths the slabs are carved for (Input sizes nothing)
 	cap     scratchSize // what the slabs hold
 	members []member
 
+	flat  []tensor.Vector // a multi-member pass's layer-0 inputs end to end (concat)
 	wxBuf []float32
 	wx    tensor.Matrix   // cells × Gates·h united W·x over the first rows of wxBuf
 	hs    []tensor.Vector // 2·cap.cells hidden outputs: the ping-pong halves
@@ -90,6 +100,20 @@ type slot struct {
 	row, cell int
 	st        tensor.Vector
 }
+
+// arena takes a forward arena from the layer's pool, or a new one when
+// the pool is empty. The pass hands it back with release once it ends,
+// a pass that panics included. sync.Pool drops only an arena that no
+// pass takes across two garbage collections.
+func (c *PackedCache) arena() *forwardScratch {
+	if sc, ok := c.arenas.Get().(*forwardScratch); ok {
+		return sc
+	}
+	return new(forwardScratch)
+}
+
+// release returns an arena to the layer's pool for a later pass.
+func (c *PackedCache) release(sc *forwardScratch) { c.arenas.Put(sc) }
 
 // reset prepares the arena for a pass over sequences of the given
 // lengths under opt, regrowing the slabs only when the pass outgrows
@@ -176,7 +200,7 @@ func (sc *forwardScratch) grow(sh Shape, c scratchSize) {
 		d = 1
 	}
 	f := make([]float32, c.cells*(sh.Gates+2)*h+c.slots*(max(first, second)+first+h)+c.states*sh.State*h)
-	v := make([]tensor.Vector, (2+2*d)*c.cells+(4+d)*c.slots+c.states)
+	v := make([]tensor.Vector, (3+2*d)*c.cells+(4+d)*c.slots+c.states)
 	floats := func(n int) []float32 {
 		out := f[:n:n]
 		f = f[n:]
@@ -192,7 +216,7 @@ func (sc *forwardScratch) grow(sh Shape, c scratchSize) {
 	}
 	sc.sh, sc.cap = sh, c
 	sc.wxBuf, sc.wx = floats(c.cells*sh.Gates*h), tensor.Matrix{Cols: sh.Gates * h}
-	sc.hs = carve(2*c.cells, h)
+	sc.flat, sc.hs = carve(c.cells, 0), carve(2*c.cells, h)
 	sc.cellDst, sc.cellIn = carve(d*c.cells, 0), carve(d*c.cells, 0)
 	sc.prodBuf = floats(c.slots * max(first, second))
 	sc.gates, sc.operands = carve(c.slots, first), carve(c.slots, h)
@@ -223,6 +247,19 @@ func (sc *forwardScratch) grow(sh Shape, c scratchSize) {
 	}
 	sc.slots = make([]slot, c.slots)
 	sc.members = make([]member, 0, c.members)
+}
+
+// concat returns the pass's layer-0 inputs end to end, member by member:
+// one member's own sequence, or several copied into the flat slab.
+func (sc *forwardScratch) concat(seqs [][]tensor.Vector) []tensor.Vector {
+	if len(seqs) == 1 {
+		return seqs[0]
+	}
+	flat := sc.flat[:0]
+	for _, xs := range seqs {
+		flat = append(flat, xs...)
+	}
+	return flat
 }
 
 // nextHS flips the ping-pong and returns the hidden-output views for the

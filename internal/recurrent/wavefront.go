@@ -38,8 +38,9 @@ func (n *Network[C]) RunWavefrontE(xs []tensor.Vector, opt RunOptions) (logits t
 // as soon as layer l-1 has published chunk c's hidden rows, so layer l
 // steps cell t while layer l-1 steps a later chunk — the layer overlap
 // of Appleyard et al. (§3.3), and the §II-C server wavefront
-// sched.Wavefront models. Every layer owns an arena of its own, and a
-// chunk's W·x goes to that chunk's rows of the layer's W·x slab. Every
+// sched.Wavefront models. Every layer takes an arena from its own pool
+// for the call and hands it back when the call ends, and a chunk's W·x
+// goes to that chunk's rows of the layer's W·x slab. Every
 // W·x row is the same dot chain whichever chunk computes it, and every
 // step the same one-cell group on the same values as in the layer loop,
 // so logits and trace are bitwise Run's.
@@ -51,8 +52,16 @@ func (n *Network[C]) RunWavefrontE(xs []tensor.Vector, opt RunOptions) (logits t
 func (n *Network[C]) wavefront(xs []tensor.Vector, opt RunOptions) tensor.Vector {
 	ks := tensor.KernelsFor(tensor.ChainAuto)
 	layers := len(n.Layers)
-	scs := make([]forwardScratch, layers)
+	scs := make([]*forwardScratch, layers)
 	hss := make([][]tensor.Vector, layers)
+	for li, l := range n.Layers {
+		scs[li] = l.cache().arena()
+	}
+	defer func() {
+		for li, l := range n.Layers {
+			l.cache().release(scs[li])
+		}
+	}()
 	for li, l := range n.Layers {
 		scs[li].reset(l.Shape(), opt, len(xs))
 		hss[li] = scs[li].nextHS()
@@ -75,7 +84,7 @@ func (n *Network[C]) wavefront(xs []tensor.Vector, opt RunOptions) tensor.Vector
 	}
 	layer := func(li int) {
 		defer close(published[li])
-		l, sc, hs := n.Layers[li], &scs[li], hss[li]
+		l, sc, hs := n.Layers[li], scs[li], hss[li]
 		in := xs
 		if li > 0 {
 			in = hss[li-1]
