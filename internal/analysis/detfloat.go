@@ -12,8 +12,8 @@ import (
 // The repo's logits are bitwise identical across kernels, run modes,
 // and GOMAXPROCS because every output element is reduced through one
 // canonical accumulation chain — dotRowGeneric in internal/tensor (and
-// its SSE2 row and AVX four-row assembly bodies, which implement the
-// same 16-lane order). A
+// its SSE2 row, AVX and AVX-512 one-input and AVX-512 block assembly
+// bodies, which implement the same 16-lane order). A
 // float32 reduction written anywhere else picks its own association
 // order, and float addition does not associate: the moment such a loop
 // feeds the pipeline, "bitwise identical" silently degrades to
@@ -40,7 +40,7 @@ func init() {
 // detfloatExempt names the sanctioned accumulation chains — the places
 // a float32 reduction loop IS the contract rather than a violation:
 // the canonical 16-lane chain (dotRowGeneric, mirrored by the SSE2 row
-// and AVX four-row assembly) and the wide 32-lane FMA chain
+// and the AVX and AVX-512 span assembly) and the wide 32-lane FMA chain
 // (dotRowWideGeneric, mirrored by the AVX2 assembly and gated behind
 // KernelChain).
 var detfloatExempt = map[string]bool{

@@ -18,16 +18,19 @@ import (
 //     equality at any GOMAXPROCS and any batch B).
 //
 // A KernelChain names a chain; a body is code that carries it. The
-// canonical chain has four bodies — the pure-Go definition and one per
-// register width: the SSE2 row body, the AVX four-row body
-// (dot_quad_amd64.s: the four-row groups of a row range, of a kept-row
-// list or one gathered group against one x per call) and the AVX-512
-// block body (dot_block_amd64.s: the four-row groups of a row range or
-// a kept-row list against four inputs per call); a range is the
-// list-less case of a vector body, not a body of its own. The wide
-// chain has two. There is one kernel family (Kernels): KernelsFor
-// resolves a selection to its bodies once, and every kernel of a run
-// dots its rows through that binding.
+// canonical chain has five bodies — the pure-Go definition, the SSE2
+// row body, and per vector width the span bodies: at 256 bits the AVX
+// one-input body (dot_quad_amd64.s: the four-row groups of a row range,
+// of a kept-row list or one gathered group against one x per call), and
+// at 512 bits the AVX-512 one-input body of the same contract and the
+// AVX-512 block body (dot_block_amd64.s: the four-row groups of a row
+// range or a kept-row list against four inputs per call). A CPU with
+// AVX-512 runs both 512-bit bodies; the AVX one-input body binds only
+// where the CPU has AVX but not AVX-512. A range is the list-less case
+// of a vector body, not a body of its own. The wide chain has two.
+// There is one kernel family (Kernels): KernelsFor resolves a selection
+// to its bodies once, and every kernel of a run dots its rows through
+// that binding.
 // The process default (MOBILSTM_KERNEL_CHAIN) is the only production
 // selector; explicit bindings are the package-level entry points
 // (PackedGemv…, WidePacked…) and calibration's. A ChainGeneric process default additionally pins every chain to its
@@ -151,7 +154,7 @@ func KernelsFor(c KernelChain) Kernels {
 	}
 	asm := def != ChainGeneric
 	k := goKernels(rowBody(c, asm, asm && hasWideBody))
-	if quad, gather := quadBody(c, asm && hasQuadBody); quad != nil {
+	if quad, gather := quadBody(c, asm && hasQuadBody, asm && hasBlockBody); quad != nil {
 		k.quad, k.gather = quad, gather
 	}
 	if block := blockBody(c, asm && hasBlockBody); block != nil {
@@ -162,7 +165,7 @@ func KernelsFor(c KernelChain) Kernels {
 
 // rowBody is the resolution table — one row per chain: the row body
 // that carries chain c when assembly is allowed (asm) and the AVX2+FMA
-// body is usable (avx2); quadBody is its four-row span column and
+// body is usable (avx2); quadBody is its one-input span column and
 // blockBody its four-row × four-input span column. Adding a chain is a
 // constant with its name, a reference Go body, optionally an assembly
 // body behind a probe, and a row here.
@@ -185,16 +188,22 @@ func rowBody(c KernelChain, asm, avx2 bool) rowBodyFn {
 	return nil
 }
 
-// quadBody is the table's four-row column: the span bodies that dot the
-// four-row groups of a row range or a kept-row list, and of one gathered
-// group, against one x for chain c when the AVX four-row body is usable
-// (avx: the probe allows it and the process is not forced generic), or
-// nils — the binding keeps the pure-Go spans over its row body
-// (goKernels). Only the canonical chain through its assembly binding
-// has them; the wide chain and the pure-Go canonical binding dot row by
-// row.
-func quadBody(c KernelChain, avx bool) (quadBodyFn, gatherBodyFn) {
-	if c == ChainSSE2 && avx {
+// quadBody is the table's one-input column: the span bodies that dot
+// the four-row groups of a row range or a kept-row list, and of one
+// gathered group, against one x for chain c — the AVX-512 one-input
+// body where its probe allows it (avx512: AVX-512F with OS-saved ZMM
+// state, and the process not forced generic), else the AVX one-input
+// body where that probe does (avx), else nils: the binding keeps the
+// pure-Go spans over its row body (goKernels). Only the canonical chain
+// through its assembly binding has them; the wide chain and the pure-Go
+// canonical binding dot row by row.
+func quadBody(c KernelChain, avx, avx512 bool) (quadBodyFn, gatherBodyFn) {
+	switch {
+	case c != ChainSSE2:
+		return nil, nil
+	case avx512:
+		return quadSpanAVX512, gatherAVX512
+	case avx:
 		return quadSpanAVX, gatherAVX
 	}
 	return nil, nil

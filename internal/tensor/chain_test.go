@@ -84,7 +84,8 @@ func bodyName(f any) string {
 		"dotRowGeneric": dotRowGeneric, "dotRowSSE2": dotRowSSE2,
 		"dotRowWideGeneric": dotRowWideGeneric, "dotRowAVX2": dotRowAVX2,
 		"quadRows": quadRows, "gatherRows": gatherRows, "blockRows": blockRows,
-		"quadSpanAVX": quadSpanAVX, "gatherAVX": gatherAVX, "blockSpanAVX512": blockSpanAVX512,
+		"quadSpanAVX": quadSpanAVX, "gatherAVX": gatherAVX,
+		"quadSpanAVX512": quadSpanAVX512, "gatherAVX512": gatherAVX512, "blockSpanAVX512": blockSpanAVX512,
 	} {
 		if fv.Pointer() == reflect.ValueOf(b).Pointer() {
 			return name
@@ -98,8 +99,8 @@ func bodyName(f any) string {
 // from it rather than from hasQuadBody, so they check the probe too.
 func quadProbe() bool { c := CPU(); return c.AVX && c.OSYMM }
 
-// blockProbe is what the CPU reports for the AVX-512 block body:
-// AVX-512F with OS-saved opmask and ZMM state.
+// blockProbe is what the CPU reports for the AVX-512 bodies, one-input
+// and block: AVX-512F with OS-saved opmask and ZMM state.
 func blockProbe() bool { c := CPU(); return c.AVX512F && c.OSZMM }
 
 // boundBodies names the four bodies a binding runs: row, the four-row
@@ -110,22 +111,23 @@ func boundBodies(k Kernels) [4]string {
 }
 
 // withSpans is a binding's expected names: row body dot, and the
-// assembly four-row and block span bodies where quad and block say
-// they are bound, the pure-Go spans otherwise.
+// assembly span bodies where quad and block say they are bound, the
+// pure-Go spans otherwise. The one-input bodies are the AVX-512 ones
+// where the block probe holds too, the AVX ones where it does not.
 func withSpans(dot string, quad, block bool) [4]string {
 	want := [4]string{dot, "quadRows", "gatherRows", "blockRows"}
-	if quad {
+	switch {
+	case block:
+		want[1], want[2], want[3] = "quadSpanAVX512", "gatherAVX512", "blockSpanAVX512"
+	case quad:
 		want[1], want[2] = "quadSpanAVX", "gatherAVX"
-	}
-	if block {
-		want[3] = "blockSpanAVX512"
 	}
 	return want
 }
 
 // TestForcedGenericDisablesAssemblyBodies pins the resolution table:
 // which row body carries each chain with and without the AVX2+FMA
-// probe, which four-row body with and without the AVX probe, which
+// probe, which one-input bodies under the AVX and AVX-512 probes, which
 // block body with and without the AVX-512 probe, and that
 // a forced-generic process default (the CI reference configuration)
 // leaves nothing but the pure-Go bodies — for explicit selections too,
@@ -150,22 +152,20 @@ func TestForcedGenericDisablesAssemblyBodies(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		chain KernelChain
-		avx   bool
-		want  string
+		chain       KernelChain
+		avx, avx512 bool
+		want        [2]string
 	}{
-		{ChainGeneric, true, "none"},
-		{ChainSSE2, true, "quadSpanAVX"},
-		{ChainSSE2, false, "none"},
-		{ChainAVX2, true, "none"},
+		{ChainGeneric, true, true, [2]string{"none", "none"}},
+		{ChainSSE2, true, true, [2]string{"quadSpanAVX512", "gatherAVX512"}},
+		{ChainSSE2, false, true, [2]string{"quadSpanAVX512", "gatherAVX512"}},
+		{ChainSSE2, true, false, [2]string{"quadSpanAVX", "gatherAVX"}},
+		{ChainSSE2, false, false, [2]string{"none", "none"}},
+		{ChainAVX2, true, true, [2]string{"none", "none"}},
 	} {
-		quad, gather := quadBody(c.chain, c.avx)
-		want := [2]string{"none", "none"}
-		if c.want != "none" {
-			want = [2]string{"quadSpanAVX", "gatherAVX"}
-		}
-		if got := [2]string{bodyName(quad), bodyName(gather)}; got != want {
-			t.Errorf("quadBody(%v, avx=%v) = %s, want %s", c.chain, c.avx, got, want)
+		quad, gather := quadBody(c.chain, c.avx, c.avx512)
+		if got := [2]string{bodyName(quad), bodyName(gather)}; got != c.want {
+			t.Errorf("quadBody(%v, avx=%v, avx512=%v) = %s, want %s", c.chain, c.avx, c.avx512, got, c.want)
 		}
 	}
 	for _, c := range []struct {
@@ -218,12 +218,12 @@ func TestChainMatrixLegRunsItsBodies(t *testing.T) {
 	if got := ActiveKernelChain(); got != leg {
 		t.Fatalf("process default %v, want the %s leg %v", got, KernelChainEnv, leg)
 	}
-	// Row, four-row and block bodies per chain: the generic leg binds no
-	// assembly; otherwise the canonical chain runs the SSE2 row body,
-	// the AVX four-row span bodies iff the CPU has AVX with OS-saved YMM
-	// state and the AVX-512 block span body iff it has AVX-512F with
-	// OS-saved ZMM state, and the wide chain its AVX2+FMA body iff the
-	// probe allows.
+	// Row, one-input and block bodies per chain: the generic leg binds
+	// no assembly; otherwise the canonical chain runs the SSE2 row body,
+	// the AVX-512 one-input and block span bodies iff the CPU has
+	// AVX-512F with OS-saved ZMM state, else the AVX one-input bodies iff
+	// it has AVX with OS-saved YMM state, and the wide chain its AVX2+FMA
+	// body iff the probe allows.
 	canon := withSpans("dotRowGeneric", false, false)
 	wide := withSpans("dotRowWideGeneric", false, false)
 	if leg != ChainGeneric {

@@ -27,10 +27,10 @@ func dotSSE(row, x *float32, n int) float32
 // wrapper proves its span in bounds once per call — every destination
 // it writes and every row it reads — and handles the empty row in Go,
 // where a zero-length slice has no address. KernelsFor binds the
-// four-row bodies only where the probe reports AVX with OS-saved YMM
-// state (hasQuadBody), the block body only where it reports AVX-512F
-// with OS-saved opmask and ZMM state (hasBlockBody), and neither in a
-// process forced generic.
+// AVX-512 bodies, one-input and block, only where the probe reports
+// AVX-512F with OS-saved opmask and ZMM state (hasBlockBody), the AVX
+// one-input bodies where it reports AVX with OS-saved YMM state
+// (hasQuadBody) but not that, and none in a process forced generic.
 
 // spanOf proves the rows of one span body call in bounds and returns
 // what the assembly walks: the list's first entry, or nil for the range;
@@ -54,26 +54,48 @@ func spanOf(rows int, kept []int, off int) (idx *int, from, groups, last int) {
 	return &kept[0], off, groups, last
 }
 
-// quadSpanAVX is quadRows (kernel.go) through the AVX four-row body in
-// dot_quad_amd64.s. An empty row has no address, so a zero-length x
-// goes through quadRows.
-func quadSpanAVX(k Kernels, dst, w, x []float32, kept []int, off int) {
-	idx, from, groups, last := spanOf(len(dst), kept, off)
-	n := len(x)
-	if groups == 0 {
-		return
-	}
-	if n == 0 {
-		quadRows(k, dst, w, x, kept, off)
-		return
-	}
-	w = w[:(last+1)*n]
-	dot4SpanAVX(&dst[0], &w[0], &x[0], idx, from, n, groups)
+// quadSpanAVX and quadSpanAVX512 are quadRows (kernel.go) through the
+// one-input body of their width: the AVX four-row body in
+// dot_quad_amd64.s and the AVX-512 one in dot_block_amd64.s.
+func quadSpanAVX(_ Kernels, dst, w, x []float32, kept []int, off int) {
+	dot4SpanAVX(spanArgs(dst, w, x, kept, off))
 }
 
-// gatherAVX is gatherRows through the AVX four-row body: one group of
-// four rows named by index, each checked.
+func quadSpanAVX512(_ Kernels, dst, w, x []float32, kept []int, off int) {
+	dot4SpanAVX512(spanArgs(dst, w, x, kept, off))
+}
+
+// gatherAVX and gatherAVX512 are gatherRows through the one-input body
+// of their width: one group of four rows named by index.
 func gatherAVX(_ Kernels, dst, w, x []float32, at [4]int) {
+	dot4SpanAVX(gatherArgs(dst, w, x, &at))
+}
+
+func gatherAVX512(_ Kernels, dst, w, x []float32, at [4]int) {
+	dot4SpanAVX512(gatherArgs(dst, w, x, &at))
+}
+
+// spanArgs proves one one-input body call over a range or a kept list
+// in bounds (spanOf) and returns its arguments. A call with no whole
+// group passes no pointer and groups 0, and rows of no floats pass no
+// w or x: the body reads neither and stores +0, dotRowGeneric's empty
+// sum.
+func spanArgs(dst, w, x []float32, kept []int, off int) (*float32, *float32, *float32, *int, int, int, int) {
+	idx, from, groups, last := spanOf(len(dst), kept, off)
+	n := len(x)
+	switch {
+	case groups == 0:
+		return nil, nil, nil, nil, 0, 0, 0
+	case n == 0:
+		return &dst[0], nil, nil, idx, from, 0, groups
+	}
+	w = w[:(last+1)*n]
+	return &dst[0], &w[0], &x[0], idx, from, n, groups
+}
+
+// gatherArgs is spanArgs for one group named by index: each index is
+// checked, since a gathered group need not ascend.
+func gatherArgs(dst, w, x []float32, at *[4]int) (*float32, *float32, *float32, *int, int, int, int) {
 	for _, i := range at {
 		if uint(i) >= uint(len(dst)) {
 			Panicf("tensor: gathered row %d outside a %d-row span", i, len(dst))
@@ -81,23 +103,24 @@ func gatherAVX(_ Kernels, dst, w, x []float32, at [4]int) {
 	}
 	n := len(x)
 	if n == 0 {
-		for _, i := range at {
-			dst[i] = 0
-		}
-		return
+		return &dst[0], nil, nil, &at[0], 0, 0, 1
 	}
 	w = w[:len(dst)*n]
-	dot4SpanAVX(&dst[0], &w[0], &x[0], &at[0], 0, n, 1)
+	return &dst[0], &w[0], &x[0], &at[0], 0, n, 1
 }
 
-// dot4SpanAVX is implemented in dot_quad_amd64.s: groups groups of four
-// rows — rows 4g..4g+3 when idx is nil, rows off+idx[4g..4g+3]
-// otherwise — each dotted against x and stored to dst at its row
-// index. Each result must match dotRowGeneric bitwise; see the chain
-// definition in kernel.go.
+// dot4SpanAVX is implemented in dot_quad_amd64.s and dot4SpanAVX512 in
+// dot_block_amd64.s: groups groups of four rows — rows 4g..4g+3 when
+// idx is nil, rows off+idx[4g..4g+3] otherwise — each dotted against x
+// and stored to dst at its row index; groups 0 does nothing, and n 0
+// reads no row and no x. Each result must match dotRowGeneric bitwise;
+// see the chain definition in kernel.go.
 //
 //go:noescape
 func dot4SpanAVX(dst, w, x *float32, idx *int, off, n, groups int)
+
+//go:noescape
+func dot4SpanAVX512(dst, w, x *float32, idx *int, off, n, groups int)
 
 // blockSpanAVX512 is blockRows (kernel.go) through the AVX-512 block
 // body in dot_block_amd64.s. An absent input takes the first present

@@ -1,3 +1,8 @@
+// The canonical chain's two 512-bit span bodies: the block body
+// dot4x4AVX512 (four rows × four inputs per group) and, after it, the
+// one-input body dot4SpanAVX512 (four rows × one x). They share the
+// GROUP fold.
+
 // func dot4x4AVX512(d0, d1, d2, d3, w, x0, x1, x2, x3 *float32, idx *int, off, n, groups int)
 //
 // AVX-512 block span body of the canonical dot-product chain: groups
@@ -259,5 +264,155 @@ seqstore:
 next:
 	DECQ groups+96(FP)
 	JNZ  group
+	VZEROUPPER
+	RET
+
+// packIdx gathers lane 0 of every 128-bit block into lanes 0..3
+// (VPERMPS): the one-input body's four folded row sums, in row order.
+DATA packIdx<>+0(SB)/4, $0
+DATA packIdx<>+4(SB)/4, $4
+DATA packIdx<>+8(SB)/4, $8
+DATA packIdx<>+12(SB)/4, $12
+GLOBL packIdx<>(SB), RODATA|NOPTR, $64
+
+// func dot4SpanAVX512(dst, w, x *float32, idx *int, off, n, groups int)
+//
+// AVX-512 one-input span body of the canonical chain: the contract of
+// dot4SpanAVX (dot_quad_amd64.s) at the 512-bit width, and no work when
+// groups is 0. Group g is rows 4g..4g+3 when idx is nil and rows
+// off+idx[4g..4g+3] otherwise; row i's dot is stored to dst[i]. One ZMM
+// register per row holds its whole accumulator [A|B|C|D] (Z16+k is row
+// k), so the x block is loaded once per 16 floats and each row's block
+// is a memory operand of its VMULPS. The fold is GROUP over the four
+// rows — block k of Z12 is row k's lanewise (A+B)+(C+D) — then the
+// scalar ((l0+l1)+l2)+l3 within every block at once (lane 1, 2 and 3
+// of each block broadcast by VSHUFPS and added in turn), after which
+// VPERMPS packs the four sums into X12, lane k row k's. The serial
+// remainder adds one rounded product per element to all four sums in
+// X12 (row k's element in lane k, x broadcast), and a row range stores
+// X12 whole.
+TEXT ·dot4SpanAVX512(SB), NOSPLIT, $0-56
+	MOVQ  dst+0(FP), R12
+	MOVQ  w+8(FP), R13
+	MOVQ  x+16(FP), DI
+	MOVQ  idx+24(FP), SI
+	MOVQ  groups+48(FP), R14
+	TESTQ R14, R14
+	JZ    done
+	XORQ  DX, DX             // first row of a contiguous group
+	VMOVUPS packIdx<>(SB), Z15
+
+group:
+	// The group's row indices into R8..R11, then their addresses.
+	TESTQ SI, SI
+	JZ    seqrows
+	MOVQ  0(SI), R8
+	MOVQ  8(SI), R9
+	MOVQ  16(SI), R10
+	MOVQ  24(SI), R11
+	MOVQ  off+32(FP), AX
+	ADDQ  AX, R8
+	ADDQ  AX, R9
+	ADDQ  AX, R10
+	ADDQ  AX, R11
+	JMP   rows
+
+seqrows:
+	MOVQ DX, R8
+	LEAQ 1(DX), R9
+	LEAQ 2(DX), R10
+	LEAQ 3(DX), R11
+
+rows:
+	MOVQ   n+40(FP), CX
+	MOVQ   CX, AX
+	SHLQ   $2, AX            // bytes per row
+	IMULQ  AX, R8
+	IMULQ  AX, R9
+	IMULQ  AX, R10
+	IMULQ  AX, R11
+	ADDQ   R13, R8
+	ADDQ   R13, R9
+	ADDQ   R13, R10
+	ADDQ   R13, R11
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	XORQ   AX, AX            // byte offset into every row and x
+	MOVQ   CX, BX
+	SHRQ   $4, BX            // BX = number of full 16-float blocks
+	JZ     fold
+
+loop16:
+	VMOVUPS (DI)(AX*1), Z0
+	VMULPS  (R8)(AX*1), Z0, Z8
+	VMULPS  (R9)(AX*1), Z0, Z9
+	VMULPS  (R10)(AX*1), Z0, Z10
+	VMULPS  (R11)(AX*1), Z0, Z11
+	VADDPS  Z8, Z16, Z16
+	VADDPS  Z9, Z17, Z17
+	VADDPS  Z10, Z18, Z18
+	VADDPS  Z11, Z19, Z19
+	ADDQ    $64, AX
+	DECQ    BX
+	JNZ     loop16
+
+fold:
+	GROUP(Z16, Z17, Z18, Z19, Z12)
+	VSHUFPS $0x55, Z12, Z12, Z8  // l1 of every row
+	VSHUFPS $0xAA, Z12, Z12, Z9  // l2
+	VSHUFPS $0xFF, Z12, Z12, Z10 // l3
+	VADDPS  Z8, Z12, Z12         // l0+l1
+	VADDPS  Z9, Z12, Z12         // +l2
+	VADDPS  Z10, Z12, Z12        // +l3
+	VPERMPS Z12, Z15, Z12        // lane k: row k's sum
+	ANDQ    $15, CX
+	JZ      store
+
+tail:
+	// Serial remainder, s += row[j]*x[j] for each row: one rounded
+	// multiply, then one rounded add, lane k row k's.
+	VMOVSS       (R8)(AX*1), X4
+	VINSERTPS    $0x10, (R9)(AX*1), X4, X4
+	VINSERTPS    $0x20, (R10)(AX*1), X4, X4
+	VINSERTPS    $0x30, (R11)(AX*1), X4, X4
+	VBROADCASTSS (DI)(AX*1), X5
+	VMULPS       X5, X4, X4
+	VADDPS       X4, X12, X12
+	ADDQ         $4, AX
+	DECQ         CX
+	JNZ          tail
+
+store:
+	// dst[i] for the group's rows i, read again off the list or the
+	// contiguous row counter.
+	TESTQ      SI, SI
+	JZ         seqstore
+	MOVQ       off+32(FP), AX
+	MOVQ       0(SI), R8
+	ADDQ       AX, R8
+	VMOVSS     X12, (R12)(R8*4)
+	MOVQ       8(SI), R8
+	ADDQ       AX, R8
+	VEXTRACTPS $1, X12, (R12)(R8*4)
+	MOVQ       16(SI), R8
+	ADDQ       AX, R8
+	VEXTRACTPS $2, X12, (R12)(R8*4)
+	MOVQ       24(SI), R8
+	ADDQ       AX, R8
+	VEXTRACTPS $3, X12, (R12)(R8*4)
+	ADDQ       $32, SI
+	JMP        next
+
+seqstore:
+	VMOVUPS X12, (R12)(DX*4)
+	ADDQ    $4, DX
+
+next:
+	DECQ R14
+	JNZ  group
+
+done:
 	VZEROUPPER
 	RET

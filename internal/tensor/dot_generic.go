@@ -17,6 +17,12 @@ func quadSpanAVX(k Kernels, dst, w, x []float32, kept []int, off int) {
 
 func gatherAVX(k Kernels, dst, w, x []float32, at [4]int) { gatherRows(k, dst, w, x, at) }
 
+func quadSpanAVX512(k Kernels, dst, w, x []float32, kept []int, off int) {
+	quadRows(k, dst, w, x, kept, off)
+}
+
+func gatherAVX512(k Kernels, dst, w, x []float32, at [4]int) { gatherRows(k, dst, w, x, at) }
+
 func blockSpanAVX512(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32, kept []int, off int) {
 	blockRows(k, dsts, w, xs, kept, off)
 }

@@ -5,8 +5,11 @@
 // call, each output bitwise the chain that dotRowGeneric in kernel.go
 // defines and dotSSE carries one row at a time. Group g is rows
 // 4g..4g+3 when idx is nil, and rows off+idx[4g..4g+3] otherwise (a
-// kept-row list); row i's dot is stored to dst[i]. The Go wrappers in
-// dot_amd64.go prove every row and destination in bounds.
+// kept-row list); row i's dot is stored to dst[i], and groups 0 does
+// nothing. The Go wrappers in dot_amd64.go prove every row and
+// destination in bounds. On a CPU with AVX-512 the canonical chain binds
+// dot4SpanAVX512 (dot_block_amd64.s) instead, the same contract at the
+// 512-bit width.
 //
 // Per row, YMM register 2k holds the chain's groups [A|B] (lanes 0..7)
 // and 2k+1 holds [C|D] (lanes 8..15): VMULPS and VADDPS apply lanewise
@@ -22,6 +25,8 @@
 #include "textflag.h"
 
 TEXT ·dot4SpanAVX(SB), NOSPLIT, $0-56
+	CMPQ groups+48(FP), $0
+	JEQ  done
 	MOVQ dst+0(FP), R12
 	MOVQ w+8(FP), R13
 	MOVQ x+16(FP), DI
@@ -197,4 +202,6 @@ seqstore:
 next:
 	DECQ groups+48(FP)
 	JNZ  group
+
+done:
 	RET

@@ -15,11 +15,12 @@ import "slices"
 // Kernels is the GEMV/GEMM kernel family bound to one accumulation
 // chain (KernelsFor): each shape is written once as a method — its
 // validation, traversal and fork-join sharding — and dots rows through
-// the binding's bodies. The canonical chain's bodies (ChainGeneric,
-// ChainSSE2 with or without the four-row and block bodies) are bitwise
-// interchangeable; the wide chain (ChainAVX2)
-// has its own wide-vs-wide contract and drifts a few ULP from the
-// canonical bits, so one run uses one Kernels value throughout.
+// the binding's bodies. The canonical chain's bodies (ChainGeneric, and
+// ChainSSE2 with the AVX-512 one-input and block bodies, with the AVX
+// one-input body, or with neither) are bitwise interchangeable; the
+// wide chain (ChainAVX2) has its own wide-vs-wide contract and drifts a
+// few ULP from the canonical bits, so one run uses one Kernels value
+// throughout.
 //
 // Besides the row body, a binding has three span bodies, each called
 // once per span rather than once per four rows: a vector body pays its
@@ -33,18 +34,18 @@ import "slices"
 // whole groups of four rows only; its caller dots the last 1–3 rows
 // through the row body. A span body receives its own binding, so the
 // pure-Go spans (quadRows, gatherRows, blockRows) loop over the
-// binding's row and four-row bodies, and a binding with no vector body
+// binding's row and one-input bodies, and a binding with no vector body
 // keeps the one traversal of one with.
 type Kernels struct {
 	// dot is the row body: row · x[:len(row)], one accumulation chain.
 	dot rowBodyFn
-	// quad is the four-row span body: dst[i] = row i · x, where row i is
+	// quad is the one-input span body: dst[i] = row i · x, where row i is
 	// w[i*n:(i+1)*n] and n = len(x), for every i in [0, len(dst)&^3)
 	// when kept is nil (the row range), and for every i = off+kept[j],
 	// j in [0, len(kept)&^3), otherwise. A list is strictly ascending
 	// and every such i lies in [0, len(dst)).
 	quad quadBodyFn
-	// gather is the four-row body over one group named by value: dst[i]
+	// gather is the one-input body over one group named by value: dst[i]
 	// = row i · x for the four i of at, each in [0, len(dst)). A caller
 	// whose indices live on its stack passes them here, by value, so
 	// they never escape to the heap through the indirect call.
@@ -83,10 +84,11 @@ func goKernels(dot rowBodyFn) Kernels {
 // so each XMM register holds exactly one group's four sums and the
 // assembly is bitwise identical to this function (pinned by
 // TestDotRowMatchesGeneric); dot_quad_amd64.s carries it for the
-// four-row groups of a span with two groups per YMM register
-// (TestDotQuadMatchesGeneric), and dot_block_amd64.s for the four-row
-// groups of a row range or a kept-row list against four inputs with all
-// four groups in one ZMM register per (row, input) pair
+// four-row groups of a span against one x with two groups per YMM
+// register, and dot_block_amd64.s with all four groups in one ZMM
+// register per row (TestDotQuadMatchesGeneric pins both), and for the
+// four-row groups of a row range or a kept-row list against four inputs
+// with one ZMM register per (row, input) pair
 // (TestDotBlockMatchesGeneric over a range, TestDotKeptBlockMatchesGeneric
 // over lists). The x
 // re-slice lets the compiler prove both index streams in-bounds,

@@ -315,8 +315,9 @@ func (j gemm) run(lo, hi int) {
 // of its members' kept rows. The inputs go four at a time through the
 // gathered block span body, which loads each listed row once per four
 // inputs — Appleyard et al.'s weight reuse across inputs under one
-// shared mask; a group of one to three left over takes one more call
-// with the absent inputs marked, and the last len(kept)%4 rows go
+// shared mask; a group of two or three left over takes one more call
+// with the absent inputs marked, a lone input one call of the one-input
+// span body over the same list, and the last len(kept)%4 rows go
 // through the row body, once per input. A W too large for L2 shards
 // the kept list over the worker pool. Every output element is one dot
 // chain, dotted once, so the result is bitwise that of PackedGemm at
@@ -357,7 +358,11 @@ func (j gemmKept) run(lo, hi int) {
 		for b := b0; b < min(b0+4, len(j.xs)); b++ {
 			dsts[b-b0], xs[b-b0] = j.dsts[b], j.xs[b]
 		}
-		j.k.block(j.k, dsts, w, xs, kept, 0)
+		if dsts[1] == nil {
+			j.k.quad(j.k, dsts[0], w, xs[0], kept, 0)
+		} else {
+			j.k.block(j.k, dsts, w, xs, kept, 0)
+		}
 		for _, i := range kept[len(kept)&^3:] {
 			for b, d := range dsts {
 				if d != nil {

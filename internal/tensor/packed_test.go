@@ -609,6 +609,48 @@ func TestDRSSkipsWorkNotOutputs(t *testing.T) {
 	}
 }
 
+// TestPackedGemmKeptLoneInputTakesOneInputBody: a group of one input —
+// the whole call, or the one left over past whole blocks of four — goes
+// through the one-input span body over the list, one call, and never
+// through the block body, whose vector bodies would dot it four times.
+// Every listed output is dotRowGeneric's.
+func TestPackedGemmKeptLoneInputTakesOneInputBody(t *testing.T) {
+	r := rng.New(0x4e)
+	m := randMatrix(r, 40, 33)
+	kept := maskOf(randMask(r, 40, 0.5)).Kept
+	for _, inputs := range []int{1, 5} {
+		xs, dsts := make([]Vector, inputs), make([]Vector, inputs)
+		for b := range xs {
+			xs[b], dsts[b] = randVector(r, m.Cols), NewVector(m.Rows)
+		}
+		var quads, blocks int
+		k := goKernels(dotRowGeneric)
+		k.quad = func(k Kernels, dst, w, x []float32, kept []int, off int) {
+			quads++
+			quadRows(k, dst, w, x, kept, off)
+		}
+		k.block = func(k Kernels, dsts [4][]float32, w []float32, xs [4][]float32, kept []int, off int) {
+			if dsts[1] == nil {
+				t.Errorf("%d inputs: a lone input went through the block body", inputs)
+			}
+			blocks++
+			blockRows(k, dsts, w, xs, kept, off)
+		}
+		k.PackedGemmKept(dsts, m, xs, kept)
+		// blockRows runs one four-row span per present input.
+		if want := inputs / 4; blocks != want || quads != 4*want+1 {
+			t.Errorf("%d inputs: %d block calls, %d four-row spans; want %d and %d", inputs, blocks, quads, want, 4*want+1)
+		}
+		for b, x := range xs {
+			for _, i := range kept {
+				if got, want := dsts[b][i], dotRowGeneric(m.Row(i), x); !sameBits(got, want) {
+					t.Fatalf("%d inputs: input %d row %d = %v, want %v", inputs, b, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestDRSKeptWalkMatchesMaskAtEveryBoundary walks one member's kept list
 // (spanKept) over every row range [lo, hi) of 30 united rows in three
 // 10-row segments — ranges that start and end inside segments, as a
