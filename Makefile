@@ -65,11 +65,15 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzSpanBodies -fuzztime=10s ./internal/tensor/
 	$(GO) test -run=Fuzz -fuzz='^FuzzRunBatchEquivalence$$' -fuzztime=10s ./internal/lstm/
 
-# Focused race gate for the concurrent serving path: the serve package
-# plus the shared-engine regression tests in core. Already covered by
-# `make race`, kept separate so the serving loop can be hammered alone.
+# Focused race gate for the concurrent serving path: the serve package,
+# the shared-engine regression tests and the threshold sweep in core,
+# and the offline passes Warm runs on the batch forward — the batched
+# corpus builder in model and the batched scorer in accuracy.
+# Already covered by `make race`, kept separate so the serving loop can
+# be hammered alone.
 serve-race:
-	$(GO) test -race -count=2 ./internal/serve/... ./internal/core/...
+	$(GO) test -race -count=2 ./internal/serve/... ./internal/core/... \
+		./internal/model/ ./internal/accuracy/
 
 # The packages that carry the forward-path contracts: the kernels, the
 # shared recurrent core (its arenas), the two cell kinds (the contract
@@ -148,16 +152,20 @@ bench:
 # activation micro-benchmarks plus the end-to-end Run benchmarks, folded into
 # BENCH_hotpath.json by cmd/benchjson (min ns/op over BENCHCOUNT
 # samples — the noise protocol of EXPERIMENTS.md). CI runs this as a
-# smoke with a short BENCHTIME; local trajectory numbers want the
-# defaults or longer.
+# smoke with a short BENCHTIME and RUNBENCHTIME; local trajectory
+# numbers want the defaults or longer. The end-to-end Run family has
+# its own RUNBENCHTIME: one of its ops takes 7–30 ms, so a 10-iteration
+# sample is one scheduler hiccup wide and cannot resolve the RunBatch
+# rows on a two-core box (a same-code B=4 row read 19 % apart at 10x).
 BENCHTIME ?= 10x
+RUNBENCHTIME ?= 40x
 BENCHCOUNT ?= 3
 bench-json:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	$(GO) test -run='^$$' -bench='Gemv|Gemm|SigmoidVec|TanhVec' -benchmem \
 		-benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/tensor/ > /tmp/bench_hotpath.txt
 	$(GO) test -run='^$$' -bench='^BenchmarkRun' -benchmem \
-		-benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . >> /tmp/bench_hotpath.txt
+		-benchtime=$(RUNBENCHTIME) -count=$(BENCHCOUNT) . >> /tmp/bench_hotpath.txt
 	/tmp/benchjson < /tmp/bench_hotpath.txt > BENCH_hotpath.json
 
 # Batch-size sweep alone: the RunBatch benchmarks over B ∈ {1..16}
@@ -167,7 +175,7 @@ bench-json:
 # target is for iterating on the batch path locally.
 bench-batch:
 	$(GO) test -run='^$$' -bench='^BenchmarkRunBatch' -benchmem \
-		-benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) .
+		-benchtime=$(RUNBENCHTIME) -count=$(BENCHCOUNT) .
 
 # Focused race gate for the fleet tier: sharded routing, the shared
 # single-flight engine cache, cold/warm charge accounting, and the

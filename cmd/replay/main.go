@@ -36,11 +36,7 @@ func main() {
 		log.Fatalf("unknown benchmark %q", *bench)
 	}
 	e := core.NewEngine(b, model.Quick(), gpu.TegraX1())
-	outs := make([]*core.Outcome, core.ThresholdSets)
-	for set := range outs {
-		outs[set] = e.EvaluateSet(sched.Combined, set)
-	}
-	curve := core.Curve(outs)
+	curve := core.Curve(e.Sweep(sched.Combined))
 
 	var set int
 	switch strings.ToUpper(*scheme) {

@@ -44,11 +44,7 @@ func main() {
 	}
 
 	e := core.NewEngine(b, prof, gpu.TegraX1())
-	outs := make([]*core.Outcome, core.ThresholdSets)
-	for set := range outs {
-		outs[set] = e.EvaluateSet(mode, set)
-	}
-	curve := core.Curve(outs)
+	curve := core.Curve(e.Sweep(mode))
 	t := report.NewTable(
 		fmt.Sprintf("%s / %v: performance-accuracy trade-off", b.Name, mode),
 		"set", "alpha_inter", "alpha_intra", "speedup", "energy saving", "accuracy")

@@ -45,11 +45,7 @@ func main() {
 			log.Fatalf("unknown benchmark %q", name)
 		}
 		e := core.NewEngine(b, model.Quick(), gpu.TegraX1())
-		outs := make([]*core.Outcome, core.ThresholdSets)
-		for set := range outs {
-			outs[set] = e.EvaluateSet(sched.Combined, set)
-		}
-		curve := core.Curve(outs)
+		curve := core.Curve(e.Sweep(sched.Combined))
 		res := userstudy.Run(name, curve, panel, *replays, r.Split())
 		t.AddRowf(name,
 			fmt.Sprintf("%.2f", res.Scores[userstudy.SchemeBaseline]),

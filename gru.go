@@ -75,23 +75,25 @@ type GRUOutcome struct {
 // one.
 func (s *GRUSystem) Evaluate(set int) GRUOutcome {
 	set = thresholds.ClampSet(set)
-	o := s.engine.EvaluateSet(sched.Combined, set)
-	st := o.MeanStats()
-	return GRUOutcome{
-		Set: set, Speedup: o.Speedup, Accuracy: o.Accuracy,
-		SkipFraction: st.SkipFrac, BreakRate: st.BreakRate,
-	}
+	return gruOutcome(set, s.engine.EvaluateSet(sched.Combined, set))
 }
 
 // AO returns the accuracy-oriented GRU operating point: the point at
 // tradeoff.Curve.AO of its threshold sweep, the same rule as the LSTM
 // System.AO.
 func (s *GRUSystem) AO() GRUOutcome {
-	outs := make([]GRUOutcome, thresholds.Sets)
-	for set := range outs {
-		outs[set] = s.Evaluate(set)
-	}
-	return outs[core.CurveOf(outs, func(o GRUOutcome) (float64, float64, float64) {
+	outs := s.engine.Sweep(sched.Combined)
+	set := core.CurveOf(outs, func(o *core.Outcome) (float64, float64, float64) {
 		return o.Speedup, 0, o.Accuracy
-	}).AO()]
+	}).AO()
+	return gruOutcome(set, outs[set])
+}
+
+// gruOutcome is the facade's view of the engine's outcome at a set.
+func gruOutcome(set int, o *core.Outcome) GRUOutcome {
+	st := o.MeanStats()
+	return GRUOutcome{
+		Set: set, Speedup: o.Speedup, Accuracy: o.Accuracy,
+		SkipFraction: st.SkipFrac, BreakRate: st.BreakRate,
+	}
 }

@@ -43,7 +43,7 @@ const ThresholdSets = thresholds.Sets
 // Net is the network an engine evaluates: *lstm.Network or *gru.Network.
 type Net interface {
 	model.Net
-	Classify(xs []tensor.Vector, opt recurrent.RunOptions) int
+	ClassifyBatch(seqs [][]tensor.Vector, opt recurrent.RunOptions) []int
 	Shape() recurrent.Shape
 }
 
@@ -327,6 +327,28 @@ func (e *EngineOf[N]) EvaluateSet(mode sched.Mode, set int) *Outcome {
 func (e *EngineOf[N]) EvaluateSetE(mode sched.Mode, set int) (out *Outcome, err error) {
 	defer tensor.Guard(&err)
 	return e.EvaluateSet(mode, set), nil
+}
+
+// Sweep evaluates a mode at every threshold set and returns the
+// outcomes indexed by set, EvaluateSet's bit for bit. The sets run one
+// after another: each set's scoring already fills the workers
+// (accuracy.Score over tensor.ParallelBatches), and on a two-core box
+// running the eleven sets concurrently measured no faster. It is the
+// one threshold sweep of the module: the AutoSet resolution of the
+// serving tier, the facade's curves and the sweep CLIs.
+func (e *EngineOf[N]) Sweep(mode sched.Mode) []*Outcome {
+	outs := make([]*Outcome, ThresholdSets)
+	for set := range outs {
+		outs[set] = e.EvaluateSet(mode, set)
+	}
+	return outs
+}
+
+// SweepE is the serving-path entry point of Sweep: a tensor.Panicf
+// violation in any set's evaluation comes back as an error.
+func (e *EngineOf[N]) SweepE(mode sched.Mode) (outs []*Outcome, err error) {
+	defer tensor.Guard(&err)
+	return e.Sweep(mode), nil
 }
 
 // RunOptionsFor exposes the numeric execution options of one (mode,

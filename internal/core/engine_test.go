@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"mobilstm/internal/lstm"
 	"mobilstm/internal/model"
 	"mobilstm/internal/sched"
+	"mobilstm/internal/tensor"
 )
 
 // tinyProfile keeps engine tests fast while exercising the full pipeline.
@@ -285,5 +287,41 @@ func TestEvaluateSetE(t *testing.T) {
 	want := e.EvaluateSet(sched.Combined, 6)
 	if out.Speedup != want.Speedup || out.Accuracy != want.Accuracy {
 		t.Fatalf("EvaluateSetE %+v != EvaluateSet %+v", out, want)
+	}
+}
+
+// TestSweepMatchesEvaluateSet: the sweep's outcomes are EvaluateSet's,
+// set by set, bit for bit.
+func TestSweepMatchesEvaluateSet(t *testing.T) {
+	bothCells(t, sweepMatchesEvaluateSet[*lstm.Network], sweepMatchesEvaluateSet[*gru.Network])
+}
+
+func sweepMatchesEvaluateSet[N Net](t *testing.T, e *EngineOf[N]) {
+	outs, err := e.SweepE(sched.Combined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for set, got := range outs {
+		want := e.EvaluateSet(sched.Combined, set)
+		if got.Speedup != want.Speedup || got.EnergySaving != want.EnergySaving ||
+			got.Accuracy != want.Accuracy || !reflect.DeepEqual(got.Stats, want.Stats) {
+			t.Fatalf("set %d: swept %v, evaluated %v", set, got, want)
+		}
+	}
+}
+
+// TestSweepEReturnsViolation: a Panicf raised inside the sweep's
+// evaluations — here a mis-shaped layer, which every scored forward
+// trips on the scorer's workers — comes back from SweepE as the error
+// at GOMAXPROCS 2.
+func TestSweepEReturnsViolation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	b, _ := model.ByName("MR")
+	e := NewEngine(b, tinyProfile(), gpu.TegraX1())
+	l := e.Inst.Net.Layers[0]
+	l.Wo = tensor.NewMatrix(l.Hidden, l.Input+1)
+	l.Invalidate()
+	if outs, err := e.SweepE(sched.Intra); err == nil {
+		t.Fatalf("a mis-shaped layer swept to %d outcomes", len(outs))
 	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"mobilstm/internal/intercell"
 	"mobilstm/internal/model"
 	"mobilstm/internal/sched"
+	"mobilstm/internal/tensor"
 )
 
 // The LSTM figures the cost model and the engine produce, pinned as
@@ -68,4 +71,50 @@ func goldenSweepLines() []string {
 func TestGoldenLSTMFigures(t *testing.T) {
 	equivtest.UseChain(t, equivtest.Canonical())
 	equivtest.Golden(t, "golden_lstm.txt", append(goldenLoweringLines(), goldenSweepLines()...), *updateGolden)
+}
+
+// The quick-profile corpora the engines score against, pinned as
+// fingerprints (testdata/golden_corpus.txt): an FNV-1a hash of every
+// input bit of Seqs and of every RefLabels entry, and the Intra and
+// Combined AO set the engine's sweep resolves, for three LSTM workloads
+// and one GRU workload. The corpus builder and the scorer may batch,
+// pipeline or reorder their forwards; they must leave this file
+// untouched.
+
+// corpusFingerprint hashes the corpus's input bits and its labels.
+func corpusFingerprint(seqs [][]tensor.Vector, labels []int) (seqHash, labelHash uint64) {
+	hs, hl := fnv.New64a(), fnv.New64a()
+	var buf [4]byte
+	for _, xs := range seqs {
+		for _, v := range xs {
+			for _, x := range v {
+				binary.LittleEndian.PutUint32(buf[:], math.Float32bits(x))
+				hs.Write(buf[:])
+			}
+		}
+	}
+	for _, l := range labels {
+		binary.LittleEndian.PutUint32(buf[:], uint32(l))
+		hl.Write(buf[:])
+	}
+	return hs.Sum64(), hl.Sum64()
+}
+
+// goldenCorpusLine fingerprints one engine's corpus and its two AO sets.
+func goldenCorpusLine[N Net](e *EngineOf[N]) string {
+	seqHash, labelHash := corpusFingerprint(e.Inst.Seqs, e.Inst.RefLabels)
+	return fmt.Sprintf("corpus/%s seqs %016x labels %016x n %d intra_ao %d combined_ao %d",
+		e.B.Name, seqHash, labelHash, len(e.Inst.Seqs), AOSet(e.Sweep(sched.Intra)), AOSet(e.Sweep(sched.Combined)))
+}
+
+func TestGoldenCorpus(t *testing.T) {
+	equivtest.UseChain(t, equivtest.Canonical())
+	var lines []string
+	for _, name := range []string{"PTB", "MR", "BABI"} {
+		b, _ := model.ByName(name)
+		lines = append(lines, goldenCorpusLine(NewEngine(b, model.Quick(), gpu.TegraX1())))
+	}
+	b, _ := model.GRUByName("KWS-GRU")
+	lines = append(lines, goldenCorpusLine(NewGRUEngine(b, model.GRUQuick(), gpu.TegraX1())))
+	equivtest.Golden(t, "golden_corpus.txt", lines, *updateGolden)
 }

@@ -36,8 +36,7 @@ func (s *Suite) Fig17() *report.Figure {
 		e.EnergyP = s.cfg.Energy
 		accs := make([]float64, 0, core.ThresholdSets)
 		speeds := make([]float64, 0, core.ThresholdSets)
-		for set := 0; set < core.ThresholdSets; set++ {
-			o := e.EvaluateSet(sched.Combined, set)
+		for _, o := range e.Sweep(sched.Combined) {
 			accs = append(accs, o.Accuracy)
 			speeds = append(speeds, o.Speedup)
 		}

@@ -28,6 +28,7 @@ import (
 type Net interface {
 	InitRandom(r *rng.RNG, linkScale func(layer int) float64, trivialFrac float64)
 	Run(xs []tensor.Vector, opt recurrent.RunOptions) tensor.Vector
+	RunBatch(seqs [][]tensor.Vector, opt recurrent.RunOptions) []tensor.Vector
 }
 
 // Cell binds one recurrent cell's network constructor and offline
@@ -276,60 +277,76 @@ const (
 	calibAlphaIntra = thresholds.CalibAlphaIntra
 )
 
-// buildSamples fills seqs/labels with margin-filtered sequences, running
-// reference classification in parallel batches.
+// corpusRound is the candidates the corpus builder classifies per
+// round, the probe being the stream's first: eight batch forwards of
+// four members, which split evenly over two, four or eight workers.
+const corpusRound = 32
+
+// buildSamples fills seqs/labels with margin-filtered sequences: the
+// first len(seqs) sequences of r's stream whose reference margin clears
+// the floor, in stream order. The stream is drawn corpusRound sequences
+// at a time, and each round is classified through the batch forward,
+// four sequences per call across the workers (RunBatch's logits are
+// Run's, bit for bit). The last round may draw and classify sequences
+// past the N-th accepted one; acceptance stops at N, and r is the
+// corpus stream's own split, which nothing draws from after
+// buildSamples, so the corpus is exactly what classifying the stream
+// one sequence at a time would accept.
 func buildSamples[N Net](c Cell[N], net N, r *rng.RNG, seqs [][]tensor.Vector, labels []int, dim, length int, pauseRate float64) {
-	// Probe batch: establish the benchmark's margin scale and its
-	// perturbation scale at the reference operating point.
-	const probeN = 32
-	probeMargins := make([]float64, probeN)
-	probeSeqs := make([][]tensor.Vector, probeN)
-	probeLabels := make([]int, probeN)
-	for i := range probeSeqs {
-		probeSeqs[i] = genSequence(r, dim, length, pauseRate)
+	draw := func() [][]tensor.Vector {
+		round := make([][]tensor.Vector, corpusRound)
+		for i := range round {
+			round[i] = genSequence(r, dim, length, pauseRate)
+		}
+		return round
 	}
-	tensor.ParallelFor(probeN, func(i int) {
-		probeLabels[i], probeMargins[i] = classifyMargin(net, probeSeqs[i])
-	})
-	noise := referenceNoise(c, net, probeSeqs[:8])
+
+	// Probe round: establish the benchmark's margin scale and its
+	// perturbation scale at the reference operating point.
+	probe := draw()
+	probeLogits := runAll(net, probe, recurrent.RunOptions{})
+	probeLabels, probeMargins := margins(probeLogits)
+	noise := referenceNoise(c, net, probe[:8], probeLogits[:8])
 	minMargin := noiseMarginFactor * noise
 	if cap := stats.QuantileOf(probeMargins, marginCapQuantile); minMargin > cap {
 		minMargin = cap
 	}
 
 	filled := 0
-	for i := 0; i < probeN && filled < len(seqs); i++ {
-		if probeMargins[i] >= minMargin {
-			seqs[filled], labels[filled] = probeSeqs[i], probeLabels[i]
-			filled++
-		}
-	}
-	for filled < len(seqs) {
-		batch := len(seqs) - filled
-		cand := make([][]tensor.Vector, batch)
-		for i := range cand {
-			cand[i] = genSequence(r, dim, length, pauseRate)
-		}
-		lab := make([]int, batch)
-		margin := make([]float64, batch)
-		tensor.ParallelFor(batch, func(i int) {
-			lab[i], margin[i] = classifyMargin(net, cand[i])
-		})
-		for i := range cand {
+	accept := func(round [][]tensor.Vector, lab []int, margin []float64) {
+		for i := range round {
 			if margin[i] >= minMargin && filled < len(seqs) {
-				seqs[filled], labels[filled] = cand[i], lab[i]
+				seqs[filled], labels[filled] = round[i], lab[i]
 				filled++
 			}
 		}
 	}
+	accept(probe, probeLabels, probeMargins)
+	for filled < len(seqs) {
+		round := draw()
+		lab, margin := margins(runAll(net, round, recurrent.RunOptions{}))
+		accept(round, lab, margin)
+	}
+}
+
+// runAll runs every sequence through the batch forward, four at a time
+// across the workers (tensor.ParallelBatches), and returns each one's
+// logits: Run's, bit for bit.
+func runAll[N Net](net N, seqs [][]tensor.Vector, opt recurrent.RunOptions) []tensor.Vector {
+	out := make([]tensor.Vector, len(seqs))
+	tensor.ParallelBatches(len(seqs), func(lo, hi int) {
+		copy(out[lo:hi], net.RunBatch(seqs[lo:hi], opt))
+	})
+	return out
 }
 
 // referenceNoise measures the benchmark's logit perturbation scale at
 // the reference operating point: the combined optimizations with DRS at
 // its mid threshold and layer division at the 35th percentile of the
-// probe relevance distribution. Returns the median infinity-norm logit
-// change across the probe sequences.
-func referenceNoise[N Net](c Cell[N], net N, probe [][]tensor.Vector) float64 {
+// probe relevance distribution. base holds the probe sequences' exact
+// logits. Returns the median infinity-norm logit change across the
+// probe sequences.
+func referenceNoise[N Net](c Cell[N], net N, probe [][]tensor.Vector, base []tensor.Vector) float64 {
 	if len(probe) == 0 {
 		return 0
 	}
@@ -349,13 +366,12 @@ func referenceNoise[N Net](c Cell[N], net N, probe [][]tensor.Vector) float64 {
 		Inter: true, AlphaInter: alphaInter, MTS: calibMTS, Predictors: preds,
 		Intra: true, AlphaIntra: calibAlphaIntra,
 	}
+	approx := runAll(net, probe, opt)
 	dists := make([]float64, len(probe))
-	tensor.ParallelFor(len(probe), func(i int) {
-		base := net.Run(probe[i], recurrent.RunOptions{})
-		approx := net.Run(probe[i], opt)
+	for i := range probe {
 		var d float32
-		for j := range base {
-			v := base[j] - approx[j]
+		for j := range base[i] {
+			v := base[i][j] - approx[i][j]
 			if v < 0 {
 				v = -v
 			}
@@ -364,21 +380,26 @@ func referenceNoise[N Net](c Cell[N], net N, probe [][]tensor.Vector) float64 {
 			}
 		}
 		dists[i] = float64(d)
-	})
+	}
 	return stats.Median(dists)
 }
 
-// classifyMargin returns the reference label and the top-2 logit margin.
-func classifyMargin[N Net](net N, xs []tensor.Vector) (int, float64) {
-	logits := net.Run(xs, recurrent.RunOptions{})
-	best := tensor.ArgMax(logits)
-	margin := float32(math.Inf(1))
-	for j, v := range logits {
-		if j != best && logits[best]-v < margin {
-			margin = logits[best] - v
+// margins returns each logits vector's reference label and top-2 logit
+// margin.
+func margins(logits []tensor.Vector) (labels []int, margin []float64) {
+	labels = make([]int, len(logits))
+	margin = make([]float64, len(logits))
+	for i, l := range logits {
+		best := tensor.ArgMax(l)
+		m := float32(math.Inf(1))
+		for j, v := range l {
+			if j != best && l[best]-v < m {
+				m = l[best] - v
+			}
 		}
+		labels[i], margin[i] = best, float64(m)
 	}
-	return best, float64(margin)
+	return labels, margin
 }
 
 // genSequence synthesizes one token-embedding sequence. Ordinary tokens

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -87,15 +88,11 @@ func TestBuildDeterministic(t *testing.T) {
 	b, _ := ByName("MR")
 	a := Build(b, tinyProfile())
 	c := Build(b, tinyProfile())
-	for i := range a.RefLabels {
-		if a.RefLabels[i] != c.RefLabels[i] {
-			t.Fatal("labels differ across identical builds")
-		}
+	if !reflect.DeepEqual(a.RefLabels, c.RefLabels) {
+		t.Fatal("labels differ across identical builds")
 	}
-	for i := range a.Seqs[0][0] {
-		if a.Seqs[0][0][i] != c.Seqs[0][0][i] {
-			t.Fatal("sequences differ across identical builds")
-		}
+	if !reflect.DeepEqual(a.Seqs, c.Seqs) {
+		t.Fatal("sequences differ across identical builds")
 	}
 	w1 := a.Net.Layers[0].Uf.Data
 	w2 := c.Net.Layers[0].Uf.Data
@@ -207,10 +204,8 @@ func TestBuildParallelPath(t *testing.T) {
 	a := Build(b, tinyProfile())
 	runtime.GOMAXPROCS(1)
 	c := Build(b, tinyProfile())
-	for i := range a.RefLabels {
-		if a.RefLabels[i] != c.RefLabels[i] {
-			t.Fatal("corpus depends on worker count")
-		}
+	if !reflect.DeepEqual(a.RefLabels, c.RefLabels) || !reflect.DeepEqual(a.Seqs, c.Seqs) {
+		t.Fatal("corpus depends on worker count")
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"mobilstm/internal/accuracy"
+	"mobilstm/internal/core"
 	"mobilstm/internal/equivtest"
+	"mobilstm/internal/gpu"
 	"mobilstm/internal/lstm"
 	"mobilstm/internal/model"
 	"mobilstm/internal/rng"
@@ -21,9 +23,9 @@ import (
 // The goroutine-lifetime contract: no goroutine a Server, a Fleet, a
 // parallel kernel or the layer wavefront starts outlives its owner —
 // Close for the serving tiers, the call for PackedGemm's fork-join, the
-// ParallelFor pools behind model.Build and accuracy.Score, and
-// RunWavefrontE's per-layer helpers, whether the call succeeds or a
-// helper fails. Goroutines are read from
+// ParallelFor pools behind model.Build, accuracy.Score and the
+// threshold sweep, and RunWavefrontE's per-layer helpers, whether the
+// call succeeds or a helper fails. Goroutines are read from
 // runtime.Stack; a goroutine belongs to the module when one of its
 // frames is a function of it.
 
@@ -254,5 +256,24 @@ func TestNoGoroutineOutlivesItsOwner(t *testing.T) {
 			t.Fatalf("baseline scores %v against its own labels, want 1", got)
 		}
 		noneOutlive(t, "accuracy.Score", before)
+	})
+
+	t.Run("Sweep", func(t *testing.T) {
+		prev := runtime.GOMAXPROCS(8)
+		defer runtime.GOMAXPROCS(prev)
+		before := moduleGoroutines()
+		b, _ := model.ByName("MR")
+		eng := core.NewEngine(b, tinyConfig().Profile, gpu.TegraX1())
+		if _, err := eng.SweepE(sched.Intra); err != nil {
+			t.Fatal(err)
+		}
+		noneOutlive(t, "the threshold sweep", before)
+		l := eng.Inst.Net.Layers[0]
+		l.Wo = tensor.NewMatrix(l.Hidden, l.Input+1)
+		l.Invalidate()
+		if _, err := eng.SweepE(sched.Intra); err == nil {
+			t.Fatal("a mis-shaped layer swept")
+		}
+		noneOutlive(t, "a failed threshold sweep", before)
 	})
 }

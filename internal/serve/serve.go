@@ -755,15 +755,11 @@ func (slot *engineSlot) build(bench string, cfg Config) {
 	slot.eng = core.NewEngine(b, cfg.Profile, cfg.GPU)
 	slot.set = cfg.Set
 	if slot.set == AutoSet {
-		outs := make([]*core.Outcome, core.ThresholdSets)
-		for i := range outs {
-			o, err := slot.eng.EvaluateSetE(cfg.Mode, i)
-			if err != nil {
-				slot.err = err
-				cfg.Cache.Abort(key)
-				return
-			}
-			outs[i] = o
+		outs, err := slot.eng.SweepE(cfg.Mode)
+		if err != nil {
+			slot.err = err
+			cfg.Cache.Abort(key)
+			return
 		}
 		slot.set = core.AOSet(outs)
 	}

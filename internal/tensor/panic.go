@@ -50,14 +50,25 @@ func Guard(err *error) {
 	}
 }
 
-// Recovered runs f and returns the value it panicked with, or nil when
-// it returned. Guard sees only the panics of its own goroutine, so a
-// helper goroutine of an error-returning call runs its work through
-// Recovered and hands the value to the caller, which re-raises it with
-// Repanic after the join: a Panicf violation in the helper then becomes
-// the call's error instead of killing the process.
+// Recovered runs f and returns the Panicf violation it panicked with,
+// or nil when it returned. Guard sees only the panics of its own
+// goroutine, so a helper goroutine of an error-returning call runs its
+// work through Recovered and hands the value to the caller, which
+// re-raises it with Repanic after the join: a Panicf violation in the
+// helper then becomes the call's error instead of killing the process.
+// Any other panic is a bug, not an error: Recovered re-raises it where
+// it was recovered, before the stack unwinds, so it crashes the process
+// with the faulting frame in the helper's trace.
 func Recovered(f func()) (r any) {
-	defer func() { r = recover() }()
+	defer func() {
+		switch v := recover().(type) {
+		case nil:
+		case violation:
+			r = v
+		default:
+			panic(v)
+		}
+	}()
 	f()
 	return nil
 }

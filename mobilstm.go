@@ -166,7 +166,22 @@ func (s *System) MTS() int { return s.engine.MTS }
 // set evaluates, and reports, the nearest valid one.
 func (s *System) Evaluate(mode Mode, set int) Outcome {
 	set = thresholds.ClampSet(set)
-	o := s.engine.EvaluateSet(mode.internal(), set)
+	return outcome(mode, set, s.engine.EvaluateSet(mode.internal(), set))
+}
+
+// Curve sweeps all 11 threshold sets for a mode, the sets evaluated
+// concurrently.
+func (s *System) Curve(mode Mode) []Outcome {
+	outs := s.engine.Sweep(mode.internal())
+	curve := make([]Outcome, len(outs))
+	for set, o := range outs {
+		curve[set] = outcome(mode, set, o)
+	}
+	return curve
+}
+
+// outcome is the facade's view of the engine's outcome at a set.
+func outcome(mode Mode, set int, o *core.Outcome) Outcome {
 	return Outcome{
 		Mode:         mode,
 		Set:          set,
@@ -176,15 +191,6 @@ func (s *System) Evaluate(mode Mode, set int) Outcome {
 		Milliseconds: o.Result.Seconds * 1e3,
 		DRAMBytes:    o.Result.DRAMBytes,
 	}
-}
-
-// Curve sweeps all 11 threshold sets for a mode.
-func (s *System) Curve(mode Mode) []Outcome {
-	out := make([]Outcome, core.ThresholdSets)
-	for set := range out {
-		out[set] = s.Evaluate(mode, set)
-	}
-	return out
 }
 
 // AO returns the accuracy-oriented operating point: the most aggressive
