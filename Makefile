@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet vet386 lint lint-json lint-ci fuzz-smoke \
+.PHONY: build test race vet vet386 lint lint-json lint-ci mutate fuzz-smoke \
 	serve-race determinism-race batch-race fleet-race alloc-pins \
 	chain-matrix activation-exhaustive bench bench-json bench-batch serve-smoke fleet-smoke loc check
 
@@ -56,6 +56,14 @@ lint-ci:
 		echo "mobilstm-lint: exceeded the $(LINT_BUDGET_SECS)s budget"; exit 1; \
 	fi; \
 	exit $$status
+
+# The seeded-mutation table (testdata/mutations.txt): each row plants
+# one bug in a temporary copy of the module and requires its named
+# tests to fail on every run, or, for a "survives" row, to pass (a bug
+# class only an analyzer sees). The evidence for which analyzers the
+# lint suite keeps (docs/STATIC_ANALYSIS.md).
+mutate:
+	$(GO) test -count=1 -run '^TestMutations$$' -v -timeout 30m . -mutate
 
 # Short shake of the fuzz targets (the gpu cache simulator, the tensor
 # span bodies and the LSTM batch forward); the one list of them, which

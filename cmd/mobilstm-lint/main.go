@@ -1,10 +1,10 @@
 // Command mobilstm-lint runs the project's static-analysis suite
-// (internal/analysis) over the module: six analyzers for determinism,
-// precision, panic policy and threshold constants, which encode the
+// (internal/analysis) over the module: four analyzers for determinism,
+// report order, panic policy and threshold constants, which encode the
 // paper-reproduction's correctness contract. Lock copies are left to
 // go vet's copylocks check, data races to go test -race, and the
-// forward and serving contracts (packed-cache coherence, output
-// ownership, goroutine lifetimes) to run-time tests. See
+// forward and serving contracts (FP32 numerics, packed-cache coherence,
+// output ownership, goroutine lifetimes) to run-time tests. See
 // docs/STATIC_ANALYSIS.md for the analyzer catalogue and the
 // lint:ignore suppression syntax.
 //

@@ -58,16 +58,16 @@ func inModule(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-// badSrc trips detfloat on line 7 and nothing else.
+// badSrc trips threshconst on line 7 and nothing else.
 const badSrc = `package lintfix
 
-// Sum reduces serially.
-func Sum(xs []float32) float32 {
-	var s float32
-	for _, x := range xs {
-		s += x
+// Keep reports whether v clears the scaled threshold.
+func Keep(v, alphaScale float32) bool {
+	kept := false
+	if v > 0 {
+		kept = v >= 0.3*alphaScale
 	}
-	return s
+	return kept
 }
 `
 
@@ -86,7 +86,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
-	names := []string{"detfloat", "float64leak", "globalrand", "maporder", "panicpolicy", "threshconst"}
+	names := []string{"globalrand", "maporder", "panicpolicy", "threshconst"}
 	for _, name := range names {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
@@ -115,7 +115,7 @@ func TestFindingsExitAndText(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 on findings\n%s", code, out)
 	}
-	if !strings.Contains(out, "bad.go:7") || !strings.Contains(out, "[detfloat]") {
+	if !strings.Contains(out, "bad.go:7") || !strings.Contains(out, "[threshconst]") {
 		t.Errorf("text output should locate the finding:\n%s", out)
 	}
 	if !strings.Contains(out, "1 finding(s)") {
@@ -146,8 +146,8 @@ func TestJSONGolden(t *testing.T) {
 		t.Fatalf("got %d findings, want 1: %v", len(findings), findings)
 	}
 	f := findings[0]
-	if f.Analyzer != "detfloat" || f.Pos.Line != 7 {
-		t.Errorf("finding = %+v, want detfloat at line 7", f)
+	if f.Analyzer != "threshconst" || f.Pos.Line != 7 {
+		t.Errorf("finding = %+v, want threshconst at line 7", f)
 	}
 	resolved, err := filepath.EvalSymlinks(dir)
 	if err != nil {
@@ -156,7 +156,7 @@ func TestJSONGolden(t *testing.T) {
 	if got, _ := filepath.EvalSymlinks(f.Pos.Filename); filepath.Dir(got) != resolved {
 		t.Errorf("finding file %s not under module %s", f.Pos.Filename, resolved)
 	}
-	if !strings.Contains(f.Message, "serial-equivalence") {
+	if !strings.Contains(f.Message, "internal/thresholds") {
 		t.Errorf("message lost its contract wording: %s", f.Message)
 	}
 }
@@ -180,7 +180,7 @@ func TestStaleFlag(t *testing.T) {
 	inModule(t, map[string]string{"ok.go": `package lintfix
 
 func ok() int {
-	//lint:ignore detfloat nothing here needs suppressing
+	//lint:ignore threshconst nothing here needs suppressing
 	return 1
 }
 `})
@@ -195,10 +195,10 @@ func ok() int {
 
 func TestDisableSilencesAnalyzer(t *testing.T) {
 	inModule(t, map[string]string{"bad.go": badSrc})
-	if code, out, _ := capture(t, []string{"-disable", "detfloat"}); code != 0 {
-		t.Errorf("-disable detfloat should leave the module clean: exit=%d\n%s", code, out)
+	if code, out, _ := capture(t, []string{"-disable", "threshconst"}); code != 0 {
+		t.Errorf("-disable threshconst should leave the module clean: exit=%d\n%s", code, out)
 	}
-	if code, _, _ := capture(t, []string{"-enable", "detfloat"}); code != 1 {
-		t.Errorf("-enable detfloat should still flag it: exit=%d", code)
+	if code, _, _ := capture(t, []string{"-enable", "threshconst"}); code != 1 {
+		t.Errorf("-enable threshconst should still flag it: exit=%d", code)
 	}
 }

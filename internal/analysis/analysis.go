@@ -4,12 +4,10 @@
 //
 // The analyzers encode the repository's reproducibility contract: the
 // simulator's headline numbers (Table I timing/energy, DRS accuracy per
-// threshold set) are only trustworthy if randomness is seeded, float32
-// numerics don't silently round-trip through float64, float32
-// reductions stay on the canonical chain, report output does not
-// follow map order, library code cannot crash the serving path, and
-// threshold constants live in one place. Each analyzer documents
-// which of those invariants it guards.
+// threshold set) are only trustworthy if randomness is seeded, report
+// output does not follow map order, library code cannot crash the
+// serving path, and threshold constants live in one place. Each
+// analyzer documents which of those invariants it guards.
 //
 // Findings can be suppressed in source with
 //

@@ -61,63 +61,6 @@ func bridge() int { return rand.Int() }
 	}
 }
 
-func TestFloat64LeakFires(t *testing.T) {
-	src := `package bad
-
-import "math"
-
-func f(x float32, alpha float64) bool {
-	y := float64(x) * 2
-	var acc float64
-	acc += float64(x)
-	_ = y + acc
-	_ = math.Exp(float64(x))
-	return float64(x) < alpha
-}
-`
-	got := runFixture(t, Lookup("float64leak"), "mobilstm/internal/bad", "internal/bad/bad.go", src)
-	// Line 9 (`_ = y + acc`) fires too now that taint flows through the
-	// locals y and acc instead of stopping at the conversion sites.
-	wantLines(t, got, "float64leak", 6, 8, 9, 10, 11)
-	if !strings.Contains(got[4].Message, "comparison") {
-		t.Errorf("threshold compare should be reported as a comparison: %s", got[4].Message)
-	}
-}
-
-func TestFloat64LeakSilentOnClean(t *testing.T) {
-	src := `package ok
-
-func consume(v float64) {}
-
-func g(x float32, n int) float64 {
-	y := float64(x)
-	consume(y)
-	z := float64(n) * 2.0
-	w := z + 1
-	return w
-}
-`
-	if got := runFixture(t, Lookup("float64leak"), "mobilstm/internal/ok", "internal/ok/ok.go", src); len(got) != 0 {
-		t.Fatalf("boundary conversions and int origins must pass: %v", got)
-	}
-}
-
-func TestFloat64LeakAllowsActivationFile(t *testing.T) {
-	src := `package tensor
-
-import "math"
-
-func sigmoid(x float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(x))))
-}
-`
-	got := runFixture(t, Lookup("float64leak"), "mobilstm/internal/tensor",
-		"mobilstm/internal/tensor/activation.go", src)
-	if len(got) != 0 {
-		t.Fatalf("activation.go is the designated float64 home: %v", got)
-	}
-}
-
 func TestPanicPolicyFires(t *testing.T) {
 	src := `package bad
 
@@ -237,4 +180,58 @@ const AlphaIntraMax = 0.45
 	if len(got) != 0 {
 		t.Fatalf("internal/thresholds is the designated home: %v", got)
 	}
+}
+
+func TestMapOrderFires(t *testing.T) {
+	src := `package bad
+
+import "mobilstm/internal/report"
+
+func Fig(scores map[string]float64) *report.Table {
+	t := report.NewTable("fig")
+	for k, v := range scores {
+		_ = k
+		_ = v
+		t.AddRow(k)
+	}
+	return t
+}
+`
+	got := runFixture(t, Lookup("maporder"), "mobilstm/internal/bad", "internal/bad/bad.go", src)
+	wantLines(t, got, "maporder", 7)
+	if !strings.Contains(got[0].Message, "sorted") {
+		t.Errorf("finding should tell the reader to sort: %s", got[0].Message)
+	}
+}
+
+func TestMapOrderSilentWithoutReport(t *testing.T) {
+	// Per-key accumulation in a function that never touches report
+	// output is order-insensitive.
+	src := `package ok
+
+func total(scores map[string]float64) float64 {
+	var s float64
+	for _, v := range scores {
+		s += v
+	}
+	return s
+}
+`
+	got := runFixture(t, Lookup("maporder"), "mobilstm/internal/ok", "internal/ok/ok.go", src)
+	wantLines(t, got, "maporder")
+}
+
+func TestMapOrderExemptsReportPackage(t *testing.T) {
+	src := `package report
+
+type Table struct{}
+
+func render(cells map[string]string, t *Table) {
+	for k := range cells {
+		_ = k
+	}
+}
+`
+	got := runFixture(t, Lookup("maporder"), "mobilstm/internal/report", "internal/report/render.go", src)
+	wantLines(t, got, "maporder")
 }

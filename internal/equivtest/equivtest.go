@@ -72,7 +72,6 @@ func Classes(tb testing.TB, label string, got, want []int) {
 // wide-chain drift report uses it to quantify how far the fast mode
 // strays from the canonical chain.
 func ULPDistance(a, b float32) uint32 {
-	//lint:ignore float64leak NaN classification only — float32-to-float64 widening preserves NaN-ness exactly and no magnitude is compared
 	if math.IsNaN(float64(a)) || math.IsNaN(float64(b)) {
 		return math.MaxUint32
 	}

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"mobilstm/internal/energy"
 	"mobilstm/internal/gpu"
 	"mobilstm/internal/model"
+	"mobilstm/internal/report"
 	"mobilstm/internal/sched"
 )
 
@@ -119,6 +121,26 @@ func TestFig9ShapesAndMTS(t *testing.T) {
 		}
 		if peak == len(series.Y)-1 {
 			t.Fatalf("%s: no droop within sweep", series.Name)
+		}
+	}
+}
+
+// TestFig9SeriesFollowTheZoo: every render lists the series in Zoo
+// order. Map iteration order is drawn afresh per range statement, so a
+// series loop over a map fails this within a few renders.
+func TestFig9SeriesFollowTheZoo(t *testing.T) {
+	s := tinySuite()
+	want := BenchmarkNames()
+	for range 16 {
+		perf, util, _ := s.Fig9(2)
+		for _, fig := range []*report.Figure{perf, util} {
+			var got []string
+			for _, sr := range fig.Series {
+				got = append(got, sr.Name)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: series %v, want the Zoo's %v", fig.Title, got, want)
+			}
 		}
 	}
 }

@@ -1,4 +1,3 @@
-//lint:file-ignore float64leak GRU relevance scoring mirrors intercell/relevance.go: saturation scores live in float64 by definition and the matching thresholds are calibrated from the same pipeline
 package gru
 
 import (

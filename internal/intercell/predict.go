@@ -35,9 +35,7 @@ func (ls *LinkStats) Observe(h, c tensor.Vector) {
 		tensor.Panicf("intercell: Observe dimension mismatch")
 	}
 	for j := 0; j < ls.dim; j++ {
-		//lint:ignore float64leak Eq. 6 expectation sums accumulate exactly-widened float32 links in float64 so long profiles don't lose low-order bits
 		ls.sumH[j] += float64(h[j])
-		//lint:ignore float64leak same Eq. 6 accumulator as sumH above
 		ls.sumC[j] += float64(c[j])
 	}
 	ls.n++

@@ -4,8 +4,6 @@
 // links, predicting the lost links (Eq. 6), and re-organizing the
 // sub-layers into bandwidth-balanced tissues bounded by the platform's
 // maximum tissue size (MTS).
-//
-//lint:file-ignore float64leak Algorithm 2 saturation scores are defined on float64 gate pre-activations (transcendental domain, like tensor/activation.go); alpha_inter is calibrated from this same float64 pipeline, so threshold comparisons stay self-consistent
 package intercell
 
 import (

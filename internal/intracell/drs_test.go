@@ -37,6 +37,31 @@ func TestTrivialRowsBoundary(t *testing.T) {
 	}
 }
 
+// TestKeptRowsCompareInFloat32 pins the DRS comparison to float32 at a
+// threshold float32 cannot hold exactly: α = 0.225 (set 5, PTB's served
+// AO point) rounds down to 0.22499999404. A row whose o is exactly
+// float32(α) clears the float32 threshold and is kept; compared in
+// float64 (float64(o) >= α) it would be skipped. At α = 0.1, which
+// rounds up, the two comparisons agree, so TestTrivialRowsBoundary
+// cannot tell them apart.
+func TestKeptRowsCompareInFloat32(t *testing.T) {
+	const alpha = 0.225
+	at := float32(alpha)
+	if float64(at) >= alpha {
+		t.Fatalf("float32(%v) = %v does not round down", alpha, at)
+	}
+	o := tensor.Vector{0.1, at, 0.5}
+	if skip, n := TrivialRows(o, alpha); n != 1 || !skip[0] || skip[1] {
+		t.Errorf("TrivialRows skip = %v (%d trivial), want only row 0", skip, n)
+	}
+	low := tensor.Vector{0.1, 0.1, 0.1}
+	for _, cells := range [][]tensor.Vector{{o}, {low, o}, {o, low, low}} {
+		if kept := TissueKeptRowsInto(make([]int, len(o)), cells, alpha); !slices.Equal(kept, []int{1, 2}) {
+			t.Errorf("%d cells: kept %v, want [1 2]", len(cells), kept)
+		}
+	}
+}
+
 func TestTissueTrivialRowsIntersection(t *testing.T) {
 	os := []tensor.Vector{
 		{0.01, 0.5, 0.05},

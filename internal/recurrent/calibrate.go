@@ -1,4 +1,3 @@
-//lint:file-ignore float64leak calibration is offline weight synthesis: RMS/mean/margin statistics accumulate exactly-widened float32 samples in float64 on purpose, and nothing here feeds a runtime DRS comparison
 package recurrent
 
 import (

@@ -25,7 +25,6 @@ import "math"
 // wide contract is therefore wide-vs-wide within one body, with the
 // asm-vs-Go equality checked on fixed deterministic corpora.)
 func fma32(a, b, acc float32) float32 {
-	//lint:ignore float64leak the float64 round-trip IS the FMA semantics: the widening is exact and the single rounding back to float32 is the contract the AVX2 body implements
 	return float32(math.FMA(float64(a), float64(b), float64(acc)))
 }
 

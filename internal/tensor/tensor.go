@@ -152,7 +152,6 @@ func AbsRowSums(m *Matrix) Vector {
 			if v < 0 {
 				v = -v
 			}
-			//lint:ignore detfloat Algorithm 2's L1 norms are a one-time offline bound, never on the logit path; the serial per-row order is itself deterministic
 			s += v
 		}
 		d[i] = s
