@@ -1,13 +1,12 @@
 # Development targets for the mobilstm simulator.
 #
 # `make check` is the CI gate for build + vet + race-enabled tests; the
-# project's own static-analysis suite runs as its own gate (`make
-# lint-ci`, wall-clock-budgeted) so lint time is visible and bounded
-# separately from the test wall (see docs/STATIC_ANALYSIS.md).
+# project's source rules run inside its `go test` as TestSourceRules
+# (source_rules_test.go; see docs/STATIC_ANALYSIS.md).
 
 GO ?= go
 
-.PHONY: build test race vet vet386 lint lint-json lint-ci mutate fuzz-smoke \
+.PHONY: build test race vet vet386 mutate fuzz-smoke \
 	serve-race determinism-race batch-race fleet-race alloc-pins \
 	chain-matrix activation-exhaustive bench bench-json bench-batch serve-smoke fleet-smoke loc check
 
@@ -28,40 +27,11 @@ vet:
 vet386:
 	GOARCH=386 $(GO) vet ./...
 
-lint:
-	$(GO) run ./cmd/mobilstm-lint ./...
-
-# Machine-readable findings for CI artifacts: lint-findings.json is
-# written even when findings exist (exit 1), so counts stay diffable
-# across PRs; only a load/usage error (exit 2) fails the target. The
-# binary is built explicitly because `go run` flattens every non-zero
-# program exit to 1, losing the findings-vs-error distinction.
-lint-json:
-	$(GO) build -o /tmp/mobilstm-lint ./cmd/mobilstm-lint
-	/tmp/mobilstm-lint -json ./... > lint-findings.json; \
-	status=$$?; if [ $$status -ge 2 ]; then exit $$status; fi
-
-# The CI lint gate: findings fail the build (exit 1), and so does
-# blowing the wall-clock budget — the suite must stay cheap enough to
-# run on every push. Emits lint-findings.json as an artifact regardless
-# of outcome.
-LINT_BUDGET_SECS ?= 60
-lint-ci:
-	$(GO) build -o /tmp/mobilstm-lint ./cmd/mobilstm-lint
-	start=$$(date +%s); \
-	/tmp/mobilstm-lint -json ./... > lint-findings.json; \
-	status=$$?; elapsed=$$(( $$(date +%s) - start )); \
-	echo "mobilstm-lint: $${elapsed}s elapsed (budget $(LINT_BUDGET_SECS)s)"; \
-	if [ $$elapsed -gt $(LINT_BUDGET_SECS) ]; then \
-		echo "mobilstm-lint: exceeded the $(LINT_BUDGET_SECS)s budget"; exit 1; \
-	fi; \
-	exit $$status
-
 # The seeded-mutation table (testdata/mutations.txt): each row plants
 # one bug in a temporary copy of the module and requires its named
-# tests to fail on every run, or, for a "survives" row, to pass (a bug
-# class only an analyzer sees). The evidence for which analyzers the
-# lint suite keeps (docs/STATIC_ANALYSIS.md).
+# tests to fail on every run — the evidence that each deleted analyzer's
+# class, and each source rule, has a test that catches it
+# (docs/STATIC_ANALYSIS.md).
 mutate:
 	$(GO) test -count=1 -run '^TestMutations$$' -v -timeout 30m . -mutate
 

@@ -839,7 +839,6 @@ func FuzzRunBatchEquivalence(f *testing.F, k Kind) {
 		seqs := raggedSeqs(r, 12, 9, 1+r.Intn(6))
 		var opt recurrent.RunOptions
 		if seed%4 == 1 || seed%4 == 3 {
-			//lint:ignore threshconst a fuzzed range of DRS thresholds, not an operating point any consumer compares against
 			opt.Intra, opt.AlphaIntra = true, 0.02+0.3*r.Float64()
 		}
 		if seed%4 >= 2 {

@@ -1,4 +1,3 @@
-//lint:file-ignore globalrand testing/quick's Values hooks take *math/rand.Rand by signature; all draws actually derive from the seeded internal/rng source
 package lstm
 
 import (

@@ -74,7 +74,6 @@ func (r *RNG) Float32() float32 {
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
-		//lint:ignore panicpolicy rng is the dependency-free leaf package; importing tensor for Panicf would cycle through tensor's own tests, which seed via rng
 		panic("rng: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))

@@ -3,10 +3,12 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"mobilstm/internal/equivtest"
+	"mobilstm/internal/experiments"
 )
 
 // tinyFleetConfig keeps fleet tests fast: three heterogeneous shards
@@ -200,6 +202,32 @@ func TestFleetReport(t *testing.T) {
 	for _, want := range []string{"3 shards", "1 artifacts", "Tegra"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fleet report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestFleetRebalancesSortedByName pins the order of
+// FleetSnapshot.Rebalances over several spilled benchmarks. Routing
+// alone spills them (two picks, none released), so no engine is built.
+func TestFleetRebalancesSortedByName(t *testing.T) {
+	cfg := tinyFleetConfig()
+	cfg.HotQueue = 1
+	f := NewFleet(cfg)
+	defer f.Close()
+	names := experiments.BenchmarkNames()
+	for _, b := range names {
+		f.pick(b)
+		if _, spilled := f.pick(b); !spilled {
+			t.Fatalf("%s: a second in-flight request stayed on its hot home shard", b)
+		}
+	}
+	for range 5 {
+		var got []string
+		for _, r := range f.Stats().Rebalances {
+			got = append(got, r.Bench)
+		}
+		if len(got) != len(names) || !slices.IsSorted(got) {
+			t.Fatalf("Rebalances in order %v, want all %d benchmarks sorted by name", got, len(names))
 		}
 	}
 }

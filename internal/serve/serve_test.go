@@ -3,12 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mobilstm/internal/experiments"
 	"mobilstm/internal/gpu"
 	"mobilstm/internal/model"
 	"mobilstm/internal/sched"
@@ -411,6 +413,33 @@ func TestTransientBuildErrorRetries(t *testing.T) {
 	}
 	if resp.Class < 0 {
 		t.Fatalf("bad response %+v", resp)
+	}
+}
+
+// TestStatsBenchesSortedByName pins Stats' order: the benchmarks come
+// back sorted by name, never in the order of the map that holds them.
+// A failing build keeps it engine-free; each Submit still counts.
+func TestStatsBenchesSortedByName(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.BatchWindow = 0
+	cfg.buildHook = func(string) error { return errors.New("no engine in an order test") }
+	s := New(cfg)
+	defer s.Close()
+	names := experiments.BenchmarkNames()
+	for _, b := range names {
+		if _, err := s.Submit(context.Background(), Request{Bench: b}); err == nil {
+			t.Fatalf("%s served through a failing build", b)
+		}
+	}
+	// Each snapshot walks the map afresh, from a new random start.
+	for range 5 {
+		var got []string
+		for _, b := range s.Stats().Benches {
+			got = append(got, b.Bench)
+		}
+		if len(got) != len(names) || !slices.IsSorted(got) {
+			t.Fatalf("Stats().Benches in order %v, want all %d benchmarks sorted by name", got, len(names))
+		}
 	}
 }
 

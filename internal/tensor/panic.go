@@ -3,9 +3,9 @@ package tensor
 import "fmt"
 
 // Panicf is the designated escape hatch for shape and invariant
-// violations in library packages. mobilstm's panicpolicy analyzer
-// (cmd/mobilstm-lint) forbids raw panic() calls everywhere under
-// internal/ except in this file, so that every abort in library code is
+// violations in library packages. The panic rule of TestSourceRules
+// (source_rules_test.go) forbids raw panic() calls in non-test files
+// under internal/ except this one, so that every abort in library code is
 // greppable, formatted, and — once the serving path lands — trivially
 // convertible to an error return at a single choke point.
 //

@@ -3,10 +3,10 @@
 // the calibration fudge factors shared by the LSTM and GRU engines.
 //
 // Scattering these literals across packages is exactly the failure mode
-// the threshconst analyzer (cmd/mobilstm-lint) guards against: the DRS
-// accuracy numbers at each threshold set are only reproducible if every
-// consumer compares against bit-identical constants. New threshold
-// constants go here, not inline.
+// the threshold rule of TestSourceRules (source_rules_test.go) guards
+// against: the DRS accuracy numbers at each threshold set are only
+// reproducible if every consumer compares against bit-identical
+// constants. New threshold constants go here, not inline.
 package thresholds
 
 const (

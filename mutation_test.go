@@ -23,7 +23,6 @@ type mutation struct {
 	name, class, pkg string
 	catch            []string // tests that must fail
 	count            int      // go test -count; the catcher must fail every run
-	want             string   // "caught", or "survives": no run-time test sees the class
 	mark             string   // output that counts as the catch, when not "--- FAIL: <catch>"
 	edits            []edit
 }
@@ -64,7 +63,7 @@ func parseMutations(t *testing.T, path string) []*mutation {
 		key, val, _ := strings.Cut(line, " ")
 		val = strings.TrimSpace(val)
 		if key == "row" {
-			cur, file = &mutation{name: val, count: 1, want: "caught"}, ""
+			cur, file = &mutation{name: val, count: 1}, ""
 			rows = append(rows, cur)
 			continue
 		}
@@ -82,8 +81,6 @@ func parseMutations(t *testing.T, path string) []*mutation {
 			if cur.count, err = strconv.Atoi(val); err != nil || cur.count < 1 {
 				t.Fatalf("%s:%d: bad count %q", path, i+1, val)
 			}
-		case "want":
-			cur.want = val
 		case "mark":
 			cur.mark = val
 		case "edit":
@@ -93,19 +90,17 @@ func parseMutations(t *testing.T, path string) []*mutation {
 		}
 	}
 	for _, m := range rows {
-		if m.class == "" || m.pkg == "" || len(m.catch) == 0 || len(m.edits) == 0 ||
-			(m.want != "caught" && m.want != "survives") {
-			t.Fatalf("%s: row %s needs a class, pkg, catch, an edit, and want caught or survives", path, m.name)
+		if m.class == "" || m.pkg == "" || len(m.catch) == 0 || len(m.edits) == 0 {
+			t.Fatalf("%s: row %s needs a class, pkg, catch and an edit", path, m.name)
 		}
 	}
 	return rows
 }
 
 // TestMutations plants every row of testdata/mutations.txt in its own
-// copy of the module and runs the row's catchers there. A caught row's
-// catchers must fail on every one of its runs; a build error is not a
-// catch. A surviving row's catchers must pass: it records a class that
-// only an analyzer sees. Off by default (make mutate).
+// copy of the module and runs the row's catchers there. They must fail
+// on every one of the row's runs; a build error is not a catch. Off by
+// default (make mutate).
 func TestMutations(t *testing.T) {
 	if !*mutate {
 		t.Skip("seeded mutations: run with -mutate (make mutate)")
@@ -134,7 +129,7 @@ func TestMutations(t *testing.T) {
 			cmd := exec.Command("go", "test", "-trimpath", "-count="+strconv.Itoa(m.count),
 				"-run", "^("+names+")$", m.pkg)
 			cmd.Dir = dir
-			out, err := cmd.CombinedOutput()
+			out, _ := cmd.CombinedOutput()
 			if bytes.Contains(out, []byte("[build failed]")) || bytes.Contains(out, []byte("[setup failed]")) {
 				t.Fatalf("the mutated copy does not build, which catches nothing:\n%s", out)
 			}
@@ -144,13 +139,10 @@ func TestMutations(t *testing.T) {
 			} else {
 				fails = len(regexp.MustCompile(`(?m)^--- FAIL: (`+names+`) \(`).FindAll(out, -1))
 			}
-			switch {
-			case m.want == "survives" && err != nil:
-				t.Errorf("%s row now fails %s, so a test catches it; record it as caught:\n%s", m.class, names, out)
-			case m.want == "caught" && fails < m.count:
+			if fails < m.count {
 				t.Errorf("%s row caught on %d of %d runs of %s:\n%s", m.class, fails, m.count, names, out)
-			default:
-				t.Logf("%s: %s %s", m.class, m.want, names)
+			} else {
+				t.Logf("%s: caught by %s", m.class, names)
 			}
 		})
 	}
