@@ -38,15 +38,17 @@ func drsCells() ([]struct {
 	}{{"lstm", ln.Layers[0]}, {"gru", gn.Layers[0]}}, masks
 }
 
-// keptOf is the kept-row list Update takes for a skip mask.
-func keptOf(skip []bool) []int {
-	kept := []int{}
+// keptOf is the RowMask Update takes for a skip mask: its kept list and
+// its Bits, so the element-wise bodies run where they are bound.
+func keptOf(skip []bool) tensor.RowMask {
+	kept, words := []int{}, make([]uint16, tensor.MaskWords(len(skip)))
 	for j, s := range skip {
 		if !s {
 			kept = append(kept, j)
+			words[j/16] |= 1 << (j % 16)
 		}
 	}
-	return kept
+	return tensor.RowMask{Seg: len(skip), Kept: kept, Bits: words}
 }
 
 // cellOperands draws one cell's wx, second-stage product and state, and

@@ -166,17 +166,12 @@ func (l *Layer) RecurrentWeights() (first, second []*tensor.Matrix) {
 }
 
 // FirstGates computes z_t and r_t into g = [z|r]; z gates the DRS
-// decision. Both blocks' pre-activations go into g, then one sigmoid
-// pass covers them.
+// decision. Both blocks' pre-activations go into g (tensor.Sum3), then
+// one sigmoid pass covers them.
 func (l *Layer) FirstGates(g, wx, a tensor.Vector) {
 	h := l.Hidden
-	z, r := g[:h], g[h:]
-	xz, xr := wx[:h], wx[h:2*h]
-	uz, ur := a[:h], a[h:]
-	for j := 0; j < h; j++ {
-		z[j] = xz[j] + uz[j] + l.Bz[j]
-		r[j] = xr[j] + ur[j] + l.Br[j]
-	}
+	tensor.Sum3(g[:h], wx[:h], a[:h], l.Bz)
+	tensor.Sum3(g[h:], wx[h:2*h], a[h:], l.Br)
 	tensor.SigmoidVec(g, g)
 }
 
@@ -186,24 +181,19 @@ func (l *Layer) Operand(dst, g, h tensor.Vector) tensor.Vector {
 	return dst
 }
 
-// Update blends the candidate into h in place over the kept rows, the
-// ascending list the second stage computed; every other row was skipped
-// and carries: h_t[j] ~ h_{t-1}[j] since z[j] ~ 0. The walk gathers the
-// kept rows' pre-activations into a in place (kept row j lands at
-// k ≤ j, after a[k] was read), so the candidate's tanh is one pass over
-// the kept rows only, then blends them back into h. No row is tested,
-// and a skipped row's product is never read.
-func (l *Layer) Update(st, wx, a, g tensor.Vector, kept []int) {
+// Update blends the candidate into h in place over the rows mk keeps,
+// the ones the second stage computed; every other row was skipped and
+// carries: h_t[j] ~ h_{t-1}[j] since z[j] ~ 0. The kept rows'
+// pre-activations are gathered into a's head (tensor.GatherSum3, in
+// place, the LSTM's gather), so the candidate's tanh is one pass over
+// the kept rows only, and tensor.Blend folds them back into h. No row
+// is tested, and a skipped row's product is never read.
+func (l *Layer) Update(st, wx, a, g tensor.Vector, mk tensor.RowMask) {
 	h := l.Hidden
-	z, xh := g[:h], wx[2*h:]
-	cand := a[:len(kept)]
-	for k, j := range kept {
-		cand[k] = xh[j] + a[j] + l.Bh[j]
-	}
+	cand := a[:len(mk.Kept)]
+	tensor.GatherSum3(cand, wx[2*h:], a, l.Bh, mk)
 	tensor.TanhVec(cand, cand)
-	for k, j := range kept {
-		st[j] = (1-z[j])*st[j] + z[j]*cand[k]
-	}
+	tensor.Blend(st, g[:h], cand, mk)
 }
 
 // LinkRelevance scores a link with the GRU adjustment of Algorithm 2.

@@ -83,6 +83,23 @@ func TissueKeptRowsInto(dst []int, os []tensor.Vector, alpha float64) []int {
 	return dst[:n]
 }
 
+// TissueMaskInto is TissueKeptRowsInto as the step consumes it: the
+// RowMask over dst whose Kept is the same list. Where the AVX-512
+// compaction body is bound (tensor.KeptRowsInto) the cells' compares
+// are sixteen-row k-masks ORed together into words — the rows' Bits,
+// which the element-wise bodies walk — and the list is their
+// VPCOMPRESSQ; elsewhere, and with alpha <= 0, it is TissueKeptRowsInto,
+// the pure-Go twin, with no Bits. words holds tensor.MaskWords(len(dst))
+// words.
+func TissueMaskInto(dst []int, words []uint16, os []tensor.Vector, alpha float64) tensor.RowMask {
+	if alpha > 0 {
+		if mk, ok := tensor.KeptRowsInto(dst, words, os, float32(alpha)); ok {
+			return mk
+		}
+	}
+	return tensor.RowMask{Seg: len(dst), Kept: TissueKeptRowsInto(dst, os, alpha)}
+}
+
 // keep is 1 for a kept row and 0 for a trivial one; the compiler lowers
 // it to a flag-setting instruction, not a branch.
 func keep(b bool) int {

@@ -59,6 +59,10 @@ func TestKeptRowsCompareInFloat32(t *testing.T) {
 		if kept := TissueKeptRowsInto(make([]int, len(o)), cells, alpha); !slices.Equal(kept, []int{1, 2}) {
 			t.Errorf("%d cells: kept %v, want [1 2]", len(cells), kept)
 		}
+		mk := TissueMaskInto(make([]int, len(o)), make([]uint16, 1), cells, alpha)
+		if !slices.Equal(mk.Kept, []int{1, 2}) || mk.Bits != nil && mk.Bits[0] != 0b110 {
+			t.Errorf("%d cells: mask kept %v bits %v, want [1 2]", len(cells), mk.Kept, mk.Bits)
+		}
 	}
 }
 

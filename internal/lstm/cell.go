@@ -38,13 +38,10 @@ func (l *Layer) gateAct() tensor.Activation {
 }
 
 // FirstGates computes o_t = σ(W_o x + U_o h_{t-1} + b_o) into g: the
-// pre-activations first, then one activation pass over them.
+// pre-activations first (tensor.Sum3), then one activation pass over
+// them.
 func (l *Layer) FirstGates(g, wx, a tensor.Vector) {
-	h := l.Hidden
-	xo := wx[3*h:]
-	for j := 0; j < h; j++ {
-		g[j] = xo[j] + a[j] + l.Bo[j]
-	}
+	tensor.Sum3(g, wx[3*l.Hidden:], a, l.Bo)
 	activate(l.gateAct(), g)
 }
 
@@ -53,37 +50,28 @@ func (l *Layer) FirstGates(g, wx, a tensor.Vector) {
 func (l *Layer) Operand(_, _, h tensor.Vector) tensor.Vector { return h }
 
 // Update computes f_t, i_t and the candidate from a = U_{f,i,c}·h_{t-1}
-// and advances (h, c) in place over the kept rows, the ascending list
-// the second stage computed; every other row was skipped, and its c and
-// h elements are approximated to zero (§V-A). The walk gathers the kept
-// rows' pre-activations into a's three blocks in place (kept row j
-// lands at k ≤ j, after a[k] was read), so each gate is one activation
-// pass over the kept rows only; it then zeroes the whole state and
-// scatters the kept rows' new c and h back. No row is tested, and a
-// skipped row's product is never read. tanh(c) reuses the f block.
-func (l *Layer) Update(st, wx, a, g tensor.Vector, kept []int) {
-	h, gate, n := l.Hidden, l.gateAct(), len(kept)
-	sh, sc := st[:h], st[h:]
-	xf, xi, xc := wx[:h], wx[h:2*h], wx[2*h:3*h]
+// and advances (h, c) in place over the rows mk keeps, the ones the
+// second stage computed; every other row was skipped, and its c and h
+// elements are approximated to zero (§V-A). The kept rows'
+// pre-activations are gathered into the heads of a's three blocks
+// (tensor.GatherSum3, in place), so each gate is one activation pass
+// over the kept rows only; tensor.CellState then writes c to the state
+// and, packed, over f for tanh(c), and tensor.ScatterMul spreads
+// h = o ⊙ tanh(c) back, both zeroing the skipped rows. No row is
+// tested, and a skipped row's product is never read.
+func (l *Layer) Update(st, wx, a, g tensor.Vector, mk tensor.RowMask) {
+	h, gate, n := l.Hidden, l.gateAct(), len(mk.Kept)
 	af, ai, ac := a[:h], a[h:2*h], a[2*h:3*h]
 	f, i, cand := af[:n], ai[:n], ac[:n]
-	for k, j := range kept {
-		f[k] = xf[j] + af[j] + l.Bf[j]
-		i[k] = xi[j] + ai[j] + l.Bi[j]
-		cand[k] = xc[j] + ac[j] + l.Bc[j]
-	}
+	tensor.GatherSum3(f, wx[:h], af, l.Bf, mk)
+	tensor.GatherSum3(i, wx[h:2*h], ai, l.Bi, mk)
+	tensor.GatherSum3(cand, wx[2*h:3*h], ac, l.Bc, mk)
 	activate(gate, f)
 	activate(gate, i)
 	tensor.TanhVec(cand, cand)
-	for k, j := range kept {
-		c := f[k]*sc[j] + i[k]*cand[k]
-		i[k], f[k] = c, c
-	}
+	tensor.CellState(st[h:], f, i, cand, mk)
 	tensor.TanhVec(f, f)
-	clear(st)
-	for k, j := range kept {
-		sc[j], sh[j] = i[k], g[j]*f[k]
-	}
+	tensor.ScatterMul(st[:h], g, f, mk)
 }
 
 // activate applies the gate activation to v in place: one vector pass

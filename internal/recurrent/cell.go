@@ -81,13 +81,14 @@ type Cell interface {
 	// Operand returns the second-stage input: h itself or a vector built
 	// in dst.
 	Operand(dst, g, h tensor.Vector) tensor.Vector
-	// Update advances st by one cell. kept lists, ascending, the rows of
-	// each h-tall block of a that the second stage computed (every row
+	// Update advances st by one cell. mk keeps, ascending in its list
+	// and as Bits where the compaction body made them, the rows of each
+	// h-tall block of a that the second stage computed (every row
 	// without DRS); the others hold no product, and the cell applies its
 	// own approximation to them (LSTM zeroes c and h, GRU carries h)
 	// without reading them. The cell may overwrite a, which the core
 	// does not read again.
-	Update(st, wx, a, g tensor.Vector, kept []int)
+	Update(st, wx, a, g tensor.Vector, mk tensor.RowMask)
 
 	// LinkRelevance returns the Algorithm 2 score S of the context link
 	// into a cell, as a function of that cell's wx row. The core builds

@@ -51,8 +51,8 @@ func (c *keptCell) FirstGates(g, wx, a tensor.Vector) {
 	}
 }
 func (c *keptCell) Operand(_, _, h tensor.Vector) tensor.Vector { return h }
-func (c *keptCell) Update(_, wx, _, _ tensor.Vector, kept []int) {
-	c.kept[&wx[0]] = slices.Clone(kept)
+func (c *keptCell) Update(_, wx, _, _ tensor.Vector, mk tensor.RowMask) {
+	c.kept[&wx[0]] = slices.Clone(mk.Kept)
 }
 func (c *keptCell) LinkRelevance() func(wx tensor.Vector) float64 {
 	return func(tensor.Vector) float64 { return 0 }

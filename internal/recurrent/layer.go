@@ -74,7 +74,7 @@ func (sc *forwardScratch) projectKept(ks tensor.Kernels, pw *packedWeights, slot
 	}
 	for lo := 0; lo < len(slots); lo += 4 {
 		hi := min(lo+4, len(slots))
-		union := intracell.TissueKeptRowsInto(sc.union, sc.drs[lo:hi], alpha)
+		union := intracell.TissueMaskInto(sc.union, sc.unionWords, sc.drs[lo:hi], alpha).Kept
 		u := len(union)
 		tiled := sc.wx2Rows[:rows/h*u]
 		for g := range rows / h {
@@ -167,17 +167,17 @@ func (sc *forwardScratch) step(k int, l Cell, pw *packedWeights, opt RunOptions,
 	// cell of the tissue keeps — the CRM's list — and shared by all of
 	// them. Without DRS the list is every row, which the kernel runs as
 	// no mask.
-	lo := 0
+	lo, w := 0, tensor.MaskWords(h)
 	for j, hi := range ends {
-		kept := sc.every
+		mk := sc.every
 		if opt.Intra {
-			kept = intracell.TissueKeptRowsInto(sc.keptBuf[j*h:(j+1)*h], sc.drs[lo:hi], opt.AlphaIntra)
+			mk = intracell.TissueMaskInto(sc.keptBuf[j*h:(j+1)*h], sc.keptWords[j*w:(j+1)*w], sc.drs[lo:hi], opt.AlphaIntra)
 		}
 		if lt != nil {
-			lt.SkipCounts = append(lt.SkipCounts, h-len(kept))
+			lt.SkipCounts = append(lt.SkipCounts, h-len(mk.Kept))
 		}
 		for s := lo; s < hi; s++ {
-			masks[s] = tensor.RowMask{Seg: h, Kept: kept}
+			masks[s] = mk
 		}
 		lo = hi
 	}
@@ -194,7 +194,7 @@ func (sc *forwardScratch) step(k int, l Cell, pw *packedWeights, opt RunOptions,
 	a2 := sc.product(n, (sc.sh.Gates-sc.sh.First)*h)
 	ks.PackedGemmRows(a2, pw.u2, in, masks, 0)
 	for s, sl := range slots {
-		l.Update(sl.st, sc.wx.Row(sl.row), a2.Row(s), sc.gates[s], masks[s].Kept)
+		l.Update(sl.st, sc.wx.Row(sl.row), a2.Row(s), sc.gates[s], masks[s])
 		copy(hs[sl.row], sl.st[:h])
 		if each != nil {
 			each(sl.cell, sl.st)

@@ -60,13 +60,15 @@ type forwardScratch struct {
 	gates, drs   []tensor.Vector  // first-stage gates (First·h) and their DRS heads
 	operands, in []tensor.Vector  // operand buffers; each stage's kernel inputs
 	keptBuf      []int            // one h-row kept list per tissue of the group
-	every        []int            // 0..h-1: the kept list without DRS
+	keptWords    []uint16         // and its mask words (tensor.MaskWords(h))
+	every        tensor.RowMask   // every row: the mask without DRS
 	masks        []tensor.RowMask // each slot's view of its tissue's kept list
 	ends         []int            // the slot that closes each tissue of the group
 	// A deferred step's four-member union of kept rows (h) and its
 	// tiling over W₂'s blocks ((Gates-First)·h); wx2 holds each slot's
 	// second-stage block of its wx row.
 	union, wx2Rows []int
+	unionWords     []uint16
 	wx2            []tensor.Vector
 
 	states []tensor.Vector // every member's sub-layer states (State·h)
@@ -191,8 +193,9 @@ func deferredSteps(lens []int) int {
 	return k
 }
 
-// grow allocates the slabs for the shape and size: every float and
-// every vector header of the arena is carved out of one allocation each.
+// grow allocates the slabs for the shape and size: every float, every
+// vector header, every index and every mask word of the arena is carved
+// out of one allocation each.
 func (sc *forwardScratch) grow(sh Shape, c scratchSize) {
 	h, first, second := sh.Hidden, sh.First*sh.Hidden, (sh.Gates-sh.First)*sh.Hidden
 	d := 0 // 1 where the pass defers a step
@@ -234,11 +237,11 @@ func (sc *forwardScratch) grow(sh Shape, c scratchSize) {
 	}
 	sc.ends, sc.subOf = take(c.members)[:0], take(c.cells)
 	cells := take(c.cells)
-	sc.keptBuf, sc.every = take(c.members*h), take(h)
-	sc.union, sc.wx2Rows = take(d*h), take(d*second)
-	for j := range sc.every {
-		sc.every[j] = j
-	}
+	w := tensor.MaskWords(h)
+	words := make([]uint16, (c.members+1+d)*w)
+	sc.keptBuf, sc.keptWords = take(c.members*h), words[:c.members*w]
+	sc.every = tensor.EveryRow(take(h), words[c.members*w:(c.members+1)*w])
+	sc.union, sc.wx2Rows, sc.unionWords = take(d*h), take(d*second), words[(c.members+1)*w:]
 	sc.masks = make([]tensor.RowMask, c.slots)
 	sc.units = make([][]int, c.cells)
 	for k := range cells {

@@ -12,21 +12,68 @@ import (
 	"mobilstm/internal/rng"
 )
 
-// The vector activation contract: wherever the AVX2+FMA body writes a
-// lane, it writes the scalar reference's bits. TestActivationSweep
-// checks a deterministic ~1 s sample on every run; the full 2^32 sweep
-// (make activation-exhaustive) is behind the flag below.
+// The vector activation contract: wherever a vector body — AVX-512 or
+// AVX2+FMA — writes a lane, it writes the scalar reference's bits.
+// TestActivationSweep checks a deterministic ~1 s sample per body on
+// every run; the full 2^32 sweep (make activation-exhaustive) is behind
+// the flag below. Each runs once per body the CPU can run, as a subtest
+// named after it, so the body actVec binds does not shadow the other.
 
 var activationExhaustive = flag.Bool("activation-exhaustive", false,
 	"run TestActivationExhaustive over all 2^32 float32 inputs for both activations")
 
 var actNames = [2]string{"sigmoid", "tanh"}
 
+// actBody names one vector activation body for the sweeps: run is its
+// Go driver, group its assembly entry, which takes whole groups of
+// width elements (and, for the masked body, a short last group).
+type actBody struct {
+	name   string
+	run    func(dst, x Vector, tanh bool) int
+	group  func(dst, x *float32, n int, tanh bool) int
+	width  int
+	masked bool
+}
+
+// actBodies lists the vector activation bodies this CPU can run, the
+// one actVec binds first.
+func actBodies() []actBody {
+	var out []actBody
+	if hasBlockBody {
+		out = append(out, actBody{"avx512", actBody512, pick(sigmoid8, tanh8), 8, true})
+	}
+	if hasActBody {
+		out = append(out, actBody{"avx2", actBody256, pick(sigmoid4, tanh4), 4, false})
+	}
+	return out
+}
+
+func pick(sigmoid, tanh func(dst, x *float32, n int) int) func(dst, x *float32, n int, tanh bool) int {
+	return func(dst, x *float32, n int, th bool) int {
+		if th {
+			return tanh(dst, x, n)
+		}
+		return sigmoid(dst, x, n)
+	}
+}
+
+// eachActBody runs f as a subtest per vector body, and skips t on a CPU
+// with none.
+func eachActBody(t *testing.T, f func(t *testing.T, body actBody)) {
+	bodies := actBodies()
+	if len(bodies) == 0 {
+		t.Skipf("no vector activation body on this CPU (%s)", CPU())
+	}
+	for _, b := range bodies {
+		t.Run(b.name, func(t *testing.T) { f(t, b) })
+	}
+}
+
 // sweepActivation runs the vector body over the bit patterns gen yields
 // (gen fills a buffer and reports how many it wrote; 0 ends the sweep)
 // and returns the lanes that differ from the scalar reference, NaN ≡
 // NaN, logging the first few.
-func sweepActivation(t *testing.T, tanh bool, gen func(buf []uint32) int) (mismatches int) {
+func sweepActivation(t *testing.T, body actBody, tanh bool, gen func(buf []uint32) int) (mismatches int) {
 	const chunk = 1 << 14
 	bits := make([]uint32, chunk)
 	in, out := NewVector(chunk), NewVector(chunk)
@@ -38,7 +85,7 @@ func sweepActivation(t *testing.T, tanh bool, gen func(buf []uint32) int) (misma
 		for i, b := range bits[:n] {
 			in[i] = math.Float32frombits(b)
 		}
-		done := actBody(out[:n], in[:n], tanh)
+		done := body.run(out[:n], in[:n], tanh)
 		for i, x := range in[:done] {
 			if want := actRef(x, tanh); !sameBits(out[i], want) {
 				if mismatches < 8 {
@@ -110,28 +157,28 @@ func windows(centers ...float32) func([]uint32) int {
 var sweepCenters = []float32{0, float32(math.Copysign(0, -1)), 0.625, -0.625, 1, -1, 87, -87, 44, -44, 0x1p-125, -0x1p-125}
 
 func TestActivationSweep(t *testing.T) {
-	if !hasActBody {
-		t.Skipf("no AVX2+FMA activation body on this CPU (%s)", CPU())
-	}
-	for _, tanh := range []bool{false, true} {
-		m := sweepActivation(t, tanh, strided(0, 1<<32, 97))
-		m += sweepActivation(t, tanh, windows(sweepCenters...))
-		if m > 0 {
-			t.Fatalf("%s: %d lanes differ from the scalar reference", actNames[b2i(tanh)], m)
+	eachActBody(t, func(t *testing.T, body actBody) {
+		for _, tanh := range []bool{false, true} {
+			m := sweepActivation(t, body, tanh, strided(0, 1<<32, 97))
+			m += sweepActivation(t, body, tanh, windows(sweepCenters...))
+			if m > 0 {
+				t.Fatalf("%s %s: %d lanes differ from the scalar reference", body.name, actNames[b2i(tanh)], m)
+			}
 		}
-	}
+	})
 }
 
-// TestActivationExhaustive compares the vector body with the scalar
+// TestActivationExhaustive compares each vector body with the scalar
 // reference on every float32 input, both functions, one slice of the
 // bit space per GOMAXPROCS worker.
 func TestActivationExhaustive(t *testing.T) {
 	if !*activationExhaustive {
 		t.Skip("full 2^32 sweep: run with -activation-exhaustive (make activation-exhaustive)")
 	}
-	if !hasActBody {
-		t.Skipf("no AVX2+FMA activation body on this CPU (%s)", CPU())
-	}
+	eachActBody(t, exhaustive)
+}
+
+func exhaustive(t *testing.T, body actBody) {
 	workers := uint64(runtime.GOMAXPROCS(0))
 	for _, tanh := range []bool{false, true} {
 		var wg sync.WaitGroup
@@ -143,26 +190,24 @@ func TestActivationExhaustive(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				m := sweepActivation(t, tanh, strided(lo, hi, 1))
+				m := sweepActivation(t, body, tanh, strided(lo, hi, 1))
 				mu.Lock()
 				total += m
 				mu.Unlock()
 			}()
 		}
 		wg.Wait()
-		t.Logf("%s: %d mismatches over all 2^32 inputs", actNames[b2i(tanh)], total)
+		t.Logf("%s %s: %d mismatches over all 2^32 inputs", body.name, actNames[b2i(tanh)], total)
 		if total > 0 {
 			t.Fail()
 		}
 	}
 }
 
-// TestActivationGuardRejects pins what the body hands back: a group
-// holding a saturated, tiny, NaN or near-midpoint lane is not written.
+// TestActivationGuardRejects pins what each body hands back: a group
+// holding a saturated, tiny, NaN or near-midpoint lane is not written —
+// a whole group, and for the AVX-512 body a masked last group of three.
 func TestActivationGuardRejects(t *testing.T) {
-	if !hasActBody {
-		t.Skipf("no AVX2+FMA activation body on this CPU (%s)", CPU())
-	}
 	nan := float32(math.NaN())
 	cases := []struct {
 		tanh bool
@@ -171,24 +216,30 @@ func TestActivationGuardRejects(t *testing.T) {
 		{false, 100}, {false, -100}, {false, nan}, {false, math.Float32frombits(0x3f283bf2)},
 		{true, 100}, {true, 1e-38}, {true, nan}, {true, math.Float32frombits(0x3f172be6)},
 	}
-	for _, c := range cases {
-		x := [4]float32{0.5, c.x, -0.5, 1}
-		dst := [4]float32{7, 7, 7, 7}
-		var n int
-		if c.tanh {
-			n = tanh4(&dst[0], &x[0], 4)
-		} else {
-			n = sigmoid4(&dst[0], &x[0], 4)
+	eachActBody(t, func(t *testing.T, body actBody) {
+		ns := []int{body.width}
+		if body.masked {
+			ns = append(ns, 3)
 		}
-		if n != 0 || dst != [4]float32{7, 7, 7, 7} {
-			t.Errorf("%s body kept a group holding %v (%#08x): wrote %d, dst %v",
-				actNames[b2i(c.tanh)], c.x, math.Float32bits(c.x), n, dst)
+		for _, c := range cases {
+			for _, n := range ns {
+				var x, dst [8]float32
+				for i := range x {
+					x[i], dst[i] = []float32{0.5, -0.5, 1, -1}[i%4], 7
+				}
+				x[1] = c.x
+				want := dst
+				if got := body.group(&dst[0], &x[0], n, c.tanh); got != 0 || dst != want {
+					t.Errorf("%s %s body kept a group of %d holding %v (%#08x): wrote %d, dst %v",
+						body.name, actNames[b2i(c.tanh)], n, c.x, math.Float32bits(c.x), got, dst)
+				}
+			}
 		}
-	}
+	})
 }
 
-// TestActivationProbeOffRunsScalar reaches the no-AVX2/FMA path through
-// the probe variable and holds both bodies to the same bits on Gaussian
+// TestActivationProbeOffRunsScalar reaches the scalar loop through the
+// probe variables and holds the bound body to its bits on Gaussian
 // corpora at the gate scales the cells see.
 func TestActivationProbeOffRunsScalar(t *testing.T) {
 	r := rng.New(0xac7)
@@ -203,13 +254,13 @@ func TestActivationProbeOffRunsScalar(t *testing.T) {
 		}{{"SigmoidVec", SigmoidVec}, {"TanhVec", TanhVec}} {
 			fast, scalar := NewVector(len(x)), NewVector(len(x))
 			vec.f(fast, x)
-			prev := hasActBody
-			hasActBody = false
+			act, block := hasActBody, hasBlockBody
+			hasActBody, hasBlockBody = false, false
 			if n := actVec(scalar, x, vec.name == "TanhVec"); n != 0 {
 				t.Fatalf("probe off: vector body wrote %d elements", n)
 			}
 			vec.f(scalar, x)
-			hasActBody = prev
+			hasActBody, hasBlockBody = act, block
 			for i := range x {
 				if !sameBits(fast[i], scalar[i]) {
 					t.Fatalf("%s σ=%v lane %d (x=%v): probe on %#08x, probe off %#08x",

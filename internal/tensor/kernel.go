@@ -204,9 +204,13 @@ func (k Kernels) span4(dsts [4][]float32, m *Matrix, xs [4][]float32, row0 int) 
 // united matrix whose row count is a multiple of Seg: united row g·Seg+r
 // is computed exactly when r is in Kept, and every other row is skipped.
 // The zero RowMask, like any mask that keeps all Seg rows, skips nothing.
+// Bits, when present, names the same rows as one bit each, sixteen rows
+// to a word (row r is bit r%16 of Bits[r/16], MaskWords(Seg) words): the
+// k-masks the element-wise bodies walk (elem.go). The kernels read Kept.
 type RowMask struct {
 	Seg  int
 	Kept []int
+	Bits []uint16
 }
 
 // skips reports whether the mask skips any row.
@@ -214,8 +218,14 @@ func (mk RowMask) skips() bool { return len(mk.Kept) < mk.Seg }
 
 // badKept returns the position of the first entry of Kept that breaks
 // its contract — strictly ascending in [0, Seg) — or -1: one pass that
-// proves every index a walk of the list gathers.
+// proves every index a walk of the list gathers. Where the AVX-512
+// bodies are bound a list whose ends lie in range is proved eight
+// neighbours per compare (ascendingVec), and the loop only places a
+// fault.
 func (mk RowMask) badKept() int {
+	if n := len(mk.Kept); n > 0 && mk.Kept[0] >= 0 && mk.Kept[n-1] < mk.Seg && ascendingVec(mk.Kept) {
+		return -1
+	}
 	prev := -1
 	for j, r := range mk.Kept {
 		if r <= prev || r >= mk.Seg {
