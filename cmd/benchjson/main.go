@@ -54,9 +54,21 @@ type document struct {
 	// BENCH_hotpath.json files records which chain and hardware produced
 	// each point. Benchmarks that force a chain per sub-benchmark (the
 	// hotpath chain sweep) encode it in the benchmark name instead.
-	KernelChain string    `json:"kernel_chain,omitempty"`
-	CPUFeatures string    `json:"cpu_features,omitempty"`
-	Benchmarks  []*result `json:"benchmarks"`
+	KernelChain string `json:"kernel_chain,omitempty"`
+	// KernelBodies names the bodies that chain binds on this CPU
+	// (tensor.ActiveBodies): the rows of one chain come from different
+	// code on different hardware.
+	KernelBodies *bodies   `json:"kernel_bodies,omitempty"`
+	CPUFeatures  string    `json:"cpu_features,omitempty"`
+	Benchmarks   []*result `json:"benchmarks"`
+}
+
+// bodies is tensor.Bodies as the document spells it.
+type bodies struct {
+	Span        string `json:"span"`
+	Block       string `json:"block"`
+	Activation  string `json:"activation"`
+	Elementwise string `json:"elementwise"`
 }
 
 func main() {
@@ -79,9 +91,12 @@ func main() {
 }
 
 // stampEnv records the kernel-dispatch environment the benchmarks ran
-// under: the process-default chain and the probed CPU feature set.
+// under: the process-default chain, the bodies it binds and the probed
+// CPU feature set.
 func stampEnv(doc *document) {
 	doc.KernelChain = tensor.ActiveKernelChain().String()
+	b := tensor.ActiveBodies()
+	doc.KernelBodies = &bodies{b.Span, b.Block, b.Activation, b.Elementwise}
 	doc.CPUFeatures = tensor.CPU().String()
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"mobilstm/internal/tensor"
 	"strings"
 	"testing"
 )
@@ -65,5 +66,19 @@ func TestStampEnvRecordsChainAndFeatures(t *testing.T) {
 	}
 	if doc.CPUFeatures == "" {
 		t.Fatal("cpu_features is empty")
+	}
+	// kernel_bodies follows the CPU: on one with AVX-512F and OS-saved
+	// ZMM state the default chain runs every 512-bit body, and no name
+	// is empty anywhere.
+	b := doc.KernelBodies
+	if b == nil || b.Span == "" || b.Block == "" || b.Activation == "" || b.Elementwise == "" {
+		t.Fatalf("kernel_bodies = %+v, want every body named", b)
+	}
+	cpu := tensor.CPU()
+	if cpu.AVX512F && cpu.OSZMM && doc.KernelChain == "sse2" && *b != (bodies{"avx512", "avx512", "avx512", "avx512"}) {
+		t.Fatalf("kernel_bodies = %+v on %s, want avx512 throughout", *b, cpu)
+	}
+	if doc.KernelChain == "generic" && *b != (bodies{"go", "go", "go", "go"}) {
+		t.Fatalf("kernel_bodies = %+v on the generic chain, want go throughout", *b)
 	}
 }

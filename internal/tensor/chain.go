@@ -31,11 +31,21 @@ import (
 // There is one kernel family (Kernels): KernelsFor resolves a selection
 // to its bodies once, and every kernel of a run dots its rows through
 // that binding.
+// Beside the chains sit the bodies of the element-wise half of a step,
+// which every chain shares: SigmoidVec/TanhVec's activation body — the
+// AVX-512 one (act512_amd64.s, eight float64 lanes) where hasBlockBody
+// holds, else the AVX2+FMA one (act_amd64.s, four) — and the AVX-512
+// element-wise bodies (elem_amd64.s: the first-stage sums, the DRS
+// compaction, the kept-row gather, the LSTM state update and scatter and
+// the GRU blend), each bitwise its pure-Go twin. ActiveBodies names what
+// the process default runs in each place.
 // The process default (MOBILSTM_KERNEL_CHAIN) is the only production
 // selector; explicit bindings are the package-level entry points
-// (PackedGemv…, WidePacked…) and calibration's. A ChainGeneric process default additionally pins every chain to its
-// pure-Go body, and SigmoidVec/TanhVec to their scalar loop, which is
-// how CI exercises the reference bodies on any runner CPU.
+// (PackedGemv…, WidePacked…) and calibration's. A ChainGeneric process
+// default additionally pins every chain to its pure-Go body,
+// SigmoidVec/TanhVec to their scalar loop and every element-wise
+// primitive to its twin, which is how CI exercises the reference bodies
+// on any runner CPU.
 
 // KernelChain selects which accumulation chain, through which body, a
 // Kernels value runs. The zero value is ChainAuto.
@@ -221,4 +231,37 @@ func blockBody(c KernelChain, avx512 bool) blockBodyFn {
 		return blockSpanAVX512
 	}
 	return nil
+}
+
+// Bodies names the code the process default runs in each place a body
+// can bind: the one-input span body, the four-input block body, the
+// activation body of SigmoidVec/TanhVec and the element-wise bodies
+// (elem.go) — "go" where the pure-Go loop runs. Benchmark records stamp
+// it next to the chain, which alone does not say which bodies ran.
+type Bodies struct {
+	Span, Block, Activation, Elementwise string
+}
+
+// ActiveBodies returns the Bodies the process default binds on this
+// CPU, as KernelsFor(ChainAuto), SigmoidVec and the element-wise
+// primitives resolve them.
+func ActiveBodies() Bodies {
+	b := Bodies{"go", "go", "go", "go"}
+	c := ActiveKernelChain()
+	if c == ChainGeneric {
+		return b
+	}
+	switch {
+	case c == ChainSSE2 && hasBlockBody:
+		b.Span, b.Block = "avx512", "avx512"
+	case c == ChainSSE2 && hasQuadBody:
+		b.Span = "avx"
+	}
+	switch {
+	case hasBlockBody:
+		b.Activation, b.Elementwise = "avx512", "avx512"
+	case hasActBody:
+		b.Activation = "avx2+fma"
+	}
+	return b
 }
