@@ -26,7 +26,9 @@ import (
 	"mobilstm/internal/model"
 	"mobilstm/internal/rng"
 	"mobilstm/internal/sched"
+	"mobilstm/internal/stats"
 	"mobilstm/internal/tensor"
+	"mobilstm/internal/thresholds"
 )
 
 // hotMTS is the tissue bound used by the inter-cell modes below: the
@@ -36,16 +38,18 @@ import (
 const hotMTS = 5
 
 var (
-	hotOnce sync.Once
-	hotInst *model.Instance[*lstm.Network]
-	hotPred []intercell.Predictor
+	hotOnce  sync.Once
+	hotInst  *model.Instance[*lstm.Network]
+	hotPred  []intercell.Predictor
+	hotAlpha float64
 )
 
 // hotSetup builds the quick-profile PTB instance shared by every
-// hot-path benchmark (and its Eq. 6 predictors, so the inter-cell modes
-// run the full predicted-link flow).
-func hotSetup(b *testing.B) (*model.Instance[*lstm.Network], []intercell.Predictor) {
-	b.Helper()
+// hot-path benchmark, its Eq. 6 predictors (so the inter-cell modes run
+// the full predicted-link flow) and the Inter threshold they divide at
+// (hotInterAlpha).
+func hotSetup(tb testing.TB) (*model.Instance[*lstm.Network], []intercell.Predictor, float64) {
+	tb.Helper()
 	hotOnce.Do(func() {
 		bench, ok := model.ByName("PTB")
 		if !ok {
@@ -53,8 +57,24 @@ func hotSetup(b *testing.B) (*model.Instance[*lstm.Network], []intercell.Predict
 		}
 		hotInst = model.Build(bench, model.Quick())
 		hotPred = lstm.CollectPredictors(hotInst.Net, hotInst.Seqs[:2])
+		hotAlpha = hotInterAlpha(hotInst.Net, hotInst.Seqs[0], hotPred)
 	})
-	return hotInst, hotPred
+	return hotInst, hotPred, hotAlpha
+}
+
+// hotInterAlpha is the Inter threshold the hot-path modes divide at,
+// derived as the corpus builder's calibration derives its own: the
+// relevance of one traced Inter run's links at
+// thresholds.CalibInterQuantile, so about that share of the links is
+// cut whatever the shape's relevance scale.
+func hotInterAlpha(net *lstm.Network, seq []tensor.Vector, pred []intercell.Predictor) float64 {
+	tr := &lstm.Trace{}
+	net.Run(seq, lstm.RunOptions{Inter: true, MTS: hotMTS, Predictors: pred, Trace: tr})
+	var rels []float64
+	for _, lt := range tr.Layers {
+		rels = append(rels, lt.Relevance...)
+	}
+	return stats.QuantileOf(rels, thresholds.CalibInterQuantile)
 }
 
 // hotBytes is the united weight volume one Run streams (see package
@@ -73,16 +93,43 @@ type hotMode struct {
 	opt  lstm.RunOptions
 }
 
-// hotModes are the four execution modes of the paper, at mid-sweep
-// thresholds (aggressive enough that the skip/division paths are
-// genuinely exercised).
-func hotModes(pred []intercell.Predictor) []hotMode {
+// hotModes are the four execution modes of the paper: Intra at a
+// mid-sweep α, Inter at the calibrated one (hotInterAlpha), so the
+// inter modes divide their sequences into tissues
+// (TestHotInterModesDivide) and the intra modes skip rows.
+func hotModes(pred []intercell.Predictor, alphaInter float64) []hotMode {
 	return []hotMode{
 		{"baseline", lstm.Baseline()},
-		{"inter", lstm.RunOptions{Inter: true, AlphaInter: 0.4, MTS: hotMTS, Predictors: pred}},
+		{"inter", lstm.RunOptions{Inter: true, AlphaInter: alphaInter, MTS: hotMTS, Predictors: pred}},
 		{"intra", lstm.RunOptions{Intra: true, AlphaIntra: 0.1}},
-		{"combined", lstm.RunOptions{Inter: true, AlphaInter: 0.4, MTS: hotMTS, Predictors: pred,
+		{"combined", lstm.RunOptions{Inter: true, AlphaInter: alphaInter, MTS: hotMTS, Predictors: pred,
 			Intra: true, AlphaIntra: 0.1}},
+	}
+}
+
+// TestHotInterModesDivide pins that the inter hot-path modes time
+// tissues, not Baseline plus relevance: a traced Run in each breaks a
+// nonzero share of its links and forms a tissue of more than one cell.
+func TestHotInterModesDivide(t *testing.T) {
+	inst, pred, alpha := hotSetup(t)
+	for _, m := range hotModes(pred, alpha) {
+		if !m.opt.Inter {
+			continue
+		}
+		tr := &lstm.Trace{}
+		opt := m.opt
+		opt.Trace = tr
+		inst.Net.Run(inst.Seqs[0], opt)
+		links, breaks, widest := 0, 0, 0
+		for _, lt := range tr.Layers {
+			links += len(lt.Relevance)
+			breaks += len(lt.Breakpoints)
+			widest = max(widest, slices.Max(lt.TissueSizes))
+		}
+		if breaks == 0 || widest < 2 {
+			t.Errorf("%s at α_inter %v: %d of %d links broken, widest tissue %d cells", m.name, alpha, breaks, links, widest)
+		}
+		t.Logf("%s at α_inter %.4g: %d of %d links broken", m.name, alpha, breaks, links)
 	}
 }
 
@@ -130,9 +177,9 @@ var hotChains = []struct {
 // the quick-profile PTB shape — the per-request inference cost of the
 // serving loop — under both kernel chains.
 func BenchmarkRun(b *testing.B) {
-	inst, pred := hotSetup(b)
+	inst, pred, alpha := hotSetup(b)
 	xs := inst.Seqs[0]
-	for _, m := range hotModes(pred) {
+	for _, m := range hotModes(pred, alpha) {
 		for _, c := range hotChains {
 			opt := m.opt
 			b.Run(m.name+c.suffix, func(b *testing.B) {
@@ -159,8 +206,8 @@ func BenchmarkRun(b *testing.B) {
 // loop; combined batches its members' tissues by tissue index, so its
 // groups hold up to B·MTS cells.
 func BenchmarkRunBatch(b *testing.B) {
-	inst, pred := hotSetup(b)
-	for _, m := range append(hotModes(pred), hotServed()) {
+	inst, pred, alpha := hotSetup(b)
+	for _, m := range append(hotModes(pred, alpha), hotServed()) {
 		if m.name == "inter" {
 			continue // combined sweeps the lockstep Inter path
 		}
@@ -195,7 +242,7 @@ func BenchmarkRunBatch(b *testing.B) {
 // cells of the corpus. The wavefront's
 // gain is a second core's, so the pair is read at GOMAXPROCS ≥ 2.
 func BenchmarkRunWavefront(b *testing.B) {
-	inst, pred := hotSetup(b)
+	inst, pred, alpha := hotSetup(b)
 	cells := slices.Concat(inst.Seqs...)
 	forwards := []struct {
 		name string
@@ -208,7 +255,7 @@ func BenchmarkRunWavefront(b *testing.B) {
 			}
 		}},
 	}
-	modes := append(hotModes(pred), hotServed())
+	modes := append(hotModes(pred, alpha), hotServed())
 	for _, f := range forwards {
 		for _, m := range modes {
 			if m.opt.Inter {
