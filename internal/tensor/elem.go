@@ -1,7 +1,5 @@
 package tensor
 
-import "math/bits"
-
 // The element-wise half of a recurrent step: the first-stage sums, the
 // DRS compaction (keptRows, the host's CTA Reorganization Module) and
 // the gather, state update and scatter over a member's kept rows. Each
@@ -23,25 +21,28 @@ func MaskWords(seg int) int { return (seg + 15) / 16 }
 func elemVec() bool { return hasBlockBody && ActiveKernelChain() != ChainGeneric }
 
 // maskVec reports whether mk can drive a body: bound, with Bits. Bits
-// that do not tile Seg, that name a row past it, or that count other
-// than len(Kept) rows are a Panicf violation — they would take a body's
-// loads and stores outside the vectors its caller checked.
+// that do not tile Seg or name a row past it are a Panicf violation —
+// they would take a body's row-space loads and stores outside the
+// vectors its caller checked; the body itself stops at the packed
+// vector's end, and reports Bits that count other than len(Kept) rows
+// (badBits).
 func maskVec(mk RowMask) bool {
 	if mk.Bits == nil || !elemVec() {
 		return false
 	}
 	w := MaskWords(mk.Seg)
-	if len(mk.Bits) != w {
+	if r := mk.Seg % 16; len(mk.Bits) != w || r != 0 && mk.Bits[w-1]>>r != 0 {
 		Panicf("tensor: RowMask has %d mask words for %d rows", len(mk.Bits), mk.Seg)
 	}
-	n := 0
-	for _, b := range mk.Bits {
-		n += bits.OnesCount16(b)
-	}
-	if r := mk.Seg % 16; n != len(mk.Kept) || r != 0 && mk.Bits[w-1]>>r != 0 {
-		Panicf("tensor: RowMask bits name %d rows (seg %d), its list %d", n, mk.Seg, len(mk.Kept))
-	}
 	return true
+}
+
+// badBits reports a body that found mk's Bits naming other than
+// len(Kept) rows.
+func badBits(ok bool, mk RowMask) {
+	if !ok {
+		Panicf("tensor: RowMask bits do not name its %d kept rows of %d", len(mk.Kept), mk.Seg)
+	}
 }
 
 // KeptRowsInto is a group's DRS decision compacted, row j kept when
@@ -116,7 +117,7 @@ func GatherSum3(dst, a, b, c Vector, mk RowMask) {
 		Panicf("tensor: GatherSum3 %d rows of %d into %d", len(mk.Kept), mk.Seg, len(dst))
 	}
 	if len(dst) > 0 && maskVec(mk) {
-		gatherSum3x16(&dst[0], &a[0], &b[0], &c[0], &mk.Bits[0], len(mk.Bits))
+		badBits(gatherSum3x16(&dst[0], &a[0], &b[0], &c[0], &mk.Bits[0], len(mk.Bits), len(dst)), mk)
 		return
 	}
 	for k, j := range mk.Kept {
@@ -134,7 +135,7 @@ func CellState(s, f, i, u Vector, mk RowMask) {
 		Panicf("tensor: CellState %d rows of %d over %d, %d, %d, %d", n, mk.Seg, len(s), len(f), len(i), len(u))
 	}
 	if n > 0 && maskVec(mk) {
-		cellState16(&s[0], &f[0], &i[0], &u[0], &mk.Bits[0], len(mk.Bits), mk.Seg)
+		badBits(cellState16(&s[0], &f[0], &i[0], &u[0], &mk.Bits[0], len(mk.Bits), mk.Seg, n), mk)
 		return
 	}
 	prev := 0
@@ -154,7 +155,7 @@ func ScatterMul(dst, g, v Vector, mk RowMask) {
 		Panicf("tensor: ScatterMul %d rows of %d over %d, %d, %d", len(mk.Kept), mk.Seg, len(dst), len(g), len(v))
 	}
 	if len(v) > 0 && maskVec(mk) {
-		scatterMul16(&dst[0], &g[0], &v[0], &mk.Bits[0], len(mk.Bits), mk.Seg)
+		badBits(scatterMul16(&dst[0], &g[0], &v[0], &mk.Bits[0], len(mk.Bits), mk.Seg, len(v)), mk)
 		return
 	}
 	prev := 0
@@ -174,7 +175,7 @@ func Blend(h, z, u Vector, mk RowMask) {
 		Panicf("tensor: Blend %d rows of %d over %d, %d, %d", len(mk.Kept), mk.Seg, len(h), len(z), len(u))
 	}
 	if len(u) > 0 && maskVec(mk) {
-		blend16(&h[0], &z[0], &u[0], &mk.Bits[0], len(mk.Bits))
+		badBits(blend16(&h[0], &z[0], &u[0], &mk.Bits[0], len(mk.Bits), len(u)), mk)
 		return
 	}
 	for k, j := range mk.Kept {

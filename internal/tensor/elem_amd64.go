@@ -6,7 +6,7 @@ package tensor
 // step, AVX-512F (and POPCNT, which every AVX-512 CPU has). The
 // wrappers in elem.go check every length first: a body reads and writes
 // only rows below its n or rows the mask words name, and the packed
-// vectors only as far as the words' population count.
+// vectors only as far as their length.
 
 // sum3x16 sets dst[j] = a[j] + b[j] + c[j] for j < n.
 //
@@ -14,26 +14,27 @@ package tensor
 func sum3x16(dst, a, b, c *float32, n int)
 
 // gatherSum3x16 packs a[j] + b[j] + c[j] of the rows the words name
-// into dst.
+// into dst, n long. The bodies that walk packed vectors report false
+// when the words name other than n rows, having touched none past n.
 //
 //go:noescape
-func gatherSum3x16(dst, a, b, c *float32, words *uint16, nw int)
+func gatherSum3x16(dst, a, b, c *float32, words *uint16, nw, n int) bool
 
 // cellState16 is CellState over the rows < rows: c into s (zero at the
 // rows the words leave out) and packed into f.
 //
 //go:noescape
-func cellState16(s, f, i, u *float32, words *uint16, nw, rows int)
+func cellState16(s, f, i, u *float32, words *uint16, nw, rows, n int) bool
 
 // scatterMul16 is ScatterMul over the rows < rows.
 //
 //go:noescape
-func scatterMul16(dst, o, v *float32, words *uint16, nw, rows int)
+func scatterMul16(dst, o, v *float32, words *uint16, nw, rows, n int) bool
 
 // blend16 is Blend: h written only at the rows the words name.
 //
 //go:noescape
-func blend16(h, z, u *float32, words *uint16, nw int)
+func blend16(h, z, u *float32, words *uint16, nw, n int) bool
 
 // keepMask16 ORs into the words the rows j < n with o[j] >= a.
 //

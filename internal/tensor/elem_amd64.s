@@ -8,8 +8,11 @@
 // element is the twin's float32 operations in the twin's order: VADDPS,
 // VSUBPS and VMULPS, no FMA. A packed store lands at k ≤ the block's
 // first row after the block was read, so a packed vector may share its
-// first element with a row-space one. Every instruction is AVX-512F but
-// POPCNT.
+// first element with a row-space one. A body that walks packed vectors
+// takes their length and stops, returning false, before a block whose
+// kept rows would reach past it, or at the end if the words named fewer
+// rows than that: the words, not the list, bound those loads and stores.
+// Every instruction is AVX-512F but POPCNT.
 
 #include "textflag.h"
 
@@ -45,13 +48,28 @@ GLOBL elemOne<>(SB), RODATA|NOPTR, $4
 	DECL  R; \
 	KMOVW R, K
 
-// PACKED stores the first popcount(R8) lanes of V at (P)(R11*4) and
-// advances R11 past them (clobbers CX, R13, K7).
+// PACKED stores the first CX lanes of V at (P)(R11*4) and advances R11
+// past them (clobbers R13, K7).
 #define PACKED(V, P) \
-	POPCNTL R8, CX; \
 	PREFIX(R13, K7); \
 	VMOVUPS V, K7, (P)(R11*4); \
 	ADDQ    CX, R11
+
+// COUNT sets CX to the block's kept rows, popcount(R8), and jumps to
+// fault if they would take R11 past the packed length in R15 (clobbers
+// R14).
+#define COUNT(fault) \
+	POPCNTL R8, CX; \
+	LEAQ    (R11)(CX*1), R14; \
+	CMPQ    R14, R15; \
+	JGT     fault
+
+// DONE stores whether the walk packed exactly R15 rows.
+#define DONE(ret) \
+	CMPQ  R11, R15; \
+	SETEQ ret; \
+	VZEROUPPER; \
+	RET
 
 // ROWS sets K6 to the rows of the block at SI below R12: all sixteen
 // but in the last, partial block (clobbers CX, R13).
@@ -99,14 +117,15 @@ sumDone:
 	VZEROUPPER
 	RET
 
-// func gatherSum3x16(dst, a, b, c *float32, words *uint16, nw int)
-TEXT ·gatherSum3x16(SB), NOSPLIT, $0-48
+// func gatherSum3x16(dst, a, b, c *float32, words *uint16, nw, n int) bool
+TEXT ·gatherSum3x16(SB), NOSPLIT, $0-57
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), AX
 	MOVQ b+16(FP), BX
 	MOVQ c+24(FP), DX
 	MOVQ words+32(FP), R9
 	MOVQ nw+40(FP), R10
+	MOVQ n+48(FP), R15
 	XORQ SI, SI
 	XORQ R11, R11
 
@@ -116,6 +135,7 @@ gatherBlock:
 	MOVWLZX     (R9), R8
 	TESTL       R8, R8
 	JZ          gatherNext
+	COUNT(gatherFault)
 	KMOVW       R8, K1
 	VMOVUPS.Z   (AX)(SI*4), K1, Z0
 	VMOVUPS.Z   (BX)(SI*4), K1, Z1
@@ -131,15 +151,17 @@ gatherNext:
 	DECQ R10
 	JMP  gatherBlock
 
-gatherDone:
-	VZEROUPPER
-	RET
+gatherFault:
+	MOVQ $-1, R11
 
-// func cellState16(s, f, i, u *float32, words *uint16, nw, rows int)
+gatherDone:
+	DONE(ret+56(FP))
+
+// func cellState16(s, f, i, u *float32, words *uint16, nw, rows, n int) bool
 //
 // c = f·s + i·u per kept lane; the other lanes load as zeros, so c is
 // +0 there, and the block's rows of s take c whole.
-TEXT ·cellState16(SB), NOSPLIT, $0-56
+TEXT ·cellState16(SB), NOSPLIT, $0-65
 	MOVQ s+0(FP), DI
 	MOVQ f+8(FP), AX
 	MOVQ i+16(FP), BX
@@ -147,6 +169,7 @@ TEXT ·cellState16(SB), NOSPLIT, $0-56
 	MOVQ words+32(FP), R9
 	MOVQ nw+40(FP), R10
 	MOVQ rows+48(FP), R12
+	MOVQ n+56(FP), R15
 	XORQ SI, SI
 	XORQ R11, R11
 
@@ -156,6 +179,7 @@ cellBlock:
 	MOVWLZX     (R9), R8
 	KMOVW       R8, K1
 	ROWS
+	COUNT(cellFault)
 	VEXPANDPS.Z (AX)(R11*4), K1, Z0
 	VMOVUPS.Z   (DI)(SI*4), K1, Z1
 	VMULPS      Z1, Z0, Z0
@@ -171,18 +195,21 @@ cellBlock:
 	DECQ        R10
 	JMP         cellBlock
 
-cellDone:
-	VZEROUPPER
-	RET
+cellFault:
+	MOVQ $-1, R11
 
-// func scatterMul16(dst, o, v *float32, words *uint16, nw, rows int)
-TEXT ·scatterMul16(SB), NOSPLIT, $0-48
+cellDone:
+	DONE(ret+64(FP))
+
+// func scatterMul16(dst, o, v *float32, words *uint16, nw, rows, n int) bool
+TEXT ·scatterMul16(SB), NOSPLIT, $0-57
 	MOVQ dst+0(FP), DI
 	MOVQ o+8(FP), AX
 	MOVQ v+16(FP), BX
 	MOVQ words+24(FP), R9
 	MOVQ nw+32(FP), R10
 	MOVQ rows+40(FP), R12
+	MOVQ n+48(FP), R15
 	XORQ SI, SI
 	XORQ R11, R11
 
@@ -192,28 +219,31 @@ scatterBlock:
 	MOVWLZX     (R9), R8
 	KMOVW       R8, K1
 	ROWS
+	COUNT(scatterFault)
 	VMOVUPS.Z   (AX)(SI*4), K1, Z0
 	VEXPANDPS.Z (BX)(R11*4), K1, Z1
 	VMULPS      Z1, Z0, Z0
 	VMOVUPS     Z0, K6, (DI)(SI*4)
-	POPCNTL     R8, CX
 	ADDQ        CX, R11
 	ADDQ        $16, SI
 	ADDQ        $2, R9
 	DECQ        R10
 	JMP         scatterBlock
 
-scatterDone:
-	VZEROUPPER
-	RET
+scatterFault:
+	MOVQ $-1, R11
 
-// func blend16(h, z, u *float32, words *uint16, nw int)
-TEXT ·blend16(SB), NOSPLIT, $0-40
+scatterDone:
+	DONE(ret+56(FP))
+
+// func blend16(h, z, u *float32, words *uint16, nw, n int) bool
+TEXT ·blend16(SB), NOSPLIT, $0-49
 	MOVQ         h+0(FP), DI
 	MOVQ         z+8(FP), AX
 	MOVQ         u+16(FP), BX
 	MOVQ         words+24(FP), R9
 	MOVQ         nw+32(FP), R10
+	MOVQ         n+40(FP), R15
 	XORQ         SI, SI
 	XORQ         R11, R11
 	VBROADCASTSS elemOne<>(SB), Z3
@@ -224,6 +254,7 @@ blendBlock:
 	MOVWLZX     (R9), R8
 	TESTL       R8, R8
 	JZ          blendNext
+	COUNT(blendFault)
 	KMOVW       R8, K1
 	VMOVUPS.Z   (AX)(SI*4), K1, Z0
 	VSUBPS      Z0, Z3, Z1
@@ -233,7 +264,6 @@ blendBlock:
 	VMULPS      Z2, Z0, Z0
 	VADDPS      Z0, Z1, Z1
 	VMOVUPS     Z1, K1, (DI)(SI*4)
-	POPCNTL     R8, CX
 	ADDQ        CX, R11
 
 blendNext:
@@ -242,9 +272,11 @@ blendNext:
 	DECQ R10
 	JMP  blendBlock
 
+blendFault:
+	MOVQ $-1, R11
+
 blendDone:
-	VZEROUPPER
-	RET
+	DONE(ret+48(FP))
 
 // func keepMask16(words *uint16, o *float32, n int, a float32)
 //

@@ -6,13 +6,13 @@ package tensor
 // pure-Go twin and none of these is called. They exist so elem.go
 // compiles on every architecture.
 
-func sum3x16(dst, a, b, c *float32, n int)                         {}
-func gatherSum3x16(dst, a, b, c *float32, words *uint16, nw int)   {}
-func cellState16(s, f, i, u *float32, words *uint16, nw, rows int) {}
-func scatterMul16(dst, o, v *float32, words *uint16, nw, rows int) {}
-func blend16(h, z, u *float32, words *uint16, nw int)              {}
-func keepMask16(words *uint16, o *float32, n int, a float32)       {}
-func listRows16(dst *int, words *uint16, nw int) int               { return 0 }
+func sum3x16(dst, a, b, c *float32, n int)                                 {}
+func gatherSum3x16(dst, a, b, c *float32, words *uint16, nw int)           {}
+func cellState16(s, f, i, u *float32, words *uint16, nw, rows, n int) bool { return false }
+func scatterMul16(dst, o, v *float32, words *uint16, nw, rows, n int) bool { return false }
+func blend16(h, z, u *float32, words *uint16, nw int)                      {}
+func keepMask16(words *uint16, o *float32, n int, a float32)               {}
+func listRows16(dst *int, words *uint16, nw int) int                       { return 0 }
 
 // ascendingVec is undecided off amd64: badKept's loop decides.
 func ascendingVec(list []int) bool { return false }

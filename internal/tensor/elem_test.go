@@ -166,25 +166,37 @@ func TestBadKeptFindsEveryFault(t *testing.T) {
 	}
 }
 
-// TestMaskBitsChecked pins maskVec's guards: Bits that do not tile Seg,
-// name a row past it or count other than len(Kept) rows never reach a
-// body.
+// TestMaskBitsChecked pins the guards on a RowMask's Bits: words that do
+// not tile Seg or name a row past it never reach a body, and a body
+// handed words that count more or fewer rows than the list stops at the
+// packed vector's end and the call panics.
 func TestMaskBitsChecked(t *testing.T) {
 	if !elemVec() {
 		t.Skipf("no AVX-512 element-wise body on this CPU (%s)", CPU())
 	}
-	for name, mk := range map[string]RowMask{
+	v := NewVector(20)
+	calls := map[string]func(mk RowMask){
+		"GatherSum3": func(mk RowMask) { GatherSum3(v[:len(mk.Kept)], v, v, v, mk) },
+		"CellState":  func(mk RowMask) { n := len(mk.Kept); CellState(v, v[:n], v[:n], v[:n], mk) },
+		"ScatterMul": func(mk RowMask) { ScatterMul(v, v, v[:len(mk.Kept)], mk) },
+		"Blend":      func(mk RowMask) { Blend(v, v, v[:len(mk.Kept)], mk) },
+	}
+	masks := map[string]RowMask{
 		"short":    {Seg: 20, Kept: []int{1}, Bits: []uint16{2}},
 		"past seg": {Seg: 20, Kept: []int{1, 2}, Bits: []uint16{2, 1 << 4}},
-		"count":    {Seg: 20, Kept: []int{1}, Bits: []uint16{6, 0}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: mask %v reached a body", name, mk)
-				}
+		"more":     {Seg: 20, Kept: []int{1}, Bits: []uint16{6, 0}},
+		"fewer":    {Seg: 20, Kept: []int{1, 2, 17}, Bits: []uint16{6, 0}},
+	}
+	for call, f := range calls {
+		for name, mk := range masks {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s mask %v was run", call, name, mk)
+					}
+				}()
+				f(mk)
 			}()
-			maskVec(mk)
-		}()
+		}
 	}
 }
