@@ -112,11 +112,12 @@ chain-matrix:
 			$(FORWARD_PKGS) || exit 1; \
 	done
 
-# The vector activation contract in full: the AVX2+FMA SigmoidVec and
-# TanhVec bodies against the scalar Sigmoid/Tanh reference on all 2^32
-# float32 inputs each (tier-1 `go test` checks a ~1 s sample). One
-# worker per GOMAXPROCS; ~75 s on two cores. Skips itself on CPUs
-# without AVX2+FMA, where only the scalar loop exists.
+# The vector activation contract in full: every SigmoidVec/TanhVec body
+# the CPU can run (AVX-512, AVX2+FMA; one subtest each) against the
+# scalar Sigmoid/Tanh reference on all 2^32 float32 inputs each (tier-1
+# `go test` checks a sample per body). One worker per GOMAXPROCS; ~75 s
+# a body on two cores. Skips itself on CPUs with neither body, where
+# only the scalar loop exists.
 activation-exhaustive:
 	$(GO) test -count=1 -run '^TestActivationExhaustive$$' -v -timeout 30m \
 		./internal/tensor/ -activation-exhaustive
