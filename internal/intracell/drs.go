@@ -14,10 +14,11 @@ import (
 )
 
 // TrivialRows returns skip[j] = !(o[j] >= alpha) — o[j] below alpha, or
-// NaN, the rule TissueKeptRowsInto applies — and the number of trivial
-// rows. skip[j] marks hidden element j, i.e. rows j of each of U_f, U_i,
-// U_c (3 skipped matrix rows per marked element). With alpha <= 0 nothing
-// is skipped and TrivialRows returns (nil, 0).
+// NaN, the rule a step's compaction applies (tensor.KeptRowsInto, which
+// keeps a tissue's row unless it is trivial for every cell) — and the
+// number of trivial rows. skip[j] marks hidden element j, i.e. rows j of
+// each of U_f, U_i, U_c (3 skipped matrix rows per marked element). With
+// alpha <= 0 nothing is skipped and TrivialRows returns (nil, 0).
 func TrivialRows(o tensor.Vector, alpha float64) ([]bool, int) {
 	if alpha <= 0 {
 		return nil, 0
@@ -32,81 +33,6 @@ func TrivialRows(o tensor.Vector, alpha float64) ([]bool, int) {
 		}
 	}
 	return skip, count
-}
-
-// TissueKeptRowsInto is the tissue's DRS mask compacted into the rows
-// the second stage computes — the host side of the CRM's prefix sum
-// (§V-B). The tissue's gemm computes each surviving row against all its
-// cells, so a row is skipped only if it is trivial for every cell. dst[:n]
-// receives, ascending, every row j that some cell o of
-// the tissue keeps (o[j] >= alpha; a row is trivial for a cell where
-// !(o[j] >= alpha), so a NaN is trivial), and the result is dst[:n].
-// dst is a caller-owned buffer of the cells' length, so per-tissue calls
-// on the inference hot path do not allocate. Every cell is validated
-// before any row is read. The pass is branch-free per row: with several
-// cells, each cell ORs its keep flags into dst in one pass of its own,
-// and then row j is written to dst[n] unconditionally and kept by
-// advancing n by its flag (n <= j, so the compaction runs in place).
-// With alpha <= 0 (DRS off) every row is kept.
-func TissueKeptRowsInto(dst []int, os []tensor.Vector, alpha float64) []int {
-	dim := len(dst)
-	for _, o := range os {
-		if len(o) != dim {
-			tensor.Panicf("intracell: TissueKeptRowsInto cell length %d, mask length %d", len(o), dim)
-		}
-	}
-	if alpha <= 0 {
-		for j := range dst {
-			dst[j] = j
-		}
-		return dst
-	}
-	a := float32(alpha)
-	n := 0
-	if len(os) == 1 {
-		for j, v := range os[0] {
-			dst[n] = j
-			n += keep(v >= a)
-		}
-		return dst[:n]
-	}
-	clear(dst)
-	for _, o := range os {
-		for j, v := range o[:len(dst)] {
-			dst[j] |= keep(v >= a)
-		}
-	}
-	for j, k := range dst {
-		dst[n] = j
-		n += k
-	}
-	return dst[:n]
-}
-
-// TissueMaskInto is TissueKeptRowsInto as the step consumes it: the
-// RowMask over dst whose Kept is the same list. Where the AVX-512
-// compaction body is bound (tensor.KeptRowsInto) the cells' compares
-// are sixteen-row k-masks ORed together into words — the rows' Bits,
-// which the element-wise bodies walk — and the list is their
-// VPCOMPRESSQ; elsewhere, and with alpha <= 0, it is TissueKeptRowsInto,
-// the pure-Go twin, with no Bits. words holds tensor.MaskWords(len(dst))
-// words.
-func TissueMaskInto(dst []int, words []uint16, os []tensor.Vector, alpha float64) tensor.RowMask {
-	if alpha > 0 {
-		if mk, ok := tensor.KeptRowsInto(dst, words, os, float32(alpha)); ok {
-			return mk
-		}
-	}
-	return tensor.RowMask{Seg: len(dst), Kept: TissueKeptRowsInto(dst, os, alpha)}
-}
-
-// keep is 1 for a kept row and 0 for a trivial one; the compiler lowers
-// it to a flag-setting instruction, not a branch.
-func keep(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // PruneMatrix returns a copy of m with every element of magnitude below

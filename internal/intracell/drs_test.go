@@ -10,8 +10,14 @@ import (
 	"mobilstm/internal/tensor"
 )
 
+// keptRows is a tissue's kept list as the step compacts it
+// (tensor.KeptRowsInto), over fresh mask words.
+func keptRows(dst []int, os []tensor.Vector, alpha float64) []int {
+	return tensor.KeptRowsInto(dst, make([]uint16, tensor.MaskWords(len(dst))), os, alpha).Kept
+}
+
 func TestTrivialRowsBasic(t *testing.T) {
-	// A NaN row is trivial, as in TissueKeptRowsInto: !(o >= alpha).
+	// A NaN row is trivial, as in the compaction: !(o >= alpha).
 	o := tensor.Vector{0.01, 0.5, 0.09, 0.3, float32(math.NaN())}
 	skip, n := TrivialRows(o, 0.1)
 	if n != 3 || !skip[0] || skip[1] || !skip[2] || skip[3] || !skip[4] {
@@ -56,12 +62,12 @@ func TestKeptRowsCompareInFloat32(t *testing.T) {
 	}
 	low := tensor.Vector{0.1, 0.1, 0.1}
 	for _, cells := range [][]tensor.Vector{{o}, {low, o}, {o, low, low}} {
-		if kept := TissueKeptRowsInto(make([]int, len(o)), cells, alpha); !slices.Equal(kept, []int{1, 2}) {
+		if kept := keptRows(make([]int, len(o)), cells, alpha); !slices.Equal(kept, []int{1, 2}) {
 			t.Errorf("%d cells: kept %v, want [1 2]", len(cells), kept)
 		}
-		mk := TissueMaskInto(make([]int, len(o)), make([]uint16, 1), cells, alpha)
-		if !slices.Equal(mk.Kept, []int{1, 2}) || mk.Bits != nil && mk.Bits[0] != 0b110 {
-			t.Errorf("%d cells: mask kept %v bits %v, want [1 2]", len(cells), mk.Kept, mk.Bits)
+		mk := tensor.KeptRowsInto(make([]int, len(o)), make([]uint16, 1), cells, alpha)
+		if mk.Bits[0] != 0b110 {
+			t.Errorf("%d cells: mask bits %03b, want 110", len(cells), mk.Bits[0])
 		}
 	}
 }
@@ -71,7 +77,7 @@ func TestTissueTrivialRowsIntersection(t *testing.T) {
 		{0.01, 0.5, 0.05},
 		{0.02, 0.02, 0.5},
 	}
-	kept := TissueKeptRowsInto(make([]int, 3), os, 0.1)
+	kept := keptRows(make([]int, 3), os, 0.1)
 	// Only element 0 is trivial in every cell.
 	if !slices.Equal(kept, []int{1, 2}) {
 		t.Fatalf("kept=%v, want [1 2]", kept)
@@ -85,7 +91,7 @@ func TestTissueTrivialRowsSingleCellMatchesPerCell(t *testing.T) {
 		o[i] = r.Float32()
 	}
 	skip, n := TrivialRows(o, 0.3)
-	kept := TissueKeptRowsInto(make([]int, 64), []tensor.Vector{o}, 0.3)
+	kept := keptRows(make([]int, 64), []tensor.Vector{o}, 0.3)
 	if len(kept) != 64-n {
 		t.Fatalf("%d kept, %d skipped of 64", len(kept), n)
 	}
@@ -97,15 +103,15 @@ func TestTissueTrivialRowsSingleCellMatchesPerCell(t *testing.T) {
 }
 
 func TestTissueTrivialRowsEmpty(t *testing.T) {
-	if kept := TissueKeptRowsInto(nil, nil, 0.1); len(kept) != 0 {
+	if kept := keptRows(nil, nil, 0.1); len(kept) != 0 {
 		t.Fatalf("empty tissue kept %v", kept)
 	}
-	if kept := TissueKeptRowsInto([]int{}, []tensor.Vector{{}}, 0.1); len(kept) != 0 {
+	if kept := keptRows([]int{}, []tensor.Vector{{}}, 0.1); len(kept) != 0 {
 		t.Fatalf("zero-width cell kept %v", kept)
 	}
 }
 
-// perCellKept is the reference for TissueKeptRowsInto built from the
+// perCellKept is the reference for the compaction built from the
 // per-cell TrivialRows: row j is kept unless every cell skips it.
 func perCellKept(os []tensor.Vector, dim int, alpha float64) []int {
 	skips := make([][]bool, len(os))
@@ -145,7 +151,7 @@ func TestTissueKeptRowsMatchesTissueTrivialRows(t *testing.T) {
 		}
 		for _, alpha := range []float64{0.6, 0, -1} {
 			want := perCellKept(os, 37, alpha)
-			if got := TissueKeptRowsInto(make([]int, 37), os, alpha); !slices.Equal(got, want) {
+			if got := keptRows(make([]int, 37), os, alpha); !slices.Equal(got, want) {
 				t.Fatalf("%d cells, alpha %v: kept %v, want %v", cells, alpha, got, want)
 			}
 		}
@@ -157,11 +163,11 @@ func TestTissueKeptRowsMatchesTissueTrivialRows(t *testing.T) {
 // several-cell one, where another cell can still keep the row.
 func TestTissueKeptRowsNaNIsTrivial(t *testing.T) {
 	nan := float32(math.NaN())
-	one := TissueKeptRowsInto(make([]int, 3), []tensor.Vector{{nan, 0.5, 0.05}}, 0.1)
+	one := keptRows(make([]int, 3), []tensor.Vector{{nan, 0.5, 0.05}}, 0.1)
 	if len(one) != 1 || one[0] != 1 {
 		t.Fatalf("one cell: kept %v, want [1]", one)
 	}
-	two := TissueKeptRowsInto(make([]int, 3), []tensor.Vector{{nan, nan, 0.05}, {0.5, nan, 0.05}}, 0.1)
+	two := keptRows(make([]int, 3), []tensor.Vector{{nan, nan, 0.05}, {0.5, nan, 0.05}}, 0.1)
 	if len(two) != 1 || two[0] != 0 {
 		t.Fatalf("two cells: kept %v, want [0]", two)
 	}
@@ -181,7 +187,7 @@ func TestTissueKeptRowsValidatesEveryCell(t *testing.T) {
 		var err error
 		func() {
 			defer tensor.Guard(&err)
-			TissueKeptRowsInto(make([]int, 3), os, 0.1)
+			keptRows(make([]int, 3), os, 0.1)
 		}()
 		if err == nil {
 			t.Errorf("%s: no violation", name)
@@ -204,7 +210,7 @@ func TestTissueIntersectionSubsetProperty(t *testing.T) {
 			}
 		}
 		alpha := 0.05 + 0.4*r.Float64()
-		kept := TissueKeptRowsInto(make([]int, dim), os, alpha)
+		kept := keptRows(make([]int, dim), os, alpha)
 		inKept := make([]bool, dim)
 		for _, j := range kept {
 			inKept[j] = true

@@ -2,7 +2,6 @@ package recurrent
 
 import (
 	"mobilstm/internal/intercell"
-	"mobilstm/internal/intracell"
 	"mobilstm/internal/tensor"
 )
 
@@ -74,7 +73,7 @@ func (sc *forwardScratch) projectKept(ks tensor.Kernels, pw *packedWeights, slot
 	}
 	for lo := 0; lo < len(slots); lo += 4 {
 		hi := min(lo+4, len(slots))
-		union := intracell.TissueMaskInto(sc.union, sc.unionWords, sc.drs[lo:hi], alpha).Kept
+		union := tensor.KeptRowsInto(sc.union, sc.unionWords, sc.drs[lo:hi], alpha).Kept
 		u := len(union)
 		tiled := sc.wx2Rows[:rows/h*u]
 		for g := range rows / h {
@@ -171,7 +170,7 @@ func (sc *forwardScratch) step(k int, l Cell, pw *packedWeights, opt RunOptions,
 	for j, hi := range ends {
 		mk := sc.every
 		if opt.Intra {
-			mk = intracell.TissueMaskInto(sc.keptBuf[j*h:(j+1)*h], sc.keptWords[j*w:(j+1)*w], sc.drs[lo:hi], opt.AlphaIntra)
+			mk = tensor.KeptRowsInto(sc.keptBuf[j*h:(j+1)*h], sc.keptWords[j*w:(j+1)*w], sc.drs[lo:hi], opt.AlphaIntra)
 		}
 		if lt != nil {
 			lt.SkipCounts = append(lt.SkipCounts, h-len(mk.Kept))

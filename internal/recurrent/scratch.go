@@ -64,9 +64,10 @@ type forwardScratch struct {
 	every        tensor.RowMask   // every row: the mask without DRS
 	masks        []tensor.RowMask // each slot's view of its tissue's kept list
 	ends         []int            // the slot that closes each tissue of the group
-	// A deferred step's four-member union of kept rows (h) and its
-	// tiling over W₂'s blocks ((Gates-First)·h); wx2 holds each slot's
-	// second-stage block of its wx row.
+	// A deferred step's four-member union of kept rows (h), with the
+	// mask words its compaction ORs into, and its tiling over W₂'s
+	// blocks ((Gates-First)·h); wx2 holds each slot's second-stage block
+	// of its wx row.
 	union, wx2Rows []int
 	unionWords     []uint16
 	wx2            []tensor.Vector

@@ -1,7 +1,7 @@
 package tensor
 
 // The element-wise half of a recurrent step: the first-stage sums, the
-// DRS compaction (keptRows, the host's CTA Reorganization Module) and
+// DRS compaction (KeptRowsInto, the host's CTA Reorganization Module) and
 // the gather, state update and scatter over a member's kept rows. Each
 // primitive has a pure-Go twin — the loop below its check, the
 // definition — and, where hasBlockBody holds and the process is not
@@ -20,21 +20,19 @@ func MaskWords(seg int) int { return (seg + 15) / 16 }
 // every primitive to its twin.
 func elemVec() bool { return hasBlockBody && ActiveKernelChain() != ChainGeneric }
 
-// maskVec reports whether mk can drive a body: bound, with Bits. Bits
-// that do not tile Seg or name a row past it are a Panicf violation —
-// they would take a body's row-space loads and stores outside the
-// vectors its caller checked; the body itself stops at the packed
-// vector's end, and reports Bits that count other than len(Kept) rows
-// (badBits).
+// maskVec checks mk's Bits, which every primitive over kept rows takes
+// with the list (KeptRowsInto and EveryRow make both), and reports
+// whether a body runs. Bits that do not tile Seg or name a row past it
+// are a Panicf violation — they would take a body's row-space loads and
+// stores outside the vectors its caller checked; the body itself stops
+// at the packed vector's end, and reports Bits that count other than
+// len(Kept) rows (badBits). The twin reads only the list.
 func maskVec(mk RowMask) bool {
-	if mk.Bits == nil || !elemVec() {
-		return false
-	}
 	w := MaskWords(mk.Seg)
 	if r := mk.Seg % 16; len(mk.Bits) != w || r != 0 && mk.Bits[w-1]>>r != 0 {
 		Panicf("tensor: RowMask has %d mask words for %d rows", len(mk.Bits), mk.Seg)
 	}
-	return true
+	return elemVec()
 }
 
 // badBits reports a body that found mk's Bits naming other than
@@ -45,19 +43,19 @@ func badBits(ok bool, mk RowMask) {
 	}
 }
 
-// KeptRowsInto is a group's DRS decision compacted, row j kept when
-// o[j] >= a for some o of os (a float32 compare, so a NaN is trivial):
-// the AVX-512 body compares sixteen rows per instruction, ORs the cells'
-// k-masks into bits and lists the kept rows with VPCOMPRESSQ. It returns
-// the mask over dst — Seg len(dst), Kept the rows ascending, Bits the
-// same rows over bits (MaskWords(len(dst)) words) — and true, or false
-// with dst and bits untouched where the body is not bound: the caller's
-// pure-Go compaction then decides (intracell.TissueMaskInto). Each o
-// must be len(dst) long.
-func KeptRowsInto(dst []int, words []uint16, os []Vector, a float32) (RowMask, bool) {
-	if !elemVec() {
-		return RowMask{}, false
-	}
+// KeptRowsInto is a group's DRS decision compacted, the host side of
+// the CRM's prefix sum (§V-B): row j is kept when o[j] >= float32(alpha)
+// for some o of os — a float32 compare, so a NaN is trivial, and a row
+// is skipped only if it is trivial for every cell — and with alpha <= 0
+// (DRS off) every row is kept. It returns the mask over dst and words:
+// Seg len(dst), Kept the kept rows ascending in dst's head, Bits the
+// same rows over words, which must hold MaskWords(len(dst)) words. Each
+// o must be len(dst) long; every cell is checked before any row is read.
+// The AVX-512 body compares sixteen rows per instruction, ORs the cells'
+// k-masks into the words and lists their rows with VPCOMPRESSQ; the twin
+// ORs each cell's keep flags into the words, one branch-free pass a
+// cell, and lists the rows from them.
+func KeptRowsInto(dst []int, words []uint16, os []Vector, alpha float64) RowMask {
 	if len(words) != MaskWords(len(dst)) {
 		Panicf("tensor: KeptRowsInto %d mask words for %d rows", len(words), len(dst))
 	}
@@ -66,15 +64,41 @@ func KeptRowsInto(dst []int, words []uint16, os []Vector, a float32) (RowMask, b
 			Panicf("tensor: KeptRowsInto cell length %d, mask length %d", len(o), len(dst))
 		}
 	}
+	if alpha <= 0 {
+		return EveryRow(dst, words)
+	}
+	a := float32(alpha)
 	clear(words)
 	if len(dst) == 0 {
-		return RowMask{Kept: dst}, true
+		return RowMask{Kept: dst, Bits: words}
+	}
+	if elemVec() {
+		for _, o := range os {
+			keepMask16(&words[0], &o[0], len(dst), a)
+		}
+		n := listRows16(&dst[0], &words[0], len(words))
+		return RowMask{Seg: len(dst), Kept: dst[:n], Bits: words}
 	}
 	for _, o := range os {
-		keepMask16(&words[0], &o[0], len(dst), a)
+		for j, v := range o {
+			words[j/16] |= uint16(keep(v >= a)) << (j % 16)
+		}
 	}
-	n := listRows16(&dst[0], &words[0], len(words))
-	return RowMask{Seg: len(dst), Kept: dst[:n], Bits: words}, true
+	n := 0
+	for j := range dst {
+		dst[n] = j
+		n += int(words[j/16]>>(j%16)) & 1
+	}
+	return RowMask{Seg: len(dst), Kept: dst[:n], Bits: words}
+}
+
+// keep is 1 for a kept row and 0 for a trivial one; the compiler lowers
+// it to a flag-setting instruction, not a branch.
+func keep(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // EveryRow fills dst with 0..len(dst)-1 and words with their bits: the
@@ -116,7 +140,7 @@ func GatherSum3(dst, a, b, c Vector, mk RowMask) {
 	if len(dst) != len(mk.Kept) || len(a) != mk.Seg || len(b) != mk.Seg || len(c) != mk.Seg {
 		Panicf("tensor: GatherSum3 %d rows of %d into %d", len(mk.Kept), mk.Seg, len(dst))
 	}
-	if len(dst) > 0 && maskVec(mk) {
+	if maskVec(mk) && len(dst) > 0 {
 		badBits(gatherSum3x16(&dst[0], &a[0], &b[0], &c[0], &mk.Bits[0], len(mk.Bits), len(dst)), mk)
 		return
 	}
@@ -134,7 +158,7 @@ func CellState(s, f, i, u Vector, mk RowMask) {
 	if len(s) != mk.Seg || len(f) != n || len(i) != n || len(u) != n {
 		Panicf("tensor: CellState %d rows of %d over %d, %d, %d, %d", n, mk.Seg, len(s), len(f), len(i), len(u))
 	}
-	if n > 0 && maskVec(mk) {
+	if maskVec(mk) && n > 0 {
 		badBits(cellState16(&s[0], &f[0], &i[0], &u[0], &mk.Bits[0], len(mk.Bits), mk.Seg, n), mk)
 		return
 	}
@@ -154,7 +178,7 @@ func ScatterMul(dst, g, v Vector, mk RowMask) {
 	if len(dst) != mk.Seg || len(g) != mk.Seg || len(v) != len(mk.Kept) {
 		Panicf("tensor: ScatterMul %d rows of %d over %d, %d, %d", len(mk.Kept), mk.Seg, len(dst), len(g), len(v))
 	}
-	if len(v) > 0 && maskVec(mk) {
+	if maskVec(mk) && len(v) > 0 {
 		badBits(scatterMul16(&dst[0], &g[0], &v[0], &mk.Bits[0], len(mk.Bits), mk.Seg, len(v)), mk)
 		return
 	}
@@ -174,7 +198,7 @@ func Blend(h, z, u Vector, mk RowMask) {
 	if len(h) != mk.Seg || len(z) != mk.Seg || len(u) != len(mk.Kept) {
 		Panicf("tensor: Blend %d rows of %d over %d, %d, %d", len(mk.Kept), mk.Seg, len(h), len(z), len(u))
 	}
-	if len(u) > 0 && maskVec(mk) {
+	if maskVec(mk) && len(u) > 0 {
 		badBits(blend16(&h[0], &z[0], &u[0], &mk.Bits[0], len(mk.Bits), len(u)), mk)
 		return
 	}

@@ -12,8 +12,8 @@ import (
 // pure-Go twin's bits (NaN ≡ NaN) over every output, at every segment
 // length around the sixteen-row blocks, every kept share, and with the
 // packed vector sharing its first element with a row-space input. The
-// twin runs with the process forced generic. On a CPU without AVX-512
-// both sides are the twin.
+// twin runs with the process forced generic; where no body binds the
+// test skips, and the goldens under a generic process hold the twins.
 
 // elemSegs are the segment lengths the contract runs at: empty, inside
 // one block, on and beside block edges, and the hot path's h.
@@ -84,6 +84,9 @@ func twinAndBody(t *testing.T, what string, in []Vector, f func(v []Vector)) {
 }
 
 func TestElemBodiesMatchTwins(t *testing.T) {
+	if !elemVec() {
+		t.Skipf("no AVX-512 element-wise body bound (%s, chain %s): the twin has nothing to match", CPU(), ActiveKernelChain())
+	}
 	r := rng.New(0xe1e)
 	for _, seg := range elemSegs {
 		for _, p := range []float64{0, 0.3, 0.7, 1} {
@@ -106,9 +109,9 @@ func TestElemBodiesMatchTwins(t *testing.T) {
 	}
 }
 
-// TestKeptRowsIntoMatchesCompare holds the compaction body to the
-// per-row compare it replaces, over one to five cells: the kept list
-// ascending and its Bits naming the same rows.
+// TestKeptRowsIntoMatchesCompare holds the compaction, body and twin,
+// to the per-row float32 compare, over one to five cells: the kept list
+// ascending and its Bits naming the same rows, every row at α ≤ 0.
 func TestKeptRowsIntoMatchesCompare(t *testing.T) {
 	r := rng.New(0xc0a)
 	for _, seg := range elemSegs {
@@ -117,23 +120,26 @@ func TestKeptRowsIntoMatchesCompare(t *testing.T) {
 			for c := range os {
 				os[c] = elemVector(r, seg)
 			}
-			a := float32(r.Float64())
-			want := []int{}
-			for j := 0; j < seg; j++ {
-				if slices.ContainsFunc(os, func(o Vector) bool { return o[j] >= a }) {
-					want = append(want, j)
+			for _, alpha := range []float64{r.Float64(), 0} {
+				a := float32(alpha)
+				want := []int{}
+				for j := 0; j < seg; j++ {
+					if alpha <= 0 || slices.ContainsFunc(os, func(o Vector) bool { return o[j] >= a }) {
+						want = append(want, j)
+					}
 				}
-			}
-			dst, words := make([]int, seg), make([]uint16, MaskWords(seg))
-			for j := range words {
-				words[j] = 0xffff // stale bits from an earlier step
-			}
-			mk, ok := KeptRowsInto(dst, words, os, a)
-			if !ok {
-				t.Skipf("no AVX-512 compaction body on this CPU (%s)", CPU())
-			}
-			if !slices.Equal(mk.Kept, want) || !slices.Equal(mk.Bits, bitsOf(want, seg).Bits) || mk.Seg != seg {
-				t.Fatalf("seg %d, %d cells, α %v: kept %v bits %04x, want %v", seg, cells, a, mk.Kept, mk.Bits, want)
+				check := func(t *testing.T) {
+					dst, words := make([]int, seg), make([]uint16, MaskWords(seg))
+					for j := range words {
+						words[j] = 0xffff // stale bits from an earlier step
+					}
+					mk := KeptRowsInto(dst, words, os, alpha)
+					if !slices.Equal(mk.Kept, want) || !slices.Equal(mk.Bits, bitsOf(want, seg).Bits) || mk.Seg != seg {
+						t.Fatalf("seg %d, %d cells, α %v: kept %v bits %04x, want %v", seg, cells, alpha, mk.Kept, mk.Bits, want)
+					}
+				}
+				withChain(t, ChainGeneric, check)
+				check(t)
 			}
 		}
 	}

@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"mobilstm/internal/tensor"
 )
 
 var mutate = flag.Bool("mutate", false,
@@ -24,7 +26,15 @@ type mutation struct {
 	catch            []string // tests that must fail
 	count            int      // go test -count; the catcher must fail every run
 	mark             string   // output that counts as the catch, when not "--- FAIL: <catch>"
+	env              []string // KEY=VALUE settings the catchers run under
+	needs            string   // the CPU feature the mutated code runs on, when it is not every CPU
 	edits            []edit
+}
+
+// cpuNeeds maps a row's needs to whether this CPU runs the code it
+// mutates: "avx512" is the probe that binds the AVX-512 bodies.
+var cpuNeeds = map[string]func(tensor.CPUInfo) bool{
+	"avx512": func(c tensor.CPUInfo) bool { return c.AVX512F && c.OSZMM },
 }
 
 // edit replaces anchor, which must occur exactly once in file, with repl.
@@ -83,6 +93,13 @@ func parseMutations(t *testing.T, path string) []*mutation {
 			}
 		case "mark":
 			cur.mark = val
+		case "env":
+			cur.env = append(cur.env, val)
+		case "needs":
+			if cpuNeeds[val] == nil {
+				t.Fatalf("%s:%d: unknown CPU feature %q", path, i+1, val)
+			}
+			cur.needs = val
 		case "edit":
 			file = val
 		default:
@@ -99,14 +116,18 @@ func parseMutations(t *testing.T, path string) []*mutation {
 
 // TestMutations plants every row of testdata/mutations.txt in its own
 // copy of the module and runs the row's catchers there. They must fail
-// on every one of the row's runs; a build error is not a catch. Off by
-// default (make mutate).
+// on every one of the row's runs; a build error is not a catch. A row
+// whose mutated code this CPU never runs (needs) is skipped, and the
+// skip names it. Off by default (make mutate).
 func TestMutations(t *testing.T) {
 	if !*mutate {
 		t.Skip("seeded mutations: run with -mutate (make mutate)")
 	}
 	for _, m := range parseMutations(t, filepath.Join("testdata", "mutations.txt")) {
 		t.Run(m.name, func(t *testing.T) {
+			if m.needs != "" && !cpuNeeds[m.needs](tensor.CPU()) {
+				t.Skipf("%s: the mutated code runs only with %s, which this CPU (%s) lacks", m.class, m.needs, tensor.CPU())
+			}
 			dir := t.TempDir()
 			copyModule(t, dir)
 			for _, e := range m.edits {
@@ -128,7 +149,7 @@ func TestMutations(t *testing.T) {
 			// copy's directory, so only the mutated packages rebuild.
 			cmd := exec.Command("go", "test", "-trimpath", "-count="+strconv.Itoa(m.count),
 				"-run", "^("+names+")$", m.pkg)
-			cmd.Dir = dir
+			cmd.Dir, cmd.Env = dir, append(os.Environ(), m.env...)
 			out, _ := cmd.CombinedOutput()
 			if bytes.Contains(out, []byte("[build failed]")) || bytes.Contains(out, []byte("[setup failed]")) {
 				t.Fatalf("the mutated copy does not build, which catches nothing:\n%s", out)
