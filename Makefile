@@ -136,6 +136,8 @@ bench:
 # its own RUNBENCHTIME: one of its ops takes 7–30 ms, so a 10-iteration
 # sample is one scheduler hiccup wide and cannot resolve the RunBatch
 # rows on a two-core box (a same-code B=4 row read 19 % apart at 10x).
+# The committed file is taken at BENCHCOUNT=24, where the Run family
+# alone runs ~13 min: past go test's default 10 min timeout.
 BENCHTIME ?= 10x
 RUNBENCHTIME ?= 40x
 BENCHCOUNT ?= 3
@@ -143,7 +145,7 @@ bench-json:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	$(GO) test -run='^$$' -bench='Gemv|Gemm|SigmoidVec|TanhVec' -benchmem \
 		-benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/tensor/ > /tmp/bench_hotpath.txt
-	$(GO) test -run='^$$' -bench='^BenchmarkRun' -benchmem \
+	$(GO) test -run='^$$' -bench='^BenchmarkRun' -benchmem -timeout 60m \
 		-benchtime=$(RUNBENCHTIME) -count=$(BENCHCOUNT) . >> /tmp/bench_hotpath.txt
 	/tmp/benchjson < /tmp/bench_hotpath.txt > BENCH_hotpath.json
 
