@@ -175,7 +175,7 @@ TEXT ·cellState16(SB), NOSPLIT, $0-65
 
 cellBlock:
 	TESTQ       R10, R10
-	JZ          cellDone
+	JZ          cellPack
 	MOVWLZX     (R9), R8
 	KMOVW       R8, K1
 	ROWS
@@ -188,12 +188,36 @@ cellBlock:
 	VMULPS      Z2, Z1, Z1
 	VADDPS      Z1, Z0, Z0
 	VMOVUPS     Z0, K6, (DI)(SI*4)
+	ADDQ        CX, R11
+	ADDQ        $16, SI
+	ADDQ        $2, R9
+	DECQ        R10
+	JMP         cellBlock
+
+	// The second pass packs c from s into f. Packing it in the first
+	// would store each block's c over the bytes the next block's f load
+	// reads, and that load waits for the store.
+cellPack:
+	CMPQ    R11, R15
+	JNE     cellDone
+	MOVQ    words+32(FP), R9
+	MOVQ    nw+40(FP), R10
+	XORQ    SI, SI
+	XORQ    R11, R11
+
+packBlock:
+	TESTQ       R10, R10
+	JZ          cellDone
+	MOVWLZX     (R9), R8
+	KMOVW       R8, K1
+	POPCNTL     R8, CX
+	VMOVUPS.Z   (DI)(SI*4), K1, Z0
 	VCOMPRESSPS Z0, K1, Z0
 	PACKED(Z0, AX)
 	ADDQ        $16, SI
 	ADDQ        $2, R9
 	DECQ        R10
-	JMP         cellBlock
+	JMP         packBlock
 
 cellFault:
 	MOVQ $-1, R11
