@@ -204,9 +204,10 @@ func (k Kernels) span4(dsts [4][]float32, m *Matrix, xs [4][]float32, row0 int) 
 // united matrix whose row count is a multiple of Seg: united row g·Seg+r
 // is computed exactly when r is in Kept, and every other row is skipped.
 // The zero RowMask, like any mask that keeps all Seg rows, skips nothing.
-// Bits, when present, names the same rows as one bit each, sixteen rows
-// to a word (row r is bit r%16 of Bits[r/16], MaskWords(Seg) words): the
-// k-masks the element-wise bodies walk (elem.go). The kernels read Kept.
+// Bits names the same rows as one bit each, sixteen rows to a word (row
+// r is bit r%16 of Bits[r/16], MaskWords(Seg) words): the k-masks the
+// element-wise bodies walk. The element-wise primitives require it
+// (KeptRowsInto and EveryRow make it, elem.go); the kernels read Kept.
 type RowMask struct {
 	Seg  int
 	Kept []int
